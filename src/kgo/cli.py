@@ -101,9 +101,9 @@ def cmd_fit(args) -> int:
     trace_path = f"{prefix}trace.tsv"
     _write_tsv(trace_path,
                ["iteration", "f_before", "f_after", "residual",
-                "lambda_asym", "lambda_spur"],
+                "lambda_asym", "lambda_spur", "stationarity"],
                [(r.iteration, r.f_before, r.f_after, r.residual,
-                 r.lambda_asym, r.lambda_spur) for r in trace])
+                 r.lambda_asym, r.lambda_spur, r.stationarity) for r in trace])
     report = fitted.report
     report_path = f"{prefix}report.txt"
     lines = [f"{key} = {report[key]!r}" for key in sorted(report)]
@@ -208,11 +208,11 @@ def _demo_config(args):
 
 
 def _add_solver_flags(parser, with_defaults=True):
-    parser.add_argument("--algorithm", default="linear-constraints" if with_defaults else None,
+    parser.add_argument("--algorithm", default=SolverConfig.algorithm if with_defaults else None,
                         choices=list(ALGORITHMS))
-    parser.add_argument("--max-iterations", type=int, default=1000)
-    parser.add_argument("--rel-tol", type=float, default=1e-10)
-    parser.add_argument("--pool", type=int, default=16)
+    parser.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
+    parser.add_argument("--rel-tol", type=float, default=SolverConfig.rel_tol)
+    parser.add_argument("--pool", type=int, default=SolverConfig.candidate_pool)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lsq-init", action="store_true",
                         help="seed iterative solvers with the adjusted least-squares map")

@@ -17,7 +17,8 @@ from .hilbert import (DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis, prepare,
                       prepare_points)
 from .sample import BasisSpec, Sample, evaluate_basis, with_scale
 from .sample import CHEBYSHEV
-from .solver import LSQ_ADJ, PartiallyUnitaryOp, SolverConfig, solve
+from .solver import (LSQ_ADJ, PartiallyUnitaryOp, SolverConfig, solve,
+                     stationarity_residual)
 from .tensors import (ContributingSubspace, CoverageTensor, TensorKind,
                       build_coverage_tensor, contributing_subspace,
                       ftot_upper_bound, label_matched_projection,
@@ -127,6 +128,8 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         "f_tot": ftot_upper_bound(data),
         "f_jdg": joint_distribution_coverage(data),
         "residual": op.residual,
+        "stationarity": stationarity_residual(op.u, tensor),
+        "stop_reason": trace.stop_reason,
         "tensor_kind": kind.value,
         "d": tensor.d,
         "n": tensor.n,

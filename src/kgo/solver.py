@@ -5,11 +5,14 @@ orthonormal rows (u u^T = I). It behaves like an eigenvalue problem whose
 "eigenvalue" is a d x d symmetric matrix of Lagrange multipliers; the
 extremal F equals that matrix's trace.
 
-All algorithms share the same skeleton: solve an ordinary (d*n)-dimensional
-eigenproblem under the relaxed Frobenius-norm constraint, pick a promising
-eigenstate, snap it onto the constraint set (all singular values to +1), and
-refresh the multipliers. Convergence is not guaranteed, so every iteration
-is traced and the best constrained iterate seen is returned.
+The paper's algorithms share the same skeleton: solve an ordinary
+(d*n)-dimensional eigenproblem under the relaxed Frobenius-norm constraint,
+pick a promising eigenstate, snap it onto the constraint set (all singular
+values to +1), and refresh the multipliers. Convergence is not guaranteed,
+so every iteration is traced and the best constrained iterate seen is
+returned. The default, polar ascent, is a monotone ascent on the constraint
+set that needs no eigenproblem per step; the paper's algorithms are kept for
+reproduction.
 """
 
 from __future__ import annotations
@@ -29,12 +32,22 @@ MAXEV_EVADJ = "maxev-evadj"
 LAGRANGE_ITER = "lagrange-iter"
 LINEAR_CONSTRAINTS = "linear-constraints"
 LSQ_ADJ = "lsq-adj"
+POLAR_ASCENT = "polar-ascent"
 
 ALGORITHMS = (MAXEV, MAXEV_SVD_ADJ, MAXEV_EVADJ, LAGRANGE_ITER,
-              LINEAR_CONSTRAINTS, LSQ_ADJ)
+              LINEAR_CONSTRAINTS, LSQ_ADJ, POLAR_ASCENT)
+
+# Why a solve stopped: the rel_tol test fired, max_iterations ran out, or no
+# step could be taken (every polar-ascent step was rank deficient).
+CONVERGED = "converged"
+BUDGET = "budget"
+STALLED = "stalled"
 
 _RANK_REL = 1e-12
 _RESIDUAL_TOL = 1e-8
+# Momentum of polar ascent's extrapolated step. A step that would lower F is
+# replaced by the plain step, so this value trades speed only.
+_EXTRAPOLATION = 0.9
 
 
 def normalize_algorithm(name: str) -> str:
@@ -46,7 +59,7 @@ def normalize_algorithm(name: str) -> str:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    algorithm: str = LINEAR_CONSTRAINTS
+    algorithm: str = POLAR_ASCENT
     max_iterations: int = 1000
     rel_tol: float = 1e-10
     candidate_pool: int = 16
@@ -86,15 +99,18 @@ class PartiallyUnitaryOp:
 class IterationRecord:
     iteration: int
     f_before: float       # objective of the selected unconstrained candidate
+                          # (polar-ascent: of the iterate the step started from)
     f_after: float        # objective after snapping onto the constraints
     residual: float       # constraint residual of the snapped iterate
     lambda_asym: float    # anti-symmetric norm of the raw multipliers
     lambda_spur: float    # trace of the raw multipliers (should equal f_after)
+    stationarity: float   # ||S u - sym(Lambda) u|| / ||S u|| of the snapped iterate
 
 
 @dataclass
 class IterationTrace:
     records: List[IterationRecord] = field(default_factory=list)
+    stop_reason: str = CONVERGED
 
     def append(self, record: IterationRecord):
         self.records.append(record)
@@ -183,11 +199,15 @@ def approximate_from_any(u_any, tensor: Optional[CoverageTensor] = None) -> Part
     return make_operator(adjusted, "svd-adjustment", 0, tensor)
 
 
+def _apply(tensor: CoverageTensor, u) -> np.ndarray:
+    """S u, reshaped to d x n."""
+    return (tensor.matrix @ u.reshape(-1)).reshape(tensor.d, tensor.n)
+
+
 def raw_lagrange_multipliers(u, tensor: CoverageTensor) -> np.ndarray:
     """Unsymmetrized multipliers at a constrained point: u contracted with S u."""
     u = np.asarray(u, dtype=float)
-    y = (tensor.matrix @ u.reshape(-1)).reshape(tensor.d, tensor.n)
-    return u @ y.T
+    return u @ _apply(tensor, u).T
 
 
 def lagrange_multipliers(u, tensor: CoverageTensor) -> np.ndarray:
@@ -201,6 +221,24 @@ def lagrange_multipliers(u, tensor: CoverageTensor) -> np.ndarray:
         raise NumericalError("operator does not satisfy the partial unitarity constraints")
     raw = raw_lagrange_multipliers(u, tensor)
     return 0.5 * (raw + raw.T)
+
+
+def _stationarity(u, su, lam) -> float:
+    norm = np.linalg.norm(su)
+    return float(np.linalg.norm(su - lam @ u) / norm) if norm > 0.0 else 0.0
+
+
+def stationarity_residual(u, tensor: CoverageTensor) -> float:
+    """First-order residual ||S u - sym(Lambda) u|| / ||S u|| of a constrained channel.
+
+    Zero exactly when u solves S u = Lambda u with a symmetric multiplier
+    matrix Lambda, i.e. at a critical point of F on u u^T = I; this tells a
+    stationary channel from the best iterate a solver happened to see.
+    """
+    u = np.asarray(u, dtype=float)
+    su = _apply(tensor, u)
+    raw = u @ su.T
+    return _stationarity(u, su, 0.5 * (raw + raw.T))
 
 
 def select_candidate(channels, tensor: CoverageTensor,
@@ -240,7 +278,10 @@ def select_candidate(channels, tensor: CoverageTensor,
 
 def _record(trace: IterationTrace, iteration: int, f_before: float,
             u_adj, f_adj: float, tensor: CoverageTensor):
-    raw = raw_lagrange_multipliers(u_adj, tensor)
+    """Append the trace row of a snapped iterate; returns (sym(Lambda), S u)."""
+    su = _apply(tensor, u_adj)
+    raw = u_adj @ su.T
+    lam = 0.5 * (raw + raw.T)
     trace.append(IterationRecord(
         iteration=iteration,
         f_before=f_before,
@@ -248,8 +289,9 @@ def _record(trace: IterationTrace, iteration: int, f_before: float,
         residual=constraint_residual(u_adj),
         lambda_asym=float(np.linalg.norm(raw - raw.T)),
         lambda_spur=float(np.trace(raw)),
+        stationarity=_stationarity(u_adj, su, lam),
     ))
-    return 0.5 * (raw + raw.T)
+    return lam, su
 
 
 def iterate_lagrange(tensor: CoverageTensor, config: SolverConfig,
@@ -268,7 +310,7 @@ def iterate_lagrange(tensor: CoverageTensor, config: SolverConfig,
     if u_init is not None:
         u0 = enforce_partial_unitarity(u_init, "svd")
         f0 = tensor.quadratic_form(u0)
-        lam = _record(trace, 0, f0, u0, f0, tensor)
+        lam, _ = _record(trace, 0, f0, u0, f0, tensor)
         best_u, best_f = u0, f0
         budget -= 1
     f_prev = None
@@ -277,12 +319,14 @@ def iterate_lagrange(tensor: CoverageTensor, config: SolverConfig,
         iterations = it
         _, channels = solve_partial_constraint(tensor, lam)
         cand, adjusted, f_adj = select_candidate(channels, tensor, pool)
-        lam = _record(trace, it, tensor.quadratic_form(cand), adjusted, f_adj, tensor)
+        lam, _ = _record(trace, it, tensor.quadratic_form(cand), adjusted, f_adj, tensor)
         if f_adj > best_f:
             best_u, best_f = adjusted, f_adj
         if f_prev is not None and abs(f_adj - f_prev) <= config.rel_tol * max(abs(f_adj), 1e-300):
             break
         f_prev = f_adj
+    else:
+        trace.stop_reason = BUDGET
     return make_operator(best_u, LAGRANGE_ITER, iterations, f_value=best_f), trace
 
 
@@ -345,7 +389,94 @@ def iterate_linear_constraints(tensor: CoverageTensor, config: SolverConfig,
             break
         f_prev = f_adj
         border, corner = refresh(adjusted)
+    else:
+        trace.stop_reason = BUDGET
     return make_operator(best_u, LINEAR_CONSTRAINTS, iterations, f_value=best_f), trace
+
+
+def _polar(a) -> Optional[np.ndarray]:
+    """The svd snap of a, or None when a is numerically rank deficient."""
+    try:
+        return enforce_partial_unitarity(a, "svd")
+    except NumericalError:
+        return None
+
+
+def _polar_steps(tensor: CoverageTensor, u, u_prev, su, s_norm: float):
+    """Polar-ascent candidates in order of preference, lazily.
+
+    Yields (snapped candidate or None, whether the step is monotone): the
+    extrapolated step when there is a previous iterate, then the plain step,
+    then the plain step of the PSD-shifted tensor S + ||S||_F I.
+    """
+    if u_prev is not None:
+        yield _polar(_apply(tensor, u + _EXTRAPOLATION * (u - u_prev))), False
+    yield _polar(su), True
+    if s_norm > 0.0:
+        yield _polar(u + su / s_norm), True
+
+
+def iterate_polar_ascent(tensor: CoverageTensor, config: SolverConfig,
+                         u_init=None) -> Tuple[PartiallyUnitaryOp, IterationTrace]:
+    """Generalized power method on the constraint set: u <- polar(S u).
+
+    For PSD S (every tensor kind) the step never lowers F, and its fixed
+    points are exactly the solutions of S u = Lambda u (Journee, Nesterov,
+    Richtarik & Sepulchre, JMLR 11, 2010). Each step costs a few
+    matrix-vector products and d x n SVDs, never an eigenproblem. It first
+    tries the extrapolated point y = u + beta (u - u_prev) and keeps
+    polar(S y) only if F does not fall; otherwise it takes polar(S u), or
+    polar(u + S u / ||S||_F), which ascends for any symmetric S. F therefore
+    never decreases along the trace and the last iterate is the best one.
+    The solve stops "converged" when a plain step changes F by at most
+    rel_tol relative or cannot raise it at all, and "stalled" when every
+    step is rank deficient.
+
+    Starts from the svd snap of u_init, or else from the maxev-svd-adj
+    channel, so F is never below either.
+    """
+    trace = IterationTrace()
+    if u_init is not None:
+        u = enforce_partial_unitarity(u_init, "svd")
+        f = tensor.quadratic_form(u)
+        f_start, first = f, 0
+    else:
+        _, channels = solve_partial_constraint(tensor)
+        cand, u, f = select_candidate(channels, tensor,
+                                      min(config.candidate_pool, tensor.d * tensor.n))
+        f_start, first = tensor.quadratic_form(cand), 1
+    _, su = _record(trace, first, f_start, u, f, tensor)
+    s_norm = float(np.linalg.norm(tensor.matrix))
+    u_prev = None
+    iterations = first
+    for it in range(first + 1, first + config.max_iterations):
+        step, reason = None, STALLED
+        for cand, monotone in _polar_steps(tensor, u, u_prev, su, s_norm):
+            if cand is None:
+                continue
+            f_cand = tensor.quadratic_form(cand)
+            if f_cand >= f:
+                step = (cand, f_cand, monotone)
+                break
+            if monotone:
+                reason = CONVERGED   # an ascent step that cannot ascend: F is at rounding level
+        if step is None:
+            trace.stop_reason = reason
+            break
+        u_prev, (u, f_next, monotone) = u, step
+        _, su = _record(trace, it, f, u, f_next, tensor)
+        iterations = it
+        flat = abs(f_next - f) <= config.rel_tol * max(abs(f_next), 1e-300)
+        f = f_next
+        if flat and monotone:
+            break
+        if flat:
+            # An extrapolated step can jump across the maximum with F unchanged;
+            # only a plain step that no longer raises F shows convergence.
+            u_prev = None
+    else:
+        trace.stop_reason = BUDGET
+    return make_operator(u, POLAR_ASCENT, iterations, f_value=f), trace
 
 
 def operator_adjust(u, j_matrix, tensor: CoverageTensor):
@@ -403,9 +534,9 @@ def solve(tensor: CoverageTensor, config: SolverConfig,
           u_init=None) -> Tuple[PartiallyUnitaryOp, IterationTrace]:
     """Dispatch on the configured algorithm.
 
-    Single-shot paths (maxev family, lsq-adj) record one trace row; the
-    iterative paths delegate to their loops. lsq-adj requires an initial map
-    (the least-squares channel) via u_init.
+    Single-shot paths (maxev family, lsq-adj) record one trace row and stop
+    "converged"; the iterative paths delegate to their loops. lsq-adj
+    requires an initial map (the least-squares channel) via u_init.
     """
     algorithm = normalize_algorithm(config.algorithm)
     pool = min(config.candidate_pool, tensor.d * tensor.n)
@@ -425,8 +556,7 @@ def solve(tensor: CoverageTensor, config: SolverConfig,
         trace = IterationTrace()
         _record(trace, 1, f_adj, adjusted, f_adj, tensor)
         return make_operator(adjusted, algorithm, 1, f_value=f_adj), trace
-    if algorithm == LAGRANGE_ITER:
-        return iterate_lagrange(tensor, config,
-                                u_init if config.init_with_least_squares else None)
-    return iterate_linear_constraints(tensor, config,
-                                      u_init if config.init_with_least_squares else None)
+    loop = {LAGRANGE_ITER: iterate_lagrange,
+            LINEAR_CONSTRAINTS: iterate_linear_constraints,
+            POLAR_ASCENT: iterate_polar_ascent}[algorithm]
+    return loop(tensor, config, u_init if config.init_with_least_squares else None)

@@ -44,6 +44,18 @@ class TestFit:
         model = kgo.deserialize_model(open(prefix + "model.json", "rb").read())
         assert model.operator.residual <= 1e-10
 
+    def test_default_algorithm(self, exact_csv, tmp_path):
+        code, prefix = run_fit(exact_csv, tmp_path, "--lsq-init")
+        assert code == 0
+        report = dict(line.split(" = ") for line in
+                      open(prefix + "report.txt").read().splitlines())
+        assert report["algorithm"] == repr(kgo.SolverConfig().algorithm)
+        assert report["stop_reason"] in ("'converged'", "'budget'", "'stalled'")
+        trace = open(prefix + "trace.tsv").read().splitlines()
+        assert trace[0].split("\t")[-1] == "stationarity"
+        assert float(trace[-1].split("\t")[-1]) == pytest.approx(
+            float(report["stationarity"]), abs=1e-15)
+
     def test_missing_cols_usage_error(self, exact_csv, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["fit", "--data", exact_csv,

@@ -302,7 +302,8 @@ class TestFitPipeline:
         assert kgo.probability(model, [0.5], [0.5]) == pytest.approx(1.0)
 
     def test_report_fields(self, identity_model):
-        for key in ("f", "f_tot", "f_jdg", "residual", "algorithm", "iterations"):
+        for key in ("f", "f_tot", "f_jdg", "residual", "algorithm", "iterations",
+                    "stationarity", "stop_reason"):
             assert key in identity_model.report
 
 

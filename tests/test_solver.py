@@ -172,6 +172,98 @@ class TestIterateLinearConstraints:
         assert op.f_value >= lsq.f_value - 1e-9
 
 
+def christoffel_tensor(rng, m_obs=2000):
+    """F_CHRISTOFFEL tensor on 2-D attributes with d*n = 5 * 21 = 105."""
+    x = rng.uniform(-1.0, 1.0, size=(m_obs, 2))
+    f = np.sin(np.pi * x[:, :1]) + 0.1 * rng.standard_normal((m_obs, 1))
+    sample = kgo.Sample(x, f, rng.uniform(0.5, 1.5, size=m_obs))
+    data = kgo.prepare(sample,
+                       kgo.with_scale(kgo.BasisSpec("chebyshev", 5), x),
+                       kgo.with_scale(kgo.BasisSpec("chebyshev", 4), f))
+    return data, kgo.build_coverage_tensor(kgo.TensorKind.F_CHRISTOFFEL, data)
+
+
+def assert_monotone(trace):
+    f_after = [r.f_after for r in trace]
+    assert all(b >= a for a, b in zip(f_after, f_after[1:]))
+
+
+class TestIteratePolarAscent:
+    def test_is_the_default(self):
+        assert kgo.SolverConfig().algorithm == "polar-ascent"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trace_monotone_random(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        tensor = random_tensor(rng, 3, 6)
+        for u_init in (None, rng.normal(size=(3, 6))):
+            op, trace = kgo.iterate_polar_ascent(
+                tensor, kgo.SolverConfig(max_iterations=200), u_init)
+            assert_monotone(trace)
+            assert op.f_value == trace.records[-1].f_after  # the last iterate is the best
+            assert op.residual <= 1e-8
+
+    def test_trace_monotone_christoffel(self):
+        data, tensor = christoffel_tensor(np.random.default_rng(15))
+        assert tensor.d * tensor.n >= 100
+        cfg = kgo.SolverConfig(max_iterations=300, init_with_least_squares=True)
+        op, trace = kgo.solve(tensor, cfg, kgo.lsq_channel(data))
+        assert len(trace) > 10
+        assert_monotone(trace)
+        assert op.residual <= 1e-8
+
+    def test_stationary_when_converged(self):
+        # The |dF| stop test bounds the stationarity residual by roughly
+        # sqrt(rel_tol), so a tight rel_tol makes the certificate small.
+        rng = np.random.default_rng(16)
+        data = make_random_instance(rng, max_obs=80)
+        for kind in kgo.TensorKind:
+            tensor = kgo.build_coverage_tensor(kind, data)
+            op, trace = kgo.solve(tensor, kgo.SolverConfig(rel_tol=1e-12))
+            assert trace.stop_reason == "converged"
+            assert trace.records[-1].stationarity <= 1e-6
+            assert kgo.stationarity_residual(op.u, tensor) == pytest.approx(
+                trace.records[-1].stationarity, rel=1e-9, abs=1e-15)
+
+    def test_not_below_its_start(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            data = make_random_instance(rng, max_obs=80)
+            tensor = kgo.build_coverage_tensor(kgo.TensorKind.F_CHRISTOFFEL, data)
+            maxev, _ = kgo.solve(tensor, kgo.SolverConfig(algorithm="maxev-svd-adj"))
+            op, _ = kgo.solve(tensor, kgo.SolverConfig())
+            assert op.f_value >= maxev.f_value
+            lsq = kgo.lsq_channel(data)
+            snap = kgo.approximate_from_any(lsq, tensor)
+            op, _ = kgo.solve(tensor, kgo.SolverConfig(init_with_least_squares=True), lsq)
+            assert op.f_value >= snap.f_value
+
+    def test_rank_deficient_steps(self):
+        # Two rank-one observations: S u = sum_l c_l f_l x_l^T has rank <= 2
+        # < d, so the plain step polar(S u) never exists.
+        rng = np.random.default_rng(18)
+        d, n, m_obs = 4, 6, 2
+        z = np.einsum("li,lj->lij", rng.normal(size=(m_obs, d)),
+                      rng.normal(size=(m_obs, n))).reshape(m_obs, -1)
+        tensor = kgo.CoverageTensor(kgo.TensorKind.PLAIN_VALUE, d, n, z.T @ z)
+        for u_init in (None, rng.normal(size=(d, n))):
+            cfg = kgo.SolverConfig(init_with_least_squares=u_init is not None)
+            op, trace = kgo.solve(tensor, cfg, u_init)
+            su = (tensor.matrix @ op.u.reshape(-1)).reshape(d, n)
+            assert np.linalg.matrix_rank(su) < d
+            assert op.residual <= 1e-8
+            assert len(trace) > 1
+            assert_monotone(trace)
+
+    def test_stalls_without_raising(self):
+        tensor = kgo.CoverageTensor(kgo.TensorKind.PLAIN_VALUE, 2, 3, np.zeros((6, 6)))
+        u0 = random_partially_unitary(np.random.default_rng(19), 2, 3)
+        op, trace = kgo.solve(tensor, kgo.SolverConfig(init_with_least_squares=True), u0)
+        assert trace.stop_reason == "stalled"
+        assert len(trace) == 1
+        np.testing.assert_allclose(op.u, u0, atol=1e-12)
+
+
 class TestApproximateFromAny:
     def test_exact_subspace_unchanged(self, three_point_data):
         channel = kgo.lsq_channel(three_point_data)
@@ -296,6 +388,20 @@ class TestSolveDispatcher:
         assert op.residual <= 1e-8
         assert op.algorithm == algorithm
         assert len(trace) >= 1
+
+    @pytest.mark.parametrize("algorithm", kgo.ALGORITHMS)
+    def test_stop_reason_and_stationarity(self, algorithm):
+        rng = np.random.default_rng(20)
+        tensor = random_tensor(rng, 3, 6)
+        iterative = algorithm in ("lagrange-iter", "linear-constraints", "polar-ascent")
+        cfg = kgo.SolverConfig(algorithm=algorithm, max_iterations=2)
+        op, trace = kgo.solve(tensor, cfg, rng.normal(size=(3, 6)))
+        assert trace.stop_reason == ("budget" if iterative else "converged")
+        for record in trace:
+            assert np.isfinite(record.stationarity) and record.stationarity >= 0.0
+        if not iterative:
+            assert trace.records[-1].stationarity == pytest.approx(
+                kgo.stationarity_residual(op.u, tensor), abs=1e-15)
 
     def test_sign_flip_leaves_coverage(self, three_point_tensor):
         cfg = kgo.SolverConfig(algorithm="maxev")
