@@ -10,12 +10,11 @@ baselines.
 from .errors import DataError, DimensionError, KgoError, NumericalError
 from .sample import (BasisSpec, Sample, design_matrix, evaluate_basis,
                      load_sample, multi_indices, parse_column_spec,
-                     product_attributes, producted_dimension, weighted_average,
-                     with_scale)
+                     producted_dimension, weighted_average, with_scale)
 from .linalg import (GenEigResult, SymEigResult, gen_sym_eig, spd_inverse_sqrt,
-                     spd_sqrt, svd, sym_eig)
+                     spd_sqrt, sym_eig)
 from .hilbert import (LocalizedState, PreparedData, SpaceBasis, build_space,
-                      christoffel, coverage_of_state, gram, gram_matrix,
+                      christoffel, coverage_of_state, gram_matrix,
                       localized_state, prepare, prepare_points, regularize,
                       space_from_sample, state_values)
 from .baselines import (LeastSquaresMap, RadonNikodymModel,
@@ -25,8 +24,7 @@ from .baselines import (LeastSquaresMap, RadonNikodymModel,
                         lsq_channel, partial_unitarity_residual)
 from .tensors import (ContributingSubspace, CoverageTensor, TensorKind,
                       adjusted_christoffel, build_coverage_tensor,
-                      christoffel_product_moments, contributing_subspace,
-                      coverage_spectrum, ftot_upper_bound,
+                      contributing_subspace, coverage_spectrum, ftot_upper_bound,
                       label_matched_projection, label_to_attribute_coverage)
 from .solver import (ALGORITHMS, IterationRecord, IterationTrace,
                      PartiallyUnitaryOp, SolverConfig, approximate_from_any,

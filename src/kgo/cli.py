@@ -81,7 +81,6 @@ def _solver_config(args) -> SolverConfig:
         max_iterations=args.max_iterations,
         rel_tol=args.rel_tol,
         candidate_pool=args.pool,
-        seed=args.seed,
         init_with_least_squares=args.lsq_init,
     )
 
@@ -200,11 +199,7 @@ def cmd_demo(args) -> int:
 
 
 def _demo_config(args):
-    if args.algorithm is None:
-        return None
-    return SolverConfig(algorithm=args.algorithm,
-                        max_iterations=args.max_iterations,
-                        init_with_least_squares=args.lsq_init)
+    return None if args.algorithm is None else _solver_config(args)
 
 
 def _add_solver_flags(parser, with_defaults=True):
@@ -213,7 +208,6 @@ def _add_solver_flags(parser, with_defaults=True):
     parser.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
     parser.add_argument("--rel-tol", type=float, default=SolverConfig.rel_tol)
     parser.add_argument("--pool", type=int, default=SolverConfig.candidate_pool)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lsq-init", action="store_true",
                         help="seed iterative solvers with the adjusted least-squares map")
 

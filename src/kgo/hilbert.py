@@ -58,14 +58,6 @@ def gram_matrix(points, weights) -> np.ndarray:
     return (points.T * weights) @ points
 
 
-def gram(sample: Sample, side: str, spec: BasisSpec) -> np.ndarray:
-    """Raw Gram matrix of one sample side under the given basis."""
-    if side not in ("x", "f"):
-        raise DimensionError(f"side must be 'x' or 'f', got {side!r}")
-    rows = sample.x_rows if side == "x" else sample.f_rows
-    return gram_matrix(design_matrix(spec, rows), sample.weights)
-
-
 def regularize(gram_raw, rel_threshold: float = DEFAULT_REL_THRESHOLD) -> np.ndarray:
     """Whitening transform of a PSD Gram matrix.
 

@@ -1,8 +1,8 @@
-"""Dense symmetric eigendecomposition, generalized eigenproblems, SVD, SPD roots.
+"""Dense symmetric eigendecomposition, generalized eigenproblems, SPD roots.
 
 All routines enforce a deterministic sign convention (the largest-magnitude
-entry of every eigenvector / left singular vector is positive) so repeated
-runs and serialized models are reproducible bit for bit.
+entry of every eigenvector is positive) so repeated runs and serialized
+models are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -101,35 +101,3 @@ def gen_sym_eig(a, b) -> GenEigResult:
     vectors = _fix_column_signs(w_half @ inner.eigenvectors)
     return GenEigResult(inner.eigenvalues, vectors)
 
-
-def svd(u):
-    """Full SVD u = U diag(s) V^T with the deterministic sign convention.
-
-    Returns (U, s, V) where U is D x D, s is the descending vector of
-    singular values, and V is n x n. Sign fixes are applied jointly to
-    paired (U, V) columns so the product is preserved.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise NumericalError("matrix contains non-finite entries")
-    left, s, right_t = np.linalg.svd(u, full_matrices=True)
-    right = right_t.T
-    d, n = u.shape
-    for i in range(min(d, n)):
-        k = int(np.argmax(np.abs(left[:, i])))
-        if left[k, i] < 0.0:
-            left[:, i] = -left[:, i]
-            right[:, i] = -right[:, i]
-    # Null-space columns are unpaired; fix them independently.
-    for i in range(min(d, n), max(d, n)):
-        if i < left.shape[1]:
-            k = int(np.argmax(np.abs(left[:, i])))
-            if left[k, i] < 0.0:
-                left[:, i] = -left[:, i]
-        if i < right.shape[1]:
-            k = int(np.argmax(np.abs(right[:, i])))
-            if right[k, i] < 0.0:
-                right[:, i] = -right[:, i]
-    return left, s, right

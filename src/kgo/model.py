@@ -13,8 +13,7 @@ import numpy as np
 
 from .baselines import joint_distribution_coverage, lsq_channel
 from .errors import DataError, DimensionError, NumericalError
-from .hilbert import (DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis, prepare,
-                      prepare_points)
+from .hilbert import DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis, prepare
 from .sample import BasisSpec, Sample, evaluate_basis, with_scale
 from .sample import CHEBYSHEV
 from .solver import (LSQ_ADJ, PartiallyUnitaryOp, SolverConfig, solve,
@@ -154,21 +153,15 @@ def coverage(op, tensor: CoverageTensor) -> float:
     return tensor.quadratic_form(u)
 
 
-def _x_design(model: KgoModel, x_raw) -> np.ndarray:
-    if model.x_spec is not None:
-        return evaluate_basis(model.x_spec, x_raw)
-    return np.asarray(x_raw, dtype=float).reshape(-1)
-
-
-def _f_design(model: KgoModel, f_raw) -> np.ndarray:
-    if model.f_spec is not None:
-        return evaluate_basis(model.f_spec, f_raw)
-    return np.asarray(f_raw, dtype=float).reshape(-1)
+def _design(spec: Optional[BasisSpec], raw) -> np.ndarray:
+    if spec is not None:
+        return evaluate_basis(spec, raw)
+    return np.asarray(raw, dtype=float).reshape(-1)
 
 
 def _state_coefficients(model: KgoModel, x_raw) -> np.ndarray:
     """Label-space coefficients of the transported attribute state."""
-    coords = model.x_space.project(_x_design(model, x_raw))
+    coords = model.x_space.project(_design(model.x_spec, x_raw))
     norm = np.linalg.norm(coords)
     if norm <= 0.0:
         raise NumericalError("query point has zero projection on the attribute space")
@@ -181,7 +174,7 @@ def probability(model: KgoModel, x_raw, f_raw) -> float:
     Invariant under rescaling of the queried outcome vector.
     """
     alpha = _state_coefficients(model, x_raw)
-    f_coords = model.f_space.project(_f_design(model, f_raw))
+    f_coords = model.f_space.project(_design(model.f_spec, f_raw))
     denom = float(f_coords @ f_coords)
     if denom <= 0.0:
         raise NumericalError("queried outcome has zero projection on the label space")
@@ -263,8 +256,8 @@ def adjusted_probability(model: KgoModel, x_raw, f_raw, mode: str) -> float:
     svd-basis       by the singular-value-weighted norm in the channel's
                     singular bases (evaluation only).
     """
-    x_coords = model.x_space.project(_x_design(model, x_raw))
-    f_coords = model.f_space.project(_f_design(model, f_raw))
+    x_coords = model.x_space.project(_design(model.x_spec, x_raw))
+    f_coords = model.f_space.project(_design(model.f_spec, f_raw))
     f_norm2 = float(f_coords @ f_coords)
     if f_norm2 <= 0.0:
         raise NumericalError("queried outcome has zero projection on the label space")

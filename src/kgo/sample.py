@@ -123,31 +123,6 @@ def producted_dimension(n_vars: int, order: int, mode: str = "exact") -> int:
     return sum(comb(n_vars + d - 1, d) for d in range(order + 1))
 
 
-def product_attributes(raw, order: int, mode: str = "exact",
-                       cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
-    """Evaluate every producted monomial of the raw attributes.
-
-    The output dimension is C(n+order-1, order) for exact mode and the sum of
-    those counts over degrees 0..order for up_to mode; builds beyond `cap`
-    components are refused instead of allocating huge Gram matrices later.
-    """
-    raw = np.asarray(raw, dtype=float).reshape(-1)
-    n = raw.shape[0]
-    if n < 1:
-        raise DimensionError("need at least one attribute")
-    dim = producted_dimension(n, order, mode)
-    if dim > cap:
-        raise DimensionError(f"producted dimension {dim} exceeds cap {cap}")
-    out = np.empty(dim)
-    for i, idx in enumerate(multi_indices(n, order, mode)):
-        v = 1.0
-        for base, k in zip(raw, idx):
-            if k:
-                v *= base ** k
-        out[i] = v
-    return out
-
-
 def weighted_average(sample: Sample, h) -> float:
     """Measure-weighted sum of a per-observation quantity.
 
@@ -197,11 +172,6 @@ def with_scale(spec: BasisSpec, rows) -> BasisSpec:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     sel = _select(spec, rows)
     return replace(spec, scale=(sel.min(axis=0), sel.max(axis=0)))
-
-
-def basis_dimension(spec: BasisSpec, n_raw_columns: int) -> int:
-    n_vars = len(spec.source) if spec.source is not None else n_raw_columns
-    return producted_dimension(n_vars, spec.product_order, spec.mode)
 
 
 def design_matrix(spec: BasisSpec, rows, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:

@@ -5,14 +5,15 @@ orthonormal rows (u u^T = I). It behaves like an eigenvalue problem whose
 "eigenvalue" is a d x d symmetric matrix of Lagrange multipliers; the
 extremal F equals that matrix's trace.
 
-The paper's algorithms share the same skeleton: solve an ordinary
-(d*n)-dimensional eigenproblem under the relaxed Frobenius-norm constraint,
-pick a promising eigenstate, snap it onto the constraint set (all singular
-values to +1), and refresh the multipliers. Convergence is not guaranteed,
-so every iteration is traced and the best constrained iterate seen is
-returned. The default, polar ascent, is a monotone ascent on the constraint
-set that needs no eigenproblem per step; the paper's algorithms are kept for
-reproduction.
+The paper's iterative algorithms share one loop, `_relaxed_loop`: solve an
+ordinary (d*n)-dimensional eigenproblem under the relaxed Frobenius-norm
+constraint, pick a promising eigenstate, snap it onto the constraint set
+(all singular values to +1), and refresh the multipliers; lagrange-iter and
+linear-constraints differ only in the relaxed problem they set up from the
+last snapped iterate. Convergence is not guaranteed, so every iteration is
+traced and the best constrained iterate seen is returned. The default,
+polar ascent, is a monotone ascent on the constraint set that needs no
+eigenproblem per step; the paper's algorithms are kept for reproduction.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class SolverConfig:
     max_iterations: int = 1000
     rel_tol: float = 1e-10
     candidate_pool: int = 16
-    seed: int = 0
     init_with_least_squares: bool = False
 
     def __post_init__(self):
@@ -294,6 +294,66 @@ def _record(trace: IterationTrace, iteration: int, f_before: float,
     return lam, su
 
 
+def _start(tensor: CoverageTensor, trace: IterationTrace, u_init, iteration: int = 0):
+    """Snap u_init onto the constraints and record it as the given iteration.
+
+    Returns (u, F(u), sym(Lambda), S u).
+    """
+    u = enforce_partial_unitarity(u_init, "svd")
+    f = tensor.quadratic_form(u)
+    return (u, f) + _record(trace, iteration, f, u, f, tensor)
+
+
+def _maxev(tensor: CoverageTensor, trace: IterationTrace, pool: int, method: str = "svd"):
+    """Best snapped eigenstate of the unshifted relaxed problem, recorded as iteration 1.
+
+    Returns (u, F(u), sym(Lambda), S u).
+    """
+    _, channels = solve_partial_constraint(tensor)
+    cand, u, f = select_candidate(channels, tensor, pool, method)
+    return (u, f) + _record(trace, 1, tensor.quadratic_form(cand), u, f, tensor)
+
+
+def _flat(f_new: float, f_old: float, rel_tol: float) -> bool:
+    """The stop test: F changed by at most rel_tol relative."""
+    return abs(f_new - f_old) <= rel_tol * max(abs(f_new), 1e-300)
+
+
+def _relaxed_loop(tensor: CoverageTensor, config: SolverConfig, u_init, algorithm: str,
+                  candidates) -> Tuple[PartiallyUnitaryOp, IterationTrace]:
+    """The paper's iteration, shared by lagrange-iter and linear-constraints.
+
+    Each pass takes from `candidates(u, lam, su)` the channels of a relaxed
+    eigenproblem set up from the last snapped iterate u, its multipliers
+    sym(Lambda) and S u (all None on the first pass without u_init), in
+    descending eigenvalue order; it keeps the best snapped candidate, and
+    stops when the constrained objective stalls. Returns the best iterate
+    seen.
+    """
+    trace = IterationTrace()
+    u = lam = su = None
+    best_u, best_f = None, -np.inf
+    budget = config.max_iterations
+    if u_init is not None:
+        u, best_f, lam, su = _start(tensor, trace, u_init)
+        best_u = u
+        budget -= 1
+    f_prev = None
+    iterations = 0
+    for it in range(1, budget + 1):
+        iterations = it
+        cand, u, f = select_candidate(candidates(u, lam, su), tensor, config.candidate_pool)
+        lam, su = _record(trace, it, tensor.quadratic_form(cand), u, f, tensor)
+        if f > best_f:
+            best_u, best_f = u, f
+        if f_prev is not None and _flat(f, f_prev, config.rel_tol):
+            break
+        f_prev = f
+    else:
+        trace.stop_reason = BUDGET
+    return make_operator(best_u, algorithm, iterations, f_value=best_f), trace
+
+
 def iterate_lagrange(tensor: CoverageTensor, config: SolverConfig,
                      u_init=None) -> Tuple[PartiallyUnitaryOp, IterationTrace]:
     """Multiplier fixed-point iteration.
@@ -302,42 +362,10 @@ def iterate_lagrange(tensor: CoverageTensor, config: SolverConfig,
     selection -> constraint snap -> new multipliers) until the constrained
     objective stalls; return the best constrained iterate seen.
     """
-    trace = IterationTrace()
-    lam = np.zeros((tensor.d, tensor.d))
-    best_u, best_f = None, -np.inf
-    pool = min(config.candidate_pool, tensor.d * tensor.n)
-    budget = config.max_iterations
-    if u_init is not None:
-        u0 = enforce_partial_unitarity(u_init, "svd")
-        f0 = tensor.quadratic_form(u0)
-        lam, _ = _record(trace, 0, f0, u0, f0, tensor)
-        best_u, best_f = u0, f0
-        budget -= 1
-    f_prev = None
-    iterations = 0
-    for it in range(1, budget + 1):
-        iterations = it
-        _, channels = solve_partial_constraint(tensor, lam)
-        cand, adjusted, f_adj = select_candidate(channels, tensor, pool)
-        lam, _ = _record(trace, it, tensor.quadratic_form(cand), adjusted, f_adj, tensor)
-        if f_adj > best_f:
-            best_u, best_f = adjusted, f_adj
-        if f_prev is not None and abs(f_adj - f_prev) <= config.rel_tol * max(abs(f_adj), 1e-300):
-            break
-        f_prev = f_adj
-    else:
-        trace.stop_reason = BUDGET
-    return make_operator(best_u, LAGRANGE_ITER, iterations, f_value=best_f), trace
+    def candidates(u, lam, su):
+        return solve_partial_constraint(tensor, lam)[1]
 
-
-def _bordered_matrix(tensor: CoverageTensor, border, corner: float) -> np.ndarray:
-    dn = tensor.d * tensor.n
-    out = np.empty((dn + 1, dn + 1))
-    out[:dn, :dn] = tensor.matrix
-    out[:dn, dn] = border
-    out[dn, :dn] = border
-    out[dn, dn] = corner
-    return out
+    return _relaxed_loop(tensor, config, u_init, LAGRANGE_ITER, candidates)
 
 
 def iterate_linear_constraints(tensor: CoverageTensor, config: SolverConfig,
@@ -350,48 +378,21 @@ def iterate_linear_constraints(tensor: CoverageTensor, config: SolverConfig,
     border = -S u). The first pass uses a zero border, which reproduces the
     plain relaxed eigenproblem with one inert coordinate.
     """
-    trace = IterationTrace()
     dn = tensor.d * tensor.n
-    pool = min(config.candidate_pool, dn + 1)
-    border = np.zeros(dn)
-    corner = 0.0
-    best_u, best_f = None, -np.inf
 
-    def refresh(u_adj):
-        y = (tensor.matrix @ u_adj.reshape(-1))
-        return -y, float(u_adj.reshape(-1) @ y)
-
-    budget = config.max_iterations
-    if u_init is not None:
-        u0 = enforce_partial_unitarity(u_init, "svd")
-        f0 = tensor.quadratic_form(u0)
-        _record(trace, 0, f0, u0, f0, tensor)
-        best_u, best_f = u0, f0
-        border, corner = refresh(u0)
-        budget -= 1
-    f_prev = None
-    iterations = 0
-    for it in range(1, budget + 1):
-        iterations = it
-        eig = sym_eig(_bordered_matrix(tensor, border, corner))
-        channels = []
-        for i in range(eig.eigenvalues.shape[0]):
-            w = eig.eigenvectors[:dn, i]
+    def candidates(u, lam, su):
+        bordered = np.zeros((dn + 1, dn + 1))
+        bordered[:dn, :dn] = tensor.matrix
+        if su is not None:
+            y = su.reshape(-1)
+            bordered[:dn, dn] = bordered[dn, :dn] = -y
+            bordered[dn, dn] = u.reshape(-1) @ y
+        for w in sym_eig(bordered).eigenvectors[:dn].T:
             norm = np.linalg.norm(w)
-            if norm <= 1e-12:
-                continue
-            channels.append((np.sqrt(tensor.d) / norm) * w.reshape(tensor.d, tensor.n))
-        cand, adjusted, f_adj = select_candidate(channels, tensor, pool)
-        _record(trace, it, tensor.quadratic_form(cand), adjusted, f_adj, tensor)
-        if f_adj > best_f:
-            best_u, best_f = adjusted, f_adj
-        if f_prev is not None and abs(f_adj - f_prev) <= config.rel_tol * max(abs(f_adj), 1e-300):
-            break
-        f_prev = f_adj
-        border, corner = refresh(adjusted)
-    else:
-        trace.stop_reason = BUDGET
-    return make_operator(best_u, LINEAR_CONSTRAINTS, iterations, f_value=best_f), trace
+            if norm > 1e-12:
+                yield (np.sqrt(tensor.d) / norm) * w.reshape(tensor.d, tensor.n)
+
+    return _relaxed_loop(tensor, config, u_init, LINEAR_CONSTRAINTS, candidates)
 
 
 def _polar(a) -> Optional[np.ndarray]:
@@ -437,15 +438,10 @@ def iterate_polar_ascent(tensor: CoverageTensor, config: SolverConfig,
     """
     trace = IterationTrace()
     if u_init is not None:
-        u = enforce_partial_unitarity(u_init, "svd")
-        f = tensor.quadratic_form(u)
-        f_start, first = f, 0
+        u, f, _, su = _start(tensor, trace, u_init)
     else:
-        _, channels = solve_partial_constraint(tensor)
-        cand, u, f = select_candidate(channels, tensor,
-                                      min(config.candidate_pool, tensor.d * tensor.n))
-        f_start, first = tensor.quadratic_form(cand), 1
-    _, su = _record(trace, first, f_start, u, f, tensor)
+        u, f, _, su = _maxev(tensor, trace, config.candidate_pool)
+    first = trace.records[0].iteration
     s_norm = float(np.linalg.norm(tensor.matrix))
     u_prev = None
     iterations = first
@@ -466,7 +462,7 @@ def iterate_polar_ascent(tensor: CoverageTensor, config: SolverConfig,
         u_prev, (u, f_next, monotone) = u, step
         _, su = _record(trace, it, f, u, f_next, tensor)
         iterations = it
-        flat = abs(f_next - f) <= config.rel_tol * max(abs(f_next), 1e-300)
+        flat = _flat(f_next, f, config.rel_tol)
         f = f_next
         if flat and monotone:
             break
@@ -539,24 +535,17 @@ def solve(tensor: CoverageTensor, config: SolverConfig,
     requires an initial map (the least-squares channel) via u_init.
     """
     algorithm = normalize_algorithm(config.algorithm)
-    pool = min(config.candidate_pool, tensor.d * tensor.n)
-    if algorithm in (MAXEV, MAXEV_SVD_ADJ, MAXEV_EVADJ):
-        _, channels = solve_partial_constraint(tensor)
-        method = "gram-eig" if algorithm == MAXEV_EVADJ else "svd"
-        cand, adjusted, f_adj = select_candidate(
-            channels, tensor, 1 if algorithm == MAXEV else pool, method)
-        trace = IterationTrace()
-        _record(trace, 1, tensor.quadratic_form(cand), adjusted, f_adj, tensor)
-        return make_operator(adjusted, algorithm, 1, f_value=f_adj), trace
+    if algorithm in (LAGRANGE_ITER, LINEAR_CONSTRAINTS, POLAR_ASCENT):
+        loop = {LAGRANGE_ITER: iterate_lagrange,
+                LINEAR_CONSTRAINTS: iterate_linear_constraints,
+                POLAR_ASCENT: iterate_polar_ascent}[algorithm]
+        return loop(tensor, config, u_init if config.init_with_least_squares else None)
+    trace = IterationTrace()
     if algorithm == LSQ_ADJ:
         if u_init is None:
             raise DimensionError("lsq-adj requires the least-squares channel as u_init")
-        adjusted = enforce_partial_unitarity(u_init, "svd")
-        f_adj = tensor.quadratic_form(adjusted)
-        trace = IterationTrace()
-        _record(trace, 1, f_adj, adjusted, f_adj, tensor)
-        return make_operator(adjusted, algorithm, 1, f_value=f_adj), trace
-    loop = {LAGRANGE_ITER: iterate_lagrange,
-            LINEAR_CONSTRAINTS: iterate_linear_constraints,
-            POLAR_ASCENT: iterate_polar_ascent}[algorithm]
-    return loop(tensor, config, u_init if config.init_with_least_squares else None)
+        u, f, _, _ = _start(tensor, trace, u_init, 1)
+    else:
+        u, f, _, _ = _maxev(tensor, trace, 1 if algorithm == MAXEV else config.candidate_pool,
+                            "gram-eig" if algorithm == MAXEV_EVADJ else "svd")
+    return make_operator(u, algorithm, 1, f_value=f), trace

@@ -80,25 +80,23 @@ def _norms2(coords, side: str) -> np.ndarray:
     return norms2
 
 
-def christoffel_product_moments(data: PreparedData) -> np.ndarray:
-    """Moments of the two Christoffel functions' product, orthonormal coords.
+def _label_weights(data: PreparedData, attribute_norms=None) -> np.ndarray:
+    """Observation weights under the label Christoffel normalization.
 
-    Four-index array M[j, k, j', k'] = <x_k f_j | K_x K_f | x_k' f_j'>,
-    symmetric under (j, k) <-> (j', k').
+    The one weighting step of the label-normalized quantities: w / |f|^2,
+    or w / (a |f|^2) with a per-observation attribute normalizer a.
     """
-    weights = data.weights / (_norms2(data.x_orth, "attribute")
-                              * _norms2(data.f_orth, "label"))
-    return _fourth_moments(data, weights).as_four_index()
+    label = _norms2(data.f_orth, "label")
+    return data.weights / (label if attribute_norms is None else attribute_norms * label)
 
 
-def _fourth_moments(data: PreparedData, eff_weights) -> CoverageTensor:
+def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
     m = data.f_orth.shape[1]
     n = data.x_orth.shape[1]
     z = np.einsum("lj,lk->ljk", data.f_orth, data.x_orth).reshape(data.size, m * n)
     z = z * np.sqrt(eff_weights)[:, None]
     matrix = z.T @ z
-    matrix = 0.5 * (matrix + matrix.T)
-    return CoverageTensor(TensorKind.PLAIN_VALUE, m, n, matrix)
+    return 0.5 * (matrix + matrix.T)
 
 
 def build_coverage_tensor(kind: TensorKind, data: PreparedData,
@@ -107,39 +105,40 @@ def build_coverage_tensor(kind: TensorKind, data: PreparedData,
 
     With a contributing subspace the christoffel-product tensor is composed
     with the projections of the subspace directions onto the label basis,
-    yielding the projective d x n problem.
+    yielding the projective d x n problem. The christoffel-product tensor's
+    four-index form is M[j, k, j', k'] = <x_k f_j | K_x K_f | x_k' f_j'>,
+    the moments of the two Christoffel functions' product.
     """
     kind = TensorKind(kind)
     if kind is TensorKind.CHRISTOFFEL_PRODUCT:
-        w = data.weights / (_norms2(data.x_orth, "attribute")
-                            * _norms2(data.f_orth, "label"))
+        w = _label_weights(data, _norms2(data.x_orth, "attribute"))
     elif kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
         projection = label_matched_projection(data)
         adj = np.einsum("ij,jk,ik->i", data.x_orth, projection, data.x_orth)
         bad = np.nonzero(adj <= 0.0)[0]
         if bad.size:
             raise NumericalError(f"observation {bad[0]} has zero adjusted normalizer")
-        w = data.weights / (adj * _norms2(data.f_orth, "label"))
+        w = _label_weights(data, adj)
     elif kind is TensorKind.F_CHRISTOFFEL:
-        w = data.weights / _norms2(data.f_orth, "label")
+        w = _label_weights(data)
     elif kind is TensorKind.PLAIN_VALUE:
         w = data.weights
     else:  # pragma: no cover
         raise DimensionError(f"unknown tensor kind {kind}")
-    base = _fourth_moments(data, w)
-    matrix = base.matrix
-    d = base.d
+    matrix = _fourth_moments(data, w)
+    d = data.f_orth.shape[1]
+    n = data.x_orth.shape[1]
     if subspace is not None:
         if kind is not TensorKind.CHRISTOFFEL_PRODUCT:
             raise DimensionError(
                 "subspace composition is defined for the christoffel-product kind")
-        embed = data.cross_gram() @ subspace.coords  # (m_eff, d_sub)
-        four = matrix.reshape(base.d, base.n, base.d, base.n)
+        embed = subspace_embedding(data, subspace)  # (m_eff, d_sub)
+        four = matrix.reshape(d, n, d, n)
         four = np.einsum("js,jkql,qt->sktl", embed, four, embed)
         d = embed.shape[1]
-        matrix = four.reshape(d * base.n, d * base.n)
+        matrix = four.reshape(d * n, d * n)
         matrix = 0.5 * (matrix + matrix.T)
-    return CoverageTensor(kind, d, base.n, matrix)
+    return CoverageTensor(kind, d, n, matrix)
 
 
 def subspace_embedding(data: PreparedData, subspace: ContributingSubspace) -> np.ndarray:
@@ -149,8 +148,7 @@ def subspace_embedding(data: PreparedData, subspace: ContributingSubspace) -> np
 
 def label_christoffel_moments(data: PreparedData) -> np.ndarray:
     """<f_t | K_f | f_s> in orthonormal label coordinates."""
-    w = data.weights / _norms2(data.f_orth, "label")
-    return (data.f_orth.T * w) @ data.f_orth
+    return (data.f_orth.T * _label_weights(data)) @ data.f_orth
 
 
 def label_to_attribute_coverage(data: PreparedData) -> np.ndarray:
@@ -173,6 +171,15 @@ def ftot_upper_bound(data: PreparedData) -> float:
     return float(np.trace(label_to_attribute_coverage(data)))
 
 
+def _coverage_matrix(data: PreparedData, variant: str) -> np.ndarray:
+    """The attribute-side matrix a subspace variant diagonalizes (see contributing_subspace)."""
+    if variant == "projective":
+        return label_to_attribute_coverage(data)
+    if variant == "coverage":
+        return (data.x_orth.T * _label_weights(data)) @ data.x_orth
+    raise DimensionError(f"unknown subspace variant {variant!r}")
+
+
 def contributing_subspace(data: PreparedData, d: int,
                           variant: str = "projective") -> ContributingSubspace:
     """Top-d attribute directions by transferable coverage.
@@ -185,14 +192,7 @@ def contributing_subspace(data: PreparedData, d: int,
     n_eff = data.x_orth.shape[1]
     if not 1 <= d <= min(m_eff, n_eff):
         raise DimensionError(f"d={d} out of range 1..{min(m_eff, n_eff)}")
-    if variant == "projective":
-        matrix = label_to_attribute_coverage(data)
-    elif variant == "coverage":
-        w = data.weights / _norms2(data.f_orth, "label")
-        matrix = (data.x_orth.T * w) @ data.x_orth
-    else:
-        raise DimensionError(f"unknown subspace variant {variant!r}")
-    eig = sym_eig(matrix)
+    eig = sym_eig(_coverage_matrix(data, variant))
     coords = eig.eigenvectors[:, :d]
     return ContributingSubspace(
         vectors=data.x_space.transform.T @ coords,
@@ -204,14 +204,7 @@ def contributing_subspace(data: PreparedData, d: int,
 
 def coverage_spectrum(data: PreparedData, variant: str = "projective") -> np.ndarray:
     """All eigenvalues of the chosen coverage matrix, descending."""
-    if variant == "projective":
-        matrix = label_to_attribute_coverage(data)
-    elif variant == "coverage":
-        w = data.weights / _norms2(data.f_orth, "label")
-        matrix = (data.x_orth.T * w) @ data.x_orth
-    else:
-        raise DimensionError(f"unknown subspace variant {variant!r}")
-    return sym_eig(matrix).eigenvalues
+    return sym_eig(_coverage_matrix(data, variant)).eigenvalues
 
 
 def label_matched_projection(data: PreparedData) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 import kgo
 from kgo.cli import main
-from kgo.demo import synthetic_gradient, write_pgm
+from kgo.demo import square_wave_table, synthetic_gradient, write_pgm
 
 
 @pytest.fixture
@@ -153,6 +153,20 @@ class TestDemo:
         header = open(prefix + "demo_image.tsv").readline().split()
         p = rows[:, header.index("kgo_p_at_truth")]
         assert np.all(p >= -1e-9) and np.all(p <= 1.0 + 1e-9)
+
+    def test_solver_flags_honoured(self, tmp_path):
+        flags = ["--algorithm", "linear-constraints", "--lsq-init", "--max-iterations", "60"]
+        tables = {}
+        for pool in (1, 16):
+            prefix = str(tmp_path / f"p{pool}_")
+            assert main(["demo", "square-wave", *flags, "--pool", str(pool),
+                         "--out-prefix", prefix]) == 0
+            tables[pool] = np.loadtxt(prefix + "demo_square-wave.tsv", skiprows=1)
+        assert not np.array_equal(tables[1], tables[16])
+        config = kgo.SolverConfig(algorithm="linear-constraints", max_iterations=60,
+                                  candidate_pool=1, init_with_least_squares=True)
+        _, rows = square_wave_table(config=config)
+        np.testing.assert_array_equal(tables[1], np.asarray(rows, dtype=float))
 
     def test_manifest_written(self, tmp_path):
         prefix = str(tmp_path / "mf_")

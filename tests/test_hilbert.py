@@ -7,18 +7,22 @@ from kgo.errors import NumericalError
 from conftest import grid_sample
 
 
+def x_gram(sample, spec):
+    return kgo.gram_matrix(kgo.design_matrix(spec, sample.x_rows), sample.weights)
+
+
 class TestGram:
     def test_three_point_line(self, three_point_sample, line_spec):
-        g = kgo.gram(three_point_sample, "x", line_spec)
+        g = x_gram(three_point_sample, line_spec)
         np.testing.assert_allclose(g, [[3.0, 0.0], [0.0, 2.0]])
 
     def test_single_observation_rank_one(self, line_spec):
         s = kgo.Sample([[0.0]], [[0.0]], [1.0])
-        g = kgo.gram(s, "x", line_spec)
+        g = x_gram(s, line_spec)
         np.testing.assert_allclose(g, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_constant_basis(self, three_point_sample):
-        g = kgo.gram(three_point_sample, "x", kgo.BasisSpec("monomial", 0))
+        g = x_gram(three_point_sample, kgo.BasisSpec("monomial", 0))
         np.testing.assert_allclose(g, [[3.0]])
 
 

@@ -141,12 +141,22 @@ class TestIterateLagrange:
         assert abs(op.u[0, 0]) == pytest.approx(1.0)
         assert op.f_value == pytest.approx(2.5)
 
-    def test_best_is_running_max(self):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("algorithm", ["lagrange-iter", "linear-constraints"])
+    def test_best_is_running_max(self, algorithm, warm):
         rng = np.random.default_rng(5)
         tensor = random_tensor(rng, 2, 4)
-        cfg = kgo.SolverConfig(algorithm="lagrange-iter", max_iterations=40)
-        op, trace = kgo.iterate_lagrange(tensor, cfg)
-        assert op.f_value == pytest.approx(max(r.f_after for r in trace))
+        u_init = rng.normal(size=(2, 4)) if warm else None
+        cfg = kgo.SolverConfig(algorithm=algorithm, max_iterations=40)
+        loop = {"lagrange-iter": kgo.iterate_lagrange,
+                "linear-constraints": kgo.iterate_linear_constraints}[algorithm]
+        op, trace = loop(tensor, cfg, u_init)
+        assert op.f_value == max(r.f_after for r in trace)
+        assert op.iterations == trace.records[-1].iteration
+        if warm:
+            start = kgo.enforce_partial_unitarity(u_init)
+            assert trace.records[0].iteration == 0
+            assert trace.records[0].f_after == tensor.quadratic_form(start)
 
 
 class TestIterateLinearConstraints:

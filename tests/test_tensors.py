@@ -8,6 +8,11 @@ from kgo.tensors import subspace_embedding
 from conftest import direct_coverage, make_random_instance, random_partially_unitary
 
 
+def christoffel_product_moments(data):
+    """Four-index christoffel-product tensor M[j, k, j', k']."""
+    return kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT, data).as_four_index()
+
+
 class TestChristoffelProductMoments:
     def test_raw_constant_entry(self, three_point_data):
         # Raw-coordinate oracle: sum of the Christoffel products over the sample.
@@ -17,7 +22,7 @@ class TestChristoffelProductMoments:
               for p in three_point_data.f_points]
         raw_expect = sum(w * a * b for w, a, b in zip(three_point_data.weights, kx, kf))
         assert raw_expect == pytest.approx(11.88)
-        m4 = kgo.christoffel_product_moments(three_point_data)
+        m4 = christoffel_product_moments(three_point_data)
         # Contract back onto the raw constant directions of both sides.
         gx = three_point_data.x_space
         gf = three_point_data.f_space
@@ -28,20 +33,20 @@ class TestChristoffelProductMoments:
 
     def test_single_observation_outer_product(self):
         data = kgo.prepare_points([[1.0, 2.0]], [[1.0]], [1.0])
-        m4 = kgo.christoffel_product_moments(data)
+        m4 = christoffel_product_moments(data)
         xo = data.x_orth[0] / np.linalg.norm(data.x_orth[0])
         fo = data.f_orth[0] / np.linalg.norm(data.f_orth[0])
         expect = np.einsum("j,k,s,t->jkst", fo, xo, fo, xo)
         np.testing.assert_allclose(m4, expect, atol=1e-12)
 
     def test_linear_in_weights(self, three_point_data, three_point_sample):
-        m4 = kgo.christoffel_product_moments(three_point_data)
+        m4 = christoffel_product_moments(three_point_data)
         doubled = kgo.PreparedData(
             x_points=three_point_data.x_points, f_points=three_point_data.f_points,
             weights=2.0 * three_point_data.weights,
             x_space=three_point_data.x_space, f_space=three_point_data.f_space,
             x_orth=three_point_data.x_orth, f_orth=three_point_data.f_orth)
-        np.testing.assert_allclose(kgo.christoffel_product_moments(doubled),
+        np.testing.assert_allclose(christoffel_product_moments(doubled),
                                    2.0 * m4, atol=1e-12)
 
 
