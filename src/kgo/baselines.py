@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .hilbert import PreparedData, localized_state
+from .hilbert import PreparedData, gram_matrix, localized_state
+from .linalg import row_bilinear
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def fit_radon_nikodym(data: PreparedData, labels=None) -> RadonNikodymModel:
     n_eff = data.x_orth.shape[1]
     moments = np.empty((m, n_eff, n_eff))
     for j in range(m):
-        moments[j] = (data.x_orth.T * (data.weights * labels[:, j])) @ data.x_orth
+        moments[j] = gram_matrix(data.x_orth, data.weights * labels[:, j])
     return RadonNikodymModel(third_moments=moments, transform=data.x_space.transform)
 
 
@@ -96,7 +97,7 @@ def joint_distribution_coverage(data: PreparedData) -> float:
     bad = np.nonzero((x_norm2 <= 0.0) | (f_norm2 <= 0.0))[0]
     if bad.size:
         raise NumericalError(f"observation {bad[0]} has zero projection")
-    overlap = np.einsum("ij,jk,ik->i", data.f_orth, cross, data.x_orth)
+    overlap = row_bilinear(data.f_orth, cross, data.x_orth)
     return float(np.sum(data.weights * overlap ** 2 / (x_norm2 * f_norm2)))
 
 

@@ -85,6 +85,15 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
+_SOLVER_FLAGS = ("algorithm", "max_iterations", "rel_tol", "pool", "lsq_init")
+
+
+def _solver_flags(config: SolverConfig) -> dict:
+    """The solver flags, by argparse name, that reproduce a config."""
+    return dict(zip(_SOLVER_FLAGS, (config.algorithm, config.max_iterations, config.rel_tol,
+                                    config.candidate_pool, config.init_with_least_squares)))
+
+
 def cmd_fit(args) -> int:
     started = time.time()
     sample = load_sample(args.data, args.cols)
@@ -169,16 +178,17 @@ def _has_rows(path) -> bool:
 def cmd_demo(args) -> int:
     started = time.time()
     inputs = []
+    config = _demo_config(args)
     if args.name == "localized-states":
         header, rows = demo_mod.localized_states_table(n=args.n, n_points=args.points)
     elif args.name == "square-wave":
         header, rows = demo_mod.square_wave_table(
             n=args.n, n_points=args.points, kind=TensorKind(args.tensor),
-            config=_demo_config(args))
+            config=config)
     elif args.name == "exact-map":
         header, rows = demo_mod.exact_map_table(
             n=args.n, m=args.m, n_points=args.points, kind=TensorKind(args.tensor),
-            config=_demo_config(args))
+            config=config)
     elif args.name == "image":
         if args.image is not None:
             image = demo_mod.read_pgm(args.image)
@@ -187,19 +197,26 @@ def cmd_demo(args) -> int:
             image = demo_mod.synthetic_gradient(8)
         header, rows = demo_mod.image_table(
             image, n_x=args.nx, n_y=args.ny, m=args.m,
-            kind=TensorKind(args.tensor), config=_demo_config(args))
+            kind=TensorKind(args.tensor), config=config)
     else:  # pragma: no cover - argparse restricts choices
         raise DimensionError(f"unknown demo {args.name!r}")
     out_path = f"{args.out_prefix}demo_{args.name}.tsv"
     _write_tsv(out_path, header, rows)
-    manifest_path = _write_manifest(args.out_prefix, "demo", vars(args), inputs,
+    # Record the solver that ran, not the flag defaults; localized-states runs none.
+    recorded = {k: v for k, v in vars(args).items() if k not in _SOLVER_FLAGS}
+    if config is not None:
+        recorded.update(_solver_flags(config))
+    manifest_path = _write_manifest(args.out_prefix, "demo", recorded, inputs,
                                     [out_path], started)
     print(f"wrote {out_path}, {manifest_path}")
     return 0
 
 
 def _demo_config(args):
-    return None if args.algorithm is None else _solver_config(args)
+    """The config a demo runs: the flags with --algorithm, else its pinned one."""
+    if args.algorithm is not None:
+        return _solver_config(args)
+    return demo_mod.PINNED_CONFIGS.get(args.name)
 
 
 def _add_solver_flags(parser, with_defaults=True):

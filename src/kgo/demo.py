@@ -19,6 +19,15 @@ from .tensors import TensorKind
 
 DEFAULT_GRID_POINTS = 201
 
+# The solver each demonstration runs unless a config is passed in.
+PINNED_CONFIGS = {
+    "square-wave": SolverConfig(algorithm="linear-constraints", max_iterations=200,
+                                init_with_least_squares=True),
+    "exact-map": SolverConfig(algorithm="linear-constraints", max_iterations=200,
+                              init_with_least_squares=True),
+    "image": SolverConfig(algorithm="lsq-adj"),
+}
+
 
 def grid_measure(n_points: int = DEFAULT_GRID_POINTS, lo: float = -1.0, hi: float = 1.0):
     """Uniform grid with weights summing to the interval length."""
@@ -79,8 +88,7 @@ def square_wave_table(n: int = 7, n_points: int = DEFAULT_GRID_POINTS,
     grid, weights = grid_measure(n_points)
     f_true = np.where(grid >= 0.0, 1.0, -1.0)
     if config is None:
-        config = SolverConfig(algorithm="linear-constraints", max_iterations=200,
-                              init_with_least_squares=True)
+        config = PINNED_CONFIGS["square-wave"]
     header, rows, _ = _comparison_table(grid, weights, f_true, n - 1, 1, kind, config)
     return header, rows
 
@@ -93,8 +101,7 @@ def exact_map_table(n: int = 7, m: int = 5, n_points: int = DEFAULT_GRID_POINTS,
     if not 1 <= m <= n:
         raise DimensionError("need 1 <= m <= n")
     if config is None:
-        config = SolverConfig(algorithm="linear-constraints", max_iterations=200,
-                              init_with_least_squares=True)
+        config = PINNED_CONFIGS["exact-map"]
     header, rows, _ = _comparison_table(grid, weights, grid.copy(), n - 1, m - 1,
                                         kind, config)
     return header, rows
@@ -176,7 +183,7 @@ def image_table(image: np.ndarray, n_x: int = 5, n_y: int = 5, m: int = 3,
     weights = np.ones(gray.shape[0])
     data = hilbert.prepare_points(x_design, f_design, weights)
     if config is None:
-        config = SolverConfig(algorithm="lsq-adj")
+        config = PINNED_CONFIGS["image"]
     fitted, _ = model_mod.fit_prepared(data, kind, config)
     lsq = baselines.fit_least_squares(data)
     rn = baselines.fit_radon_nikodym(data, labels=gray[:, None])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .linalg import sym_eig
+from .linalg import row_blocks, sym_eig
 from .sample import BasisSpec, Sample, design_matrix
 
 DEFAULT_REL_THRESHOLD = 1e-12
@@ -50,12 +50,20 @@ class LocalizedState:
 
 
 def gram_matrix(points, weights) -> np.ndarray:
-    """Measure-weighted Gram matrix of feature rows: G_ab = <b_a b_b>."""
+    """Measure-weighted Gram matrix of feature rows: G_ab = <b_a b_b>.
+
+    Summed one fixed block of rows at a time, so the only row-sized buffer
+    is one block's weighted copy.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if points.shape[0] != weights.shape[0]:
         raise DimensionError("row/weight count mismatch")
-    return (points.T * weights) @ points
+    gram = np.zeros((points.shape[1], points.shape[1]))
+    for rows in row_blocks(points.shape[0]):
+        block = points[rows]
+        gram += (block.T * weights[rows]) @ block
+    return gram
 
 
 def regularize(gram_raw, rel_threshold: float = DEFAULT_REL_THRESHOLD) -> np.ndarray:

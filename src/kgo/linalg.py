@@ -1,8 +1,11 @@
-"""Dense symmetric eigendecomposition, generalized eigenproblems, SPD roots.
+"""Dense symmetric eigendecomposition, generalized eigenproblems, SPD roots,
+and the fixed row blocks that sums over observations are taken in.
 
 All routines enforce a deterministic sign convention (the largest-magnitude
 entry of every eigenvector is positive) so repeated runs and serialized
-models are reproducible bit for bit.
+models are reproducible bit for bit. Row blocks have fixed boundaries for
+the same reason: a sum over observations is always added up in the same
+order.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 
 _SYM_TOL = 1e-12
+_ROW_BLOCK = 2048  # rows per block of a sum over observations
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,20 @@ def _require_symmetric(a, name="matrix"):
     if np.abs(a - a.T).max(initial=0.0) > _SYM_TOL * scale:
         raise NumericalError(f"{name} is not symmetric within tolerance")
     return 0.5 * (a + a.T)
+
+
+def row_blocks(n_rows: int):
+    """Consecutive slices of at most `_ROW_BLOCK` rows covering 0..n_rows."""
+    for start in range(0, n_rows, _ROW_BLOCK):
+        yield slice(start, min(start + _ROW_BLOCK, n_rows))
+
+
+def row_bilinear(left, matrix, right) -> np.ndarray:
+    """Per-row bilinear forms left[l] @ matrix @ right[l], one block of rows at a time."""
+    out = np.empty(left.shape[0])
+    for rows in row_blocks(left.shape[0]):
+        np.einsum("ij,ij->i", left[rows] @ matrix, right[rows], out=out[rows])
+    return out
 
 
 def _fix_column_signs(vectors):

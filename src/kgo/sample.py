@@ -9,12 +9,14 @@ BasisSpec before any Hilbert-space machinery sees them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb
 from typing import Optional
 
 import numpy as np
 
 from .errors import DataError, DimensionError, NumericalError
+from .linalg import row_blocks
 
 MONOMIAL = "monomial"
 CHEBYSHEV = "chebyshev"
@@ -116,6 +118,15 @@ def multi_indices(n_vars: int, order: int, mode: str = "exact"):
         raise DataError(f"unknown producting mode {mode!r}")
 
 
+@lru_cache(maxsize=64)
+def _exponent_table(n_vars: int, order: int, mode: str) -> np.ndarray:
+    """multi_indices as a read-only (dimension, n_vars) integer array, built once."""
+    table = np.array(list(multi_indices(n_vars, order, mode)), dtype=np.intp)
+    table = table.reshape(-1, n_vars)
+    table.setflags(write=False)
+    return table
+
+
 def producted_dimension(n_vars: int, order: int, mode: str = "exact") -> int:
     """Closed-form count of producted monomials."""
     if mode == "exact":
@@ -138,12 +149,20 @@ def weighted_average(sample: Sample, h) -> float:
     return float(np.dot(vals, sample.weights))
 
 
-def _chebyshev_columns(t, order):
-    """T_0..T_order of one scaled variable, vectorized over observations."""
-    cols = [np.ones_like(t), t]
-    for _ in range(2, order + 1):
-        cols.append(2.0 * t * cols[-1] - cols[-2])
-    return cols[: order + 1]
+def _factor_table(spec: BasisSpec, values: np.ndarray) -> np.ndarray:
+    """Powers 0..order (or Chebyshev T_0..T_order) of every value, stacked first."""
+    order = spec.product_order
+    if spec.kind != CHEBYSHEV:
+        return np.stack([np.ones_like(values)] + [values ** k for k in range(1, order + 1)])
+    table = np.empty((order + 1,) + values.shape)
+    table[0] = 1.0
+    if order:
+        table[1] = values
+        twice = 2.0 * values
+    for k in range(2, order + 1):
+        np.multiply(twice, table[k - 1], out=table[k])
+        table[k] -= table[k - 2]
+    return table
 
 
 def _select(spec: BasisSpec, rows: np.ndarray) -> np.ndarray:
@@ -175,25 +194,27 @@ def with_scale(spec: BasisSpec, rows) -> BasisSpec:
 
 
 def design_matrix(spec: BasisSpec, rows, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
-    """Evaluate the basis on every row; one feature vector per observation."""
+    """Evaluate the basis on every row; one feature vector per observation.
+
+    Each column is the product, over the variables, of one row of that
+    variable's power (or Chebyshev) table, gathered through the cached
+    exponent table one block of observations at a time.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     sel = _select(spec, rows)
     n_vars = sel.shape[1]
     dim = producted_dimension(n_vars, spec.product_order, spec.mode)
     if dim > cap:
         raise DimensionError(f"producted dimension {dim} exceeds cap {cap}")
-    if spec.kind == CHEBYSHEV:
-        t = _scaled(spec, sel)
-        per_var = [_chebyshev_columns(t[:, j], spec.product_order) for j in range(n_vars)]
-    else:
-        per_var = None
+    exponents = _exponent_table(n_vars, spec.product_order, spec.mode)
+    values = (_scaled(spec, sel) if spec.kind == CHEBYSHEV else sel).T
     out = np.empty((rows.shape[0], dim))
-    for i, idx in enumerate(multi_indices(n_vars, spec.product_order, spec.mode)):
-        col = np.ones(rows.shape[0])
-        for j, k in enumerate(idx):
-            if k:
-                col = col * (per_var[j][k] if per_var is not None else sel[:, j] ** k)
-        out[:, i] = col
+    for block in row_blocks(rows.shape[0]):
+        table = _factor_table(spec, values[:, block])  # (order + 1, n_vars, block rows)
+        columns = table[exponents[:, 0], 0]
+        for j in range(1, n_vars):
+            columns *= table[exponents[:, j], j]
+        out[block] = columns.T
     if not np.all(np.isfinite(out)):
         raise NumericalError("basis evaluation produced non-finite values")
     return out

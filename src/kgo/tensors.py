@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hilbert import PreparedData
-from .linalg import sym_eig
+from .hilbert import PreparedData, gram_matrix
+from .linalg import row_bilinear, row_blocks, sym_eig
 
 
 class TensorKind(str, Enum):
@@ -91,11 +91,20 @@ def _label_weights(data: PreparedData, attribute_norms=None) -> np.ndarray:
 
 
 def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
+    """sum_l w_l z_l z_l^T with z_l = f_l (x) x_l, one block of rows at a time.
+
+    Each block's z is scaled in place by sqrt(w) and added as z^T z, so
+    memory stays flat in the number of observations.
+    """
     m = data.f_orth.shape[1]
     n = data.x_orth.shape[1]
-    z = np.einsum("lj,lk->ljk", data.f_orth, data.x_orth).reshape(data.size, m * n)
-    z = z * np.sqrt(eff_weights)[:, None]
-    matrix = z.T @ z
+    root = np.sqrt(eff_weights)
+    matrix = np.zeros((m * n, m * n))
+    for rows in row_blocks(data.size):
+        z = np.multiply(data.f_orth[rows, :, None], data.x_orth[rows, None, :])
+        z = z.reshape(-1, m * n)
+        z *= root[rows, None]
+        matrix += z.T @ z
     return 0.5 * (matrix + matrix.T)
 
 
@@ -114,7 +123,7 @@ def build_coverage_tensor(kind: TensorKind, data: PreparedData,
         w = _label_weights(data, _norms2(data.x_orth, "attribute"))
     elif kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
         projection = label_matched_projection(data)
-        adj = np.einsum("ij,jk,ik->i", data.x_orth, projection, data.x_orth)
+        adj = row_bilinear(data.x_orth, projection, data.x_orth)
         bad = np.nonzero(adj <= 0.0)[0]
         if bad.size:
             raise NumericalError(f"observation {bad[0]} has zero adjusted normalizer")
@@ -148,7 +157,7 @@ def subspace_embedding(data: PreparedData, subspace: ContributingSubspace) -> np
 
 def label_christoffel_moments(data: PreparedData) -> np.ndarray:
     """<f_t | K_f | f_s> in orthonormal label coordinates."""
-    return (data.f_orth.T * _label_weights(data)) @ data.f_orth
+    return gram_matrix(data.f_orth, _label_weights(data))
 
 
 def label_to_attribute_coverage(data: PreparedData) -> np.ndarray:
@@ -176,7 +185,7 @@ def _coverage_matrix(data: PreparedData, variant: str) -> np.ndarray:
     if variant == "projective":
         return label_to_attribute_coverage(data)
     if variant == "coverage":
-        return (data.x_orth.T * _label_weights(data)) @ data.x_orth
+        return gram_matrix(data.x_orth, _label_weights(data))
     raise DimensionError(f"unknown subspace variant {variant!r}")
 
 

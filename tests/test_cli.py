@@ -168,6 +168,27 @@ class TestDemo:
         _, rows = square_wave_table(config=config)
         np.testing.assert_array_equal(tables[1], np.asarray(rows, dtype=float))
 
+    def test_manifest_records_solver_that_ran(self, tmp_path):
+        import json
+        configs = {}
+        for name, flags in (("square-wave", []), ("image", []), ("localized-states", []),
+                            ("exact-map", ["--algorithm", "polar-ascent", "--pool", "3"])):
+            prefix = str(tmp_path / f"{name}_")
+            assert main(["demo", name, *flags, "--out-prefix", prefix]) == 0
+            configs[name] = json.load(open(prefix + "manifest.json"))["config"]
+        assert {k: configs["square-wave"][k] for k in
+                ("algorithm", "max_iterations", "rel_tol", "pool", "lsq_init")} == {
+            "algorithm": "linear-constraints", "max_iterations": 200,
+            "rel_tol": kgo.SolverConfig.rel_tol, "pool": kgo.SolverConfig.candidate_pool,
+            "lsq_init": True}
+        assert configs["image"]["algorithm"] == "lsq-adj"
+        assert configs["image"]["lsq_init"] is False
+        assert "algorithm" not in configs["localized-states"]
+        assert "max_iterations" not in configs["localized-states"]
+        assert configs["exact-map"]["algorithm"] == "polar-ascent"
+        assert configs["exact-map"]["pool"] == 3
+        assert configs["exact-map"]["max_iterations"] == kgo.SolverConfig.max_iterations
+
     def test_manifest_written(self, tmp_path):
         prefix = str(tmp_path / "mf_")
         assert main(["demo", "localized-states", "--out-prefix", prefix]) == 0

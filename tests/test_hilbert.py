@@ -3,6 +3,7 @@ import pytest
 
 import kgo
 from kgo.errors import NumericalError
+from kgo.linalg import _ROW_BLOCK
 
 from conftest import grid_sample
 
@@ -24,6 +25,17 @@ class TestGram:
     def test_constant_basis(self, three_point_sample):
         g = x_gram(three_point_sample, kgo.BasisSpec("monomial", 0))
         np.testing.assert_allclose(g, [[3.0]])
+
+    @pytest.mark.parametrize("size", [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+                                      2 * _ROW_BLOCK + 7])
+    def test_row_blocks_match_one_shot(self, size):
+        rng = np.random.default_rng(size)
+        points = rng.normal(size=(size, 6))
+        weights = rng.uniform(0.1, 2.0, size=size)
+        g = kgo.gram_matrix(points, weights)
+        expect = (points.T * weights) @ points
+        assert np.abs(g - expect).max() <= 1e-12 * np.abs(expect).max()
+        assert g.tobytes() == kgo.gram_matrix(points, weights).tobytes()
 
 
 class TestRegularize:

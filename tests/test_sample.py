@@ -106,6 +106,45 @@ class TestProductAttributes:
         assert degrees == sorted(degrees)
 
 
+def loop_design(spec, rows):
+    """Per-column reference: each column a product of per-variable factors."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    sel = rows if spec.source is None else rows[:, list(spec.source)]
+    if spec.kind == "chebyshev":
+        lo, hi = (np.asarray(v, dtype=float) for v in spec.scale)
+        t = (2.0 * sel - (lo + hi)) / (hi - lo)
+        per_var = []
+        for j in range(sel.shape[1]):
+            cols = [np.ones(rows.shape[0]), t[:, j]]
+            for _ in range(2, spec.product_order + 1):
+                cols.append(2.0 * t[:, j] * cols[-1] - cols[-2])
+            per_var.append(cols)
+    out = []
+    for idx in kgo.multi_indices(sel.shape[1], spec.product_order, spec.mode):
+        col = np.ones(rows.shape[0])
+        for j, k in enumerate(idx):
+            if k:
+                col = col * (per_var[j][k] if spec.kind == "chebyshev" else sel[:, j] ** k)
+        out.append(col)
+    return np.column_stack(out)
+
+
+class TestDesignMatrix:
+    @pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+    @pytest.mark.parametrize("mode", ["up_to", "exact"])
+    @pytest.mark.parametrize("source", [None, (2, 0)])
+    @pytest.mark.parametrize("order", [0, 1, 4])
+    def test_matches_per_column_loop(self, kind, mode, source, order):
+        from kgo.linalg import _ROW_BLOCK
+        rng = np.random.default_rng(order)
+        rows = rng.uniform(-1.5, 1.5, size=(2 * _ROW_BLOCK + 7, 3))
+        spec = kgo.with_scale(kgo.BasisSpec(kind, order, source=source, mode=mode), rows)
+        design = kgo.design_matrix(spec, rows)
+        np.testing.assert_array_equal(design, loop_design(spec, rows))
+        for i in (0, _ROW_BLOCK, rows.shape[0] - 1):
+            np.testing.assert_array_equal(kgo.evaluate_basis(spec, rows[i]), design[i])
+
+
 class TestWeightedAverage:
     def test_total_weight(self, three_point_sample):
         assert kgo.weighted_average(three_point_sample, 1.0) == 3.0

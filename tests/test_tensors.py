@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import kgo
 from kgo.errors import DimensionError
+from kgo.linalg import _ROW_BLOCK
 from kgo.tensors import subspace_embedding
 
 from conftest import direct_coverage, make_random_instance, random_partially_unitary
@@ -270,3 +273,56 @@ class TestSingularCoupling:
         with pytest.raises(NumericalError):
             kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
                                       data)
+
+
+BLOCK = _ROW_BLOCK
+
+
+def blocked_instance(rng, size, n=5, m=3):
+    """Prepared data of `size` rows with constant columns on both sides."""
+    x = np.column_stack([np.ones(size), rng.normal(size=(size, n - 1))])
+    f = np.column_stack([np.ones(size),
+                         x[:, 1:m] + 0.3 * rng.normal(size=(size, m - 1))])
+    return kgo.prepare_points(x, f, rng.uniform(0.1, 2.0, size=size))
+
+
+def dense_coverage_matrix(kind, data):
+    """One-shot reference: S = Z^T diag(w) Z with the whole (M, d*n) Z in memory."""
+    f, x = data.f_orth, data.x_orth
+    w = data.weights.copy()
+    if kind is not kgo.TensorKind.PLAIN_VALUE:
+        w /= np.einsum("ij,ij->i", f, f)
+    if kind is kgo.TensorKind.CHRISTOFFEL_PRODUCT:
+        w /= np.einsum("ij,ij->i", x, x)
+    if kind is kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
+        w /= np.einsum("ij,jk,ik->i", x, kgo.label_matched_projection(data), x)
+    z = np.einsum("lj,lk->ljk", f, x).reshape(data.size, -1)
+    return (z.T * w) @ z
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
+    def test_matches_dense_and_repeats_bytes(self, size, kind):
+        data = blocked_instance(np.random.default_rng(size), size)
+        matrix = kgo.build_coverage_tensor(kind, data).matrix
+        expect = dense_coverage_matrix(kind, data)
+        assert np.abs(matrix - expect).max() <= 1e-12 * np.abs(expect).max()
+        again = kgo.build_coverage_tensor(kind, data).matrix
+        assert matrix.tobytes() == again.tobytes()
+
+    def test_tensor_build_memory_flat_in_rows(self):
+        # d*n = 100 at M = 5e4: one dense (M, d*n) buffer alone would be 40 MB.
+        size, n, m = 50_000, 25, 4
+        data = blocked_instance(np.random.default_rng(5), size, n, m)
+        dense_bytes = size * n * m * 8
+        tracemalloc.start()
+        try:
+            for kind in kgo.TensorKind:
+                tracemalloc.reset_peak()
+                tensor = kgo.build_coverage_tensor(kind, data)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert tensor.matrix.shape == (n * m, n * m)
+                assert peak < dense_bytes / 4, (kind, peak)
+        finally:
+            tracemalloc.stop()
