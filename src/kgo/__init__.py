@@ -15,8 +15,9 @@ from .linalg import (GenEigResult, SymEigResult, gen_sym_eig, spd_inverse_sqrt,
                      spd_sqrt, sym_eig)
 from .hilbert import (LocalizedState, PreparedData, SpaceBasis, build_space,
                       christoffel, coverage_of_state, gram_matrix,
-                      localized_state, prepare, prepare_points, regularize,
-                      space_from_sample, state_values)
+                      label_matched_projection, localized_state, prepare,
+                      prepare_points, regularize, space_from_sample,
+                      state_values)
 from .baselines import (LeastSquaresMap, RadonNikodymModel,
                         direct_projection_probability, eval_least_squares,
                         eval_radon_nikodym, fit_least_squares,
@@ -25,7 +26,7 @@ from .baselines import (LeastSquaresMap, RadonNikodymModel,
 from .tensors import (ContributingSubspace, CoverageTensor, TensorKind,
                       adjusted_christoffel, build_coverage_tensor,
                       contributing_subspace, coverage_spectrum, ftot_upper_bound,
-                      label_matched_projection, label_to_attribute_coverage)
+                      label_to_attribute_coverage)
 from .solver import (ALGORITHMS, IterationRecord, IterationTrace,
                      PartiallyUnitaryOp, SolverConfig, approximate_from_any,
                      constraint_residual, convert_sigma_multipliers,
@@ -37,7 +38,7 @@ from .solver import (ALGORITHMS, IterationRecord, IterationTrace,
                      stationarity_residual)
 from .model import (KgoModel, Prediction, adjusted_probability, coverage,
                     deserialize_model, fit, fit_prepared, map_operator,
-                    most_probable, probability, scalar_value_roots,
+                    most_probable, predict, probability, scalar_value_roots,
                     serialize_model, value)
 
 __version__ = "0.1.0"

@@ -13,6 +13,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import demo as demo_mod
 from . import model as model_mod
 from .errors import DataError, DimensionError, KgoError, NumericalError
@@ -113,6 +115,10 @@ def cmd_fit(args) -> int:
                [(r.iteration, r.f_before, r.f_after, r.residual,
                  r.lambda_asym, r.lambda_spur, r.stationarity) for r in trace])
     report = fitted.report
+    if (report["x_raw_dim"], report["f_raw_dim"]) != (report["x_eff_dim"], report["f_eff_dim"]):
+        print(f"warning: whitening kept {report['x_eff_dim']} of {report['x_raw_dim']} "
+              f"attribute and {report['f_eff_dim']} of {report['f_raw_dim']} label basis "
+              "directions", file=sys.stderr)
     report_path = f"{prefix}report.txt"
     lines = [f"{key} = {report[key]!r}" for key in sorted(report)]
     _write_atomic(report_path, "\n".join(lines) + "\n")
@@ -150,14 +156,12 @@ def cmd_eval(args) -> int:
     header += ["certainty", "pole"] + (["p_at_f"] if has_f else [])
     rows = []
     if sample is not None:
-        for i in range(sample.size):
-            x_row = sample.x_rows[i]
-            pred = model_mod.most_probable(fitted, x_row)
-            val, pole = model_mod.value(fitted, x_row)
-            row = [*x_row, *pred.f_max_p, *val, pred.certainty, float(pole)]
-            if has_f:
-                row.append(model_mod.probability(fitted, x_row, sample.f_rows[i]))
-            rows.append(row)
+        pred = model_mod.predict(fitted, sample.x_rows, sample.f_rows if has_f else None)
+        columns = [sample.x_rows, pred["f_max_p"], pred["value"],
+                   pred["certainty"], pred["pole"]]
+        if has_f:
+            columns.append(pred["probability"])
+        rows = np.column_stack(columns)
     out_path = f"{args.out_prefix}eval.tsv"
     _write_tsv(out_path, header, rows)
     manifest_path = _write_manifest(args.out_prefix, "eval", vars(args),

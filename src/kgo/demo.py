@@ -67,14 +67,12 @@ def _comparison_table(grid, weights, f_true, x_order: int, f_order: int,
     fitted, _ = model_mod.fit(sample, x_spec, f_spec, kind=kind, config=config)
     header = ["x", "exact", "least_squares", "radon_nikodym",
               "kgo_value", "kgo_p_at_truth", "pole"]
-    rows = np.empty((grid.shape[0], len(header)))
-    for i, x in enumerate(grid):
-        point = evaluate_basis(x_spec, [x])
-        ls_val = baselines.eval_least_squares(lsq, point)[1]
-        rn_val = baselines.eval_radon_nikodym(rn, point)[0]
-        val, pole = model_mod.value(fitted, [x])
-        p_truth = model_mod.probability(fitted, [x], [f_true[i]])
-        rows[i] = (x, f_true[i], ls_val, rn_val, val[1], p_truth, float(pole))
+    baseline = np.array([(baselines.eval_least_squares(lsq, point)[1],
+                          baselines.eval_radon_nikodym(rn, point)[0])
+                         for point in data.x_points])
+    pred = model_mod.predict(fitted, grid[:, None], f_true[:, None])
+    rows = np.column_stack([grid, f_true, baseline, pred["value"][:, 1],
+                            pred["probability"], pred["pole"]])
     return header, rows, fitted
 
 
@@ -189,12 +187,10 @@ def image_table(image: np.ndarray, n_x: int = 5, n_y: int = 5, m: int = 3,
     rn = baselines.fit_radon_nikodym(data, labels=gray[:, None])
     header = ["x", "y", "exact", "least_squares", "radon_nikodym",
               "kgo_value", "kgo_p_at_truth", "pole"]
-    rows = np.empty((gray.shape[0], len(header)))
-    for i in range(gray.shape[0]):
-        point = x_design[i]
-        ls_val = baselines.eval_least_squares(lsq, point)[1]
-        rn_val = baselines.eval_radon_nikodym(rn, point)[0]
-        val, pole = model_mod.value(fitted, point)
-        p_truth = model_mod.probability(fitted, point, f_design[i])
-        rows[i] = (xx[i], yy[i], gray[i], ls_val, rn_val, val[1], p_truth, float(pole))
+    baseline = np.array([(baselines.eval_least_squares(lsq, point)[1],
+                          baselines.eval_radon_nikodym(rn, point)[0])
+                         for point in x_design])
+    pred = model_mod.predict(fitted, x_design, f_design)
+    rows = np.column_stack([xx, yy, gray, baseline, pred["value"][:, 1],
+                            pred["probability"], pred["pole"]])
     return header, rows

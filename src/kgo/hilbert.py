@@ -10,6 +10,8 @@ coordinates, where the Gram matrix and its inverse drop out of the formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DimensionError, NumericalError
@@ -193,6 +195,32 @@ class PreparedData:
     def cross_gram(self) -> np.ndarray:
         """Cross moments <f_j x_k> in orthonormal coordinates (m_eff x n_eff)."""
         return (self.f_orth.T * self.weights) @ self.x_orth
+
+    @cached_property
+    def label_projection(self) -> np.ndarray:
+        """`label_matched_projection` of this data, computed on first use.
+
+        The adjusted tensor kind and the fitted model's adjusted normalizer
+        both read it, so a fit pays for one cross-Gram pass and one solve.
+        A singular coupling raises on every access; nothing is cached then.
+        """
+        return label_matched_projection(self)
+
+
+def label_matched_projection(data: PreparedData) -> np.ndarray:
+    """Projector onto the attribute subspace coupled to the labels.
+
+    Orthonormal-coordinate form of the adjusted-Christoffel matrix: with C
+    the cross Gram, this is C^T (C C^T)^{-1} C. Its quadratic form never
+    exceeds the plain squared norm, so the adjusted Christoffel function
+    dominates the original one pointwise.
+    """
+    cross = data.cross_gram()
+    coupling = cross @ cross.T
+    eig = np.linalg.eigvalsh(coupling)
+    if eig[0] <= 1e-12 * max(eig[-1], 1e-300):
+        raise NumericalError("label/attribute coupling matrix is singular")
+    return cross.T @ np.linalg.solve(coupling, cross)
 
 
 def prepare_points(x_points, f_points, weights, x_const=None, f_const=None,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -14,14 +15,13 @@ import numpy as np
 from .baselines import joint_distribution_coverage, lsq_channel
 from .errors import DataError, DimensionError, NumericalError
 from .hilbert import DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis, prepare
-from .sample import BasisSpec, Sample, evaluate_basis, with_scale
+from .sample import BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .sample import CHEBYSHEV
 from .solver import (LSQ_ADJ, PartiallyUnitaryOp, SolverConfig, solve,
                      stationarity_residual)
 from .tensors import (ContributingSubspace, CoverageTensor, TensorKind,
                       build_coverage_tensor, contributing_subspace,
-                      ftot_upper_bound, label_matched_projection,
-                      subspace_embedding)
+                      ftot_upper_bound, subspace_embedding)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -63,12 +63,19 @@ class KgoModel:
     x_label_projection: Optional[np.ndarray]  # orthonormal adjusted normalizer
     report: dict
 
-    @property
+    @cached_property
     def channel(self) -> np.ndarray:
         """Effective map from attribute to label orthonormal coordinates."""
         if self.f_embed is None:
             return self.operator.u
         return self.f_embed @ self.operator.u
+
+    @cached_property
+    def label_map(self) -> np.ndarray:
+        """Moments <b psi_i> of the raw label features against each orthonormal
+        label function psi_i: G T^T, (m_raw, m_eff). Maps a transported state
+        to its most probable outcome vector."""
+        return self.f_space.gram_raw @ self.f_space.transform.T
 
 
 def fit(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
@@ -117,7 +124,7 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
             u_init = np.linalg.pinv(f_embed) @ lsq_channel(data)
     op, trace = solve(tensor, config, u_init)
     try:
-        projection = label_matched_projection(data)
+        projection = data.label_projection
     except NumericalError:
         projection = None
     report = {
@@ -132,6 +139,10 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         "tensor_kind": kind.value,
         "d": tensor.d,
         "n": tensor.n,
+        "x_raw_dim": data.x_space.raw_dim,
+        "x_eff_dim": data.x_space.eff_dim,
+        "f_raw_dim": data.f_space.raw_dim,
+        "f_eff_dim": data.f_space.eff_dim,
     }
     model = KgoModel(
         x_spec=None,
@@ -154,18 +165,114 @@ def coverage(op, tensor: CoverageTensor) -> float:
 
 
 def _design(spec: Optional[BasisSpec], raw) -> np.ndarray:
+    """Feature vector of one raw row; a spec-less model takes features as given."""
     if spec is not None:
         return evaluate_basis(spec, raw)
     return np.asarray(raw, dtype=float).reshape(-1)
 
 
-def _state_coefficients(model: KgoModel, x_raw) -> np.ndarray:
-    """Label-space coefficients of the transported attribute state."""
-    coords = model.x_space.project(_design(model.x_spec, x_raw))
-    norm = np.linalg.norm(coords)
-    if norm <= 0.0:
-        raise NumericalError("query point has zero projection on the attribute space")
-    return model.channel @ (coords / norm)
+def _design_rows(spec: Optional[BasisSpec], rows) -> np.ndarray:
+    """Feature rows of a batch of raw rows, in one basis evaluation."""
+    if spec is not None:
+        return design_matrix(spec, rows)
+    return np.atleast_2d(np.asarray(rows, dtype=float))
+
+
+# The query kernel. Every function below works on the last axis, so one
+# feature vector (1-D) and a batch of feature rows (2-D) take the same code.
+
+def _times(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """matrix @ v for every vector v along the last axis.
+
+    Each vector is multiplied as its own 1 x k matrix, so a batch row gets
+    exactly the floating-point result of the same vector alone.
+    """
+    return (vectors[..., None, :] @ matrix.T)[..., 0, :]
+
+
+def _coords(space: SpaceBasis, feats: np.ndarray) -> np.ndarray:
+    """Orthonormal coordinates of raw feature vectors."""
+    if feats.shape[-1] != space.raw_dim:
+        raise DimensionError(
+            f"point dimension {feats.shape[-1]} != raw dimension {space.raw_dim}")
+    return _times(feats, space.transform)
+
+
+def _require_positive(values: np.ndarray, subject: str, message: str):
+    """Raise NumericalError unless every value is positive; a batch names the row."""
+    bad = values <= 0.0
+    if np.count_nonzero(bad):
+        if bad.ndim:
+            subject += f" of row {int(np.flatnonzero(bad)[0])}"
+        raise NumericalError(f"{subject} {message}")
+
+
+def _transported(model: KgoModel, x_feats: np.ndarray) -> np.ndarray:
+    """Label-space coefficients of the transported, normalized attribute state."""
+    coords = _coords(model.x_space, x_feats)
+    norm = np.sqrt(np.vecdot(coords, coords))
+    _require_positive(norm, "query point", "has zero projection on the attribute space")
+    return _times(coords / norm[..., None], model.channel)
+
+
+def _outcome(model: KgoModel, alpha: np.ndarray):
+    """Most probable outcome vector, its constant component and its pole flag."""
+    f_max_p = _times(alpha, model.label_map)
+    const = np.vecdot(f_max_p, model.f_space.const_raw)
+    scale = np.sqrt(np.vecdot(f_max_p, f_max_p))
+    pole = np.abs(const) < POLE_REL * np.maximum(scale, 1e-300)
+    return f_max_p, const, pole
+
+
+def _certainty(model: KgoModel, alpha: np.ndarray) -> np.ndarray:
+    """Probability of the most probable outcome, clipped into [0, 1] for plain values."""
+    certainty = np.vecdot(alpha, alpha)
+    if model.tensor_kind is TensorKind.PLAIN_VALUE:
+        return np.clip(certainty, 0.0, 1.0)
+    return certainty
+
+
+def _const_normalized(f_max_p: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Outcome vectors divided by their constant component; inf where it is zero."""
+    const = const[..., None]
+    return np.divide(f_max_p, const, out=np.full_like(f_max_p, np.inf), where=const != 0.0)
+
+
+def _overlap(model: KgoModel, alpha: np.ndarray, f_feats: np.ndarray) -> np.ndarray:
+    """P(f | x) from the transported state and the outcome's feature vector."""
+    f_coords = _coords(model.f_space, f_feats)
+    denom = np.vecdot(f_coords, f_coords)
+    _require_positive(denom, "queried outcome", "has zero projection on the label space")
+    overlap = np.vecdot(alpha, f_coords)
+    return overlap * overlap / denom
+
+
+def predict(model: KgoModel, X, F=None) -> dict:
+    """Answer every query row at once.
+
+    `X` holds raw attribute rows (features for a spec-less model), one per
+    query; a 1-D `X` is one row. Returns arrays, one entry per row:
+    `f_max_p` (Q, m_raw) most probable outcome vectors, `value` (Q, m_raw)
+    const-normalized outcomes, `certainty` (Q,), `pole` (Q,) flags, and,
+    when outcome rows `F` are given, `probability` (Q,) = P(F_i | X_i).
+    Numerical failures name the first offending row.
+    """
+    x_feats = _design_rows(model.x_spec, X)
+    alpha = _transported(model, x_feats)
+    f_max_p, const, pole = _outcome(model, alpha)
+    out = {
+        "f_max_p": f_max_p,
+        "value": _const_normalized(f_max_p, const),
+        "certainty": _certainty(model, alpha),
+        "pole": pole,
+    }
+    if F is not None:
+        f_feats = _design_rows(model.f_spec, F)
+        if f_feats.shape[0] != x_feats.shape[0]:
+            raise DimensionError(
+                f"{f_feats.shape[0]} outcome rows for {x_feats.shape[0]} query rows")
+        out["probability"] = _overlap(model, alpha, f_feats)
+    return out
 
 
 def probability(model: KgoModel, x_raw, f_raw) -> float:
@@ -173,30 +280,21 @@ def probability(model: KgoModel, x_raw, f_raw) -> float:
 
     Invariant under rescaling of the queried outcome vector.
     """
-    alpha = _state_coefficients(model, x_raw)
-    f_coords = model.f_space.project(_design(model.f_spec, f_raw))
-    denom = float(f_coords @ f_coords)
-    if denom <= 0.0:
-        raise NumericalError("queried outcome has zero projection on the label space")
-    return float(np.dot(alpha, f_coords) ** 2 / denom)
+    alpha = _transported(model, _design(model.x_spec, x_raw))
+    return float(_overlap(model, alpha, _design(model.f_spec, f_raw)))
 
 
 def most_probable(model: KgoModel, x_raw, f_raw=None) -> Prediction:
     """Most probable outcome and its certainty at a query point."""
-    alpha = _state_coefficients(model, x_raw)
-    certainty = float(alpha @ alpha)
-    f_max_p = model.f_space.gram_raw @ model.f_space.transform.T @ alpha
-    const = float(model.f_space.const_raw @ f_max_p)
-    scale = float(np.linalg.norm(f_max_p))
-    pole = bool(abs(const) < POLE_REL * max(scale, 1e-300))
-    is_probability = model.tensor_kind is not TensorKind.PLAIN_VALUE
-    reported = certainty if is_probability else min(max(certainty, 0.0), 1.0)
-    p_at = probability(model, x_raw, f_raw) if f_raw is not None else None
+    alpha = _transported(model, _design(model.x_spec, x_raw))
+    f_max_p, _, pole = _outcome(model, alpha)
+    p_at = (float(_overlap(model, alpha, _design(model.f_spec, f_raw)))
+            if f_raw is not None else None)
     return Prediction(
         f_max_p=f_max_p,
-        certainty=reported,
-        certainty_is_probability=is_probability,
-        pole_flag=pole,
+        certainty=float(_certainty(model, alpha)),
+        certainty_is_probability=model.tensor_kind is not TensorKind.PLAIN_VALUE,
+        pole_flag=bool(pole),
         probability_at=p_at,
     )
 
@@ -208,11 +306,9 @@ def value(model: KgoModel, x_raw):
     constant components are flagged, not fatal, since the resulting poles are
     model behavior worth observing.
     """
-    pred = most_probable(model, x_raw)
-    const = float(model.f_space.const_raw @ pred.f_max_p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = pred.f_max_p / const if const != 0.0 else np.full_like(pred.f_max_p, np.inf)
-    return out, pred.pole_flag
+    alpha = _transported(model, _design(model.x_spec, x_raw))
+    f_max_p, const, pole = _outcome(model, alpha)
+    return _const_normalized(f_max_p, const), bool(pole)
 
 
 def scalar_value_roots(model: KgoModel, x_raw) -> float:
@@ -227,7 +323,7 @@ def scalar_value_roots(model: KgoModel, x_raw) -> float:
         if model.f_spec.kind != "monomial" or (model.f_spec.source is not None
                                                and len(model.f_spec.source) != 1):
             raise DimensionError("root search needs a scalar power-basis label")
-    alpha = _state_coefficients(model, x_raw)
+    alpha = _transported(model, _design(model.x_spec, x_raw))
     m_raw = model.f_space.raw_dim
     # numerator coefficients: alpha . T f(s) is a polynomial in the scalar s
     num = np.polynomial.Polynomial(model.f_space.transform.T @ alpha)
@@ -256,13 +352,13 @@ def adjusted_probability(model: KgoModel, x_raw, f_raw, mode: str) -> float:
     svd-basis       by the singular-value-weighted norm in the channel's
                     singular bases (evaluation only).
     """
-    x_coords = model.x_space.project(_design(model.x_spec, x_raw))
-    f_coords = model.f_space.project(_design(model.f_spec, f_raw))
+    x_coords = _coords(model.x_space, _design(model.x_spec, x_raw))
+    f_coords = _coords(model.f_space, _design(model.f_spec, f_raw))
     f_norm2 = float(f_coords @ f_coords)
     if f_norm2 <= 0.0:
         raise NumericalError("queried outcome has zero projection on the label space")
     channel = model.channel
-    transported = channel @ x_coords
+    transported = _times(x_coords, channel)
     numer = float(np.dot(f_coords, transported) ** 2)
     if mode == IMPORTANT_ONLY:
         denom = float(transported @ transported) * f_norm2

@@ -9,7 +9,7 @@ BasisSpec before any Hilbert-space machinery sees them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Optional
 
@@ -90,6 +90,57 @@ class BasisSpec:
         if self.source is not None:
             object.__setattr__(self, "source", tuple(int(c) for c in self.source))
 
+    @cached_property
+    def _plan(self) -> "_BasisPlan":
+        """Query-independent evaluation state, built on first use.
+
+        A spec made by `dataclasses.replace` starts without one, so a plan
+        never outlives the fields it was built from.
+        """
+        return _BasisPlan(self)
+
+
+class _BasisPlan:
+    """What evaluating a spec needs besides the query rows.
+
+    Holds the source columns as an index array and, for a scaled Chebyshev
+    spec, the pieces of the argument map t = (2 x - (lo + hi)) / (hi - lo):
+    `lo + hi`, the span with zero spans replaced by one, and whether every
+    span is positive (zero-span variables map to t = 0).
+    """
+
+    __slots__ = ("source", "lo_plus_hi", "safe_span", "live", "all_live")
+
+    def __init__(self, spec: BasisSpec):
+        self.source = None if spec.source is None else np.array(spec.source, dtype=np.intp)
+        self.lo_plus_hi = self.safe_span = self.live = None
+        self.all_live = True
+        if spec.kind == CHEBYSHEV and spec.scale is not None:
+            lo = np.asarray(spec.scale[0], dtype=float)
+            hi = np.asarray(spec.scale[1], dtype=float)
+            span = hi - lo
+            self.live = span > 0.0
+            self.all_live = bool(np.all(self.live))
+            self.safe_span = np.where(self.live, span, 1.0)
+            self.lo_plus_hi = lo + hi
+
+    def select(self, rows: np.ndarray) -> np.ndarray:
+        """The source columns of 2-D rows."""
+        if self.source is None:
+            return rows
+        if self.source.max() >= rows.shape[1]:
+            raise DimensionError(
+                f"source column {self.source.max()} out of range for width {rows.shape[1]}"
+            )
+        return rows[:, self.source]
+
+    def argument(self, sel: np.ndarray) -> np.ndarray:
+        """Per-variable arguments of the factor tables."""
+        if self.lo_plus_hi is None:
+            return sel
+        t = (2.0 * sel - self.lo_plus_hi) / self.safe_span
+        return t if self.all_live else np.where(self.live, t, 0.0)
+
 
 def multi_indices(n_vars: int, order: int, mode: str = "exact"):
     """Exponent tuples of the producted basis, in the documented order.
@@ -119,14 +170,22 @@ def multi_indices(n_vars: int, order: int, mode: str = "exact"):
 
 
 @lru_cache(maxsize=64)
-def _exponent_table(n_vars: int, order: int, mode: str) -> np.ndarray:
-    """multi_indices as a read-only (dimension, n_vars) integer array, built once."""
+def _exponent_table(n_vars: int, order: int, mode: str) -> tuple:
+    """multi_indices as read-only flat gather indices, built once.
+
+    One index array per variable j: for every basis column, the row of
+    variable j's factor in the factor table flattened to
+    ((order + 1) * n_vars, rows), that is exponent * n_vars + j.
+    """
     table = np.array(list(multi_indices(n_vars, order, mode)), dtype=np.intp)
-    table = table.reshape(-1, n_vars)
-    table.setflags(write=False)
-    return table
+    table = table.reshape(-1, n_vars) * n_vars + np.arange(n_vars)
+    gathers = tuple(np.ascontiguousarray(column) for column in table.T)
+    for gather in gathers:
+        gather.setflags(write=False)
+    return gathers
 
 
+@lru_cache(maxsize=256)
 def producted_dimension(n_vars: int, order: int, mode: str = "exact") -> int:
     """Closed-form count of producted monomials."""
     if mode == "exact":
@@ -159,37 +218,21 @@ def _factor_table(spec: BasisSpec, values: np.ndarray) -> np.ndarray:
     if order:
         table[1] = values
         twice = 2.0 * values
-    for k in range(2, order + 1):
-        np.multiply(twice, table[k - 1], out=table[k])
-        table[k] -= table[k - 2]
+        # T_k = 2 t T_(k-1) - T_(k-2), written into the preallocated row views;
+        # the third positional argument of each ufunc is its `out`.
+        multiply, subtract = np.multiply, np.subtract
+        before, last, *rest = table
+        for row in rest:
+            multiply(twice, last, row)
+            subtract(row, before, row)
+            before, last = last, row
     return table
-
-
-def _select(spec: BasisSpec, rows: np.ndarray) -> np.ndarray:
-    if spec.source is None:
-        return rows
-    if max(spec.source) >= rows.shape[1]:
-        raise DimensionError(
-            f"source column {max(spec.source)} out of range for width {rows.shape[1]}"
-        )
-    return rows[:, list(spec.source)]
-
-
-def _scaled(spec: BasisSpec, sel: np.ndarray) -> np.ndarray:
-    if spec.scale is None:
-        return sel
-    lo = np.asarray(spec.scale[0], dtype=float)
-    hi = np.asarray(spec.scale[1], dtype=float)
-    span = hi - lo
-    safe = np.where(span > 0.0, span, 1.0)
-    t = (2.0 * sel - (lo + hi)) / safe
-    return np.where(span > 0.0, t, 0.0)
 
 
 def with_scale(spec: BasisSpec, rows) -> BasisSpec:
     """Return the spec with Chebyshev argument scaling fit to sample rows."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    sel = _select(spec, rows)
+    sel = spec._plan.select(rows)
     return replace(spec, scale=(sel.min(axis=0), sel.max(axis=0)))
 
 
@@ -201,28 +244,30 @@ def design_matrix(spec: BasisSpec, rows, cap: int = DEFAULT_DIMENSION_CAP) -> np
     exponent table one block of observations at a time.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    sel = _select(spec, rows)
+    plan = spec._plan
+    sel = plan.select(rows)
     n_vars = sel.shape[1]
     dim = producted_dimension(n_vars, spec.product_order, spec.mode)
     if dim > cap:
         raise DimensionError(f"producted dimension {dim} exceeds cap {cap}")
-    exponents = _exponent_table(n_vars, spec.product_order, spec.mode)
-    values = (_scaled(spec, sel) if spec.kind == CHEBYSHEV else sel).T
+    first, *rest = _exponent_table(n_vars, spec.product_order, spec.mode)
+    values = plan.argument(sel).T
     out = np.empty((rows.shape[0], dim))
     for block in row_blocks(rows.shape[0]):
         table = _factor_table(spec, values[:, block])  # (order + 1, n_vars, block rows)
-        columns = table[exponents[:, 0], 0]
-        for j in range(1, n_vars):
-            columns *= table[exponents[:, j], j]
+        table = table.reshape(-1, table.shape[-1])
+        columns = table[first]
+        for gather in rest:
+            columns *= table[gather]
         out[block] = columns.T
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalError("basis evaluation produced non-finite values")
     return out
 
 
 def evaluate_basis(spec: BasisSpec, raw) -> np.ndarray:
     """Basis-evaluated feature vector of one raw row; constant always present."""
-    return design_matrix(spec, np.atleast_2d(np.asarray(raw, dtype=float)))[0]
+    return design_matrix(spec, raw)[0]
 
 
 def parse_column_spec(text: str):

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hilbert import PreparedData, gram_matrix
+from .hilbert import PreparedData, gram_matrix, label_matched_projection
 from .linalg import row_bilinear, row_blocks, sym_eig
 
 
@@ -122,8 +122,7 @@ def build_coverage_tensor(kind: TensorKind, data: PreparedData,
     if kind is TensorKind.CHRISTOFFEL_PRODUCT:
         w = _label_weights(data, _norms2(data.x_orth, "attribute"))
     elif kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
-        projection = label_matched_projection(data)
-        adj = row_bilinear(data.x_orth, projection, data.x_orth)
+        adj = row_bilinear(data.x_orth, data.label_projection, data.x_orth)
         bad = np.nonzero(adj <= 0.0)[0]
         if bad.size:
             raise NumericalError(f"observation {bad[0]} has zero adjusted normalizer")
@@ -214,22 +213,6 @@ def contributing_subspace(data: PreparedData, d: int,
 def coverage_spectrum(data: PreparedData, variant: str = "projective") -> np.ndarray:
     """All eigenvalues of the chosen coverage matrix, descending."""
     return sym_eig(_coverage_matrix(data, variant)).eigenvalues
-
-
-def label_matched_projection(data: PreparedData) -> np.ndarray:
-    """Projector onto the attribute subspace coupled to the labels.
-
-    Orthonormal-coordinate form of the adjusted-Christoffel matrix: with C
-    the cross Gram, this is C^T (C C^T)^{-1} C. Its quadratic form never
-    exceeds the plain squared norm, so the adjusted Christoffel function
-    dominates the original one pointwise.
-    """
-    cross = data.cross_gram()
-    coupling = cross @ cross.T
-    eig = np.linalg.eigvalsh(coupling)
-    if eig[0] <= 1e-12 * max(eig[-1], 1e-300):
-        raise NumericalError("label/attribute coupling matrix is singular")
-    return cross.T @ np.linalg.solve(coupling, cross)
 
 
 def adjusted_christoffel(data: PreparedData):

@@ -56,6 +56,29 @@ class TestFit:
         assert float(trace[-1].split("\t")[-1]) == pytest.approx(
             float(report["stationarity"]), abs=1e-15)
 
+    def test_whitening_drop_reported(self, tmp_path, capsys):
+        # An order-8 monomial basis over [0, 1000] loses most of its nine
+        # directions to whitening; the fit says so on stderr and in the report.
+        grid = np.linspace(0.0, 1000.0, 101)
+        path = tmp_path / "wide.csv"
+        path.write_text("".join(f"{float(x)!r},{float(x) / 1000.0!r}\n" for x in grid))
+        prefix = str(tmp_path / "w_")
+        assert main(["fit", "--data", str(path), "--cols", "x=0;f=1",
+                     "--x-basis", "monomial:8", "--f-basis", "monomial:1",
+                     "--algorithm", "lsq-adj", "--out-prefix", prefix]) == 0
+        report = dict(line.split(" = ") for line in
+                      open(prefix + "report.txt").read().splitlines())
+        kept = int(report["x_eff_dim"])
+        assert report["x_raw_dim"] == "9" and kept < 9
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: whitening kept {kept} of 9 attribute and 2 of 2 "
+                       "label basis directions"]
+
+    def test_no_whitening_line_when_nothing_dropped(self, exact_csv, tmp_path, capsys):
+        code, prefix = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_missing_cols_usage_error(self, exact_csv, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["fit", "--data", exact_csv,

@@ -305,6 +305,38 @@ class TestFitPipeline:
         for key in ("f", "f_tot", "f_jdg", "residual", "algorithm", "iterations",
                     "stationarity", "stop_reason"):
             assert key in identity_model.report
+        report = identity_model.report
+        assert (report["x_raw_dim"], report["x_eff_dim"]) == (2, 2)
+        assert (report["f_raw_dim"], report["f_eff_dim"]) == (2, 2)
+
+    def test_report_counts_dropped_directions(self):
+        # An order-8 monomial basis over [0, 1000] is so badly scaled that
+        # whitening keeps only a few of its nine directions.
+        grid = np.linspace(0.0, 1000.0, 101)
+        sample = kgo.Sample(grid[:, None], grid[:, None] / 1000.0, np.ones(101))
+        model, _ = kgo.fit(sample, kgo.BasisSpec("monomial", 8), kgo.BasisSpec("monomial", 1),
+                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+        assert model.report["x_raw_dim"] == 9
+        assert model.report["x_eff_dim"] == model.x_space.eff_dim < 9
+        assert model.report["f_eff_dim"] == model.report["f_raw_dim"] == 2
+
+    def test_adjusted_projection_computed_once(self, monkeypatch):
+        import kgo.hilbert
+        calls = []
+        real = kgo.hilbert.label_matched_projection
+
+        def counted(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(kgo.hilbert, "label_matched_projection", counted)
+        grid = np.linspace(-1.0, 1.0, 41)
+        sample = kgo.Sample(grid[:, None], np.sin(2.0 * grid)[:, None], np.ones(41))
+        model, _ = kgo.fit(sample, kgo.BasisSpec("monomial", 4), kgo.BasisSpec("monomial", 2),
+                           kind=kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
+                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(model.x_label_projection, real(calls[0]))
 
 
 class TestGaugeInvariance:
@@ -352,3 +384,161 @@ class TestDegenerateCoupling:
         assert kgo.probability(model, x[0], f[0]) >= 0.0
         with pytest.raises(NumericalError):
             kgo.adjusted_probability(model, x[0], f[0], "dof-adjusted")
+
+
+def _single_rows(model, xs, fs):
+    """The per-row answers that predict must reproduce."""
+    out = {"f_max_p": [], "value": [], "certainty": [], "pole": [], "probability": []}
+    for x, f in zip(xs, fs):
+        pred = kgo.most_probable(model, x)
+        val, pole = kgo.value(model, x)
+        assert pole == pred.pole_flag
+        out["f_max_p"].append(pred.f_max_p)
+        out["value"].append(val)
+        out["certainty"].append(pred.certainty)
+        out["pole"].append(pole)
+        out["probability"].append(kgo.probability(model, x, f))
+    return {key: np.array(rows) for key, rows in out.items()}
+
+
+def _assert_predict_matches_rows(model, xs, fs):
+    batch = kgo.predict(model, xs, fs)
+    rows = _single_rows(model, xs, fs)
+    assert set(batch) == set(rows)
+    np.testing.assert_array_equal(batch["pole"], rows["pole"])
+    for key in ("f_max_p", "value", "certainty", "probability"):
+        assert batch[key].shape == rows[key].shape
+        np.testing.assert_allclose(batch[key], rows[key], rtol=1e-12, atol=0.0)
+    return batch
+
+
+def _line_sample(m=61):
+    grid = np.linspace(-1.0, 1.0, m)
+    labels = np.sin(2.0 * grid) + 0.1 * np.cos(7.0 * grid)
+    return kgo.Sample(grid[:, None], labels[:, None], np.linspace(0.5, 1.5, m))
+
+
+_QUERY_X = np.linspace(-1.2, 1.2, 13)[:, None]
+_QUERY_F = np.linspace(-0.9, 1.1, 13)[:, None]
+
+
+class TestPredict:
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
+    def test_matches_single_rows_each_kind(self, kind):
+        model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("chebyshev", 5),
+                           kgo.BasisSpec("monomial", 2), kind=kind,
+                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+        _assert_predict_matches_rows(model, _QUERY_X, _QUERY_F)
+
+    def test_contributing_subspace_model(self):
+        rng = np.random.default_rng(8)
+        x = np.column_stack([np.ones(80), rng.normal(size=(80, 4))])
+        f = np.column_stack([np.ones(80), x[:, 1] + 0.1 * rng.normal(size=80),
+                             x[:, 2] + 0.1 * rng.normal(size=80)])
+        data = kgo.prepare_points(x, f, np.ones(80))
+        cfg = kgo.SolverConfig(algorithm="linear-constraints", max_iterations=20)
+        model, _ = kgo.fit_prepared(data, kgo.TensorKind.CHRISTOFFEL_PRODUCT, cfg,
+                                    d=data.f_orth.shape[1] - 1)
+        assert model.f_embed is not None
+        # A spec-less model takes feature rows as they are.
+        _assert_predict_matches_rows(model, x[:15], f[:15])
+
+    def test_spec_less_model(self):
+        rng = np.random.default_rng(3)
+        data = make_random_instance(rng, max_obs=80)
+        model, _ = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL,
+                                    kgo.SolverConfig(algorithm="lsq-adj"))
+        xs = np.column_stack([np.ones(10), rng.normal(size=(10, data.x_space.raw_dim - 1))])
+        fs = np.column_stack([np.ones(10), rng.normal(size=(10, data.f_space.raw_dim - 1))])
+        _assert_predict_matches_rows(model, xs, fs[:, :data.f_space.raw_dim])
+
+    def test_plain_value_certainty_clip(self):
+        model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("monomial", 4),
+                           kgo.BasisSpec("monomial", 2), kind=kgo.TensorKind.PLAIN_VALUE,
+                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+        # Doubling the channel pushes most certainties above one, so the
+        # clip decides those reported values.
+        loose = replace(model, operator=replace(model.operator, u=2.0 * model.operator.u))
+        batch = _assert_predict_matches_rows(loose, _QUERY_X, _QUERY_F)
+        raw = kgo.predict(replace(loose, tensor_kind=kgo.TensorKind.F_CHRISTOFFEL),
+                          _QUERY_X)["certainty"]
+        assert np.count_nonzero(raw > 1.0) >= 5
+        np.testing.assert_array_equal(batch["certainty"], np.minimum(raw, 1.0))
+
+    def test_engineered_pole(self, identity_model):
+        u = identity_model.operator.u.copy()
+        u[0, :] = 0.0
+        broken = replace(identity_model, operator=replace(identity_model.operator, u=u))
+        xs = np.array([[0.5], [-0.25], [1.0]])
+        batch = _assert_predict_matches_rows(broken, xs, xs)
+        assert batch["pole"].all()
+        assert np.all(np.isinf(batch["value"]))
+
+    def test_round_tripped_model(self):
+        model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("chebyshev", 6),
+                           kgo.BasisSpec("chebyshev", 2),
+                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+        back = kgo.deserialize_model(kgo.serialize_model(model))
+        batch = _assert_predict_matches_rows(back, _QUERY_X, _QUERY_F)
+        for key, values in kgo.predict(model, _QUERY_X, _QUERY_F).items():
+            np.testing.assert_array_equal(batch[key], values)
+
+    def test_without_outcomes_omits_probability(self, identity_model):
+        batch = kgo.predict(identity_model, _QUERY_X)
+        assert set(batch) == {"f_max_p", "value", "certainty", "pole"}
+        assert batch["f_max_p"].shape == (13, 2)
+        assert batch["certainty"].shape == batch["pole"].shape == (13,)
+
+    def test_one_dimensional_query_is_one_row(self, identity_model):
+        batch = kgo.predict(identity_model, [0.5], [0.25])
+        assert batch["value"].shape == (1, 2)
+        assert batch["probability"][0] == kgo.probability(identity_model, [0.5], [0.25])
+
+    def test_outcome_row_count_mismatch(self, identity_model):
+        with pytest.raises(DimensionError):
+            kgo.predict(identity_model, _QUERY_X, _QUERY_F[:-1])
+
+
+class TestPredictErrors:
+    """A batch fails with the error its offending row raises alone."""
+
+    @pytest.fixture
+    def direct(self, identity_model):
+        return replace(identity_model, x_spec=None, f_spec=None)
+
+    def test_wrong_attribute_width(self, direct):
+        with pytest.raises(DimensionError):
+            kgo.most_probable(direct, [1.0, 0.5, 0.0])
+        with pytest.raises(DimensionError):
+            kgo.predict(direct, np.ones((4, 3)))
+
+    def test_wrong_outcome_width(self, direct):
+        with pytest.raises(DimensionError):
+            kgo.probability(direct, [1.0, 0.5], [1.0])
+        with pytest.raises(DimensionError):
+            kgo.predict(direct, np.ones((4, 2)), np.ones((4, 1)))
+
+    def test_zero_attribute_projection_names_row(self, direct):
+        with pytest.raises(NumericalError, match="query point"):
+            kgo.value(direct, [0.0, 0.0])
+        xs = np.array([[1.0, 0.1], [1.0, -0.3], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(NumericalError, match="query point of row 2 "):
+            kgo.predict(direct, xs)
+
+    def test_zero_outcome_projection_names_row(self, direct):
+        xs = np.array([[1.0, 0.1], [1.0, -0.3], [1.0, 0.2]])
+        fs = np.array([[1.0, 0.4], [0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(NumericalError, match="queried outcome has"):
+            kgo.probability(direct, xs[1], fs[1])
+        with pytest.raises(NumericalError, match="queried outcome of row 1 "):
+            kgo.predict(direct, xs, fs)
+
+    def test_non_finite_basis(self):
+        model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("monomial", 4),
+                           kgo.BasisSpec("monomial", 2),
+                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+        huge = 1e100
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            kgo.most_probable(model, [huge])
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            kgo.predict(model, [[0.0], [huge]])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,72 @@ class TestDesignMatrix:
         np.testing.assert_array_equal(design, loop_design(spec, rows))
         for i in (0, _ROW_BLOCK, rows.shape[0] - 1):
             np.testing.assert_array_equal(kgo.evaluate_basis(spec, rows[i]), design[i])
+
+
+def loop_design_zero_span(spec, rows):
+    """loop_design with the documented zero-span rule: a variable that is
+    constant over the training rows maps to the Chebyshev argument 0."""
+    lo, hi = (np.asarray(v, dtype=float) for v in spec.scale)
+    live = hi > lo
+    unit = replace(spec, scale=(np.where(live, lo, -1.0), np.where(live, hi, 1.0)))
+    rows = np.array(rows, dtype=float)
+    sel = rows if spec.source is None else rows[:, list(spec.source)]
+    sel[:, ~live] = 0.0  # t = x on the unit interval, so a zero argument
+    if spec.source is None:
+        return loop_design(unit, sel)
+    rows[:, list(spec.source)] = sel
+    return loop_design(unit, rows)
+
+
+class TestBasisPlan:
+    """The per-spec plan against the per-column reference, bit for bit."""
+
+    def test_zero_span_column(self):
+        rng = np.random.default_rng(11)
+        train = np.column_stack([rng.uniform(-2.0, 3.0, 50), np.full(50, 4.5),
+                                 rng.uniform(0.0, 1.0, 50)])
+        spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 5), train)
+        assert spec.scale[0][1] == spec.scale[1][1]
+        queries = np.column_stack([rng.uniform(-2.0, 3.0, 9), rng.uniform(-9.0, 9.0, 9),
+                                   rng.uniform(0.0, 1.0, 9)])
+        for rows in (train, queries):
+            design = kgo.design_matrix(spec, rows)
+            np.testing.assert_array_equal(design, loop_design_zero_span(spec, rows))
+            # The constant variable contributes T_k(0) to every column.
+            np.testing.assert_array_equal(
+                design, kgo.design_matrix(spec, np.column_stack([rows[:, 0], np.full(len(rows), 4.5),
+                                                                 rows[:, 2]])))
+
+    def test_zero_span_with_source(self):
+        train = np.array([[1.0, 7.0, -1.0], [2.0, 7.0, 0.5], [0.5, 7.0, 3.0]])
+        spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 3, source=(2, 1)), train)
+        queries = np.array([[0.0, 6.0, 1.0], [9.0, -7.0, 5.0]])
+        np.testing.assert_array_equal(kgo.design_matrix(spec, queries),
+                                      loop_design_zero_span(spec, queries))
+
+    def test_queries_outside_training_range(self):
+        rng = np.random.default_rng(12)
+        train = rng.uniform(-1.0, 1.0, size=(40, 2))
+        spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 6), train)
+        outside = rng.uniform(-4.0, 4.0, size=(25, 2))
+        outside[0] = (-4.0, 4.0)
+        design = kgo.design_matrix(spec, outside)
+        np.testing.assert_array_equal(design, loop_design(spec, outside))
+        assert np.abs(design).max() > 1.0
+        for i in (0, 24):
+            np.testing.assert_array_equal(kgo.evaluate_basis(spec, outside[i]), design[i])
+
+    def test_replaced_scale_gets_its_own_plan(self):
+        rng = np.random.default_rng(13)
+        rows = rng.uniform(-1.0, 1.0, size=(30, 2))
+        spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 4), rows)
+        before = kgo.design_matrix(spec, rows)  # builds spec's plan
+        wider = replace(spec, scale=(spec.scale[0] - 1.0, spec.scale[1] + 1.0))
+        after = kgo.design_matrix(wider, rows)
+        np.testing.assert_array_equal(after, loop_design(wider, rows))
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(kgo.design_matrix(spec, rows), before)
+        assert wider._plan is not spec._plan
 
 
 class TestWeightedAverage:
