@@ -9,8 +9,9 @@ coordinates, where the Gram matrix and its inverse drop out of the formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -173,7 +174,9 @@ class PreparedData:
 
     Holds the feature rows, the two SpaceBasis records, and the cached
     orthonormalized coordinates of every observation; this is the common
-    input of the baseline estimators and the coverage tensors.
+    input of the baseline estimators and the coverage tensors. Data built
+    by `prepare` also keeps the two basis specs and the raw rows they were
+    evaluated on; `prepare_points` leaves those empty.
     """
 
     x_points: np.ndarray   # (M, n_raw) feature rows, attribute side
@@ -183,6 +186,10 @@ class PreparedData:
     f_space: SpaceBasis
     x_orth: np.ndarray     # (M, n_eff)
     f_orth: np.ndarray     # (M, m_eff)
+    x_spec: Optional[BasisSpec] = None
+    f_spec: Optional[BasisSpec] = None
+    x_rows: Optional[np.ndarray] = None  # raw rows x_points was evaluated on
+    f_rows: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
@@ -197,12 +204,27 @@ class PreparedData:
         return (self.f_orth.T * self.weights) @ self.x_orth
 
     @cached_property
+    def label_coupling(self) -> tuple:
+        """(C, C C^T, K) for the cross Gram C, with K = L^-1 C and C C^T = L L^T.
+
+        Computed on first use from one cross-Gram pass. `K^T K` equals
+        `label_matched_projection`, so the adjusted normalizer of a row x is
+        |K x|^2, which costs m_eff * n_eff per row instead of n_eff^2. A
+        singular coupling raises on every access; nothing is cached then.
+        """
+        cross = self.cross_gram()
+        coupling = cross @ cross.T
+        eig = np.linalg.eigvalsh(coupling)
+        if eig[0] <= 1e-12 * max(eig[-1], 1e-300):
+            raise NumericalError("label/attribute coupling matrix is singular")
+        return cross, coupling, np.linalg.solve(np.linalg.cholesky(coupling), cross)
+
+    @cached_property
     def label_projection(self) -> np.ndarray:
         """`label_matched_projection` of this data, computed on first use.
 
-        The adjusted tensor kind and the fitted model's adjusted normalizer
-        both read it, so a fit pays for one cross-Gram pass and one solve.
-        A singular coupling raises on every access; nothing is cached then.
+        The fitted model's adjusted normalizer reads it; it shares the cross
+        Gram of `label_coupling` with the adjusted tensor kind.
         """
         return label_matched_projection(self)
 
@@ -215,11 +237,7 @@ def label_matched_projection(data: PreparedData) -> np.ndarray:
     exceeds the plain squared norm, so the adjusted Christoffel function
     dominates the original one pointwise.
     """
-    cross = data.cross_gram()
-    coupling = cross @ cross.T
-    eig = np.linalg.eigvalsh(coupling)
-    if eig[0] <= 1e-12 * max(eig[-1], 1e-300):
-        raise NumericalError("label/attribute coupling matrix is singular")
+    cross, coupling, _ = data.label_coupling
     return cross.T @ np.linalg.solve(coupling, cross)
 
 
@@ -251,5 +269,7 @@ def prepare(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
     x_const[x_spec.constant_index] = 1.0
     f_const = np.zeros(f_points.shape[1])
     f_const[f_spec.constant_index] = 1.0
-    return prepare_points(x_points, f_points, sample.weights, x_const, f_const,
+    data = prepare_points(x_points, f_points, sample.weights, x_const, f_const,
                           rel_threshold)
+    return replace(data, x_spec=x_spec, f_spec=f_spec,
+                   x_rows=sample.x_rows, f_rows=sample.f_rows)

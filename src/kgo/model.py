@@ -77,6 +77,11 @@ class KgoModel:
         to its most probable outcome vector."""
         return self.f_space.gram_raw @ self.f_space.transform.T
 
+    @cached_property
+    def channel_svd(self):
+        """Thin SVD (left, sigma, right_t) of the channel, for the svd-basis mode."""
+        return np.linalg.svd(self.channel, full_matrices=False)
+
 
 def fit(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
         kind: TensorKind = TensorKind.F_CHRISTOFFEL,
@@ -373,7 +378,7 @@ def adjusted_probability(model: KgoModel, x_raw, f_raw, mode: str) -> float:
             raise NumericalError("dof-adjusted normalizer vanishes at this query")
         return numer / (adj * f_norm2)
     if mode == SVD_BASIS:
-        left, sigma, right_t = np.linalg.svd(channel, full_matrices=False)
+        left, sigma, right_t = model.channel_svd
         d = model.operator.d
         fb = (left.T @ f_coords)[:d]
         xb = (right_t @ x_coords)[:d]

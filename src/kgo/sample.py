@@ -208,9 +208,12 @@ def weighted_average(sample: Sample, h) -> float:
     return float(np.dot(vals, sample.weights))
 
 
-def _factor_table(spec: BasisSpec, values: np.ndarray) -> np.ndarray:
-    """Powers 0..order (or Chebyshev T_0..T_order) of every value, stacked first."""
-    order = spec.product_order
+def _factor_table(spec: BasisSpec, values: np.ndarray, order: Optional[int] = None) -> np.ndarray:
+    """Powers 0..order (or Chebyshev T_0..T_order) of every value, stacked first.
+
+    `order` defaults to the spec's product order.
+    """
+    order = spec.product_order if order is None else order
     if spec.kind != CHEBYSHEV:
         return np.stack([np.ones_like(values)] + [values ** k for k in range(1, order + 1)])
     table = np.empty((order + 1,) + values.shape)
@@ -227,6 +230,63 @@ def _factor_table(spec: BasisSpec, values: np.ndarray) -> np.ndarray:
             subtract(row, before, row)
             before, last = last, row
     return table
+
+
+def _gather_columns(table: np.ndarray, gathers: tuple) -> np.ndarray:
+    """Basis columns from a flattened factor table: the product of one gathered row per variable."""
+    first, *rest = gathers
+    columns = table[first]
+    for gather in rest:
+        columns *= table[gather]
+    return columns
+
+
+@lru_cache(maxsize=32)
+def _product_gathers(n_vars: int, order: int, mode: str) -> tuple:
+    """Where each product of two basis columns sits in a doubled-order moment table.
+
+    Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so the product of
+    Chebyshev columns i and i' is 2**-n_vars times the sum, over the
+    2**n_vars choices of sum or difference per variable, of one column of
+    order at most 2 * order. The moment columns are laid out as the leading
+    variables' up_to list of that order times the last variable's exponent
+    0..2*order. Returns one read-only (dim, dim) index array per choice.
+    """
+    exps = np.array(list(multi_indices(n_vars, order, mode)), dtype=np.intp).reshape(-1, n_vars)
+    width = 2 * order + 1
+    rank = np.zeros((width,) * (n_vars - 1), dtype=np.intp)
+    if n_vars > 1:
+        lead = np.array(list(multi_indices(n_vars - 1, 2 * order, "up_to")), dtype=np.intp)
+        rank[tuple(lead.T)] = np.arange(lead.shape[0])
+    plus = exps[:, None, :] + exps[None, :, :]
+    minus = np.abs(exps[:, None, :] - exps[None, :, :])
+    gathers = []
+    for choice in np.ndindex((2,) * n_vars):
+        exps2 = np.where(np.array(choice, dtype=bool), minus, plus)
+        position = rank[tuple(np.moveaxis(exps2[..., :-1], -1, 0))] * width + exps2[..., -1]
+        position.setflags(write=False)
+        gathers.append(position)
+    return tuple(gathers)
+
+
+def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
+    """Per-row factors of the doubled-order moment columns of a Chebyshev spec.
+
+    Returns (lead, last): the leading variables' up_to columns of order
+    2 * product_order, (Q, rows), and the last variable's T_0..T_(2 order),
+    (2 order + 1, rows). The moment column q * (2 order + 1) + e of a row
+    is lead[q] * last[e], the layout `_product_gathers` indexes.
+    """
+    plan = spec._plan
+    values = plan.argument(plan.select(rows)).T
+    n_vars = values.shape[0]
+    order = 2 * spec.product_order
+    table = _factor_table(spec, values, order)  # (order + 1, n_vars, rows)
+    last = table[:, -1]
+    if n_vars == 1:
+        return np.ones((1, values.shape[1])), last
+    lead = table[:, :-1].reshape(-1, values.shape[1])
+    return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
 
 
 def with_scale(spec: BasisSpec, rows) -> BasisSpec:
@@ -250,16 +310,12 @@ def design_matrix(spec: BasisSpec, rows, cap: int = DEFAULT_DIMENSION_CAP) -> np
     dim = producted_dimension(n_vars, spec.product_order, spec.mode)
     if dim > cap:
         raise DimensionError(f"producted dimension {dim} exceeds cap {cap}")
-    first, *rest = _exponent_table(n_vars, spec.product_order, spec.mode)
+    gathers = _exponent_table(n_vars, spec.product_order, spec.mode)
     values = plan.argument(sel).T
     out = np.empty((rows.shape[0], dim))
     for block in row_blocks(rows.shape[0]):
         table = _factor_table(spec, values[:, block])  # (order + 1, n_vars, block rows)
-        table = table.reshape(-1, table.shape[-1])
-        columns = table[first]
-        for gather in rest:
-            columns *= table[gather]
-        out[block] = columns.T
+        out[block] = _gather_columns(table.reshape(-1, table.shape[-1]), gathers).T
     if not np.isfinite(out).all():
         raise NumericalError("basis evaluation produced non-finite values")
     return out

@@ -16,6 +16,22 @@ normalized:
 Tensors are built and stored in orthonormal coordinates; the Gram inverse
 factors of the raw-coordinate formulas collapse to identity there. The
 flattened index is row-major over (label index j, attribute index k).
+
+Every kind is the same row-weighted sum S = sum_l w_l z_l z_l^T with
+z_l = f_l (x) x_l; only the per-row weights w_l differ. The sum is taken by
+one of two routes, over the same fixed row blocks:
+
+  moment table  for data from `prepare` with Chebyshev specs on both sides.
+                Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
+                weighted table of doubled-order basis moments holds every
+                product; S is gathered from it and whitened by T_f (x) T_x.
+                Taken when the two whitenings are well conditioned and the
+                table needs less work per row than the syrk (many variables
+                at low order do not).
+  syrk          everything else: spec-less data (`prepare_points`),
+                monomial specs (their doubled-order moments are badly
+                conditioned) and the cases above. z is built per block
+                and added as z^T z.
 """
 
 from __future__ import annotations
@@ -27,8 +43,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hilbert import PreparedData, gram_matrix, label_matched_projection
-from .linalg import row_bilinear, row_blocks, sym_eig
+from .hilbert import PreparedData, SpaceBasis, gram_matrix, label_matched_projection
+from .linalg import row_blocks, sym_eig
+from .sample import (CHEBYSHEV, BasisSpec, _doubled_factors, _product_gathers,
+                     producted_dimension)
 
 
 class TensorKind(str, Enum):
@@ -90,6 +108,20 @@ def _label_weights(data: PreparedData, attribute_norms=None) -> np.ndarray:
     return data.weights / (label if attribute_norms is None else attribute_norms * label)
 
 
+def _adjusted_norms2(data: PreparedData) -> np.ndarray:
+    """Per-row adjusted normalizer x^T P x = |K x|^2 through the rank-m factor K."""
+    _, _, factor = data.label_coupling
+    factor_t = np.ascontiguousarray(factor.T)
+    adj = np.empty(data.size)
+    for rows in row_blocks(data.size):
+        coupled = data.x_orth[rows] @ factor_t
+        np.einsum("ij,ij->i", coupled, coupled, out=adj[rows])
+    bad = np.nonzero(adj <= 0.0)[0]
+    if bad.size:
+        raise NumericalError(f"observation {bad[0]} has zero adjusted normalizer")
+    return adj
+
+
 def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
     """sum_l w_l z_l z_l^T with z_l = f_l (x) x_l, one block of rows at a time.
 
@@ -108,6 +140,108 @@ def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
+def _n_vars(spec: BasisSpec, rows: np.ndarray) -> int:
+    return rows.shape[1] if spec.source is None else len(spec.source)
+
+
+def _moment_columns(spec: BasisSpec, rows: np.ndarray):
+    """Per-row shape of one side of the doubled-order table.
+
+    Returns the leading-variable column count, the last variable's table
+    length and the multiplies that gather the leading columns.
+    """
+    n_vars = _n_vars(spec, rows)
+    order = 2 * spec.product_order
+    lead = producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1
+    return lead, order + 1, lead * (n_vars - 1)
+
+
+# One elementwise multiply of a row block costs about as much as ten
+# multiply-adds inside a matrix product (one-off timings on 5e4 rows).
+_ELEMENTWISE_COST = 10
+# Largest kappa_x * kappa_f of the two whitenings the moment route accepts.
+# Whitening raw moments amplifies their rounding by about that product, so
+# its error stays near 1e-11 relative; the rows route only sees sqrt(kappa).
+_MOMENT_CONDITION_MAX = 1e5
+
+
+def _condition(space: SpaceBasis) -> float:
+    """Condition number of the kept Gram spectrum: row i of T has norm 1/sqrt(eig_i)."""
+    norms2 = np.einsum("ij,ij->i", space.transform, space.transform)
+    return float(norms2.max() / norms2.min())
+
+
+def _moment_route(data: PreparedData) -> bool:
+    """Whether the moment table builds the tensor, rather than the syrk.
+
+    It needs Chebyshev specs and raw rows on both sides and well-conditioned
+    whitenings (`_MOMENT_CONDITION_MAX`). Then the route with less work per
+    row runs: for the moment table the gathers, the weighted left factor
+    and one matrix product; for the syrk building z and z^T z.
+    """
+    specs = (data.f_spec, data.x_spec)
+    if data.f_rows is None or data.x_rows is None or any(
+            spec is None or spec.kind != CHEBYSHEV for spec in specs):
+        return False
+    f_lead, f_last, f_gather = _moment_columns(data.f_spec, data.f_rows)
+    x_lead, x_last, x_gather = _moment_columns(data.x_spec, data.x_rows)
+    label = f_lead * f_last
+    moment = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead)
+              + label * x_lead * x_last)
+    width = data.f_orth.shape[1] * data.x_orth.shape[1]
+    syrk = _ELEMENTWISE_COST * width + width * (width + 1) // 2
+    return (moment < syrk and _condition(data.x_space) * _condition(data.f_space)
+            <= _MOMENT_CONDITION_MAX)
+
+
+def _moment_table(data: PreparedData, eff_weights) -> np.ndarray:
+    """Mom[p, q] = sum_l w_l T_p(f_l) T_q(x_l) over doubled-order Chebyshev columns.
+
+    One block of rows at a time: the weighted label columns times the
+    attribute's leading-variable columns, contracted with the attribute's
+    last-variable table in one matrix product. Neither the doubled-order
+    design nor any table over all rows is built.
+    """
+    mom = 0.0
+    for rows in row_blocks(data.size):
+        f_lead, f_last = _doubled_factors(data.f_spec, data.f_rows[rows])
+        x_lead, x_last = _doubled_factors(data.x_spec, data.x_rows[rows])
+        label = np.multiply(f_lead[:, None], f_last[None]).reshape(-1, f_last.shape[1])
+        label *= eff_weights[rows]
+        left = np.multiply(label[:, None], x_lead[None]).reshape(-1, f_last.shape[1])
+        mom = mom + left @ x_last.T
+    return mom.reshape(label.shape[0], -1)
+
+
+def _chebyshev_moments(data: PreparedData, eff_weights) -> np.ndarray:
+    """The tensor of `_fourth_moments` gathered from one moment table.
+
+    Products of raw basis columns are read off the table by the Chebyshev
+    product rule, then whitened by T_f (x) T_x: the attribute side first,
+    for every label moment, and the label side last.
+    """
+    mom = _moment_table(data, eff_weights)
+    x_gathers = _product_gathers(_n_vars(data.x_spec, data.x_rows),
+                                 data.x_spec.product_order, data.x_spec.mode)
+    f_gathers = _product_gathers(_n_vars(data.f_spec, data.f_rows),
+                                 data.f_spec.product_order, data.f_spec.mode)
+    tx = data.x_space.transform
+    tf = data.f_space.transform
+    x_raw = mom[:, x_gathers[0]]
+    for gather in x_gathers[1:]:
+        x_raw += mom[:, gather]
+    x_white = tx @ (x_raw / len(x_gathers)) @ tx.T  # (label moments, n, n)
+    f_raw = x_white[f_gathers[0]]
+    for gather in f_gathers[1:]:
+        f_raw += x_white[gather]
+    f_raw /= len(f_gathers)  # (m_raw, m_raw, n, n)
+    four = np.tensordot(tf, f_raw, axes=(1, 0))           # (m, m_raw, n, n)
+    four = np.tensordot(four, tf, axes=(1, 1))            # (m, n, n, m)
+    m, n = tf.shape[0], tx.shape[0]
+    matrix = four.transpose(0, 1, 3, 2).reshape(m * n, m * n)
+    return 0.5 * (matrix + matrix.T)
+
+
 def build_coverage_tensor(kind: TensorKind, data: PreparedData,
                           subspace: Optional[ContributingSubspace] = None) -> CoverageTensor:
     """Assemble the coverage tensor of the requested kind.
@@ -122,18 +256,15 @@ def build_coverage_tensor(kind: TensorKind, data: PreparedData,
     if kind is TensorKind.CHRISTOFFEL_PRODUCT:
         w = _label_weights(data, _norms2(data.x_orth, "attribute"))
     elif kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
-        adj = row_bilinear(data.x_orth, data.label_projection, data.x_orth)
-        bad = np.nonzero(adj <= 0.0)[0]
-        if bad.size:
-            raise NumericalError(f"observation {bad[0]} has zero adjusted normalizer")
-        w = _label_weights(data, adj)
+        w = _label_weights(data, _adjusted_norms2(data))
     elif kind is TensorKind.F_CHRISTOFFEL:
         w = _label_weights(data)
     elif kind is TensorKind.PLAIN_VALUE:
         w = data.weights
     else:  # pragma: no cover
         raise DimensionError(f"unknown tensor kind {kind}")
-    matrix = _fourth_moments(data, w)
+    route = _chebyshev_moments if _moment_route(data) else _fourth_moments
+    matrix = route(data, w)
     d = data.f_orth.shape[1]
     n = data.x_orth.shape[1]
     if subspace is not None:

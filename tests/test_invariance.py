@@ -3,7 +3,9 @@
 Permuting the rows, splitting a row into two half-weight rows, and appending
 zero-weight rows leave every coverage tensor and the joint-distribution
 coverage unchanged. The samples are a little larger than one row block, so
-the operations move rows across a block boundary.
+the operations move rows across a block boundary. Each property runs on
+spec-less data, whose tensors take the syrk, and on Chebyshev data from
+`kgo.prepare`, whose tensors take the moment table.
 """
 
 import numpy as np
@@ -27,22 +29,58 @@ def raw_rows(rng, size):
     return x, f
 
 
-def instance(seed, size):
+def chebyshev_rows(rng, size):
+    x = rng.uniform(-1.0, 1.0, size=(size, 2))
+    f = np.sin(2.0 * x[:, :1]) + 0.2 * rng.normal(size=(size, 1))
+    return x, f
+
+
+def instance(seed, size, basis):
+    """Spec-less (basis None) or Chebyshev data of `size` rows, and its generator."""
     rng = np.random.default_rng(seed)
-    x, f = raw_rows(rng, size)
-    return kgo.prepare_points(x, f, rng.uniform(0.1, 2.0, size=size)), rng
+    weights = rng.uniform(0.1, 2.0, size=size)
+    if basis is None:
+        x, f = raw_rows(rng, size)
+        return kgo.prepare_points(x, f, weights), rng
+    x, f = chebyshev_rows(rng, size)
+    data = kgo.prepare(kgo.Sample(x, f, weights),
+                       kgo.with_scale(kgo.BasisSpec("chebyshev", 6), x),
+                       kgo.with_scale(kgo.BasisSpec("chebyshev", 3), f))
+    assert kgo.tensors._moment_route(data)
+    return data, rng
 
 
-def relisted(data, x_points, f_points, weights):
-    """The same two spaces over another list of rows."""
+def extra_rows(data, rng, size):
+    """Raw and feature rows of `size` new observations in the data's bases."""
+    if data.x_spec is None:
+        x, f = raw_rows(rng, size)
+        return x, f, x, f
+    x, f = chebyshev_rows(rng, size)
+    return x, f, kgo.design_matrix(data.x_spec, x), kgo.design_matrix(data.f_spec, f)
+
+
+def relisted(data, weights, order=None, extra=None):
+    """The same two spaces and specs over another list of rows.
+
+    `order` picks the rows (with repeats); `extra` appends (x_rows, f_rows,
+    x_points, f_points) of new observations.
+    """
+    fields = [data.x_rows, data.f_rows, data.x_points, data.f_points]
+    if order is not None:
+        fields = [None if a is None else a[order] for a in fields]
+    if extra is not None:
+        fields = [None if a is None else np.vstack([a, b]) for a, b in zip(fields, extra)]
+    x_rows, f_rows, x_points, f_points = fields
     return kgo.PreparedData(
         x_points=x_points, f_points=f_points, weights=weights,
         x_space=data.x_space, f_space=data.f_space,
         x_orth=x_points @ data.x_space.transform.T,
-        f_orth=f_points @ data.f_space.transform.T)
+        f_orth=f_points @ data.f_space.transform.T,
+        x_spec=data.x_spec, f_spec=data.f_spec, x_rows=x_rows, f_rows=f_rows)
 
 
 def assert_same_sums(data, other):
+    assert kgo.tensors._moment_route(other) == kgo.tensors._moment_route(data)
     for kind in kgo.TensorKind:
         a = kgo.build_coverage_tensor(kind, data).matrix
         b = kgo.build_coverage_tensor(kind, other).matrix
@@ -51,31 +89,43 @@ def assert_same_sums(data, other):
     assert kgo.joint_distribution_coverage(other) == pytest.approx(jdg, rel=1e-12)
 
 
+BASES = (None, "chebyshev")
+
+
 @PROPERTY
 @given(seed=SEEDS, size=SIZES)
 def test_row_permutation(seed, size):
-    data, rng = instance(seed, size)
-    order = rng.permutation(size)
-    assert_same_sums(data, relisted(data, data.x_points[order], data.f_points[order],
-                                    data.weights[order]))
+    for basis in BASES:
+        data, rng = instance(seed, size, basis)
+        order = rng.permutation(size)
+        assert_same_sums(data, relisted(data, data.weights[order], order=order))
 
 
 @PROPERTY
 @given(seed=SEEDS, size=SIZES, row=st.integers(0, _ROW_BLOCK - 41))
 def test_row_split_into_halves(seed, size, row):
-    data, _ = instance(seed, size)
-    order = np.append(np.arange(size), row)  # the second half goes last
-    weights = data.weights[order]
-    weights[[row, -1]] *= 0.5
-    assert_same_sums(data, relisted(data, data.x_points[order], data.f_points[order],
-                                    weights))
+    for basis in BASES:
+        data, _ = instance(seed, size, basis)
+        order = np.append(np.arange(size), row)  # the second half goes last
+        weights = data.weights[order]
+        weights[[row, -1]] *= 0.5
+        assert_same_sums(data, relisted(data, weights, order=order))
 
 
 @PROPERTY
 @given(seed=SEEDS, size=SIZES, extra=st.integers(1, 2 * _ROW_BLOCK))
 def test_zero_weight_rows_appended(seed, size, extra):
-    data, rng = instance(seed, size)
-    x_extra, f_extra = raw_rows(rng, extra)
-    assert_same_sums(data, relisted(data, np.vstack([data.x_points, x_extra]),
-                                    np.vstack([data.f_points, f_extra]),
-                                    np.append(data.weights, np.zeros(extra))))
+    for basis in BASES:
+        data, rng = instance(seed, size, basis)
+        assert_same_sums(data, relisted(data, np.append(data.weights, np.zeros(extra)),
+                                        extra=extra_rows(data, rng, extra)))
+
+
+def test_relisted_chebyshev_carries_rows_and_specs():
+    data, rng = instance(1, _ROW_BLOCK + 3, "chebyshev")
+    order = rng.permutation(data.size)
+    other = relisted(data, data.weights[order], order=order)
+    assert other.x_spec is data.x_spec and other.f_spec is data.f_spec
+    np.testing.assert_array_equal(other.x_rows, data.x_rows[order])
+    np.testing.assert_array_equal(other.f_rows, data.f_rows[order])
+    np.testing.assert_array_equal(other.x_points, kgo.design_matrix(data.x_spec, other.x_rows))

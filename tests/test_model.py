@@ -196,6 +196,36 @@ class TestAdjustedProbability:
         with pytest.raises(DimensionError):
             kgo.adjusted_probability(identity_model, [0.0], [0.0], "bogus")
 
+    def test_svd_basis_factors_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        data = make_random_instance(rng, max_obs=60)
+        cfg = kgo.SolverConfig(algorithm="lsq-adj")
+        model, _ = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL, cfg)
+        queries = list(zip(data.x_points[:5], data.f_points[:5]))
+
+        def by_hand(x, f):
+            # The svd-basis probability with the factors taken per query.
+            left, sigma, right_t = np.linalg.svd(model.channel, full_matrices=False)
+            d = model.operator.d
+            fb = (left.T @ model.f_space.project(f))[:d]
+            xb = (right_t @ model.x_space.project(x))[:d]
+            weighted = xb * sigma[:d]
+            return float(np.dot(fb, weighted) ** 2) / (float(fb @ fb) * float(weighted @ weighted))
+
+        expect = [by_hand(x, f) for x, f in queries]
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        fresh = replace(model)  # no cached factors yet
+        got = [kgo.adjusted_probability(fresh, x, f, "svd-basis") for x, f in queries]
+        assert len(calls) == 1
+        np.testing.assert_allclose(got, expect, rtol=1e-12)
+
 
 class TestMapOperator:
     def test_identity_channel(self):

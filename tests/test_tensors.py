@@ -286,8 +286,8 @@ def blocked_instance(rng, size, n=5, m=3):
     return kgo.prepare_points(x, f, rng.uniform(0.1, 2.0, size=size))
 
 
-def dense_coverage_matrix(kind, data):
-    """One-shot reference: S = Z^T diag(w) Z with the whole (M, d*n) Z in memory."""
+def dense_coverage_weights(kind, data):
+    """Per-row weights of the tensor kind, from whole-array formulas."""
     f, x = data.f_orth, data.x_orth
     w = data.weights.copy()
     if kind is not kgo.TensorKind.PLAIN_VALUE:
@@ -296,12 +296,75 @@ def dense_coverage_matrix(kind, data):
         w /= np.einsum("ij,ij->i", x, x)
     if kind is kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
         w /= np.einsum("ij,jk,ik->i", x, kgo.label_matched_projection(data), x)
-    z = np.einsum("lj,lk->ljk", f, x).reshape(data.size, -1)
+    return w
+
+
+def dense_coverage_matrix(kind, data):
+    """One-shot reference: S = Z^T diag(w) Z with the whole (M, d*n) Z in memory."""
+    w = dense_coverage_weights(kind, data)
+    z = np.einsum("lj,lk->ljk", data.f_orth, data.x_orth).reshape(data.size, -1)
     return (z.T * w) @ z
 
 
+def chebyshev_instance(rng, size, x_vars=2, f_vars=1, x_order=4, f_order=2,
+                       mode="up_to", source=None, dead=None):
+    """`kgo.prepare` data over scaled Chebyshev bases on both sides.
+
+    `source` picks attribute columns out of x_vars + 1 raw ones; `dead`
+    names an attribute column held constant (a zero-span variable).
+    """
+    width = x_vars if source is None else x_vars + 1
+    x = rng.uniform(-1.0, 1.0, size=(size, width))
+    if dead is not None:
+        x[:, dead] = 0.25
+    f = np.column_stack([np.sin(2.0 * x[:, 0]) * np.cos(x[:, -1])
+                         + 0.2 * rng.normal(size=size)]
+                        + [rng.uniform(-2.0, 3.0, size=size) for _ in range(f_vars - 1)])
+    sample = kgo.Sample(x, f, rng.uniform(0.1, 2.0, size=size))
+    x_spec = kgo.BasisSpec("chebyshev", x_order, source=source, mode=mode)
+    f_spec = kgo.BasisSpec("chebyshev", f_order)
+    return kgo.prepare(sample, kgo.with_scale(x_spec, sample.x_rows),
+                       kgo.with_scale(f_spec, sample.f_rows))
+
+
+@pytest.fixture
+def moment_route(monkeypatch):
+    """Send every build through the moment table and count the builds.
+
+    Small instances would take the syrk on cost alone; forcing the route
+    checks the moment table on every shape against the dense reference.
+    """
+    calls = []
+    real = kgo.tensors._chebyshev_moments
+
+    def counted(data, weights):
+        calls.append(data)
+        return real(data, weights)
+
+    monkeypatch.setattr(kgo.tensors, "_moment_route", lambda data: True)
+    monkeypatch.setattr(kgo.tensors, "_chebyshev_moments", counted)
+    return calls
+
+
+def assert_matches_dense(kind, data, subspace=None):
+    """The build matches the one-shot reference to 1e-12 and repeats its bytes."""
+    matrix = kgo.build_coverage_tensor(kind, data, subspace).matrix
+    expect = dense_coverage_matrix(kind, data)
+    if subspace is not None:
+        embed = subspace_embedding(data, subspace)
+        d, n = data.f_orth.shape[1], data.x_orth.shape[1]
+        expect = np.einsum("js,jkql,qt->sktl", embed, expect.reshape(d, n, d, n), embed)
+        expect = expect.reshape(matrix.shape)
+    assert np.abs(matrix - expect).max() <= 1e-12 * np.abs(expect).max()
+    again = kgo.build_coverage_tensor(kind, data, subspace).matrix
+    assert matrix.tobytes() == again.tobytes()
+
+
+SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
+
+
 class TestRowBlocks:
-    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("kind", list(kgo.TensorKind))
     def test_matches_dense_and_repeats_bytes(self, size, kind):
         data = blocked_instance(np.random.default_rng(size), size)
@@ -311,18 +374,110 @@ class TestRowBlocks:
         again = kgo.build_coverage_tensor(kind, data).matrix
         assert matrix.tobytes() == again.tobytes()
 
+    @pytest.mark.parametrize("x_vars, f_vars", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
+    def test_moment_table_matches_dense(self, moment_route, size, kind, x_vars, f_vars):
+        rng = np.random.default_rng([size, x_vars, f_vars])
+        x_order = {1: 5, 2: 4, 3: 2}[x_vars]
+        data = chebyshev_instance(rng, size, x_vars, f_vars, x_order=x_order)
+        assert_matches_dense(kind, data)
+        assert len(moment_route) == 2
+
+    @pytest.mark.parametrize("shape", [dict(x_vars=2, mode="exact"),
+                                       dict(x_vars=2, source=(2, 0)),
+                                       dict(x_vars=3, dead=1),
+                                       dict(x_vars=3, source=(0, 1, 3), dead=3)])
+    @pytest.mark.parametrize("size", [BLOCK - 1, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
+    def test_moment_table_spec_shapes(self, moment_route, size, kind, shape):
+        data = chebyshev_instance(np.random.default_rng(size), size, x_order=3, **shape)
+        assert_matches_dense(kind, data)
+        assert len(moment_route) == 2
+
+    @pytest.mark.parametrize("size", [BLOCK + 1, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_moment_table_subspace_composition(self, moment_route, size, d):
+        data = chebyshev_instance(np.random.default_rng(size), size, 2, 2, x_order=4)
+        subspace = kgo.contributing_subspace(data, d, "projective")
+        assert_matches_dense(kgo.TensorKind.CHRISTOFFEL_PRODUCT, data, subspace)
+        assert len(moment_route) == 2
+
+    @pytest.mark.parametrize("basis", ["chebyshev", "monomial", None])
+    def test_route_pinned(self, monkeypatch, basis):
+        # Chebyshev data from kgo.prepare takes the moment table; monomial and
+        # spec-less data take the syrk, and the tensor is its output unchanged.
+        routes = []
+        for name in ("_fourth_moments", "_chebyshev_moments"):
+            func = getattr(kgo.tensors, name)
+
+            def spy(data, weights, func=func, name=name):
+                routes.append((name, func(data, weights)))
+                return routes[-1][1]
+
+            monkeypatch.setattr(kgo.tensors, name, spy)
+        data = chebyshev_instance(np.random.default_rng(4), 3 * BLOCK, x_order=8, f_order=3)
+        if basis == "monomial":
+            sample = kgo.Sample(data.x_rows, data.f_rows, data.weights)
+            data = kgo.prepare(sample, kgo.BasisSpec("monomial", 8), kgo.BasisSpec("monomial", 3))
+        elif basis is None:
+            data = kgo.prepare_points(data.x_points, data.f_points, data.weights,
+                                      data.x_space.const_raw, data.f_space.const_raw)
+            assert data.x_spec is data.f_spec is data.x_rows is data.f_rows is None
+        expect = "_chebyshev_moments" if basis == "chebyshev" else "_fourth_moments"
+        for kind in kgo.TensorKind:
+            matrix = kgo.build_coverage_tensor(kind, data).matrix
+            name, built = routes.pop()
+            assert name == expect
+            assert matrix.tobytes() == built.tobytes()
+
+    def test_ill_conditioned_chebyshev_takes_syrk(self):
+        # Two tight clusters make the attribute Gram nearly singular; whitening
+        # raw moments would lose about kappa_x * kappa_f of precision there.
+        rng = np.random.default_rng(6)
+        size = 2 * BLOCK
+        x = np.concatenate([rng.normal(-1.0, 0.05, (size // 2, 2)),
+                            rng.normal(1.0, 0.05, (size // 2, 2))])
+        f = np.sin(x[:, :1]) + 0.1 * rng.normal(size=(size, 1))
+        sample = kgo.Sample(x, f, np.ones(size))
+        data = kgo.prepare(sample, kgo.with_scale(kgo.BasisSpec("chebyshev", 6), x),
+                           kgo.with_scale(kgo.BasisSpec("chebyshev", 3), f))
+        assert not kgo.tensors._moment_route(data)
+
+    def test_many_variables_low_order_takes_syrk(self):
+        # Six attribute variables at order 2: the moment table's leading
+        # columns outnumber what the syrk does per row.
+        data = chebyshev_instance(np.random.default_rng(7), BLOCK, x_vars=6, x_order=2)
+        assert not kgo.tensors._moment_route(data)
+
     def test_tensor_build_memory_flat_in_rows(self):
         # d*n = 100 at M = 5e4: one dense (M, d*n) buffer alone would be 40 MB.
         size, n, m = 50_000, 25, 4
         data = blocked_instance(np.random.default_rng(5), size, n, m)
-        dense_bytes = size * n * m * 8
+        # The same rows through the moment table: d*n = 4 * 45 = 180.
+        cheb = chebyshev_instance(np.random.default_rng(5), size, x_order=8, f_order=3)
+        assert kgo.tensors._moment_route(cheb)
         tracemalloc.start()
         try:
-            for kind in kgo.TensorKind:
-                tracemalloc.reset_peak()
-                tensor = kgo.build_coverage_tensor(kind, data)
-                peak = tracemalloc.get_traced_memory()[1]
-                assert tensor.matrix.shape == (n * m, n * m)
-                assert peak < dense_bytes / 4, (kind, peak)
+            for instance in (data, cheb):
+                dense_bytes = size * instance.f_orth.shape[1] * instance.x_orth.shape[1] * 8
+                for kind in kgo.TensorKind:
+                    tracemalloc.reset_peak()
+                    tensor = kgo.build_coverage_tensor(kind, instance)
+                    peak = tracemalloc.get_traced_memory()[1]
+                    assert tensor.matrix.shape == (tensor.d * tensor.n,) * 2
+                    assert peak < dense_bytes / 4, (kind, peak)
         finally:
             tracemalloc.stop()
+
+
+class TestAdjustedNormalizer:
+    def test_rank_factor_matches_projection(self):
+        rng = np.random.default_rng(8)
+        data = chebyshev_instance(rng, BLOCK + 5, 2, 2, x_order=4)
+        cross, _, factor = data.label_coupling
+        assert factor.shape == cross.shape
+        np.testing.assert_allclose(factor.T @ factor, data.label_projection, atol=1e-13)
+        adj = kgo.tensors._adjusted_norms2(data)
+        by_projection = np.einsum("ij,jk,ik->i", data.x_orth, data.label_projection, data.x_orth)
+        np.testing.assert_allclose(adj, by_projection, rtol=1e-12)
