@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .hilbert import PreparedData, gram_matrix, localized_state
-from .linalg import row_bilinear
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,11 @@ def fit_least_squares(data: PreparedData) -> LeastSquaresMap:
     """Least-squares expansion of the label features over the attribute basis.
 
     Solved in regularized coordinates, where the normal equations reduce to a
-    plain cross-moment contraction.
+    plain cross-moment contraction: beta = C_raw T_x^T T_x with the raw
+    cross moments C_raw, so no pass over the rows is made here.
     """
-    cross = (data.f_points.T * data.weights) @ data.x_orth  # (m_raw, n_eff)
-    return LeastSquaresMap(beta=cross @ data.x_space.transform)
+    transform = data.x_space.transform
+    return LeastSquaresMap(beta=data.raw_cross @ transform.T @ transform)
 
 
 def eval_least_squares(lsq: LeastSquaresMap, x_point) -> np.ndarray:
@@ -89,16 +89,13 @@ def joint_distribution_coverage(data: PreparedData) -> float:
 
     Secondary sampling: the Gram matrices (and cross moments) come first, then
     the squared overlap of the two localized states is accumulated per
-    observation.
+    observation, read from the data's per-row norms.
     """
-    cross = data.cross_gram()
-    x_norm2 = np.einsum("ij,ij->i", data.x_orth, data.x_orth)
-    f_norm2 = np.einsum("ij,ij->i", data.f_orth, data.f_orth)
-    bad = np.nonzero((x_norm2 <= 0.0) | (f_norm2 <= 0.0))[0]
+    norms = data.row_norms
+    bad = np.nonzero((norms.attribute <= 0.0) | (norms.label <= 0.0))[0]
     if bad.size:
         raise NumericalError(f"observation {bad[0]} has zero projection")
-    overlap = row_bilinear(data.f_orth, cross, data.x_orth)
-    return float(np.sum(data.weights * overlap ** 2 / (x_norm2 * f_norm2)))
+    return float(np.sum(data.weights * norms.overlap ** 2 / (norms.attribute * norms.label)))
 
 
 def direct_projection_probability(data: PreparedData, lsq: LeastSquaresMap,

@@ -5,11 +5,30 @@ A SpaceBasis wraps one side (attributes or labels): the raw Gram matrix and
 the whitening transform T whose rows are eigenvectors scaled by 1/sqrt(eig),
 so that T G T^T = I. Everything downstream works in these orthonormalized
 coordinates, where the Gram matrix and its inverse drop out of the formulas.
+
+A PreparedData record holds both spaces and the rows they were built from,
+not the basis-evaluated rows: sums over observations are taken in fixed
+row blocks, each block's basis columns evaluated when the pass reaches it.
+A fit of `prepare` data makes three passes:
+
+  1. `prepare`: each side's Gram matrix and the raw cross moments
+     sum_l w_l f_l x_l^T. A Chebyshev side's Gram is read off its plain-
+     weight doubled-order moment table (T_a T_b = (T_(a+b) + T_|a-b|) / 2
+     per variable), unless that table is wider per row than the Gram
+     itself (many variables at low order); a monomial side, or such a
+     Chebyshev side, adds each block's columns as in `gram_matrix`.
+  2. `PreparedData.row_norms`: per observation |f|^2, |x|^2, the overlap
+     f^T C x with the cross Gram C and the adjusted normalizer |K x|^2.
+  3. the coverage tensor (see `tensors`).
+
+`prepare_points` data takes its Gram matrices from the stored feature rows
+and sums its cross moments on first use. The row arrays `x_points`,
+`x_orth`, `f_points` and `f_orth` are built only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -17,7 +36,10 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .linalg import row_blocks, sym_eig
-from .sample import BasisSpec, Sample, design_matrix
+from .sample import (CHEBYSHEV, _ELEMENTWISE_COST, BasisSpec, Sample, _checked_dimension,
+                     _doubled_shape, _doubled_split, _factor_block, _gather_products,
+                     _n_vars, _product_gathers, _table_columns, design_matrix,
+                     producted_dimension)
 
 DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
@@ -95,7 +117,11 @@ def build_space(points, weights, const_direction=None,
     whose constant component comes first).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    g = gram_matrix(points, weights)
+    return _space_from_gram(gram_matrix(points, weights), const_direction, rel_threshold)
+
+
+def _space_from_gram(g, const_direction, rel_threshold: float) -> SpaceBasis:
+    """The SpaceBasis of a raw Gram matrix; see `build_space`."""
     t = regularize(g, rel_threshold)
     raw_dim = g.shape[0]
     if const_direction is None:
@@ -168,49 +194,122 @@ def coverage_of_state(points, weights, space: SpaceBasis, state: LocalizedState)
     return float(np.sum(weights * psi * psi / norms2))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _feature_columns(spec: Optional[BasisSpec], rows: np.ndarray) -> np.ndarray:
+    """Basis columns (raw_dim, rows) of a block; spec-less rows are the features."""
+    return rows.T if spec is None else _table_columns(spec, _factor_block(spec, rows))
+
+
+@dataclass(frozen=True)
+class RowNorms:
+    """The per-observation quantities of the second pass, one M-vector each."""
+
+    label: np.ndarray      # |f_l|^2 in orthonormal label coordinates
+    attribute: np.ndarray  # |x_l|^2 in orthonormal attribute coordinates
+    overlap: np.ndarray    # f_l^T C x_l with C the cross Gram
+    adjusted: Optional[np.ndarray]  # |K x_l|^2; None when the coupling is singular
+
+
 @dataclass(frozen=True)
 class PreparedData:
     """Both sides of a sample lifted into their Hilbert spaces.
 
-    Holds the feature rows, the two SpaceBasis records, and the cached
-    orthonormalized coordinates of every observation; this is the common
-    input of the baseline estimators and the coverage tensors. Data built
-    by `prepare` also keeps the two basis specs and the raw rows they were
-    evaluated on; `prepare_points` leaves those empty.
+    Holds the weights, the two SpaceBasis records and, per side, the rows
+    the space was built from: raw rows with the basis spec that evaluates
+    them (`prepare`), or feature rows and no spec (`prepare_points`). It is
+    the common input of the baseline estimators and the coverage tensors,
+    which sum over observations one row block at a time (`blocks`).
     """
 
-    x_points: np.ndarray   # (M, n_raw) feature rows, attribute side
-    f_points: np.ndarray   # (M, m_raw) feature rows, label side
     weights: np.ndarray
     x_space: SpaceBasis
     f_space: SpaceBasis
-    x_orth: np.ndarray     # (M, n_eff)
-    f_orth: np.ndarray     # (M, m_eff)
+    x_rows: np.ndarray   # raw rows under x_spec; the feature rows when x_spec is None
+    f_rows: np.ndarray
     x_spec: Optional[BasisSpec] = None
     f_spec: Optional[BasisSpec] = None
-    x_rows: Optional[np.ndarray] = None  # raw rows x_points was evaluated on
-    f_rows: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
-        return self.x_points.shape[0]
+        return self.weights.shape[0]
 
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
+    @cached_property
+    def x_points(self) -> np.ndarray:
+        """(M, n_raw) attribute feature rows, built on first read."""
+        return self.x_rows if self.x_spec is None else design_matrix(self.x_spec, self.x_rows)
+
+    @cached_property
+    def f_points(self) -> np.ndarray:
+        """(M, m_raw) label feature rows, built on first read."""
+        return self.f_rows if self.f_spec is None else design_matrix(self.f_spec, self.f_rows)
+
+    @cached_property
+    def x_orth(self) -> np.ndarray:
+        """(M, n_eff) orthonormal attribute coordinates, built on first read."""
+        return self.x_points @ self.x_space.transform.T
+
+    @cached_property
+    def f_orth(self) -> np.ndarray:
+        """(M, m_eff) orthonormal label coordinates, built on first read."""
+        return self.f_points @ self.f_space.transform.T
+
+    def blocks(self, sides: str = "fx"):
+        """Orthonormal coordinates of each fixed row block.
+
+        Yields (rows, ...) with one (eff_dim, block rows) array per side
+        named in `sides` ("f" labels, "x" attributes), in that order.
+        """
+        parts = [(self.f_spec, self.f_rows, self.f_space.transform) if side == "f"
+                 else (self.x_spec, self.x_rows, self.x_space.transform) for side in sides]
+        for rows in row_blocks(self.size):
+            yield (rows,) + tuple(transform @ _feature_columns(spec, side_rows[rows])
+                                  for spec, side_rows, transform in parts)
+
+    def weighted_gram(self, side: str, weights) -> np.ndarray:
+        """sum_l weights_l o_l o_l^T over one side's orthonormal coordinates o_l."""
+        gram = 0.0
+        for rows, coords in self.blocks(side):
+            gram = gram + (coords * weights[rows]) @ coords.T
+        return gram
+
+    @cached_property
+    def raw_cross(self) -> np.ndarray:
+        """Raw cross moments sum_l w_l f_l x_l^T over the feature rows, (m_raw, n_raw).
+
+        `prepare` hands over the sum of its first pass; other data sums them
+        here, once, on first use.
+        """
+        cross = 0.0
+        for rows in row_blocks(self.size):
+            f = _feature_columns(self.f_spec, self.f_rows[rows])
+            x = _feature_columns(self.x_spec, self.x_rows[rows])
+            cross = cross + (f * self.weights[rows]) @ x.T
+        return _read_only(cross)
+
+    @cached_property
+    def _cross_gram(self) -> np.ndarray:
+        return _read_only(self.f_space.transform @ self.raw_cross @ self.x_space.transform.T)
+
     def cross_gram(self) -> np.ndarray:
-        """Cross moments <f_j x_k> in orthonormal coordinates (m_eff x n_eff)."""
-        return (self.f_orth.T * self.weights) @ self.x_orth
+        """Cross moments <f_j x_k> in orthonormal coordinates (m_eff x n_eff), read-only."""
+        return self._cross_gram
 
     @cached_property
     def label_coupling(self) -> tuple:
         """(C, C C^T, K) for the cross Gram C, with K = L^-1 C and C C^T = L L^T.
 
-        Computed on first use from one cross-Gram pass. `K^T K` equals
-        `label_matched_projection`, so the adjusted normalizer of a row x is
-        |K x|^2, which costs m_eff * n_eff per row instead of n_eff^2. A
-        singular coupling raises on every access; nothing is cached then.
+        `K^T K` equals `label_matched_projection`, so the adjusted normalizer
+        of a row x is |K x|^2, which costs m_eff * n_eff per row instead of
+        n_eff^2. A singular coupling raises on every access; nothing is
+        cached then.
         """
         cross = self.cross_gram()
         coupling = cross @ cross.T
@@ -227,6 +326,32 @@ class PreparedData:
         Gram of `label_coupling` with the adjusted tensor kind.
         """
         return label_matched_projection(self)
+
+    @cached_property
+    def row_norms(self) -> RowNorms:
+        """Per-observation norms and overlaps, from one pass over the row blocks.
+
+        Each block's two coordinate arrays live only while the block is
+        processed. With a singular coupling `adjusted` is None, and reading
+        the adjusted normalizer raises through `label_coupling`.
+        """
+        cross = self.cross_gram()
+        try:  # C and K stacked, so each block takes one product for both
+            maps = np.vstack([cross, self.label_coupling[2]])
+        except NumericalError:
+            maps = cross
+        m = cross.shape[0]
+        label, attribute, overlap = (np.empty(self.size) for _ in range(3))
+        adjusted = np.empty(self.size) if maps.shape[0] > m else None
+        for rows, f, x in self.blocks():
+            np.einsum("ij,ij->j", f, f, out=label[rows])
+            np.einsum("ij,ij->j", x, x, out=attribute[rows])
+            mapped = maps @ x
+            np.einsum("ij,ij->j", f, mapped[:m], out=overlap[rows])
+            if adjusted is not None:
+                np.einsum("ij,ij->j", mapped[m:], mapped[m:], out=adjusted[rows])
+        return RowNorms(*(None if a is None else _read_only(a)
+                          for a in (label, attribute, overlap, adjusted)))
 
 
 def label_matched_projection(data: PreparedData) -> np.ndarray:
@@ -247,29 +372,86 @@ def prepare_points(x_points, f_points, weights, x_const=None, f_const=None,
     x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     f_points = np.atleast_2d(np.asarray(f_points, dtype=float))
     weights = np.asarray(weights, dtype=float).reshape(-1)
-    x_space = build_space(x_points, weights, x_const, rel_threshold)
-    f_space = build_space(f_points, weights, f_const, rel_threshold)
     return PreparedData(
-        x_points=x_points,
-        f_points=f_points,
         weights=weights,
-        x_space=x_space,
-        f_space=f_space,
-        x_orth=x_points @ x_space.transform.T,
-        f_orth=f_points @ f_space.transform.T,
+        x_space=build_space(x_points, weights, x_const, rel_threshold),
+        f_space=build_space(f_points, weights, f_const, rel_threshold),
+        x_rows=x_points,
+        f_rows=f_points,
     )
+
+
+def _table_gram(spec: BasisSpec, n_vars: int) -> bool:
+    """Whether the first pass reads a side's Gram off its doubled-order table.
+
+    Chebyshev sides only, and only when the table takes no more work per
+    row than adding the block's columns as a Gram: with many variables at
+    low order the table's leading columns outnumber the basis.
+    """
+    if spec.kind != CHEBYSHEV:
+        return False
+    lead, last, gather = _doubled_shape(spec, n_vars)
+    dim = producted_dimension(n_vars, spec.product_order, spec.mode)
+    return (_ELEMENTWISE_COST * (gather + lead) + lead * last
+            <= _ELEMENTWISE_COST * dim + dim * (dim + 1) // 2)
+
+
+class _GramPass:
+    """One side of the first pass: its basis columns, block by block, and its Gram."""
+
+    def __init__(self, spec: BasisSpec, rows: np.ndarray):
+        n_vars = _n_vars(spec, rows)
+        _checked_dimension(spec, n_vars)
+        self.spec, self.rows = spec, rows
+        self.gathers = (_product_gathers(n_vars, spec.product_order, spec.mode)
+                        if _table_gram(spec, n_vars) else None)
+        self.moments = 0.0
+
+    def add(self, rows: slice, weights: np.ndarray) -> np.ndarray:
+        """Add one block's moments; returns its basis columns, (raw_dim, block rows)."""
+        spec = self.spec
+        if self.gathers is None:
+            table = _factor_block(spec, self.rows[rows])
+        else:
+            table = _factor_block(spec, self.rows[rows], 2 * spec.product_order)
+            lead, last = _doubled_split(table)
+            self.moments = self.moments + (lead * weights) @ last.T
+        columns = _table_columns(spec, table)
+        if not np.isfinite(columns).all():
+            raise NumericalError("basis evaluation produced non-finite values")
+        if self.gathers is None:
+            block = np.ascontiguousarray(columns.T)  # gram_matrix's operands, bit for bit
+            self.moments = self.moments + (block.T * weights) @ block
+        return columns
+
+    def gram(self) -> np.ndarray:
+        if self.gathers is None:
+            return self.moments
+        return _gather_products(self.moments.reshape(-1), self.gathers)
 
 
 def prepare(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
             rel_threshold: float = DEFAULT_REL_THRESHOLD) -> PreparedData:
-    """Evaluate both bases on a sample and build the two spaces."""
-    x_points = design_matrix(x_spec, sample.x_rows)
-    f_points = design_matrix(f_spec, sample.f_rows)
-    x_const = np.zeros(x_points.shape[1])
-    x_const[x_spec.constant_index] = 1.0
-    f_const = np.zeros(f_points.shape[1])
-    f_const[f_spec.constant_index] = 1.0
-    data = prepare_points(x_points, f_points, sample.weights, x_const, f_const,
-                          rel_threshold)
-    return replace(data, x_spec=x_spec, f_spec=f_spec,
-                   x_rows=sample.x_rows, f_rows=sample.f_rows)
+    """Evaluate both bases on a sample and build the two spaces.
+
+    One pass over the row blocks sums both Gram matrices and the raw cross
+    moments; no array of basis-evaluated rows is built.
+    """
+    x_pass = _GramPass(x_spec, sample.x_rows)
+    f_pass = _GramPass(f_spec, sample.f_rows)
+    cross = 0.0
+    for rows in row_blocks(sample.size):
+        weights = sample.weights[rows]
+        x = x_pass.add(rows, weights)
+        f = f_pass.add(rows, weights)
+        cross = cross + (f * weights) @ x.T
+    spaces = []
+    for spec, gram in ((x_spec, x_pass.gram()), (f_spec, f_pass.gram())):
+        const = np.zeros(gram.shape[0])
+        const[spec.constant_index] = 1.0
+        spaces.append(_space_from_gram(gram, const, rel_threshold))
+    data = PreparedData(weights=sample.weights, x_space=spaces[0], f_space=spaces[1],
+                        x_rows=sample.x_rows, f_rows=sample.f_rows,
+                        x_spec=x_spec, f_spec=f_spec)
+    vars(data)["raw_cross"] = _read_only(cross)  # fills the cached property
+    return data

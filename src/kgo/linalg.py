@@ -58,14 +58,6 @@ def row_blocks(n_rows: int):
         yield slice(start, min(start + _ROW_BLOCK, n_rows))
 
 
-def row_bilinear(left, matrix, right) -> np.ndarray:
-    """Per-row bilinear forms left[l] @ matrix @ right[l], one block of rows at a time."""
-    out = np.empty(left.shape[0])
-    for rows in row_blocks(left.shape[0]):
-        np.einsum("ij,ij->i", left[rows] @ matrix, right[rows], out=out[rows])
-    return out
-
-
 def _fix_column_signs(vectors):
     v = np.array(vectors, copy=True)
     for i in range(v.shape[1]):

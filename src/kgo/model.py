@@ -108,8 +108,7 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
                  config: SolverConfig = SolverConfig(), d: Optional[int] = None):
     """Fit from already prepared Hilbert spaces (features in, no basis specs)."""
     kind = TensorKind(kind)
-    m_eff = data.f_orth.shape[1]
-    n_eff = data.x_orth.shape[1]
+    m_eff, n_eff = data.f_space.eff_dim, data.x_space.eff_dim
     if m_eff > n_eff:
         raise DimensionError(
             f"label space dimension {m_eff} exceeds attribute space {n_eff}; "

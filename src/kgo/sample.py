@@ -241,6 +241,36 @@ def _gather_columns(table: np.ndarray, gathers: tuple) -> np.ndarray:
     return columns
 
 
+def _n_vars(spec: BasisSpec, rows: np.ndarray) -> int:
+    """Number of variables the spec reads from 2-D rows."""
+    return rows.shape[1] if spec.source is None else len(spec.source)
+
+
+def _checked_dimension(spec: BasisSpec, n_vars: int, cap: int = DEFAULT_DIMENSION_CAP) -> int:
+    """The spec's basis dimension; DimensionError above the cap, before anything is built."""
+    dim = producted_dimension(n_vars, spec.product_order, spec.mode)
+    if dim > cap:
+        raise DimensionError(f"producted dimension {dim} exceeds cap {cap}")
+    return dim
+
+
+def _factor_block(spec: BasisSpec, rows: np.ndarray, order: Optional[int] = None) -> np.ndarray:
+    """Factor table (order + 1, n_vars, rows) of a block of raw rows."""
+    plan = spec._plan
+    values = np.ascontiguousarray(plan.argument(plan.select(rows)).T)  # unit-stride recurrence
+    return _factor_table(spec, values, order)
+
+
+def _table_columns(spec: BasisSpec, table: np.ndarray) -> np.ndarray:
+    """Basis columns (dim, rows) from a factor table of at least the spec's order.
+
+    Rows 0..order of a higher-order table are the spec's own table, bit for
+    bit, so the columns are those `design_matrix` returns, transposed.
+    """
+    prefix = table[:spec.product_order + 1].reshape(-1, table.shape[-1])
+    return _gather_columns(prefix, _exponent_table(table.shape[1], spec.product_order, spec.mode))
+
+
 @lru_cache(maxsize=32)
 def _product_gathers(n_vars: int, order: int, mode: str) -> tuple:
     """Where each product of two basis columns sits in a doubled-order moment table.
@@ -269,24 +299,55 @@ def _product_gathers(n_vars: int, order: int, mode: str) -> tuple:
     return tuple(gathers)
 
 
-def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
-    """Per-row factors of the doubled-order moment columns of a Chebyshev spec.
+def _gather_products(moments: np.ndarray, gathers: tuple, axis: int = -1) -> np.ndarray:
+    """Moments of every product of two basis columns, read off a doubled-order table.
 
-    Returns (lead, last): the leading variables' up_to columns of order
-    2 * product_order, (Q, rows), and the last variable's T_0..T_(2 order),
-    (2 order + 1, rows). The moment column q * (2 order + 1) + e of a row
-    is lead[q] * last[e], the layout `_product_gathers` indexes.
+    `moments` holds the table's columns along `axis`; that axis becomes the
+    (dim, dim) pair of `_product_gathers`.
     """
-    plan = spec._plan
-    values = plan.argument(plan.select(rows)).T
-    n_vars = values.shape[0]
-    order = 2 * spec.product_order
-    table = _factor_table(spec, values, order)  # (order + 1, n_vars, rows)
-    last = table[:, -1]
+    products = np.take(moments, gathers[0], axis=axis)
+    for gather in gathers[1:]:
+        products += np.take(moments, gather, axis=axis)
+    products /= len(gathers)
+    return products
+
+
+def _doubled_split(table: np.ndarray):
+    """Per-row factors (lead, last) of the doubled-order moment columns.
+
+    `table` is a Chebyshev factor table of order 2 * product_order. `lead`
+    holds the leading variables' up_to columns of that order, (Q, rows),
+    and `last` the last variable's T_0..T_(2 order), (2 order + 1, rows).
+    The moment column q * (2 order + 1) + e of a row is lead[q] * last[e],
+    the layout `_product_gathers` indexes.
+    """
+    order, n_vars, n_rows = table.shape[0] - 1, table.shape[1], table.shape[2]
+    last = np.ascontiguousarray(table[:, -1])  # a unit-stride operand of the table products
     if n_vars == 1:
-        return np.ones((1, values.shape[1])), last
-    lead = table[:, :-1].reshape(-1, values.shape[1])
+        return np.ones((1, n_rows)), last
+    lead = table[:, :-1].reshape(-1, n_rows)
     return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
+
+
+def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
+    """`_doubled_split` of a Chebyshev spec's doubled-order table on a block of rows."""
+    return _doubled_split(_factor_block(spec, rows, 2 * spec.product_order))
+
+
+# One elementwise multiply of a row block costs about as much as ten
+# multiply-adds inside a matrix product (one-off timings on 5e4 rows).
+_ELEMENTWISE_COST = 10
+
+
+def _doubled_shape(spec: BasisSpec, n_vars: int):
+    """Per-row shape of a spec's doubled-order table.
+
+    Returns the leading-variable column count, the last variable's table
+    length and the multiplies that gather the leading columns.
+    """
+    order = 2 * spec.product_order
+    lead = producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1
+    return lead, order + 1, lead * (n_vars - 1)
 
 
 def with_scale(spec: BasisSpec, rows) -> BasisSpec:
@@ -306,16 +367,11 @@ def design_matrix(spec: BasisSpec, rows, cap: int = DEFAULT_DIMENSION_CAP) -> np
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     plan = spec._plan
     sel = plan.select(rows)
-    n_vars = sel.shape[1]
-    dim = producted_dimension(n_vars, spec.product_order, spec.mode)
-    if dim > cap:
-        raise DimensionError(f"producted dimension {dim} exceeds cap {cap}")
-    gathers = _exponent_table(n_vars, spec.product_order, spec.mode)
+    dim = _checked_dimension(spec, sel.shape[1], cap)
     values = plan.argument(sel).T
     out = np.empty((rows.shape[0], dim))
     for block in row_blocks(rows.shape[0]):
-        table = _factor_table(spec, values[:, block])  # (order + 1, n_vars, block rows)
-        out[block] = _gather_columns(table.reshape(-1, table.shape[-1]), gathers).T
+        out[block] = _table_columns(spec, _factor_table(spec, values[:, block])).T
     if not np.isfinite(out).all():
         raise NumericalError("basis evaluation produced non-finite values")
     return out

@@ -18,8 +18,13 @@ factors of the raw-coordinate formulas collapse to identity there. The
 flattened index is row-major over (label index j, attribute index k).
 
 Every kind is the same row-weighted sum S = sum_l w_l z_l z_l^T with
-z_l = f_l (x) x_l; only the per-row weights w_l differ. The sum is taken by
-one of two routes, over the same fixed row blocks:
+z_l = f_l (x) x_l; only the per-row weights w_l differ. A fit passes over
+the rows three times. The first (`hilbert.prepare`) gives both Gram
+matrices and the cross Gram, which the projective subspace, F_TOT and the
+least-squares channel read. The per-row weights come from the per-row
+norms of the second (`PreparedData.row_norms`), with the zero-projection
+checks in this module. The sum itself is the third pass, by one of two
+routes over the same fixed row blocks:
 
   moment table  for data from `prepare` with Chebyshev specs on both sides.
                 Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
@@ -30,8 +35,9 @@ one of two routes, over the same fixed row blocks:
                 at low order do not).
   syrk          everything else: spec-less data (`prepare_points`),
                 monomial specs (their doubled-order moments are badly
-                conditioned) and the cases above. z is built per block
-                and added as z^T z.
+                conditioned) and the cases above. z is built per block from
+                the block's coordinates (`PreparedData.blocks`) and added
+                as z z^T.
 """
 
 from __future__ import annotations
@@ -43,10 +49,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hilbert import PreparedData, SpaceBasis, gram_matrix, label_matched_projection
+from .hilbert import PreparedData, SpaceBasis, label_matched_projection
 from .linalg import row_blocks, sym_eig
-from .sample import (CHEBYSHEV, BasisSpec, _doubled_factors, _product_gathers,
-                     producted_dimension)
+from .sample import (_ELEMENTWISE_COST, CHEBYSHEV, _doubled_factors, _doubled_shape,
+                     _gather_products, _n_vars, _product_gathers)
 
 
 class TensorKind(str, Enum):
@@ -90,8 +96,7 @@ class ContributingSubspace:
     variant: str             # "projective" | "coverage"
 
 
-def _norms2(coords, side: str) -> np.ndarray:
-    norms2 = np.einsum("ij,ij->i", coords, coords)
+def _checked(norms2: np.ndarray, side: str) -> np.ndarray:
     bad = np.nonzero(norms2 <= 0.0)[0]
     if bad.size:
         raise NumericalError(f"observation {bad[0]} has zero {side} projection")
@@ -104,18 +109,17 @@ def _label_weights(data: PreparedData, attribute_norms=None) -> np.ndarray:
     The one weighting step of the label-normalized quantities: w / |f|^2,
     or w / (a |f|^2) with a per-observation attribute normalizer a.
     """
-    label = _norms2(data.f_orth, "label")
+    label = _checked(data.row_norms.label, "label")
     return data.weights / (label if attribute_norms is None else attribute_norms * label)
 
 
 def _adjusted_norms2(data: PreparedData) -> np.ndarray:
-    """Per-row adjusted normalizer x^T P x = |K x|^2 through the rank-m factor K."""
-    _, _, factor = data.label_coupling
-    factor_t = np.ascontiguousarray(factor.T)
-    adj = np.empty(data.size)
-    for rows in row_blocks(data.size):
-        coupled = data.x_orth[rows] @ factor_t
-        np.einsum("ij,ij->i", coupled, coupled, out=adj[rows])
+    """Per-row adjusted normalizer x^T P x = |K x|^2 through the rank-m factor K.
+
+    A singular coupling raises here, where the normalizer is read.
+    """
+    data.label_coupling  # raises NumericalError when the coupling is singular
+    adj = data.row_norms.adjusted
     bad = np.nonzero(adj <= 0.0)[0]
     if bad.size:
         raise NumericalError(f"observation {bad[0]} has zero adjusted normalizer")
@@ -125,40 +129,19 @@ def _adjusted_norms2(data: PreparedData) -> np.ndarray:
 def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
     """sum_l w_l z_l z_l^T with z_l = f_l (x) x_l, one block of rows at a time.
 
-    Each block's z is scaled in place by sqrt(w) and added as z^T z, so
+    Each block's z is scaled in place by sqrt(w) and added as z z^T, so
     memory stays flat in the number of observations.
     """
-    m = data.f_orth.shape[1]
-    n = data.x_orth.shape[1]
+    m, n = data.f_space.eff_dim, data.x_space.eff_dim
     root = np.sqrt(eff_weights)
     matrix = np.zeros((m * n, m * n))
-    for rows in row_blocks(data.size):
-        z = np.multiply(data.f_orth[rows, :, None], data.x_orth[rows, None, :])
-        z = z.reshape(-1, m * n)
-        z *= root[rows, None]
-        matrix += z.T @ z
+    for rows, f, x in data.blocks():
+        z = np.multiply(f[:, None], x[None]).reshape(m * n, -1)
+        z *= root[rows]
+        matrix += z @ z.T
     return 0.5 * (matrix + matrix.T)
 
 
-def _n_vars(spec: BasisSpec, rows: np.ndarray) -> int:
-    return rows.shape[1] if spec.source is None else len(spec.source)
-
-
-def _moment_columns(spec: BasisSpec, rows: np.ndarray):
-    """Per-row shape of one side of the doubled-order table.
-
-    Returns the leading-variable column count, the last variable's table
-    length and the multiplies that gather the leading columns.
-    """
-    n_vars = _n_vars(spec, rows)
-    order = 2 * spec.product_order
-    lead = producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1
-    return lead, order + 1, lead * (n_vars - 1)
-
-
-# One elementwise multiply of a row block costs about as much as ten
-# multiply-adds inside a matrix product (one-off timings on 5e4 rows).
-_ELEMENTWISE_COST = 10
 # Largest kappa_x * kappa_f of the two whitenings the moment route accepts.
 # Whitening raw moments amplifies their rounding by about that product, so
 # its error stays near 1e-11 relative; the rows route only sees sqrt(kappa).
@@ -174,21 +157,19 @@ def _condition(space: SpaceBasis) -> float:
 def _moment_route(data: PreparedData) -> bool:
     """Whether the moment table builds the tensor, rather than the syrk.
 
-    It needs Chebyshev specs and raw rows on both sides and well-conditioned
+    It needs Chebyshev specs on both sides and well-conditioned
     whitenings (`_MOMENT_CONDITION_MAX`). Then the route with less work per
     row runs: for the moment table the gathers, the weighted left factor
     and one matrix product; for the syrk building z and z^T z.
     """
-    specs = (data.f_spec, data.x_spec)
-    if data.f_rows is None or data.x_rows is None or any(
-            spec is None or spec.kind != CHEBYSHEV for spec in specs):
+    if any(spec is None or spec.kind != CHEBYSHEV for spec in (data.f_spec, data.x_spec)):
         return False
-    f_lead, f_last, f_gather = _moment_columns(data.f_spec, data.f_rows)
-    x_lead, x_last, x_gather = _moment_columns(data.x_spec, data.x_rows)
+    f_lead, f_last, f_gather = _doubled_shape(data.f_spec, _n_vars(data.f_spec, data.f_rows))
+    x_lead, x_last, x_gather = _doubled_shape(data.x_spec, _n_vars(data.x_spec, data.x_rows))
     label = f_lead * f_last
     moment = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead)
               + label * x_lead * x_last)
-    width = data.f_orth.shape[1] * data.x_orth.shape[1]
+    width = data.f_space.eff_dim * data.x_space.eff_dim
     syrk = _ELEMENTWISE_COST * width + width * (width + 1) // 2
     return (moment < syrk and _condition(data.x_space) * _condition(data.f_space)
             <= _MOMENT_CONDITION_MAX)
@@ -227,14 +208,8 @@ def _chebyshev_moments(data: PreparedData, eff_weights) -> np.ndarray:
                                  data.f_spec.product_order, data.f_spec.mode)
     tx = data.x_space.transform
     tf = data.f_space.transform
-    x_raw = mom[:, x_gathers[0]]
-    for gather in x_gathers[1:]:
-        x_raw += mom[:, gather]
-    x_white = tx @ (x_raw / len(x_gathers)) @ tx.T  # (label moments, n, n)
-    f_raw = x_white[f_gathers[0]]
-    for gather in f_gathers[1:]:
-        f_raw += x_white[gather]
-    f_raw /= len(f_gathers)  # (m_raw, m_raw, n, n)
+    x_white = tx @ _gather_products(mom, x_gathers) @ tx.T  # (label moments, n, n)
+    f_raw = _gather_products(x_white, f_gathers, axis=0)    # (m_raw, m_raw, n, n)
     four = np.tensordot(tf, f_raw, axes=(1, 0))           # (m, m_raw, n, n)
     four = np.tensordot(four, tf, axes=(1, 1))            # (m, n, n, m)
     m, n = tf.shape[0], tx.shape[0]
@@ -254,7 +229,7 @@ def build_coverage_tensor(kind: TensorKind, data: PreparedData,
     """
     kind = TensorKind(kind)
     if kind is TensorKind.CHRISTOFFEL_PRODUCT:
-        w = _label_weights(data, _norms2(data.x_orth, "attribute"))
+        w = _label_weights(data, _checked(data.row_norms.attribute, "attribute"))
     elif kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
         w = _label_weights(data, _adjusted_norms2(data))
     elif kind is TensorKind.F_CHRISTOFFEL:
@@ -265,8 +240,7 @@ def build_coverage_tensor(kind: TensorKind, data: PreparedData,
         raise DimensionError(f"unknown tensor kind {kind}")
     route = _chebyshev_moments if _moment_route(data) else _fourth_moments
     matrix = route(data, w)
-    d = data.f_orth.shape[1]
-    n = data.x_orth.shape[1]
+    d, n = data.f_space.eff_dim, data.x_space.eff_dim
     if subspace is not None:
         if kind is not TensorKind.CHRISTOFFEL_PRODUCT:
             raise DimensionError(
@@ -287,7 +261,7 @@ def subspace_embedding(data: PreparedData, subspace: ContributingSubspace) -> np
 
 def label_christoffel_moments(data: PreparedData) -> np.ndarray:
     """<f_t | K_f | f_s> in orthonormal label coordinates."""
-    return gram_matrix(data.f_orth, _label_weights(data))
+    return data.weighted_gram("f", _label_weights(data))
 
 
 def label_to_attribute_coverage(data: PreparedData) -> np.ndarray:
@@ -315,7 +289,7 @@ def _coverage_matrix(data: PreparedData, variant: str) -> np.ndarray:
     if variant == "projective":
         return label_to_attribute_coverage(data)
     if variant == "coverage":
-        return gram_matrix(data.x_orth, _label_weights(data))
+        return data.weighted_gram("x", _label_weights(data))
     raise DimensionError(f"unknown subspace variant {variant!r}")
 
 
@@ -327,8 +301,7 @@ def contributing_subspace(data: PreparedData, d: int,
     at most m); the coverage variant swaps in plain attribute moments under
     the label Christoffel function.
     """
-    m_eff = data.f_orth.shape[1]
-    n_eff = data.x_orth.shape[1]
+    m_eff, n_eff = data.f_space.eff_dim, data.x_space.eff_dim
     if not 1 <= d <= min(m_eff, n_eff):
         raise DimensionError(f"d={d} out of range 1..{min(m_eff, n_eff)}")
     eig = sym_eig(_coverage_matrix(data, variant))

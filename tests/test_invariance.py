@@ -51,32 +51,24 @@ def instance(seed, size, basis):
 
 
 def extra_rows(data, rng, size):
-    """Raw and feature rows of `size` new observations in the data's bases."""
-    if data.x_spec is None:
-        x, f = raw_rows(rng, size)
-        return x, f, x, f
-    x, f = chebyshev_rows(rng, size)
-    return x, f, kgo.design_matrix(data.x_spec, x), kgo.design_matrix(data.f_spec, f)
+    """Rows of `size` new observations: raw rows, or feature rows for spec-less data."""
+    return (raw_rows if data.x_spec is None else chebyshev_rows)(rng, size)
 
 
 def relisted(data, weights, order=None, extra=None):
     """The same two spaces and specs over another list of rows.
 
-    `order` picks the rows (with repeats); `extra` appends (x_rows, f_rows,
-    x_points, f_points) of new observations.
+    `order` picks the rows (with repeats); `extra` appends (x_rows, f_rows)
+    of new observations.
     """
-    fields = [data.x_rows, data.f_rows, data.x_points, data.f_points]
+    x_rows, f_rows = data.x_rows, data.f_rows
     if order is not None:
-        fields = [None if a is None else a[order] for a in fields]
+        x_rows, f_rows = x_rows[order], f_rows[order]
     if extra is not None:
-        fields = [None if a is None else np.vstack([a, b]) for a, b in zip(fields, extra)]
-    x_rows, f_rows, x_points, f_points = fields
+        x_rows, f_rows = np.vstack([x_rows, extra[0]]), np.vstack([f_rows, extra[1]])
     return kgo.PreparedData(
-        x_points=x_points, f_points=f_points, weights=weights,
-        x_space=data.x_space, f_space=data.f_space,
-        x_orth=x_points @ data.x_space.transform.T,
-        f_orth=f_points @ data.f_space.transform.T,
-        x_spec=data.x_spec, f_spec=data.f_spec, x_rows=x_rows, f_rows=f_rows)
+        weights=weights, x_space=data.x_space, f_space=data.f_space,
+        x_rows=x_rows, f_rows=f_rows, x_spec=data.x_spec, f_spec=data.f_spec)
 
 
 def assert_same_sums(data, other):

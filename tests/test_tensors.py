@@ -45,10 +45,10 @@ class TestChristoffelProductMoments:
     def test_linear_in_weights(self, three_point_data, three_point_sample):
         m4 = christoffel_product_moments(three_point_data)
         doubled = kgo.PreparedData(
-            x_points=three_point_data.x_points, f_points=three_point_data.f_points,
             weights=2.0 * three_point_data.weights,
             x_space=three_point_data.x_space, f_space=three_point_data.f_space,
-            x_orth=three_point_data.x_orth, f_orth=three_point_data.f_orth)
+            x_rows=three_point_data.x_rows, f_rows=three_point_data.f_rows,
+            x_spec=three_point_data.x_spec, f_spec=three_point_data.f_spec)
         np.testing.assert_allclose(christoffel_product_moments(doubled),
                                    2.0 * m4, atol=1e-12)
 
@@ -423,7 +423,7 @@ class TestRowBlocks:
         elif basis is None:
             data = kgo.prepare_points(data.x_points, data.f_points, data.weights,
                                       data.x_space.const_raw, data.f_space.const_raw)
-            assert data.x_spec is data.f_spec is data.x_rows is data.f_rows is None
+            assert data.x_spec is data.f_spec is None
         expect = "_chebyshev_moments" if basis == "chebyshev" else "_fourth_moments"
         for kind in kgo.TensorKind:
             matrix = kgo.build_coverage_tensor(kind, data).matrix
@@ -460,7 +460,7 @@ class TestRowBlocks:
         tracemalloc.start()
         try:
             for instance in (data, cheb):
-                dense_bytes = size * instance.f_orth.shape[1] * instance.x_orth.shape[1] * 8
+                dense_bytes = size * instance.f_space.eff_dim * instance.x_space.eff_dim * 8
                 for kind in kgo.TensorKind:
                     tracemalloc.reset_peak()
                     tensor = kgo.build_coverage_tensor(kind, instance)
