@@ -34,11 +34,10 @@ def fit_least_squares(data: PreparedData) -> LeastSquaresMap:
     """Least-squares expansion of the label features over the attribute basis.
 
     Solved in regularized coordinates, where the normal equations reduce to a
-    plain cross-moment contraction: beta = C_raw T_x^T T_x with the raw
-    cross moments C_raw, so no pass over the rows is made here.
+    plain cross-moment contraction: beta = <f (T_x x)^T> T_x, read off the
+    data's cached cross moments, so no pass over the rows is made here.
     """
-    transform = data.x_space.transform
-    return LeastSquaresMap(beta=data.raw_cross @ transform.T @ transform)
+    return LeastSquaresMap(beta=data.cross_moments[1] @ data.x_space.transform)
 
 
 def eval_least_squares(lsq: LeastSquaresMap, x_point) -> np.ndarray:

@@ -9,20 +9,21 @@ coordinates, where the Gram matrix and its inverse drop out of the formulas.
 A PreparedData record holds both spaces and the rows they were built from,
 not the basis-evaluated rows: sums over observations are taken in fixed
 row blocks, each block's basis columns evaluated when the pass reaches it.
-A fit of `prepare` data makes three passes:
+A fit of `prepare` data passes over the rows as follows:
 
-  1. `prepare`: each side's Gram matrix and the raw cross moments
-     sum_l w_l f_l x_l^T. A Chebyshev side's Gram is read off its plain-
-     weight doubled-order moment table (T_a T_b = (T_(a+b) + T_|a-b|) / 2
-     per variable), unless that table is wider per row than the Gram
-     itself (many variables at low order); a monomial side, or such a
-     Chebyshev side, adds each block's columns as in `gram_matrix`.
-  2. `PreparedData.row_norms`: per observation |f|^2, |x|^2, the overlap
+  1. `prepare`: each side's Gram matrix. A Chebyshev side's is read off
+     its plain-weight doubled-order moment table (T_a T_b =
+     (T_(a+b) + T_|a-b|) / 2 per variable); a monomial side adds each
+     block's columns as in `gram_matrix`.
+  2. `PreparedData.cross_moments`: sum_l w_l f_l x_l^T over whitened
+     attribute rows, once with whitened label rows (the cross Gram) and
+     once with raw label features (for the least-squares map).
+  3. `PreparedData.row_norms`: per observation |f|^2, |x|^2, the overlap
      f^T C x with the cross Gram C and the adjusted normalizer |K x|^2.
-  3. the coverage tensor (see `tensors`).
+  4. the coverage tensor (see `tensors`).
 
-`prepare_points` data takes its Gram matrices from the stored feature rows
-and sums its cross moments on first use. The row arrays `x_points`,
+`prepare_points` data takes its Gram matrices from the stored feature rows;
+passes 2 and 3 run on it the same way. The row arrays `x_points`,
 `x_orth`, `f_points` and `f_orth` are built only when read.
 """
 
@@ -36,10 +37,9 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .linalg import row_blocks, sym_eig
-from .sample import (CHEBYSHEV, _ELEMENTWISE_COST, BasisSpec, Sample, _checked_dimension,
-                     _doubled_shape, _doubled_split, _factor_block, _gather_products,
-                     _n_vars, _product_gathers, _table_columns, design_matrix,
-                     producted_dimension)
+from .sample import (CHEBYSHEV, BasisSpec, Sample, _checked_dimension, _doubled_factors,
+                     _factor_block, _gather_products, _n_vars, _product_gathers,
+                     _table_columns, design_matrix)
 
 DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
@@ -281,26 +281,33 @@ class PreparedData:
         return gram
 
     @cached_property
-    def raw_cross(self) -> np.ndarray:
-        """Raw cross moments sum_l w_l f_l x_l^T over the feature rows, (m_raw, n_raw).
+    def cross_moments(self) -> tuple:
+        """(C, B): sum_l w_l f_l x_l^T over whitened attribute rows, read-only.
 
-        `prepare` hands over the sum of its first pass; other data sums them
-        here, once, on first use.
+        C, (m_eff, n_eff), has the label side whitened too and is the cross
+        Gram; B, (m_raw, n_eff), keeps the raw label features, and B T_x is
+        the least-squares map. Both are summed in one pass, on first use.
+        Whitening each row before the sum, rather than the raw sum after
+        it, keeps the rounding near sqrt(kappa_x) + sqrt(kappa_f) rather
+        than their product. One block gives the bits of the whole-array
+        expressions.
         """
-        cross = 0.0
+        tf, tx = self.f_space.transform, self.x_space.transform
+        cross = label_raw = 0.0
         for rows in row_blocks(self.size):
-            f = _feature_columns(self.f_spec, self.f_rows[rows])
-            x = _feature_columns(self.x_spec, self.x_rows[rows])
-            cross = cross + (f * self.weights[rows]) @ x.T
-        return _read_only(cross)
-
-    @cached_property
-    def _cross_gram(self) -> np.ndarray:
-        return _read_only(self.f_space.transform @ self.raw_cross @ self.x_space.transform.T)
+            f = _feature_columns(self.f_spec, self.f_rows[rows]).T  # (block rows, m_raw)
+            x = _feature_columns(self.x_spec, self.x_rows[rows]).T @ tx.T
+            cross = cross + ((f @ tf.T).T * self.weights[rows]) @ x
+            label_raw = label_raw + (f.T * self.weights[rows]) @ x
+        return _read_only(cross), _read_only(label_raw)
 
     def cross_gram(self) -> np.ndarray:
-        """Cross moments <f_j x_k> in orthonormal coordinates (m_eff x n_eff), read-only."""
-        return self._cross_gram
+        """Cross moments <f_j x_k> in orthonormal coordinates (m_eff x n_eff).
+
+        A fresh copy of one cached matrix, so no pass over the rows is made
+        after the first call.
+        """
+        return self.cross_moments[0].copy()
 
     @cached_property
     def label_coupling(self) -> tuple:
@@ -381,77 +388,47 @@ def prepare_points(x_points, f_points, weights, x_const=None, f_const=None,
     )
 
 
-def _table_gram(spec: BasisSpec, n_vars: int) -> bool:
-    """Whether the first pass reads a side's Gram off its doubled-order table.
+def _side_gram(spec: BasisSpec, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One side's raw Gram matrix, summed over the row blocks of its raw rows.
 
-    Chebyshev sides only, and only when the table takes no more work per
-    row than adding the block's columns as a Gram: with many variables at
-    low order the table's leading columns outnumber the basis.
+    A Chebyshev side's is read off its plain-weight doubled-order moment
+    table; a monomial side adds each block's columns as `gram_matrix` does,
+    bit for bit. Non-finite basis values raise; a Chebyshev side checks its
+    doubled-order factors, which overflow whenever its basis columns do.
     """
-    if spec.kind != CHEBYSHEV:
-        return False
-    lead, last, gather = _doubled_shape(spec, n_vars)
-    dim = producted_dimension(n_vars, spec.product_order, spec.mode)
-    return (_ELEMENTWISE_COST * (gather + lead) + lead * last
-            <= _ELEMENTWISE_COST * dim + dim * (dim + 1) // 2)
-
-
-class _GramPass:
-    """One side of the first pass: its basis columns, block by block, and its Gram."""
-
-    def __init__(self, spec: BasisSpec, rows: np.ndarray):
-        n_vars = _n_vars(spec, rows)
-        _checked_dimension(spec, n_vars)
-        self.spec, self.rows = spec, rows
-        self.gathers = (_product_gathers(n_vars, spec.product_order, spec.mode)
-                        if _table_gram(spec, n_vars) else None)
-        self.moments = 0.0
-
-    def add(self, rows: slice, weights: np.ndarray) -> np.ndarray:
-        """Add one block's moments; returns its basis columns, (raw_dim, block rows)."""
-        spec = self.spec
-        if self.gathers is None:
-            table = _factor_block(spec, self.rows[rows])
+    n_vars = _n_vars(spec, rows)
+    _checked_dimension(spec, n_vars)
+    table = spec.kind == CHEBYSHEV
+    moments = 0.0
+    for block in row_blocks(rows.shape[0]):
+        if table:
+            lead, last = _doubled_factors(spec, rows[block])
+            left, right = lead * weights[block], last.T
         else:
-            table = _factor_block(spec, self.rows[rows], 2 * spec.product_order)
-            lead, last = _doubled_split(table)
-            self.moments = self.moments + (lead * weights) @ last.T
-        columns = _table_columns(spec, table)
-        if not np.isfinite(columns).all():
+            right = np.ascontiguousarray(_feature_columns(spec, rows[block]).T)
+            left = right.T * weights[block]  # gram_matrix's operands, bit for bit
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
             raise NumericalError("basis evaluation produced non-finite values")
-        if self.gathers is None:
-            block = np.ascontiguousarray(columns.T)  # gram_matrix's operands, bit for bit
-            self.moments = self.moments + (block.T * weights) @ block
-        return columns
-
-    def gram(self) -> np.ndarray:
-        if self.gathers is None:
-            return self.moments
-        return _gather_products(self.moments.reshape(-1), self.gathers)
+        moments = moments + left @ right
+    if table:
+        return _gather_products(moments.reshape(-1),
+                                _product_gathers(n_vars, spec.product_order, spec.mode))
+    return moments
 
 
 def prepare(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
             rel_threshold: float = DEFAULT_REL_THRESHOLD) -> PreparedData:
     """Evaluate both bases on a sample and build the two spaces.
 
-    One pass over the row blocks sums both Gram matrices and the raw cross
-    moments; no array of basis-evaluated rows is built.
+    Each side's Gram matrix is summed over the row blocks; no array of
+    basis-evaluated rows is built.
     """
-    x_pass = _GramPass(x_spec, sample.x_rows)
-    f_pass = _GramPass(f_spec, sample.f_rows)
-    cross = 0.0
-    for rows in row_blocks(sample.size):
-        weights = sample.weights[rows]
-        x = x_pass.add(rows, weights)
-        f = f_pass.add(rows, weights)
-        cross = cross + (f * weights) @ x.T
     spaces = []
-    for spec, gram in ((x_spec, x_pass.gram()), (f_spec, f_pass.gram())):
+    for spec, rows in ((x_spec, sample.x_rows), (f_spec, sample.f_rows)):
+        gram = _side_gram(spec, rows, sample.weights)
         const = np.zeros(gram.shape[0])
         const[spec.constant_index] = 1.0
         spaces.append(_space_from_gram(gram, const, rel_threshold))
-    data = PreparedData(weights=sample.weights, x_space=spaces[0], f_space=spaces[1],
+    return PreparedData(weights=sample.weights, x_space=spaces[0], f_space=spaces[1],
                         x_rows=sample.x_rows, f_rows=sample.f_rows,
                         x_spec=x_spec, f_spec=f_spec)
-    vars(data)["raw_cross"] = _read_only(cross)  # fills the cached property
-    return data

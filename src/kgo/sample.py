@@ -312,42 +312,22 @@ def _gather_products(moments: np.ndarray, gathers: tuple, axis: int = -1) -> np.
     return products
 
 
-def _doubled_split(table: np.ndarray):
-    """Per-row factors (lead, last) of the doubled-order moment columns.
+def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
+    """Per-row factors of the doubled-order moment columns of a Chebyshev spec.
 
-    `table` is a Chebyshev factor table of order 2 * product_order. `lead`
-    holds the leading variables' up_to columns of that order, (Q, rows),
-    and `last` the last variable's T_0..T_(2 order), (2 order + 1, rows).
-    The moment column q * (2 order + 1) + e of a row is lead[q] * last[e],
-    the layout `_product_gathers` indexes.
+    Returns (lead, last): the leading variables' up_to columns of order
+    2 * product_order, (Q, rows), and the last variable's T_0..T_(2 order),
+    (2 order + 1, rows). The moment column q * (2 order + 1) + e of a row
+    is lead[q] * last[e], the layout `_product_gathers` indexes.
     """
-    order, n_vars, n_rows = table.shape[0] - 1, table.shape[1], table.shape[2]
+    order = 2 * spec.product_order
+    table = _factor_block(spec, rows, order)  # (order + 1, n_vars, rows)
+    n_vars, n_rows = table.shape[1], table.shape[2]
     last = np.ascontiguousarray(table[:, -1])  # a unit-stride operand of the table products
     if n_vars == 1:
         return np.ones((1, n_rows)), last
     lead = table[:, :-1].reshape(-1, n_rows)
     return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
-
-
-def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
-    """`_doubled_split` of a Chebyshev spec's doubled-order table on a block of rows."""
-    return _doubled_split(_factor_block(spec, rows, 2 * spec.product_order))
-
-
-# One elementwise multiply of a row block costs about as much as ten
-# multiply-adds inside a matrix product (one-off timings on 5e4 rows).
-_ELEMENTWISE_COST = 10
-
-
-def _doubled_shape(spec: BasisSpec, n_vars: int):
-    """Per-row shape of a spec's doubled-order table.
-
-    Returns the leading-variable column count, the last variable's table
-    length and the multiplies that gather the leading columns.
-    """
-    order = 2 * spec.product_order
-    lead = producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1
-    return lead, order + 1, lead * (n_vars - 1)
 
 
 def with_scale(spec: BasisSpec, rows) -> BasisSpec:

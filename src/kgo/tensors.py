@@ -19,12 +19,12 @@ flattened index is row-major over (label index j, attribute index k).
 
 Every kind is the same row-weighted sum S = sum_l w_l z_l z_l^T with
 z_l = f_l (x) x_l; only the per-row weights w_l differ. A fit passes over
-the rows three times. The first (`hilbert.prepare`) gives both Gram
-matrices and the cross Gram, which the projective subspace, F_TOT and the
-least-squares channel read. The per-row weights come from the per-row
-norms of the second (`PreparedData.row_norms`), with the zero-projection
-checks in this module. The sum itself is the third pass, by one of two
-routes over the same fixed row blocks:
+the rows four times (see `hilbert`). The first (`hilbert.prepare`) gives
+both Gram matrices, the second the cross Gram, which the projective
+subspace, F_TOT and the least-squares channel read. The per-row weights
+come from the per-row norms of the third (`PreparedData.row_norms`), with
+the zero-projection checks in this module. The sum itself is the last
+pass, by one of two routes over the same fixed row blocks:
 
   moment table  for data from `prepare` with Chebyshev specs on both sides.
                 Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
@@ -51,8 +51,8 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .hilbert import PreparedData, SpaceBasis, label_matched_projection
 from .linalg import row_blocks, sym_eig
-from .sample import (_ELEMENTWISE_COST, CHEBYSHEV, _doubled_factors, _doubled_shape,
-                     _gather_products, _n_vars, _product_gathers)
+from .sample import (CHEBYSHEV, BasisSpec, _doubled_factors, _gather_products, _n_vars,
+                     _product_gathers, producted_dimension)
 
 
 class TensorKind(str, Enum):
@@ -142,6 +142,21 @@ def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
+def _moment_columns(spec: BasisSpec, rows: np.ndarray):
+    """Per-row shape of one side of the doubled-order table.
+
+    Returns the leading-variable column count, the last variable's table
+    length and the multiplies that gather the leading columns.
+    """
+    n_vars = _n_vars(spec, rows)
+    order = 2 * spec.product_order
+    lead = producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1
+    return lead, order + 1, lead * (n_vars - 1)
+
+
+# One elementwise multiply of a row block costs about as much as ten
+# multiply-adds inside a matrix product (one-off timings on 5e4 rows).
+_ELEMENTWISE_COST = 10
 # Largest kappa_x * kappa_f of the two whitenings the moment route accepts.
 # Whitening raw moments amplifies their rounding by about that product, so
 # its error stays near 1e-11 relative; the rows route only sees sqrt(kappa).
@@ -164,8 +179,8 @@ def _moment_route(data: PreparedData) -> bool:
     """
     if any(spec is None or spec.kind != CHEBYSHEV for spec in (data.f_spec, data.x_spec)):
         return False
-    f_lead, f_last, f_gather = _doubled_shape(data.f_spec, _n_vars(data.f_spec, data.f_rows))
-    x_lead, x_last, x_gather = _doubled_shape(data.x_spec, _n_vars(data.x_spec, data.x_rows))
+    f_lead, f_last, f_gather = _moment_columns(data.f_spec, data.f_rows)
+    x_lead, x_last, x_gather = _moment_columns(data.x_spec, data.x_rows)
     label = f_lead * f_last
     moment = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead)
               + label * x_lead * x_last)

@@ -1,14 +1,15 @@
 """The blocked passes of a fit against dense formulas on materialized rows.
 
-`kgo.prepare` sums both Gram matrices and the raw cross moments in one pass
-over the row blocks (a Chebyshev side's Gram read off its doubled-order
-moment table), and `PreparedData.row_norms` takes the per-row norms in a
-second one. Every quantity built from them is checked here against the
+`kgo.prepare` sums both Gram matrices over the row blocks (a Chebyshev
+side's Gram read off its doubled-order moment table), `PreparedData`
+sums the cross moments in a second pass and the per-row norms in a third
+(`row_norms`). Every quantity built from them is checked here against the
 whole-array formula on `x_points`, `x_orth`, `f_points` and `f_orth`, which
 the data builds only when they are read.
 """
 
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -55,18 +56,11 @@ def dense_quantities(data):
     }
 
 
-@pytest.fixture(params=[True, False], ids=["table-gram", "blocked-gram"])
-def gram_route(request, monkeypatch):
-    """Run the first pass with every Chebyshev Gram from the table, or none."""
-    monkeypatch.setattr(kgo.hilbert, "_table_gram", lambda spec, n_vars: request.param)
-    return request.param
-
-
 class TestPassesMatchDense:
     @pytest.mark.parametrize("shape", SHAPES,
                              ids=["1var", "2var", "3var", "exact", "source", "dead"])
     @pytest.mark.parametrize("size", SIZES)
-    def test_every_quantity(self, gram_route, size, shape):
+    def test_every_quantity(self, size, shape):
         data = chebyshev_instance(np.random.default_rng([size, len(shape)]), size, **shape)
         norms = data.row_norms
         lsq = kgo.fit_least_squares(data)
@@ -82,13 +76,9 @@ class TestPassesMatchDense:
         assert f_jdg == pytest.approx(dense["f_jdg"], rel=1e-12)
         close(lsq.beta, dense["beta"])
 
-    def test_gram_routes_agree_and_blocked_is_gram_matrix(self, gram_route):
+    def test_table_gram_agrees_with_gram_matrix(self):
         data = chebyshev_instance(np.random.default_rng(3), 2 * BLOCK + 7, x_order=6)
-        blocked = kgo.gram_matrix(data.x_points, data.weights)
-        if gram_route:
-            close(data.x_space.gram_raw, blocked, rtol=1e-14)
-        else:
-            assert data.x_space.gram_raw.tobytes() == blocked.tobytes()
+        close(data.x_space.gram_raw, kgo.gram_matrix(data.x_points, data.weights), rtol=1e-14)
 
     @pytest.mark.parametrize("basis", ["monomial", None])
     def test_other_data_matches_dense(self, basis):
@@ -109,34 +99,59 @@ class TestPassesMatchDense:
         assert kgo.joint_distribution_coverage(data) == pytest.approx(dense["f_jdg"], rel=1e-12)
 
 
-class TestTableGram:
-    def test_ill_conditioned_clusters_against_long_double(self):
-        # The clusters of test_ill_conditioned_chebyshev_takes_syrk: kappa_x
-        # is about 4e15, yet the table Gram is as close to a long-double sum
-        # as the blocked Gram is.
-        rng = np.random.default_rng(6)
-        size = 2 * BLOCK
-        x = np.concatenate([rng.normal(-1.0, 0.05, (size // 2, 2)),
-                            rng.normal(1.0, 0.05, (size // 2, 2))])
-        f = np.sin(x[:, :1]) + 0.1 * rng.normal(size=(size, 1))
-        sample = kgo.Sample(x, f, np.ones(size))
-        x_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 6), x)
-        assert kgo.hilbert._table_gram(x_spec, 2)
-        data = kgo.prepare(sample, x_spec, kgo.with_scale(kgo.BasisSpec("chebyshev", 3), f))
-        design = data.x_points.astype(np.longdouble)
-        reference = (design.T * sample.weights.astype(np.longdouble)) @ design
-        scale = float(np.abs(reference).max())
-        blocked = kgo.gram_matrix(data.x_points, sample.weights)
-        for gram in (data.x_space.gram_raw, blocked):
-            assert float(np.abs(gram - reference).max()) <= 1e-15 * scale
+def clusters():
+    # The clusters of test_ill_conditioned_chebyshev_takes_syrk: kappa_x is
+    # about 4e15.
+    rng = np.random.default_rng(6)
+    size = 2 * BLOCK
+    x = np.concatenate([rng.normal(-1.0, 0.05, (size // 2, 2)),
+                        rng.normal(1.0, 0.05, (size // 2, 2))])
+    f = np.sin(x[:, :1]) + 0.1 * rng.normal(size=(size, 1))
+    return kgo.prepare(kgo.Sample(x, f, np.ones(size)),
+                       kgo.with_scale(kgo.BasisSpec("chebyshev", 6), x),
+                       kgo.with_scale(kgo.BasisSpec("chebyshev", 3), f))
 
-    def test_many_variables_low_order_adds_blocks(self):
-        # Six variables at order 2: the doubled table's leading columns
-        # outnumber the basis, so the first pass adds the blocks instead.
-        x_spec = kgo.BasisSpec("chebyshev", 2)
-        assert not kgo.hilbert._table_gram(x_spec, 6)
-        assert kgo.hilbert._table_gram(kgo.BasisSpec("chebyshev", 8), 2)
-        assert not kgo.hilbert._table_gram(kgo.BasisSpec("monomial", 8), 2)
+
+def wide_monomial():
+    # The order-8 monomial fit over x in [0, 1000] of test_whitening_drop_reported.
+    grid = np.linspace(0.0, 1000.0, 101)
+    sample = kgo.Sample(grid[:, None], grid[:, None] / 1000.0, np.ones(101))
+    return kgo.prepare(sample, kgo.BasisSpec("monomial", 8), kgo.BasisSpec("monomial", 1))
+
+
+def max_error(got, reference) -> float:
+    return float(np.abs(got - reference).max()) / float(np.abs(reference).max())
+
+
+class TestIllConditioned:
+    def test_table_gram_against_long_double(self):
+        # The table Gram is as close to a long-double sum as the blocked Gram is.
+        data = clusters()
+        design = data.x_points.astype(np.longdouble)
+        reference = (design.T * data.weights.astype(np.longdouble)) @ design
+        blocked = kgo.gram_matrix(data.x_points, data.weights)
+        for gram in (data.x_space.gram_raw, blocked):
+            assert max_error(gram, reference) <= 1e-15
+
+    @pytest.mark.parametrize("build", [clusters, wide_monomial], ids=["clusters", "monomial"])
+    def test_cross_gram_against_long_double(self, build):
+        # The cross Gram and the least-squares map, with the data's own
+        # transforms, against long-double sums over the whitened rows. They
+        # stay as close as the whole-array whitened-row expressions;
+        # whitening the raw sum T_f (sum w f x^T) T_x^T instead is off by
+        # 9e-10 on the clusters and 4e-15 on the monomial fit.
+        data = build()
+        ld = np.longdouble
+        tx, tf, w = data.x_space.transform, data.f_space.transform, data.weights.astype(ld)
+        x_orth = data.x_points.astype(ld) @ tx.T.astype(ld)
+        f_orth = data.f_points.astype(ld) @ tf.T.astype(ld)
+        cross = (f_orth.T * w) @ x_orth
+        beta = ((data.f_points.astype(ld).T * w) @ x_orth) @ tx.astype(ld)
+        whole_cross = (data.f_orth.T * data.weights) @ data.x_orth
+        whole_beta = ((data.f_points.T * data.weights) @ data.x_orth) @ tx
+        for got, whole, reference in ((data.cross_gram(), whole_cross, cross),
+                                      (kgo.fit_least_squares(data).beta, whole_beta, beta)):
+            assert max_error(got, reference) <= max(4.0 * max_error(whole, reference), 1e-15)
 
 
 class TestPrepareChecks:
@@ -162,9 +177,16 @@ class TestPrepareChecks:
 
     def test_cached_sums_are_read_only(self):
         data = chebyshev_instance(np.random.default_rng(2), 50)
-        for array in (data.raw_cross, data.cross_gram(), data.row_norms.label):
+        for array in (*data.cross_moments, data.row_norms.label):
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+    def test_cross_gram_is_a_fresh_copy(self):
+        data = chebyshev_instance(np.random.default_rng(2), 50)
+        cross = data.cross_gram()
+        want = cross.copy()
+        cross[0] = 1.0
+        assert data.cross_gram().tobytes() == want.tobytes()
 
 
 class TestSingularCoupling:
@@ -201,18 +223,22 @@ def chebyshev_sample(size, seed=5):
 class TestFitReadsNoAttributeRows:
     def test_cross_moments_accumulated_once(self, monkeypatch):
         # Every reader of the cross Gram (label coupling, LSQ channel, F_TOT,
-        # F_JDG and the row norms) gets the one matrix summed in the first pass.
-        results = []
-        real = kgo.PreparedData.cross_gram
+        # F_JDG and the row norms) reads the one sum of the cross moments.
+        readers, sums = [], []
+        read, summed = kgo.PreparedData.cross_gram, kgo.PreparedData.cross_moments.func
 
-        def spy(data):
-            results.append(real(data))
-            return results[-1]
+        def count_sums(data):
+            sums.append(data)
+            return summed(data)
 
-        monkeypatch.setattr(kgo.PreparedData, "cross_gram", spy)
+        counted = cached_property(count_sums)
+        counted.__set_name__(kgo.PreparedData, "cross_moments")
+        monkeypatch.setattr(kgo.PreparedData, "cross_moments", counted)
+        monkeypatch.setattr(kgo.PreparedData, "cross_gram",
+                            lambda data: readers.append(data) or read(data))
         adjusted_fit(chebyshev_sample(BLOCK + 9))
-        assert len(results) >= 4
-        assert len({id(result) for result in results}) == 1
+        assert len(readers) >= 4
+        assert len(sums) == 1
 
     def test_never_reads_the_attribute_pair(self, monkeypatch):
         def refuse(data):
