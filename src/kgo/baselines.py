@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-from .hilbert import PreparedData, gram_matrix, localized_state
+from .errors import DimensionError, NumericalError
+from .hilbert import PreparedData, localized_state
+from .sample import _basis_columns
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,18 @@ def fit_radon_nikodym(data: PreparedData, labels=None) -> RadonNikodymModel:
     """Per-label third-moment matrices over the attribute space.
 
     `labels` defaults to the label feature rows; pass raw label columns to
-    interpolate them directly.
+    interpolate them directly. Summed one row block at a time, so no array
+    of basis-evaluated rows is built or cached on the data.
     """
-    labels = data.f_points if labels is None else np.atleast_2d(np.asarray(labels, float))
-    m = labels.shape[1]
-    n_eff = data.x_orth.shape[1]
-    moments = np.empty((m, n_eff, n_eff))
-    for j in range(m):
-        moments[j] = gram_matrix(data.x_orth, data.weights * labels[:, j])
+    spec, label_rows = data.f_spec, data.f_rows
+    if labels is not None:
+        spec, label_rows = None, np.atleast_2d(np.asarray(labels, float))
+        if label_rows.shape[0] != data.size:
+            raise DimensionError("row/label count mismatch")
+    moments = 0.0
+    for rows, x in data.blocks("x"):
+        weights = data.weights[rows] * _basis_columns(spec, label_rows[rows])  # (labels, block rows)
+        moments = moments + (x * weights[:, None]) @ x.T  # one (x w_j) x^T per label
     return RadonNikodymModel(third_moments=moments, transform=data.x_space.transform)
 
 

@@ -11,10 +11,11 @@ not the basis-evaluated rows: sums over observations are taken in fixed
 row blocks, each block's basis columns evaluated when the pass reaches it.
 A fit of `prepare` data passes over the rows as follows:
 
-  1. `prepare`: each side's Gram matrix. A Chebyshev side's is read off
-     its plain-weight doubled-order moment table (T_a T_b =
-     (T_(a+b) + T_|a-b|) / 2 per variable); a monomial side adds each
-     block's columns as in `gram_matrix`.
+  1. `prepare`: each side's Gram matrix (`_side_gram`, the one Gram path
+     of `gram_matrix`, `build_space`, `space_from_sample`, `prepare` and
+     `prepare_points`). A Chebyshev side's is read off its plain-weight
+     doubled-order moment table, whose layout `sample` owns; any other
+     side adds each block's weighted columns.
   2. `PreparedData.cross_moments`: sum_l w_l f_l x_l^T over whitened
      attribute rows, once with whitened label rows (the cross Gram) and
      once with raw label features (for the least-squares map).
@@ -22,7 +23,7 @@ A fit of `prepare` data passes over the rows as follows:
      f^T C x with the cross Gram C and the adjusted normalizer |K x|^2.
   4. the coverage tensor (see `tensors`).
 
-`prepare_points` data takes its Gram matrices from the stored feature rows;
+`prepare_points` data sums its Gram matrices over the stored feature rows;
 passes 2 and 3 run on it the same way. The row arrays `x_points`,
 `x_orth`, `f_points` and `f_orth` are built only when read.
 """
@@ -37,9 +38,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .linalg import row_blocks, sym_eig
-from .sample import (CHEBYSHEV, BasisSpec, Sample, _checked_dimension, _doubled_factors,
-                     _factor_block, _gather_products, _n_vars, _product_gathers,
-                     _table_columns, design_matrix)
+from .sample import (CHEBYSHEV, BasisSpec, Sample, _basis_columns, _checked_dimension,
+                     _moment_table, _product_moments, design_matrix)
 
 DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
@@ -84,10 +84,26 @@ def gram_matrix(points, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if points.shape[0] != weights.shape[0]:
         raise DimensionError("row/weight count mismatch")
-    gram = np.zeros((points.shape[1], points.shape[1]))
-    for rows in row_blocks(points.shape[0]):
-        block = points[rows]
-        gram += (block.T * weights[rows]) @ block
+    return _side_gram(None, points, weights)
+
+
+def _side_gram(spec: Optional[BasisSpec], rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One side's raw Gram matrix, summed over the fixed row blocks of its rows.
+
+    A Chebyshev side's is read off its plain-weight doubled-order moment
+    table; any other side (a monomial spec, or feature rows and no spec)
+    adds each block's weighted columns. Non-finite basis values raise.
+    """
+    dim = rows.shape[1] if spec is None else _checked_dimension(spec, rows)
+    if spec is not None and spec.kind == CHEBYSHEV:
+        return _product_moments(_moment_table(spec, rows, weights), spec, rows)[0]
+    gram = np.zeros((dim, dim))
+    for block in row_blocks(rows.shape[0]):
+        right = np.ascontiguousarray(_basis_columns(spec, rows[block]).T)
+        left = right.T * weights[block]
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            raise NumericalError("basis evaluation produced non-finite values")
+        gram += left @ right
     return gram
 
 
@@ -116,7 +132,6 @@ def build_space(points, weights, const_direction=None,
     function (defaults to the first coordinate axis, matching producted bases
     whose constant component comes first).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     return _space_from_gram(gram_matrix(points, weights), const_direction, rel_threshold)
 
 
@@ -142,11 +157,14 @@ def _space_from_gram(g, const_direction, rel_threshold: float) -> SpaceBasis:
 
 def space_from_sample(sample: Sample, side: str, spec: BasisSpec,
                       rel_threshold: float = DEFAULT_REL_THRESHOLD) -> SpaceBasis:
-    rows = sample.x_rows if side == "x" else sample.f_rows
-    design = design_matrix(spec, rows)
-    const_direction = np.zeros(design.shape[1])
-    const_direction[spec.constant_index] = 1.0
-    return build_space(design, sample.weights, const_direction, rel_threshold)
+    """One side ("x" or "f") of `prepare`; no array of basis-evaluated rows is built.
+
+    The constant function is the spec's constant component.
+    """
+    gram = _side_gram(spec, sample.x_rows if side == "x" else sample.f_rows, sample.weights)
+    const = np.zeros(gram.shape[0])
+    const[spec.constant_index] = 1.0
+    return _space_from_gram(gram, const, rel_threshold)
 
 
 def _checked_projection(space: SpaceBasis, point) -> np.ndarray:
@@ -197,11 +215,6 @@ def coverage_of_state(points, weights, space: SpaceBasis, state: LocalizedState)
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def _feature_columns(spec: Optional[BasisSpec], rows: np.ndarray) -> np.ndarray:
-    """Basis columns (raw_dim, rows) of a block; spec-less rows are the features."""
-    return rows.T if spec is None else _table_columns(spec, _factor_block(spec, rows))
 
 
 @dataclass(frozen=True)
@@ -270,7 +283,7 @@ class PreparedData:
         parts = [(self.f_spec, self.f_rows, self.f_space.transform) if side == "f"
                  else (self.x_spec, self.x_rows, self.x_space.transform) for side in sides]
         for rows in row_blocks(self.size):
-            yield (rows,) + tuple(transform @ _feature_columns(spec, side_rows[rows])
+            yield (rows,) + tuple(transform @ _basis_columns(spec, side_rows[rows])
                                   for spec, side_rows, transform in parts)
 
     def weighted_gram(self, side: str, weights) -> np.ndarray:
@@ -295,8 +308,8 @@ class PreparedData:
         tf, tx = self.f_space.transform, self.x_space.transform
         cross = label_raw = 0.0
         for rows in row_blocks(self.size):
-            f = _feature_columns(self.f_spec, self.f_rows[rows]).T  # (block rows, m_raw)
-            x = _feature_columns(self.x_spec, self.x_rows[rows]).T @ tx.T
+            f = _basis_columns(self.f_spec, self.f_rows[rows]).T  # (block rows, m_raw)
+            x = _basis_columns(self.x_spec, self.x_rows[rows]).T @ tx.T
             cross = cross + ((f @ tf.T).T * self.weights[rows]) @ x
             label_raw = label_raw + (f.T * self.weights[rows]) @ x
         return _read_only(cross), _read_only(label_raw)
@@ -324,15 +337,6 @@ class PreparedData:
         if eig[0] <= 1e-12 * max(eig[-1], 1e-300):
             raise NumericalError("label/attribute coupling matrix is singular")
         return cross, coupling, np.linalg.solve(np.linalg.cholesky(coupling), cross)
-
-    @cached_property
-    def label_projection(self) -> np.ndarray:
-        """`label_matched_projection` of this data, computed on first use.
-
-        The fitted model's adjusted normalizer reads it; it shares the cross
-        Gram of `label_coupling` with the adjusted tensor kind.
-        """
-        return label_matched_projection(self)
 
     @cached_property
     def row_norms(self) -> RowNorms:
@@ -388,34 +392,6 @@ def prepare_points(x_points, f_points, weights, x_const=None, f_const=None,
     )
 
 
-def _side_gram(spec: BasisSpec, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """One side's raw Gram matrix, summed over the row blocks of its raw rows.
-
-    A Chebyshev side's is read off its plain-weight doubled-order moment
-    table; a monomial side adds each block's columns as `gram_matrix` does,
-    bit for bit. Non-finite basis values raise; a Chebyshev side checks its
-    doubled-order factors, which overflow whenever its basis columns do.
-    """
-    n_vars = _n_vars(spec, rows)
-    _checked_dimension(spec, n_vars)
-    table = spec.kind == CHEBYSHEV
-    moments = 0.0
-    for block in row_blocks(rows.shape[0]):
-        if table:
-            lead, last = _doubled_factors(spec, rows[block])
-            left, right = lead * weights[block], last.T
-        else:
-            right = np.ascontiguousarray(_feature_columns(spec, rows[block]).T)
-            left = right.T * weights[block]  # gram_matrix's operands, bit for bit
-        if not (np.isfinite(left).all() and np.isfinite(right).all()):
-            raise NumericalError("basis evaluation produced non-finite values")
-        moments = moments + left @ right
-    if table:
-        return _gather_products(moments.reshape(-1),
-                                _product_gathers(n_vars, spec.product_order, spec.mode))
-    return moments
-
-
 def prepare(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
             rel_threshold: float = DEFAULT_REL_THRESHOLD) -> PreparedData:
     """Evaluate both bases on a sample and build the two spaces.
@@ -423,12 +399,8 @@ def prepare(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
     Each side's Gram matrix is summed over the row blocks; no array of
     basis-evaluated rows is built.
     """
-    spaces = []
-    for spec, rows in ((x_spec, sample.x_rows), (f_spec, sample.f_rows)):
-        gram = _side_gram(spec, rows, sample.weights)
-        const = np.zeros(gram.shape[0])
-        const[spec.constant_index] = 1.0
-        spaces.append(_space_from_gram(gram, const, rel_threshold))
-    return PreparedData(weights=sample.weights, x_space=spaces[0], f_space=spaces[1],
+    return PreparedData(weights=sample.weights,
+                        x_space=space_from_sample(sample, "x", x_spec, rel_threshold),
+                        f_space=space_from_sample(sample, "f", f_spec, rel_threshold),
                         x_rows=sample.x_rows, f_rows=sample.f_rows,
                         x_spec=x_spec, f_spec=f_spec)

@@ -14,7 +14,8 @@ import numpy as np
 
 from .baselines import joint_distribution_coverage, lsq_channel
 from .errors import DataError, DimensionError, NumericalError
-from .hilbert import DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis, prepare
+from .hilbert import (DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis,
+                      label_matched_projection, prepare)
 from .sample import BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .sample import CHEBYSHEV
 from .solver import (LSQ_ADJ, PartiallyUnitaryOp, SolverConfig, solve,
@@ -128,7 +129,7 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
             u_init = np.linalg.pinv(f_embed) @ lsq_channel(data)
     op, trace = solve(tensor, config, u_init)
     try:
-        projection = data.label_projection
+        projection = label_matched_projection(data)
     except NumericalError:
         projection = None
     report = {

@@ -4,6 +4,11 @@ A Sample is a weighted list of (attribute row, label row) observations; the
 weighted sum over it is the measure behind every moment in the package.
 Attribute / label rows are expanded into polynomial feature vectors by a
 BasisSpec before any Hilbert-space machinery sees them.
+
+Every pass over the rows evaluates a block's basis columns here
+(`_basis_columns`). This module also owns the doubled-order moment table
+that Chebyshev Gram matrices and coverage tensors are read off; no other
+module knows its layout.
 """
 
 from __future__ import annotations
@@ -208,12 +213,35 @@ def weighted_average(sample: Sample, h) -> float:
     return float(np.dot(vals, sample.weights))
 
 
-def _factor_table(spec: BasisSpec, values: np.ndarray, order: Optional[int] = None) -> np.ndarray:
-    """Powers 0..order (or Chebyshev T_0..T_order) of every value, stacked first.
+def _gather_columns(table: np.ndarray, gathers: tuple) -> np.ndarray:
+    """Basis columns from a flattened factor table: the product of one gathered row per variable."""
+    first, *rest = gathers
+    columns = table[first]
+    for gather in rest:
+        columns *= table[gather]
+    return columns
 
-    `order` defaults to the spec's product order.
+
+def _n_vars(spec: BasisSpec, rows: np.ndarray) -> int:
+    """Number of variables the spec reads from 2-D rows."""
+    return rows.shape[1] if spec.source is None else len(spec.source)
+
+
+def _checked_dimension(spec: BasisSpec, rows: np.ndarray) -> int:
+    """The spec's basis dimension on 2-D rows; DimensionError above the cap, before anything is built."""
+    dim = producted_dimension(_n_vars(spec, rows), spec.product_order, spec.mode)
+    if dim > DEFAULT_DIMENSION_CAP:
+        raise DimensionError(f"producted dimension {dim} exceeds cap {DEFAULT_DIMENSION_CAP}")
+    return dim
+
+
+def _factor_block(spec: BasisSpec, rows: np.ndarray, order: int) -> np.ndarray:
+    """Factor table (order + 1, n_vars, rows) of a block of raw rows.
+
+    Powers 0..order (or Chebyshev T_0..T_order) of every argument, stacked first.
     """
-    order = spec.product_order if order is None else order
+    plan = spec._plan
+    values = np.ascontiguousarray(plan.argument(plan.select(rows)).T)  # unit-stride recurrence
     if spec.kind != CHEBYSHEV:
         return np.stack([np.ones_like(values)] + [values ** k for k in range(1, order + 1)])
     table = np.empty((order + 1,) + values.shape)
@@ -232,55 +260,78 @@ def _factor_table(spec: BasisSpec, values: np.ndarray, order: Optional[int] = No
     return table
 
 
-def _gather_columns(table: np.ndarray, gathers: tuple) -> np.ndarray:
-    """Basis columns from a flattened factor table: the product of one gathered row per variable."""
-    first, *rest = gathers
-    columns = table[first]
-    for gather in rest:
-        columns *= table[gather]
-    return columns
+def _basis_columns(spec: Optional[BasisSpec], rows: np.ndarray) -> np.ndarray:
+    """Basis columns (dim, rows) of a block of raw rows; spec-less rows are the features."""
+    if spec is None:
+        return rows.T
+    table = _factor_block(spec, rows, spec.product_order)
+    return _gather_columns(table.reshape(-1, table.shape[-1]),
+                           _exponent_table(table.shape[1], spec.product_order, spec.mode))
 
 
-def _n_vars(spec: BasisSpec, rows: np.ndarray) -> int:
-    """Number of variables the spec reads from 2-D rows."""
-    return rows.shape[1] if spec.source is None else len(spec.source)
+# The doubled-order moment table of a Chebyshev spec, summed by `_moment_table`,
+# read by `_product_moments` and sized by `_table_shape`. Per variable
+# T_a T_b = (T_(a+b) + T_|a-b|) / 2 (Mason & Handscomb, Chebyshev Polynomials,
+# 2003), so the product of two basis columns is the mean, over the 2**n_vars
+# choices of sum or difference per variable, of one column of order <= 2 * order.
+# The table's columns are the leading variables' up_to list of that order
+# times the last variable's exponent 0..2*order.
 
 
-def _checked_dimension(spec: BasisSpec, n_vars: int, cap: int = DEFAULT_DIMENSION_CAP) -> int:
-    """The spec's basis dimension; DimensionError above the cap, before anything is built."""
-    dim = producted_dimension(n_vars, spec.product_order, spec.mode)
-    if dim > cap:
-        raise DimensionError(f"producted dimension {dim} exceeds cap {cap}")
-    return dim
+def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
+    """(lead, last): a block's leading-variable columns (Q, rows) and last-variable table.
 
-
-def _factor_block(spec: BasisSpec, rows: np.ndarray, order: Optional[int] = None) -> np.ndarray:
-    """Factor table (order + 1, n_vars, rows) of a block of raw rows."""
-    plan = spec._plan
-    values = np.ascontiguousarray(plan.argument(plan.select(rows)).T)  # unit-stride recurrence
-    return _factor_table(spec, values, order)
-
-
-def _table_columns(spec: BasisSpec, table: np.ndarray) -> np.ndarray:
-    """Basis columns (dim, rows) from a factor table of at least the spec's order.
-
-    Rows 0..order of a higher-order table are the spec's own table, bit for
-    bit, so the columns are those `design_matrix` returns, transposed.
+    Table column q * (2 order + 1) + e of a row is lead[q] * last[e].
     """
-    prefix = table[:spec.product_order + 1].reshape(-1, table.shape[-1])
-    return _gather_columns(prefix, _exponent_table(table.shape[1], spec.product_order, spec.mode))
+    order = 2 * spec.product_order
+    table = _factor_block(spec, rows, order)  # (order + 1, n_vars, rows)
+    n_vars, n_rows = table.shape[1], table.shape[2]
+    last = np.ascontiguousarray(table[:, -1])  # a unit-stride operand of the table products
+    if n_vars == 1:
+        return np.ones((1, n_rows)), last
+    lead = table[:, :-1].reshape(-1, n_rows)
+    return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
+
+
+def _table_shape(spec: BasisSpec, rows: np.ndarray):
+    """Per-row sizes of one side's table: lead columns, last-variable rows, gather multiplies."""
+    n_vars = _n_vars(spec, rows)
+    order = 2 * spec.product_order
+    lead = producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1
+    return lead, order + 1, lead * (n_vars - 1)
+
+
+def _moment_table(spec: BasisSpec, rows: np.ndarray, weights: np.ndarray,
+                  label_spec: Optional[BasisSpec] = None,
+                  label_rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mom[p, q] = sum_l w_l L_p(l) T_q(x_l) over the doubled-order columns T of `spec`.
+
+    L is 1 (a Gram matrix's table) or a second Chebyshev side's columns.
+    Per row block: the weighted L columns times the leading-variable
+    columns, times the last variable's table in one matrix product.
+    Non-finite values raise: every side has the column T_0 = 1, so a
+    non-finite factor reaches the table.
+    """
+    mom = 0.0
+    for block in row_blocks(rows.shape[0]):
+        lead, last = _doubled_factors(spec, rows[block])
+        label = weights[block][None]
+        if label_spec is not None:
+            f_lead, f_last = _doubled_factors(label_spec, label_rows[block])
+            label = np.multiply(f_lead[:, None], f_last[None]).reshape(-1, last.shape[1]) * label
+        left = np.multiply(label[:, None], lead[None]).reshape(-1, last.shape[1])
+        mom = mom + left @ last.T
+    if not np.isfinite(mom).all():
+        raise NumericalError("basis evaluation produced non-finite values")
+    return mom.reshape(label.shape[0], -1)
 
 
 @lru_cache(maxsize=32)
 def _product_gathers(n_vars: int, order: int, mode: str) -> tuple:
-    """Where each product of two basis columns sits in a doubled-order moment table.
+    """Where each product of two basis columns sits in the doubled-order table.
 
-    Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so the product of
-    Chebyshev columns i and i' is 2**-n_vars times the sum, over the
-    2**n_vars choices of sum or difference per variable, of one column of
-    order at most 2 * order. The moment columns are laid out as the leading
-    variables' up_to list of that order times the last variable's exponent
-    0..2*order. Returns one read-only (dim, dim) index array per choice.
+    Returns one read-only (dim, dim) index array per choice of sum or
+    difference per variable.
     """
     exps = np.array(list(multi_indices(n_vars, order, mode)), dtype=np.intp).reshape(-1, n_vars)
     width = 2 * order + 1
@@ -299,35 +350,19 @@ def _product_gathers(n_vars: int, order: int, mode: str) -> tuple:
     return tuple(gathers)
 
 
-def _gather_products(moments: np.ndarray, gathers: tuple, axis: int = -1) -> np.ndarray:
-    """Moments of every product of two basis columns, read off a doubled-order table.
+def _product_moments(moments: np.ndarray, spec: BasisSpec, rows: np.ndarray,
+                     axis: int = -1) -> np.ndarray:
+    """Moments of every product of two basis columns of `spec`, read off its table.
 
-    `moments` holds the table's columns along `axis`; that axis becomes the
-    (dim, dim) pair of `_product_gathers`.
+    `moments` holds the table's columns along `axis`; that axis becomes
+    the (dim, dim) pair of basis columns.
     """
+    gathers = _product_gathers(_n_vars(spec, rows), spec.product_order, spec.mode)
     products = np.take(moments, gathers[0], axis=axis)
     for gather in gathers[1:]:
         products += np.take(moments, gather, axis=axis)
     products /= len(gathers)
     return products
-
-
-def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
-    """Per-row factors of the doubled-order moment columns of a Chebyshev spec.
-
-    Returns (lead, last): the leading variables' up_to columns of order
-    2 * product_order, (Q, rows), and the last variable's T_0..T_(2 order),
-    (2 order + 1, rows). The moment column q * (2 order + 1) + e of a row
-    is lead[q] * last[e], the layout `_product_gathers` indexes.
-    """
-    order = 2 * spec.product_order
-    table = _factor_block(spec, rows, order)  # (order + 1, n_vars, rows)
-    n_vars, n_rows = table.shape[1], table.shape[2]
-    last = np.ascontiguousarray(table[:, -1])  # a unit-stride operand of the table products
-    if n_vars == 1:
-        return np.ones((1, n_rows)), last
-    lead = table[:, :-1].reshape(-1, n_rows)
-    return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
 
 
 def with_scale(spec: BasisSpec, rows) -> BasisSpec:
@@ -337,21 +372,16 @@ def with_scale(spec: BasisSpec, rows) -> BasisSpec:
     return replace(spec, scale=(sel.min(axis=0), sel.max(axis=0)))
 
 
-def design_matrix(spec: BasisSpec, rows, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+def design_matrix(spec: BasisSpec, rows) -> np.ndarray:
     """Evaluate the basis on every row; one feature vector per observation.
 
-    Each column is the product, over the variables, of one row of that
-    variable's power (or Chebyshev) table, gathered through the cached
-    exponent table one block of observations at a time.
+    Filled one block of observations at a time from `_basis_columns`, the
+    evaluator every pass over the rows uses.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    plan = spec._plan
-    sel = plan.select(rows)
-    dim = _checked_dimension(spec, sel.shape[1], cap)
-    values = plan.argument(sel).T
-    out = np.empty((rows.shape[0], dim))
+    out = np.empty((rows.shape[0], _checked_dimension(spec, rows)))
     for block in row_blocks(rows.shape[0]):
-        out[block] = _table_columns(spec, _factor_table(spec, values[:, block])).T
+        out[block] = _basis_columns(spec, rows[block]).T
     if not np.isfinite(out).all():
         raise NumericalError("basis evaluation produced non-finite values")
     return out

@@ -30,6 +30,8 @@ pass, by one of two routes over the same fixed row blocks:
                 Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
                 weighted table of doubled-order basis moments holds every
                 product; S is gathered from it and whitened by T_f (x) T_x.
+                `sample` sums, reads and sizes the table; its layout is
+                known nowhere else.
                 Taken when the two whitenings are well conditioned and the
                 table needs less work per row than the syrk (many variables
                 at low order do not).
@@ -50,9 +52,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .hilbert import PreparedData, SpaceBasis, label_matched_projection
-from .linalg import row_blocks, sym_eig
-from .sample import (CHEBYSHEV, BasisSpec, _doubled_factors, _gather_products, _n_vars,
-                     _product_gathers, producted_dimension)
+from .linalg import sym_eig
+from .sample import CHEBYSHEV, _moment_table, _product_moments, _table_shape
 
 
 class TensorKind(str, Enum):
@@ -142,18 +143,6 @@ def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
-def _moment_columns(spec: BasisSpec, rows: np.ndarray):
-    """Per-row shape of one side of the doubled-order table.
-
-    Returns the leading-variable column count, the last variable's table
-    length and the multiplies that gather the leading columns.
-    """
-    n_vars = _n_vars(spec, rows)
-    order = 2 * spec.product_order
-    lead = producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1
-    return lead, order + 1, lead * (n_vars - 1)
-
-
 # One elementwise multiply of a row block costs about as much as ten
 # multiply-adds inside a matrix product (one-off timings on 5e4 rows).
 _ELEMENTWISE_COST = 10
@@ -179,8 +168,8 @@ def _moment_route(data: PreparedData) -> bool:
     """
     if any(spec is None or spec.kind != CHEBYSHEV for spec in (data.f_spec, data.x_spec)):
         return False
-    f_lead, f_last, f_gather = _moment_columns(data.f_spec, data.f_rows)
-    x_lead, x_last, x_gather = _moment_columns(data.x_spec, data.x_rows)
+    f_lead, f_last, f_gather = _table_shape(data.f_spec, data.f_rows)
+    x_lead, x_last, x_gather = _table_shape(data.x_spec, data.x_rows)
     label = f_lead * f_last
     moment = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead)
               + label * x_lead * x_last)
@@ -190,41 +179,19 @@ def _moment_route(data: PreparedData) -> bool:
             <= _MOMENT_CONDITION_MAX)
 
 
-def _moment_table(data: PreparedData, eff_weights) -> np.ndarray:
-    """Mom[p, q] = sum_l w_l T_p(f_l) T_q(x_l) over doubled-order Chebyshev columns.
-
-    One block of rows at a time: the weighted label columns times the
-    attribute's leading-variable columns, contracted with the attribute's
-    last-variable table in one matrix product. Neither the doubled-order
-    design nor any table over all rows is built.
-    """
-    mom = 0.0
-    for rows in row_blocks(data.size):
-        f_lead, f_last = _doubled_factors(data.f_spec, data.f_rows[rows])
-        x_lead, x_last = _doubled_factors(data.x_spec, data.x_rows[rows])
-        label = np.multiply(f_lead[:, None], f_last[None]).reshape(-1, f_last.shape[1])
-        label *= eff_weights[rows]
-        left = np.multiply(label[:, None], x_lead[None]).reshape(-1, f_last.shape[1])
-        mom = mom + left @ x_last.T
-    return mom.reshape(label.shape[0], -1)
-
-
 def _chebyshev_moments(data: PreparedData, eff_weights) -> np.ndarray:
     """The tensor of `_fourth_moments` gathered from one moment table.
 
-    Products of raw basis columns are read off the table by the Chebyshev
-    product rule, then whitened by T_f (x) T_x: the attribute side first,
-    for every label moment, and the label side last.
+    The table Mom[p, q] = sum_l w_l T_p(f_l) T_q(x_l) holds every product
+    of raw basis columns; they are read off it by the Chebyshev product
+    rule and whitened by T_f (x) T_x: the attribute side first, for every
+    label moment, and the label side last.
     """
-    mom = _moment_table(data, eff_weights)
-    x_gathers = _product_gathers(_n_vars(data.x_spec, data.x_rows),
-                                 data.x_spec.product_order, data.x_spec.mode)
-    f_gathers = _product_gathers(_n_vars(data.f_spec, data.f_rows),
-                                 data.f_spec.product_order, data.f_spec.mode)
+    mom = _moment_table(data.x_spec, data.x_rows, eff_weights, data.f_spec, data.f_rows)
     tx = data.x_space.transform
     tf = data.f_space.transform
-    x_white = tx @ _gather_products(mom, x_gathers) @ tx.T  # (label moments, n, n)
-    f_raw = _gather_products(x_white, f_gathers, axis=0)    # (m_raw, m_raw, n, n)
+    x_white = tx @ _product_moments(mom, data.x_spec, data.x_rows) @ tx.T  # (label moments, n, n)
+    f_raw = _product_moments(x_white, data.f_spec, data.f_rows, axis=0)   # (m_raw, m_raw, n, n)
     four = np.tensordot(tf, f_raw, axes=(1, 0))           # (m, m_raw, n, n)
     four = np.tensordot(four, tf, axes=(1, 1))            # (m, n, n, m)
     m, n = tf.shape[0], tx.shape[0]

@@ -351,15 +351,15 @@ class TestFitPipeline:
         assert model.report["f_eff_dim"] == model.report["f_raw_dim"] == 2
 
     def test_adjusted_projection_computed_once(self, monkeypatch):
-        import kgo.hilbert
+        import kgo.model
         calls = []
-        real = kgo.hilbert.label_matched_projection
+        real = kgo.model.label_matched_projection
 
         def counted(data):
             calls.append(data)
             return real(data)
 
-        monkeypatch.setattr(kgo.hilbert, "label_matched_projection", counted)
+        monkeypatch.setattr(kgo.model, "label_matched_projection", counted)
         grid = np.linspace(-1.0, 1.0, 41)
         sample = kgo.Sample(grid[:, None], np.sin(2.0 * grid)[:, None], np.ones(41))
         model, _ = kgo.fit(sample, kgo.BasisSpec("monomial", 4), kgo.BasisSpec("monomial", 2),

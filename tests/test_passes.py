@@ -160,11 +160,14 @@ class TestPrepareChecks:
         with pytest.raises(DimensionError, match="exceeds cap"):
             kgo.prepare(sample, kgo.BasisSpec("chebyshev", 4), kgo.BasisSpec("chebyshev", 1))
 
-    def test_non_finite_basis_values(self):
+    @pytest.mark.parametrize("weight", [1.0, 0.0])
+    @pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+    def test_non_finite_basis_values(self, kind, weight):
+        # A zero-weight row raises too; on the Chebyshev table 0 * inf is nan.
         x = np.array([[0.0], [1e200], [2.0]])
-        sample = kgo.Sample(x, x.copy(), np.ones(3))
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
-            kgo.prepare(sample, kgo.BasisSpec("monomial", 3), kgo.BasisSpec("monomial", 1))
+        sample = kgo.Sample(x, x.copy(), np.array([1.0, weight, 1.0]))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            kgo.prepare(sample, kgo.BasisSpec(kind, 3), kgo.BasisSpec(kind, 1))
 
     def test_lazy_rows_are_the_parents_arrays(self):
         data = chebyshev_instance(np.random.default_rng(2), BLOCK + 3, x_vars=2)
@@ -187,6 +190,48 @@ class TestPrepareChecks:
         want = cross.copy()
         cross[0] = 1.0
         assert data.cross_gram().tobytes() == want.tobytes()
+
+
+class TestOneSideGramPath:
+    @pytest.mark.parametrize("kind", ["chebyshev", "monomial"])
+    def test_space_from_sample_is_prepares_side(self, kind):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1.0, 1.0, size=(2 * BLOCK + 7, 2))
+        sample = kgo.Sample(x, x[:, :1] ** 2, rng.uniform(0.1, 2.0, size=x.shape[0]))
+        x_spec = kgo.with_scale(kgo.BasisSpec(kind, 5), x)  # monomial specs ignore the scale
+        data = kgo.prepare(sample, x_spec, kgo.BasisSpec("monomial", 2))
+        space = kgo.space_from_sample(sample, "x", x_spec)
+        assert space.gram_raw.tobytes() == data.x_space.gram_raw.tobytes()
+        assert space.transform.tobytes() == data.x_space.transform.tobytes()
+
+    def test_space_from_sample_builds_no_design(self):
+        size = 50_000
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, size=(size, 2))
+        sample = kgo.Sample(x, x[:, :1], np.ones(size))
+        spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 8), x)
+        design_bytes = size * kgo.producted_dimension(2, 8, "up_to") * 8  # 18 MB
+        tracemalloc.start()
+        try:
+            kgo.space_from_sample(sample, "x", spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < design_bytes, peak
+
+
+class TestRadonNikodymBlocked:
+    @pytest.mark.parametrize("labelled", [False, True], ids=["features", "labels"])
+    @pytest.mark.parametrize("size", [1, BLOCK + 1])
+    def test_matches_dense_and_caches_no_rows(self, size, labelled):
+        rng = np.random.default_rng([size, 11])
+        data = chebyshev_instance(rng, size)
+        labels = rng.normal(size=(size, 3)) if labelled else None
+        moments = kgo.fit_radon_nikodym(data, labels).third_moments
+        assert not {"x_points", "x_orth", "f_points", "f_orth"} & set(vars(data))
+        labels = data.f_points if labels is None else labels
+        xo, w = data.x_orth, data.weights
+        for j in range(labels.shape[1]):
+            close(moments[j], (xo.T * (w * labels[:, j])) @ xo)
 
 
 class TestSingularCoupling:

@@ -477,7 +477,8 @@ class TestAdjustedNormalizer:
         data = chebyshev_instance(rng, BLOCK + 5, 2, 2, x_order=4)
         cross, _, factor = data.label_coupling
         assert factor.shape == cross.shape
-        np.testing.assert_allclose(factor.T @ factor, data.label_projection, atol=1e-13)
+        projection = kgo.label_matched_projection(data)
+        np.testing.assert_allclose(factor.T @ factor, projection, atol=1e-13)
         adj = kgo.tensors._adjusted_norms2(data)
-        by_projection = np.einsum("ij,jk,ik->i", data.x_orth, data.label_projection, data.x_orth)
+        by_projection = np.einsum("ij,jk,ik->i", data.x_orth, projection, data.x_orth)
         np.testing.assert_allclose(adj, by_projection, rtol=1e-12)
