@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from . import demo as demo_mod
 from . import model as model_mod
 from .errors import DataError, DimensionError, KgoError, NumericalError
 from .sample import BasisSpec, load_sample
-from .solver import ALGORITHMS, SolverConfig
+from .solver import ALGORITHMS, IterationRecord, SolverConfig
 from .tensors import TensorKind
 
 _BASIS_KINDS = ("monomial", "chebyshev")
@@ -77,23 +78,19 @@ def _write_manifest(prefix: str, subcommand: str, config: dict, inputs, outputs,
     return path
 
 
+# Each solver flag, by argparse name, and the SolverConfig field it sets.
+_SOLVER_FLAGS = {"algorithm": "algorithm", "max_iterations": "max_iterations",
+                 "rel_tol": "rel_tol", "pool": "candidate_pool",
+                 "lsq_init": "init_with_least_squares"}
+
+
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        algorithm=args.algorithm,
-        max_iterations=args.max_iterations,
-        rel_tol=args.rel_tol,
-        candidate_pool=args.pool,
-        init_with_least_squares=args.lsq_init,
-    )
-
-
-_SOLVER_FLAGS = ("algorithm", "max_iterations", "rel_tol", "pool", "lsq_init")
+    return SolverConfig(**{name: getattr(args, flag) for flag, name in _SOLVER_FLAGS.items()})
 
 
 def _solver_flags(config: SolverConfig) -> dict:
     """The solver flags, by argparse name, that reproduce a config."""
-    return dict(zip(_SOLVER_FLAGS, (config.algorithm, config.max_iterations, config.rel_tol,
-                                    config.candidate_pool, config.init_with_least_squares)))
+    return {flag: getattr(config, name) for flag, name in _SOLVER_FLAGS.items()}
 
 
 def cmd_fit(args) -> int:
@@ -105,15 +102,10 @@ def cmd_fit(args) -> int:
         kind=TensorKind(args.tensor), config=config, d=args.d)
     prefix = args.out_prefix
     model_path = f"{prefix}model.json"
-    with open(model_path + ".tmp", "wb") as handle:
-        handle.write(model_mod.serialize_model(fitted))
-    os.replace(model_path + ".tmp", model_path)
+    _write_atomic(model_path, model_mod.serialize_model(fitted).decode("utf-8"))
     trace_path = f"{prefix}trace.tsv"
-    _write_tsv(trace_path,
-               ["iteration", "f_before", "f_after", "residual",
-                "lambda_asym", "lambda_spur", "stationarity"],
-               [(r.iteration, r.f_before, r.f_after, r.residual,
-                 r.lambda_asym, r.lambda_spur, r.stationarity) for r in trace])
+    _write_tsv(trace_path, [f.name for f in fields(IterationRecord)],
+               [astuple(record) for record in trace])
     report = fitted.report
     if (report["x_raw_dim"], report["f_raw_dim"]) != (report["x_eff_dim"], report["f_eff_dim"]):
         print(f"warning: whitening kept {report['x_eff_dim']} of {report['x_raw_dim']} "
@@ -224,13 +216,16 @@ def _demo_config(args):
 
 
 def _add_solver_flags(parser, with_defaults=True):
-    parser.add_argument("--algorithm", default=SolverConfig.algorithm if with_defaults else None,
-                        choices=list(ALGORITHMS))
-    parser.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
-    parser.add_argument("--rel-tol", type=float, default=SolverConfig.rel_tol)
-    parser.add_argument("--pool", type=int, default=SolverConfig.candidate_pool)
+    """The solver flags, defaulting to SolverConfig's (--algorithm to None unless with_defaults)."""
+    parser.add_argument("--algorithm", choices=list(ALGORITHMS))
+    parser.add_argument("--max-iterations", type=int)
+    parser.add_argument("--rel-tol", type=float)
+    parser.add_argument("--pool", type=int)
     parser.add_argument("--lsq-init", action="store_true",
                         help="seed iterative solvers with the adjusted least-squares map")
+    parser.set_defaults(**_solver_flags(SolverConfig()))
+    if not with_defaults:
+        parser.set_defaults(algorithm=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -64,16 +64,16 @@ def _comparison_table(grid, weights, f_true, x_order: int, f_order: int,
     data = hilbert.prepare(sample, x_spec, f_spec)
     lsq = baselines.fit_least_squares(data)
     rn = baselines.fit_radon_nikodym(data, labels=f_true[:, None])
-    fitted, _ = model_mod.fit(sample, x_spec, f_spec, kind=kind, config=config)
+    fitted, _ = model_mod.fit_prepared(data, kind, config)
     header = ["x", "exact", "least_squares", "radon_nikodym",
               "kgo_value", "kgo_p_at_truth", "pole"]
     baseline = np.array([(baselines.eval_least_squares(lsq, point)[1],
                           baselines.eval_radon_nikodym(rn, point)[0])
                          for point in data.x_points])
-    pred = model_mod.predict(fitted, grid[:, None], f_true[:, None])
+    pred = model_mod.predict(fitted, data.x_points, data.f_points)
     rows = np.column_stack([grid, f_true, baseline, pred["value"][:, 1],
                             pred["probability"], pred["pole"]])
-    return header, rows, fitted
+    return header, rows
 
 
 def square_wave_table(n: int = 7, n_points: int = DEFAULT_GRID_POINTS,
@@ -87,8 +87,7 @@ def square_wave_table(n: int = 7, n_points: int = DEFAULT_GRID_POINTS,
     f_true = np.where(grid >= 0.0, 1.0, -1.0)
     if config is None:
         config = PINNED_CONFIGS["square-wave"]
-    header, rows, _ = _comparison_table(grid, weights, f_true, n - 1, 1, kind, config)
-    return header, rows
+    return _comparison_table(grid, weights, f_true, n - 1, 1, kind, config)
 
 
 def exact_map_table(n: int = 7, m: int = 5, n_points: int = DEFAULT_GRID_POINTS,
@@ -100,9 +99,7 @@ def exact_map_table(n: int = 7, m: int = 5, n_points: int = DEFAULT_GRID_POINTS,
         raise DimensionError("need 1 <= m <= n")
     if config is None:
         config = PINNED_CONFIGS["exact-map"]
-    header, rows, _ = _comparison_table(grid, weights, grid.copy(), n - 1, m - 1,
-                                        kind, config)
-    return header, rows
+    return _comparison_table(grid, weights, grid.copy(), n - 1, m - 1, kind, config)
 
 
 def read_pgm(path) -> np.ndarray:

@@ -22,6 +22,8 @@ A fit of `prepare` data passes over the rows as follows:
   3. `PreparedData.row_norms`: per observation |f|^2, |x|^2, the overlap
      f^T C x with the cross Gram C and the adjusted normalizer |K x|^2.
   4. the coverage tensor (see `tensors`).
+  5. `weighted_gram("f")`, label side only: the label-Christoffel moments
+     of F_TOT; a subspace fit (`d`) makes this pass once more, first.
 
 `prepare_points` data sums its Gram matrices over the stored feature rows;
 passes 2 and 3 run on it the same way. The row arrays `x_points`,

@@ -6,9 +6,10 @@ probability variants, operator mapping, and serialization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Optional
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
+from functools import cache, cached_property
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -107,7 +108,8 @@ def fit(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
 
 def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL,
                  config: SolverConfig = SolverConfig(), d: Optional[int] = None):
-    """Fit from already prepared Hilbert spaces (features in, no basis specs)."""
+    """Fit from already prepared Hilbert spaces. The model has no basis specs,
+    so it takes feature rows even when `data` carries specs; `fit` adds them."""
     kind = TensorKind(kind)
     m_eff, n_eff = data.f_space.eff_dim, data.x_space.eff_dim
     if m_eff > n_eff:
@@ -403,81 +405,50 @@ def map_operator(u, a) -> np.ndarray:
     return u @ a @ u.T
 
 
-def _array_to_json(a):
-    return np.asarray(a, dtype=float).tolist()
+def _encode(value):
+    """JSON form of a model field: dataclasses by field name, arrays as float
+    lists, tuples as lists, enums as their value, anything else as it is."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float).tolist()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
 
 
-def _spec_to_json(spec: Optional[BasisSpec]):
-    if spec is None:
-        return None
-    return {
-        "kind": spec.kind,
-        "product_order": spec.product_order,
-        "source": list(spec.source) if spec.source is not None else None,
-        "mode": spec.mode,
-        "constant_index": spec.constant_index,
-        "scale": None if spec.scale is None else [_array_to_json(spec.scale[0]),
-                                                  _array_to_json(spec.scale[1])],
-    }
+_field_types = cache(get_type_hints)
 
 
-def _spec_from_json(payload):
-    if payload is None:
-        return None
-    scale = payload.get("scale")
-    return BasisSpec(
-        kind=payload["kind"],
-        product_order=payload["product_order"],
-        source=tuple(payload["source"]) if payload.get("source") is not None else None,
-        mode=payload["mode"],
-        constant_index=payload["constant_index"],
-        scale=None if scale is None else (np.asarray(scale[0]), np.asarray(scale[1])),
-    )
-
-
-def _space_to_json(space: SpaceBasis):
-    return {
-        "raw_dim": space.raw_dim,
-        "eff_dim": space.eff_dim,
-        "transform": _array_to_json(space.transform),
-        "gram_raw": _array_to_json(space.gram_raw),
-        "const_raw": _array_to_json(space.const_raw),
-        "const_coords": _array_to_json(space.const_coords),
-    }
-
-
-def _space_from_json(payload) -> SpaceBasis:
-    return SpaceBasis(
-        raw_dim=payload["raw_dim"],
-        eff_dim=payload["eff_dim"],
-        transform=np.asarray(payload["transform"], dtype=float),
-        gram_raw=np.asarray(payload["gram_raw"], dtype=float),
-        const_raw=np.asarray(payload["const_raw"], dtype=float),
-        const_coords=np.asarray(payload["const_coords"], dtype=float),
-    )
+def _decode(hint, value):
+    """Inverse of `_encode` for a field of type `hint`. A dataclass needs exactly
+    its field names, null needs an Optional field, and a list in a tuple (a
+    basis scale's per-source bounds) becomes a float array."""
+    if get_origin(hint) is Union:
+        return None if value is None else _decode(get_args(hint)[0], value)
+    if value is None:
+        raise TypeError(f"null where {hint.__name__} is required")
+    if is_dataclass(hint):
+        names = {f.name for f in fields(hint)}
+        if not isinstance(value, dict) or value.keys() != names:
+            raise TypeError(f"{hint.__name__} needs exactly the keys {sorted(names)}")
+        hints = _field_types(hint)
+        return hint(**{name: _decode(hints[name], item) for name, item in value.items()})
+    if hint is np.ndarray:
+        return np.asarray(value, dtype=float)
+    if hint is tuple:
+        return tuple(np.asarray(item, dtype=float) if isinstance(item, list) else item
+                     for item in value)
+    if issubclass(hint, Enum):
+        return hint(value)
+    return value
 
 
 def serialize_model(model: KgoModel) -> bytes:
-    """Versioned JSON payload; floats survive the round trip bit-exactly."""
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "tensor_kind": model.tensor_kind.value,
-        "x_spec": _spec_to_json(model.x_spec),
-        "f_spec": _spec_to_json(model.f_spec),
-        "x_space": _space_to_json(model.x_space),
-        "f_space": _space_to_json(model.f_space),
-        "operator": {
-            "u": _array_to_json(model.operator.u),
-            "residual": model.operator.residual,
-            "algorithm": model.operator.algorithm,
-            "iterations": model.operator.iterations,
-            "f_value": model.operator.f_value,
-        },
-        "f_embed": None if model.f_embed is None else _array_to_json(model.f_embed),
-        "x_label_projection": (None if model.x_label_projection is None
-                               else _array_to_json(model.x_label_projection)),
-        "report": model.report,
-    }
+    """Versioned JSON payload of the model's fields; floats survive the round trip bit-exactly."""
+    payload = {"format_version": MODEL_FORMAT_VERSION, **_encode(model)}
     return json.dumps(payload, indent=1, sort_keys=True).encode("utf-8")
 
 
@@ -486,29 +457,10 @@ def deserialize_model(blob: bytes) -> KgoModel:
         payload = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"corrupt model payload: {exc}") from exc
-    version = payload.get("format_version")
+    version = payload.pop("format_version", None) if isinstance(payload, dict) else None
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
     try:
-        op = payload["operator"]
-        return KgoModel(
-            x_spec=_spec_from_json(payload["x_spec"]),
-            f_spec=_spec_from_json(payload["f_spec"]),
-            x_space=_space_from_json(payload["x_space"]),
-            f_space=_space_from_json(payload["f_space"]),
-            operator=PartiallyUnitaryOp(
-                u=np.asarray(op["u"], dtype=float),
-                residual=op["residual"],
-                algorithm=op["algorithm"],
-                iterations=op["iterations"],
-                f_value=op["f_value"],
-            ),
-            tensor_kind=TensorKind(payload["tensor_kind"]),
-            f_embed=(None if payload["f_embed"] is None
-                     else np.asarray(payload["f_embed"], dtype=float)),
-            x_label_projection=(None if payload["x_label_projection"] is None
-                                else np.asarray(payload["x_label_projection"], dtype=float)),
-            report=payload["report"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return _decode(KgoModel, payload)
+    except (TypeError, ValueError) as exc:
         raise DataError(f"corrupt model payload: {exc}") from exc

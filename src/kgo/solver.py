@@ -152,9 +152,13 @@ def solve_partial_constraint(tensor: CoverageTensor, lam=None):
     return eig.eigenvalues, channels
 
 
-def _full_row_rank(u) -> bool:
-    s = np.linalg.svd(u, compute_uv=False)
+def _full_rank(s) -> bool:
+    """Whether descending singular values s leave every row independent."""
     return s[0] > 0.0 and s[-1] > _RANK_REL * s[0]
+
+
+def _full_row_rank(u) -> bool:
+    return _full_rank(np.linalg.svd(u, compute_uv=False))
 
 
 def enforce_partial_unitarity(u, method: str = "svd") -> np.ndarray:
@@ -166,16 +170,18 @@ def enforce_partial_unitarity(u, method: str = "svd") -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] > u.shape[1]:
         raise DimensionError(f"expected a wide matrix, got shape {u.shape}")
-    if not _full_row_rank(u):
-        raise NumericalError("matrix is rank deficient; cannot enforce constraints")
     if method == "svd":
-        left, _, right = np.linalg.svd(u, full_matrices=False)
-        return left @ right
-    if method == "gram-eig":
-        # The row Gram's eigenvalue ratio is the squared singular-value
-        # ratio, so the SPD floor must sit below the rank gate squared.
-        return spd_inverse_sqrt(u @ u.T, rel_floor=0.5 * _RANK_REL ** 2) @ u
-    raise DimensionError(f"unknown adjustment method {method!r}")
+        left, s, right = np.linalg.svd(u, full_matrices=False)
+        if _full_rank(s):
+            return left @ right
+    elif method == "gram-eig":
+        if _full_row_rank(u):
+            # The row Gram's eigenvalue ratio is the squared singular-value
+            # ratio, so the SPD floor must sit below the rank gate squared.
+            return spd_inverse_sqrt(u @ u.T, rel_floor=0.5 * _RANK_REL ** 2) @ u
+    else:
+        raise DimensionError(f"unknown adjustment method {method!r}")
+    raise NumericalError("matrix is rank deficient; cannot enforce constraints")
 
 
 def make_operator(u, algorithm: str, iterations: int,
@@ -259,8 +265,6 @@ def select_candidate(channels, tensor: CoverageTensor,
     for cand in channels:
         if best is not None and scored >= pool_size:
             break
-        if not _full_row_rank(cand):
-            continue
         try:
             adjusted = enforce_partial_unitarity(cand, method)
         except NumericalError:

@@ -19,12 +19,14 @@ flattened index is row-major over (label index j, attribute index k).
 
 Every kind is the same row-weighted sum S = sum_l w_l z_l z_l^T with
 z_l = f_l (x) x_l; only the per-row weights w_l differ. A fit passes over
-the rows four times (see `hilbert`). The first (`hilbert.prepare`) gives
-both Gram matrices, the second the cross Gram, which the projective
-subspace, F_TOT and the least-squares channel read. The per-row weights
-come from the per-row norms of the third (`PreparedData.row_norms`), with
-the zero-projection checks in this module. The sum itself is the last
-pass, by one of two routes over the same fixed row blocks:
+the rows five times, six with a subspace (see `hilbert`). The first
+(`hilbert.prepare`) gives both Gram matrices, the second the cross Gram,
+which the projective subspace, F_TOT and the least-squares channel read.
+The per-row weights come from the per-row norms of the third
+(`PreparedData.row_norms`), with the zero-projection checks in this
+module. The fifth, and a subspace fit's sixth, sum the label-Christoffel
+moments. The sum itself is the fourth, by one of two routes over the same
+fixed row blocks:
 
   moment table  for data from `prepare` with Chebyshev specs on both sides.
                 Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one

@@ -52,7 +52,8 @@ class TestFit:
         assert report["algorithm"] == repr(kgo.SolverConfig().algorithm)
         assert report["stop_reason"] in ("'converged'", "'budget'", "'stalled'")
         trace = open(prefix + "trace.tsv").read().splitlines()
-        assert trace[0].split("\t")[-1] == "stationarity"
+        assert trace[0].split("\t") == ["iteration", "f_before", "f_after", "residual",
+                                        "lambda_asym", "lambda_spur", "stationarity"]
         assert float(trace[-1].split("\t")[-1]) == pytest.approx(
             float(report["stationarity"]), abs=1e-15)
 

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +297,53 @@ class TestSerialization:
         tensor = kgo.build_coverage_tensor(back.tensor_kind, data)
         assert tensor.quadratic_form(back.operator.u) == pytest.approx(
             back.report["f"], abs=1e-12)
+
+
+# A model.json written by format version 1: a Chebyshev subspace fit with
+# source columns, argument scales, a label embedding and an adjusted normalizer.
+MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
+
+
+def edited_model_v1(path, edit):
+    """The committed payload with `edit` applied to the record at `path`."""
+    payload = json.loads(MODEL_V1.read_bytes())
+    record = payload
+    for key in path:
+        record = record[key]
+    edit(record)
+    return json.dumps(payload).encode("utf-8")
+
+
+class TestModelFormat:
+    def test_committed_model_round_trips(self):
+        blob = MODEL_V1.read_bytes()
+        model = kgo.deserialize_model(blob)
+        assert model.x_spec.source == (0, 1) and model.x_spec.scale is not None
+        assert model.f_embed is not None and model.x_label_projection is not None
+        assert kgo.serialize_model(model) == blob
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "report"), (("x_spec",), "source"), (("f_spec",), "scale"),
+        (("x_space",), "const_coords"), (("operator",), "f_value")])
+    def test_missing_key(self, path, key):
+        with pytest.raises(DataError):
+            kgo.deserialize_model(edited_model_v1(path, lambda record: record.pop(key)))
+
+    @pytest.mark.parametrize("path", [(), ("x_spec",), ("f_space",), ("operator",)])
+    def test_unknown_key(self, path):
+        with pytest.raises(DataError):
+            kgo.deserialize_model(edited_model_v1(
+                path, lambda record: record.update(unknown=1)))
+
+    @pytest.mark.parametrize("path, key", [((), "x_space"), (("operator",), "u")])
+    def test_null_required_field(self, path, key):
+        with pytest.raises(DataError):
+            kgo.deserialize_model(edited_model_v1(
+                path, lambda record: record.update({key: None})))
+
+    def test_payload_not_an_object(self):
+        with pytest.raises(DataError):
+            kgo.deserialize_model(b"[1]")
 
 
 class TestFitPipeline:

@@ -13,6 +13,20 @@ def random_tensor(rng, d, n, kind=kgo.TensorKind.PLAIN_VALUE):
 
 
 @pytest.fixture
+def svd_calls(monkeypatch):
+    """The argument shapes of every np.linalg.svd call made while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.fixture
 def three_point_tensor(three_point_data):
     return kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT,
                                      three_point_data)
@@ -95,6 +109,20 @@ class TestEnforcePartialUnitarity:
     def test_rejects_rank_deficient(self):
         with pytest.raises(NumericalError):
             kgo.enforce_partial_unitarity(np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+    def test_svd_snap_takes_one_svd(self, svd_calls):
+        # The rank gate reads the singular values of the SVD that snaps.
+        kgo.enforce_partial_unitarity(np.random.default_rng(3).normal(size=(2, 4)), "svd")
+        assert len(svd_calls) == 1
+        with pytest.raises(NumericalError):
+            kgo.enforce_partial_unitarity(np.array([[1.0, 0.0], [2.0, 0.0]]), "svd")
+        assert len(svd_calls) == 2
+
+    def test_candidate_scoring_takes_one_svd_each(self, svd_calls, three_point_tensor):
+        _, channels = kgo.solve_partial_constraint(three_point_tensor)
+        svd_calls.clear()
+        kgo.select_candidate(channels[:3], three_point_tensor, 3)
+        assert len(svd_calls) == 3
 
 
 class TestLagrangeMultipliers:
