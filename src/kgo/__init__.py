@@ -30,12 +30,10 @@ from .tensors import (ContributingSubspace, CoverageTensor, TensorKind,
 from .solver import (ALGORITHMS, IterationRecord, IterationTrace,
                      PartiallyUnitaryOp, SolverConfig, approximate_from_any,
                      constraint_residual, convert_sigma_multipliers,
-                     enforce_partial_unitarity, iterate_lagrange,
-                     iterate_linear_constraints, iterate_polar_ascent,
-                     lagrange_multipliers, operator_adjust,
-                     raw_lagrange_multipliers, select_candidate,
-                     sigma_basis_multipliers, solve, solve_partial_constraint,
-                     stationarity_residual)
+                     enforce_partial_unitarity, lagrange_multipliers,
+                     operator_adjust, raw_lagrange_multipliers,
+                     select_candidate, sigma_basis_multipliers, solve,
+                     solve_partial_constraint, stationarity_residual)
 from .model import (KgoModel, Prediction, adjusted_probability, coverage,
                     deserialize_model, fit, fit_prepared, map_operator,
                     most_probable, predict, probability, scalar_value_roots,

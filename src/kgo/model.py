@@ -19,8 +19,7 @@ from .hilbert import (DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis,
                       label_matched_projection, prepare)
 from .sample import BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .sample import CHEBYSHEV
-from .solver import (LSQ_ADJ, PartiallyUnitaryOp, SolverConfig, solve,
-                     stationarity_residual)
+from .solver import PartiallyUnitaryOp, SolverConfig, solve, stationarity_residual
 from .tensors import (ContributingSubspace, CoverageTensor, TensorKind,
                       build_coverage_tensor, contributing_subspace,
                       ftot_upper_bound, subspace_embedding)
@@ -113,22 +112,23 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
     kind = TensorKind(kind)
     m_eff, n_eff = data.f_space.eff_dim, data.x_space.eff_dim
     if m_eff > n_eff:
-        raise DimensionError(
-            f"label space dimension {m_eff} exceeds attribute space {n_eff}; "
-            "swap the two sides")
+        if data.f_space.raw_dim > data.x_space.raw_dim:
+            raise DimensionError(
+                f"label space dimension {m_eff} exceeds attribute space {n_eff}; "
+                "swap the two sides")
+        raise NumericalError(f"whitening kept {_kept(data.x_space, 'attribute')} and "
+                             f"{_kept(data.f_space, 'label')}: the attribute space "
+                             "collapsed below the label space")
     subspace: Optional[ContributingSubspace] = None
     f_embed = None
     if d is not None and d != m_eff:
         subspace = contributing_subspace(data, d, "projective")
         f_embed = subspace_embedding(data, subspace)
     tensor = build_coverage_tensor(kind, data, subspace)
-    u_init = None
-    if config.algorithm == LSQ_ADJ or config.init_with_least_squares:
-        if subspace is None:
-            u_init = lsq_channel(data)
-        else:
-            # Pull the least-squares channel back into subspace coordinates.
-            u_init = np.linalg.pinv(f_embed) @ lsq_channel(data)
+    u_init = lsq_channel(data)
+    if subspace is not None:
+        # Pull the least-squares channel back into subspace coordinates.
+        u_init = np.linalg.pinv(f_embed) @ u_init
     op, trace = solve(tensor, config, u_init)
     try:
         projection = label_matched_projection(data)
@@ -163,6 +163,15 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         report=report,
     )
     return model, trace
+
+
+def _kept(space: SpaceBasis, side: str) -> str:
+    """How many directions whitening kept on a side, and the largest it dropped."""
+    text = f"{space.eff_dim} of {space.raw_dim} {side} directions"
+    if space.eff_dim < space.raw_dim:
+        eig = np.linalg.eigvalsh(space.gram_raw)[::-1]
+        text += f" (largest dropped Gram eigenvalue {eig[space.eff_dim] / eig[0]:.3g} of top)"
+    return text
 
 
 def coverage(op, tensor: CoverageTensor) -> float:

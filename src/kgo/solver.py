@@ -5,15 +5,15 @@ orthonormal rows (u u^T = I). It behaves like an eigenvalue problem whose
 "eigenvalue" is a d x d symmetric matrix of Lagrange multipliers; the
 extremal F equals that matrix's trace.
 
-The paper's iterative algorithms share one loop, `_relaxed_loop`: solve an
-ordinary (d*n)-dimensional eigenproblem under the relaxed Frobenius-norm
-constraint, pick a promising eigenstate, snap it onto the constraint set
-(all singular values to +1), and refresh the multipliers; lagrange-iter and
-linear-constraints differ only in the relaxed problem they set up from the
-last snapped iterate. Convergence is not guaranteed, so every iteration is
-traced and the best constrained iterate seen is returned. The default,
-polar ascent, is a monotone ascent on the constraint set that needs no
-eigenproblem per step; the paper's algorithms are kept for reproduction.
+Every solve is one start and one loop. `solve` picks the start: the snapped
+least-squares channel, the best snapped eigenstate of the relaxed
+problem, or none. Single-shot paths return it; iterative paths hand it to
+`_ascend`, which records every step and returns the best iterate seen. A
+step is a closure over its own state. The default, polar ascent, is a
+monotone ascent on the constraint set that needs no eigenproblem per step.
+The paper's lagrange-iter and linear-constraints steps solve a relaxed
+eigenproblem set up from the last iterate, snap its most promising
+eigenstate onto the constraints, and are kept for reproduction.
 """
 
 from __future__ import annotations
@@ -298,21 +298,15 @@ def _record(trace: IterationTrace, iteration: int, f_before: float,
     return lam, su
 
 
-def _start(tensor: CoverageTensor, trace: IterationTrace, u_init, iteration: int = 0):
-    """Snap u_init onto the constraints and record it as the given iteration.
-
-    Returns (u, F(u), sym(Lambda), S u).
-    """
+def _start(tensor: CoverageTensor, trace: IterationTrace, u_init, iteration: int):
+    """Record the svd snap of u_init as `iteration`; returns (u, F, sym(Lambda), S u)."""
     u = enforce_partial_unitarity(u_init, "svd")
     f = tensor.quadratic_form(u)
     return (u, f) + _record(trace, iteration, f, u, f, tensor)
 
 
 def _maxev(tensor: CoverageTensor, trace: IterationTrace, pool: int, method: str = "svd"):
-    """Best snapped eigenstate of the unshifted relaxed problem, recorded as iteration 1.
-
-    Returns (u, F(u), sym(Lambda), S u).
-    """
+    """Record the best snapped eigenstate of S as iteration 1, returned as `_start` does."""
     _, channels = solve_partial_constraint(tensor)
     cand, u, f = select_candidate(channels, tensor, pool, method)
     return (u, f) + _record(trace, 1, tensor.quadratic_form(cand), u, f, tensor)
@@ -323,106 +317,80 @@ def _flat(f_new: float, f_old: float, rel_tol: float) -> bool:
     return abs(f_new - f_old) <= rel_tol * max(abs(f_new), 1e-300)
 
 
-def _relaxed_loop(tensor: CoverageTensor, config: SolverConfig, u_init, algorithm: str,
-                  candidates) -> Tuple[PartiallyUnitaryOp, IterationTrace]:
-    """The paper's iteration, shared by lagrange-iter and linear-constraints.
+def _ascend(tensor: CoverageTensor, config: SolverConfig, trace: IterationTrace,
+            start, step) -> PartiallyUnitaryOp:
+    """The iteration loop of every iterative path.
 
-    Each pass takes from `candidates(u, lam, su)` the channels of a relaxed
-    eigenproblem set up from the last snapped iterate u, its multipliers
-    sym(Lambda) and S u (all None on the first pass without u_init), in
-    descending eigenvalue order; it keeps the best snapped candidate, and
-    stops when the constrained objective stalls. Returns the best iterate
-    seen.
+    `start` is (u, F, sym(Lambda), S u) of the recorded start; without one
+    it is all None but F = -inf. `step(u, f, lam, su)` returns a stop reason,
+    or (f_before, next iterate, its F, whether a flat F may stop the loop);
+    each step is recorded as the next iteration. The trace holds at most
+    max_iterations rows, the start included. Returns the best iterate seen,
+    the earliest one on a tie.
     """
-    trace = IterationTrace()
-    u = lam = su = None
-    best_u, best_f = None, -np.inf
-    budget = config.max_iterations
-    if u_init is not None:
-        u, best_f, lam, su = _start(tensor, trace, u_init)
-        best_u = u
-        budget -= 1
-    f_prev = None
-    iterations = 0
-    for it in range(1, budget + 1):
-        iterations = it
-        cand, u, f = select_candidate(candidates(u, lam, su), tensor, config.candidate_pool)
-        lam, su = _record(trace, it, tensor.quadratic_form(cand), u, f, tensor)
-        if f > best_f:
-            best_u, best_f = u, f
-        if f_prev is not None and _flat(f, f_prev, config.rel_tol):
+    u, f, lam, su = start
+    best_u, best_f = u, f
+    iteration = trace.records[-1].iteration if trace.records else 0
+    while len(trace) < config.max_iterations:
+        taken = step(u, f, lam, su)
+        if isinstance(taken, str):
+            trace.stop_reason = taken
             break
-        f_prev = f
+        f_before, u_next, f_next, may_stop = taken
+        iteration += 1
+        lam, su = _record(trace, iteration, f_before, u_next, f_next, tensor)
+        if f_next > best_f:
+            best_u, best_f = u_next, f_next
+        if may_stop and _flat(f_next, f, config.rel_tol):
+            break
+        u, f = u_next, f_next
     else:
         trace.stop_reason = BUDGET
-    return make_operator(best_u, algorithm, iterations, f_value=best_f), trace
+    return make_operator(best_u, config.algorithm, iteration, f_value=best_f)
 
 
-def iterate_lagrange(tensor: CoverageTensor, config: SolverConfig,
-                     u_init=None) -> Tuple[PartiallyUnitaryOp, IterationTrace]:
-    """Multiplier fixed-point iteration.
-
-    Start from zero multipliers, alternate (relaxed eigenproblem -> candidate
-    selection -> constraint snap -> new multipliers) until the constrained
-    objective stalls; return the best constrained iterate seen.
-    """
-    def candidates(u, lam, su):
-        return solve_partial_constraint(tensor, lam)[1]
-
-    return _relaxed_loop(tensor, config, u_init, LAGRANGE_ITER, candidates)
+def _shifted_candidates(tensor: CoverageTensor, u, lam, su):
+    """lagrange-iter's relaxed problem: S - sym(Lambda) (x) I, zero multipliers cold."""
+    return solve_partial_constraint(tensor, lam)[1]
 
 
-def iterate_linear_constraints(tensor: CoverageTensor, config: SolverConfig,
-                               u_init=None) -> Tuple[PartiallyUnitaryOp, IterationTrace]:
-    """Iteration with the constraints replaced by closeness to the iterate.
+def _bordered_candidates(tensor: CoverageTensor, u, lam, su):
+    """linear-constraints' relaxed problem: closeness to the iterate u.
 
-    One extra coordinate keeps the bordered problem a Rayleigh quotient; the
-    border vector and corner entry act as multipliers recomputed from each
-    snapped iterate (unit extra coordinate, corner = current objective,
-    border = -S u). The first pass uses a zero border, which reproduces the
-    plain relaxed eigenproblem with one inert coordinate.
+    One extra coordinate keeps the bordered problem a Rayleigh quotient; its
+    border -S u and corner F(u) act as multipliers. Without an iterate the
+    border is zero: the plain relaxed eigenproblem, one coordinate inert.
     """
     dn = tensor.d * tensor.n
-
-    def candidates(u, lam, su):
-        bordered = np.zeros((dn + 1, dn + 1))
-        bordered[:dn, :dn] = tensor.matrix
-        if su is not None:
-            y = su.reshape(-1)
-            bordered[:dn, dn] = bordered[dn, :dn] = -y
-            bordered[dn, dn] = u.reshape(-1) @ y
-        for w in sym_eig(bordered).eigenvectors[:dn].T:
-            norm = np.linalg.norm(w)
-            if norm > 1e-12:
-                yield (np.sqrt(tensor.d) / norm) * w.reshape(tensor.d, tensor.n)
-
-    return _relaxed_loop(tensor, config, u_init, LINEAR_CONSTRAINTS, candidates)
+    bordered = np.zeros((dn + 1, dn + 1))
+    bordered[:dn, :dn] = tensor.matrix
+    if su is not None:
+        y = su.reshape(-1)
+        bordered[:dn, dn] = bordered[dn, :dn] = -y
+        bordered[dn, dn] = u.reshape(-1) @ y
+    for w in sym_eig(bordered).eigenvectors[:dn].T:
+        norm = np.linalg.norm(w)
+        if norm > 1e-12:
+            yield (np.sqrt(tensor.d) / norm) * w.reshape(tensor.d, tensor.n)
 
 
-def _polar(a) -> Optional[np.ndarray]:
-    """The svd snap of a, or None when a is numerically rank deficient."""
-    try:
-        return enforce_partial_unitarity(a, "svd")
-    except NumericalError:
-        return None
+def _relaxed_step(tensor: CoverageTensor, config: SolverConfig, candidates):
+    """The paper's step: the best snapped channel of `candidates(tensor, u, lam, su)`,
+    a relaxed eigenproblem's in descending eigenvalue order. The first step
+    after a start never stops the loop."""
+    stepped = False
+
+    def step(u, f, lam, su):
+        nonlocal stepped
+        cand, u_next, f_next = select_candidate(candidates(tensor, u, lam, su), tensor,
+                                                config.candidate_pool)
+        may_stop, stepped = stepped, True
+        return tensor.quadratic_form(cand), u_next, f_next, may_stop
+
+    return step
 
 
-def _polar_steps(tensor: CoverageTensor, u, u_prev, su, s_norm: float):
-    """Polar-ascent candidates in order of preference, lazily.
-
-    Yields (snapped candidate or None, whether the step is monotone): the
-    extrapolated step when there is a previous iterate, then the plain step,
-    then the plain step of the PSD-shifted tensor S + ||S||_F I.
-    """
-    if u_prev is not None:
-        yield _polar(_apply(tensor, u + _EXTRAPOLATION * (u - u_prev))), False
-    yield _polar(su), True
-    if s_norm > 0.0:
-        yield _polar(u + su / s_norm), True
-
-
-def iterate_polar_ascent(tensor: CoverageTensor, config: SolverConfig,
-                         u_init=None) -> Tuple[PartiallyUnitaryOp, IterationTrace]:
+def _polar_step(tensor: CoverageTensor, config: SolverConfig):
     """Generalized power method on the constraint set: u <- polar(S u).
 
     For PSD S (every tensor kind) the step never lowers F, and its fixed
@@ -430,53 +398,42 @@ def iterate_polar_ascent(tensor: CoverageTensor, config: SolverConfig,
     Richtarik & Sepulchre, JMLR 11, 2010). Each step costs a few
     matrix-vector products and d x n SVDs, never an eigenproblem. It first
     tries the extrapolated point y = u + beta (u - u_prev) and keeps
-    polar(S y) only if F does not fall; otherwise it takes polar(S u), or
-    polar(u + S u / ||S||_F), which ascends for any symmetric S. F therefore
-    never decreases along the trace and the last iterate is the best one.
-    The solve stops "converged" when a plain step changes F by at most
-    rel_tol relative or cannot raise it at all, and "stalled" when every
-    step is rank deficient.
-
-    Starts from the svd snap of u_init, or else from the maxev-svd-adj
-    channel, so F is never below either.
+    polar(S y) only if F does not fall; otherwise polar(S u), or
+    polar(u + S u / ||S||_F), which ascends for any symmetric S. A plain step
+    that changes F by at most rel_tol relative, or cannot raise it, stops the
+    solve "converged"; when every step is rank deficient it stops "stalled".
     """
-    trace = IterationTrace()
-    if u_init is not None:
-        u, f, _, su = _start(tensor, trace, u_init)
-    else:
-        u, f, _, su = _maxev(tensor, trace, config.candidate_pool)
-    first = trace.records[0].iteration
     s_norm = float(np.linalg.norm(tensor.matrix))
     u_prev = None
-    iterations = first
-    for it in range(first + 1, first + config.max_iterations):
-        step, reason = None, STALLED
-        for cand, monotone in _polar_steps(tensor, u, u_prev, su, s_norm):
-            if cand is None:
+
+    def candidates(u, su):
+        """(point to snap, whether the step is monotone), lazily."""
+        if u_prev is not None:
+            yield _apply(tensor, u + _EXTRAPOLATION * (u - u_prev)), False
+        yield su, True
+        if s_norm > 0.0:
+            yield u + su / s_norm, True
+
+    def step(u, f, lam, su):
+        nonlocal u_prev
+        reason = STALLED
+        for point, monotone in candidates(u, su):
+            try:
+                cand = enforce_partial_unitarity(point, "svd")
+            except NumericalError:   # numerically rank deficient: try the next step
                 continue
             f_cand = tensor.quadratic_form(cand)
             if f_cand >= f:
-                step = (cand, f_cand, monotone)
-                break
+                # An extrapolated step can jump across the maximum with F
+                # unchanged; only a plain step that no longer raises F shows
+                # convergence, so a flat step restarts the momentum.
+                u_prev = None if _flat(f_cand, f, config.rel_tol) else u
+                return f, cand, f_cand, monotone
             if monotone:
                 reason = CONVERGED   # an ascent step that cannot ascend: F is at rounding level
-        if step is None:
-            trace.stop_reason = reason
-            break
-        u_prev, (u, f_next, monotone) = u, step
-        _, su = _record(trace, it, f, u, f_next, tensor)
-        iterations = it
-        flat = _flat(f_next, f, config.rel_tol)
-        f = f_next
-        if flat and monotone:
-            break
-        if flat:
-            # An extrapolated step can jump across the maximum with F unchanged;
-            # only a plain step that no longer raises F shows convergence.
-            u_prev = None
-    else:
-        trace.stop_reason = BUDGET
-    return make_operator(u, POLAR_ASCENT, iterations, f_value=f), trace
+        return reason
+
+    return step
 
 
 def operator_adjust(u, j_matrix, tensor: CoverageTensor):
@@ -532,24 +489,38 @@ def convert_sigma_multipliers(u, multipliers) -> np.ndarray:
 
 def solve(tensor: CoverageTensor, config: SolverConfig,
           u_init=None) -> Tuple[PartiallyUnitaryOp, IterationTrace]:
-    """Dispatch on the configured algorithm.
+    """One start, then the configured step in one loop.
 
-    Single-shot paths (maxev family, lsq-adj) record one trace row and stop
-    "converged"; the iterative paths delegate to their loops. lsq-adj
-    requires an initial map (the least-squares channel) via u_init.
+    The start is the svd snap of u_init (the least-squares channel): as
+    iteration 1 for lsq-adj, as 0 for an iterative path with
+    init_with_least_squares. Otherwise the maxev family and polar ascent
+    start from the best snapped eigenstate, and polar ascent falls back to
+    u_init when none snaps; a paper iteration starts cold. Single-shot paths
+    return their start and stop "converged".
     """
-    algorithm = normalize_algorithm(config.algorithm)
-    if algorithm in (LAGRANGE_ITER, LINEAR_CONSTRAINTS, POLAR_ASCENT):
-        loop = {LAGRANGE_ITER: iterate_lagrange,
-                LINEAR_CONSTRAINTS: iterate_linear_constraints,
-                POLAR_ASCENT: iterate_polar_ascent}[algorithm]
-        return loop(tensor, config, u_init if config.init_with_least_squares else None)
+    algorithm = config.algorithm
+    iterative = algorithm in (LAGRANGE_ITER, LINEAR_CONSTRAINTS, POLAR_ASCENT)
     trace = IterationTrace()
+    start = (None, -np.inf, None, None)
     if algorithm == LSQ_ADJ:
         if u_init is None:
             raise DimensionError("lsq-adj requires the least-squares channel as u_init")
-        u, f, _, _ = _start(tensor, trace, u_init, 1)
+        start = _start(tensor, trace, u_init, 1)
+    elif iterative and config.init_with_least_squares and u_init is not None:
+        start = _start(tensor, trace, u_init, 0)
+    elif algorithm not in (LAGRANGE_ITER, LINEAR_CONSTRAINTS):
+        try:
+            start = _maxev(tensor, trace, 1 if algorithm == MAXEV else config.candidate_pool,
+                           "gram-eig" if algorithm == MAXEV_EVADJ else "svd")
+        except NumericalError:
+            if algorithm != POLAR_ASCENT or u_init is None:
+                raise
+            start = _start(tensor, trace, u_init, 0)
+    if not iterative:
+        return make_operator(start[0], algorithm, 1, f_value=start[1]), trace
+    if algorithm == POLAR_ASCENT:
+        step = _polar_step(tensor, config)
     else:
-        u, f, _, _ = _maxev(tensor, trace, 1 if algorithm == MAXEV else config.candidate_pool,
-                            "gram-eig" if algorithm == MAXEV_EVADJ else "svd")
-    return make_operator(u, algorithm, 1, f_value=f), trace
+        step = _relaxed_step(tensor, config, _shifted_candidates
+                             if algorithm == LAGRANGE_ITER else _bordered_candidates)
+    return _ascend(tensor, config, trace, start, step), trace

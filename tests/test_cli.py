@@ -3,7 +3,7 @@ import pytest
 
 import kgo
 from kgo.cli import main
-from kgo.demo import square_wave_table, synthetic_gradient, write_pgm
+from kgo.demo import grid_measure, square_wave_table, synthetic_gradient, write_pgm
 
 
 @pytest.fixture
@@ -74,6 +74,29 @@ class TestFit:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"warning: whitening kept {kept} of 9 attribute and 2 of 2 "
                        "label basis directions"]
+
+    def test_whitening_collapse_is_numerical(self, tmp_path, capsys):
+        # Whitening keeps 2 of the 9 order-8 monomial directions over
+        # [0, 1000], fewer than the 3 label directions: a conditioning
+        # failure (exit 4). Against a raw order-1 basis the same labels
+        # really are the wrong way round (exit 2).
+        grid = np.linspace(0.0, 1000.0, 101)
+        path = tmp_path / "wide.csv"
+        path.write_text("".join(f"{float(x)!r},{float(x) / 1000.0!r}\n" for x in grid))
+
+        def fit(x_basis):
+            capsys.readouterr()
+            code = main(["fit", "--data", str(path), "--cols", "x=0;f=1",
+                         "--x-basis", x_basis, "--f-basis", "monomial:2",
+                         "--out-prefix", str(tmp_path / "c_")])
+            return code, capsys.readouterr().err
+
+        code, err = fit("monomial:8")
+        assert code == 4 and "swap" not in err
+        assert "2 of 9 attribute directions (largest dropped Gram eigenvalue" in err
+        assert "3 of 3 label directions" in err
+        code, err = fit("monomial:1")
+        assert code == 2 and "swap the two sides" in err
 
     def test_no_whitening_line_when_nothing_dropped(self, exact_csv, tmp_path, capsys):
         code, prefix = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")
@@ -157,6 +180,22 @@ class TestDemo:
         rn = rows[:, header.index("radon_nikodym")]
         assert rn.min() >= -1.0 - 1e-9 and rn.max() <= 1.0 + 1e-9
         assert max(ls.max() - 1.0, -1.0 - ls.min()) > 0.05
+
+    def test_square_wave_polar_ascent_falls_back_to_lsq(self, tmp_path):
+        # Every eigenvector of the square wave's tensor reshapes to a rank-1
+        # 2 x 7 channel, so no eigenstate start exists; polar ascent starts
+        # from the least-squares channel instead and never falls below it.
+        # The maxev family has no such fallback.
+        for algorithm, code in (("polar-ascent", 0), ("maxev-svd-adj", 4)):
+            assert main(["demo", "square-wave", "--algorithm", algorithm,
+                         "--out-prefix", str(tmp_path / f"{algorithm}_")]) == code
+        grid, weights = grid_measure()
+        sample = kgo.Sample(grid[:, None], np.where(grid >= 0.0, 1.0, -1.0)[:, None], weights)
+        data = kgo.prepare(sample, kgo.BasisSpec("monomial", 6), kgo.BasisSpec("monomial", 1))
+        polar, trace = kgo.fit_prepared(data, config=kgo.SolverConfig())
+        lsq_adj, _ = kgo.fit_prepared(data, config=kgo.SolverConfig(algorithm="lsq-adj"))
+        assert trace.records[0].iteration == 0
+        assert polar.report["f"] >= lsq_adj.report["f"]
 
     def test_localized_states_argmax(self, tmp_path):
         prefix = str(tmp_path / "ls_")

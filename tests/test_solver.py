@@ -156,7 +156,7 @@ class TestLagrangeMultipliers:
 class TestIterateLagrange:
     def test_three_point_exact(self, three_point_tensor):
         cfg = kgo.SolverConfig(algorithm="lagrange-iter", max_iterations=100)
-        op, trace = kgo.iterate_lagrange(three_point_tensor, cfg)
+        op, trace = kgo.solve(three_point_tensor, cfg)
         assert op.f_value == pytest.approx(3.0, abs=1e-6)
         assert op.residual <= 1e-8
         assert len(trace) <= cfg.max_iterations
@@ -165,32 +165,56 @@ class TestIterateLagrange:
         tensor = kgo.CoverageTensor(kgo.TensorKind.PLAIN_VALUE, 1, 1,
                                     np.array([[2.5]]))
         cfg = kgo.SolverConfig(algorithm="lagrange-iter")
-        op, _ = kgo.iterate_lagrange(tensor, cfg)
+        op, _ = kgo.solve(tensor, cfg)
         assert abs(op.u[0, 0]) == pytest.approx(1.0)
         assert op.f_value == pytest.approx(2.5)
 
+
+class TestOneLoop:
+    @pytest.mark.parametrize("max_iterations", [1, 2, 40])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    @pytest.mark.parametrize("algorithm", ["lagrange-iter", "linear-constraints"])
-    def test_best_is_running_max(self, algorithm, warm):
+    @pytest.mark.parametrize("algorithm", kgo.ALGORITHMS)
+    def test_best_is_running_max(self, algorithm, warm, max_iterations):
         rng = np.random.default_rng(5)
         tensor = random_tensor(rng, 2, 4)
-        u_init = rng.normal(size=(2, 4)) if warm else None
-        cfg = kgo.SolverConfig(algorithm=algorithm, max_iterations=40)
-        loop = {"lagrange-iter": kgo.iterate_lagrange,
-                "linear-constraints": kgo.iterate_linear_constraints}[algorithm]
-        op, trace = loop(tensor, cfg, u_init)
-        assert op.f_value == max(r.f_after for r in trace)
+        u_init = rng.normal(size=(2, 4))
+        cfg = kgo.SolverConfig(algorithm=algorithm, max_iterations=max_iterations,
+                               init_with_least_squares=warm)
+        op, trace = kgo.solve(tensor, cfg, u_init)
+        assert 1 <= len(trace) <= max_iterations
         assert op.iterations == trace.records[-1].iteration
-        if warm:
+        assert op.f_value == max(r.f_after for r in trace)
+        iterative = algorithm in ("lagrange-iter", "linear-constraints", "polar-ascent")
+        if not iterative:
+            assert trace.stop_reason == "converged"
+            assert len(trace) == 1 and op.iterations == 1
+        elif len(trace) < max_iterations:
+            assert trace.stop_reason in ("converged", "stalled")
+        else:
+            assert trace.stop_reason in ("converged", "budget")
+        if max_iterations == 1 and iterative:
+            assert trace.stop_reason == "budget"
+        if warm and iterative:
             start = kgo.enforce_partial_unitarity(u_init)
             assert trace.records[0].iteration == 0
             assert trace.records[0].f_after == tensor.quadratic_form(start)
+
+    def test_first_step_never_stops_a_paper_iteration(self, three_point_data,
+                                                      three_point_tensor):
+        # The least-squares start is already exact, so F is flat from the
+        # first step on; the loop still takes a second step before stopping.
+        cfg = kgo.SolverConfig(algorithm="linear-constraints", max_iterations=50,
+                               init_with_least_squares=True)
+        op, trace = kgo.solve(three_point_tensor, cfg, kgo.lsq_channel(three_point_data))
+        assert [r.iteration for r in trace] == [0, 1, 2]
+        assert trace.stop_reason == "converged"
+        assert op.f_value == pytest.approx(3.0, abs=1e-12)
 
 
 class TestIterateLinearConstraints:
     def test_zero_border_matches_relaxed_problem(self, three_point_tensor):
         cfg = kgo.SolverConfig(algorithm="linear-constraints", max_iterations=1)
-        op, trace = kgo.iterate_linear_constraints(three_point_tensor, cfg)
+        op, trace = kgo.solve(three_point_tensor, cfg)
         _, channels = kgo.solve_partial_constraint(three_point_tensor)
         _, _, f_plain = kgo.select_candidate(channels, three_point_tensor,
                                              min(16, 4))
@@ -198,13 +222,13 @@ class TestIterateLinearConstraints:
 
     def test_three_point_exact_within_fifty(self, three_point_tensor):
         cfg = kgo.SolverConfig(algorithm="linear-constraints", max_iterations=50)
-        op, _ = kgo.iterate_linear_constraints(three_point_tensor, cfg)
+        op, _ = kgo.solve(three_point_tensor, cfg)
         assert op.f_value == pytest.approx(3.0, abs=1e-6)
 
     def test_not_worse_than_adjusted_least_squares(self, three_point_data,
                                                    three_point_tensor):
         cfg = kgo.SolverConfig(algorithm="linear-constraints", max_iterations=50)
-        op, _ = kgo.iterate_linear_constraints(three_point_tensor, cfg)
+        op, _ = kgo.solve(three_point_tensor, cfg)
         lsq = kgo.approximate_from_any(kgo.lsq_channel(three_point_data),
                                        three_point_tensor)
         assert op.f_value >= lsq.f_value - 1e-9
@@ -235,8 +259,9 @@ class TestIteratePolarAscent:
         rng = np.random.default_rng(100 + seed)
         tensor = random_tensor(rng, 3, 6)
         for u_init in (None, rng.normal(size=(3, 6))):
-            op, trace = kgo.iterate_polar_ascent(
-                tensor, kgo.SolverConfig(max_iterations=200), u_init)
+            cfg = kgo.SolverConfig(max_iterations=200,
+                                   init_with_least_squares=u_init is not None)
+            op, trace = kgo.solve(tensor, cfg, u_init)
             assert_monotone(trace)
             assert op.f_value == trace.records[-1].f_after  # the last iterate is the best
             assert op.residual <= 1e-8
