@@ -24,17 +24,17 @@ from .baselines import (LeastSquaresMap, RadonNikodymModel,
                         fit_radon_nikodym, joint_distribution_coverage,
                         lsq_channel, partial_unitarity_residual)
 from .tensors import (ContributingSubspace, CoverageTensor, TensorKind,
-                      adjusted_christoffel, build_coverage_tensor,
-                      contributing_subspace, coverage_spectrum, ftot_upper_bound,
+                      build_coverage_tensor, contributing_subspace,
+                      coverage_spectrum, ftot_upper_bound,
                       label_to_attribute_coverage)
 from .solver import (ALGORITHMS, IterationRecord, IterationTrace,
-                     PartiallyUnitaryOp, SolverConfig, approximate_from_any,
-                     constraint_residual, convert_sigma_multipliers,
-                     enforce_partial_unitarity, lagrange_multipliers,
-                     operator_adjust, raw_lagrange_multipliers,
-                     select_candidate, sigma_basis_multipliers, solve,
-                     solve_partial_constraint, stationarity_residual)
-from .model import (KgoModel, Prediction, adjusted_probability, coverage,
+                     PartiallyUnitaryOp, SolverConfig, constraint_residual,
+                     convert_sigma_multipliers, enforce_partial_unitarity,
+                     lagrange_multipliers, operator_adjust,
+                     raw_lagrange_multipliers, select_candidate,
+                     sigma_basis_multipliers, solve, solve_partial_constraint,
+                     stationarity_residual)
+from .model import (KgoModel, Prediction, adjusted_probability,
                     deserialize_model, fit, fit_prepared, map_operator,
                     most_probable, predict, probability, scalar_value_roots,
                     serialize_model, value)

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .hilbert import PreparedData, localized_state
 from .sample import _basis_columns
+from .tensors import TensorKind, _row_weights
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,11 @@ def joint_distribution_coverage(data: PreparedData) -> float:
 
     Secondary sampling: the Gram matrices (and cross moments) come first, then
     the squared overlap of the two localized states is accumulated per
-    observation, read from the data's per-row norms.
+    observation, read from the data's per-row norms and scaled by the
+    christoffel-product weight.
     """
-    norms = data.row_norms
-    bad = np.nonzero((norms.attribute <= 0.0) | (norms.label <= 0.0))[0]
-    if bad.size:
-        raise NumericalError(f"observation {bad[0]} has zero projection")
-    return float(np.sum(data.weights * norms.overlap ** 2 / (norms.attribute * norms.label)))
+    weights = _row_weights(data, TensorKind.CHRISTOFFEL_PRODUCT)
+    return float(np.sum(weights * data.row_norms.overlap ** 2))
 
 
 def direct_projection_probability(data: PreparedData, lsq: LeastSquaresMap,

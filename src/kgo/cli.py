@@ -19,7 +19,7 @@ import numpy as np
 from . import demo as demo_mod
 from . import model as model_mod
 from .errors import DataError, DimensionError, KgoError, NumericalError
-from .sample import BasisSpec, load_sample
+from .sample import BasisSpec, load_sample, parse_column_spec
 from .solver import ALGORITHMS, IterationRecord, SolverConfig
 from .tensors import TensorKind
 
@@ -140,8 +140,7 @@ def cmd_eval(args) -> int:
         # Alias a label range so the parser is satisfied; it is ignored below.
         spec_text = args.cols + ";f=" + x_parts[0][2:]
     sample = load_sample(args.data, spec_text) if _has_rows(args.data) else None
-    header = (["x" + str(i) for i in range(sample.x_rows.shape[1])]
-              if sample is not None else ["x0"])
+    header = [f"x{i}" for i in range(len(parse_column_spec(spec_text)[0]))]
     m_raw = fitted.f_space.raw_dim
     header += [f"f_max_p{j}" for j in range(m_raw)]
     header += [f"value{j}" for j in range(m_raw)]

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import baselines, hilbert, model as model_mod
 from .errors import DataError, DimensionError
-from .sample import BasisSpec, Sample, design_matrix, evaluate_basis
+from .sample import CHEBYSHEV, BasisSpec, Sample, design_matrix, evaluate_basis
 from .solver import SolverConfig
 from .tensors import TensorKind
 
@@ -141,25 +141,22 @@ def synthetic_gradient(size: int = 8) -> np.ndarray:
     return 0.5 * (axis[:, None] + axis[None, :])
 
 
-def tensor_grid_design(x, y, n_x: int, n_y: int, kind: str = "chebyshev"):
-    """Two-axis tensor-product basis columns, leading-axis exponent major.
-
-    The constant component (both exponents zero) comes first.
+def tensor_grid_design(x, y, n_x: int, n_y: int):
+    """Two-axis tensor-product Chebyshev columns on [-1, 1]^2, leading-axis
+    exponent major. The constant component (both exponents zero) comes first.
     """
-    spec_x = BasisSpec(kind, n_x - 1, scale=((np.array([-1.0]), np.array([1.0]))
-                                             if kind == "chebyshev" else None))
-    spec_y = BasisSpec(kind, n_y - 1, scale=((np.array([-1.0]), np.array([1.0]))
-                                             if kind == "chebyshev" else None))
-    cols_x = design_matrix(spec_x, np.asarray(x, dtype=float)[:, None])
-    cols_y = design_matrix(spec_y, np.asarray(y, dtype=float)[:, None])
+    unit = (np.array([-1.0]), np.array([1.0]))
+    cols_x = design_matrix(BasisSpec(CHEBYSHEV, n_x - 1, scale=unit),
+                           np.asarray(x, dtype=float)[:, None])
+    cols_y = design_matrix(BasisSpec(CHEBYSHEV, n_y - 1, scale=unit),
+                           np.asarray(y, dtype=float)[:, None])
     out = np.einsum("li,lj->lij", cols_x, cols_y)
     return out.reshape(out.shape[0], n_x * n_y)
 
 
 def image_table(image: np.ndarray, n_x: int = 5, n_y: int = 5, m: int = 3,
                 kind: TensorKind = TensorKind.F_CHRISTOFFEL,
-                config: Optional[SolverConfig] = None,
-                basis_kind: str = "chebyshev"):
+                config: Optional[SolverConfig] = None):
     """Pixel-coordinate to gray-intensity mapping over a whole image.
 
     Pixel centers are scaled onto [-1, 1]^2; the attribute basis is the
@@ -172,7 +169,7 @@ def image_table(image: np.ndarray, n_x: int = 5, n_y: int = 5, m: int = 3,
     xx = np.tile(np.linspace(-1.0, 1.0, width), height)
     yy = np.repeat(np.linspace(-1.0, 1.0, height), width)
     gray = image.reshape(-1)
-    x_design = tensor_grid_design(xx, yy, n_x, n_y, basis_kind)
+    x_design = tensor_grid_design(xx, yy, n_x, n_y)
     f_spec = BasisSpec("monomial", m - 1)
     f_design = design_matrix(f_spec, gray[:, None])
     weights = np.ones(gray.shape[0])

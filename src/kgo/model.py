@@ -1,6 +1,6 @@
-"""Fitted models and everything computed from them: coverage, outcome
-probabilities, most probable outcomes, const-normalized values, adjusted
-probability variants, operator mapping, and serialization.
+"""Fitted models and everything computed from them: outcome probabilities,
+most probable outcomes, const-normalized values, adjusted probability
+variants, operator mapping, and serialization.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from .hilbert import (DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis,
 from .sample import BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .sample import CHEBYSHEV
 from .solver import PartiallyUnitaryOp, SolverConfig, solve, stationarity_residual
-from .tensors import (ContributingSubspace, CoverageTensor, TensorKind,
-                      build_coverage_tensor, contributing_subspace,
-                      ftot_upper_bound, subspace_embedding)
+from .tensors import (ContributingSubspace, TensorKind, build_coverage_tensor,
+                      contributing_subspace, ftot_upper_bound, subspace_embedding)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -172,12 +171,6 @@ def _kept(space: SpaceBasis, side: str) -> str:
         eig = np.linalg.eigvalsh(space.gram_raw)[::-1]
         text += f" (largest dropped Gram eigenvalue {eig[space.eff_dim] / eig[0]:.3g} of top)"
     return text
-
-
-def coverage(op, tensor: CoverageTensor) -> float:
-    """Coverage of a channel: the flattened quadratic form."""
-    u = op.u if isinstance(op, PartiallyUnitaryOp) else np.asarray(op, dtype=float)
-    return tensor.quadratic_form(u)
 
 
 def _design(spec: Optional[BasisSpec], raw) -> np.ndarray:
@@ -370,35 +363,31 @@ def adjusted_probability(model: KgoModel, x_raw, f_raw, mode: str) -> float:
     """
     x_coords = _coords(model.x_space, _design(model.x_spec, x_raw))
     f_coords = _coords(model.f_space, _design(model.f_spec, f_raw))
-    f_norm2 = float(f_coords @ f_coords)
-    if f_norm2 <= 0.0:
-        raise NumericalError("queried outcome has zero projection on the label space")
+    f_norm2 = f_coords @ f_coords
+    _require_positive(f_norm2, "queried outcome", "has zero projection on the label space")
     channel = model.channel
     transported = _times(x_coords, channel)
-    numer = float(np.dot(f_coords, transported) ** 2)
+    numer = np.dot(f_coords, transported) ** 2
     if mode == IMPORTANT_ONLY:
-        denom = float(transported @ transported) * f_norm2
-        if denom <= 0.0:
-            raise NumericalError("important-only normalizer vanishes at this query")
-        return numer / denom
+        denom = (transported @ transported) * f_norm2
+        _require_positive(denom, "important-only normalizer", "vanishes at this query")
+        return float(numer / denom)
     if mode == DOF_ADJUSTED:
         if model.x_label_projection is None:
             raise NumericalError("adjusted normalizer unavailable (singular coupling)")
-        adj = float(x_coords @ model.x_label_projection @ x_coords)
-        if adj <= 0.0:
-            raise NumericalError("dof-adjusted normalizer vanishes at this query")
-        return numer / (adj * f_norm2)
+        adj = x_coords @ model.x_label_projection @ x_coords
+        _require_positive(adj, "dof-adjusted normalizer", "vanishes at this query")
+        return float(numer / (adj * f_norm2))
     if mode == SVD_BASIS:
         left, sigma, right_t = model.channel_svd
         d = model.operator.d
         fb = (left.T @ f_coords)[:d]
         xb = (right_t @ x_coords)[:d]
         s = sigma[:d]
-        numer_b = float(np.dot(fb * s, xb) ** 2)
-        denom_b = float(fb @ fb) * float((xb * s) @ (xb * s))
-        if denom_b <= 0.0:
-            raise NumericalError("svd-basis normalizer vanishes at this query")
-        return numer_b / denom_b
+        numer_b = np.dot(fb * s, xb) ** 2
+        denom_b = (fb @ fb) * ((xb * s) @ (xb * s))
+        _require_positive(denom_b, "svd-basis normalizer", "vanishes at this query")
+        return float(numer_b / denom_b)
     raise DimensionError(f"unknown adjusted probability mode {mode!r}")
 
 

@@ -140,9 +140,12 @@ class _BasisPlan:
         return rows[:, self.source]
 
     def argument(self, sel: np.ndarray) -> np.ndarray:
-        """Per-variable arguments of the factor tables."""
+        """Per-variable arguments of the factor tables; a per-source scale must fit the rows."""
         if self.lo_plus_hi is None:
             return sel
+        if self.lo_plus_hi.ndim and self.lo_plus_hi.shape[0] != sel.shape[1]:
+            raise DimensionError(f"basis scale covers {self.lo_plus_hi.shape[0]} variables, "
+                                 f"rows have {sel.shape[1]}")
         t = (2.0 * sel - self.lo_plus_hi) / self.safe_span
         return t if self.all_live else np.where(self.live, t, 0.0)
 

@@ -195,16 +195,6 @@ def make_operator(u, algorithm: str, iterations: int,
                               f_value=f_value)
 
 
-def approximate_from_any(u_any, tensor: Optional[CoverageTensor] = None) -> PartiallyUnitaryOp:
-    """Partially unitary operator nearest in spirit to an arbitrary map.
-
-    Expands the input in singular values and sets them all to +1; useful on
-    least-squares maps or any other full-row-rank starting point.
-    """
-    adjusted = enforce_partial_unitarity(u_any, "svd")
-    return make_operator(adjusted, "svd-adjustment", 0, tensor)
-
-
 def _apply(tensor: CoverageTensor, u) -> np.ndarray:
     """S u, reshaped to d x n."""
     return (tensor.matrix @ u.reshape(-1)).reshape(tensor.d, tensor.n)

@@ -2,16 +2,18 @@
 
 The transferred coverage of a channel u is a quadratic form
 F(u) = sum_jk,j'k' u_jk S_jk;j'k' u_j'k' over the flattened matrix u.
-Four tensor kinds differ only in how each observation's contribution is
-normalized:
+Four tensor kinds differ only in each observation's weight: its sample
+weight w scaled by a localized-state normalization,
 
-  CHRISTOFFEL_PRODUCT           both sides normalized by their Christoffel
-                                functions (full localized-state overlap),
-  CHRISTOFFEL_PRODUCT_ADJUSTED  attribute side normalized by the adjusted
-                                Christoffel function with label-matched
-                                degrees of freedom,
-  F_CHRISTOFFEL                 label side only ("partially normalized"),
-  PLAIN_VALUE                   no normalization (fourth-order moments).
+  CHRISTOFFEL_PRODUCT           w / (|x|^2 |f|^2): both sides normalized by
+                                their Christoffel functions (full
+                                localized-state overlap),
+  CHRISTOFFEL_PRODUCT_ADJUSTED  w / (|K x|^2 |f|^2): the attribute side by
+                                the adjusted Christoffel function with
+                                label-matched degrees of freedom,
+  F_CHRISTOFFEL                 w / |f|^2: label side only ("partially
+                                normalized"),
+  PLAIN_VALUE                   w: no normalization (fourth-order moments).
 
 Tensors are built and stored in orthonormal coordinates; the Gram inverse
 factors of the raw-coordinate formulas collapse to identity there. The
@@ -22,9 +24,10 @@ z_l = f_l (x) x_l; only the per-row weights w_l differ. A fit passes over
 the rows five times, six with a subspace (see `hilbert`). The first
 (`hilbert.prepare`) gives both Gram matrices, the second the cross Gram,
 which the projective subspace, F_TOT and the least-squares channel read.
-The per-row weights come from the per-row norms of the third
-(`PreparedData.row_norms`), with the zero-projection checks in this
-module. The fifth, and a subspace fit's sixth, sum the label-Christoffel
+`_row_weights` turns the per-row norms of the third
+(`PreparedData.row_norms`) into the weights of every kind, behind one zero
+gate; F_TOT, the coverage subspace and F_JDG read their weights from it
+too. The fifth, and a subspace fit's sixth, sum the label-Christoffel
 moments. The sum itself is the fourth, by one of two routes over the same
 fixed row blocks:
 
@@ -53,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hilbert import PreparedData, SpaceBasis, label_matched_projection
+from .hilbert import PreparedData, SpaceBasis
 from .linalg import sym_eig
 from .sample import CHEBYSHEV, _moment_table, _product_moments, _table_shape
 
@@ -99,34 +102,32 @@ class ContributingSubspace:
     variant: str             # "projective" | "coverage"
 
 
-def _checked(norms2: np.ndarray, side: str) -> np.ndarray:
-    bad = np.nonzero(norms2 <= 0.0)[0]
+def _positive(values: np.ndarray, what: str) -> np.ndarray:
+    """The zero gate of the weighting step: every row's norm must be positive."""
+    bad = np.flatnonzero(values <= 0.0)
     if bad.size:
-        raise NumericalError(f"observation {bad[0]} has zero {side} projection")
-    return norms2
+        raise NumericalError(f"observation {bad[0]} has zero {what}")
+    return values
 
 
-def _label_weights(data: PreparedData, attribute_norms=None) -> np.ndarray:
-    """Observation weights under the label Christoffel normalization.
+def _row_weights(data: PreparedData, kind: TensorKind) -> np.ndarray:
+    """Per-observation weights of a tensor kind, from the data's per-row norms.
 
-    The one weighting step of the label-normalized quantities: w / |f|^2,
-    or w / (a |f|^2) with a per-observation attribute normalizer a.
+    The one weighting step: w for plain values, otherwise w / |f|^2, or
+    w / (a |f|^2) with the kind's attribute normalizer a: |x|^2 for the
+    christoffel product, |K x|^2 for its adjusted variant. A singular
+    coupling raises where the adjusted normalizer is read.
     """
-    label = _checked(data.row_norms.label, "label")
-    return data.weights / (label if attribute_norms is None else attribute_norms * label)
-
-
-def _adjusted_norms2(data: PreparedData) -> np.ndarray:
-    """Per-row adjusted normalizer x^T P x = |K x|^2 through the rank-m factor K.
-
-    A singular coupling raises here, where the normalizer is read.
-    """
-    data.label_coupling  # raises NumericalError when the coupling is singular
-    adj = data.row_norms.adjusted
-    bad = np.nonzero(adj <= 0.0)[0]
-    if bad.size:
-        raise NumericalError(f"observation {bad[0]} has zero adjusted normalizer")
-    return adj
+    if kind is TensorKind.PLAIN_VALUE:
+        return data.weights
+    attribute = None
+    if kind is TensorKind.CHRISTOFFEL_PRODUCT:
+        attribute = _positive(data.row_norms.attribute, "attribute projection")
+    elif kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
+        data.label_coupling  # raises NumericalError when the coupling is singular
+        attribute = _positive(data.row_norms.adjusted, "adjusted normalizer")
+    label = _positive(data.row_norms.label, "label projection")
+    return data.weights / (label if attribute is None else attribute * label)
 
 
 def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
@@ -212,18 +213,8 @@ def build_coverage_tensor(kind: TensorKind, data: PreparedData,
     the moments of the two Christoffel functions' product.
     """
     kind = TensorKind(kind)
-    if kind is TensorKind.CHRISTOFFEL_PRODUCT:
-        w = _label_weights(data, _checked(data.row_norms.attribute, "attribute"))
-    elif kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
-        w = _label_weights(data, _adjusted_norms2(data))
-    elif kind is TensorKind.F_CHRISTOFFEL:
-        w = _label_weights(data)
-    elif kind is TensorKind.PLAIN_VALUE:
-        w = data.weights
-    else:  # pragma: no cover
-        raise DimensionError(f"unknown tensor kind {kind}")
     route = _chebyshev_moments if _moment_route(data) else _fourth_moments
-    matrix = route(data, w)
+    matrix = route(data, _row_weights(data, kind))
     d, n = data.f_space.eff_dim, data.x_space.eff_dim
     if subspace is not None:
         if kind is not TensorKind.CHRISTOFFEL_PRODUCT:
@@ -245,7 +236,7 @@ def subspace_embedding(data: PreparedData, subspace: ContributingSubspace) -> np
 
 def label_christoffel_moments(data: PreparedData) -> np.ndarray:
     """<f_t | K_f | f_s> in orthonormal label coordinates."""
-    return data.weighted_gram("f", _label_weights(data))
+    return data.weighted_gram("f", _row_weights(data, TensorKind.F_CHRISTOFFEL))
 
 
 def label_to_attribute_coverage(data: PreparedData) -> np.ndarray:
@@ -273,7 +264,7 @@ def _coverage_matrix(data: PreparedData, variant: str) -> np.ndarray:
     if variant == "projective":
         return label_to_attribute_coverage(data)
     if variant == "coverage":
-        return data.weighted_gram("x", _label_weights(data))
+        return data.weighted_gram("x", _row_weights(data, TensorKind.F_CHRISTOFFEL))
     raise DimensionError(f"unknown subspace variant {variant!r}")
 
 
@@ -301,24 +292,3 @@ def contributing_subspace(data: PreparedData, d: int,
 def coverage_spectrum(data: PreparedData, variant: str = "projective") -> np.ndarray:
     """All eigenvalues of the chosen coverage matrix, descending."""
     return sym_eig(_coverage_matrix(data, variant)).eigenvalues
-
-
-def adjusted_christoffel(data: PreparedData):
-    """Adjusted-Christoffel apparatus: raw-coordinate matrix and evaluator.
-
-    Returns (G_c, k_adj) where the raw matrix G_c satisfies
-    k_adj(point) = 1 / (point^T G_c point) and matches the label degrees of
-    freedom; k_adj >= the plain Christoffel function everywhere.
-    """
-    projection = label_matched_projection(data)
-    t = data.x_space.transform
-    g_c = t.T @ projection @ t
-
-    def k_adj(point) -> float:
-        point = np.asarray(point, dtype=float).reshape(-1)
-        denom = float(point @ g_c @ point)
-        if denom <= 0.0:
-            raise NumericalError("point has zero adjusted normalizer")
-        return 1.0 / denom
-
-    return g_c, k_adj

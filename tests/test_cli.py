@@ -14,6 +14,15 @@ def exact_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def plane_csv(tmp_path):
+    """Two attribute columns on a 9 x 9 grid and their product as the label."""
+    path = tmp_path / "plane.csv"
+    path.write_text("".join(f"{a},{b},{a * b}\n" for a in np.linspace(-1, 1, 9).tolist()
+                            for b in np.linspace(-1, 1, 9).tolist()))
+    return str(path)
+
+
 def run_fit(exact_csv, tmp_path, *extra):
     prefix = str(tmp_path / "run_")
     code = main(["fit", "--data", exact_csv, "--cols", "x=0;f=1",
@@ -143,6 +152,29 @@ class TestEval:
         assert code == 0
         lines = open(str(tmp_path / "e_") + "eval.tsv").read().splitlines()
         assert len(lines) == 1  # header only
+
+    def test_empty_query_file_header_names_every_x_column(self, plane_csv, tmp_path):
+        prefix = str(tmp_path / "p_")
+        assert main(["fit", "--data", plane_csv, "--cols", "x=0-1;f=2",
+                     "--x-basis", "monomial:2", "--f-basis", "monomial:1",
+                     "--algorithm", "lsq-adj", "--out-prefix", prefix]) == 0
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# no rows\n")
+        assert main(["eval", "--model", prefix + "model.json", "--data", str(empty),
+                     "--cols", "x=0-1", "--out-prefix", prefix]) == 0
+        header = open(prefix + "eval.tsv").read().splitlines()[0].split("\t")
+        assert header[:3] == ["x0", "x1", "f_max_p0"]
+
+    @pytest.mark.parametrize("cols", ["x=0", "x=0-2"])
+    def test_wrong_width_on_chebyshev_model_exit_two(self, plane_csv, tmp_path, capsys, cols):
+        prefix = str(tmp_path / "w_")
+        assert main(["fit", "--data", plane_csv, "--cols", "x=0-1;f=2",
+                     "--x-basis", "chebyshev:3", "--f-basis", "chebyshev:1",
+                     "--algorithm", "lsq-adj", "--out-prefix", prefix]) == 0
+        code = main(["eval", "--model", prefix + "model.json", "--data", plane_csv,
+                     "--cols", cols, "--out-prefix", prefix])
+        assert code == 2
+        assert "covers 2 variables" in capsys.readouterr().err
 
     def test_corrupt_model_exit_three(self, exact_csv, tmp_path):
         bad = tmp_path / "bad.json"

@@ -24,25 +24,25 @@ class TestCoverage:
     def test_zero_channel(self, three_point_data):
         tensor = kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT,
                                            three_point_data)
-        assert kgo.coverage(np.zeros((2, 2)), tensor) == 0.0
+        assert tensor.quadratic_form(np.zeros((2, 2))) == 0.0
 
     def test_exact_channel(self, identity_model, three_point_data):
         tensor = kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT,
                                            three_point_data)
-        assert kgo.coverage(identity_model.operator, tensor) == pytest.approx(3.0)
+        assert tensor.quadratic_form(identity_model.operator.u) == pytest.approx(3.0)
 
     def test_sign_invariance(self, three_point_data):
         tensor = kgo.build_coverage_tensor(kgo.TensorKind.F_CHRISTOFFEL,
                                            three_point_data)
         rng = np.random.default_rng(0)
         u = rng.normal(size=(2, 2))
-        assert kgo.coverage(u, tensor) == kgo.coverage(-u, tensor)
+        assert tensor.quadratic_form(u) == tensor.quadratic_form(-u)
 
     def test_dimension_mismatch(self, three_point_data):
         tensor = kgo.build_coverage_tensor(kgo.TensorKind.F_CHRISTOFFEL,
                                            three_point_data)
         with pytest.raises(DimensionError):
-            kgo.coverage(np.zeros((3, 2)), tensor)
+            tensor.quadratic_form(np.zeros((3, 2)))
 
 
 class TestProbability:
@@ -197,6 +197,18 @@ class TestAdjustedProbability:
     def test_unknown_mode(self, identity_model):
         with pytest.raises(DimensionError):
             kgo.adjusted_probability(identity_model, [0.0], [0.0], "bogus")
+
+    def test_vanishing_normalizers(self, identity_model):
+        direct = replace(identity_model, x_spec=None, f_spec=None)
+        x, f = np.array([1.0, 0.2]), np.array([1.0, 0.4])
+        with pytest.raises(NumericalError,
+                           match="^queried outcome has zero projection on the label space$"):
+            kgo.adjusted_probability(direct, x, np.zeros(2), "important-only")
+        zero = replace(direct, operator=replace(direct.operator, u=np.zeros((2, 2))),
+                       x_label_projection=np.zeros((2, 2)))
+        for mode in ("important-only", "dof-adjusted", "svd-basis"):
+            with pytest.raises(NumericalError, match=f"^{mode} normalizer vanishes at this query$"):
+                kgo.adjusted_probability(zero, x, f, mode)
 
     def test_svd_basis_factors_computed_once(self, monkeypatch):
         rng = np.random.default_rng(3)

@@ -42,6 +42,7 @@ def dense_quantities(data):
     attribute = np.einsum("ij,ij->i", xo, xo)
     overlap = np.einsum("ij,ij->i", fo @ cross, xo)
     moments = (fo.T * (w / label)) @ fo
+    adjusted = np.einsum("ij,jk,ik->i", xo, projection, xo)
     return {
         "x_gram": (x.T * w) @ x,
         "f_gram": (f.T * w) @ f,
@@ -49,7 +50,11 @@ def dense_quantities(data):
         "label": label,
         "attribute": attribute,
         "overlap": overlap,
-        "adjusted": np.einsum("ij,jk,ik->i", xo, projection, xo),
+        "adjusted": adjusted,
+        "weights": {kgo.TensorKind.CHRISTOFFEL_PRODUCT: w / (attribute * label),
+                    kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED: w / (adjusted * label),
+                    kgo.TensorKind.F_CHRISTOFFEL: w / label,
+                    kgo.TensorKind.PLAIN_VALUE: w},
         "f_tot": float(np.trace(cross.T @ moments @ cross)),
         "f_jdg": float(np.sum(w * overlap ** 2 / (attribute * label))),
         "beta": ((f.T * w) @ xo) @ data.x_space.transform,
@@ -72,6 +77,8 @@ class TestPassesMatchDense:
         close(data.cross_gram(), dense["cross"])
         for name in ("label", "attribute", "overlap", "adjusted"):
             close(getattr(norms, name), dense[name])
+        for kind, weights in dense["weights"].items():
+            close(kgo.tensors._row_weights(data, kind), weights)
         assert f_tot == pytest.approx(dense["f_tot"], rel=1e-12)
         assert f_jdg == pytest.approx(dense["f_jdg"], rel=1e-12)
         close(lsq.beta, dense["beta"])

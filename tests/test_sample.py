@@ -213,6 +213,23 @@ class TestBasisPlan:
         np.testing.assert_array_equal(kgo.design_matrix(spec, rows), before)
         assert wider._plan is not spec._plan
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_scale_width_must_match_rows(self, width):
+        rows = np.random.default_rng(14).uniform(-1.0, 1.0, size=(30, 2))
+        spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 3), rows)
+        query = np.zeros((4, width))
+        with pytest.raises(DimensionError, match=f"covers 2 variables, rows have {width}"):
+            kgo.design_matrix(spec, query)
+        with pytest.raises(DimensionError, match="covers 2 variables"):
+            kgo.evaluate_basis(spec, query[0])
+
+    def test_scalar_scale_broadcasts(self):
+        rows = np.random.default_rng(15).uniform(-1.0, 1.0, size=(30, 3))
+        scalar = kgo.BasisSpec("chebyshev", 3, scale=(-1.0, 1.0))
+        per_source = kgo.BasisSpec("chebyshev", 3, scale=(np.full(3, -1.0), np.full(3, 1.0)))
+        np.testing.assert_array_equal(kgo.design_matrix(scalar, rows),
+                                      kgo.design_matrix(per_source, rows))
+
 
 class TestWeightedAverage:
     def test_total_weight(self, three_point_sample):

@@ -32,6 +32,12 @@ def three_point_tensor(three_point_data):
                                      three_point_data)
 
 
+def adjusted_least_squares(data, tensor):
+    """The svd-snapped least-squares channel, solved as lsq-adj."""
+    op, _ = kgo.solve(tensor, kgo.SolverConfig(algorithm="lsq-adj"), kgo.lsq_channel(data))
+    return op
+
+
 class TestSolvePartialConstraint:
     def test_diagonal_tensor(self):
         tensor = kgo.CoverageTensor(kgo.TensorKind.PLAIN_VALUE, 2, 2,
@@ -80,8 +86,7 @@ class TestSelectCandidate:
     def test_beats_adjusted_least_squares(self, three_point_data, three_point_tensor):
         _, channels = kgo.solve_partial_constraint(three_point_tensor)
         _, _, f_pool = kgo.select_candidate(channels, three_point_tensor, 4)
-        lsq = kgo.approximate_from_any(kgo.lsq_channel(three_point_data),
-                                       three_point_tensor)
+        lsq = adjusted_least_squares(three_point_data, three_point_tensor)
         assert f_pool >= lsq.f_value - 1e-12
 
 
@@ -123,6 +128,30 @@ class TestEnforcePartialUnitarity:
         svd_calls.clear()
         kgo.select_candidate(channels[:3], three_point_tensor, 3)
         assert len(svd_calls) == 3
+
+    def test_exact_subspace_unchanged(self, three_point_data):
+        channel = kgo.lsq_channel(three_point_data)
+        u = kgo.enforce_partial_unitarity(channel)
+        np.testing.assert_allclose(u, channel, atol=1e-10)
+
+    def test_square_wave_adjustment(self):
+        grid = np.linspace(-1.0, 1.0, 201)
+        f = np.where(grid >= 0.0, 1.0, -1.0)
+        sample = kgo.Sample(grid[:, None], f[:, None], np.full(201, 2.0 / 201))
+        data = kgo.prepare(sample, kgo.BasisSpec("monomial", 6),
+                           kgo.BasisSpec("monomial", 1))
+        channel = kgo.lsq_channel(data)
+        u = kgo.enforce_partial_unitarity(channel)
+        assert np.abs(u - channel).max() > 1e-3  # genuinely moved
+        assert kgo.constraint_residual(u) <= 1e-10
+
+    def test_scale_invariance(self):
+        rng = np.random.default_rng(6)
+        u = rng.normal(size=(2, 5))
+        base = kgo.enforce_partial_unitarity(u)
+        for c in (0.1, 7.0):
+            scaled = kgo.enforce_partial_unitarity(c * u)
+            np.testing.assert_allclose(scaled, base, atol=1e-12)
 
 
 class TestLagrangeMultipliers:
@@ -229,8 +258,7 @@ class TestIterateLinearConstraints:
                                                    three_point_tensor):
         cfg = kgo.SolverConfig(algorithm="linear-constraints", max_iterations=50)
         op, _ = kgo.solve(three_point_tensor, cfg)
-        lsq = kgo.approximate_from_any(kgo.lsq_channel(three_point_data),
-                                       three_point_tensor)
+        lsq = adjusted_least_squares(three_point_data, three_point_tensor)
         assert op.f_value >= lsq.f_value - 1e-9
 
 
@@ -296,9 +324,9 @@ class TestIteratePolarAscent:
             maxev, _ = kgo.solve(tensor, kgo.SolverConfig(algorithm="maxev-svd-adj"))
             op, _ = kgo.solve(tensor, kgo.SolverConfig())
             assert op.f_value >= maxev.f_value
-            lsq = kgo.lsq_channel(data)
-            snap = kgo.approximate_from_any(lsq, tensor)
-            op, _ = kgo.solve(tensor, kgo.SolverConfig(init_with_least_squares=True), lsq)
+            snap = adjusted_least_squares(data, tensor)
+            op, _ = kgo.solve(tensor, kgo.SolverConfig(init_with_least_squares=True),
+                              kgo.lsq_channel(data))
             assert op.f_value >= snap.f_value
 
     def test_rank_deficient_steps(self):
@@ -325,32 +353,6 @@ class TestIteratePolarAscent:
         assert trace.stop_reason == "stalled"
         assert len(trace) == 1
         np.testing.assert_allclose(op.u, u0, atol=1e-12)
-
-
-class TestApproximateFromAny:
-    def test_exact_subspace_unchanged(self, three_point_data):
-        channel = kgo.lsq_channel(three_point_data)
-        op = kgo.approximate_from_any(channel)
-        np.testing.assert_allclose(op.u, channel, atol=1e-10)
-
-    def test_square_wave_adjustment(self):
-        grid = np.linspace(-1.0, 1.0, 201)
-        f = np.where(grid >= 0.0, 1.0, -1.0)
-        sample = kgo.Sample(grid[:, None], f[:, None], np.full(201, 2.0 / 201))
-        data = kgo.prepare(sample, kgo.BasisSpec("monomial", 6),
-                           kgo.BasisSpec("monomial", 1))
-        channel = kgo.lsq_channel(data)
-        op = kgo.approximate_from_any(channel)
-        assert np.abs(op.u - channel).max() > 1e-3  # genuinely moved
-        assert op.residual <= 1e-10
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(6)
-        u = rng.normal(size=(2, 5))
-        base = kgo.approximate_from_any(u)
-        for c in (0.1, 7.0):
-            scaled = kgo.approximate_from_any(c * u)
-            np.testing.assert_allclose(scaled.u, base.u, atol=1e-12)
 
 
 class TestOperatorAdjust:

@@ -1,10 +1,11 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 import kgo
-from kgo.errors import DimensionError
+from kgo.errors import DimensionError, NumericalError
 from kgo.linalg import _ROW_BLOCK
 from kgo.tensors import subspace_embedding
 
@@ -216,11 +217,23 @@ class TestContributingSubspace:
             kgo.contributing_subspace(three_point_data, 0, "projective")
 
 
+def adjusted_christoffel(data, point):
+    """The adjusted Christoffel function 1 / (c^T P c) at a raw point with
+    orthonormal coordinates c and P the label-matched projection."""
+    coords = data.x_space.project(point)
+    return 1.0 / float(coords @ kgo.label_matched_projection(data) @ coords)
+
+
+def adjusted_matrix(data):
+    """The raw-coordinate matrix T^T P T of the adjusted Christoffel function."""
+    t = data.x_space.transform
+    return t.T @ kgo.label_matched_projection(data) @ t
+
+
 class TestAdjustedChristoffel:
     def test_full_space_equals_plain(self, three_point_data):
-        _, k_adj = kgo.adjusted_christoffel(three_point_data)
         for p in three_point_data.x_points:
-            assert k_adj(p) == pytest.approx(
+            assert adjusted_christoffel(three_point_data, p) == pytest.approx(
                 kgo.christoffel(three_point_data.x_space, p), rel=1e-12)
 
     def test_dominates_plain(self):
@@ -228,28 +241,61 @@ class TestAdjustedChristoffel:
         sample = kgo.Sample(grid[:, None], grid[:, None], np.ones(41))
         data = kgo.prepare(sample, kgo.BasisSpec("monomial", 2),
                            kgo.BasisSpec("monomial", 1))
-        _, k_adj = kgo.adjusted_christoffel(data)
         for p in data.x_points:
-            assert k_adj(p) >= kgo.christoffel(data.x_space, p) - 1e-12
+            assert adjusted_christoffel(data, p) >= kgo.christoffel(data.x_space, p) - 1e-12
 
     def test_sign_flip_invariance(self):
         grid = np.linspace(-1.0, 1.0, 21)
         sample = kgo.Sample(grid[:, None], grid[:, None], np.ones(21))
         data = kgo.prepare(sample, kgo.BasisSpec("monomial", 3),
                            kgo.BasisSpec("monomial", 1))
-        g_c, _ = kgo.adjusted_christoffel(data)
         flipped = kgo.prepare_points(data.x_points,
                                      data.f_points * np.array([1.0, -1.0]),
                                      data.weights, f_const=np.array([1.0, 0.0]))
-        g_c_flipped, _ = kgo.adjusted_christoffel(flipped)
-        np.testing.assert_allclose(g_c_flipped, g_c, atol=1e-12)
+        np.testing.assert_allclose(adjusted_matrix(flipped), adjusted_matrix(data), atol=1e-12)
 
     def test_never_zero_on_sample(self):
         rng = np.random.default_rng(17)
         data = make_random_instance(rng, max_obs=60)
-        _, k_adj = kgo.adjusted_christoffel(data)
         for p in data.x_points:
-            assert np.isfinite(k_adj(p)) and k_adj(p) > 0.0
+            k_adj = adjusted_christoffel(data, p)
+            assert np.isfinite(k_adj) and k_adj > 0.0
+
+
+class TestZeroGate:
+    """One gate over the row norms: a zero norm names its observation."""
+
+    def data(self, side):
+        rng = np.random.default_rng(21)
+        t = rng.uniform(-1.0, 1.0, 30)
+        x = np.column_stack([np.ones(30), t, t ** 2])
+        f = np.column_stack([np.ones(30), np.sin(2.0 * t)])
+        (x if side == "x" else f)[7] = 0.0
+        return kgo.prepare_points(x, f, np.ones(30))
+
+    def test_zero_label_row(self):
+        data = self.data("f")
+        calls = [partial(kgo.build_coverage_tensor, kind, data) for kind in (
+            kgo.TensorKind.CHRISTOFFEL_PRODUCT, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
+            kgo.TensorKind.F_CHRISTOFFEL)]
+        calls += [partial(kgo.ftot_upper_bound, data),
+                  partial(kgo.joint_distribution_coverage, data)]
+        for call in calls:
+            with pytest.raises(NumericalError, match="observation 7 has zero label projection"):
+                call()
+        kgo.build_coverage_tensor(kgo.TensorKind.PLAIN_VALUE, data)
+
+    def test_zero_attribute_row(self):
+        data = self.data("x")
+        for call in (partial(kgo.build_coverage_tensor, kgo.TensorKind.CHRISTOFFEL_PRODUCT, data),
+                     partial(kgo.joint_distribution_coverage, data)):
+            with pytest.raises(NumericalError, match="observation 7 has zero attribute projection"):
+                call()
+        with pytest.raises(NumericalError, match="observation 7 has zero adjusted normalizer"):
+            kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED, data)
+        for kind in (kgo.TensorKind.F_CHRISTOFFEL, kgo.TensorKind.PLAIN_VALUE):
+            kgo.build_coverage_tensor(kind, data)
+        assert np.isfinite(kgo.ftot_upper_bound(data))
 
 
 class TestSingularCoupling:
@@ -261,11 +307,11 @@ class TestSingularCoupling:
         f = np.column_stack([np.ones(4), [1.0, -1.0, -1.0, 1.0]])
         return kgo.prepare_points(x, f, np.ones(4))
 
-    def test_adjusted_christoffel_rejects(self):
+    def test_label_matched_projection_rejects(self):
         from kgo.errors import NumericalError
         data = self.make_orthogonal_label_data()
         with pytest.raises(NumericalError):
-            kgo.adjusted_christoffel(data)
+            kgo.label_matched_projection(data)
 
     def test_adjusted_tensor_rejects(self):
         from kgo.errors import NumericalError
@@ -479,6 +525,6 @@ class TestAdjustedNormalizer:
         assert factor.shape == cross.shape
         projection = kgo.label_matched_projection(data)
         np.testing.assert_allclose(factor.T @ factor, projection, atol=1e-13)
-        adj = kgo.tensors._adjusted_norms2(data)
+        adj = data.row_norms.adjusted
         by_projection = np.einsum("ij,jk,ik->i", data.x_orth, projection, data.x_orth)
         np.testing.assert_allclose(adj, by_projection, rtol=1e-12)
