@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
-from .hilbert import PreparedData, localized_state
+from .errors import DimensionError
+from .hilbert import PreparedData, SpaceBasis, _require_positive, _times, localized_state
 from .sample import _basis_columns
 from .tensors import TensorKind, _row_weights
 
@@ -29,7 +29,7 @@ class RadonNikodymModel:
     """Third moments <x_q x_s f_j> in orthonormal attribute coordinates."""
 
     third_moments: np.ndarray  # (m_labels, n_eff, n_eff), each slice symmetric
-    transform: np.ndarray      # attribute whitening transform, kept for evaluation
+    space: SpaceBasis          # attribute space, kept for evaluation
 
 
 def fit_least_squares(data: PreparedData) -> LeastSquaresMap:
@@ -42,8 +42,9 @@ def fit_least_squares(data: PreparedData) -> LeastSquaresMap:
     return LeastSquaresMap(beta=data.cross_moments[1] @ data.x_space.transform)
 
 
-def eval_least_squares(lsq: LeastSquaresMap, x_point) -> np.ndarray:
-    return lsq.beta @ np.asarray(x_point, dtype=float).reshape(-1)
+def eval_least_squares(lsq: LeastSquaresMap, x_points) -> np.ndarray:
+    """Label features predicted for attribute feature vectors along the last axis."""
+    return _times(np.asarray(x_points, dtype=float), lsq.beta)
 
 
 def lsq_channel(data: PreparedData) -> np.ndarray:
@@ -77,16 +78,16 @@ def fit_radon_nikodym(data: PreparedData, labels=None) -> RadonNikodymModel:
     for rows, x in data.blocks("x"):
         weights = data.weights[rows] * _basis_columns(spec, label_rows[rows])  # (labels, block rows)
         moments = moments + (x * weights[:, None]) @ x.T  # one (x w_j) x^T per label
-    return RadonNikodymModel(third_moments=moments, transform=data.x_space.transform)
+    return RadonNikodymModel(third_moments=moments, space=data.x_space)
 
 
-def eval_radon_nikodym(model: RadonNikodymModel, x_point) -> np.ndarray:
-    """Localized weighted average of every label: a ratio of quadratic forms."""
-    coords = model.transform @ np.asarray(x_point, dtype=float).reshape(-1)
-    denom = float(coords @ coords)
-    if denom <= 0.0:
-        raise NumericalError("point has zero projection on the measure's span")
-    return np.einsum("i,jik,k->j", coords, model.third_moments, coords) / denom
+def eval_radon_nikodym(model: RadonNikodymModel, x_points) -> np.ndarray:
+    """Localized weighted average of every label, at attribute feature vectors
+    along the last axis: a ratio of quadratic forms."""
+    coords = model.space.project(x_points)
+    denom = np.vecdot(coords, coords)
+    _require_positive(denom, "point", "has zero projection on the measure's span")
+    return np.einsum("...i,jik,...k->...j", coords, model.third_moments, coords) / denom[..., None]
 
 
 def joint_distribution_coverage(data: PreparedData) -> float:

@@ -67,12 +67,10 @@ def _comparison_table(grid, weights, f_true, x_order: int, f_order: int,
     fitted, _ = model_mod.fit_prepared(data, kind, config)
     header = ["x", "exact", "least_squares", "radon_nikodym",
               "kgo_value", "kgo_p_at_truth", "pole"]
-    baseline = np.array([(baselines.eval_least_squares(lsq, point)[1],
-                          baselines.eval_radon_nikodym(rn, point)[0])
-                         for point in data.x_points])
     pred = model_mod.predict(fitted, data.x_points, data.f_points)
-    rows = np.column_stack([grid, f_true, baseline, pred["value"][:, 1],
-                            pred["probability"], pred["pole"]])
+    rows = np.column_stack([grid, f_true, baselines.eval_least_squares(lsq, data.x_points)[:, 1],
+                            baselines.eval_radon_nikodym(rn, data.x_points)[:, 0],
+                            pred["value"][:, 1], pred["probability"], pred["pole"]])
     return header, rows
 
 
@@ -120,6 +118,8 @@ def read_pgm(path) -> np.ndarray:
         values = np.array([float(t) for t in tokens[4:]], dtype=float)
     except (IndexError, ValueError) as exc:
         raise DataError(f"malformed graymap: {exc}") from exc
+    if min(width, height) < 1:
+        raise DataError(f"graymap width and height must be positive, got {width} x {height}")
     if maxval <= 0 or values.shape[0] != width * height:
         raise DataError("graymap header does not match pixel data")
     return values.reshape(height, width) / maxval
@@ -181,10 +181,8 @@ def image_table(image: np.ndarray, n_x: int = 5, n_y: int = 5, m: int = 3,
     rn = baselines.fit_radon_nikodym(data, labels=gray[:, None])
     header = ["x", "y", "exact", "least_squares", "radon_nikodym",
               "kgo_value", "kgo_p_at_truth", "pole"]
-    baseline = np.array([(baselines.eval_least_squares(lsq, point)[1],
-                          baselines.eval_radon_nikodym(rn, point)[0])
-                         for point in x_design])
     pred = model_mod.predict(fitted, x_design, f_design)
-    rows = np.column_stack([xx, yy, gray, baseline, pred["value"][:, 1],
-                            pred["probability"], pred["pole"]])
+    rows = np.column_stack([xx, yy, gray, baselines.eval_least_squares(lsq, x_design)[:, 1],
+                            baselines.eval_radon_nikodym(rn, x_design)[:, 0],
+                            pred["value"][:, 1], pred["probability"], pred["pole"]])
     return header, rows

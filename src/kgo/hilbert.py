@@ -1,5 +1,5 @@
 """Hilbert spaces over the sample measure: Gram matrices, whitening,
-Christoffel functions, and localized states.
+Christoffel functions, localized states, and the query kernel.
 
 A SpaceBasis wraps one side (attributes or labels): the raw Gram matrix and
 the whitening transform T whose rows are eigenvectors scaled by 1/sqrt(eig),
@@ -47,6 +47,27 @@ DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
 
 
+# The query kernel. Every function below works on the last axis, so one
+# feature vector (1-D) and a batch of feature rows (2-D) take the same code.
+
+def _times(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """matrix @ v for every vector v along the last axis.
+
+    Each vector is multiplied as its own 1 x k matrix, so a batch row gets
+    exactly the floating-point result of the same vector alone.
+    """
+    return (vectors[..., None, :] @ matrix.T)[..., 0, :]
+
+
+def _require_positive(values: np.ndarray, subject: str, message: str):
+    """Raise NumericalError unless every value is positive; a batch names the row."""
+    bad = values <= 0.0
+    if np.count_nonzero(bad):
+        if bad.ndim:
+            subject += f" of row {int(np.flatnonzero(bad)[0])}"
+        raise NumericalError(f"{subject} {message}")
+
+
 @dataclass(frozen=True)
 class SpaceBasis:
     """One side's Hilbert space: raw Gram, whitening transform, constant."""
@@ -58,14 +79,13 @@ class SpaceBasis:
     const_raw: np.ndarray    # raw coefficient vector of the constant function
     const_coords: np.ndarray  # transform @ gram_raw @ const_raw
 
-    def project(self, point) -> np.ndarray:
-        """Orthonormal coordinates of a raw feature vector."""
-        point = np.asarray(point, dtype=float).reshape(-1)
-        if point.shape[0] != self.raw_dim:
+    def project(self, points) -> np.ndarray:
+        """Orthonormal coordinates of raw feature vectors along the last axis."""
+        points = np.asarray(points, dtype=float)
+        if points.shape[-1] != self.raw_dim:
             raise DimensionError(
-                f"point dimension {point.shape[0]} != raw dimension {self.raw_dim}"
-            )
-        return self.transform @ point
+                f"point dimension {points.shape[-1]} != raw dimension {self.raw_dim}")
+        return _times(points, self.transform)
 
 
 @dataclass(frozen=True)
@@ -170,6 +190,7 @@ def space_from_sample(sample: Sample, side: str, spec: BasisSpec,
 
 
 def _checked_projection(space: SpaceBasis, point) -> np.ndarray:
+    point = np.asarray(point, dtype=float).reshape(-1)
     coords = space.project(point)
     norm2 = float(coords @ coords)
     point_scale = float(np.dot(point, point))
@@ -196,20 +217,17 @@ def localized_state(space: SpaceBasis, point) -> LocalizedState:
 
 def state_values(state: LocalizedState, points) -> np.ndarray:
     """Evaluate the state as a function on raw feature rows."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return (state.space.transform @ points.T).T @ state.coords
+    return state.space.project(np.atleast_2d(points)) @ state.coords
 
 
 def coverage_of_state(points, weights, space: SpaceBasis, state: LocalizedState) -> float:
     """Estimated number of observations covered by the state: <K psi^2>."""
     if state.space is not space and state.coords.shape[0] != space.eff_dim:
         raise DimensionError("state does not belong to the given space")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.asarray(weights, dtype=float).reshape(-1)
-    coords = (space.transform @ points.T).T
-    norms2 = np.einsum("ij,ij->i", coords, coords)
-    if np.any(norms2 <= 0.0):
-        raise NumericalError("sample point with zero projection")
+    coords = space.project(np.atleast_2d(points))
+    norms2 = np.vecdot(coords, coords)
+    _require_positive(norms2, "sample point", "has zero projection")
     psi = coords @ state.coords
     return float(np.sum(weights * psi * psi / norms2))
 

@@ -59,12 +59,10 @@ def row_blocks(n_rows: int):
 
 
 def _fix_column_signs(vectors):
-    v = np.array(vectors, copy=True)
-    for i in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, i])))
-        if v[k, i] < 0.0:
-            v[:, i] = -v[:, i]
-    return v
+    if not vectors.size:
+        return vectors.copy()
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return np.where(lead < 0.0, -vectors, vectors)
 
 
 def sym_eig(a) -> SymEigResult:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .baselines import joint_distribution_coverage, lsq_channel
 from .errors import DataError, DimensionError, NumericalError
-from .hilbert import (DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis,
-                      label_matched_projection, prepare)
+from .hilbert import (DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis, _require_positive,
+                      _times, label_matched_projection, prepare)
 from .sample import BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .sample import CHEBYSHEV
 from .solver import PartiallyUnitaryOp, SolverConfig, solve, stationarity_residual
@@ -92,8 +92,11 @@ def fit(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
 
     Returns (model, trace). `d` selects a contributing subspace of that
     dimension (christoffel-product kind only); by default the channel maps
-    onto the full label space.
+    onto the full label space. Zero-weight rows are dropped first.
     """
+    if not sample.weights.all():
+        keep = sample.weights > 0.0
+        sample = Sample(sample.x_rows[keep], sample.f_rows[keep], sample.weights[keep])
     if x_spec.kind == CHEBYSHEV and x_spec.scale is None:
         x_spec = with_scale(x_spec, sample.x_rows)
     if f_spec.kind == CHEBYSHEV and f_spec.scale is None:
@@ -187,38 +190,12 @@ def _design_rows(spec: Optional[BasisSpec], rows) -> np.ndarray:
     return np.atleast_2d(np.asarray(rows, dtype=float))
 
 
-# The query kernel. Every function below works on the last axis, so one
-# feature vector (1-D) and a batch of feature rows (2-D) take the same code.
-
-def _times(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """matrix @ v for every vector v along the last axis.
-
-    Each vector is multiplied as its own 1 x k matrix, so a batch row gets
-    exactly the floating-point result of the same vector alone.
-    """
-    return (vectors[..., None, :] @ matrix.T)[..., 0, :]
-
-
-def _coords(space: SpaceBasis, feats: np.ndarray) -> np.ndarray:
-    """Orthonormal coordinates of raw feature vectors."""
-    if feats.shape[-1] != space.raw_dim:
-        raise DimensionError(
-            f"point dimension {feats.shape[-1]} != raw dimension {space.raw_dim}")
-    return _times(feats, space.transform)
-
-
-def _require_positive(values: np.ndarray, subject: str, message: str):
-    """Raise NumericalError unless every value is positive; a batch names the row."""
-    bad = values <= 0.0
-    if np.count_nonzero(bad):
-        if bad.ndim:
-            subject += f" of row {int(np.flatnonzero(bad)[0])}"
-        raise NumericalError(f"{subject} {message}")
-
+# The queries below work on the last axis through the `hilbert` query kernel,
+# so one feature vector (1-D) and a batch of feature rows (2-D) take the same code.
 
 def _transported(model: KgoModel, x_feats: np.ndarray) -> np.ndarray:
     """Label-space coefficients of the transported, normalized attribute state."""
-    coords = _coords(model.x_space, x_feats)
+    coords = model.x_space.project(x_feats)
     norm = np.sqrt(np.vecdot(coords, coords))
     _require_positive(norm, "query point", "has zero projection on the attribute space")
     return _times(coords / norm[..., None], model.channel)
@@ -249,7 +226,7 @@ def _const_normalized(f_max_p: np.ndarray, const: np.ndarray) -> np.ndarray:
 
 def _overlap(model: KgoModel, alpha: np.ndarray, f_feats: np.ndarray) -> np.ndarray:
     """P(f | x) from the transported state and the outcome's feature vector."""
-    f_coords = _coords(model.f_space, f_feats)
+    f_coords = model.f_space.project(f_feats)
     denom = np.vecdot(f_coords, f_coords)
     _require_positive(denom, "queried outcome", "has zero projection on the label space")
     overlap = np.vecdot(alpha, f_coords)
@@ -333,7 +310,6 @@ def scalar_value_roots(model: KgoModel, x_raw) -> float:
                                                and len(model.f_spec.source) != 1):
             raise DimensionError("root search needs a scalar power-basis label")
     alpha = _transported(model, _design(model.x_spec, x_raw))
-    m_raw = model.f_space.raw_dim
     # numerator coefficients: alpha . T f(s) is a polynomial in the scalar s
     num = np.polynomial.Polynomial(model.f_space.transform.T @ alpha)
     den_rows = [np.polynomial.Polynomial(model.f_space.transform[i])
@@ -343,14 +319,11 @@ def scalar_value_roots(model: KgoModel, x_raw) -> float:
     candidates = [r.real for r in stationary.roots() if abs(r.imag) < 1e-9]
     if not candidates:
         raise NumericalError("no real stationary point for the root search")
-
-    def prob(s: float) -> float:
-        feats = np.array([s ** k for k in range(m_raw)])
-        coords = model.f_space.transform @ feats
-        d = float(coords @ coords)
-        return float(np.dot(alpha, coords) ** 2 / d) if d > 0.0 else -np.inf
-
-    return max(candidates, key=prob)
+    coords = model.f_space.project(np.vander(candidates, model.f_space.raw_dim, increasing=True))
+    norm2 = np.vecdot(coords, coords)
+    prob = np.divide(np.vecdot(coords, alpha) ** 2, norm2, out=np.full_like(norm2, -np.inf),
+                     where=norm2 > 0.0)
+    return candidates[int(np.argmax(prob))]
 
 
 def adjusted_probability(model: KgoModel, x_raw, f_raw, mode: str) -> float:
@@ -361,8 +334,8 @@ def adjusted_probability(model: KgoModel, x_raw, f_raw, mode: str) -> float:
     svd-basis       by the singular-value-weighted norm in the channel's
                     singular bases (evaluation only).
     """
-    x_coords = _coords(model.x_space, _design(model.x_spec, x_raw))
-    f_coords = _coords(model.f_space, _design(model.f_spec, f_raw))
+    x_coords = model.x_space.project(_design(model.x_spec, x_raw))
+    f_coords = model.f_space.project(_design(model.f_spec, f_raw))
     f_norm2 = f_coords @ f_coords
     _require_positive(f_norm2, "queried outcome", "has zero projection on the label space")
     channel = model.channel

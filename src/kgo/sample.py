@@ -371,8 +371,8 @@ def _product_moments(moments: np.ndarray, spec: BasisSpec, rows: np.ndarray,
 def with_scale(spec: BasisSpec, rows) -> BasisSpec:
     """Return the spec with Chebyshev argument scaling fit to sample rows."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    sel = spec._plan.select(rows)
-    return replace(spec, scale=(sel.min(axis=0), sel.max(axis=0)))
+    columns = np.ascontiguousarray(spec._plan.select(rows).T)  # reduce along contiguous memory
+    return replace(spec, scale=(columns.min(axis=1), columns.max(axis=1)))
 
 
 def design_matrix(spec: BasisSpec, rows) -> np.ndarray:

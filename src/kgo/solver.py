@@ -70,8 +70,8 @@ class SolverConfig:
         object.__setattr__(self, "algorithm", normalize_algorithm(self.algorithm))
         if self.max_iterations < 1:
             raise DimensionError("max_iterations must be positive")
-        if self.rel_tol <= 0.0:
-            raise DimensionError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < np.inf:  # also refuses NaN
+            raise DimensionError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         if self.candidate_pool < 1:
             raise DimensionError("candidate_pool must be positive")
 

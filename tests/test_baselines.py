@@ -7,6 +7,19 @@ from kgo.errors import NumericalError
 from conftest import grid_sample
 
 
+def square_wave_data():
+    sample, _ = grid_sample(201, labels=lambda g: np.where(g >= 0, 1.0, -1.0))
+    return kgo.prepare(sample, kgo.BasisSpec("monomial", 6), kgo.BasisSpec("monomial", 1))
+
+
+def assert_rows_match(evaluate, model, points):
+    """A batch gives, row by row, the bits of the one-point calls."""
+    batch = evaluate(model, points)
+    assert batch.shape[0] == points.shape[0]
+    for point, row in zip(points, batch):
+        assert evaluate(model, point).tobytes() == row.tobytes()
+
+
 class TestLeastSquares:
     def test_identity_selection(self, three_point_data):
         lsq = kgo.fit_least_squares(three_point_data)
@@ -35,6 +48,10 @@ class TestLeastSquares:
         zero = kgo.LeastSquaresMap(beta=np.zeros((2, 2)))
         np.testing.assert_array_equal(kgo.eval_least_squares(zero, [1.0, 5.0]),
                                       [0.0, 0.0])
+
+    def test_batch_matches_rows(self):
+        data = square_wave_data()
+        assert_rows_match(kgo.eval_least_squares, kgo.fit_least_squares(data), data.x_points)
 
     def test_exact_subspace_reproduction(self):
         rng = np.random.default_rng(0)
@@ -69,11 +86,9 @@ class TestRadonNikodym:
             assert kgo.eval_radon_nikodym(rn, point)[0] == pytest.approx(4.5)
 
     def test_square_wave_bounds(self):
-        sample, grid = grid_sample(201, labels=lambda g: np.where(g >= 0, 1.0, -1.0))
-        spec = kgo.BasisSpec("monomial", 6)
-        data = kgo.prepare(sample, spec, kgo.BasisSpec("monomial", 1))
-        rn = kgo.fit_radon_nikodym(data, labels=sample.f_rows)
-        vals = np.array([kgo.eval_radon_nikodym(rn, p)[0] for p in data.x_points])
+        data = square_wave_data()
+        rn = kgo.fit_radon_nikodym(data, labels=data.f_rows)
+        vals = kgo.eval_radon_nikodym(rn, data.x_points)[:, 0]
         assert vals.min() >= -1.0 - 1e-9
         assert vals.max() <= 1.0 + 1e-9
 
@@ -88,8 +103,20 @@ class TestRadonNikodym:
 
     def test_zero_projection(self, three_point_data):
         rn = kgo.fit_radon_nikodym(three_point_data)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError) as err:
             kgo.eval_radon_nikodym(rn, [0.0, 0.0])
+        assert str(err.value) == "point has zero projection on the measure's span"
+
+    def test_zero_projection_names_row(self, three_point_data):
+        rn = kgo.fit_radon_nikodym(three_point_data)
+        with pytest.raises(NumericalError) as err:
+            kgo.eval_radon_nikodym(rn, [[1.0, 0.5], [0.0, 0.0]])
+        assert str(err.value) == "point of row 1 has zero projection on the measure's span"
+
+    def test_batch_matches_rows(self):
+        data = square_wave_data()
+        rn = kgo.fit_radon_nikodym(data, labels=data.f_rows)
+        assert_rows_match(kgo.eval_radon_nikodym, rn, data.x_points)
 
 
 class TestJointDistributionCoverage:

@@ -32,6 +32,27 @@ def run_fit(exact_csv, tmp_path, *extra):
 
 
 class TestFit:
+    @pytest.mark.parametrize("t", [0.5, 1e4, -1e200])
+    def test_zero_weight_row_changes_nothing(self, tmp_path, t):
+        grid = np.linspace(-1.0, 1.0, 41).tolist()
+        rows = [f"{x!r},{x * x!r},1.0\n" for x in grid]
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        plain.write_text("".join(rows))
+        padded.write_text("".join(rows[:20] + [f"{t!r},{t!r},0.0\n"] + rows[20:]))
+        models = []
+        for path in (plain, padded):
+            prefix = str(tmp_path / path.stem) + "_"
+            assert main(["fit", "--data", str(path), "--cols", "x=0;f=1;w=2",
+                         "--x-basis", "chebyshev:6", "--f-basis", "chebyshev:2",
+                         "--lsq-init", "--out-prefix", prefix]) == 0
+            models.append((tmp_path / (path.stem + "_model.json")).read_bytes())
+        assert models[0] == models[1]
+
+    def test_rel_tol_nan_exit_two(self, exact_csv, tmp_path, capsys):
+        code, _ = run_fit(exact_csv, tmp_path, "--rel-tol", "nan")
+        assert code == 2
+        assert "rel_tol must be finite and positive" in capsys.readouterr().err
+
     def test_exact_channel_coverage(self, exact_csv, tmp_path):
         code, prefix = run_fit(exact_csv, tmp_path,
                                "--algorithm", "linear-constraints", "--lsq-init")
@@ -317,6 +338,24 @@ class TestPgm:
         path.write_text("P5\n2 2\n255\nxxxx\n")
         with pytest.raises(DataError):
             read_pgm(str(path))
+
+    @pytest.mark.parametrize("size, pixels", [("-2 -3", "1 2 3 4 5 6"), ("-6 -1", "1 2 3 4 5 6"),
+                                              ("0 0", "")])
+    def test_rejects_non_positive_size(self, tmp_path, size, pixels):
+        # Each header's width times height equals the pixel count.
+        from kgo.demo import read_pgm
+        from kgo.errors import DataError
+        path = tmp_path / "n.pgm"
+        path.write_text(f"P2\n{size}\n255\n{pixels}\n")
+        with pytest.raises(DataError, match="width and height must be positive"):
+            read_pgm(str(path))
+
+    def test_demo_negative_size_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "n.pgm"
+        path.write_text("P2\n-2 -3\n255\n1 2 3 4 5 6\n")
+        code = main(["demo", "image", "--image", str(path), "--out-prefix", str(tmp_path / "i_")])
+        assert code == 3
+        assert "width and height must be positive" in capsys.readouterr().err
 
     def test_rejects_truncated_pixels(self, tmp_path):
         from kgo.demo import read_pgm

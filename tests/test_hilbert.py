@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kgo
-from kgo.errors import NumericalError
+from kgo.errors import DimensionError, NumericalError
 from kgo.linalg import _ROW_BLOCK
 
 from conftest import grid_sample
@@ -116,6 +116,13 @@ class TestLocalizedState:
         b = kgo.localized_state(three_point_data.x_space, [1.0, 0.0])
         assert float(np.dot(a.coords, b.coords)) ** 2 == pytest.approx(0.4)
 
+    def test_one_row_point(self, three_point_data):
+        space = three_point_data.x_space
+        row = np.array([[1.0, 0.5]])
+        assert kgo.christoffel(space, row) == kgo.christoffel(space, row[0])
+        assert (kgo.localized_state(space, row).coords.tobytes()
+                == kgo.localized_state(space, row[0]).coords.tobytes())
+
 
 class TestCoverageOfState:
     def test_constant_state(self, three_point_data, three_point_sample):
@@ -142,8 +149,28 @@ class TestCoverageOfState:
                                        three_point_data.x_space, state)
         assert scaled == pytest.approx(3.0 * base)
 
+    def test_zero_projection_names_row(self, three_point_data, three_point_sample):
+        state = kgo.localized_state(three_point_data.x_space, [1.0, 0.5])
+        points = three_point_data.x_points.copy()
+        points[2] = 0.0
+        with pytest.raises(NumericalError, match="sample point of row 2 has zero projection"):
+            kgo.coverage_of_state(points, three_point_sample.weights,
+                                  three_point_data.x_space, state)
+
 
 class TestSpaceIdentities:
+    def test_project_batch_matches_rows(self):
+        rng = np.random.default_rng(11)
+        space = kgo.build_space(rng.normal(size=(40, 5)), np.ones(40))
+        batch = rng.normal(size=(7, 5))
+        projected = space.project(batch)
+        assert projected.shape == (7, space.eff_dim)
+        for row, coords in zip(batch, projected):
+            assert space.project(row).tobytes() == coords.tobytes()
+        assert space.project(batch.reshape(7, 1, 5)).tobytes() == projected.tobytes()
+        with pytest.raises(DimensionError, match="point dimension 4 != raw dimension 5"):
+            space.project(batch[:, :4])
+
     def test_orthonormal_trace(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(60, 6))

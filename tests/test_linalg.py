@@ -3,6 +3,7 @@ import pytest
 
 import kgo
 from kgo.errors import NumericalError
+from kgo.linalg import _fix_column_signs
 
 
 class TestSymEig:
@@ -123,6 +124,22 @@ class TestSpdInverseSqrt:
 
 
 class TestDeterminism:
+    def test_sign_flip_matches_column_loop(self):
+        # Zeros and tied magnitudes: the first largest-magnitude entry decides.
+        rng = np.random.default_rng(9)
+        for trial in range(50):
+            v = rng.integers(-2, 3, size=(int(rng.integers(1, 7)), int(rng.integers(0, 7))))
+            v = v.astype(float) if trial % 2 else v * rng.normal(size=v.shape)
+            expect = v.copy()
+            for i in range(v.shape[1]):
+                if v[np.argmax(np.abs(v[:, i])), i] < 0.0:
+                    expect[:, i] = -v[:, i]
+            assert _fix_column_signs(v).tobytes() == expect.tobytes()
+
+    def test_empty_matrix(self):
+        eig = kgo.sym_eig(np.zeros((0, 0)))
+        assert eig.eigenvalues.shape == (0,) and eig.eigenvectors.shape == (0, 0)
+
     def test_sign_convention_stable(self):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(8, 8))

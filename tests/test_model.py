@@ -392,6 +392,23 @@ class TestFitPipeline:
         assert model.report["f"] == pytest.approx(1.0)
         assert kgo.probability(model, [0.5], [0.5]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("t", [0.5, 1e4, -1e4, 1e200, -1e200])
+    def test_zero_weight_row_changes_nothing(self, t):
+        # The row sits before a row-block boundary, outside the data range
+        # for |t| > 1, and makes the label side overflow at 1e200.
+        rng = np.random.default_rng(12)
+        size = kgo.linalg._ROW_BLOCK + 100
+        x = rng.uniform(-1.0, 1.0, size=(size, 2))
+        f = np.sin(np.pi * x[:, :1]) + 0.1 * rng.normal(size=(size, 1))
+        w = rng.uniform(0.5, 1.5, size=size)
+        specs = kgo.BasisSpec("chebyshev", 4), kgo.BasisSpec("chebyshev", 2)
+        cfg = kgo.SolverConfig(max_iterations=20, init_with_least_squares=True)
+        model, _ = kgo.fit(kgo.Sample(x, f, w), *specs, config=cfg)
+        with_row = kgo.Sample(np.insert(x, 1000, [t, -t], axis=0),
+                              np.insert(f, 1000, [t], axis=0), np.insert(w, 1000, 0.0))
+        padded, _ = kgo.fit(with_row, *specs, config=cfg)
+        assert kgo.serialize_model(padded) == kgo.serialize_model(model)
+
     def test_report_fields(self, identity_model):
         for key in ("f", "f_tot", "f_jdg", "residual", "algorithm", "iterations",
                     "stationarity", "stop_reason"):

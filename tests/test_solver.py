@@ -498,6 +498,12 @@ class TestSolveDispatcher:
 
 
 class TestDispatcherErrors:
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
+        from kgo.errors import DimensionError
+        with pytest.raises(DimensionError, match="rel_tol must be finite and positive"):
+            kgo.SolverConfig(rel_tol=rel_tol)
+
     def test_lsq_adj_requires_channel(self, three_point_tensor):
         from kgo.errors import DimensionError
         with pytest.raises(DimensionError):
