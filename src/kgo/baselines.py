@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .hilbert import PreparedData, SpaceBasis, _require_positive, _times, localized_state
+from .hilbert import (PreparedData, SpaceBasis, _points, _require_positive, _times,
+                      localized_state)
 from .sample import _basis_columns
 from .tensors import TensorKind, _row_weights
 
@@ -44,7 +45,7 @@ def fit_least_squares(data: PreparedData) -> LeastSquaresMap:
 
 def eval_least_squares(lsq: LeastSquaresMap, x_points) -> np.ndarray:
     """Label features predicted for attribute feature vectors along the last axis."""
-    return _times(np.asarray(x_points, dtype=float), lsq.beta)
+    return _times(_points(x_points, lsq.beta.shape[1]), lsq.beta)
 
 
 def lsq_channel(data: PreparedData) -> np.ndarray:

@@ -59,13 +59,22 @@ def _times(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (vectors[..., None, :] @ matrix.T)[..., 0, :]
 
 
+def _points(points, raw_dim: int) -> np.ndarray:
+    """Float feature vectors along the last axis; DimensionError unless they have raw_dim entries."""
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1] != raw_dim:
+        raise DimensionError(f"point dimension {points.shape[-1]} != raw dimension {raw_dim}")
+    return points
+
+
 def _require_positive(values: np.ndarray, subject: str, message: str):
     """Raise NumericalError unless every value is positive; a batch names the row."""
     bad = values <= 0.0
-    if np.count_nonzero(bad):
-        if bad.ndim:
-            subject += f" of row {int(np.flatnonzero(bad)[0])}"
-        raise NumericalError(f"{subject} {message}")
+    if not bad.ndim:  # a single value is tested directly, without counting
+        if bad:
+            raise NumericalError(f"{subject} {message}")
+    elif np.count_nonzero(bad):
+        raise NumericalError(f"{subject} of row {int(np.flatnonzero(bad)[0])} {message}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +90,7 @@ class SpaceBasis:
 
     def project(self, points) -> np.ndarray:
         """Orthonormal coordinates of raw feature vectors along the last axis."""
-        points = np.asarray(points, dtype=float)
-        if points.shape[-1] != self.raw_dim:
-            raise DimensionError(
-                f"point dimension {points.shape[-1]} != raw dimension {self.raw_dim}")
-        return _times(points, self.transform)
+        return _times(_points(points, self.raw_dim), self.transform)
 
 
 @dataclass(frozen=True)

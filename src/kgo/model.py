@@ -180,14 +180,24 @@ def _design(spec: Optional[BasisSpec], raw) -> np.ndarray:
     """Feature vector of one raw row; a spec-less model takes features as given."""
     if spec is not None:
         return evaluate_basis(spec, raw)
-    return np.asarray(raw, dtype=float).reshape(-1)
+    return _finite_features(np.asarray(raw, dtype=float).reshape(-1))
 
 
 def _design_rows(spec: Optional[BasisSpec], rows) -> np.ndarray:
     """Feature rows of a batch of raw rows, in one basis evaluation."""
     if spec is not None:
         return design_matrix(spec, rows)
-    return np.atleast_2d(np.asarray(rows, dtype=float))
+    return _finite_features(np.atleast_2d(np.asarray(rows, dtype=float)))
+
+
+def _finite_features(feats: np.ndarray) -> np.ndarray:
+    """Given feature vectors along the last axis, refused when non-finite as a
+    basis evaluation refuses them; a batch names the first such row."""
+    finite = np.isfinite(feats).all(axis=-1)
+    if not finite.all():
+        row = f" in row {int(np.flatnonzero(~finite)[0])}" if finite.ndim else ""
+        raise NumericalError(f"non-finite feature values{row}")
+    return feats
 
 
 # The queries below work on the last axis through the `hilbert` query kernel,
@@ -221,7 +231,9 @@ def _certainty(model: KgoModel, alpha: np.ndarray) -> np.ndarray:
 def _const_normalized(f_max_p: np.ndarray, const: np.ndarray) -> np.ndarray:
     """Outcome vectors divided by their constant component; inf where it is zero."""
     const = const[..., None]
-    return np.divide(f_max_p, const, out=np.full_like(f_max_p, np.inf), where=const != 0.0)
+    out = np.empty_like(f_max_p)
+    out.fill(np.inf)
+    return np.divide(f_max_p, const, out=out, where=const != 0.0)
 
 
 def _overlap(model: KgoModel, alpha: np.ndarray, f_feats: np.ndarray) -> np.ndarray:

@@ -6,9 +6,13 @@ Attribute / label rows are expanded into polynomial feature vectors by a
 BasisSpec before any Hilbert-space machinery sees them.
 
 Every pass over the rows evaluates a block's basis columns here
-(`_basis_columns`). This module also owns the doubled-order moment table
-that Chebyshev Gram matrices and coverage tensors are read off; no other
-module knows its layout.
+(`_basis_columns`), and so does `evaluate_basis` for a single query row.
+What evaluation needs besides the rows is resolved once per spec, in its
+`_BasisPlan`: the source columns, the Chebyshev argument map's operands,
+and per input width the basis dimension and the exponent gathers. A query
+row then pays only for its own arithmetic. This module also owns the
+doubled-order moment table that Chebyshev Gram matrices and coverage
+tensors are read off; no other module knows its layout.
 """
 
 from __future__ import annotations
@@ -106,48 +110,77 @@ class BasisSpec:
 
 
 class _BasisPlan:
-    """What evaluating a spec needs besides the query rows.
+    """What evaluating a spec needs besides the query rows, resolved once per spec.
 
-    Holds the source columns as an index array and, for a scaled Chebyshev
-    spec, the pieces of the argument map t = (2 x - (lo + hi)) / (hi - lo):
-    `lo + hi`, the span with zero spans replaced by one, and whether every
-    span is positive (zero-span variables map to t = 0).
+    Holds the source columns as an index array with their largest index and,
+    for a scaled Chebyshev spec, the operands of the argument map
+    t = (2 x - (lo + hi)) / (hi - lo), shaped (n_vars, 1) for the
+    (n_vars, rows) factor table: `lo + hi`, the span with zero spans replaced
+    by one, and the zero-span variables, which map to t = 0. Per input width,
+    `layout` resolves the basis dimension (checked against the cap) and the
+    exponent gathers of the basis columns on first use.
     """
 
-    __slots__ = ("source", "lo_plus_hi", "safe_span", "live", "all_live")
+    __slots__ = ("order", "mode", "source", "source_max", "scale_width",
+                 "lo_plus_hi", "safe_span", "dead", "widths")
 
     def __init__(self, spec: BasisSpec):
+        self.order, self.mode = spec.product_order, spec.mode
         self.source = None if spec.source is None else np.array(spec.source, dtype=np.intp)
-        self.lo_plus_hi = self.safe_span = self.live = None
-        self.all_live = True
+        self.source_max = None if spec.source is None else max(spec.source)
+        self.scale_width = self.lo_plus_hi = self.safe_span = self.dead = None
+        self.widths = {}
         if spec.kind == CHEBYSHEV and spec.scale is not None:
             lo = np.asarray(spec.scale[0], dtype=float)
             hi = np.asarray(spec.scale[1], dtype=float)
-            span = hi - lo
-            self.live = span > 0.0
-            self.all_live = bool(np.all(self.live))
-            self.safe_span = np.where(self.live, span, 1.0)
-            self.lo_plus_hi = lo + hi
+            self.lo_plus_hi, span = lo + hi, hi - lo
+            if span.ndim:
+                self.scale_width = span.shape[0]
+                self.lo_plus_hi, span = self.lo_plus_hi[:, None], span[:, None]
+            live = span > 0.0
+            if not np.all(live):
+                self.dead = ~live
+            self.safe_span = np.where(live, span, 1.0)
+
+    def layout(self, width: int) -> tuple:
+        """(basis dimension, exponent gathers) on rows of this width.
+
+        DimensionError above the cap, before the gathers are built.
+        """
+        if width not in self.widths:
+            n_vars = width if self.source is None else len(self.source)
+            dim = producted_dimension(n_vars, self.order, self.mode)
+            if dim > DEFAULT_DIMENSION_CAP:
+                raise DimensionError(f"producted dimension {dim} exceeds cap {DEFAULT_DIMENSION_CAP}")
+            self.widths[width] = dim, _exponent_table(n_vars, self.order, self.mode)
+        return self.widths[width]
 
     def select(self, rows: np.ndarray) -> np.ndarray:
-        """The source columns of 2-D rows."""
+        """The source columns of 2-D rows as a (n_vars, rows) view; a per-source scale must fit them."""
         if self.source is None:
-            return rows
-        if self.source.max() >= rows.shape[1]:
+            sel = rows.T
+        elif self.source_max >= rows.shape[1]:
             raise DimensionError(
-                f"source column {self.source.max()} out of range for width {rows.shape[1]}"
-            )
-        return rows[:, self.source]
+                f"source column {self.source_max} out of range for width {rows.shape[1]}")
+        else:
+            sel = rows[:, self.source].T
+        if self.scale_width is not None and self.scale_width != sel.shape[0]:
+            raise DimensionError(f"basis scale covers {self.scale_width} variables, "
+                                 f"rows have {sel.shape[0]}")
+        return sel
 
-    def argument(self, sel: np.ndarray) -> np.ndarray:
-        """Per-variable arguments of the factor tables; a per-source scale must fit the rows."""
+    def argument(self, sel: np.ndarray, out: np.ndarray) -> None:
+        """Write the Chebyshev arguments of the selected columns into `out`."""
         if self.lo_plus_hi is None:
-            return sel
-        if self.lo_plus_hi.ndim and self.lo_plus_hi.shape[0] != sel.shape[1]:
-            raise DimensionError(f"basis scale covers {self.lo_plus_hi.shape[0]} variables, "
-                                 f"rows have {sel.shape[1]}")
-        t = (2.0 * sel - self.lo_plus_hi) / self.safe_span
-        return t if self.all_live else np.where(self.live, t, 0.0)
+            out[...] = sel
+            return
+        # The ufuncs of (2 x - (lo + hi)) / span in order; the third positional
+        # argument of each is its `out`.
+        np.multiply(2.0, sel, out)
+        np.subtract(out, self.lo_plus_hi, out)
+        np.divide(out, self.safe_span, out)
+        if self.dead is not None:
+            np.copyto(out, 0.0, where=self.dead)
 
 
 def multi_indices(n_vars: int, order: int, mode: str = "exact"):
@@ -219,9 +252,9 @@ def weighted_average(sample: Sample, h) -> float:
 def _gather_columns(table: np.ndarray, gathers: tuple) -> np.ndarray:
     """Basis columns from a flattened factor table: the product of one gathered row per variable."""
     first, *rest = gathers
-    columns = table[first]
+    columns = table.take(first, axis=0)
     for gather in rest:
-        columns *= table[gather]
+        columns *= table.take(gather, axis=0)
     return columns
 
 
@@ -232,10 +265,7 @@ def _n_vars(spec: BasisSpec, rows: np.ndarray) -> int:
 
 def _checked_dimension(spec: BasisSpec, rows: np.ndarray) -> int:
     """The spec's basis dimension on 2-D rows; DimensionError above the cap, before anything is built."""
-    dim = producted_dimension(_n_vars(spec, rows), spec.product_order, spec.mode)
-    if dim > DEFAULT_DIMENSION_CAP:
-        raise DimensionError(f"producted dimension {dim} exceeds cap {DEFAULT_DIMENSION_CAP}")
-    return dim
+    return spec._plan.layout(rows.shape[1])[0]
 
 
 def _factor_block(spec: BasisSpec, rows: np.ndarray, order: int) -> np.ndarray:
@@ -244,14 +274,15 @@ def _factor_block(spec: BasisSpec, rows: np.ndarray, order: int) -> np.ndarray:
     Powers 0..order (or Chebyshev T_0..T_order) of every argument, stacked first.
     """
     plan = spec._plan
-    values = np.ascontiguousarray(plan.argument(plan.select(rows)).T)  # unit-stride recurrence
+    sel = plan.select(rows)
     if spec.kind != CHEBYSHEV:
+        values = np.ascontiguousarray(sel)
         return np.stack([np.ones_like(values)] + [values ** k for k in range(1, order + 1)])
-    table = np.empty((order + 1,) + values.shape)
+    table = np.empty((order + 1,) + sel.shape)
     table[0] = 1.0
     if order:
-        table[1] = values
-        twice = 2.0 * values
+        plan.argument(sel, table[1])  # unit-stride rows for the recurrence
+        twice = 2.0 * table[1]
         # T_k = 2 t T_(k-1) - T_(k-2), written into the preallocated row views;
         # the third positional argument of each ufunc is its `out`.
         multiply, subtract = np.multiply, np.subtract
@@ -267,9 +298,9 @@ def _basis_columns(spec: Optional[BasisSpec], rows: np.ndarray) -> np.ndarray:
     """Basis columns (dim, rows) of a block of raw rows; spec-less rows are the features."""
     if spec is None:
         return rows.T
+    gathers = spec._plan.layout(rows.shape[1])[1]
     table = _factor_block(spec, rows, spec.product_order)
-    return _gather_columns(table.reshape(-1, table.shape[-1]),
-                           _exponent_table(table.shape[1], spec.product_order, spec.mode))
+    return _gather_columns(table.reshape(-1, table.shape[-1]), gathers)
 
 
 # The doubled-order moment table of a Chebyshev spec, summed by `_moment_table`,
@@ -371,7 +402,8 @@ def _product_moments(moments: np.ndarray, spec: BasisSpec, rows: np.ndarray,
 def with_scale(spec: BasisSpec, rows) -> BasisSpec:
     """Return the spec with Chebyshev argument scaling fit to sample rows."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    columns = np.ascontiguousarray(spec._plan.select(rows).T)  # reduce along contiguous memory
+    # Selected by the unscaled spec's plan, so a spec of another width can be rescaled.
+    columns = np.ascontiguousarray(replace(spec, scale=None)._plan.select(rows))
     return replace(spec, scale=(columns.min(axis=1), columns.max(axis=1)))
 
 
@@ -391,8 +423,19 @@ def design_matrix(spec: BasisSpec, rows) -> np.ndarray:
 
 
 def evaluate_basis(spec: BasisSpec, raw) -> np.ndarray:
-    """Basis-evaluated feature vector of one raw row; constant always present."""
-    return design_matrix(spec, raw)[0]
+    """Basis-evaluated feature vector of one raw row (the first row of a 2-D `raw`).
+
+    Equal bit for bit to that row of `design_matrix`, through the same
+    `_basis_columns` without its block loop, and raises what `design_matrix`
+    raises on `raw`. In up_to mode, and in exact mode at order 0, the first
+    component is the constant 1 (every exponent zero); exact mode at order
+    >= 1 has no constant component.
+    """
+    rows = np.array(raw, dtype=float, ndmin=2, copy=None)  # np.atleast_2d, in one call
+    columns = _basis_columns(spec, rows)
+    if not np.isfinite(columns).all():
+        raise NumericalError("basis evaluation produced non-finite values")
+    return columns[:, 0]
 
 
 def parse_column_spec(text: str):

@@ -19,6 +19,7 @@ eigenstate onto the constraints, and are kept for reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -68,12 +69,17 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithm", normalize_algorithm(self.algorithm))
-        if self.max_iterations < 1:
-            raise DimensionError("max_iterations must be positive")
+        for name in ("max_iterations", "candidate_pool"):
+            value = getattr(self, name)
+            try:
+                count = index(value)  # refuses NaN and fractions
+            except TypeError:
+                raise DimensionError(f"{name} must be an integer, got {value!r}") from None
+            if count < 1:
+                raise DimensionError(f"{name} must be positive")
+            object.__setattr__(self, name, count)
         if not 0.0 < self.rel_tol < np.inf:  # also refuses NaN
             raise DimensionError(f"rel_tol must be finite and positive, got {self.rel_tol}")
-        if self.candidate_pool < 1:
-            raise DimensionError("candidate_pool must be positive")
 
 
 @dataclass(frozen=True)

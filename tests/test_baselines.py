@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kgo
-from kgo.errors import NumericalError
+from kgo.errors import DimensionError, NumericalError
 
 from conftest import grid_sample
 
@@ -48,6 +48,13 @@ class TestLeastSquares:
         zero = kgo.LeastSquaresMap(beta=np.zeros((2, 2)))
         np.testing.assert_array_equal(kgo.eval_least_squares(zero, [1.0, 5.0]),
                                       [0.0, 0.0])
+
+    def test_wrong_point_width(self):
+        lsq = kgo.LeastSquaresMap(beta=np.ones((4, 2)))
+        with pytest.raises(DimensionError, match=r"^point dimension 3 != raw dimension 2$"):
+            kgo.eval_least_squares(lsq, [1.0, 2.0, 3.0])
+        with pytest.raises(DimensionError, match=r"^point dimension 1 != raw dimension 2$"):
+            kgo.eval_least_squares(lsq, np.ones((5, 1)))
 
     def test_batch_matches_rows(self):
         data = square_wave_data()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,6 +34,17 @@ def run_fit(exact_csv, tmp_path, *extra):
                  "--x-basis", "monomial:6", "--f-basis", "monomial:4",
                  "--tensor", "f-christoffel", "--out-prefix", prefix, *extra])
     return code, prefix
+
+
+class TestModuleEntryPoint:
+    def test_python_m_kgo_from_a_checkout(self, tmp_path):
+        """`python -m kgo` runs the CLI with the source tree on PYTHONPATH, no install."""
+        env = dict(os.environ, PYTHONPATH=str(Path(kgo.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-m", "kgo", "--help"], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("usage: kgo ")
+        assert "{fit,eval,demo}" in out.stdout
 
 
 class TestFit:

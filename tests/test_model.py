@@ -516,7 +516,7 @@ def _assert_predict_matches_rows(model, xs, fs):
     np.testing.assert_array_equal(batch["pole"], rows["pole"])
     for key in ("f_max_p", "value", "certainty", "probability"):
         assert batch[key].shape == rows[key].shape
-        np.testing.assert_allclose(batch[key], rows[key], rtol=1e-12, atol=0.0)
+        assert batch[key].tobytes() == rows[key].tobytes(), key
     return batch
 
 
@@ -640,6 +640,23 @@ class TestPredictErrors:
             kgo.probability(direct, xs[1], fs[1])
         with pytest.raises(NumericalError, match="queried outcome of row 1 "):
             kgo.predict(direct, xs, fs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features(self, direct, bad):
+        """A spec-less model refuses non-finite features as a spec model refuses
+        non-finite basis values, before any arithmetic could warn."""
+        with pytest.raises(NumericalError, match=r"^non-finite feature values$"):
+            kgo.most_probable(direct, [1.0, bad])
+        with pytest.raises(NumericalError, match=r"^non-finite feature values$"):
+            kgo.value(direct, [bad, 0.5])
+        with pytest.raises(NumericalError, match=r"^non-finite feature values$"):
+            kgo.probability(direct, [1.0, 0.5], [1.0, bad])
+        xs = np.array([[1.0, 0.1], [1.0, -0.3], [1.0, bad], [bad, 0.0]])
+        with pytest.raises(NumericalError, match=r"^non-finite feature values in row 2$"):
+            kgo.predict(direct, xs)
+        fs = np.array([[1.0, 0.4], [bad, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(NumericalError, match=r"^non-finite feature values in row 1$"):
+            kgo.predict(direct, xs[:2], fs[:2])
 
     def test_non_finite_basis(self):
         model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("monomial", 4),

@@ -286,6 +286,100 @@ class TestEvaluateBasis:
         with pytest.raises(DimensionError):
             kgo.evaluate_basis(spec, [1.0, 2.0])
 
+    @pytest.mark.parametrize("case", ["zero-span", "source", "exact", "outside", "monomial"])
+    def test_equals_design_rows_byte_for_byte(self, case):
+        rng = np.random.default_rng(21)
+        train = rng.uniform(-1.0, 1.0, size=(40, 3))
+        queries = rng.uniform(-1.0, 1.0, size=(12, 3))
+        spec = kgo.BasisSpec("chebyshev", 7)
+        if case == "zero-span":
+            train[:, 1] = 0.25
+        elif case == "source":
+            spec = replace(spec, source=(2, 0))
+            train[:, 0] = -0.5  # a zero-span variable among the sources
+        elif case == "exact":
+            spec = replace(spec, mode="exact")
+        elif case == "outside":
+            queries *= 3.0  # |t| > 1, where T_k grows
+        else:
+            spec = kgo.BasisSpec("monomial", 5, source=(1, 2))
+        spec = kgo.with_scale(spec, train)
+        for rows in (train, queries):
+            design = kgo.design_matrix(spec, rows)
+            for i, row in enumerate(rows):
+                feats = kgo.evaluate_basis(spec, row)
+                assert feats.shape == design[i].shape
+                assert feats.tobytes() == design[i].tobytes()
+                # Every form of one row is that row: a list, a 1 x width matrix.
+                assert kgo.evaluate_basis(spec, row.tolist()).tobytes() == design[i].tobytes()
+                assert kgo.evaluate_basis(spec, row[None]).tobytes() == design[i].tobytes()
+        if case == "outside":
+            assert np.abs(design).max() > 1.0
+
+    def test_first_row_of_a_batch(self):
+        """A 2-D input gives its first row and raises what design_matrix raises on it."""
+        spec = kgo.BasisSpec("chebyshev", 3, scale=(-1.0, 1.0))
+        rows = np.array([[0.5, -0.25], [0.1, 0.9]])
+        assert kgo.evaluate_basis(spec, rows).tobytes() == kgo.design_matrix(spec, rows)[0].tobytes()
+        rows[1, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            kgo.evaluate_basis(spec, rows)
+        np.testing.assert_array_equal(kgo.evaluate_basis(spec, 0.5), [1.0, 0.5, -0.5, -1.0])
+
+    # (spec, raw, error, message): each failure design_matrix raises on the row,
+    # and where two apply, the one it raises first.
+    FAILURES = [
+        (kgo.BasisSpec("monomial", 8, mode="exact"), np.ones(10), DimensionError,
+         "producted dimension 24310 exceeds cap 10000"),
+        (kgo.BasisSpec("chebyshev", 8, mode="exact", scale=(-1.0, 1.0)), np.full(10, np.nan),
+         DimensionError, "producted dimension 24310 exceeds cap 10000"),
+        (kgo.BasisSpec("chebyshev", 3, scale=(-1.0, 1.0)), [0.5, np.nan], NumericalError,
+         "basis evaluation produced non-finite values"),
+        (kgo.BasisSpec("monomial", 2), [np.inf], NumericalError,
+         "basis evaluation produced non-finite values"),
+        (kgo.BasisSpec("monomial", 4), [1e100], NumericalError,
+         "basis evaluation produced non-finite values"),
+        (kgo.BasisSpec("chebyshev", 3, scale=(np.zeros(2), np.ones(2))), [0.5, 0.2, 0.1],
+         DimensionError, "basis scale covers 2 variables, rows have 3"),
+        (kgo.BasisSpec("chebyshev", 3, scale=(np.zeros(2), np.ones(2))), [np.nan, 0.2, 0.1],
+         DimensionError, "basis scale covers 2 variables, rows have 3"),
+        (kgo.BasisSpec("monomial", 1, source=(3,)), [1.0, 2.0], DimensionError,
+         "source column 3 out of range for width 2"),
+        (kgo.BasisSpec("chebyshev", 2, source=(0, 4), scale=(np.zeros(3), np.ones(3))),
+         [1.0, 2.0], DimensionError, "source column 4 out of range for width 2"),
+    ]
+
+    @pytest.mark.parametrize("spec, raw, error, message", FAILURES)
+    def test_raises_what_design_matrix_raises(self, spec, raw, error, message):
+        with np.errstate(over="ignore"):
+            for evaluate in (kgo.design_matrix, kgo.evaluate_basis):
+                with pytest.raises(error, match=f"^{message}$"):
+                    evaluate(spec, raw)
+                with pytest.raises(error, match=f"^{message}$"):  # once more, with a plan
+                    evaluate(spec, raw)
+
+    def test_plan_resolves_a_width_once(self, monkeypatch):
+        """Repeated rows of one width resolve the dimension and the gathers once."""
+        calls = {"producted_dimension": 0, "_exponent_table": 0}
+
+        def counted(name):
+            original = getattr(kgo.sample, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(kgo.sample, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        spec = kgo.BasisSpec("chebyshev", 6, scale=(-1.0, 1.0))
+        rows = np.random.default_rng(22).uniform(-1.0, 1.0, size=(100, 2))
+        for row in rows:
+            kgo.evaluate_basis(spec, row)
+        assert calls == {"producted_dimension": 1, "_exponent_table": 1}
+        kgo.evaluate_basis(spec, [0.5])  # another width, resolved on its own
+        assert calls == {"producted_dimension": 2, "_exponent_table": 2}
+
 
 class TestSampleInvariants:
     def test_rejects_negative_weights(self):

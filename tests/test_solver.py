@@ -504,6 +504,21 @@ class TestDispatcherErrors:
         with pytest.raises(DimensionError, match="rel_tol must be finite and positive"):
             kgo.SolverConfig(rel_tol=rel_tol)
 
+    @pytest.mark.parametrize("field", ["max_iterations", "candidate_pool"])
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, 3.0, "4"])
+    def test_counts_must_be_integers(self, field, bad):
+        from kgo.errors import DimensionError
+        with pytest.raises(DimensionError, match=f"{field} must be an integer"):
+            kgo.SolverConfig(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["max_iterations", "candidate_pool"])
+    def test_counts_must_be_positive(self, field):
+        from kgo.errors import DimensionError
+        with pytest.raises(DimensionError, match=f"{field} must be positive"):
+            kgo.SolverConfig(**{field: 0})
+        config = kgo.SolverConfig(**{field: np.int64(5)})
+        assert getattr(config, field) == 5 and type(getattr(config, field)) is int
+
     def test_lsq_adj_requires_channel(self, three_point_tensor):
         from kgo.errors import DimensionError
         with pytest.raises(DimensionError):
