@@ -1,7 +1,8 @@
 """Command-line front end: fit models, evaluate them, run the demonstrations.
 
 Exit codes: 0 success, 2 usage problems, 3 data or model-file errors,
-4 numerical failures (rank deficiency, zero projections, non-SPD input).
+4 numerical failures (rank deficiency, zero projections, non-SPD input, and
+numpy's LinAlgError).
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except DimensionError as exc:

@@ -18,9 +18,12 @@ A fit of `prepare` data passes over the rows as follows:
      side adds each block's weighted columns.
   2. `PreparedData.cross_moments`: sum_l w_l f_l x_l^T over whitened
      attribute rows, once with whitened label rows (the cross Gram) and
-     once with raw label features (for the least-squares map).
-  3. `PreparedData.row_norms`: per observation |f|^2, |x|^2, the overlap
-     f^T C x with the cross Gram C and the adjusted normalizer |K x|^2.
+     once with raw label features (for the least-squares map), and |x|^2
+     per observation from the same whitened rows. This is the one pass
+     that whitens the attribute block.
+  3. `PreparedData.row_norms`: per observation |f|^2, the overlap f^T C x
+     with the cross Gram C and the adjusted normalizer |K x|^2; the raw
+     attribute columns go through [C; K] T_x in one product.
   4. the coverage tensor (see `tensors`).
   5. `weighted_gram("f")`, label side only: the label-Christoffel moments
      of F_TOT; a subspace fit (`d`) makes this pass once more, first.
@@ -244,7 +247,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RowNorms:
-    """The per-observation quantities of the second pass, one M-vector each."""
+    """The per-observation quantities of the second and third passes, one M-vector each."""
 
     label: np.ndarray      # |f_l|^2 in orthonormal label coordinates
     attribute: np.ndarray  # |x_l|^2 in orthonormal attribute coordinates
@@ -320,24 +323,28 @@ class PreparedData:
 
     @cached_property
     def cross_moments(self) -> tuple:
-        """(C, B): sum_l w_l f_l x_l^T over whitened attribute rows, read-only.
+        """(C, B, a): sum_l w_l f_l x_l^T over whitened attribute rows, and
+        each row's |x_l|^2; read-only.
 
         C, (m_eff, n_eff), has the label side whitened too and is the cross
         Gram; B, (m_raw, n_eff), keeps the raw label features, and B T_x is
-        the least-squares map. Both are summed in one pass, on first use.
-        Whitening each row before the sum, rather than the raw sum after
-        it, keeps the rounding near sqrt(kappa_x) + sqrt(kappa_f) rather
-        than their product. One block gives the bits of the whole-array
-        expressions.
+        the least-squares map. Both are summed in one pass, on first use,
+        which also keeps the attribute norms a, (M,), of the whitened rows
+        it holds (`row_norms.attribute`). Whitening each row before the sum,
+        rather than the raw sum after it, keeps the rounding near
+        sqrt(kappa_x) + sqrt(kappa_f) rather than their product. One block
+        gives the bits of the whole-array expressions.
         """
         tf, tx = self.f_space.transform, self.x_space.transform
         cross = label_raw = 0.0
+        attribute = np.empty(self.size)
         for rows in row_blocks(self.size):
             f = _basis_columns(self.f_spec, self.f_rows[rows]).T  # (block rows, m_raw)
             x = _basis_columns(self.x_spec, self.x_rows[rows]).T @ tx.T
             cross = cross + ((f @ tf.T).T * self.weights[rows]) @ x
             label_raw = label_raw + (f.T * self.weights[rows]) @ x
-        return _read_only(cross), _read_only(label_raw)
+            np.einsum("ij,ij->i", x, x, out=attribute[rows])
+        return _read_only(cross), _read_only(label_raw), _read_only(attribute)
 
     def cross_gram(self) -> np.ndarray:
         """Cross moments <f_j x_k> in orthonormal coordinates (m_eff x n_eff).
@@ -367,27 +374,29 @@ class PreparedData:
     def row_norms(self) -> RowNorms:
         """Per-observation norms and overlaps, from one pass over the row blocks.
 
-        Each block's two coordinate arrays live only while the block is
-        processed. With a singular coupling `adjusted` is None, and reading
-        the adjusted normalizer raises through `label_coupling`.
+        The attribute norms come from the cross-moment pass. This pass
+        whitens only the label block: the raw attribute columns go straight
+        through [C; K] T_x, one (2 m_eff x n_raw) product per block. With a
+        singular coupling `adjusted` is None, and reading the adjusted
+        normalizer raises through `label_coupling`.
         """
         cross = self.cross_gram()
         try:  # C and K stacked, so each block takes one product for both
             maps = np.vstack([cross, self.label_coupling[2]])
         except NumericalError:
             maps = cross
+        maps = maps @ self.x_space.transform
         m = cross.shape[0]
-        label, attribute, overlap = (np.empty(self.size) for _ in range(3))
+        label, overlap = np.empty(self.size), np.empty(self.size)
         adjusted = np.empty(self.size) if maps.shape[0] > m else None
-        for rows, f, x in self.blocks():
+        for rows, f in self.blocks("f"):
             np.einsum("ij,ij->j", f, f, out=label[rows])
-            np.einsum("ij,ij->j", x, x, out=attribute[rows])
-            mapped = maps @ x
+            mapped = maps @ _basis_columns(self.x_spec, self.x_rows[rows])
             np.einsum("ij,ij->j", f, mapped[:m], out=overlap[rows])
             if adjusted is not None:
                 np.einsum("ij,ij->j", mapped[m:], mapped[m:], out=adjusted[rows])
         return RowNorms(*(None if a is None else _read_only(a)
-                          for a in (label, attribute, overlap, adjusted)))
+                          for a in (label, self.cross_moments[2], overlap, adjusted)))
 
 
 def label_matched_projection(data: PreparedData) -> np.ndarray:

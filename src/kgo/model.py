@@ -19,7 +19,7 @@ from .hilbert import (DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis, _require_
                       _times, label_matched_projection, prepare)
 from .sample import BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .sample import CHEBYSHEV
-from .solver import PartiallyUnitaryOp, SolverConfig, solve, stationarity_residual
+from .solver import PartiallyUnitaryOp, SolverConfig, solve
 from .tensors import (ContributingSubspace, TensorKind, build_coverage_tensor,
                       contributing_subspace, ftot_upper_bound, subspace_embedding)
 
@@ -132,6 +132,7 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         # Pull the least-squares channel back into subspace coordinates.
         u_init = np.linalg.pinv(f_embed) @ u_init
     op, trace = solve(tensor, config, u_init)
+    best = next(record for record in trace if record.f_after == op.f_value)
     try:
         projection = label_matched_projection(data)
     except NumericalError:
@@ -143,7 +144,8 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         "f_tot": ftot_upper_bound(data),
         "f_jdg": joint_distribution_coverage(data),
         "residual": op.residual,
-        "stationarity": stationarity_residual(op.u, tensor),
+        "best_iteration": best.iteration,
+        "stationarity": best.stationarity,
         "stop_reason": trace.stop_reason,
         "tensor_kind": kind.value,
         "d": tensor.d,

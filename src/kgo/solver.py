@@ -9,8 +9,10 @@ Every solve is one start and one loop. `solve` picks the start: the snapped
 least-squares channel, the best snapped eigenstate of the relaxed
 problem, or none. Single-shot paths return it; iterative paths hand it to
 `_ascend`, which records every step and returns the best iterate seen. A
-step is a closure over its own state. The default, polar ascent, is a
-monotone ascent on the constraint set that needs no eigenproblem per step.
+step is a closure over its own state. It forms one product S u per snapped
+candidate, which gives the candidate's F, its trace row and the next step's
+multipliers; the loop forms none of its own. The default, polar ascent, is
+a monotone ascent on the constraint set that needs no eigenproblem per step.
 The paper's lagrange-iter and linear-constraints steps solve a relaxed
 eigenproblem set up from the last iterate, snap its most promising
 eigenstate onto the constraints, and are kept for reproduction.
@@ -18,6 +20,7 @@ eigenstate onto the constraints, and are kept for reproduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import index
 from typing import List, Optional, Tuple
@@ -128,9 +131,15 @@ class IterationTrace:
         return iter(self.records)
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm with the bits of np.linalg.norm(a), without its dispatch."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def constraint_residual(u) -> float:
     u = np.asarray(u, dtype=float)
-    return float(np.linalg.norm(u @ u.T - np.eye(u.shape[0])))
+    return _norm(u @ u.T - np.eye(u.shape[0]))
 
 
 def _shifted_matrix(tensor: CoverageTensor, lam) -> np.ndarray:
@@ -202,8 +211,14 @@ def make_operator(u, algorithm: str, iterations: int,
 
 
 def _apply(tensor: CoverageTensor, u) -> np.ndarray:
-    """S u, reshaped to d x n."""
+    """S u, reshaped to d x n: the one product with S of every solve."""
     return (tensor.matrix @ u.reshape(-1)).reshape(tensor.d, tensor.n)
+
+
+def _evaluated(tensor: CoverageTensor, u):
+    """(F, S u) of a channel from one product; F has the bits of `quadratic_form`."""
+    su = _apply(tensor, u)
+    return float(u.reshape(-1) @ su.reshape(-1)), su
 
 
 def raw_lagrange_multipliers(u, tensor: CoverageTensor) -> np.ndarray:
@@ -226,8 +241,8 @@ def lagrange_multipliers(u, tensor: CoverageTensor) -> np.ndarray:
 
 
 def _stationarity(u, su, lam) -> float:
-    norm = np.linalg.norm(su)
-    return float(np.linalg.norm(su - lam @ u) / norm) if norm > 0.0 else 0.0
+    norm = _norm(su)
+    return _norm(su - lam @ u) / norm if norm > 0.0 else 0.0
 
 
 def stationarity_residual(u, tensor: CoverageTensor) -> float:
@@ -254,6 +269,11 @@ def select_candidate(channels, tensor: CoverageTensor,
     deficient the search widens to the full spectrum. Ties keep the earlier
     (larger-eigenvalue) candidate.
     """
+    return _select(channels, tensor, pool_size, method)[:3]
+
+
+def _select(channels, tensor: CoverageTensor, pool_size: int, method: str = "svd"):
+    """`select_candidate`, whose best adjusted candidate u also carries S u."""
     if pool_size < 1:
         raise DimensionError("pool size must be positive")
     best = None
@@ -268,18 +288,17 @@ def select_candidate(channels, tensor: CoverageTensor,
             # route squares the conditioning); reject rather than pseudo-adjust.
             continue
         scored += 1
-        f_adj = tensor.quadratic_form(adjusted)
+        f_adj, su = _evaluated(tensor, adjusted)
         if best is None or f_adj > best[2]:
-            best = (cand, adjusted, f_adj)
+            best = (cand, adjusted, f_adj, su)
     if best is None:
         raise NumericalError("every candidate eigenstate is rank deficient")
     return best
 
 
 def _record(trace: IterationTrace, iteration: int, f_before: float,
-            u_adj, f_adj: float, tensor: CoverageTensor):
-    """Append the trace row of a snapped iterate; returns (sym(Lambda), S u)."""
-    su = _apply(tensor, u_adj)
+            u_adj, f_adj: float, su) -> np.ndarray:
+    """Append the trace row of a snapped iterate u_adj with S u_adj = su; returns sym(Lambda)."""
     raw = u_adj @ su.T
     lam = 0.5 * (raw + raw.T)
     trace.append(IterationRecord(
@@ -287,25 +306,25 @@ def _record(trace: IterationTrace, iteration: int, f_before: float,
         f_before=f_before,
         f_after=f_adj,
         residual=constraint_residual(u_adj),
-        lambda_asym=float(np.linalg.norm(raw - raw.T)),
+        lambda_asym=_norm(raw - raw.T),
         lambda_spur=float(np.trace(raw)),
         stationarity=_stationarity(u_adj, su, lam),
     ))
-    return lam, su
+    return lam
 
 
 def _start(tensor: CoverageTensor, trace: IterationTrace, u_init, iteration: int):
     """Record the svd snap of u_init as `iteration`; returns (u, F, sym(Lambda), S u)."""
     u = enforce_partial_unitarity(u_init, "svd")
-    f = tensor.quadratic_form(u)
-    return (u, f) + _record(trace, iteration, f, u, f, tensor)
+    f, su = _evaluated(tensor, u)
+    return u, f, _record(trace, iteration, f, u, f, su), su
 
 
 def _maxev(tensor: CoverageTensor, trace: IterationTrace, pool: int, method: str = "svd"):
     """Record the best snapped eigenstate of S as iteration 1, returned as `_start` does."""
     _, channels = solve_partial_constraint(tensor)
-    cand, u, f = select_candidate(channels, tensor, pool, method)
-    return (u, f) + _record(trace, 1, tensor.quadratic_form(cand), u, f, tensor)
+    cand, u, f, su = _select(channels, tensor, pool, method)
+    return u, f, _record(trace, 1, tensor.quadratic_form(cand), u, f, su), su
 
 
 def _flat(f_new: float, f_old: float, rel_tol: float) -> bool:
@@ -319,10 +338,10 @@ def _ascend(tensor: CoverageTensor, config: SolverConfig, trace: IterationTrace,
 
     `start` is (u, F, sym(Lambda), S u) of the recorded start; without one
     it is all None but F = -inf. `step(u, f, lam, su)` returns a stop reason,
-    or (f_before, next iterate, its F, whether a flat F may stop the loop);
-    each step is recorded as the next iteration. The trace holds at most
-    max_iterations rows, the start included. Returns the best iterate seen,
-    the earliest one on a tie.
+    or (f_before, next iterate, its F, its S u, whether a flat F may stop the
+    loop); each step is recorded as the next iteration, from the S u the step
+    formed for its F. The trace holds at most max_iterations rows, the start
+    included. Returns the best iterate seen, the earliest one on a tie.
     """
     u, f, lam, su = start
     best_u, best_f = u, f
@@ -332,14 +351,14 @@ def _ascend(tensor: CoverageTensor, config: SolverConfig, trace: IterationTrace,
         if isinstance(taken, str):
             trace.stop_reason = taken
             break
-        f_before, u_next, f_next, may_stop = taken
+        f_before, u_next, f_next, su_next, may_stop = taken
         iteration += 1
-        lam, su = _record(trace, iteration, f_before, u_next, f_next, tensor)
+        lam = _record(trace, iteration, f_before, u_next, f_next, su_next)
         if f_next > best_f:
             best_u, best_f = u_next, f_next
         if may_stop and _flat(f_next, f, config.rel_tol):
             break
-        u, f = u_next, f_next
+        u, f, su = u_next, f_next, su_next
     else:
         trace.stop_reason = BUDGET
     return make_operator(best_u, config.algorithm, iteration, f_value=best_f)
@@ -378,10 +397,10 @@ def _relaxed_step(tensor: CoverageTensor, config: SolverConfig, candidates):
 
     def step(u, f, lam, su):
         nonlocal stepped
-        cand, u_next, f_next = select_candidate(candidates(tensor, u, lam, su), tensor,
-                                                config.candidate_pool)
+        cand, u_next, f_next, su_next = _select(candidates(tensor, u, lam, su), tensor,
+                                                 config.candidate_pool)
         may_stop, stepped = stepped, True
-        return tensor.quadratic_form(cand), u_next, f_next, may_stop
+        return tensor.quadratic_form(cand), u_next, f_next, su_next, may_stop
 
     return step
 
@@ -391,40 +410,42 @@ def _polar_step(tensor: CoverageTensor, config: SolverConfig):
 
     For PSD S (every tensor kind) the step never lowers F, and its fixed
     points are exactly the solutions of S u = Lambda u (Journee, Nesterov,
-    Richtarik & Sepulchre, JMLR 11, 2010). Each step costs a few
-    matrix-vector products and d x n SVDs, never an eigenproblem. It first
-    tries the extrapolated point y = u + beta (u - u_prev) and keeps
-    polar(S y) only if F does not fall; otherwise polar(S u), or
-    polar(u + S u / ||S||_F), which ascends for any symmetric S. A plain step
+    Richtarik & Sepulchre, JMLR 11, 2010). It first tries the extrapolated
+    point y = u + beta (u - u_prev) and keeps polar(S y) only if F does not
+    fall; otherwise polar(S u), or polar(u + S u / ||S||_F), which ascends
+    for any symmetric S. S y = S u + beta (S u - S u_prev) is combined from
+    products the solve already has, so a step forms one product with S per
+    snapped candidate, S cand, which gives the candidate's F, its trace row
+    and the next step's S u; it never solves an eigenproblem. A plain step
     that changes F by at most rel_tol relative, or cannot raise it, stops the
     solve "converged"; when every step is rank deficient it stops "stalled".
     """
     s_norm = float(np.linalg.norm(tensor.matrix))
-    u_prev = None
+    su_prev = None   # S u_prev; None drops the momentum
 
     def candidates(u, su):
         """(point to snap, whether the step is monotone), lazily."""
-        if u_prev is not None:
-            yield _apply(tensor, u + _EXTRAPOLATION * (u - u_prev)), False
+        if su_prev is not None:
+            yield su + _EXTRAPOLATION * (su - su_prev), False
         yield su, True
         if s_norm > 0.0:
             yield u + su / s_norm, True
 
     def step(u, f, lam, su):
-        nonlocal u_prev
+        nonlocal su_prev
         reason = STALLED
         for point, monotone in candidates(u, su):
             try:
                 cand = enforce_partial_unitarity(point, "svd")
             except NumericalError:   # numerically rank deficient: try the next step
                 continue
-            f_cand = tensor.quadratic_form(cand)
+            f_cand, s_cand = _evaluated(tensor, cand)
             if f_cand >= f:
                 # An extrapolated step can jump across the maximum with F
                 # unchanged; only a plain step that no longer raises F shows
                 # convergence, so a flat step restarts the momentum.
-                u_prev = None if _flat(f_cand, f, config.rel_tol) else u
-                return f, cand, f_cand, monotone
+                su_prev = None if _flat(f_cand, f, config.rel_tol) else su
+                return f, cand, f_cand, s_cand, monotone
             if monotone:
                 reason = CONVERGED   # an ascent step that cannot ascend: F is at rounding level
         return reason

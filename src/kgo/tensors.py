@@ -23,13 +23,14 @@ Every kind is the same row-weighted sum S = sum_l w_l z_l z_l^T with
 z_l = f_l (x) x_l; only the per-row weights w_l differ. A fit passes over
 the rows five times, six with a subspace (see `hilbert`). The first
 (`hilbert.prepare`) gives both Gram matrices, the second the cross Gram,
-which the projective subspace, F_TOT and the least-squares channel read.
-`_row_weights` turns the per-row norms of the third
-(`PreparedData.row_norms`) into the weights of every kind, behind one zero
-gate; F_TOT, the coverage subspace and F_JDG read their weights from it
-too. The fifth, and a subspace fit's sixth, sum the label-Christoffel
-moments. The sum itself is the fourth, by one of two routes over the same
-fixed row blocks:
+which the projective subspace, F_TOT and the least-squares channel read,
+and the attribute norms |x|^2. The third gives the other per-row norms,
+mapping the raw attribute columns without whitening them again.
+`_row_weights` turns the per-row norms (`PreparedData.row_norms`) into the
+weights of every kind, behind one zero gate; F_TOT, the coverage subspace
+and F_JDG read their weights from it too. The fifth, and a subspace fit's
+sixth, sum the label-Christoffel moments. The sum itself is the fourth, by
+one of two routes over the same fixed row blocks:
 
   moment table  for data from `prepare` with Chebyshev specs on both sides.
                 Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
@@ -78,11 +79,12 @@ class CoverageTensor:
     matrix: np.ndarray
 
     def quadratic_form(self, u) -> float:
+        """F(u) = <u, S u>, with S u formed first as the solvers form it."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.d, self.n):
             raise DimensionError(f"channel shape {u.shape} != ({self.d}, {self.n})")
         flat = u.reshape(-1)
-        return float(flat @ self.matrix @ flat)
+        return float(flat @ (self.matrix @ flat))
 
     def as_four_index(self) -> np.ndarray:
         return self.matrix.reshape(self.d, self.n, self.d, self.n)

@@ -100,8 +100,20 @@ class TestFit:
         trace = open(prefix + "trace.tsv").read().splitlines()
         assert trace[0].split("\t") == ["iteration", "f_before", "f_after", "residual",
                                         "lambda_asym", "lambda_spur", "stationarity"]
-        assert float(trace[-1].split("\t")[-1]) == pytest.approx(
-            float(report["stationarity"]), abs=1e-15)
+        # The reported F and stationarity are those of the best iterate's row.
+        rows = [[float(v) for v in line.split("\t")] for line in trace[1:]]
+        best = next(row for row in rows if row[2] == float(report["f"]))
+        assert best[0] == int(report["best_iteration"])
+        assert best[-1] == float(report["stationarity"])
+
+    def test_linalg_error_exit_four(self, exact_csv, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(kgo.model, "fit", diverge)
+        code, _ = run_fit(exact_csv, tmp_path)
+        assert code == 4
+        assert capsys.readouterr().err == "numerical failure: SVD did not converge\n"
 
     def test_whitening_drop_reported(self, tmp_path, capsys):
         # An order-8 monomial basis over [0, 1000] loses most of its nine

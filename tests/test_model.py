@@ -411,11 +411,29 @@ class TestFitPipeline:
 
     def test_report_fields(self, identity_model):
         for key in ("f", "f_tot", "f_jdg", "residual", "algorithm", "iterations",
-                    "stationarity", "stop_reason"):
+                    "best_iteration", "stationarity", "stop_reason"):
             assert key in identity_model.report
         report = identity_model.report
         assert (report["x_raw_dim"], report["x_eff_dim"]) == (2, 2)
         assert (report["f_raw_dim"], report["f_eff_dim"]) == (2, 2)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("algorithm", kgo.ALGORITHMS)
+    def test_report_reads_the_returned_channels_row(self, algorithm, warm):
+        # best_iteration is the first row with the returned F, and the
+        # reported stationarity is that row's: the certificate of the
+        # returned channel, bit for bit.
+        data = make_random_instance(np.random.default_rng(21), max_obs=80)
+        kind = kgo.TensorKind.F_CHRISTOFFEL
+        config = kgo.SolverConfig(algorithm=algorithm, max_iterations=30,
+                                  init_with_least_squares=warm)
+        model, trace = kgo.fit_prepared(data, kind, config)
+        report = model.report
+        rows = [r.iteration for r in trace if r.f_after == report["f"]]
+        assert report["best_iteration"] == rows[0]
+        assert report["f"] == max(r.f_after for r in trace)
+        tensor = kgo.build_coverage_tensor(kind, data)
+        assert report["stationarity"] == kgo.stationarity_residual(model.operator.u, tensor)
 
     def test_report_counts_dropped_directions(self):
         # An order-8 monomial basis over [0, 1000] is so badly scaled that

@@ -160,6 +160,25 @@ class TestIllConditioned:
                                       (kgo.fit_least_squares(data).beta, whole_beta, beta)):
             assert max_error(got, reference) <= max(4.0 * max_error(whole, reference), 1e-15)
 
+    def test_row_norms_against_long_double(self):
+        # The third pass maps the raw attribute columns through [C; K] T_x
+        # without whitening them first; with the data's own C, K and
+        # transforms, overlap and adjusted stay near a long-double sum over
+        # whitened rows. The attribute norms come from the second pass's
+        # whitened rows.
+        data = clusters()
+        ld = np.longdouble
+        cross, _, coupled = data.label_coupling
+        x_orth = data.x_points.astype(ld) @ data.x_space.transform.T.astype(ld)
+        f_orth = data.f_points.astype(ld) @ data.f_space.transform.T.astype(ld)
+        overlap = np.einsum("ij,ij->i", f_orth @ cross.astype(ld), x_orth)
+        kx = x_orth @ coupled.T.astype(ld)
+        norms = data.row_norms
+        assert max_error(norms.overlap, overlap) <= 1e-11
+        assert max_error(norms.adjusted, np.einsum("ij,ij->i", kx, kx)) <= 1e-11
+        np.testing.assert_allclose(norms.attribute,
+                                   np.einsum("ij,ij->i", data.x_orth, data.x_orth), rtol=1e-14)
+
 
 class TestPrepareChecks:
     def test_dimension_cap(self):

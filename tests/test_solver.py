@@ -273,6 +273,33 @@ def christoffel_tensor(rng, m_obs=2000):
     return data, kgo.build_coverage_tensor(kgo.TensorKind.F_CHRISTOFFEL, data)
 
 
+class CountingMatrix(np.ndarray):
+    """A tensor matrix that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingMatrix.products += 1
+        plain = [a.view(np.ndarray) if isinstance(a, CountingMatrix) else a for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.fixture
+def snaps(monkeypatch):
+    """A list that grows by one at every successful constraint snap of a solver."""
+    calls = []
+    snap = kgo.solver.enforce_partial_unitarity
+
+    def counted(u, method="svd"):
+        adjusted = snap(u, method)
+        calls.append(method)
+        return adjusted
+
+    monkeypatch.setattr(kgo.solver, "enforce_partial_unitarity", counted)
+    return calls
+
+
 def assert_monotone(trace):
     f_after = [r.f_after for r in trace]
     assert all(b >= a for a, b in zip(f_after, f_after[1:]))
@@ -293,6 +320,30 @@ class TestIteratePolarAscent:
             assert_monotone(trace)
             assert op.f_value == trace.records[-1].f_after  # the last iterate is the best
             assert op.residual <= 1e-8
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("instance", ["random", "christoffel"])
+    def test_one_product_per_snapped_candidate(self, instance, warm, snaps, monkeypatch):
+        # Every snapped candidate costs one product with S, which gives its F
+        # and, when it is accepted, its trace row and the next step's S u; so
+        # a solve forms len(trace) products plus one per rejected candidate.
+        # The extrapolated image is combined from products already formed.
+        # A cold start also scores the unsnapped eigenstate it snapped.
+        rng = np.random.default_rng(23)
+        if instance == "random":
+            tensor, u_init = random_tensor(rng, 3, 6), rng.normal(size=(3, 6))
+        else:
+            data, tensor = christoffel_tensor(rng)
+            u_init = kgo.lsq_channel(data)
+        counted = kgo.CoverageTensor(tensor.kind, tensor.d, tensor.n,
+                                     tensor.matrix.view(CountingMatrix))
+        monkeypatch.setattr(CountingMatrix, "products", 0)
+        cfg = kgo.SolverConfig(max_iterations=300, init_with_least_squares=warm)
+        op, trace = kgo.solve(counted, cfg, u_init)
+        assert len(trace) > 10
+        rejected = len(snaps) - len(trace)
+        assert CountingMatrix.products == len(trace) + rejected + (0 if warm else 1)
+        assert op.f_value == kgo.solve(tensor, cfg, u_init)[0].f_value
 
     def test_trace_monotone_christoffel(self):
         data, tensor = christoffel_tensor(np.random.default_rng(15))
