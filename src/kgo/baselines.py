@@ -1,5 +1,5 @@
-"""Reference estimators: least squares, Radon-Nikodym, joint-distribution
-coverage, and the direct-projection probability model.
+"""Reference estimators: least squares, Radon-Nikodym and joint-distribution
+coverage.
 
 These are the comparison points for the partially unitary channel. They all
 consume a PreparedData record so the two Hilbert spaces are built once.
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .hilbert import (PreparedData, SpaceBasis, _points, _require_positive, _times,
-                      localized_state)
+from .hilbert import PreparedData, SpaceBasis, _points, _require_positive, _times
 from .sample import _basis_columns
 from .tensors import TensorKind, _row_weights
 
@@ -101,16 +100,3 @@ def joint_distribution_coverage(data: PreparedData) -> float:
     """
     weights = _row_weights(data, TensorKind.CHRISTOFFEL_PRODUCT)
     return float(np.sum(weights * data.row_norms.overlap ** 2))
-
-
-def direct_projection_probability(data: PreparedData, lsq: LeastSquaresMap,
-                                  x_point, f_point) -> float:
-    """Probability of a label outcome under the direct-projection model.
-
-    The least-squares prediction is used as the localization point on the
-    label side; the result is the squared overlap with the queried outcome.
-    """
-    predicted = eval_least_squares(lsq, x_point)
-    state = localized_state(data.f_space, predicted)
-    query = localized_state(data.f_space, f_point)
-    return float(np.dot(state.coords, query.coords) ** 2)

@@ -125,16 +125,6 @@ def read_pgm(path) -> np.ndarray:
     return values.reshape(height, width) / maxval
 
 
-def write_pgm(path, image, maxval: int = 255):
-    """Write intensities in [0, 1] as an ASCII portable graymap."""
-    image = np.clip(np.asarray(image, dtype=float), 0.0, 1.0)
-    levels = np.rint(image * maxval).astype(int)
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(f"P2\n{image.shape[1]} {image.shape[0]}\n{maxval}\n")
-        for row in levels:
-            handle.write(" ".join(str(v) for v in row) + "\n")
-
-
 def synthetic_gradient(size: int = 8) -> np.ndarray:
     """Deterministic diagonal gradient image for self-contained runs."""
     axis = np.linspace(0.0, 1.0, size)

@@ -228,18 +228,6 @@ def state_values(state: LocalizedState, points) -> np.ndarray:
     return state.space.project(np.atleast_2d(points)) @ state.coords
 
 
-def coverage_of_state(points, weights, space: SpaceBasis, state: LocalizedState) -> float:
-    """Estimated number of observations covered by the state: <K psi^2>."""
-    if state.space is not space and state.coords.shape[0] != space.eff_dim:
-        raise DimensionError("state does not belong to the given space")
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    coords = space.project(np.atleast_2d(points))
-    norms2 = np.vecdot(coords, coords)
-    _require_positive(norms2, "sample point", "has zero projection")
-    psi = coords @ state.coords
-    return float(np.sum(weights * psi * psi / norms2))
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array

@@ -1,6 +1,6 @@
 """Fitted models and everything computed from them: outcome probabilities,
 most probable outcomes, const-normalized values, adjusted probability
-variants, operator mapping, and serialization.
+variants, and serialization.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class Prediction:
     certainty: float
     certainty_is_probability: bool
     pole_flag: bool
-    probability_at: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -284,18 +283,15 @@ def probability(model: KgoModel, x_raw, f_raw) -> float:
     return float(_overlap(model, alpha, _design(model.f_spec, f_raw)))
 
 
-def most_probable(model: KgoModel, x_raw, f_raw=None) -> Prediction:
+def most_probable(model: KgoModel, x_raw) -> Prediction:
     """Most probable outcome and its certainty at a query point."""
     alpha = _transported(model, _design(model.x_spec, x_raw))
     f_max_p, _, pole = _outcome(model, alpha)
-    p_at = (float(_overlap(model, alpha, _design(model.f_spec, f_raw)))
-            if f_raw is not None else None)
     return Prediction(
         f_max_p=f_max_p,
         certainty=float(_certainty(model, alpha)),
         certainty_is_probability=model.tensor_kind is not TensorKind.PLAIN_VALUE,
         pole_flag=bool(pole),
-        probability_at=p_at,
     )
 
 
@@ -378,18 +374,6 @@ def adjusted_probability(model: KgoModel, x_raw, f_raw, mode: str) -> float:
     raise DimensionError(f"unknown adjusted probability mode {mode!r}")
 
 
-def map_operator(u, a) -> np.ndarray:
-    """Push a symmetric operator through the channel: A -> u A u^T.
-
-    Maps PSD to PSD; preserves the trace only for square unitary channels.
-    """
-    u = u.u if isinstance(u, PartiallyUnitaryOp) else np.asarray(u, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if a.shape != (u.shape[1], u.shape[1]):
-        raise DimensionError(f"operator shape {a.shape} does not match channel {u.shape}")
-    return u @ a @ u.T
-
-
 def _encode(value):
     """JSON form of a model field: dataclasses by field name, arrays as float
     lists, tuples as lists, enums as their value, anything else as it is."""
@@ -446,6 +430,24 @@ def deserialize_model(blob: bytes) -> KgoModel:
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
     try:
-        return _decode(KgoModel, payload)
+        model = _decode(KgoModel, payload)
+        _check_shapes(model)
     except (TypeError, ValueError) as exc:
         raise DataError(f"corrupt model payload: {exc}") from exc
+    return model
+
+
+def _check_shapes(model: KgoModel):
+    """Refuse (ValueError) decoded arrays whose shapes do not fit together."""
+    x, f, u = model.x_space, model.f_space, model.operator.u
+    d = f.eff_dim if model.f_embed is None else len(u)
+    expected = [("operator.u", u, (d, x.eff_dim)), ("f_embed", model.f_embed, (f.eff_dim, d)),
+                ("x_label_projection", model.x_label_projection, (x.eff_dim, x.eff_dim))]
+    for side, space in (("x_space", x), ("f_space", f)):
+        raw, eff = space.raw_dim, space.eff_dim
+        expected += [(f"{side}.{name}", getattr(space, name), shape) for name, shape in
+                     (("transform", (eff, raw)), ("gram_raw", (raw, raw)),
+                      ("const_raw", (raw,)), ("const_coords", (eff,)))]
+    for name, array, shape in expected:
+        if array is not None and array.shape != shape:
+            raise ValueError(f"{name} has shape {array.shape}, expected {shape}")

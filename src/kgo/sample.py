@@ -1,4 +1,4 @@
-"""Sample ingestion, attribute producting, basis evaluation, weighted averages.
+"""Sample ingestion, attribute producting and basis evaluation.
 
 A Sample is a weighted list of (attribute row, label row) observations; the
 weighted sum over it is the measure behind every moment in the package.
@@ -234,21 +234,6 @@ def producted_dimension(n_vars: int, order: int, mode: str = "exact") -> int:
     return sum(comb(n_vars + d - 1, d) for d in range(order + 1))
 
 
-def weighted_average(sample: Sample, h) -> float:
-    """Measure-weighted sum of a per-observation quantity.
-
-    `h` may be a scalar, a length-M array of precomputed values, or a callable
-    h(x_row, f_row) evaluated on every observation.
-    """
-    if callable(h):
-        vals = np.array([float(h(x, f)) for x, f in zip(sample.x_rows, sample.f_rows)])
-    else:
-        vals = np.broadcast_to(np.asarray(h, dtype=float), (sample.size,))
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("non-finite value under the average")
-    return float(np.dot(vals, sample.weights))
-
-
 def _gather_columns(table: np.ndarray, gathers: tuple) -> np.ndarray:
     """Basis columns from a flattened factor table: the product of one gathered row per variable."""
     first, *rest = gathers
@@ -337,8 +322,8 @@ def _table_shape(spec: BasisSpec, rows: np.ndarray):
 
 def _moment_table(spec: BasisSpec, rows: np.ndarray, weights: np.ndarray,
                   label_spec: Optional[BasisSpec] = None,
-                  label_rows: Optional[np.ndarray] = None) -> np.ndarray:
-    """Mom[p, q] = sum_l w_l L_p(l) T_q(x_l) over the doubled-order columns T of `spec`.
+                  label_rows: Optional[np.ndarray] = None, shift: int = 0) -> np.ndarray:
+    """Mom[p, q] = 2^-shift sum_l w_l L_p(l) T_q(x_l) over the doubled-order columns T of `spec`.
 
     L is 1 (a Gram matrix's table) or a second Chebyshev side's columns.
     Per row block: the weighted L columns times the leading-variable
@@ -349,7 +334,7 @@ def _moment_table(spec: BasisSpec, rows: np.ndarray, weights: np.ndarray,
     mom = 0.0
     for block in row_blocks(rows.shape[0]):
         lead, last = _doubled_factors(spec, rows[block])
-        label = weights[block][None]
+        label = weights[block][None] if not shift else np.ldexp(weights[block], -shift)[None]
         if label_spec is not None:
             f_lead, f_last = _doubled_factors(label_spec, label_rows[block])
             label = np.multiply(f_lead[:, None], f_last[None]).reshape(-1, last.shape[1]) * label

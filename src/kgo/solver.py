@@ -199,15 +199,10 @@ def enforce_partial_unitarity(u, method: str = "svd") -> np.ndarray:
     raise NumericalError("matrix is rank deficient; cannot enforce constraints")
 
 
-def make_operator(u, algorithm: str, iterations: int,
-                  tensor: Optional[CoverageTensor] = None,
-                  f_value: Optional[float] = None) -> PartiallyUnitaryOp:
-    u = np.asarray(u, dtype=float)
-    if f_value is None and tensor is not None:
-        f_value = tensor.quadratic_form(u)
-    return PartiallyUnitaryOp(u=u, residual=constraint_residual(u),
-                              algorithm=algorithm, iterations=iterations,
-                              f_value=f_value)
+def make_operator(u: np.ndarray, algorithm: str, iterations: int,
+                  f_value: float) -> PartiallyUnitaryOp:
+    return PartiallyUnitaryOp(u=u, residual=constraint_residual(u), algorithm=algorithm,
+                              iterations=iterations, f_value=f_value)
 
 
 def _apply(tensor: CoverageTensor, u) -> np.ndarray:
@@ -264,16 +259,11 @@ def select_candidate(channels, tensor: CoverageTensor,
 
     `channels` must come ordered by descending eigenvalue. Each candidate is
     snapped onto the constraints and scored by its adjusted objective; the
-    returned triple is (unadjusted candidate, adjusted candidate, adjusted
-    objective). Rank-deficient candidates are skipped; if the whole pool is
-    deficient the search widens to the full spectrum. Ties keep the earlier
-    (larger-eigenvalue) candidate.
+    returned tuple is (unadjusted candidate, adjusted candidate u, adjusted
+    objective, S u). Rank-deficient candidates are skipped; if the whole
+    pool is deficient the search widens to the full spectrum. Ties keep the
+    earlier (larger-eigenvalue) candidate.
     """
-    return _select(channels, tensor, pool_size, method)[:3]
-
-
-def _select(channels, tensor: CoverageTensor, pool_size: int, method: str = "svd"):
-    """`select_candidate`, whose best adjusted candidate u also carries S u."""
     if pool_size < 1:
         raise DimensionError("pool size must be positive")
     best = None
@@ -323,7 +313,7 @@ def _start(tensor: CoverageTensor, trace: IterationTrace, u_init, iteration: int
 def _maxev(tensor: CoverageTensor, trace: IterationTrace, pool: int, method: str = "svd"):
     """Record the best snapped eigenstate of S as iteration 1, returned as `_start` does."""
     _, channels = solve_partial_constraint(tensor)
-    cand, u, f, su = _select(channels, tensor, pool, method)
+    cand, u, f, su = select_candidate(channels, tensor, pool, method)
     return u, f, _record(trace, 1, tensor.quadratic_form(cand), u, f, su), su
 
 
@@ -397,8 +387,8 @@ def _relaxed_step(tensor: CoverageTensor, config: SolverConfig, candidates):
 
     def step(u, f, lam, su):
         nonlocal stepped
-        cand, u_next, f_next, su_next = _select(candidates(tensor, u, lam, su), tensor,
-                                                 config.candidate_pool)
+        cand, u_next, f_next, su_next = select_candidate(candidates(tensor, u, lam, su),
+                                                         tensor, config.candidate_pool)
         may_stop, stepped = stepped, True
         return tensor.quadratic_form(cand), u_next, f_next, su_next, may_stop
 
@@ -473,35 +463,13 @@ def operator_adjust(u, j_matrix, tensor: CoverageTensor):
     basis = pencil.eigenvectors                      # columns, gram-orthonormal
     coords = basis.T @ u                             # rows satisfy the constraints
     half = spd_sqrt(gram) @ basis                    # (d, d)
-    four = tensor.as_four_index()
+    four = tensor.matrix.reshape(tensor.d, tensor.n, tensor.d, tensor.n)
     adjusted = np.einsum("is,ikjl,jt->sktl", half, four, half)
     matrix = adjusted.reshape(tensor.d * tensor.n, tensor.d * tensor.n)
     matrix = 0.5 * (matrix + matrix.T)
     transferred = CoverageTensor(tensor.kind, tensor.d, tensor.n, matrix)
-    op = make_operator(coords, "operator-adjust", 0, transferred)
+    op = make_operator(coords, "operator-adjust", 0, transferred.quadratic_form(coords))
     return op, transferred
-
-
-def sigma_basis_multipliers(u, tensor: CoverageTensor) -> np.ndarray:
-    """One multiplier per singular value, from the tensor in the SVD basis.
-
-    Row sums of the tensor conjugated onto the singular-vector dyads, taken
-    at unit singular values.
-    """
-    u = np.asarray(u, dtype=float)
-    if not _full_row_rank(u):
-        raise NumericalError("matrix is rank deficient")
-    left, _, right_t = np.linalg.svd(u, full_matrices=False)
-    dyads = np.einsum("js,ks->sjk", left, right_t.T).reshape(u.shape[0], -1)
-    sigma_tensor = dyads @ tensor.matrix @ dyads.T
-    return sigma_tensor.sum(axis=1)
-
-
-def convert_sigma_multipliers(u, multipliers) -> np.ndarray:
-    """Map per-singular-value multipliers back to a symmetric d x d matrix."""
-    u = np.asarray(u, dtype=float)
-    left, _, _ = np.linalg.svd(u, full_matrices=False)
-    return (left * np.asarray(multipliers, dtype=float)) @ left.T
 
 
 def solve(tensor: CoverageTensor, config: SolverConfig,

@@ -27,10 +27,10 @@ which the projective subspace, F_TOT and the least-squares channel read,
 and the attribute norms |x|^2. The third gives the other per-row norms,
 mapping the raw attribute columns without whitening them again.
 `_row_weights` turns the per-row norms (`PreparedData.row_norms`) into the
-weights of every kind, behind one zero gate; F_TOT, the coverage subspace
-and F_JDG read their weights from it too. The fifth, and a subspace fit's
-sixth, sum the label-Christoffel moments. The sum itself is the fourth, by
-one of two routes over the same fixed row blocks:
+weights of every kind, behind one zero gate and one range gate; F_TOT, the
+coverage subspace and F_JDG read their weights from it too. The fifth, and
+a subspace fit's sixth, sum the label-Christoffel moments. The sum itself
+is the fourth, by one of two routes over the same fixed row blocks:
 
   moment table  for data from `prepare` with Chebyshev specs on both sides.
                 Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
@@ -86,9 +86,6 @@ class CoverageTensor:
         flat = u.reshape(-1)
         return float(flat @ (self.matrix @ flat))
 
-    def as_four_index(self) -> np.ndarray:
-        return self.matrix.reshape(self.d, self.n, self.d, self.n)
-
 
 @dataclass(frozen=True)
 class ContributingSubspace:
@@ -116,20 +113,27 @@ def _row_weights(data: PreparedData, kind: TensorKind) -> np.ndarray:
     """Per-observation weights of a tensor kind, from the data's per-row norms.
 
     The one weighting step: w for plain values, otherwise w / |f|^2, or
-    w / (a |f|^2) with the kind's attribute normalizer a: |x|^2 for the
-    christoffel product, |K x|^2 for its adjusted variant. A singular
-    coupling raises where the adjusted normalizer is read.
+    w / |f|^2 / a with the kind's attribute normalizer a: |x|^2 for the
+    christoffel product, |K x|^2 for its adjusted variant. Dividing in turn
+    keeps a |f|^2 from overflowing first. A singular coupling raises where
+    the adjusted normalizer is read; so does a weight that leaves the
+    floating-point range (sample weights too tiny or too large).
     """
     if kind is TensorKind.PLAIN_VALUE:
         return data.weights
-    attribute = None
-    if kind is TensorKind.CHRISTOFFEL_PRODUCT:
-        attribute = _positive(data.row_norms.attribute, "attribute projection")
-    elif kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
-        data.label_coupling  # raises NumericalError when the coupling is singular
-        attribute = _positive(data.row_norms.adjusted, "adjusted normalizer")
-    label = _positive(data.row_norms.label, "label projection")
-    return data.weights / (label if attribute is None else attribute * label)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        weights = data.weights / _positive(data.row_norms.label, "label projection")
+        if kind is TensorKind.CHRISTOFFEL_PRODUCT:
+            weights = weights / _positive(data.row_norms.attribute, "attribute projection")
+        elif kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
+            data.label_coupling  # raises NumericalError when the coupling is singular
+            weights = weights / _positive(data.row_norms.adjusted, "adjusted normalizer")
+    if not (weights.min() > 0.0 and weights.max() < np.inf):  # the fast test first
+        bad = np.flatnonzero(~np.isfinite(weights) | ((weights == 0.0) & (data.weights > 0.0)))
+        if bad.size:
+            raise NumericalError(f"observation {bad[0]} has {kind.value} weight "
+                                 f"{weights[bad[0]]:g}: rescale the sample weights")
+    return weights
 
 
 def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
@@ -192,16 +196,20 @@ def _chebyshev_moments(data: PreparedData, eff_weights) -> np.ndarray:
     rule and whitened by T_f (x) T_x: the attribute side first, for every
     label moment, and the label side last.
     """
-    mom = _moment_table(data.x_spec, data.x_rows, eff_weights, data.f_spec, data.f_rows)
     tx = data.x_space.transform
     tf = data.f_space.transform
+    # The whitening rescales the table's raw sums only at the end. A
+    # power-of-two prescale, undone exactly at the end, keeps the raw and the
+    # whitened sums in range at any weight scale without changing a bit.
+    exp = sum(np.frexp(a)[1] for a in (eff_weights.max(), np.abs(tx).max(), np.abs(tf).max()))
+    mom = _moment_table(data.x_spec, data.x_rows, eff_weights, data.f_spec, data.f_rows, exp)
     x_white = tx @ _product_moments(mom, data.x_spec, data.x_rows) @ tx.T  # (label moments, n, n)
     f_raw = _product_moments(x_white, data.f_spec, data.f_rows, axis=0)   # (m_raw, m_raw, n, n)
     four = np.tensordot(tf, f_raw, axes=(1, 0))           # (m, m_raw, n, n)
     four = np.tensordot(four, tf, axes=(1, 1))            # (m, n, n, m)
     m, n = tf.shape[0], tx.shape[0]
     matrix = four.transpose(0, 1, 3, 2).reshape(m * n, m * n)
-    return 0.5 * (matrix + matrix.T)
+    return np.ldexp(0.5 * (matrix + matrix.T), exp)
 
 
 def build_coverage_tensor(kind: TensorKind, data: PreparedData,

@@ -143,28 +143,3 @@ class TestJointDistributionCoverage:
     def test_single_observation(self):
         data = kgo.prepare_points([[1.0, 0.5]], [[1.0]], [0.7])
         assert kgo.joint_distribution_coverage(data) == pytest.approx(0.7)
-
-
-class TestDirectProjection:
-    def test_exact_subspace_certain(self, three_point_data):
-        lsq = kgo.fit_least_squares(three_point_data)
-        for i in range(3):
-            p = kgo.direct_projection_probability(
-                three_point_data, lsq,
-                three_point_data.x_points[i], three_point_data.f_points[i])
-            assert p == pytest.approx(1.0, abs=1e-10)
-
-    def test_off_sample_overlap(self, three_point_data):
-        lsq = kgo.fit_least_squares(three_point_data)
-        p = kgo.direct_projection_probability(three_point_data, lsq,
-                                              [1.0, 0.0], [1.0, 1.0])
-        assert p == pytest.approx(0.4)
-
-    def test_query_scale_invariance(self, three_point_data):
-        lsq = kgo.fit_least_squares(three_point_data)
-        base = kgo.direct_projection_probability(three_point_data, lsq,
-                                                 [1.0, 0.5], [1.0, 1.0])
-        for c in (2.0, -3.0):
-            scaled = kgo.direct_projection_probability(
-                three_point_data, lsq, [1.0, 0.5], [c * 1.0, c * 1.0])
-            assert scaled == pytest.approx(base, abs=1e-12)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,14 @@ import pytest
 
 import kgo
 from kgo.cli import main
-from kgo.demo import grid_measure, square_wave_table, synthetic_gradient, write_pgm
+from kgo.demo import grid_measure, square_wave_table, synthetic_gradient
+
+
+def pgm_text(image, maxval=255):
+    """ASCII portable graymap (P2) of intensities in [0, 1]."""
+    levels = np.rint(np.clip(image, 0.0, 1.0) * maxval).astype(int)
+    return (f"P2\n{levels.shape[1]} {levels.shape[0]}\n{maxval}\n"
+            + "".join(" ".join(map(str, row)) + "\n" for row in levels))
 
 
 @pytest.fixture
@@ -156,6 +164,26 @@ class TestFit:
         code, err = fit("monomial:1")
         assert code == 2 and "swap the two sides" in err
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize("kind", ["christoffel-product", "christoffel-product-adjusted",
+                                      "f-christoffel"])
+    def test_tiny_weights_exit_four(self, tmp_path, capsys, kind, scale):
+        # Whitening scales |x|^2 and |f|^2 by 1/scale, so w / |f|^2 (and
+        # F_JDG's w / |f|^2 / |x|^2) underflows to zero: a numerical failure,
+        # raised before any RuntimeWarning, never F = 0 with exit 0.
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1.0, 1.0, size=(3000, 2))
+        f = np.sin(2.0 * x[:, 0]) + 0.2 * rng.normal(size=3000)
+        w = scale * rng.uniform(0.1, 2.0, size=3000)
+        path = tmp_path / "tiny.csv"
+        np.savetxt(path, np.column_stack([x, f, w]), delimiter=",", fmt="%.17g")
+        code = main(["fit", "--data", str(path), "--cols", "x=0-1;f=2;w=3",
+                     "--x-basis", "chebyshev:6", "--f-basis", "chebyshev:3",
+                     "--tensor", kind, "--out-prefix", str(tmp_path / "t_")])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert "weight 0: rescale the sample weights" in err
+
     def test_no_whitening_line_when_nothing_dropped(self, exact_csv, tmp_path, capsys):
         code, prefix = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")
         assert code == 0
@@ -232,6 +260,24 @@ class TestEval:
                      "--cols", "x=0", "--out-prefix", str(tmp_path / "c_")])
         assert code == 3
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda m: [row.pop() for row in m["operator"]["u"]], "operator.u has shape"),
+        (lambda m: m["x_space"]["transform"].pop(), "x_space.transform has shape"),
+        (lambda m: m["f_space"]["const_raw"].pop(), "f_space.const_raw has shape"),
+        (lambda m: m["x_label_projection"].pop(), "x_label_projection has shape")],
+        ids=["u-column", "x-transform-row", "f-const-entry", "projection-row"])
+    def test_inconsistent_model_exit_three(self, exact_csv, tmp_path, capsys, cut, message):
+        _, prefix = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")
+        payload = json.loads(open(prefix + "model.json").read())
+        cut(payload)
+        bad = tmp_path / "cut.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["eval", "--model", str(bad), "--data", exact_csv,
+                     "--cols", "x=0", "--out-prefix", str(tmp_path / "c_")])
+        assert code == 3
+        assert f"error: corrupt model payload: {message}" in capsys.readouterr().err
+
     def test_zero_projection_exit_four(self, tmp_path):
         # A model fit on constant labels collapses the label space to one
         # direction; querying the probability of an outcome orthogonal to it
@@ -289,7 +335,7 @@ class TestDemo:
 
     def test_image_probability_bounded(self, tmp_path):
         image = tmp_path / "grad.pgm"
-        write_pgm(str(image), synthetic_gradient(8))
+        image.write_text(pgm_text(synthetic_gradient(8)))
         prefix = str(tmp_path / "im_")
         assert main(["demo", "image", "--image", str(image), "--nx", "3",
                      "--ny", "3", "--m", "2", "--out-prefix", prefix]) == 0
@@ -344,11 +390,11 @@ class TestDemo:
 
 class TestPgm:
     def test_round_trip(self, tmp_path):
-        from kgo.demo import read_pgm, write_pgm
+        from kgo.demo import read_pgm
         img = np.array([[0.0, 0.5], [1.0, 0.25]])
-        path = str(tmp_path / "t.pgm")
-        write_pgm(path, img, maxval=255)
-        back = read_pgm(path)
+        path = tmp_path / "t.pgm"
+        path.write_text(pgm_text(img))
+        back = read_pgm(str(path))
         assert back.shape == img.shape
         assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
 

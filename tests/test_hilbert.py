@@ -124,40 +124,6 @@ class TestLocalizedState:
                 == kgo.localized_state(space, row[0]).coords.tobytes())
 
 
-class TestCoverageOfState:
-    def test_constant_state(self, three_point_data, three_point_sample):
-        state = kgo.localized_state(three_point_data.x_space, [1.0, 0.0])
-        cov = kgo.coverage_of_state(three_point_data.x_points,
-                                    three_point_sample.weights,
-                                    three_point_data.x_space, state)
-        assert cov == pytest.approx(1.8)
-
-    def test_single_point(self):
-        s = kgo.Sample([[0.5]], [[0.5]], [1.0])
-        space = kgo.space_from_sample(s, "x", kgo.BasisSpec("monomial", 1))
-        pts = kgo.design_matrix(kgo.BasisSpec("monomial", 1), s.x_rows)
-        state = kgo.localized_state(space, pts[0])
-        assert kgo.coverage_of_state(pts, s.weights, space, state) == pytest.approx(1.0)
-
-    def test_linear_in_weights(self, three_point_data, three_point_sample):
-        state = kgo.localized_state(three_point_data.x_space, [1.0, 0.5])
-        base = kgo.coverage_of_state(three_point_data.x_points,
-                                     three_point_sample.weights,
-                                     three_point_data.x_space, state)
-        scaled = kgo.coverage_of_state(three_point_data.x_points,
-                                       3.0 * three_point_sample.weights,
-                                       three_point_data.x_space, state)
-        assert scaled == pytest.approx(3.0 * base)
-
-    def test_zero_projection_names_row(self, three_point_data, three_point_sample):
-        state = kgo.localized_state(three_point_data.x_space, [1.0, 0.5])
-        points = three_point_data.x_points.copy()
-        points[2] = 0.0
-        with pytest.raises(NumericalError, match="sample point of row 2 has zero projection"):
-            kgo.coverage_of_state(points, three_point_sample.weights,
-                                  three_point_data.x_space, state)
-
-
 class TestSpaceIdentities:
     def test_project_batch_matches_rows(self):
         rng = np.random.default_rng(11)

@@ -1,9 +1,11 @@
-"""Sums over observations must not depend on how the rows are listed.
+"""Sums over observations must not depend on how the rows are listed, nor
+on the unit of the weights.
 
 Permuting the rows, splitting a row into two half-weight rows, and appending
 zero-weight rows leave every coverage tensor and the joint-distribution
 coverage unchanged. The samples are a little larger than one row block, so
-the operations move rows across a block boundary. Each property runs on
+the operations move rows across a block boundary. Rescaling every weight by
+s scales each fitted figure by a fixed power of s. Each property runs on
 spec-less data, whose tensors take the syrk, and on Chebyshev data from
 `kgo.prepare`, whose tensors take the moment table.
 """
@@ -15,7 +17,7 @@ import kgo
 from kgo.linalg import _ROW_BLOCK
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 N_ATTR, N_LABEL = 4, 2
 SIZES = st.integers(_ROW_BLOCK - 40, _ROW_BLOCK + 300)
@@ -35,10 +37,13 @@ def chebyshev_rows(rng, size):
     return x, f
 
 
-def instance(seed, size, basis):
-    """Spec-less (basis None) or Chebyshev data of `size` rows, and its generator."""
+def instance(seed, size, basis, scale=1.0):
+    """Spec-less (basis None) or Chebyshev data of `size` rows, and its generator.
+
+    The weights are drawn, then multiplied by `scale`.
+    """
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.1, 2.0, size=size)
+    weights = scale * rng.uniform(0.1, 2.0, size=size)
     if basis is None:
         x, f = raw_rows(rng, size)
         return kgo.prepare_points(x, f, weights), rng
@@ -121,3 +126,26 @@ def test_relisted_chebyshev_carries_rows_and_specs():
     np.testing.assert_array_equal(other.x_rows, data.x_rows[order])
     np.testing.assert_array_equal(other.f_rows, data.f_rows[order])
     np.testing.assert_array_equal(other.x_points, kgo.design_matrix(data.x_spec, other.x_rows))
+
+
+# Power of the weight scale s that F of each kind, F_TOT and F_JDG carry.
+F_DEGREE = {kgo.TensorKind.F_CHRISTOFFEL: 0, kgo.TensorKind.CHRISTOFFEL_PRODUCT: 1,
+            kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED: 1, kgo.TensorKind.PLAIN_VALUE: -1}
+SINGLE_SHOT = kgo.SolverConfig(algorithm="lsq-adj")  # no stop test to cross
+
+
+@PROPERTY
+@given(seed=SEEDS, exponent=st.floats(-100.0, 100.0))
+@example(seed=1, exponent=100.0)
+@example(seed=1, exponent=-100.0)
+def test_weight_scale_degrees(seed, exponent):
+    scale = 10.0 ** exponent
+    for basis in BASES:
+        unit, _ = instance(seed, _ROW_BLOCK + 10, basis)
+        scaled, _ = instance(seed, _ROW_BLOCK + 10, basis, scale)
+        for kind, degree in F_DEGREE.items():
+            a = kgo.fit_prepared(unit, kind, SINGLE_SHOT)[0].report
+            b = kgo.fit_prepared(scaled, kind, SINGLE_SHOT)[0].report
+            assert b["f"] == pytest.approx(a["f"] * scale ** degree, rel=1e-12), kind
+            for key in ("f_tot", "f_jdg"):
+                assert b[key] == pytest.approx(a[key] * scale, rel=1e-12), (kind, key)

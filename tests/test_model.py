@@ -9,7 +9,7 @@ import kgo
 from kgo.errors import DataError, DimensionError, NumericalError
 from kgo.model import scalar_value_roots
 
-from conftest import make_random_instance, random_partially_unitary
+from conftest import make_random_instance
 
 
 @pytest.fixture
@@ -239,42 +239,6 @@ class TestAdjustedProbability:
         got = [kgo.adjusted_probability(fresh, x, f, "svd-basis") for x, f in queries]
         assert len(calls) == 1
         np.testing.assert_allclose(got, expect, rtol=1e-12)
-
-
-class TestMapOperator:
-    def test_identity_channel(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(3, 3))
-        a = a + a.T
-        np.testing.assert_array_equal(kgo.map_operator(np.eye(3), a), a)
-
-    def test_pure_state_stays_pure(self):
-        rng = np.random.default_rng(4)
-        u = random_partially_unitary(rng, 2, 4)
-        psi = rng.normal(size=4)
-        rho = np.outer(psi, psi)
-        out = kgo.map_operator(u, rho)
-        assert np.linalg.matrix_rank(out, tol=1e-10) == 1
-        eigs = np.linalg.eigvalsh(out)
-        assert eigs[0] >= -1e-10
-
-    def test_psd_preserved(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            u = random_partially_unitary(rng, 2, 5)
-            z = rng.normal(size=(5, 5))
-            a = z @ z.T
-            eigs = np.linalg.eigvalsh(kgo.map_operator(u, a))
-            assert eigs[0] >= -1e-10 * np.linalg.norm(a)
-
-    def test_trace_preserved_only_when_square(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(3, 3))
-        a = a @ a.T
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        assert np.trace(kgo.map_operator(q, a)) == pytest.approx(np.trace(a))
-        u = random_partially_unitary(rng, 2, 3)
-        assert abs(np.trace(kgo.map_operator(u, a)) - np.trace(a)) > 1e-6
 
 
 class TestSerialization:

@@ -231,32 +231,6 @@ class TestBasisPlan:
                                       kgo.design_matrix(per_source, rows))
 
 
-class TestWeightedAverage:
-    def test_total_weight(self, three_point_sample):
-        assert kgo.weighted_average(three_point_sample, 1.0) == 3.0
-
-    def test_first_moment(self, three_point_sample):
-        assert kgo.weighted_average(three_point_sample, lambda x, f: x[0]) == 0.0
-
-    def test_second_moment(self, three_point_sample):
-        assert kgo.weighted_average(three_point_sample, lambda x, f: x[0] ** 2) == 2.0
-
-    def test_linear_in_values_and_weights(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(17, 2))
-        w = rng.uniform(0.1, 1.0, size=17)
-        s1 = kgo.Sample(x, x, w)
-        s2 = kgo.Sample(x, x, 2.0 * w)
-        vals = rng.normal(size=17)
-        a = kgo.weighted_average(s1, vals)
-        assert kgo.weighted_average(s1, 3.0 * vals) == pytest.approx(3.0 * a)
-        assert kgo.weighted_average(s2, vals) == pytest.approx(2.0 * a)
-
-    def test_non_finite_rejected(self, three_point_sample):
-        with pytest.raises(NumericalError):
-            kgo.weighted_average(three_point_sample, [1.0, np.inf, 0.0])
-
-
 class TestEvaluateBasis:
     def test_monomial_powers(self):
         spec = kgo.BasisSpec("monomial", 2)

@@ -74,20 +74,26 @@ class TestSolvePartialConstraint:
 class TestSelectCandidate:
     def test_pool_one_is_max_eigenstate(self, three_point_tensor):
         _, channels = kgo.solve_partial_constraint(three_point_tensor)
-        cand, _, _ = kgo.select_candidate(channels, three_point_tensor, 1)
+        cand, _, _, _ = kgo.select_candidate(channels, three_point_tensor, 1)
         np.testing.assert_array_equal(cand, channels[0])
 
     def test_pool_never_worse_than_top(self, three_point_tensor):
         _, channels = kgo.solve_partial_constraint(three_point_tensor)
-        _, _, f_top = kgo.select_candidate(channels, three_point_tensor, 1)
-        _, _, f_pool = kgo.select_candidate(channels, three_point_tensor, 4)
+        _, _, f_top, _ = kgo.select_candidate(channels, three_point_tensor, 1)
+        _, _, f_pool, _ = kgo.select_candidate(channels, three_point_tensor, 4)
         assert f_pool >= f_top
 
     def test_beats_adjusted_least_squares(self, three_point_data, three_point_tensor):
         _, channels = kgo.solve_partial_constraint(three_point_tensor)
-        _, _, f_pool = kgo.select_candidate(channels, three_point_tensor, 4)
+        _, _, f_pool, _ = kgo.select_candidate(channels, three_point_tensor, 4)
         lsq = adjusted_least_squares(three_point_data, three_point_tensor)
         assert f_pool >= lsq.f_value - 1e-12
+
+    def test_carries_image_of_adjusted(self, three_point_tensor):
+        _, channels = kgo.solve_partial_constraint(three_point_tensor)
+        _, u, f, su = kgo.select_candidate(channels, three_point_tensor, 4)
+        np.testing.assert_array_equal(su.reshape(-1), three_point_tensor.matrix @ u.reshape(-1))
+        assert f == three_point_tensor.quadratic_form(u)
 
 
 class TestEnforcePartialUnitarity:
@@ -245,8 +251,8 @@ class TestIterateLinearConstraints:
         cfg = kgo.SolverConfig(algorithm="linear-constraints", max_iterations=1)
         op, trace = kgo.solve(three_point_tensor, cfg)
         _, channels = kgo.solve_partial_constraint(three_point_tensor)
-        _, _, f_plain = kgo.select_candidate(channels, three_point_tensor,
-                                             min(16, 4))
+        _, _, f_plain, _ = kgo.select_candidate(channels, three_point_tensor,
+                                                min(16, 4))
         assert trace.records[0].f_after == pytest.approx(f_plain, rel=1e-12)
 
     def test_three_point_exact_within_fifty(self, three_point_tensor):
@@ -433,33 +439,6 @@ class TestOperatorAdjust:
                                        three_point_tensor)
         op, _ = kgo.operator_adjust(u, lam, three_point_tensor)
         assert op.residual <= 1e-10
-
-
-class TestSigmaBasisMultipliers:
-    def test_single_row(self):
-        rng = np.random.default_rng(10)
-        tensor = random_tensor(rng, 1, 4)
-        u = rng.normal(size=(1, 4))
-        mult = kgo.sigma_basis_multipliers(u, tensor)
-        adjusted = kgo.enforce_partial_unitarity(u)
-        assert mult[0] == pytest.approx(tensor.quadratic_form(adjusted))
-
-    def test_spur_consistency(self):
-        rng = np.random.default_rng(11)
-        tensor = random_tensor(rng, 3, 6)
-        u = rng.normal(size=(3, 6))
-        mult = kgo.sigma_basis_multipliers(u, tensor)
-        converted = kgo.convert_sigma_multipliers(u, mult)
-        assert float(mult.sum()) == pytest.approx(float(np.trace(converted)),
-                                                  abs=1e-12 * max(1.0, abs(mult.sum())))
-
-    def test_agrees_with_multiplier_trace(self, three_point_tensor):
-        rng = np.random.default_rng(12)
-        u = rng.normal(size=(2, 2)) + 0.5 * np.eye(2)
-        adjusted = kgo.enforce_partial_unitarity(u)
-        mult = kgo.sigma_basis_multipliers(adjusted, three_point_tensor)
-        lam = kgo.lagrange_multipliers(adjusted, three_point_tensor)
-        assert float(mult.sum()) == pytest.approx(float(np.trace(lam)), abs=1e-9)
 
 
 class TestIllConditionedSelection:

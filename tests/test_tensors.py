@@ -14,7 +14,8 @@ from conftest import direct_coverage, make_random_instance, random_partially_uni
 
 def christoffel_product_moments(data):
     """Four-index christoffel-product tensor M[j, k, j', k']."""
-    return kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT, data).as_four_index()
+    tensor = kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT, data)
+    return tensor.matrix.reshape(tensor.d, tensor.n, tensor.d, tensor.n)
 
 
 class TestChristoffelProductMoments:
