@@ -164,6 +164,20 @@ class TestFit:
         code, err = fit("monomial:1")
         assert code == 2 and "swap the two sides" in err
 
+    @staticmethod
+    def fit_scaled_weights(tmp_path, capsys, kind, scale):
+        """Exit code and stderr of a 3000-row fit whose weights are scaled by `scale`."""
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1.0, 1.0, size=(3000, 2))
+        f = np.sin(2.0 * x[:, 0]) + 0.2 * rng.normal(size=3000)
+        w = scale * rng.uniform(0.1, 2.0, size=3000)
+        path = tmp_path / "scaled.csv"
+        np.savetxt(path, np.column_stack([x, f, w]), delimiter=",", fmt="%.17g")
+        code = main(["fit", "--data", str(path), "--cols", "x=0-1;f=2;w=3",
+                     "--x-basis", "chebyshev:6", "--f-basis", "chebyshev:3",
+                     "--tensor", kind, "--out-prefix", str(tmp_path / "t_")])
+        return code, capsys.readouterr().err
+
     @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
     @pytest.mark.parametrize("kind", ["christoffel-product", "christoffel-product-adjusted",
                                       "f-christoffel"])
@@ -171,18 +185,19 @@ class TestFit:
         # Whitening scales |x|^2 and |f|^2 by 1/scale, so w / |f|^2 (and
         # F_JDG's w / |f|^2 / |x|^2) underflows to zero: a numerical failure,
         # raised before any RuntimeWarning, never F = 0 with exit 0.
-        rng = np.random.default_rng(7)
-        x = rng.uniform(-1.0, 1.0, size=(3000, 2))
-        f = np.sin(2.0 * x[:, 0]) + 0.2 * rng.normal(size=3000)
-        w = scale * rng.uniform(0.1, 2.0, size=3000)
-        path = tmp_path / "tiny.csv"
-        np.savetxt(path, np.column_stack([x, f, w]), delimiter=",", fmt="%.17g")
-        code = main(["fit", "--data", str(path), "--cols", "x=0-1;f=2;w=3",
-                     "--x-basis", "chebyshev:6", "--f-basis", "chebyshev:3",
-                     "--tensor", kind, "--out-prefix", str(tmp_path / "t_")])
-        err = capsys.readouterr().err
+        code, err = self.fit_scaled_weights(tmp_path, capsys, kind, scale)
         assert code == 4, err
         assert "weight 0: rescale the sample weights" in err
+
+    @pytest.mark.parametrize("scale", [1e120, 1e200, 1e300])
+    @pytest.mark.parametrize("kind", ["christoffel-product", "christoffel-product-adjusted",
+                                      "f-christoffel", "plain-value"])
+    def test_huge_weights_exit_four(self, tmp_path, capsys, kind, scale):
+        # The mirror image: F_JDG's weight grows as scale^3 and overflows,
+        # whichever kind is fit, and the fit exits 4 naming an infinite weight.
+        code, err = self.fit_scaled_weights(tmp_path, capsys, kind, scale)
+        assert code == 4, err
+        assert "weight inf: rescale the sample weights" in err
 
     def test_no_whitening_line_when_nothing_dropped(self, exact_csv, tmp_path, capsys):
         code, prefix = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")

@@ -299,6 +299,49 @@ class TestZeroGate:
         assert np.isfinite(kgo.ftot_upper_bound(data))
 
 
+class TestRangeGate:
+    """A weight that leaves the floating-point range names its observation.
+
+    Whitening scales every row norm by 1/s when the weights scale by s, so
+    w / |f|^2 scales as s^2 and the christoffel-product weight as s^3.
+    """
+
+    def data(self, scale):
+        rng = np.random.default_rng(22)
+        t = rng.uniform(-1.0, 1.0, 30)
+        x = np.column_stack([np.ones(30), t, t ** 2])
+        f = np.column_stack([np.ones(30), np.sin(2.0 * t)])
+        weights = scale * rng.uniform(0.5, 2.0, 30)
+        weights[0] = 0.0  # a zero-weight row is no failure, whatever its kind weight
+        return kgo.prepare_points(x, f, weights)
+
+    def test_underflow_names_first_weighted_row(self):
+        data = self.data(1e-200)
+        for kind in (kgo.TensorKind.CHRISTOFFEL_PRODUCT,
+                     kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED, kgo.TensorKind.F_CHRISTOFFEL):
+            with pytest.raises(NumericalError,
+                               match=f"observation 1 has {kind.value} weight 0: rescale"):
+                kgo.build_coverage_tensor(kind, data)
+        with pytest.raises(NumericalError, match="observation 1 has christoffel-product weight 0"):
+            kgo.joint_distribution_coverage(data)
+        assert np.all(np.isfinite(kgo.build_coverage_tensor(kgo.TensorKind.PLAIN_VALUE,
+                                                            data).matrix))
+
+    def test_overflow_names_first_weighted_row(self):
+        data = self.data(1e200)
+        with pytest.raises(NumericalError, match="observation 1 has f-christoffel weight inf"):
+            kgo.build_coverage_tensor(kgo.TensorKind.F_CHRISTOFFEL, data)
+        with pytest.raises(NumericalError, match="observation 1 has christoffel-product weight inf"):
+            kgo.joint_distribution_coverage(data)
+
+    def test_in_range_scale_passes(self):
+        # s^3 stays inside the range at s = 1e90: every kind builds.
+        data = self.data(1e90)
+        for kind in kgo.TensorKind:
+            assert np.all(np.isfinite(kgo.build_coverage_tensor(kind, data).matrix))
+        assert np.isfinite(kgo.joint_distribution_coverage(data))
+
+
 class TestSingularCoupling:
     def make_orthogonal_label_data(self):
         # The second label direction has zero measure-weighted overlap with
