@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DimensionError
 from .hilbert import PreparedData, SpaceBasis, _points, _require_positive, _times
 from .sample import _basis_columns
+from .solver import constraint_residual
 from .tensors import TensorKind, _row_weights
 
 
@@ -58,8 +59,7 @@ def partial_unitarity_residual(data: PreparedData, channel=None) -> float:
     Defaults to the least-squares channel; zero exactly when the label space
     is a subspace of the attribute space.
     """
-    u = data.cross_gram() if channel is None else np.asarray(channel, dtype=float)
-    return float(np.linalg.norm(u @ u.T - np.eye(u.shape[0])))
+    return constraint_residual(data.cross_gram() if channel is None else channel)
 
 
 def fit_radon_nikodym(data: PreparedData, labels=None) -> RadonNikodymModel:

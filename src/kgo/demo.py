@@ -55,23 +55,24 @@ def localized_states_table(n: int = 7, ys: Sequence[float] = (-0.6, 0.0, 0.4),
     return header, rows
 
 
+def _estimate_table(data, labels, kind: TensorKind, config: SolverConfig, leading: dict):
+    """A mapping demo's table: the leading columns, then at the data's own rows least squares,
+    Radon-Nikodym on the label columns, and the channel's value, P(truth) and pole flag."""
+    fitted, _ = model_mod.fit_prepared(data, kind, config)
+    pred = model_mod.predict(fitted, data.x_points, data.f_points)
+    lsq = baselines.eval_least_squares(baselines.fit_least_squares(data), data.x_points)
+    rn = baselines.eval_radon_nikodym(baselines.fit_radon_nikodym(data, labels), data.x_points)
+    header = [*leading, "least_squares", "radon_nikodym", "kgo_value", "kgo_p_at_truth", "pole"]
+    return header, np.column_stack([*leading.values(), lsq[:, 1], rn[:, 0], pred["value"][:, 1],
+                                    pred["probability"], pred["pole"]])
+
+
 def _comparison_table(grid, weights, f_true, x_order: int, f_order: int,
                       kind: TensorKind, config: SolverConfig):
     """Shared assembly of the 1D function-mapping demos."""
     sample = Sample(grid[:, None], f_true[:, None], weights)
-    x_spec = BasisSpec("monomial", x_order)
-    f_spec = BasisSpec("monomial", f_order)
-    data = hilbert.prepare(sample, x_spec, f_spec)
-    lsq = baselines.fit_least_squares(data)
-    rn = baselines.fit_radon_nikodym(data, labels=f_true[:, None])
-    fitted, _ = model_mod.fit_prepared(data, kind, config)
-    header = ["x", "exact", "least_squares", "radon_nikodym",
-              "kgo_value", "kgo_p_at_truth", "pole"]
-    pred = model_mod.predict(fitted, data.x_points, data.f_points)
-    rows = np.column_stack([grid, f_true, baselines.eval_least_squares(lsq, data.x_points)[:, 1],
-                            baselines.eval_radon_nikodym(rn, data.x_points)[:, 0],
-                            pred["value"][:, 1], pred["probability"], pred["pole"]])
-    return header, rows
+    data = hilbert.prepare(sample, BasisSpec("monomial", x_order), BasisSpec("monomial", f_order))
+    return _estimate_table(data, f_true[:, None], kind, config, {"x": grid, "exact": f_true})
 
 
 def square_wave_table(n: int = 7, n_points: int = DEFAULT_GRID_POINTS,
@@ -160,19 +161,8 @@ def image_table(image: np.ndarray, n_x: int = 5, n_y: int = 5, m: int = 3,
     yy = np.repeat(np.linspace(-1.0, 1.0, height), width)
     gray = image.reshape(-1)
     x_design = tensor_grid_design(xx, yy, n_x, n_y)
-    f_spec = BasisSpec("monomial", m - 1)
-    f_design = design_matrix(f_spec, gray[:, None])
-    weights = np.ones(gray.shape[0])
-    data = hilbert.prepare_points(x_design, f_design, weights)
+    f_design = design_matrix(BasisSpec("monomial", m - 1), gray[:, None])
+    data = hilbert.prepare_points(x_design, f_design, np.ones(gray.shape[0]))
     if config is None:
         config = PINNED_CONFIGS["image"]
-    fitted, _ = model_mod.fit_prepared(data, kind, config)
-    lsq = baselines.fit_least_squares(data)
-    rn = baselines.fit_radon_nikodym(data, labels=gray[:, None])
-    header = ["x", "y", "exact", "least_squares", "radon_nikodym",
-              "kgo_value", "kgo_p_at_truth", "pole"]
-    pred = model_mod.predict(fitted, x_design, f_design)
-    rows = np.column_stack([xx, yy, gray, baselines.eval_least_squares(lsq, x_design)[:, 1],
-                            baselines.eval_radon_nikodym(rn, x_design)[:, 0],
-                            pred["value"][:, 1], pred["probability"], pred["pole"]])
-    return header, rows
+    return _estimate_table(data, gray[:, None], kind, config, {"x": xx, "y": yy, "exact": gray})

@@ -13,9 +13,8 @@ A fit of `prepare` data passes over the rows as follows:
 
   1. `prepare`: each side's Gram matrix (`_side_gram`, the one Gram path
      of `gram_matrix`, `build_space`, `space_from_sample`, `prepare` and
-     `prepare_points`). A Chebyshev side's is read off its plain-weight
-     doubled-order moment table, whose layout `sample` owns; any other
-     side adds each block's weighted columns.
+     `prepare_points`), read off a Chebyshev side's plain-weight moment
+     table where that is less work (`_table_pays`), else added blockwise.
   2. `PreparedData.cross_moments`: sum_l w_l f_l x_l^T over whitened
      attribute rows, once with whitened label rows (the cross Gram) and
      once with raw label features (for the least-squares map), and |x|^2
@@ -23,10 +22,9 @@ A fit of `prepare` data passes over the rows as follows:
      that whitens the attribute block.
   3. `PreparedData.row_norms`: per observation |f|^2, the overlap f^T C x
      with the cross Gram C and the adjusted normalizer |K x|^2; the raw
-     attribute columns go through [C; K] T_x in one product.
+     attribute columns go through [C; K] T_x in one product. The same
+     pass sums the label-Christoffel moments of F_TOT.
   4. the coverage tensor (see `tensors`).
-  5. `weighted_gram("f")`, label side only: the label-Christoffel moments
-     of F_TOT; a subspace fit (`d`) makes this pass once more, first.
 
 `prepare_points` data sums its Gram matrices over the stored feature rows;
 passes 2 and 3 run on it the same way. The row arrays `x_points`,
@@ -44,7 +42,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .linalg import row_blocks, sym_eig
 from .sample import (CHEBYSHEV, BasisSpec, Sample, _basis_columns, _checked_dimension,
-                     _moment_table, _product_moments, design_matrix)
+                     _moment_table, _product_moments, _table_pays, design_matrix)
 
 DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
@@ -121,11 +119,12 @@ def _side_gram(spec: Optional[BasisSpec], rows: np.ndarray, weights: np.ndarray)
     """One side's raw Gram matrix, summed over the fixed row blocks of its rows.
 
     A Chebyshev side's is read off its plain-weight doubled-order moment
-    table; any other side (a monomial spec, or feature rows and no spec)
-    adds each block's weighted columns. Non-finite basis values raise.
+    table when that pays (`_table_pays`); any other side (a monomial spec,
+    or feature rows and no spec) adds each block's weighted columns.
+    Non-finite basis values raise.
     """
     dim = rows.shape[1] if spec is None else _checked_dimension(spec, rows)
-    if spec is not None and spec.kind == CHEBYSHEV:
+    if spec is not None and spec.kind == CHEBYSHEV and _table_pays(spec, rows, dim):
         return _product_moments(_moment_table(spec, rows, weights), spec, rows)[0]
     gram = np.zeros((dim, dim))
     for block in row_blocks(rows.shape[0]):
@@ -235,12 +234,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RowNorms:
-    """The per-observation quantities of the second and third passes, one M-vector each."""
+    """The per-row quantities of the second and third passes, and the third's label moments."""
 
     label: np.ndarray      # |f_l|^2 in orthonormal label coordinates
     attribute: np.ndarray  # |x_l|^2 in orthonormal attribute coordinates
     overlap: np.ndarray    # f_l^T C x_l with C the cross Gram
     adjusted: Optional[np.ndarray]  # |K x_l|^2; None when the coupling is singular
+    label_moments: np.ndarray  # sum_l w_l psi_l psi_l^T over unit label states f_l / |f_l|
 
 
 @dataclass(frozen=True)
@@ -302,13 +302,6 @@ class PreparedData:
             yield (rows,) + tuple(transform @ _basis_columns(spec, side_rows[rows])
                                   for spec, side_rows, transform in parts)
 
-    def weighted_gram(self, side: str, weights) -> np.ndarray:
-        """sum_l weights_l o_l o_l^T over one side's orthonormal coordinates o_l."""
-        gram = 0.0
-        for rows, coords in self.blocks(side):
-            gram = gram + (coords * weights[rows]) @ coords.T
-        return gram
-
     @cached_property
     def cross_moments(self) -> tuple:
         """(C, B, a): sum_l w_l f_l x_l^T over whitened attribute rows, and
@@ -366,7 +359,8 @@ class PreparedData:
         whitens only the label block: the raw attribute columns go straight
         through [C; K] T_x, one (2 m_eff x n_raw) product per block. With a
         singular coupling `adjusted` is None, and reading the adjusted
-        normalizer raises through `label_coupling`.
+        normalizer raises through `label_coupling`. The label moments sum unit
+        states, so they stay in range at any weight scale; a zero row adds nothing.
         """
         cross = self.cross_gram()
         try:  # C and K stacked, so each block takes one product for both
@@ -377,14 +371,18 @@ class PreparedData:
         m = cross.shape[0]
         label, overlap = np.empty(self.size), np.empty(self.size)
         adjusted = np.empty(self.size) if maps.shape[0] > m else None
+        moments = 0.0
         for rows, f in self.blocks("f"):
             np.einsum("ij,ij->j", f, f, out=label[rows])
+            norm = np.sqrt(label[rows])
+            unit = np.divide(f, norm, out=np.zeros_like(f), where=norm > 0.0)
+            moments = moments + (unit * self.weights[rows]) @ unit.T
             mapped = maps @ _basis_columns(self.x_spec, self.x_rows[rows])
             np.einsum("ij,ij->j", f, mapped[:m], out=overlap[rows])
             if adjusted is not None:
                 np.einsum("ij,ij->j", mapped[m:], mapped[m:], out=adjusted[rows])
         return RowNorms(*(None if a is None else _read_only(a)
-                          for a in (label, self.cross_moments[2], overlap, adjusted)))
+                          for a in (label, self.cross_moments[2], overlap, adjusted, moments)))
 
 
 def label_matched_projection(data: PreparedData) -> np.ndarray:

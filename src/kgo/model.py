@@ -126,6 +126,8 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         subspace = contributing_subspace(data, d, "projective")
         f_embed = subspace_embedding(data, subspace)
     tensor = build_coverage_tensor(kind, data, subspace)
+    # The report baselines first: their weight gate exits before a solve can overflow.
+    f_tot, f_jdg = ftot_upper_bound(data), joint_distribution_coverage(data)
     u_init = lsq_channel(data)
     if subspace is not None:
         # Pull the least-squares channel back into subspace coordinates.
@@ -140,8 +142,8 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         "algorithm": op.algorithm,
         "iterations": op.iterations,
         "f": op.f_value,
-        "f_tot": ftot_upper_bound(data),
-        "f_jdg": joint_distribution_coverage(data),
+        "f_tot": f_tot,
+        "f_jdg": f_jdg,
         "residual": op.residual,
         "best_iteration": best.iteration,
         "stationarity": best.stationarity,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Optional
 
@@ -188,26 +189,16 @@ def multi_indices(n_vars: int, order: int, mode: str = "exact"):
 
     Exact mode lists all tuples with sum == order; up_to mode walks degrees
     0..order. Within a degree, tuples appear in lexicographic monomial order
-    (leading variable first): (2,0) before (1,1) before (0,2).
+    (leading variable first): (2,0) before (1,1) before (0,2), which is the
+    order of the sorted variable multisets of `combinations_with_replacement`.
     """
     if n_vars < 1:
         raise DimensionError("need at least one variable")
-
-    def exact(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for k in range(remaining, -1, -1):
-            for rest in exact(remaining - k, slots - 1):
-                yield (k,) + rest
-
-    if mode == "exact":
-        yield from exact(order, n_vars)
-    elif mode == "up_to":
-        for d in range(order + 1):
-            yield from exact(d, n_vars)
-    else:
+    if mode not in ("exact", "up_to"):
         raise DataError(f"unknown producting mode {mode!r}")
+    for degree in range(order + 1) if mode == "up_to" else (order,):
+        for chosen in combinations_with_replacement(range(n_vars), degree):
+            yield tuple(chosen.count(j) for j in range(n_vars))
 
 
 @lru_cache(maxsize=64)
@@ -312,12 +303,25 @@ def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
     return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
 
 
+# One elementwise multiply of a row block costs about as much as ten multiply-adds
+# inside a matrix product (one-off timings on 5e4 rows); both table routes weigh by it.
+_ELEMENTWISE_COST = 10
+
+
 def _table_shape(spec: BasisSpec, rows: np.ndarray):
     """Per-row sizes of one side's table: lead columns, last-variable rows, gather multiplies."""
     n_vars = _n_vars(spec, rows)
     order = 2 * spec.product_order
     lead = producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1
     return lead, order + 1, lead * (n_vars - 1)
+
+
+def _table_pays(spec: BasisSpec, rows: np.ndarray, dim: int) -> bool:
+    """Whether a Chebyshev Gram of `dim` columns is less work per row off the table than
+    summed blockwise: `tensors._moment_route`'s rule with one label column."""
+    lead, last, gather = _table_shape(spec, rows)
+    return (_ELEMENTWISE_COST * (gather + 2 + lead) + lead * last
+            < _ELEMENTWISE_COST * dim + dim * dim)
 
 
 def _moment_table(spec: BasisSpec, rows: np.ndarray, weights: np.ndarray,

@@ -21,15 +21,14 @@ flattened index is row-major over (label index j, attribute index k).
 
 Every kind is the same row-weighted sum S = sum_l w_l z_l z_l^T with
 z_l = f_l (x) x_l; only the per-row weights w_l differ. A fit passes over
-the rows five times, six with a subspace (see `hilbert`). The first
-(`hilbert.prepare`) gives both Gram matrices, the second the cross Gram,
-which the projective subspace, F_TOT and the least-squares channel read,
-and the attribute norms |x|^2. The third gives the other per-row norms,
-mapping the raw attribute columns without whitening them again.
+the rows four times (see `hilbert`): `hilbert.prepare` sums both Gram
+matrices; the second pass the cross Gram, which the projective subspace,
+F_TOT and the least-squares channel read, and the attribute norms |x|^2;
+the third the other per-row norms, mapping the raw attribute columns
+without whitening them again, and the label-Christoffel moments of F_TOT.
 `_row_weights` turns the per-row norms (`PreparedData.row_norms`) into the
-weights of every kind, behind one zero gate and one range gate; F_TOT, the
-coverage subspace and F_JDG read their weights from it too. The fifth, and
-a subspace fit's sixth, sum the label-Christoffel moments. The sum itself
+weights of every kind, behind one zero gate and one range gate; the
+coverage subspace and F_JDG read their weights from it too. The sum itself
 is the fourth, by one of two routes over the same fixed row blocks:
 
   moment table  for data from `prepare` with Chebyshev specs on both sides.
@@ -59,7 +58,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .hilbert import PreparedData, SpaceBasis
 from .linalg import sym_eig
-from .sample import CHEBYSHEV, _moment_table, _product_moments, _table_shape
+from .sample import _ELEMENTWISE_COST, CHEBYSHEV, _moment_table, _product_moments, _table_shape
 
 
 class TensorKind(str, Enum):
@@ -152,9 +151,6 @@ def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
-# One elementwise multiply of a row block costs about as much as ten
-# multiply-adds inside a matrix product (one-off timings on 5e4 rows).
-_ELEMENTWISE_COST = 10
 # Largest kappa_x * kappa_f of the two whitenings the moment route accepts.
 # Whitening raw moments amplifies their rounding by about that product, so
 # its error stays near 1e-11 relative; the rows route only sees sqrt(kappa).
@@ -245,8 +241,10 @@ def subspace_embedding(data: PreparedData, subspace: ContributingSubspace) -> np
 
 
 def label_christoffel_moments(data: PreparedData) -> np.ndarray:
-    """<f_t | K_f | f_s> in orthonormal label coordinates."""
-    return data.weighted_gram("f", _row_weights(data, TensorKind.F_CHRISTOFFEL))
+    """<f_t | K_f | f_s> in orthonormal label coordinates, read-only: the row-norm
+    pass's sum over the unit label states, behind the tensor weights' zero gate."""
+    _positive(data.row_norms.label, "label projection")
+    return data.row_norms.label_moments
 
 
 def label_to_attribute_coverage(data: PreparedData) -> np.ndarray:
@@ -274,7 +272,10 @@ def _coverage_matrix(data: PreparedData, variant: str) -> np.ndarray:
     if variant == "projective":
         return label_to_attribute_coverage(data)
     if variant == "coverage":
-        return data.weighted_gram("x", _row_weights(data, TensorKind.F_CHRISTOFFEL))
+        weights, gram = _row_weights(data, TensorKind.F_CHRISTOFFEL), 0.0
+        for rows, x in data.blocks("x"):
+            gram = gram + (x * weights[rows]) @ x.T
+        return gram
     raise DimensionError(f"unknown subspace variant {variant!r}")
 
 

@@ -180,11 +180,13 @@ class TestFit:
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
     @pytest.mark.parametrize("kind", ["christoffel-product", "christoffel-product-adjusted",
-                                      "f-christoffel"])
+                                      "f-christoffel", "plain-value"])
     def test_tiny_weights_exit_four(self, tmp_path, capsys, kind, scale):
         # Whitening scales |x|^2 and |f|^2 by 1/scale, so w / |f|^2 (and
         # F_JDG's w / |f|^2 / |x|^2) underflows to zero: a numerical failure,
-        # raised before any RuntimeWarning, never F = 0 with exit 0.
+        # raised before any RuntimeWarning, never F = 0 with exit 0. A
+        # plain-value fit, whose F grows as 1/scale, stops at F_JDG's gate
+        # before its solve.
         code, err = self.fit_scaled_weights(tmp_path, capsys, kind, scale)
         assert code == 4, err
         assert "weight 0: rescale the sample weights" in err

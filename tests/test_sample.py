@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -107,6 +108,24 @@ class TestProductAttributes:
         assert indices[0] == (0, 0, 0)
         degrees = [sum(i) for i in indices]
         assert degrees == sorted(degrees)
+
+    @pytest.mark.parametrize("mode", ["exact", "up_to"])
+    def test_matches_reference_enumeration(self, mode):
+        # Every exponent tuple of each degree, in descending lexicographic
+        # order: (2,0) before (1,1) before (0,2).
+        for n in range(1, 5):
+            for order in range(7):
+                degrees = range(order + 1) if mode == "up_to" else [order]
+                want = [t for degree in degrees
+                        for t in sorted((t for t in product(range(degree + 1), repeat=n)
+                                         if sum(t) == degree), reverse=True)]
+                assert list(kgo.multi_indices(n, order, mode)) == want
+
+    def test_enumeration_errors(self):
+        with pytest.raises(DimensionError, match="at least one variable"):
+            list(kgo.multi_indices(0, 2))
+        with pytest.raises(DataError, match="unknown producting mode"):
+            list(kgo.multi_indices(2, 2, "below"))
 
 
 def loop_design(spec, rows):
