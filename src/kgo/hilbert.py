@@ -13,8 +13,9 @@ A fit of `prepare` data passes over the rows as follows:
 
   1. `prepare`: each side's Gram matrix (`_side_gram`, the one Gram path
      of `gram_matrix`, `build_space`, `space_from_sample`, `prepare` and
-     `prepare_points`), read off a Chebyshev side's plain-weight moment
-     table where that is less work (`_table_pays`), else added blockwise.
+     `prepare_points`). A Chebyshev side's is read off its plain-weight
+     doubled-order moment table, whose layout `sample` owns; any other
+     side adds each block's weighted columns.
   2. `PreparedData.cross_moments`: sum_l w_l f_l x_l^T over whitened
      attribute rows, once with whitened label rows (the cross Gram) and
      once with raw label features (for the least-squares map), and |x|^2
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .linalg import row_blocks, sym_eig
 from .sample import (CHEBYSHEV, BasisSpec, Sample, _basis_columns, _checked_dimension,
-                     _moment_table, _product_moments, _table_pays, design_matrix)
+                     _moment_table, _product_moments, design_matrix)
 
 DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
@@ -119,12 +120,11 @@ def _side_gram(spec: Optional[BasisSpec], rows: np.ndarray, weights: np.ndarray)
     """One side's raw Gram matrix, summed over the fixed row blocks of its rows.
 
     A Chebyshev side's is read off its plain-weight doubled-order moment
-    table when that pays (`_table_pays`); any other side (a monomial spec,
-    or feature rows and no spec) adds each block's weighted columns.
-    Non-finite basis values raise.
+    table; any other side (a monomial spec, or feature rows and no spec)
+    adds each block's weighted columns. Non-finite basis values raise.
     """
     dim = rows.shape[1] if spec is None else _checked_dimension(spec, rows)
-    if spec is not None and spec.kind == CHEBYSHEV and _table_pays(spec, rows, dim):
+    if spec is not None and spec.kind == CHEBYSHEV:
         return _product_moments(_moment_table(spec, rows, weights), spec, rows)[0]
     gram = np.zeros((dim, dim))
     for block in row_blocks(rows.shape[0]):
@@ -360,7 +360,9 @@ class PreparedData:
         through [C; K] T_x, one (2 m_eff x n_raw) product per block. With a
         singular coupling `adjusted` is None, and reading the adjusted
         normalizer raises through `label_coupling`. The label moments sum unit
-        states, so they stay in range at any weight scale; a zero row adds nothing.
+        states, so they stay in range at any weight scale; a zero row adds
+        nothing, nor does a row whose |f|^2 overflows (which
+        `tensors.label_christoffel_moments` rejects).
         """
         cross = self.cross_gram()
         try:  # C and K stacked, so each block takes one product for both

@@ -303,25 +303,12 @@ def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
     return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
 
 
-# One elementwise multiply of a row block costs about as much as ten multiply-adds
-# inside a matrix product (one-off timings on 5e4 rows); both table routes weigh by it.
-_ELEMENTWISE_COST = 10
-
-
 def _table_shape(spec: BasisSpec, rows: np.ndarray):
     """Per-row sizes of one side's table: lead columns, last-variable rows, gather multiplies."""
     n_vars = _n_vars(spec, rows)
     order = 2 * spec.product_order
     lead = producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1
     return lead, order + 1, lead * (n_vars - 1)
-
-
-def _table_pays(spec: BasisSpec, rows: np.ndarray, dim: int) -> bool:
-    """Whether a Chebyshev Gram of `dim` columns is less work per row off the table than
-    summed blockwise: `tensors._moment_route`'s rule with one label column."""
-    lead, last, gather = _table_shape(spec, rows)
-    return (_ELEMENTWISE_COST * (gather + 2 + lead) + lead * last
-            < _ELEMENTWISE_COST * dim + dim * dim)
 
 
 def _moment_table(spec: BasisSpec, rows: np.ndarray, weights: np.ndarray,

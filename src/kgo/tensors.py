@@ -58,7 +58,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .hilbert import PreparedData, SpaceBasis
 from .linalg import sym_eig
-from .sample import _ELEMENTWISE_COST, CHEBYSHEV, _moment_table, _product_moments, _table_shape
+from .sample import CHEBYSHEV, _moment_table, _product_moments, _table_shape
 
 
 class TensorKind(str, Enum):
@@ -151,6 +151,9 @@ def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
+# One elementwise multiply of a row block costs about as much as ten
+# multiply-adds inside a matrix product (one-off timings on 5e4 rows).
+_ELEMENTWISE_COST = 10
 # Largest kappa_x * kappa_f of the two whitenings the moment route accepts.
 # Whitening raw moments amplifies their rounding by about that product, so
 # its error stays near 1e-11 relative; the rows route only sees sqrt(kappa).
@@ -242,8 +245,13 @@ def subspace_embedding(data: PreparedData, subspace: ContributingSubspace) -> np
 
 def label_christoffel_moments(data: PreparedData) -> np.ndarray:
     """<f_t | K_f | f_s> in orthonormal label coordinates, read-only: the row-norm
-    pass's sum over the unit label states, behind the tensor weights' zero gate."""
-    _positive(data.row_norms.label, "label projection")
+    pass's sum over the unit label states, behind the tensor weights' zero gate
+    and a range gate on |f|^2, whose overflow would drop the row from the sum."""
+    label = _positive(data.row_norms.label, "label projection")
+    bad = np.flatnonzero(~np.isfinite(label) & (data.weights > 0.0))
+    if bad.size:
+        raise NumericalError(f"observation {bad[0]} has label projection {label[bad[0]]:g}: "
+                             "rescale the sample weights")
     return data.row_norms.label_moments
 
 

@@ -1,9 +1,9 @@
 """The blocked passes of a fit against dense formulas on materialized rows.
 
 `kgo.prepare` sums both Gram matrices over the row blocks (a Chebyshev
-side's Gram read off its doubled-order moment table where that is less
-work), `PreparedData` sums the cross moments in a second pass and the
-per-row norms with the label-Christoffel moments in a third
+side's Gram read off its doubled-order moment table), `PreparedData`
+sums the cross moments in a second pass and the per-row norms with the
+label-Christoffel moments in a third
 (`row_norms`). Every quantity built from them is checked here against the
 whole-array formula on `x_points`, `x_orth`, `f_points` and `f_orth`, which
 the data builds only when they are read.
@@ -66,10 +66,7 @@ class TestPassesMatchDense:
     @pytest.mark.parametrize("shape", SHAPES,
                              ids=["1var", "2var", "3var", "exact", "source", "dead"])
     @pytest.mark.parametrize("size", SIZES)
-    def test_every_quantity(self, monkeypatch, size, shape):
-        # Every Gram off its moment table, also on the shapes where the
-        # blocked sum is less work and would run.
-        monkeypatch.setattr(kgo.hilbert, "_table_pays", lambda spec, rows, dim: True)
+    def test_every_quantity(self, size, shape):
         data = chebyshev_instance(np.random.default_rng([size, len(shape)]), size, **shape)
         norms = data.row_norms
         lsq = kgo.fit_least_squares(data)
@@ -243,27 +240,6 @@ class TestFourRowPasses:
 
 
 class TestOneSideGramPath:
-    def test_table_only_where_it_pays(self, monkeypatch):
-        # Six variables at order 2: the table's 126 leading columns are more
-        # work per row than the blocked sum over 28 basis columns, which
-        # gives gram_matrix's bits. The fit-solver benchmark's sides (two
-        # variables at order 10, one at order 4) keep the table.
-        tables = []
-        real = kgo.hilbert._moment_table
-        monkeypatch.setattr(kgo.hilbert, "_moment_table",
-                            lambda *args: tables.append(args) or real(*args))
-        x = np.random.default_rng(12).uniform(-1.0, 1.0, size=(BLOCK + 5, 6))
-        sample = kgo.Sample(x, x[:, :1], np.linspace(0.5, 1.5, BLOCK + 5))
-        spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 2), x)
-        space = kgo.space_from_sample(sample, "x", spec)
-        assert tables == []
-        blocked = kgo.gram_matrix(kgo.design_matrix(spec, x), sample.weights)
-        assert space.gram_raw.tobytes() == blocked.tobytes()
-        for order, rows in ((10, x[:, :2]), (4, x[:, :1])):
-            side = kgo.Sample(rows, x[:, :1], sample.weights)
-            kgo.space_from_sample(side, "x", kgo.with_scale(kgo.BasisSpec("chebyshev", order), rows))
-        assert len(tables) == 2
-
     @pytest.mark.parametrize("kind", ["chebyshev", "monomial"])
     def test_space_from_sample_is_prepares_side(self, kind):
         rng = np.random.default_rng(4)

@@ -334,6 +334,16 @@ class TestRangeGate:
         with pytest.raises(NumericalError, match="observation 1 has christoffel-product weight inf"):
             kgo.joint_distribution_coverage(data)
 
+    def test_label_norm_overflow_names_first_weighted_row(self):
+        # |f|^2 scales as 1/s and overflows at s = 1e-310; the unit-state sum
+        # behind F_TOT would drop those rows, so it raises instead.
+        data = self.data(1e-310)
+        assert np.isinf(data.row_norms.label[1])
+        for bound in (kgo.ftot_upper_bound, kgo.coverage_spectrum):
+            with pytest.raises(NumericalError,
+                               match="observation 1 has label projection inf: rescale"):
+                bound(data)
+
     def test_in_range_scale_passes(self):
         # s^3 stays inside the range at s = 1e90: every kind builds.
         data = self.data(1e90)
