@@ -10,7 +10,11 @@ Every pass over the rows evaluates a block's basis columns here
 What evaluation needs besides the rows is resolved once per spec, in its
 `_BasisPlan`: the source columns, the Chebyshev argument map's operands,
 and per input width the basis dimension and the exponent gathers. A query
-row then pays only for its own arithmetic. This module also owns the
+row then pays only for its own arithmetic. A one-row Chebyshev block (a
+query row, or the last block of a pass) computes its arguments and
+recurrence in Python floats rather than in ufunc calls on a one-column
+array (`_factor_block`), with the same bits; monomials keep numpy's power.
+This module also owns the
 doubled-order moment table that Chebyshev Gram matrices and coverage
 tensors are read off; no other module knows its layout.
 """
@@ -117,19 +121,21 @@ class _BasisPlan:
     for a scaled Chebyshev spec, the operands of the argument map
     t = (2 x - (lo + hi)) / (hi - lo), shaped (n_vars, 1) for the
     (n_vars, rows) factor table: `lo + hi`, the span with zero spans replaced
-    by one, and the zero-span variables, which map to t = 0. Per input width,
-    `layout` resolves the basis dimension (checked against the cap) and the
-    exponent gathers of the basis columns on first use.
+    by one, and the zero-span variables, which map to t = 0; `row_terms`
+    holds the same operands per variable as Python floats for a one-row
+    block, one triple for a scalar scale. Per input width, `layout` resolves
+    the basis dimension (checked against the cap) and the exponent gathers
+    of the basis columns on first use.
     """
 
     __slots__ = ("order", "mode", "source", "source_max", "scale_width",
-                 "lo_plus_hi", "safe_span", "dead", "widths")
+                 "lo_plus_hi", "safe_span", "dead", "row_terms", "widths")
 
     def __init__(self, spec: BasisSpec):
         self.order, self.mode = spec.product_order, spec.mode
         self.source = None if spec.source is None else np.array(spec.source, dtype=np.intp)
         self.source_max = None if spec.source is None else max(spec.source)
-        self.scale_width = self.lo_plus_hi = self.safe_span = self.dead = None
+        self.scale_width = self.lo_plus_hi = self.safe_span = self.dead = self.row_terms = None
         self.widths = {}
         if spec.kind == CHEBYSHEV and spec.scale is not None:
             lo = np.asarray(spec.scale[0], dtype=float)
@@ -142,6 +148,8 @@ class _BasisPlan:
             if not np.all(live):
                 self.dead = ~live
             self.safe_span = np.where(live, span, 1.0)
+            self.row_terms = list(zip(*(np.ravel(a).tolist()
+                                        for a in (self.lo_plus_hi, self.safe_span, live))))
 
     def layout(self, width: int) -> tuple:
         """(basis dimension, exponent gathers) on rows of this width.
@@ -182,6 +190,15 @@ class _BasisPlan:
         np.divide(out, self.safe_span, out)
         if self.dead is not None:
             np.copyto(out, 0.0, where=self.dead)
+
+    def row_argument(self, values: list) -> list:
+        """`argument` of one row's selected values in Python floats: the same
+        IEEE operations in the same order, so the same bits."""
+        if self.row_terms is None:
+            return values
+        terms = self.row_terms if self.scale_width is not None else self.row_terms * len(values)
+        return [(2.0 * x - a) / span if live else 0.0
+                for x, (a, span, live) in zip(values, terms)]
 
 
 def multi_indices(n_vars: int, order: int, mode: str = "exact"):
@@ -248,12 +265,20 @@ def _factor_block(spec: BasisSpec, rows: np.ndarray, order: int) -> np.ndarray:
     """Factor table (order + 1, n_vars, rows) of a block of raw rows.
 
     Powers 0..order (or Chebyshev T_0..T_order) of every argument, stacked first.
+    A one-row Chebyshev block computes the argument map and the recurrence
+    in Python floats, one variable at a time: the same IEEE operations in
+    the same order as the ufunc path, so the same bits, without three ufunc
+    calls for the map and two per order on a (n_vars, 1) array. An overflow
+    there gives inf or NaN without a warning. Monomials stay on numpy's
+    power, which differs from Python's `**` in the last bit on some arguments.
     """
     plan = spec._plan
     sel = plan.select(rows)
     if spec.kind != CHEBYSHEV:
         values = np.ascontiguousarray(sel)
         return np.stack([np.ones_like(values)] + [values ** k for k in range(1, order + 1)])
+    if sel.shape[1] == 1 and order:
+        return _one_row_chebyshev(plan, sel, order)
     table = np.empty((order + 1,) + sel.shape)
     table[0] = 1.0
     if order:
@@ -268,6 +293,20 @@ def _factor_block(spec: BasisSpec, rows: np.ndarray, order: int) -> np.ndarray:
             subtract(row, before, row)
             before, last = last, row
     return table
+
+
+def _one_row_chebyshev(plan: _BasisPlan, sel: np.ndarray, order: int) -> np.ndarray:
+    """`_factor_block`'s Chebyshev table of one row (order >= 1), built from Python floats."""
+    n_vars = sel.shape[0]
+    flat = [1.0] * ((order + 1) * n_vars)  # entry k * n_vars + j is T_k of variable j
+    for j, t in enumerate(plan.row_argument(sel[:, 0].tolist())):
+        twice, before, last = 2.0 * t, 1.0, t
+        column = [1.0, t]
+        for _ in range(order - 1):
+            before, last = last, twice * last - before
+            column.append(last)
+        flat[j::n_vars] = column
+    return np.array(flat).reshape(order + 1, n_vars, 1)
 
 
 def _basis_columns(spec: Optional[BasisSpec], rows: np.ndarray) -> np.ndarray:
@@ -403,9 +442,11 @@ def evaluate_basis(spec: BasisSpec, raw) -> np.ndarray:
 
     Equal bit for bit to that row of `design_matrix`, through the same
     `_basis_columns` without its block loop, and raises what `design_matrix`
-    raises on `raw`. In up_to mode, and in exact mode at order 0, the first
-    component is the constant 1 (every exponent zero); exact mode at order
-    >= 1 has no constant component.
+    raises on `raw`. As a one-row block, a Chebyshev row takes the float
+    path of `_factor_block`, so a T_k past the float range raises here
+    without an overflow warning. In up_to mode, and in exact mode at order
+    0, the first component is the constant 1 (every exponent zero); exact
+    mode at order >= 1 has no constant component.
     """
     rows = np.array(raw, dtype=float, ndmin=2, copy=None)  # np.atleast_2d, in one call
     columns = _basis_columns(spec, rows)

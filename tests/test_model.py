@@ -520,6 +520,22 @@ class TestPredict:
                            config=kgo.SolverConfig(algorithm="lsq-adj"))
         _assert_predict_matches_rows(model, _QUERY_X, _QUERY_F)
 
+    @pytest.mark.parametrize("source", [(2, 0), (2, 1)], ids=["live", "zero-span"])
+    def test_product_basis_model(self, source):
+        """A 2-variable Chebyshev attribute side read from a source subset (with the
+        zero-span column 1, or without it) against its one-row queries."""
+        rng = np.random.default_rng(25)
+        x = np.column_stack([rng.uniform(-1.0, 1.0, 300), np.full(300, 0.4),
+                             rng.uniform(-1.0, 1.0, 300), rng.normal(size=300)])
+        f = np.sin(2.0 * x[:, 0]) + x[:, 2] ** 2 + 0.05 * rng.normal(size=300)
+        model, _ = kgo.fit(kgo.Sample(x, f[:, None], np.ones(300)),
+                           kgo.BasisSpec("chebyshev", 4, source=source),
+                           kgo.BasisSpec("chebyshev", 3),
+                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+        xs = rng.uniform(-1.3, 1.3, size=(15, 4))  # column 1 maps to t = 0 wherever it is
+        fs = rng.uniform(-1.2, 1.2, size=(15, 1))
+        _assert_predict_matches_rows(model, xs, fs)
+
     def test_contributing_subspace_model(self):
         rng = np.random.default_rng(8)
         x = np.column_stack([np.ones(80), rng.normal(size=(80, 4))])

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from itertools import product
 
@@ -246,8 +247,13 @@ class TestBasisPlan:
         rows = np.random.default_rng(15).uniform(-1.0, 1.0, size=(30, 3))
         scalar = kgo.BasisSpec("chebyshev", 3, scale=(-1.0, 1.0))
         per_source = kgo.BasisSpec("chebyshev", 3, scale=(np.full(3, -1.0), np.full(3, 1.0)))
-        np.testing.assert_array_equal(kgo.design_matrix(scalar, rows),
-                                      kgo.design_matrix(per_source, rows))
+        design = kgo.design_matrix(scalar, rows)
+        np.testing.assert_array_equal(design, kgo.design_matrix(per_source, rows))
+        zero_span = kgo.BasisSpec("chebyshev", 3, scale=(0.5, 0.5))
+        for spec, want in ((scalar, design), (per_source, design),
+                           (zero_span, kgo.design_matrix(zero_span, rows))):
+            for i, row in enumerate(rows):  # one-row blocks
+                assert kgo.evaluate_basis(spec, row).tobytes() == want[i].tobytes()
 
 
 class TestEvaluateBasis:
@@ -308,6 +314,72 @@ class TestEvaluateBasis:
                 assert kgo.evaluate_basis(spec, row[None]).tobytes() == design[i].tobytes()
         if case == "outside":
             assert np.abs(design).max() > 1.0
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 10])
+    @pytest.mark.parametrize("n_vars", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["up_to", "exact", "source", "zero-span"])
+    def test_one_row_recurrence_equals_design_rows(self, order, n_vars, case):
+        """A one-row block's float argument map and recurrence give the bits of a block's."""
+        rng = np.random.default_rng([order, n_vars])
+        train = rng.uniform(-2.0, 3.0, size=(40, 4))
+        spec = kgo.BasisSpec("chebyshev", order, mode="exact" if case == "exact" else "up_to")
+        if case in ("source", "zero-span"):
+            spec = replace(spec, source=(3, 1, 0)[:n_vars])
+        else:
+            train = train[:, :n_vars]
+        if case == "zero-span":
+            train[:, 3] = 0.75  # the first source
+        spec = kgo.with_scale(spec, train)
+        queries = np.concatenate([train[:6], 4.0 * train[6:12]])  # |t| > 1 in the second half
+        design = kgo.design_matrix(spec, queries)  # one block of 12 rows
+        for i, row in enumerate(queries):
+            assert kgo.evaluate_basis(spec, row).tobytes() == design[i].tobytes()
+        if order and not (case == "zero-span" and n_vars == 1):
+            assert np.abs(design[6:]).max() > 1.0
+
+    def test_one_row_last_block(self):
+        """A design whose last block is one row takes the one-row path there."""
+        from kgo.linalg import _ROW_BLOCK
+        rows = np.random.default_rng(23).uniform(-1.5, 1.5, size=(_ROW_BLOCK + 1, 3))
+        spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 6, source=(2, 0)), rows)
+        rows[-1] = (2.5, 0.0, -2.0)  # outside the scale: |t| > 1 in the last block
+        design = kgo.design_matrix(spec, rows)
+        assert np.abs(design[-1]).max() > 1.0
+        assert design.tobytes() == loop_design(spec, rows).tobytes()
+
+    @pytest.mark.parametrize("raw", [[1e40], [-1e40], [3.0, -1e40], [np.nan], [0.5, np.nan]])
+    def test_one_row_overflow_raises_without_warning(self, raw):
+        """T_k past the float range gives inf or NaN in the one-row recurrence, silently;
+        the finiteness check then raises (no np.errstate here)."""
+        spec = kgo.BasisSpec("chebyshev", 10, scale=(-1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="^basis evaluation produced non-finite values$"):
+                kgo.evaluate_basis(spec, raw)
+
+    def test_one_row_takes_no_ufunc_per_order(self, monkeypatch):
+        """A one-row Chebyshev block calls no np.multiply or np.subtract; a full
+        block still runs its argument map and recurrence on arrays."""
+        from kgo.linalg import _ROW_BLOCK
+        calls = {"multiply": 0, "subtract": 0}
+
+        def counted(name):
+            original = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(np, name, wrapper)
+
+        rows = np.random.default_rng(24).uniform(-1.0, 1.0, size=(_ROW_BLOCK, 2))
+        spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 10), rows)
+        for name in calls:
+            counted(name)
+        kgo.evaluate_basis(spec, rows[0])
+        assert calls == {"multiply": 0, "subtract": 0}
+        calls.update(multiply=0, subtract=0)
+        kgo.design_matrix(spec, rows)
+        assert calls == {"multiply": 10, "subtract": 10}  # argument map + 9 orders
 
     def test_first_row_of_a_batch(self):
         """A 2-D input gives its first row and raises what design_matrix raises on it."""
