@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .hilbert import PreparedData, SpaceBasis, _points, _require_positive, _times
+from .hilbert import _SPAN, PreparedData, SpaceBasis, _points, _projection, _times
 from .sample import _basis_columns
 from .solver import constraint_residual
 from .tensors import TensorKind, _row_weights
@@ -84,9 +84,7 @@ def fit_radon_nikodym(data: PreparedData, labels=None) -> RadonNikodymModel:
 def eval_radon_nikodym(model: RadonNikodymModel, x_points) -> np.ndarray:
     """Localized weighted average of every label, at attribute feature vectors
     along the last axis: a ratio of quadratic forms."""
-    coords = model.space.project(x_points)
-    denom = np.vecdot(coords, coords)
-    _require_positive(denom, "point", "has zero projection on the measure's span")
+    coords, denom = _projection(model.space, x_points, _SPAN)
     return np.einsum("...i,jik,...k->...j", coords, model.third_moments, coords) / denom[..., None]
 
 

@@ -185,7 +185,7 @@ def cmd_demo(args) -> int:
         header, rows = demo_mod.exact_map_table(
             n=args.n, m=args.m, n_points=args.points, kind=TensorKind(args.tensor),
             config=config)
-    elif args.name == "image":
+    else:  # "image", the last of the parser's choices
         if args.image is not None:
             image = demo_mod.read_pgm(args.image)
             inputs.append(args.image)
@@ -194,8 +194,6 @@ def cmd_demo(args) -> int:
         header, rows = demo_mod.image_table(
             image, n_x=args.nx, n_y=args.ny, m=args.m,
             kind=TensorKind(args.tensor), config=config)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DimensionError(f"unknown demo {args.name!r}")
     out_path = f"{args.out_prefix}demo_{args.name}.tsv"
     _write_tsv(out_path, header, rows)
     # Record the solver that ran, not the flag defaults; localized-states runs none.

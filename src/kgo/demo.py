@@ -20,13 +20,10 @@ from .tensors import TensorKind
 DEFAULT_GRID_POINTS = 201
 
 # The solver each demonstration runs unless a config is passed in.
-PINNED_CONFIGS = {
-    "square-wave": SolverConfig(algorithm="linear-constraints", max_iterations=200,
-                                init_with_least_squares=True),
-    "exact-map": SolverConfig(algorithm="linear-constraints", max_iterations=200,
-                              init_with_least_squares=True),
-    "image": SolverConfig(algorithm="lsq-adj"),
-}
+_MAPPING = SolverConfig(algorithm="linear-constraints", max_iterations=200,
+                        init_with_least_squares=True)
+PINNED_CONFIGS = {"square-wave": _MAPPING, "exact-map": _MAPPING,
+                  "image": SolverConfig(algorithm="lsq-adj")}
 
 
 def grid_measure(n_points: int = DEFAULT_GRID_POINTS, lo: float = -1.0, hi: float = 1.0):

@@ -1,5 +1,5 @@
-"""Hilbert spaces over the sample measure: Gram matrices, whitening,
-Christoffel functions, localized states, and the query kernel.
+"""Hilbert spaces over the sample measure: Gram matrices, whitening, Christoffel
+functions, localized states, and the query kernel with its one zero-projection rule.
 
 A SpaceBasis wraps one side (attributes or labels): the raw Gram matrix and
 the whitening transform T whose rows are eigenvectors scaled by 1/sqrt(eig),
@@ -47,6 +47,7 @@ from .sample import (CHEBYSHEV, BasisSpec, Sample, _basis_columns, _checked_dime
 
 DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
+_SPAN = ("point", "has zero projection on the measure's span")
 
 
 # The query kernel. Every function below works on the last axis, so one
@@ -79,6 +80,27 @@ def _require_positive(values: np.ndarray, subject: str, message: str):
         raise NumericalError(f"{subject} of row {int(np.flatnonzero(bad)[0])} {message}")
 
 
+def _projection(space: SpaceBasis, points, refusal: tuple) -> tuple:
+    """(T p, |T p|^2) along the last axis. Refuses p unless `_nonzero`, by a NumericalError
+    worded by `refusal` = (subject, message) that names the first refused row of a batch."""
+    points = _points(points, space.raw_dim)
+    coords = _times(points, space.transform)
+    norm2 = np.vecdot(coords, coords)
+    margin = _nonzero(space, points) if space.zero_floor else norm2
+    _require_positive(margin, refusal[0], refusal[1])  # not *refusal: a star call costs more
+    return coords, norm2
+
+
+def _nonzero(space: SpaceBasis, points: np.ndarray) -> np.ndarray:
+    """The one zero-projection rule: positive unless |T p|^2 <= eps^2 ||T||_2^2 |p|^2, the
+    same at every weight scale; tested on p over its largest entry, so |p|^2 cannot overflow.
+    Where the floor is 0 the rule reads |T p|^2 <= 0, and `_projection` tests |T p|^2 itself."""
+    top = np.abs(points).max(axis=-1, keepdims=True)
+    unit = np.divide(points, top, out=np.zeros_like(points), where=top > 0.0)
+    unit_coords = _times(unit, space.transform)
+    return np.vecdot(unit_coords, unit_coords) - space.zero_floor * np.vecdot(unit, unit)
+
+
 @dataclass(frozen=True)
 class SpaceBasis:
     """One side's Hilbert space: raw Gram, whitening transform, constant."""
@@ -93,6 +115,14 @@ class SpaceBasis:
     def project(self, points) -> np.ndarray:
         """Orthonormal coordinates of raw feature vectors along the last axis."""
         return _times(_points(points, self.raw_dim), self.transform)
+
+    @cached_property
+    def zero_floor(self) -> float:
+        """eps^2 ||T||_2^2 of `_nonzero`: eps = _ZERO_PROJECTION_REL, ||T||_2 the largest norm
+        of T's orthogonal rows. 0 where whitening kept every direction: T is invertible there,
+        so only p = 0 projects to zero."""
+        full = self.eff_dim == self.raw_dim
+        return 0.0 if full else _ZERO_PROJECTION_REL ** 2 * (self.transform ** 2).sum(axis=1).max()
 
 
 @dataclass(frozen=True)
@@ -196,30 +226,20 @@ def space_from_sample(sample: Sample, side: str, spec: BasisSpec,
     return _space_from_gram(gram, const, rel_threshold)
 
 
-def _checked_projection(space: SpaceBasis, point) -> np.ndarray:
-    point = np.asarray(point, dtype=float).reshape(-1)
-    coords = space.project(point)
-    norm2 = float(coords @ coords)
-    point_scale = float(np.dot(point, point))
-    if norm2 <= (_ZERO_PROJECTION_REL ** 2) * max(point_scale, 1e-300):
-        raise NumericalError("point has zero projection on the measure's span")
-    return coords
-
-
 def christoffel(space: SpaceBasis, point) -> float:
     """Christoffel function K(point) = 1 / ||T point||^2.
 
-    Measures how much of the sample lies near the point; raises on points in
-    the null space of the measure.
+    Measures how much of the sample lies near the point. Raises where |T p|^2 <=
+    eps^2 ||T||_2^2 |p|^2 (`_nonzero`): a floor of 0 where whitening kept every
+    direction, since T is invertible there and only p = 0 projects to zero.
     """
-    coords = _checked_projection(space, point)
-    return 1.0 / float(coords @ coords)
+    return 1.0 / float(_projection(space, np.reshape(point, -1), _SPAN)[1])
 
 
 def localized_state(space: SpaceBasis, point) -> LocalizedState:
     """Unit-norm state localized at the given raw point."""
-    coords = _checked_projection(space, point)
-    return LocalizedState(coords / np.linalg.norm(coords), space)
+    coords, norm2 = _projection(space, np.reshape(point, -1), _SPAN)
+    return LocalizedState(coords / np.sqrt(norm2), space)
 
 
 def state_values(state: LocalizedState, points) -> np.ndarray:
@@ -401,16 +421,14 @@ def label_matched_projection(data: PreparedData) -> np.ndarray:
 
 def prepare_points(x_points, f_points, weights, x_const=None, f_const=None,
                    rel_threshold: float = DEFAULT_REL_THRESHOLD) -> PreparedData:
-    """Build both spaces directly from feature rows."""
-    x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
-    f_points = np.atleast_2d(np.asarray(f_points, dtype=float))
-    weights = np.asarray(weights, dtype=float).reshape(-1)
+    """Build both spaces directly from feature rows, checked as a `Sample` checks raw rows."""
+    rows = Sample(x_points, f_points, weights)
     return PreparedData(
-        weights=weights,
-        x_space=build_space(x_points, weights, x_const, rel_threshold),
-        f_space=build_space(f_points, weights, f_const, rel_threshold),
-        x_rows=x_points,
-        f_rows=f_points,
+        weights=rows.weights,
+        x_space=build_space(rows.x_rows, rows.weights, x_const, rel_threshold),
+        f_space=build_space(rows.f_rows, rows.weights, f_const, rel_threshold),
+        x_rows=rows.x_rows,
+        f_rows=rows.f_rows,
     )
 
 

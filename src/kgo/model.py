@@ -15,8 +15,8 @@ import numpy as np
 
 from .baselines import joint_distribution_coverage, lsq_channel
 from .errors import DataError, DimensionError, NumericalError
-from .hilbert import (DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis, _require_positive,
-                      _times, label_matched_projection, prepare)
+from .hilbert import (DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis, _nonzero,
+                      _projection, _require_positive, _times, label_matched_projection, prepare)
 from .sample import BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .sample import CHEBYSHEV
 from .solver import PartiallyUnitaryOp, SolverConfig, solve
@@ -26,6 +26,8 @@ from .tensors import (ContributingSubspace, TensorKind, build_coverage_tensor,
 MODEL_FORMAT_VERSION = 1
 
 POLE_REL = 1e-10
+_ATTRIBUTE = ("query point", "has zero projection on the attribute space")
+_LABEL = ("queried outcome", "has zero projection on the label space")
 
 IMPORTANT_ONLY = "important-only"
 DOF_ADJUSTED = "dof-adjusted"
@@ -208,10 +210,8 @@ def _finite_features(feats: np.ndarray) -> np.ndarray:
 
 def _transported(model: KgoModel, x_feats: np.ndarray) -> np.ndarray:
     """Label-space coefficients of the transported, normalized attribute state."""
-    coords = model.x_space.project(x_feats)
-    norm = np.sqrt(np.vecdot(coords, coords))
-    _require_positive(norm, "query point", "has zero projection on the attribute space")
-    return _times(coords / norm[..., None], model.channel)
+    coords, norm2 = _projection(model.x_space, x_feats, _ATTRIBUTE)
+    return _times(coords / np.sqrt(norm2)[..., None], model.channel)
 
 
 def _outcome(model: KgoModel, alpha: np.ndarray):
@@ -241,9 +241,7 @@ def _const_normalized(f_max_p: np.ndarray, const: np.ndarray) -> np.ndarray:
 
 def _overlap(model: KgoModel, alpha: np.ndarray, f_feats: np.ndarray) -> np.ndarray:
     """P(f | x) from the transported state and the outcome's feature vector."""
-    f_coords = model.f_space.project(f_feats)
-    denom = np.vecdot(f_coords, f_coords)
-    _require_positive(denom, "queried outcome", "has zero projection on the label space")
+    f_coords, denom = _projection(model.f_space, f_feats, _LABEL)
     overlap = np.vecdot(alpha, f_coords)
     return overlap * overlap / denom
 
@@ -331,10 +329,11 @@ def scalar_value_roots(model: KgoModel, x_raw) -> float:
     candidates = [r.real for r in stationary.roots() if abs(r.imag) < 1e-9]
     if not candidates:
         raise NumericalError("no real stationary point for the root search")
-    coords = model.f_space.project(np.vander(candidates, model.f_space.raw_dim, increasing=True))
+    points = np.vander(candidates, model.f_space.raw_dim, increasing=True)
+    coords = model.f_space.project(points)
     norm2 = np.vecdot(coords, coords)
     prob = np.divide(np.vecdot(coords, alpha) ** 2, norm2, out=np.full_like(norm2, -np.inf),
-                     where=norm2 > 0.0)
+                     where=_nonzero(model.f_space, points) > 0.0)
     return candidates[int(np.argmax(prob))]
 
 
@@ -346,12 +345,9 @@ def adjusted_probability(model: KgoModel, x_raw, f_raw, mode: str) -> float:
     svd-basis       by the singular-value-weighted norm in the channel's
                     singular bases (evaluation only).
     """
-    x_coords = model.x_space.project(_design(model.x_spec, x_raw))
-    f_coords = model.f_space.project(_design(model.f_spec, f_raw))
-    f_norm2 = f_coords @ f_coords
-    _require_positive(f_norm2, "queried outcome", "has zero projection on the label space")
-    channel = model.channel
-    transported = _times(x_coords, channel)
+    x_coords = _projection(model.x_space, _design(model.x_spec, x_raw), _ATTRIBUTE)[0]
+    f_coords, f_norm2 = _projection(model.f_space, _design(model.f_spec, f_raw), _LABEL)
+    transported = _times(x_coords, model.channel)
     numer = np.dot(f_coords, transported) ** 2
     if mode == IMPORTANT_ONLY:
         denom = (transported @ transported) * f_norm2

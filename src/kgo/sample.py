@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, isfinite
 from typing import Optional
 
 import numpy as np
@@ -268,9 +268,9 @@ def _factor_block(spec: BasisSpec, rows: np.ndarray, order: int) -> np.ndarray:
     A one-row Chebyshev block computes the argument map and the recurrence
     in Python floats, one variable at a time: the same IEEE operations in
     the same order as the ufunc path, so the same bits, without three ufunc
-    calls for the map and two per order on a (n_vars, 1) array. An overflow
-    there gives inf or NaN without a warning. Monomials stay on numpy's
-    power, which differs from Python's `**` in the last bit on some arguments.
+    calls for the map and two per order on a (n_vars, 1) array; a
+    non-finite factor raises there. Monomials stay on numpy's power, which
+    differs from Python's `**` in the last bit on some arguments.
     """
     plan = spec._plan
     sel = plan.select(rows)
@@ -305,6 +305,8 @@ def _one_row_chebyshev(plan: _BasisPlan, sel: np.ndarray, order: int) -> np.ndar
         for _ in range(order - 1):
             before, last = last, twice * last - before
             column.append(last)
+        if not isfinite(last):
+            raise NumericalError("basis evaluation produced non-finite values")
         flat[j::n_vars] = column
     return np.array(flat).reshape(order + 1, n_vars, 1)
 
@@ -314,8 +316,12 @@ def _basis_columns(spec: Optional[BasisSpec], rows: np.ndarray) -> np.ndarray:
     if spec is None:
         return rows.T
     gathers = spec._plan.layout(rows.shape[1])[1]
-    table = _factor_block(spec, rows, spec.product_order)
-    return _gather_columns(table.reshape(-1, table.shape[-1]), gathers)
+    if rows.shape[0] == 1 and spec.kind == CHEBYSHEV:  # raises on a non-finite factor
+        return _gather_columns(_factor_block(spec, rows, spec.product_order).reshape(-1, 1), gathers)
+    # Past the float range a block gives inf or NaN without a warning; its caller raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _factor_block(spec, rows, spec.product_order)
+        return _gather_columns(table.reshape(-1, table.shape[-1]), gathers)
 
 
 # The doubled-order moment table of a Chebyshev spec, summed by `_moment_table`,
@@ -333,13 +339,14 @@ def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
     Table column q * (2 order + 1) + e of a row is lead[q] * last[e].
     """
     order = 2 * spec.product_order
-    table = _factor_block(spec, rows, order)  # (order + 1, n_vars, rows)
-    n_vars, n_rows = table.shape[1], table.shape[2]
-    last = np.ascontiguousarray(table[:, -1])  # a unit-stride operand of the table products
-    if n_vars == 1:
-        return np.ones((1, n_rows)), last
-    lead = table[:, :-1].reshape(-1, n_rows)
-    return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
+    with np.errstate(over="ignore", invalid="ignore"):  # `_moment_table` raises on inf or NaN
+        table = _factor_block(spec, rows, order)  # (order + 1, n_vars, rows)
+        n_vars, n_rows = table.shape[1], table.shape[2]
+        last = np.ascontiguousarray(table[:, -1])  # a unit-stride operand of the table products
+        if n_vars == 1:
+            return np.ones((1, n_rows)), last
+        lead = table[:, :-1].reshape(-1, n_rows)
+        return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
 
 
 def _table_shape(spec: BasisSpec, rows: np.ndarray):
@@ -514,7 +521,7 @@ def load_sample(path, column_spec: str) -> Sample:
         except ValueError as exc:
             raise DataError(f"malformed value in row {len(rows) + 1}") from exc
         if not all(np.isfinite(rows[-1])):
-            raise DataError(f"non-finite value in row {len(rows) + 1}")
+            raise DataError(f"non-finite value in row {len(rows)}")
     if not rows:
         raise DataError(f"no data rows in {path}")
     width = len(rows[0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kgo
-from kgo.errors import DimensionError, NumericalError
+from kgo.errors import DataError, DimensionError, NumericalError
 from kgo.linalg import _ROW_BLOCK
 
 from conftest import grid_sample
@@ -189,3 +189,106 @@ class TestLocalization:
             state = kgo.localized_state(space, kgo.evaluate_basis(spec, [y]))
             peak = grid[np.argmax(kgo.state_values(state, design) ** 2)]
             assert abs(peak - y) <= max_steps * step + 1e-12
+
+
+def rank_deficient(scale):
+    """x = [1, t, t, t^2] repeats a column, so whitening keeps 3 of 4 attribute
+    directions; [0, 1, -1, 0] spans the dropped one."""
+    t = np.random.default_rng(0).uniform(-1.0, 1.0, 200)
+    x = np.column_stack([np.ones(200), t, t, t * t])
+    f = np.column_stack([np.ones(200), np.sin(2.0 * t)])
+    data = kgo.prepare_points(x, f, np.full(200, scale))
+    model, _ = kgo.fit_prepared(data, config=kgo.SolverConfig(algorithm="lsq-adj"))
+    return data, model, kgo.fit_radon_nikodym(data)
+
+
+_SPAN = "point has zero projection on the measure's span"
+_ATTRIBUTE = "query point has zero projection on the attribute space"
+# (query of (data, model, Radon-Nikodym model, point), message at a null point)
+_QUERIES = {
+    "christoffel": (lambda d, m, rn, p: kgo.christoffel(d.x_space, p), _SPAN),
+    "localized_state": (lambda d, m, rn, p: kgo.localized_state(d.x_space, p), _SPAN),
+    "most_probable": (lambda d, m, rn, p: kgo.most_probable(m, p), _ATTRIBUTE),
+    "value": (lambda d, m, rn, p: kgo.value(m, p), _ATTRIBUTE),
+    "probability": (lambda d, m, rn, p: kgo.probability(m, p, d.f_points[3]), _ATTRIBUTE),
+    "predict": (lambda d, m, rn, p: kgo.predict(m, np.vstack([d.x_points[:2], p]), d.f_points[:3]),
+                "query point of row 2 has zero projection on the attribute space"),
+    **{f"adjusted_probability-{mode}": (
+        lambda d, m, rn, p, mode=mode: kgo.adjusted_probability(m, p, d.f_points[3], mode),
+        _ATTRIBUTE) for mode in ("important-only", "dof-adjusted", "svd-basis")},
+    "eval_radon_nikodym": (lambda d, m, rn, p: kgo.eval_radon_nikodym(rn, p), _SPAN),
+}
+
+
+class TestZeroProjectionRule:
+    """One rule, |T p|^2 <= eps^2 ||T||_2^2 |p|^2, refuses a point for every query,
+    and it reads the same at every weight scale."""
+
+    @pytest.fixture(scope="class", params=[1e-30, 1.0, 1e30])
+    def instance(self, request):
+        return rank_deficient(request.param)
+
+    @pytest.mark.parametrize("query", sorted(_QUERIES))
+    def test_null_point_refused(self, instance, query):
+        call, message = _QUERIES[query]
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            call(*instance, np.array([0.0, 1.0, -1.0, 0.0]))
+
+    @pytest.mark.parametrize("query", sorted(_QUERIES))
+    def test_training_row_accepted(self, instance, query):
+        call, _ = _QUERIES[query]
+        call(*instance, instance[0].x_points[3])
+
+    def test_training_row_probability_is_scale_free(self):
+        values = [kgo.probability(model, data.x_points[3], data.f_points[3])
+                  for data, model, _ in map(rank_deficient, (1e-30, 1.0, 1e30))]
+        assert max(values) - min(values) <= 1e-12 * values[1]
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e20, 1e30])
+    def test_christoffel_scales_with_the_weights(self, scale):
+        sample, _ = grid_sample(201)
+        spec = kgo.BasisSpec("monomial", 6)
+        point = kgo.evaluate_basis(spec, [0.3])
+
+        def at(s):
+            scaled = kgo.Sample(sample.x_rows, sample.f_rows, sample.weights * s)
+            return kgo.christoffel(kgo.space_from_sample(scaled, "x", spec), point)
+
+        assert at(scale) == pytest.approx(scale * at(1.0), rel=1e-12)
+
+    def test_full_rank_floor_is_zero(self, three_point_data):
+        """Whitening kept every direction, so only p = 0 projects to zero: no floor."""
+        assert three_point_data.x_space.zero_floor == 0.0
+        data = rank_deficient(1.0)[0]
+        assert (data.x_space.eff_dim, data.x_space.raw_dim) == (3, 4)
+        transform = data.x_space.transform
+        assert data.x_space.zero_floor == pytest.approx(1e-28 * (transform ** 2).sum(axis=1).max())
+
+    def test_huge_point_entries(self):
+        """The rule scales p by its largest entry, so |p|^2 past the float range
+        neither refuses nor passes a point by accident."""
+        data = rank_deficient(1e30)[0]  # |T p|^2 stays in range where |p|^2 overflows
+        space, row = data.x_space, data.x_points[3]
+        with pytest.raises(NumericalError, match=f"^{_SPAN}$"):
+            kgo.christoffel(space, [0.0, 1e160, -1e160, 0.0])
+        huge = kgo.christoffel(space, 1e160 * row) * 1e160 * 1e160
+        assert huge == pytest.approx(kgo.christoffel(space, row), rel=1e-12)
+
+
+class TestPreparePoints:
+    @pytest.mark.parametrize("x0, weights, message", [
+        (1.0, np.r_[-0.5, np.ones(49)], "weights must be nonnegative"),
+        (np.nan, np.ones(50), "sample contains non-finite values"),
+        (1.0, np.zeros(50), "total weight must be positive"),
+    ])
+    def test_checks_rows_as_sample_does(self, x0, weights, message):
+        x = np.column_stack([np.ones(50), np.random.default_rng(4).uniform(-1.0, 1.0, 50)])
+        x[0, 0] = x0
+        with pytest.raises(DataError, match=f"^{message}$"):
+            kgo.prepare_points(x, x[:, :1].copy(), weights)
+
+    def test_arrays_are_the_given_rows(self):
+        x = np.array([[1.0, 0.5], [1.0, -0.25]])
+        data = kgo.prepare_points(x.tolist(), [[1.0], [1.0]], (2.0, 3.0))
+        assert data.x_rows.tobytes() == x.tobytes()
+        assert data.f_rows.shape == (2, 1) and data.weights.tolist() == [2.0, 3.0]

@@ -661,7 +661,16 @@ class TestPredictErrors:
                            kgo.BasisSpec("monomial", 2),
                            config=kgo.SolverConfig(algorithm="lsq-adj"))
         huge = 1e100
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        with pytest.raises(NumericalError, match="non-finite"):
             kgo.most_probable(model, [huge])
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        with pytest.raises(NumericalError, match="non-finite"):
             kgo.predict(model, [[0.0], [huge]])
+
+    def test_far_out_chebyshev_row_in_batch(self):
+        """A batch row whose T_k overflows raises as the row alone does, without a warning."""
+        model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("chebyshev", 6),
+                           kgo.BasisSpec("chebyshev", 2),
+                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+        for query in ([1e60], [[0.2], [1e60], [-0.4]]):
+            with pytest.raises(NumericalError, match="^basis evaluation produced non-finite values$"):
+                kgo.predict(model, query)

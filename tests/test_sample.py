@@ -347,15 +347,41 @@ class TestEvaluateBasis:
         assert np.abs(design[-1]).max() > 1.0
         assert design.tobytes() == loop_design(spec, rows).tobytes()
 
-    @pytest.mark.parametrize("raw", [[1e40], [-1e40], [3.0, -1e40], [np.nan], [0.5, np.nan]])
+    @pytest.mark.parametrize("raw", [[1e40], [-1e40], [3.0, -1e40], [np.nan], [0.5, np.nan],
+                                     [1e40, 0.0]])
     def test_one_row_overflow_raises_without_warning(self, raw):
-        """T_k past the float range gives inf or NaN in the one-row recurrence, silently;
-        the finiteness check then raises (no np.errstate here)."""
+        """T_k past the float range gives inf or NaN in the one-row recurrence, silently,
+        and raises there, before the gather could multiply it by T_1(0) = 0 (no
+        np.errstate here)."""
         spec = kgo.BasisSpec("chebyshev", 10, scale=(-1.0, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match="^basis evaluation produced non-finite values$"):
                 kgo.evaluate_basis(spec, raw)
+
+    @pytest.mark.parametrize("spec, rows", [
+        (kgo.BasisSpec("chebyshev", 10, scale=(-1.0, 1.0)), [[1e40], [0.5]]),
+        (kgo.BasisSpec("chebyshev", 10, scale=(-1.0, 1.0)), [[1e40, 0.0], [0.5, 0.5]]),
+        (kgo.BasisSpec("chebyshev", 10, scale=(-1.0, 1.0)), [[0.5, 1e40], [1e40, 0.0]]),
+        (kgo.BasisSpec("monomial", 4), [[1e100], [0.5]]),
+        (kgo.BasisSpec("monomial", 4), [[0.5, 1e200], [0.0, 1e200]]),
+    ])
+    def test_batch_overflow_raises_without_warning(self, spec, rows):
+        """A block of two or more rows evaluates under np.errstate, so neither its
+        recurrence nor an inf * 0 in its gather warns before the finiteness check."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="^basis evaluation produced non-finite values$"):
+                kgo.design_matrix(spec, rows)
+
+    def test_unscaled_chebyshev_row_matches_design(self):
+        """Without a scale the argument is the raw value (`row_argument` returns it as given)."""
+        rows = np.array([[0.3], [-0.9], [1.0], [1.7], [-3.25], [12.5]])
+        spec = kgo.BasisSpec("chebyshev", 6)
+        design = kgo.design_matrix(spec, rows)
+        assert np.abs(design[3:]).max() > 1.0
+        for row, expected in zip(rows, design):
+            assert kgo.evaluate_basis(spec, row).tobytes() == expected.tobytes()
 
     def test_one_row_takes_no_ufunc_per_order(self, monkeypatch):
         """A one-row Chebyshev block calls no np.multiply or np.subtract; a full
@@ -416,12 +442,11 @@ class TestEvaluateBasis:
 
     @pytest.mark.parametrize("spec, raw, error, message", FAILURES)
     def test_raises_what_design_matrix_raises(self, spec, raw, error, message):
-        with np.errstate(over="ignore"):
-            for evaluate in (kgo.design_matrix, kgo.evaluate_basis):
-                with pytest.raises(error, match=f"^{message}$"):
-                    evaluate(spec, raw)
-                with pytest.raises(error, match=f"^{message}$"):  # once more, with a plan
-                    evaluate(spec, raw)
+        for evaluate in (kgo.design_matrix, kgo.evaluate_basis):
+            with pytest.raises(error, match=f"^{message}$"):
+                evaluate(spec, raw)
+            with pytest.raises(error, match=f"^{message}$"):  # once more, with a plan
+                evaluate(spec, raw)
 
     def test_plan_resolves_a_width_once(self, monkeypatch):
         """Repeated rows of one width resolve the dimension and the gathers once."""
