@@ -11,7 +11,7 @@ label under the weight psi^2_y.
 
 import numpy as np
 
-from kgo.demo import localized_states_table
+from kgo.demo import ANCHORS, localized_states_table
 
 OUT = "demo_localized_states.tsv"
 
@@ -20,10 +20,10 @@ def main():
     blocks = []
     header_all = ["x"]
     for n in (7, 25, 50):
-        header, rows = localized_states_table(n=n, ys=(-0.6, 0.0, 0.4))
+        header, rows = localized_states_table(n=n)
         header_all += [f"{name}_n{n}" for name in header[1:]]
         blocks.append(rows[:, 1:])
-        for y, col in zip((-0.6, 0.0, 0.4), rows[:, 1:].T):
+        for y, col in zip(ANCHORS, rows[:, 1:].T):
             peak = rows[np.argmax(col), 0]
             print(f"n={n:3d}  y={y:+.1f}  peak at x={peak:+.3f}  "
                   f"max psi^2={col.max():.2f}")

@@ -53,13 +53,12 @@ def lsq_channel(data: PreparedData) -> np.ndarray:
     return data.cross_gram()
 
 
-def partial_unitarity_residual(data: PreparedData, channel=None) -> float:
-    """Frobenius residual of the Gram-invariance condition for a channel.
+def partial_unitarity_residual(data: PreparedData) -> float:
+    """Frobenius residual of the Gram-invariance condition for the least-squares channel.
 
-    Defaults to the least-squares channel; zero exactly when the label space
-    is a subspace of the attribute space.
+    Zero exactly when the label space is a subspace of the attribute space.
     """
-    return constraint_residual(data.cross_gram() if channel is None else channel)
+    return constraint_residual(data.cross_gram())
 
 
 def fit_radon_nikodym(data: PreparedData, labels=None) -> RadonNikodymModel:

@@ -20,7 +20,7 @@ import numpy as np
 from . import demo as demo_mod
 from . import model as model_mod
 from .errors import DataError, DimensionError, KgoError, NumericalError
-from .sample import BasisSpec, load_sample, parse_column_spec
+from .sample import BasisSpec, _column_ranges, load_sample, read_table
 from .solver import ALGORITHMS, IterationRecord, SolverConfig
 from .tensors import TensorKind
 
@@ -58,8 +58,7 @@ def _write_atomic(path: str, payload: str):
 
 def _write_tsv(path: str, header, rows):
     lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(repr(float(v)) for v in row))
+    lines += ["\t".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -132,43 +131,26 @@ def cmd_eval(args) -> int:
             fitted = model_mod.deserialize_model(handle.read())
     except OSError as exc:
         raise DataError(f"cannot read model {args.model}: {exc}") from exc
-    has_f = any(part.strip().startswith("f=") for part in args.cols.split(";"))
-    spec_text = args.cols
-    if not has_f:
-        x_parts = [p.strip() for p in args.cols.split(";") if p.strip().startswith("x=")]
-        if not x_parts:
-            raise DataError("column spec must name an x range")
-        # Alias a label range so the parser is satisfied; it is ignored below.
-        spec_text = args.cols + ";f=" + x_parts[0][2:]
-    sample = load_sample(args.data, spec_text) if _has_rows(args.data) else None
-    header = [f"x{i}" for i in range(len(parse_column_spec(spec_text)[0]))]
+    ranges = _column_ranges(args.cols, label_required=False)
+    table = read_table(args.data, sum(ranges.values(), []))
+    x_cols, f_cols = ranges["x"], ranges.get("f")
     m_raw = fitted.f_space.raw_dim
+    header = [f"x{i}" for i in range(len(x_cols))]
     header += [f"f_max_p{j}" for j in range(m_raw)]
     header += [f"value{j}" for j in range(m_raw)]
-    header += ["certainty", "pole"] + (["p_at_f"] if has_f else [])
+    header += ["certainty", "pole"] + (["p_at_f"] if f_cols else [])
     rows = []
-    if sample is not None:
-        pred = model_mod.predict(fitted, sample.x_rows, sample.f_rows if has_f else None)
-        columns = [sample.x_rows, pred["f_max_p"], pred["value"],
-                   pred["certainty"], pred["pole"]]
-        if has_f:
-            columns.append(pred["probability"])
-        rows = np.column_stack(columns)
+    if len(table):
+        x_rows = table[:, x_cols]
+        pred = model_mod.predict(fitted, x_rows, table[:, f_cols] if f_cols else None)
+        rows = np.column_stack([x_rows, pred["f_max_p"], pred["value"], pred["certainty"],
+                                pred["pole"]] + ([pred["probability"]] if f_cols else []))
     out_path = f"{args.out_prefix}eval.tsv"
     _write_tsv(out_path, header, rows)
     manifest_path = _write_manifest(args.out_prefix, "eval", vars(args),
                                     [args.model, args.data], [out_path], started)
     print(f"wrote {out_path}, {manifest_path}")
     return 0
-
-
-def _has_rows(path) -> bool:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return any(line.strip() and not line.lstrip().startswith("#")
-                       for line in handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def cmd_demo(args) -> int:

@@ -7,7 +7,7 @@ measures are discretized on uniform grids standing in for the integral.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .solver import SolverConfig
 from .tensors import TensorKind
 
 DEFAULT_GRID_POINTS = 201
+ANCHORS = (-0.6, 0.0, 0.4)  # the localization points of `localized_states_table`
 
 # The solver each demonstration runs unless a config is passed in.
 _MAPPING = SolverConfig(algorithm="linear-constraints", max_iterations=200,
@@ -26,26 +27,25 @@ PINNED_CONFIGS = {"square-wave": _MAPPING, "exact-map": _MAPPING,
                   "image": SolverConfig(algorithm="lsq-adj")}
 
 
-def grid_measure(n_points: int = DEFAULT_GRID_POINTS, lo: float = -1.0, hi: float = 1.0):
-    """Uniform grid with weights summing to the interval length."""
+def grid_measure(n_points: int = DEFAULT_GRID_POINTS):
+    """Uniform grid on [-1, 1] with weights summing to the interval length."""
     if n_points < 2:
         raise DimensionError("need at least two grid points")
-    grid = np.linspace(lo, hi, n_points)
-    weights = np.full(n_points, (hi - lo) / n_points)
+    grid = np.linspace(-1.0, 1.0, n_points)
+    weights = np.full(n_points, 2.0 / n_points)
     return grid, weights
 
 
-def localized_states_table(n: int = 7, ys: Sequence[float] = (-0.6, 0.0, 0.4),
-                           n_points: int = DEFAULT_GRID_POINTS):
-    """Squared localized states on the grid, one column per localization point."""
+def localized_states_table(n: int = 7, n_points: int = DEFAULT_GRID_POINTS):
+    """Squared localized states on the grid, one column per point of ANCHORS."""
     grid, weights = grid_measure(n_points)
     spec = BasisSpec("monomial", n - 1)
     sample = Sample(grid[:, None], grid[:, None], weights)
     space = hilbert.space_from_sample(sample, "x", spec)
     design = design_matrix(spec, grid[:, None])
-    header = ["x"] + [f"psi2_y{y:+g}" for y in ys]
+    header = ["x"] + [f"psi2_y{y:+g}" for y in ANCHORS]
     columns = [grid]
-    for y in ys:
+    for y in ANCHORS:
         state = hilbert.localized_state(space, evaluate_basis(spec, [y]))
         columns.append(hilbert.state_values(state, design) ** 2)
     rows = np.column_stack(columns)

@@ -48,6 +48,7 @@ from .sample import (CHEBYSHEV, BasisSpec, Sample, _basis_columns, _checked_dime
 DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
 _SPAN = ("point", "has zero projection on the measure's span")
+_INF = float("inf")
 
 
 # The query kernel. Every function below works on the last axis, so one
@@ -82,12 +83,15 @@ def _require_positive(values: np.ndarray, subject: str, message: str):
 
 def _projection(space: SpaceBasis, points, refusal: tuple) -> tuple:
     """(T p, |T p|^2) along the last axis. Refuses p unless `_nonzero`, by a NumericalError
-    worded by `refusal` = (subject, message) that names the first refused row of a batch."""
+    worded by `refusal` = (subject, message) that names the first refused row of a batch,
+    and refuses a |T p|^2 past the float range (inf, or NaN from an overflowing T p) alike."""
     points = _points(points, space.raw_dim)
     coords = _times(points, space.transform)
     norm2 = np.vecdot(coords, coords)
     margin = _nonzero(space, points) if space.zero_floor else norm2
     _require_positive(margin, refusal[0], refusal[1])  # not *refusal: a star call costs more
+    if norm2.ndim or not norm2 < _INF:  # one in-range row pays a comparison, not a call
+        _require_positive(norm2 < _INF, refusal[0], "has |T p|^2 past the float range")
     return coords, norm2
 
 
@@ -151,7 +155,8 @@ def _side_gram(spec: Optional[BasisSpec], rows: np.ndarray, weights: np.ndarray)
 
     A Chebyshev side's is read off its plain-weight doubled-order moment
     table; any other side (a monomial spec, or feature rows and no spec)
-    adds each block's weighted columns. Non-finite basis values raise.
+    adds each block's weighted columns. Non-finite basis values raise,
+    without a warning first.
     """
     dim = rows.shape[1] if spec is None else _checked_dimension(spec, rows)
     if spec is not None and spec.kind == CHEBYSHEV:
@@ -159,7 +164,8 @@ def _side_gram(spec: Optional[BasisSpec], rows: np.ndarray, weights: np.ndarray)
     gram = np.zeros((dim, dim))
     for block in row_blocks(rows.shape[0]):
         right = np.ascontiguousarray(_basis_columns(spec, rows[block]).T)
-        left = right.T * weights[block]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises below
+            left = right.T * weights[block]
         if not (np.isfinite(left).all() and np.isfinite(right).all()):
             raise NumericalError("basis evaluation produced non-finite values")
         gram += left @ right
@@ -214,8 +220,7 @@ def _space_from_gram(g, const_direction, rel_threshold: float) -> SpaceBasis:
     )
 
 
-def space_from_sample(sample: Sample, side: str, spec: BasisSpec,
-                      rel_threshold: float = DEFAULT_REL_THRESHOLD) -> SpaceBasis:
+def space_from_sample(sample: Sample, side: str, spec: BasisSpec) -> SpaceBasis:
     """One side ("x" or "f") of `prepare`; no array of basis-evaluated rows is built.
 
     The constant function is the spec's constant component.
@@ -223,7 +228,7 @@ def space_from_sample(sample: Sample, side: str, spec: BasisSpec,
     gram = _side_gram(spec, sample.x_rows if side == "x" else sample.f_rows, sample.weights)
     const = np.zeros(gram.shape[0])
     const[spec.constant_index] = 1.0
-    return _space_from_gram(gram, const, rel_threshold)
+    return _space_from_gram(gram, const, DEFAULT_REL_THRESHOLD)
 
 
 def christoffel(space: SpaceBasis, point) -> float:
@@ -432,15 +437,14 @@ def prepare_points(x_points, f_points, weights, x_const=None, f_const=None,
     )
 
 
-def prepare(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
-            rel_threshold: float = DEFAULT_REL_THRESHOLD) -> PreparedData:
+def prepare(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec) -> PreparedData:
     """Evaluate both bases on a sample and build the two spaces.
 
     Each side's Gram matrix is summed over the row blocks; no array of
     basis-evaluated rows is built.
     """
     return PreparedData(weights=sample.weights,
-                        x_space=space_from_sample(sample, "x", x_spec, rel_threshold),
-                        f_space=space_from_sample(sample, "f", f_spec, rel_threshold),
+                        x_space=space_from_sample(sample, "x", x_spec),
+                        f_space=space_from_sample(sample, "f", f_spec),
                         x_rows=sample.x_rows, f_rows=sample.f_rows,
                         x_spec=x_spec, f_spec=f_spec)

@@ -85,11 +85,11 @@ def spd_inverse_sqrt(g, rel_floor=1e-12) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T
 
 
-def spd_sqrt(g, rel_floor=1e-12) -> np.ndarray:
-    """Symmetric square root of an SPD matrix."""
+def spd_sqrt(g) -> np.ndarray:
+    """Symmetric square root of an SPD matrix (smallest eigenvalue above 1e-12 of the largest)."""
     g = _require_symmetric(_as_square(g, "G"), "G")
     w, v = np.linalg.eigh(g)
-    if w[-1] <= 0.0 or w[0] <= rel_floor * w[-1]:
+    if w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
         raise NumericalError("matrix is not positive definite")
     return (v * np.sqrt(w)) @ v.T
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .baselines import joint_distribution_coverage, lsq_channel
 from .errors import DataError, DimensionError, NumericalError
-from .hilbert import (DEFAULT_REL_THRESHOLD, PreparedData, SpaceBasis, _nonzero,
-                      _projection, _require_positive, _times, label_matched_projection, prepare)
+from .hilbert import (PreparedData, SpaceBasis, _nonzero, _projection, _require_positive,
+                      _times, label_matched_projection, prepare)
 from .sample import BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .sample import CHEBYSHEV
 from .solver import PartiallyUnitaryOp, SolverConfig, solve
@@ -87,8 +87,7 @@ class KgoModel:
 def fit(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
         kind: TensorKind = TensorKind.F_CHRISTOFFEL,
         config: SolverConfig = SolverConfig(),
-        d: Optional[int] = None,
-        rel_threshold: float = DEFAULT_REL_THRESHOLD):
+        d: Optional[int] = None):
     """Fit a partially unitary channel to a sample.
 
     Returns (model, trace). `d` selects a contributing subspace of that
@@ -102,7 +101,7 @@ def fit(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
         x_spec = with_scale(x_spec, sample.x_rows)
     if f_spec.kind == CHEBYSHEV and f_spec.scale is None:
         f_spec = with_scale(f_spec, sample.f_rows)
-    data = prepare(sample, x_spec, f_spec, rel_threshold)
+    data = prepare(sample, x_spec, f_spec)
     model, trace = fit_prepared(data, kind, config, d)
     model = replace(model, x_spec=x_spec, f_spec=f_spec)
     return model, trace

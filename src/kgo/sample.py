@@ -339,14 +339,13 @@ def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
     Table column q * (2 order + 1) + e of a row is lead[q] * last[e].
     """
     order = 2 * spec.product_order
-    with np.errstate(over="ignore", invalid="ignore"):  # `_moment_table` raises on inf or NaN
-        table = _factor_block(spec, rows, order)  # (order + 1, n_vars, rows)
-        n_vars, n_rows = table.shape[1], table.shape[2]
-        last = np.ascontiguousarray(table[:, -1])  # a unit-stride operand of the table products
-        if n_vars == 1:
-            return np.ones((1, n_rows)), last
-        lead = table[:, :-1].reshape(-1, n_rows)
-        return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
+    table = _factor_block(spec, rows, order)  # (order + 1, n_vars, rows)
+    n_vars, n_rows = table.shape[1], table.shape[2]
+    last = np.ascontiguousarray(table[:, -1])  # a unit-stride operand of the table products
+    if n_vars == 1:
+        return np.ones((1, n_rows)), last
+    lead = table[:, :-1].reshape(-1, n_rows)
+    return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
 
 
 def _table_shape(spec: BasisSpec, rows: np.ndarray):
@@ -365,18 +364,19 @@ def _moment_table(spec: BasisSpec, rows: np.ndarray, weights: np.ndarray,
     L is 1 (a Gram matrix's table) or a second Chebyshev side's columns.
     Per row block: the weighted L columns times the leading-variable
     columns, times the last variable's table in one matrix product.
-    Non-finite values raise: every side has the column T_0 = 1, so a
-    non-finite factor reaches the table.
+    Non-finite values raise, without a warning first: every side has the
+    column T_0 = 1, so a non-finite factor reaches the table.
     """
     mom = 0.0
-    for block in row_blocks(rows.shape[0]):
-        lead, last = _doubled_factors(spec, rows[block])
-        label = weights[block][None] if not shift else np.ldexp(weights[block], -shift)[None]
-        if label_spec is not None:
-            f_lead, f_last = _doubled_factors(label_spec, label_rows[block])
-            label = np.multiply(f_lead[:, None], f_last[None]).reshape(-1, last.shape[1]) * label
-        left = np.multiply(label[:, None], lead[None]).reshape(-1, last.shape[1])
-        mom = mom + left @ last.T
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises below
+        for block in row_blocks(rows.shape[0]):
+            lead, last = _doubled_factors(spec, rows[block])
+            label = weights[block][None] if not shift else np.ldexp(weights[block], -shift)[None]
+            if label_spec is not None:
+                f_lead, f_last = _doubled_factors(label_spec, label_rows[block])
+                label = np.multiply(f_lead[:, None], f_last[None]).reshape(-1, last.shape[1]) * label
+            left = np.multiply(label[:, None], lead[None]).reshape(-1, last.shape[1])
+            mom = mom + left @ last.T
     if not np.isfinite(mom).all():
         raise NumericalError("basis evaluation produced non-finite values")
     return mom.reshape(label.shape[0], -1)
@@ -462,9 +462,10 @@ def evaluate_basis(spec: BasisSpec, raw) -> np.ndarray:
     return columns[:, 0]
 
 
-def parse_column_spec(text: str):
-    """Parse `x=<a>-<b>;f=<c>-<d>[;w=<e>]` with zero-based inclusive ranges.
+def _column_ranges(text: str, label_required: bool) -> dict:
+    """The zero-based inclusive column lists of `x=<a>-<b>[;f=<c>-<d>][;w=<e>]`, by key.
 
+    The x range is required, and so is the f range when `label_required`.
     Attribute and label ranges may alias each other (handy for identity-map
     checks); the weight column must not overlap either.
     """
@@ -488,49 +489,63 @@ def parse_column_spec(text: str):
         if a < 0 or b < a:
             raise DataError(f"bad column range {val!r}")
         ranges[key] = list(range(a, b + 1))
-    if "x" not in ranges or "f" not in ranges:
+    if label_required and ("x" not in ranges or "f" not in ranges):
         raise DataError("column spec must name both x and f ranges")
+    if "x" not in ranges:
+        raise DataError("column spec must name an x range")
     if "w" in ranges:
         if len(ranges["w"]) != 1:
             raise DataError("weight spec must name a single column")
-        if set(ranges["w"]) & (set(ranges["x"]) | set(ranges["f"])):
+        if set(ranges["w"]) & (set(ranges["x"]) | set(ranges.get("f", ()))):
             raise DataError("weight column overlaps attribute or label columns")
+    return ranges
+
+
+def parse_column_spec(text: str):
+    """Parse `x=<a>-<b>;f=<c>-<d>[;w=<e>]` into (x columns, f columns, w column or None)."""
+    ranges = _column_ranges(text, label_required=True)
     return ranges["x"], ranges["f"], ranges.get("w", [None])[0]
 
 
-def load_sample(path, column_spec: str) -> Sample:
-    """Load a CSV of decimal reals into a Sample; rows keep file order.
-
-    Lines starting with '#' are comments. Weights default to 1 when the spec
-    names no w column.
-    """
-    x_cols, f_cols, w_col = parse_column_spec(column_spec)
-    rows = []
+def read_table(path, columns) -> np.ndarray:
+    """The data rows of a CSV of decimal reals, in file order; lines starting with '#' are
+    comments. Refuses a malformed value, then a ragged row, then a non-finite value, then a
+    column of `columns` past the width. A file without data rows gives an empty table."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw_lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    rows = []
     for line in raw_lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split(",")
         try:
-            rows.append([float(tok) for tok in fields])
+            rows.append([float(tok) for tok in line.split(",")])
         except ValueError as exc:
             raise DataError(f"malformed value in row {len(rows) + 1}") from exc
-        if not all(np.isfinite(rows[-1])):
-            raise DataError(f"non-finite value in row {len(rows)}")
     if not rows:
-        raise DataError(f"no data rows in {path}")
+        return np.empty((0, 0))
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
             raise DataError(f"ragged row {i + 1}: expected {width} fields")
-    needed = max(x_cols + f_cols + ([w_col] if w_col is not None else []))
-    if needed >= width:
-        raise DataError(f"column {needed} out of range for {width}-column file")
-    table = np.asarray(rows, dtype=float)
-    weights = table[:, w_col] if w_col is not None else np.ones(table.shape[0])
+    table = np.array(rows)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite value in row {int(np.argmin(finite)) + 1}")
+    if max(columns) >= width:
+        raise DataError(f"column {max(columns)} out of range for {width}-column file")
+    return table
+
+
+def load_sample(path, column_spec: str) -> Sample:
+    """Load a CSV (see `read_table`) into a Sample; weights are 1 unless the spec names w."""
+    x_cols, f_cols, w_col = parse_column_spec(column_spec)
+    w_cols = [] if w_col is None else [w_col]
+    table = read_table(path, x_cols + f_cols + w_cols)
+    if not len(table):
+        raise DataError(f"no data rows in {path}")
+    weights = table[:, w_col] if w_cols else np.ones(len(table))
     return Sample(table[:, x_cols], table[:, f_cols], weights)

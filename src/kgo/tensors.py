@@ -97,7 +97,6 @@ class ContributingSubspace:
     vectors: np.ndarray      # (n_raw, d)
     coords: np.ndarray       # (n_eff, d), orthonormal columns
     eigenvalues: np.ndarray  # (d,), descending
-    variant: str             # "projective" | "coverage"
 
 
 def _positive(values: np.ndarray, what: str) -> np.ndarray:
@@ -276,24 +275,19 @@ def ftot_upper_bound(data: PreparedData) -> float:
 
 
 def _coverage_matrix(data: PreparedData, variant: str) -> np.ndarray:
-    """The attribute-side matrix a subspace variant diagonalizes (see contributing_subspace)."""
-    if variant == "projective":
-        return label_to_attribute_coverage(data)
-    if variant == "coverage":
-        weights, gram = _row_weights(data, TensorKind.F_CHRISTOFFEL), 0.0
-        for rows, x in data.blocks("x"):
-            gram = gram + (x * weights[rows]) @ x.T
-        return gram
-    raise DimensionError(f"unknown subspace variant {variant!r}")
+    """The attribute-side matrix a subspace variant diagonalizes: the pulled-back label
+    coverage of the one variant, "projective"."""
+    if variant != "projective":
+        raise DimensionError(f"unknown subspace variant {variant!r}")
+    return label_to_attribute_coverage(data)
 
 
 def contributing_subspace(data: PreparedData, d: int,
                           variant: str = "projective") -> ContributingSubspace:
     """Top-d attribute directions by transferable coverage.
 
-    The projective variant diagonalizes the pulled-back label coverage (rank
-    at most m); the coverage variant swaps in plain attribute moments under
-    the label Christoffel function.
+    The projective variant, the only one, diagonalizes the pulled-back label
+    coverage (rank at most m).
     """
     m_eff, n_eff = data.f_space.eff_dim, data.x_space.eff_dim
     if not 1 <= d <= min(m_eff, n_eff):
@@ -304,7 +298,6 @@ def contributing_subspace(data: PreparedData, d: int,
         vectors=data.x_space.transform.T @ coords,
         coords=coords,
         eigenvalues=eig.eigenvalues[:d],
-        variant=variant,
     )
 
 

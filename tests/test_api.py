@@ -1,12 +1,16 @@
 """The public surface: every exported name has a caller outside the tests,
-and every `kgo` path the benchmark reads resolves.
+every option of an export is set by some call, and every `kgo` path the
+benchmark reads resolves.
 
 A caller is a read of the name in the package, the demos, the benchmark or
 the acceptance suite, outside the function or class that defines it. Unit
-tests do not count: a helper that only its own tests read is dead code.
+tests do not count: a helper that only its own tests read is dead code, and
+so is an option that only its own tests set.
 """
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import kgo
@@ -57,6 +61,63 @@ def test_every_export_has_a_caller():
     # The exceptions stay exported, and leave the list once they gain a caller.
     assert UNCALLED.keys() <= names
     assert sorted(UNCALLED.keys() & used) == []
+
+
+# Defaulted parameters of exports that no call passes, and why each stays.
+_BASIS_SHAPE = "a basis shape a library user may ask for; a model.json version 1 key bench/ reads"
+UNPASSED = {
+    "BasisSpec.source": _BASIS_SHAPE,
+    "BasisSpec.mode": _BASIS_SHAPE,
+    "BasisSpec.constant_index": _BASIS_SHAPE,
+    "IterationTrace.records": "the solver's state, appended to, not an option",
+    "IterationTrace.stop_reason": "the solver's state, set when it stops, not an option",
+}
+
+
+def passed_arguments(tree) -> dict:
+    """{callee name: [(positional count, keyword names)]} of every call in a module.
+
+    The callee is the called name or attribute. A `*` argument passes every
+    positional parameter and a `**` argument every parameter: such a call
+    records None for that part.
+    """
+    calls = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        keywords = {kw.arg for kw in node.keywords}
+        calls.setdefault(name, []).append((None if starred else len(node.args),
+                                           None if None in keywords else keywords))
+    return calls
+
+
+def unpassed_defaults(calls: dict) -> list:
+    """`<export>.<parameter>` of every defaulted parameter of an exported function or
+    dataclass that no call passes."""
+    missing = []
+    for name in sorted(exported()):
+        obj = getattr(kgo, name)
+        if not (inspect.isfunction(obj) or dataclasses.is_dataclass(obj)):
+            continue
+        for index, param in enumerate(inspect.signature(obj).parameters.values()):
+            if param.default is param.empty:
+                continue
+            positional = param.kind is not param.KEYWORD_ONLY
+            if not any(keywords is None or param.name in keywords
+                       or positional and (count is None or index < count)
+                       for count, keywords in calls.get(name, [])):
+                missing.append(f"{name}.{param.name}")
+    return sorted(missing)
+
+
+def test_every_option_is_passed():
+    calls = {}
+    for path in CALLERS:
+        for name, found in passed_arguments(ast.parse(path.read_text())).items():
+            calls.setdefault(name, []).extend(found)
+    assert unpassed_defaults(calls) == sorted(UNPASSED)
 
 
 def dotted(node):

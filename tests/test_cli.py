@@ -270,6 +270,36 @@ class TestEval:
         assert code == 2
         assert "covers 2 variables" in capsys.readouterr().err
 
+    def test_weight_column_is_not_read(self, exact_csv, tmp_path):
+        """Eval range-checks a `w=` column but never reads its values: an all-zero
+        weight column gives the same table as the spec without it."""
+        _, prefix = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")
+        query = tmp_path / "query.csv"
+        query.write_text("-0.5,0.25,0.0\n0.5,0.75,0.0\n")
+        tables = []
+        for cols in ("x=0;f=1", "x=0;f=1;w=2"):
+            out = str(tmp_path / f"{len(tables)}_")
+            assert main(["eval", "--model", prefix + "model.json", "--data", str(query),
+                         "--cols", cols, "--out-prefix", out]) == 0
+            tables.append(open(out + "eval.tsv", "rb").read())
+        assert tables[0] == tables[1]
+        assert main(["eval", "--model", prefix + "model.json", "--data", str(query),
+                     "--cols", "x=0;w=3", "--out-prefix", str(tmp_path / "r_")]) == 3
+
+    def test_data_file_opened_for_parse_and_digest_only(self, exact_csv, tmp_path,
+                                                         monkeypatch):
+        _, prefix = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")
+        opened, real_open = [], open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert main(["eval", "--model", prefix + "model.json", "--data", exact_csv,
+                     "--cols", "x=0", "--out-prefix", prefix]) == 0
+        assert opened.count(exact_csv) == 2
+
     def test_corrupt_model_exit_three(self, exact_csv, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

@@ -122,7 +122,7 @@ CASES = [
      DataError, "cannot read model .*model.json: .*"),
     ("cli-eval-no-x", lambda tmp: cli.cmd_eval(eval_args(tmp, "w=0", identity_model())),
      DataError, "column spec must name an x range"),
-    ("cli-data-missing", lambda tmp: cli._has_rows(tmp / "absent.csv"),
+    ("cli-data-missing", lambda tmp: kgo.sample.read_table(tmp / "absent.csv", [0]),
      DataError, "cannot read .*absent.csv: .*"),
     ("demo-grid", lambda tmp: demo.grid_measure(1),
      DimensionError, "need at least two grid points"),

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -638,6 +639,27 @@ class TestPredictErrors:
             kgo.probability(direct, xs[1], fs[1])
         with pytest.raises(NumericalError, match="queried outcome of row 1 "):
             kgo.predict(direct, xs, fs)
+
+    def test_overflowing_projection_names_row(self):
+        """A row whose basis values are finite but whose |T p|^2 overflows is refused,
+        not answered with certainty 0 and an infinite value. The overflow warning
+        of the squared norm itself is silenced here; the refusal is the check."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, size=(3000, 2))
+        f = np.sin(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1] / 2) + 0.1 * rng.standard_normal(3000)
+        model, _ = kgo.fit(kgo.Sample(x, f[:, None], rng.uniform(0.5, 1.5, 3000)),
+                           kgo.BasisSpec("chebyshev", 10), kgo.BasisSpec("chebyshev", 4),
+                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+        far = np.array([1e16, 0.3])
+        assert np.isfinite(kgo.evaluate_basis(model.x_spec, far)).all()
+        past = "has |T p|^2 past the float range"
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match=re.escape(f"query point of row 1 {past}")):
+                kgo.predict(model, np.array([[0.1, 0.2], far]))
+            with pytest.raises(NumericalError, match=re.escape(f"query point {past}")):
+                kgo.most_probable(model, far)
+            with pytest.raises(NumericalError, match=re.escape(f"point {past}")):
+                kgo.christoffel(model.x_space, kgo.evaluate_basis(model.x_spec, far))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features(self, direct, bad):

@@ -61,6 +61,17 @@ class TestLoadSample:
         with pytest.raises(DataError):
             kgo.load_sample(path, "x=0;f=1")
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n1,inf\n3,4\n5,6\n1,oops\n", "malformed value in row 5"),
+        ("1,2\n1,nan\n3,4,5\n", "ragged row 3: expected 2 fields"),
+        ("1,2\n1,-inf\n3,4\n", "non-finite value in row 2")],
+        ids=["malformed-before-non-finite", "ragged-before-non-finite", "non-finite"])
+    def test_defect_order(self, tmp_path, text, message):
+        """Of several defects a file reports the malformed value first, then a
+        ragged row, then a non-finite value, whatever their rows."""
+        with pytest.raises(DataError, match=f"^{message}$"):
+            kgo.load_sample(write(tmp_path, text), "x=0;f=1")
+
 
 class TestColumnSpec:
     def test_ranges(self):

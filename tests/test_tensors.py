@@ -195,16 +195,6 @@ class TestContributingSubspace:
         gram_orthonormal = sub.vectors.T @ three_point_data.x_space.gram_raw @ sub.vectors
         np.testing.assert_allclose(gram_orthonormal, np.eye(2), atol=1e-10)
 
-    def test_coverage_variant_same_space(self, three_point_data):
-        spectrum = kgo.coverage_spectrum(three_point_data, "coverage")
-        assert float(spectrum[:2].sum()) == pytest.approx(3.0, abs=1e-10)
-
-    def test_coverage_variant_total_weight_lower_bound(self):
-        rng = np.random.default_rng(16)
-        data = make_random_instance(rng, max_obs=60)
-        spectrum = kgo.coverage_spectrum(data, "coverage")
-        assert float(spectrum.sum()) >= data.total_weight - 1e-8
-
     def test_top_one(self, three_point_data):
         sub = kgo.contributing_subspace(three_point_data, 1, "projective")
         assert sub.eigenvalues.shape == (1,)
