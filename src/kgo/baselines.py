@@ -38,9 +38,9 @@ def fit_least_squares(data: PreparedData) -> LeastSquaresMap:
 
     Solved in regularized coordinates, where the normal equations reduce to a
     plain cross-moment contraction: beta = <f (T_x x)^T> T_x, read off the
-    data's cached cross moments, so no pass over the rows is made here.
+    data's cached row passes (`PreparedData.stats`).
     """
-    return LeastSquaresMap(beta=data.cross_moments[1] @ data.x_space.transform)
+    return LeastSquaresMap(beta=data.stats.label_raw @ data.x_space.transform)
 
 
 def eval_least_squares(lsq: LeastSquaresMap, x_points) -> np.ndarray:
@@ -49,8 +49,8 @@ def eval_least_squares(lsq: LeastSquaresMap, x_points) -> np.ndarray:
 
 
 def lsq_channel(data: PreparedData) -> np.ndarray:
-    """The least-squares map between orthonormal coordinates (the cross Gram)."""
-    return data.cross_gram()
+    """The least-squares map between orthonormal coordinates: a writable copy of the cross Gram."""
+    return data.stats.cross.copy()
 
 
 def partial_unitarity_residual(data: PreparedData) -> float:
@@ -58,7 +58,7 @@ def partial_unitarity_residual(data: PreparedData) -> float:
 
     Zero exactly when the label space is a subspace of the attribute space.
     """
-    return constraint_residual(data.cross_gram())
+    return constraint_residual(data.stats.cross)
 
 
 def fit_radon_nikodym(data: PreparedData, labels=None) -> RadonNikodymModel:
@@ -96,4 +96,4 @@ def joint_distribution_coverage(data: PreparedData) -> float:
     christoffel-product weight.
     """
     weights = _row_weights(data, TensorKind.CHRISTOFFEL_PRODUCT)
-    return float(np.sum(weights * data.row_norms.overlap ** 2))
+    return float(np.sum(weights * data.stats.overlap ** 2))

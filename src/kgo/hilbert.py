@@ -16,15 +16,14 @@ A fit of `prepare` data passes over the rows as follows:
      `prepare_points`). A Chebyshev side's is read off its plain-weight
      doubled-order moment table, whose layout `sample` owns; any other
      side adds each block's weighted columns.
-  2. `PreparedData.cross_moments`: sum_l w_l f_l x_l^T over whitened
-     attribute rows, once with whitened label rows (the cross Gram) and
-     once with raw label features (for the least-squares map), and |x|^2
-     per observation from the same whitened rows. This is the one pass
-     that whitens the attribute block.
-  3. `PreparedData.row_norms`: per observation |f|^2, the overlap f^T C x
-     with the cross Gram C and the adjusted normalizer |K x|^2; the raw
-     attribute columns go through [C; K] T_x in one product. The same
-     pass sums the label-Christoffel moments of F_TOT.
+  2. and 3. `PreparedData.stats`, one record of both passes. Pass 2, the one
+     that whitens the attribute block, sums sum_l w_l f_l x_l^T with whitened
+     label rows (the cross Gram C) and with raw label features (for the
+     least-squares map), and keeps each row's |x|^2. The label/attribute
+     coupling C C^T = L L^T and K = L^-1 C follow. Pass 3 gives each row's
+     |f|^2, overlap f^T C x and adjusted normalizer |K x|^2, the raw attribute
+     columns going through [C; K] T_x in one product, and sums the
+     label-Christoffel moments of F_TOT.
   4. the coverage tensor (see `tensors`).
 
 `prepare_points` data sums its Gram matrices over the stored feature rows;
@@ -252,19 +251,26 @@ def state_values(state: LocalizedState, points) -> np.ndarray:
     return state.space.project(np.atleast_2d(points)) @ state.coords
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
+def _coupled(value: Optional[np.ndarray]) -> np.ndarray:
+    """A quantity of the label/attribute coupling; raises where the coupling is singular."""
+    if value is None:
+        raise NumericalError("label/attribute coupling matrix is singular")
+    return value
 
 
 @dataclass(frozen=True)
-class RowNorms:
-    """The per-row quantities of the second and third passes, and the third's label moments."""
+class RowStats:
+    """The second and third row passes of a fit and the label/attribute coupling
+    between them (`PreparedData.stats`); every array is read-only."""
 
-    label: np.ndarray      # |f_l|^2 in orthonormal label coordinates
+    cross: np.ndarray      # C = sum_l w_l f_l x_l^T, both sides whitened: the cross Gram
+    label_raw: np.ndarray  # B = the same sum with raw label features; B T_x is the LSQ map
     attribute: np.ndarray  # |x_l|^2 in orthonormal attribute coordinates
-    overlap: np.ndarray    # f_l^T C x_l with C the cross Gram
-    adjusted: Optional[np.ndarray]  # |K x_l|^2; None when the coupling is singular
+    coupling: Optional[np.ndarray]  # C C^T = L L^T; None when singular, as are the next two
+    factor: Optional[np.ndarray]    # K = L^-1 C, so K^T K = `label_matched_projection`
+    label: np.ndarray      # |f_l|^2 in orthonormal label coordinates
+    overlap: np.ndarray    # f_l^T C x_l
+    adjusted: Optional[np.ndarray]  # |K x_l|^2, the adjusted normalizer
     label_moments: np.ndarray  # sum_l w_l psi_l psi_l^T over unit label states f_l / |f_l|
 
 
@@ -328,18 +334,18 @@ class PreparedData:
                                   for spec, side_rows, transform in parts)
 
     @cached_property
-    def cross_moments(self) -> tuple:
-        """(C, B, a): sum_l w_l f_l x_l^T over whitened attribute rows, and
-        each row's |x_l|^2; read-only.
+    def stats(self) -> RowStats:
+        """Pass 2, the label/attribute coupling and pass 3, in that order, on first read.
 
-        C, (m_eff, n_eff), has the label side whitened too and is the cross
-        Gram; B, (m_raw, n_eff), keeps the raw label features, and B T_x is
-        the least-squares map. Both are summed in one pass, on first use,
-        which also keeps the attribute norms a, (M,), of the whitened rows
-        it holds (`row_norms.attribute`). Whitening each row before the sum,
-        rather than the raw sum after it, keeps the rounding near
-        sqrt(kappa_x) + sqrt(kappa_f) rather than their product. One block
-        gives the bits of the whole-array expressions.
+        Pass 2 whitens each attribute row before the sum, which keeps the rounding
+        near sqrt(kappa_x) + sqrt(kappa_f) rather than their product. The coupling
+        is singular (None, as are K and |K x|^2) when its smallest eigenvalue is at
+        most 1e-12 of the largest. Pass 3 whitens only the label block and maps the
+        raw attribute columns through [C; K] T_x, one product per block, so |K x|^2
+        costs m_eff * n_eff per row instead of n_eff^2. Its label moments sum unit
+        states, in range at any weight scale; a zero row adds nothing, nor does a
+        row whose |f|^2 overflows (`tensors.label_christoffel_moments` rejects it).
+        One block gives the bits of the whole-array expressions.
         """
         tf, tx = self.f_space.transform, self.x_space.transform
         cross = label_raw = 0.0
@@ -350,54 +356,18 @@ class PreparedData:
             cross = cross + ((f @ tf.T).T * self.weights[rows]) @ x
             label_raw = label_raw + (f.T * self.weights[rows]) @ x
             np.einsum("ij,ij->i", x, x, out=attribute[rows])
-        return _read_only(cross), _read_only(label_raw), _read_only(attribute)
-
-    def cross_gram(self) -> np.ndarray:
-        """Cross moments <f_j x_k> in orthonormal coordinates (m_eff x n_eff).
-
-        A fresh copy of one cached matrix, so no pass over the rows is made
-        after the first call.
-        """
-        return self.cross_moments[0].copy()
-
-    @cached_property
-    def label_coupling(self) -> tuple:
-        """(C, C C^T, K) for the cross Gram C, with K = L^-1 C and C C^T = L L^T.
-
-        `K^T K` equals `label_matched_projection`, so the adjusted normalizer
-        of a row x is |K x|^2, which costs m_eff * n_eff per row instead of
-        n_eff^2. A singular coupling raises on every access; nothing is
-        cached then.
-        """
-        cross = self.cross_gram()
         coupling = cross @ cross.T
         eig = np.linalg.eigvalsh(coupling)
         if eig[0] <= 1e-12 * max(eig[-1], 1e-300):
-            raise NumericalError("label/attribute coupling matrix is singular")
-        return cross, coupling, np.linalg.solve(np.linalg.cholesky(coupling), cross)
-
-    @cached_property
-    def row_norms(self) -> RowNorms:
-        """Per-observation norms and overlaps, from one pass over the row blocks.
-
-        The attribute norms come from the cross-moment pass. This pass
-        whitens only the label block: the raw attribute columns go straight
-        through [C; K] T_x, one (2 m_eff x n_raw) product per block. With a
-        singular coupling `adjusted` is None, and reading the adjusted
-        normalizer raises through `label_coupling`. The label moments sum unit
-        states, so they stay in range at any weight scale; a zero row adds
-        nothing, nor does a row whose |f|^2 overflows (which
-        `tensors.label_christoffel_moments` rejects).
-        """
-        cross = self.cross_gram()
-        try:  # C and K stacked, so each block takes one product for both
-            maps = np.vstack([cross, self.label_coupling[2]])
-        except NumericalError:
+            coupling = factor = None
             maps = cross
-        maps = maps @ self.x_space.transform
+        else:  # C and K stacked, so each block takes one product for both
+            factor = np.linalg.solve(np.linalg.cholesky(coupling), cross)
+            maps = np.vstack([cross, factor])
+        maps = maps @ tx
         m = cross.shape[0]
         label, overlap = np.empty(self.size), np.empty(self.size)
-        adjusted = np.empty(self.size) if maps.shape[0] > m else None
+        adjusted = None if factor is None else np.empty(self.size)
         moments = 0.0
         for rows, f in self.blocks("f"):
             np.einsum("ij,ij->j", f, f, out=label[rows])
@@ -408,8 +378,11 @@ class PreparedData:
             np.einsum("ij,ij->j", f, mapped[:m], out=overlap[rows])
             if adjusted is not None:
                 np.einsum("ij,ij->j", mapped[m:], mapped[m:], out=adjusted[rows])
-        return RowNorms(*(None if a is None else _read_only(a)
-                          for a in (label, self.cross_moments[2], overlap, adjusted, moments)))
+        arrays = (cross, label_raw, attribute, coupling, factor, label, overlap, adjusted, moments)
+        for array in arrays:
+            if array is not None:
+                array.setflags(write=False)
+        return RowStats(*arrays)
 
 
 def label_matched_projection(data: PreparedData) -> np.ndarray:
@@ -420,8 +393,8 @@ def label_matched_projection(data: PreparedData) -> np.ndarray:
     exceeds the plain squared norm, so the adjusted Christoffel function
     dominates the original one pointwise.
     """
-    cross, coupling, _ = data.label_coupling
-    return cross.T @ np.linalg.solve(coupling, cross)
+    cross = data.stats.cross
+    return cross.T @ np.linalg.solve(_coupled(data.stats.coupling), cross)
 
 
 def prepare_points(x_points, f_points, weights, x_const=None, f_const=None,

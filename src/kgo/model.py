@@ -135,10 +135,7 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         u_init = np.linalg.pinv(f_embed) @ u_init
     op, trace = solve(tensor, config, u_init)
     best = next(record for record in trace if record.f_after == op.f_value)
-    try:
-        projection = label_matched_projection(data)
-    except NumericalError:
-        projection = None
+    projection = None if data.stats.coupling is None else label_matched_projection(data)
     report = {
         "algorithm": op.algorithm,
         "iterations": op.iterations,
@@ -428,14 +425,15 @@ def deserialize_model(blob: bytes) -> KgoModel:
         raise DataError(f"unsupported model format version {version!r}")
     try:
         model = _decode(KgoModel, payload)
-        _check_shapes(model)
+        _check_arrays(model)
     except (TypeError, ValueError) as exc:
         raise DataError(f"corrupt model payload: {exc}") from exc
     return model
 
 
-def _check_shapes(model: KgoModel):
-    """Refuse (ValueError) decoded arrays whose shapes do not fit together."""
+def _check_arrays(model: KgoModel):
+    """Refuse (ValueError) decoded arrays whose shapes do not fit together, or that
+    hold a non-finite value (JSON decodes NaN and Infinity), a basis scale too."""
     x, f, u = model.x_space, model.f_space, model.operator.u
     d = f.eff_dim if model.f_embed is None else len(u)
     expected = [("operator.u", u, (d, x.eff_dim)), ("f_embed", model.f_embed, (f.eff_dim, d)),
@@ -445,6 +443,11 @@ def _check_shapes(model: KgoModel):
         expected += [(f"{side}.{name}", getattr(space, name), shape) for name, shape in
                      (("transform", (eff, raw)), ("gram_raw", (raw, raw)),
                       ("const_raw", (raw,)), ("const_coords", (eff,)))]
+    for side, spec in (("x_spec", model.x_spec), ("f_spec", model.f_spec)):
+        if spec is not None and spec.scale is not None:
+            expected.append((f"{side}.scale", np.asarray(spec.scale, dtype=float), None))
     for name, array, shape in expected:
-        if array is not None and array.shape != shape:
+        if array is not None and shape is not None and array.shape != shape:
             raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+        if array is not None and not np.isfinite(array).all():
+            raise ValueError(f"{name} has non-finite values")

@@ -509,10 +509,11 @@ def parse_column_spec(text: str):
 
 def read_table(path, columns) -> np.ndarray:
     """The data rows of a CSV of decimal reals, in file order; lines starting with '#' are
-    comments. Refuses a malformed value, then a ragged row, then a non-finite value, then a
-    column of `columns` past the width. A file without data rows gives an empty table."""
+    comments; a leading UTF-8 byte-order mark is skipped. Refuses a malformed value, then a
+    ragged row, then a non-finite value, then a column of `columns` past the width. A file
+    without data rows gives an empty table."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             raw_lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

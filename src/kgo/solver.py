@@ -462,12 +462,7 @@ def operator_adjust(u, j_matrix, tensor: CoverageTensor):
     pencil = gen_sym_eig(j_matrix, gram)
     basis = pencil.eigenvectors                      # columns, gram-orthonormal
     coords = basis.T @ u                             # rows satisfy the constraints
-    half = spd_sqrt(gram) @ basis                    # (d, d)
-    four = tensor.matrix.reshape(tensor.d, tensor.n, tensor.d, tensor.n)
-    adjusted = np.einsum("is,ikjl,jt->sktl", half, four, half)
-    matrix = adjusted.reshape(tensor.d * tensor.n, tensor.d * tensor.n)
-    matrix = 0.5 * (matrix + matrix.T)
-    transferred = CoverageTensor(tensor.kind, tensor.d, tensor.n, matrix)
+    transferred = tensor.label_congruence(spd_sqrt(gram) @ basis)
     op = make_operator(coords, "operator-adjust", 0, transferred.quadratic_form(coords))
     return op, transferred
 

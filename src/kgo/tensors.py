@@ -22,14 +22,13 @@ flattened index is row-major over (label index j, attribute index k).
 Every kind is the same row-weighted sum S = sum_l w_l z_l z_l^T with
 z_l = f_l (x) x_l; only the per-row weights w_l differ. A fit passes over
 the rows four times (see `hilbert`): `hilbert.prepare` sums both Gram
-matrices; the second pass the cross Gram, which the projective subspace,
-F_TOT and the least-squares channel read, and the attribute norms |x|^2;
-the third the other per-row norms, mapping the raw attribute columns
-without whitening them again, and the label-Christoffel moments of F_TOT.
-`_row_weights` turns the per-row norms (`PreparedData.row_norms`) into the
-weights of every kind, behind one zero gate and one range gate; the
-coverage subspace and F_JDG read their weights from it too. The sum itself
-is the fourth, by one of two routes over the same fixed row blocks:
+matrices; the second and third build one record, `PreparedData.stats`:
+the cross Gram, which the projective subspace, F_TOT and the least-squares
+channel read, the per-row norms and the label-Christoffel moments of F_TOT.
+`_row_weights` turns the per-row norms into the weights of every kind,
+behind one zero gate and one range gate; the coverage subspace and F_JDG
+read their weights from it too. The sum itself is the fourth, by one of
+two routes over the same fixed row blocks:
 
   moment table  for data from `prepare` with Chebyshev specs on both sides.
                 Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
@@ -56,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hilbert import PreparedData, SpaceBasis
+from .hilbert import PreparedData, SpaceBasis, _coupled
 from .linalg import sym_eig
 from .sample import CHEBYSHEV, _moment_table, _product_moments, _table_shape
 
@@ -84,6 +83,15 @@ class CoverageTensor:
             raise DimensionError(f"channel shape {u.shape} != ({self.d}, {self.n})")
         flat = u.reshape(-1)
         return float(flat @ (self.matrix @ flat))
+
+    def label_congruence(self, a: np.ndarray) -> CoverageTensor:
+        """(a^T (x) I) S (a (x) I), symmetrized: the tensor of v, where u = a v with a
+        (d x d') acting on the label index; F(a v) under this tensor is F(v) under the new one."""
+        four = self.matrix.reshape(self.d, self.n, self.d, self.n)
+        four = np.einsum("js,jkql,qt->sktl", a, four, a)
+        d = a.shape[1]
+        matrix = four.reshape(d * self.n, d * self.n)
+        return CoverageTensor(self.kind, d, self.n, 0.5 * (matrix + matrix.T))
 
 
 @dataclass(frozen=True)
@@ -119,13 +127,13 @@ def _row_weights(data: PreparedData, kind: TensorKind) -> np.ndarray:
     """
     if kind is TensorKind.PLAIN_VALUE:
         return data.weights
+    stats = data.stats
     with np.errstate(over="ignore"):  # an overflow raises below
-        weights = data.weights / _positive(data.row_norms.label, "label projection")
+        weights = data.weights / _positive(stats.label, "label projection")
         if kind is TensorKind.CHRISTOFFEL_PRODUCT:
-            weights = weights / _positive(data.row_norms.attribute, "attribute projection")
+            weights = weights / _positive(stats.attribute, "attribute projection")
         elif kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
-            data.label_coupling  # raises NumericalError when the coupling is singular
-            weights = weights / _positive(data.row_norms.adjusted, "adjusted normalizer")
+            weights = weights / _positive(_coupled(stats.adjusted), "adjusted normalizer")
     if not (weights.min() > 0.0 and weights.max() < np.inf):  # the fast test first
         bad = np.flatnonzero(~np.isfinite(weights) | ((weights == 0.0) & (data.weights > 0.0)))
         if bad.size:
@@ -222,36 +230,30 @@ def build_coverage_tensor(kind: TensorKind, data: PreparedData,
     """
     kind = TensorKind(kind)
     route = _chebyshev_moments if _moment_route(data) else _fourth_moments
-    matrix = route(data, _row_weights(data, kind))
-    d, n = data.f_space.eff_dim, data.x_space.eff_dim
-    if subspace is not None:
-        if kind is not TensorKind.CHRISTOFFEL_PRODUCT:
-            raise DimensionError(
-                "subspace composition is defined for the christoffel-product kind")
-        embed = subspace_embedding(data, subspace)  # (m_eff, d_sub)
-        four = matrix.reshape(d, n, d, n)
-        four = np.einsum("js,jkql,qt->sktl", embed, four, embed)
-        d = embed.shape[1]
-        matrix = four.reshape(d * n, d * n)
-        matrix = 0.5 * (matrix + matrix.T)
-    return CoverageTensor(kind, d, n, matrix)
+    tensor = CoverageTensor(kind, data.f_space.eff_dim, data.x_space.eff_dim,
+                            route(data, _row_weights(data, kind)))
+    if subspace is None:
+        return tensor
+    if kind is not TensorKind.CHRISTOFFEL_PRODUCT:
+        raise DimensionError("subspace composition is defined for the christoffel-product kind")
+    return tensor.label_congruence(subspace_embedding(data, subspace))
 
 
 def subspace_embedding(data: PreparedData, subspace: ContributingSubspace) -> np.ndarray:
     """Projections of the subspace directions onto the label basis (m_eff x d)."""
-    return data.cross_gram() @ subspace.coords
+    return data.stats.cross @ subspace.coords
 
 
 def label_christoffel_moments(data: PreparedData) -> np.ndarray:
     """<f_t | K_f | f_s> in orthonormal label coordinates, read-only: the row-norm
     pass's sum over the unit label states, behind the tensor weights' zero gate
     and a range gate on |f|^2, whose overflow would drop the row from the sum."""
-    label = _positive(data.row_norms.label, "label projection")
+    label = _positive(data.stats.label, "label projection")
     bad = np.flatnonzero(~np.isfinite(label) & (data.weights > 0.0))
     if bad.size:
         raise NumericalError(f"observation {bad[0]} has label projection {label[bad[0]]:g}: "
                              "rescale the sample weights")
-    return data.row_norms.label_moments
+    return data.stats.label_moments
 
 
 def label_to_attribute_coverage(data: PreparedData) -> np.ndarray:
@@ -261,7 +263,7 @@ def label_to_attribute_coverage(data: PreparedData) -> np.ndarray:
     the label-Christoffel moments; its spectrum decomposes the total
     transferable coverage.
     """
-    cross = data.cross_gram()
+    cross = data.stats.cross
     return cross.T @ label_christoffel_moments(data) @ cross
 
 

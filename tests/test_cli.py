@@ -311,8 +311,10 @@ class TestEval:
         (lambda m: [row.pop() for row in m["operator"]["u"]], "operator.u has shape"),
         (lambda m: m["x_space"]["transform"].pop(), "x_space.transform has shape"),
         (lambda m: m["f_space"]["const_raw"].pop(), "f_space.const_raw has shape"),
-        (lambda m: m["x_label_projection"].pop(), "x_label_projection has shape")],
-        ids=["u-column", "x-transform-row", "f-const-entry", "projection-row"])
+        (lambda m: m["x_label_projection"].pop(), "x_label_projection has shape"),
+        (lambda m: m["operator"]["u"][0].__setitem__(0, float("nan")),
+         "operator.u has non-finite values")],
+        ids=["u-column", "x-transform-row", "f-const-entry", "projection-row", "u-nan"])
     def test_inconsistent_model_exit_three(self, exact_csv, tmp_path, capsys, cut, message):
         _, prefix = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")
         payload = json.loads(open(prefix + "model.json").read())

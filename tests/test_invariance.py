@@ -1,5 +1,5 @@
 """Sums over observations must not depend on how the rows are listed, nor
-on the unit of the weights.
+on the unit of the weights, nor on the sign or gauge of a basis.
 
 Permuting the rows, splitting a row into two half-weight rows, and appending
 zero-weight rows leave every coverage tensor and the joint-distribution
@@ -7,7 +7,8 @@ coverage unchanged. The samples are a little larger than one row block, so
 the operations move rows across a block boundary. Rescaling every weight by
 s scales each fitted figure by a fixed power of s. Each property runs on
 spec-less data, whose tensors take the syrk, and on Chebyshev data from
-`kgo.prepare`, whose tensors take the moment table.
+`kgo.prepare`, whose tensors take the moment table. The gauge test maps
+spec-less feature rows by invertible matrices that keep the constant column.
 """
 
 import numpy as np
@@ -149,3 +150,36 @@ def test_weight_scale_degrees(seed, exponent):
             assert b["f"] == pytest.approx(a["f"] * scale ** degree, rel=1e-12), kind
             for key in ("f_tot", "f_jdg"):
                 assert b[key] == pytest.approx(a[key] * scale, rel=1e-12), (kind, key)
+
+
+def gauge(rng, dim):
+    """An invertible map of feature rows that keeps the constant column (the first)
+    and flips the sign of one other column."""
+    a = np.eye(dim)
+    a[:, 1:] += 0.5 * rng.normal(size=(dim, dim - 1))
+    a[:, rng.integers(1, dim)] *= -1.0
+    return a
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_basis_sign_and_gauge(seed):
+    """Features x A and f B span the same function spaces as x and f: F of every
+    kind, F_TOT and F_JDG stay, and so do the answers of a single-shot fit, whose
+    most probable outcome moves as the label features do. Iterative fits keep F,
+    but their channel is not pinned: the stop test ends them at a tolerance, and
+    the sign of their transported state is free."""
+    data, rng = instance(seed, _ROW_BLOCK + 10, None)
+    a, b = gauge(rng, N_ATTR), gauge(rng, N_LABEL)
+    other = kgo.prepare_points(data.x_rows @ a, data.f_rows @ b, data.weights)
+    qx, qf = raw_rows(rng, 50)
+    for kind in kgo.TensorKind:
+        for config in (kgo.SolverConfig(), SINGLE_SHOT):  # single-shot last: its answers follow
+            m0, m1 = (kgo.fit_prepared(d, kind, config)[0] for d in (data, other))
+            for key in ("f", "f_tot", "f_jdg"):
+                assert m1.report[key] == pytest.approx(m0.report[key], rel=1e-12), (kind, key)
+        p0, p1 = kgo.predict(m0, qx, qf), kgo.predict(m1, qx @ a, qf @ b)
+        for key in ("certainty", "probability"):
+            np.testing.assert_allclose(p1[key], p0[key], rtol=0.0, atol=1e-10, err_msg=kind)
+        want = p0["f_max_p"] @ b
+        np.testing.assert_allclose(p1["f_max_p"], want, rtol=0.0,
+                                   atol=1e-10 * np.abs(want).max(), err_msg=kind)

@@ -318,6 +318,15 @@ class TestModelFormat:
             kgo.deserialize_model(edited_model_v1(
                 path, lambda record: record.update({key: None})))
 
+    @pytest.mark.parametrize("path, field", [
+        (("x_spec", "scale", 1), "x_spec.scale"),
+        (("f_space", "const_coords"), "f_space.const_coords")])
+    def test_non_finite_array(self, path, field):
+        # JSON decodes Infinity and NaN; a decoded array holding one is refused.
+        blob = edited_model_v1(path, lambda values: values.__setitem__(0, float("inf")))
+        with pytest.raises(DataError, match=rf"^corrupt model payload: {field} has non-finite"):
+            kgo.deserialize_model(blob)
+
     def test_payload_not_an_object(self):
         with pytest.raises(DataError):
             kgo.deserialize_model(b"[1]")

@@ -1,15 +1,16 @@
 """The blocked passes of a fit against dense formulas on materialized rows.
 
 `kgo.prepare` sums both Gram matrices over the row blocks (a Chebyshev
-side's Gram read off its doubled-order moment table), `PreparedData`
-sums the cross moments in a second pass and the per-row norms with the
-label-Christoffel moments in a third
-(`row_norms`). Every quantity built from them is checked here against the
+side's Gram read off its doubled-order moment table). One record,
+`PreparedData.stats`, holds the cross moments of a second pass, the
+label/attribute coupling, and the per-row norms with the label-Christoffel
+moments of a third. Every quantity built from them is checked here against the
 whole-array formula on `x_points`, `x_orth`, `f_points` and `f_orth`, which
 the data builds only when they are read.
 """
 
 import tracemalloc
+from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
@@ -68,14 +69,14 @@ class TestPassesMatchDense:
     @pytest.mark.parametrize("size", SIZES)
     def test_every_quantity(self, size, shape):
         data = chebyshev_instance(np.random.default_rng([size, len(shape)]), size, **shape)
-        norms = data.row_norms
+        norms = data.stats
         lsq = kgo.fit_least_squares(data)
         f_tot = kgo.ftot_upper_bound(data)
         f_jdg = kgo.joint_distribution_coverage(data)
         dense = dense_quantities(data)
         close(data.x_space.gram_raw, dense["x_gram"])
         close(data.f_space.gram_raw, dense["f_gram"])
-        close(data.cross_gram(), dense["cross"])
+        close(norms.cross, dense["cross"])
         for name in ("label", "attribute", "overlap", "adjusted"):
             close(getattr(norms, name), dense[name])
         for kind, weights in dense["weights"].items():
@@ -100,10 +101,10 @@ class TestPassesMatchDense:
         else:
             data = kgo.prepare_points(data.x_points, data.f_points, data.weights)
         dense = dense_quantities(data)
-        close(data.cross_gram(), dense["cross"])
+        close(data.stats.cross, dense["cross"])
         close(kgo.fit_least_squares(data).beta, dense["beta"])
         for name in ("label", "attribute", "overlap", "adjusted"):
-            close(getattr(data.row_norms, name), dense[name])
+            close(getattr(data.stats, name), dense[name])
         assert kgo.joint_distribution_coverage(data) == pytest.approx(dense["f_jdg"], rel=1e-12)
 
 
@@ -157,7 +158,7 @@ class TestIllConditioned:
         beta = ((data.f_points.astype(ld).T * w) @ x_orth) @ tx.astype(ld)
         whole_cross = (data.f_orth.T * data.weights) @ data.x_orth
         whole_beta = ((data.f_points.T * data.weights) @ data.x_orth) @ tx
-        for got, whole, reference in ((data.cross_gram(), whole_cross, cross),
+        for got, whole, reference in ((data.stats.cross, whole_cross, cross),
                                       (kgo.fit_least_squares(data).beta, whole_beta, beta)):
             assert max_error(got, reference) <= max(4.0 * max_error(whole, reference), 1e-15)
 
@@ -169,12 +170,12 @@ class TestIllConditioned:
         # whitened rows.
         data = clusters()
         ld = np.longdouble
-        cross, _, coupled = data.label_coupling
+        cross, coupled = data.stats.cross, data.stats.factor
         x_orth = data.x_points.astype(ld) @ data.x_space.transform.T.astype(ld)
         f_orth = data.f_points.astype(ld) @ data.f_space.transform.T.astype(ld)
         overlap = np.einsum("ij,ij->i", f_orth @ cross.astype(ld), x_orth)
         kx = x_orth @ coupled.T.astype(ld)
-        norms = data.row_norms
+        norms = data.stats
         assert max_error(norms.overlap, overlap) <= 1e-11
         assert max_error(norms.adjusted, np.einsum("ij,ij->i", kx, kx)) <= 1e-11
         np.testing.assert_allclose(norms.attribute,
@@ -207,16 +208,19 @@ class TestPrepareChecks:
 
     def test_cached_sums_are_read_only(self):
         data = chebyshev_instance(np.random.default_rng(2), 50)
-        for array in (*data.cross_moments, data.row_norms.label):
+        arrays = [getattr(data.stats, field.name) for field in fields(kgo.hilbert.RowStats)]
+        assert all(array is not None for array in arrays)
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
-    def test_cross_gram_is_a_fresh_copy(self):
+    def test_lsq_channel_is_a_fresh_copy(self):
         data = chebyshev_instance(np.random.default_rng(2), 50)
-        cross = data.cross_gram()
+        cross = kgo.lsq_channel(data)
         want = cross.copy()
         cross[0] = 1.0
-        assert data.cross_gram().tobytes() == want.tobytes()
+        assert kgo.lsq_channel(data).tobytes() == want.tobytes()
+        assert data.stats.cross.tobytes() == want.tobytes()
 
 
 class TestFourRowPasses:
@@ -291,12 +295,15 @@ class TestSingularCoupling:
 
     def test_raises_only_where_the_adjusted_normalizer_is_read(self):
         data = self.data()
-        assert data.row_norms.adjusted is None
+        stats = data.stats
+        assert stats.coupling is None and stats.factor is None and stats.adjusted is None
         model, _ = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL)
         assert model.x_label_projection is None
         assert np.isfinite(model.report["f_jdg"])
         with pytest.raises(NumericalError, match="coupling matrix is singular"):
             kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED, data)
+        with pytest.raises(NumericalError, match="coupling matrix is singular"):
+            kgo.label_matched_projection(data)
 
 
 def adjusted_fit(sample, x_order=8, f_order=3):
@@ -313,24 +320,22 @@ def chebyshev_sample(size, seed=5):
 
 
 class TestFitReadsNoAttributeRows:
-    def test_cross_moments_accumulated_once(self, monkeypatch):
-        # Every reader of the cross Gram (label coupling, LSQ channel, F_TOT,
-        # F_JDG and the row norms) reads the one sum of the cross moments.
-        readers, sums = [], []
-        read, summed = kgo.PreparedData.cross_gram, kgo.PreparedData.cross_moments.func
+    def test_row_passes_recorded_once(self, monkeypatch):
+        # Every reader of the two row passes (the tensor weights, the LSQ
+        # channel, F_TOT, F_JDG and the adjusted normalizer) reads one record.
+        builds = []
+        build = kgo.PreparedData.stats.func
 
-        def count_sums(data):
-            sums.append(data)
-            return summed(data)
+        def count_builds(data):
+            builds.append(data)
+            return build(data)
 
-        counted = cached_property(count_sums)
-        counted.__set_name__(kgo.PreparedData, "cross_moments")
-        monkeypatch.setattr(kgo.PreparedData, "cross_moments", counted)
-        monkeypatch.setattr(kgo.PreparedData, "cross_gram",
-                            lambda data: readers.append(data) or read(data))
-        adjusted_fit(chebyshev_sample(BLOCK + 9))
-        assert len(readers) >= 4
-        assert len(sums) == 1
+        counted = cached_property(count_builds)
+        counted.__set_name__(kgo.PreparedData, "stats")
+        monkeypatch.setattr(kgo.PreparedData, "stats", counted)
+        model, _ = adjusted_fit(chebyshev_sample(BLOCK + 9))
+        assert len(builds) == 1
+        assert model.x_label_projection is not None
 
     def test_never_reads_the_attribute_pair(self, monkeypatch):
         def refuse(data):

@@ -7,6 +7,7 @@ import pytest
 
 import kgo
 from kgo.errors import DataError, DimensionError, NumericalError
+from kgo.sample import read_table
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -41,6 +42,19 @@ class TestLoadSample:
         path = write(tmp_path, "# header\n1,2,0.5\n3,4,1.5\n")
         s = kgo.load_sample(path, "x=0;f=1;w=2")
         np.testing.assert_array_equal(s.weights, [0.5, 1.5])
+
+    @pytest.mark.parametrize("text", ["-1,-1,0.5\n0,0,1\n1,1,2\n", "# x,f,w\n-1,-1,0.5\n1,1,2\n"],
+                             ids=["data-first", "comment-first"])
+    def test_byte_order_mark_ignored(self, tmp_path, text):
+        """A file saved as "CSV UTF-8" starts with a byte-order mark; it reads as the plain file."""
+        plain = write(tmp_path, text)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        columns = [0, 1, 2]
+        np.testing.assert_array_equal(read_table(marked, columns), read_table(plain, columns))
+        want, got = kgo.load_sample(plain, "x=0;f=1;w=2"), kgo.load_sample(marked, "x=0;f=1;w=2")
+        for name in ("x_rows", "f_rows", "weights"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_weight_overlap_rejected(self):
         with pytest.raises(DataError):

@@ -164,7 +164,7 @@ class TestFtotUpperBound:
         x = np.column_stack([np.ones(4), [1.0, 1.0, -1.0, -1.0]])
         f = np.column_stack([np.ones(4), [1.0, -1.0, 1.0, -1.0]])
         data = kgo.prepare_points(x, f, np.ones(4))
-        cross = data.cross_gram()
+        cross = data.stats.cross
         mf = kgo.tensors.label_christoffel_moments(data)
         by_hand = float(np.trace(cross.T @ mf @ cross))
         assert kgo.ftot_upper_bound(data) == pytest.approx(by_hand, abs=1e-12)
@@ -328,7 +328,7 @@ class TestRangeGate:
         # |f|^2 scales as 1/s and overflows at s = 1e-310; the unit-state sum
         # behind F_TOT would drop those rows, so it raises instead.
         data = self.data(1e-310)
-        assert np.isinf(data.row_norms.label[1])
+        assert np.isinf(data.stats.label[1])
         for bound in (kgo.ftot_upper_bound, kgo.coverage_spectrum):
             with pytest.raises(NumericalError,
                                match="observation 1 has label projection inf: rescale"):
@@ -565,10 +565,10 @@ class TestAdjustedNormalizer:
     def test_rank_factor_matches_projection(self):
         rng = np.random.default_rng(8)
         data = chebyshev_instance(rng, BLOCK + 5, 2, 2, x_order=4)
-        cross, _, factor = data.label_coupling
+        cross, factor = data.stats.cross, data.stats.factor
         assert factor.shape == cross.shape
         projection = kgo.label_matched_projection(data)
         np.testing.assert_allclose(factor.T @ factor, projection, atol=1e-13)
-        adj = data.row_norms.adjusted
+        adj = data.stats.adjusted
         by_projection = np.einsum("ij,jk,ik->i", data.x_orth, projection, data.x_orth)
         np.testing.assert_allclose(adj, by_projection, rtol=1e-12)
