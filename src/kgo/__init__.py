@@ -31,9 +31,8 @@ from .solver import (ALGORITHMS, IterationRecord, IterationTrace,
                      operator_adjust, raw_lagrange_multipliers,
                      select_candidate, solve, solve_partial_constraint,
                      stationarity_residual)
-from .model import (KgoModel, Prediction, adjusted_probability,
-                    deserialize_model, fit, fit_prepared, most_probable,
-                    predict, probability, scalar_value_roots, serialize_model,
-                    value)
+from .model import (KgoModel, Prediction, deserialize_model, fit,
+                    fit_prepared, most_probable, predict, probability,
+                    scalar_value_roots, serialize_model, value)
 
 __version__ = "0.1.0"

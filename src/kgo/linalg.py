@@ -76,21 +76,24 @@ def sym_eig(a) -> SymEigResult:
     return SymEigResult(w[order], _fix_column_signs(v[:, order]))
 
 
-def spd_inverse_sqrt(g, rel_floor=1e-12) -> np.ndarray:
-    """Symmetric W with W G W = I for symmetric positive definite G."""
+def _spd_eigh(g, rel_floor):
+    """Eigenpairs of a symmetric G whose smallest eigenvalue is above rel_floor of the largest."""
     g = _require_symmetric(_as_square(g, "G"), "G")
     w, v = np.linalg.eigh(g)
     if w[-1] <= 0.0 or w[0] <= rel_floor * w[-1]:
         raise NumericalError("matrix is not positive definite")
+    return w, v
+
+
+def spd_inverse_sqrt(g, rel_floor=1e-12) -> np.ndarray:
+    """Symmetric W with W G W = I for symmetric positive definite G."""
+    w, v = _spd_eigh(g, rel_floor)
     return (v / np.sqrt(w)) @ v.T
 
 
 def spd_sqrt(g) -> np.ndarray:
     """Symmetric square root of an SPD matrix (smallest eigenvalue above 1e-12 of the largest)."""
-    g = _require_symmetric(_as_square(g, "G"), "G")
-    w, v = np.linalg.eigh(g)
-    if w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
-        raise NumericalError("matrix is not positive definite")
+    w, v = _spd_eigh(g, 1e-12)
     return (v * np.sqrt(w)) @ v.T
 
 

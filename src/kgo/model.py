@@ -1,6 +1,5 @@
-"""Fitted models and everything computed from them: outcome probabilities,
-most probable outcomes, const-normalized values, adjusted probability
-variants, and serialization.
+"""Fitted models and everything computed from them: outcome probabilities
+P(f|x), most probable outcomes, const-normalized values, and serialization.
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ import numpy as np
 
 from .baselines import joint_distribution_coverage, lsq_channel
 from .errors import DataError, DimensionError, NumericalError
-from .hilbert import (PreparedData, SpaceBasis, _nonzero, _projection, _require_positive,
-                      _times, label_matched_projection, prepare)
-from .sample import BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
-from .sample import CHEBYSHEV
+from .hilbert import PreparedData, SpaceBasis, _nonzero, _projection, _times, prepare
+from .sample import CHEBYSHEV, BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .solver import PartiallyUnitaryOp, SolverConfig, solve
 from .tensors import (ContributingSubspace, TensorKind, build_coverage_tensor,
                       contributing_subspace, ftot_upper_bound, subspace_embedding)
@@ -28,10 +25,6 @@ MODEL_FORMAT_VERSION = 1
 POLE_REL = 1e-10
 _ATTRIBUTE = ("query point", "has zero projection on the attribute space")
 _LABEL = ("queried outcome", "has zero projection on the label space")
-
-IMPORTANT_ONLY = "important-only"
-DOF_ADJUSTED = "dof-adjusted"
-SVD_BASIS = "svd-basis"
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,7 @@ class KgoModel:
     operator: PartiallyUnitaryOp
     tensor_kind: TensorKind
     f_embed: Optional[np.ndarray]          # (m_eff, d) for subspace channels
-    x_label_projection: Optional[np.ndarray]  # orthonormal adjusted normalizer
+    x_label_projection: Optional[np.ndarray]  # nothing reads it; kept so version-1 files load
     report: dict
 
     @cached_property
@@ -77,11 +70,6 @@ class KgoModel:
         label function psi_i: G T^T, (m_raw, m_eff). Maps a transported state
         to its most probable outcome vector."""
         return self.f_space.gram_raw @ self.f_space.transform.T
-
-    @cached_property
-    def channel_svd(self):
-        """Thin SVD (left, sigma, right_t) of the channel, for the svd-basis mode."""
-        return np.linalg.svd(self.channel, full_matrices=False)
 
 
 def fit(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
@@ -135,7 +123,6 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         u_init = np.linalg.pinv(f_embed) @ u_init
     op, trace = solve(tensor, config, u_init)
     best = next(record for record in trace if record.f_after == op.f_value)
-    projection = None if data.stats.coupling is None else label_matched_projection(data)
     report = {
         "algorithm": op.algorithm,
         "iterations": op.iterations,
@@ -162,7 +149,7 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         operator=op,
         tensor_kind=kind,
         f_embed=f_embed,
-        x_label_projection=projection,
+        x_label_projection=None,
         report=report,
     )
     return model, trace
@@ -333,41 +320,6 @@ def scalar_value_roots(model: KgoModel, x_raw) -> float:
     return candidates[int(np.argmax(prob))]
 
 
-def adjusted_probability(model: KgoModel, x_raw, f_raw, mode: str) -> float:
-    """Probability with renormalized attribute-side factors.
-
-    important-only  normalizes by the transported state's own norm,
-    dof-adjusted    by the label-matched adjusted Christoffel function,
-    svd-basis       by the singular-value-weighted norm in the channel's
-                    singular bases (evaluation only).
-    """
-    x_coords = _projection(model.x_space, _design(model.x_spec, x_raw), _ATTRIBUTE)[0]
-    f_coords, f_norm2 = _projection(model.f_space, _design(model.f_spec, f_raw), _LABEL)
-    transported = _times(x_coords, model.channel)
-    numer = np.dot(f_coords, transported) ** 2
-    if mode == IMPORTANT_ONLY:
-        denom = (transported @ transported) * f_norm2
-        _require_positive(denom, "important-only normalizer", "vanishes at this query")
-        return float(numer / denom)
-    if mode == DOF_ADJUSTED:
-        if model.x_label_projection is None:
-            raise NumericalError("adjusted normalizer unavailable (singular coupling)")
-        adj = x_coords @ model.x_label_projection @ x_coords
-        _require_positive(adj, "dof-adjusted normalizer", "vanishes at this query")
-        return float(numer / (adj * f_norm2))
-    if mode == SVD_BASIS:
-        left, sigma, right_t = model.channel_svd
-        d = model.operator.d
-        fb = (left.T @ f_coords)[:d]
-        xb = (right_t @ x_coords)[:d]
-        s = sigma[:d]
-        numer_b = np.dot(fb * s, xb) ** 2
-        denom_b = (fb @ fb) * ((xb * s) @ (xb * s))
-        _require_positive(denom_b, "svd-basis normalizer", "vanishes at this query")
-        return float(numer_b / denom_b)
-    raise DimensionError(f"unknown adjusted probability mode {mode!r}")
-
-
 def _encode(value):
     """JSON form of a model field: dataclasses by field name, arrays as float
     lists, tuples as lists, enums as their value, anything else as it is."""
@@ -432,12 +384,18 @@ def deserialize_model(blob: bytes) -> KgoModel:
 
 
 def _check_arrays(model: KgoModel):
-    """Refuse (ValueError) decoded arrays whose shapes do not fit together, or that
-    hold a non-finite value (JSON decodes NaN and Infinity), a basis scale too."""
-    x, f, u = model.x_space, model.f_space, model.operator.u
-    d = f.eff_dim if model.f_embed is None else len(u)
-    expected = [("operator.u", u, (d, x.eff_dim)), ("f_embed", model.f_embed, (f.eff_dim, d)),
-                ("x_label_projection", model.x_label_projection, (x.eff_dim, x.eff_dim))]
+    """Refuse (ValueError) a report that is not a JSON object, decoded arrays whose
+    shapes do not fit together, and any array or reported float holding a non-finite
+    value (JSON decodes NaN and Infinity), a basis scale too."""
+    if not isinstance(model.report, dict):
+        raise ValueError("report is not a JSON object")
+    x, f, op = model.x_space, model.f_space, model.operator
+    d = f.eff_dim if model.f_embed is None else len(op.u)
+    expected = [("operator.u", op.u, (d, x.eff_dim)), ("f_embed", model.f_embed, (f.eff_dim, d)),
+                ("x_label_projection", model.x_label_projection, (x.eff_dim, x.eff_dim)),
+                ("operator.residual", op.residual, None), ("operator.f_value", op.f_value, None)]
+    expected += [(f"report.{key}", item, None) for key, item in model.report.items()
+                 if isinstance(item, float)]
     for side, space in (("x_space", x), ("f_space", f)):
         raw, eff = space.raw_dim, space.eff_dim
         expected += [(f"{side}.{name}", getattr(space, name), shape) for name, shape in

@@ -11,6 +11,8 @@ import kgo
 from kgo.cli import main
 from kgo.demo import grid_measure, square_wave_table, synthetic_gradient
 
+MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
+
 
 def pgm_text(image, maxval=255):
     """ASCII portable graymap (P2) of intensities in [0, 1]."""
@@ -307,17 +309,28 @@ class TestEval:
                      "--cols", "x=0", "--out-prefix", str(tmp_path / "c_")])
         assert code == 3
 
-    @pytest.mark.parametrize("cut, message", [
-        (lambda m: [row.pop() for row in m["operator"]["u"]], "operator.u has shape"),
-        (lambda m: m["x_space"]["transform"].pop(), "x_space.transform has shape"),
-        (lambda m: m["f_space"]["const_raw"].pop(), "f_space.const_raw has shape"),
-        (lambda m: m["x_label_projection"].pop(), "x_label_projection has shape"),
-        (lambda m: m["operator"]["u"][0].__setitem__(0, float("nan")),
-         "operator.u has non-finite values")],
-        ids=["u-column", "x-transform-row", "f-const-entry", "projection-row", "u-nan"])
-    def test_inconsistent_model_exit_three(self, exact_csv, tmp_path, capsys, cut, message):
-        _, prefix = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")
-        payload = json.loads(open(prefix + "model.json").read())
+    @pytest.mark.parametrize("source, cut, message", [
+        ("fit", lambda m: [row.pop() for row in m["operator"]["u"]], "operator.u has shape"),
+        ("fit", lambda m: m["x_space"]["transform"].pop(), "x_space.transform has shape"),
+        ("fit", lambda m: m["f_space"]["const_raw"].pop(), "f_space.const_raw has shape"),
+        # A fit writes a null projection; the committed version-1 file carries one.
+        (MODEL_V1, lambda m: m["x_label_projection"].pop(), "x_label_projection has shape"),
+        ("fit", lambda m: m["operator"]["u"][0].__setitem__(0, float("nan")),
+         "operator.u has non-finite values"),
+        ("fit", lambda m: m["operator"].__setitem__("residual", float("inf")),
+         "operator.residual has non-finite values"),
+        ("fit", lambda m: m["operator"].__setitem__("f_value", float("-inf")),
+         "operator.f_value has non-finite values"),
+        ("fit", lambda m: m["report"].__setitem__("f", float("nan")),
+         "report.f has non-finite values"),
+        ("fit", lambda m: m.__setitem__("report", [m["report"]]), "report is not a JSON object")],
+        ids=["u-column", "x-transform-row", "f-const-entry", "projection-row", "u-nan",
+             "residual-inf", "f-value-inf", "report-nan", "report-list"])
+    def test_inconsistent_model_exit_three(self, exact_csv, tmp_path, capsys, source, cut,
+                                           message):
+        if source == "fit":
+            source = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")[1] + "model.json"
+        payload = json.loads(Path(source).read_text())
         cut(payload)
         bad = tmp_path / "cut.json"
         bad.write_text(json.dumps(payload))

@@ -213,9 +213,6 @@ _QUERIES = {
     "probability": (lambda d, m, rn, p: kgo.probability(m, p, d.f_points[3]), _ATTRIBUTE),
     "predict": (lambda d, m, rn, p: kgo.predict(m, np.vstack([d.x_points[:2], p]), d.f_points[:3]),
                 "query point of row 2 has zero projection on the attribute space"),
-    **{f"adjusted_probability-{mode}": (
-        lambda d, m, rn, p, mode=mode: kgo.adjusted_probability(m, p, d.f_points[3], mode),
-        _ATTRIBUTE) for mode in ("important-only", "dof-adjusted", "svd-basis")},
     "eval_radon_nikodym": (lambda d, m, rn, p: kgo.eval_radon_nikodym(rn, p), _SPAN),
 }
 

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -159,87 +160,6 @@ class TestValue:
             val, _ = kgo.value(model, point)
             expect = kgo.eval_least_squares(lsq, point)
             np.testing.assert_allclose(val, expect / expect[0], atol=1e-9)
-
-
-class TestAdjustedProbability:
-    @pytest.mark.parametrize("mode", ["important-only", "dof-adjusted", "svd-basis"])
-    def test_exact_channel_saturates(self, identity_model, three_point_sample, mode):
-        for x_row, f_row in zip(three_point_sample.x_rows, three_point_sample.f_rows):
-            p = kgo.adjusted_probability(identity_model, x_row, f_row, mode)
-            assert p == pytest.approx(1.0, abs=1e-9)
-
-    def test_svd_basis_equals_probability_for_square_channel(self, identity_model):
-        for x, f in ((0.3, 0.8), (-0.7, 0.1), (0.0, 1.0)):
-            assert kgo.adjusted_probability(identity_model, [x], [f], "svd-basis") == \
-                pytest.approx(kgo.probability(identity_model, [x], [f]), abs=1e-12)
-
-    @pytest.mark.parametrize("mode", ["important-only", "svd-basis"])
-    def test_unit_interval(self, mode):
-        rng = np.random.default_rng(2)
-        data = make_random_instance(rng, max_obs=60)
-        cfg = kgo.SolverConfig(algorithm="lsq-adj")
-        model, _ = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL, cfg)
-        for _ in range(20):
-            x = np.concatenate([[1.0], rng.normal(size=data.x_space.raw_dim - 1)])
-            f = np.concatenate([[1.0], rng.normal(size=data.f_space.raw_dim - 1)])
-            p = kgo.adjusted_probability(model, x, f, mode)
-            assert -1e-9 <= p <= 1.0 + 1e-9
-
-    def test_homogeneous_in_outcome(self, identity_model):
-        feats = kgo.evaluate_basis(identity_model.f_spec, [0.4])
-        x_feats = kgo.evaluate_basis(identity_model.x_spec, [0.2])
-        direct = replace(identity_model, x_spec=None, f_spec=None)
-        for mode in ("important-only", "dof-adjusted", "svd-basis"):
-            base = kgo.adjusted_probability(direct, x_feats, feats, mode)
-            for c in (2.0, -3.0):
-                assert kgo.adjusted_probability(direct, x_feats, c * feats, mode) == \
-                    pytest.approx(base, abs=1e-12)
-
-    def test_unknown_mode(self, identity_model):
-        with pytest.raises(DimensionError):
-            kgo.adjusted_probability(identity_model, [0.0], [0.0], "bogus")
-
-    def test_vanishing_normalizers(self, identity_model):
-        direct = replace(identity_model, x_spec=None, f_spec=None)
-        x, f = np.array([1.0, 0.2]), np.array([1.0, 0.4])
-        with pytest.raises(NumericalError,
-                           match="^queried outcome has zero projection on the label space$"):
-            kgo.adjusted_probability(direct, x, np.zeros(2), "important-only")
-        zero = replace(direct, operator=replace(direct.operator, u=np.zeros((2, 2))),
-                       x_label_projection=np.zeros((2, 2)))
-        for mode in ("important-only", "dof-adjusted", "svd-basis"):
-            with pytest.raises(NumericalError, match=f"^{mode} normalizer vanishes at this query$"):
-                kgo.adjusted_probability(zero, x, f, mode)
-
-    def test_svd_basis_factors_computed_once(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        data = make_random_instance(rng, max_obs=60)
-        cfg = kgo.SolverConfig(algorithm="lsq-adj")
-        model, _ = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL, cfg)
-        queries = list(zip(data.x_points[:5], data.f_points[:5]))
-
-        def by_hand(x, f):
-            # The svd-basis probability with the factors taken per query.
-            left, sigma, right_t = np.linalg.svd(model.channel, full_matrices=False)
-            d = model.operator.d
-            fb = (left.T @ model.f_space.project(f))[:d]
-            xb = (right_t @ model.x_space.project(x))[:d]
-            weighted = xb * sigma[:d]
-            return float(np.dot(fb, weighted) ** 2) / (float(fb @ fb) * float(weighted @ weighted))
-
-        expect = [by_hand(x, f) for x, f in queries]
-        calls = []
-        real = np.linalg.svd
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        fresh = replace(model)  # no cached factors yet
-        got = [kgo.adjusted_probability(fresh, x, f, "svd-basis") for x, f in queries]
-        assert len(calls) == 1
-        np.testing.assert_allclose(got, expect, rtol=1e-12)
 
 
 class TestSerialization:
@@ -420,23 +340,27 @@ class TestFitPipeline:
         assert model.report["x_eff_dim"] == model.x_space.eff_dim < 9
         assert model.report["f_eff_dim"] == model.report["f_raw_dim"] == 2
 
-    def test_adjusted_projection_computed_once(self, monkeypatch):
-        import kgo.model
+    def test_fit_computes_no_projection(self, monkeypatch):
+        # Nothing reads the label-matched projector, so a fit neither computes
+        # nor stores it, on the adjusted kind that reads the coupling too.
         calls = []
-        real = kgo.model.label_matched_projection
+        real = kgo.label_matched_projection
 
         def counted(data):
             calls.append(data)
             return real(data)
 
-        monkeypatch.setattr(kgo.model, "label_matched_projection", counted)
+        for name, module in list(sys.modules.items()):  # every binding of the name
+            if name.split(".")[0] == "kgo" and hasattr(module, "label_matched_projection"):
+                monkeypatch.setattr(module, "label_matched_projection", counted)
         grid = np.linspace(-1.0, 1.0, 41)
         sample = kgo.Sample(grid[:, None], np.sin(2.0 * grid)[:, None], np.ones(41))
         model, _ = kgo.fit(sample, kgo.BasisSpec("monomial", 4), kgo.BasisSpec("monomial", 2),
                            kind=kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
                            config=kgo.SolverConfig(algorithm="lsq-adj"))
-        assert len(calls) == 1
-        np.testing.assert_array_equal(model.x_label_projection, real(calls[0]))
+        assert calls == []
+        assert model.x_label_projection is None
+        assert b'"x_label_projection": null' in kgo.serialize_model(model)
 
 
 class TestGaugeInvariance:
@@ -468,11 +392,9 @@ class TestGaugeInvariance:
 
 
 class TestDegenerateCoupling:
-    def test_fit_survives_and_dof_mode_reports(self):
-        # Labels orthogonal to the attributes: fitting still works (the
-        # adjusted normalizer is simply unavailable), and the dof-adjusted
-        # probability mode reports the failure instead of dividing by a
-        # singular matrix.
+    def test_fit_survives(self):
+        # Labels orthogonal to the attributes: fitting still works, and the
+        # probability is answered, though the coupling is singular.
         x = np.column_stack([np.ones(4), [-1.0, -1.0, 1.0, 1.0]])
         f = np.column_stack([np.ones(4), [1.0, -1.0, -1.0, 1.0]])
         data = kgo.prepare_points(x, f, np.ones(4))
@@ -482,8 +404,6 @@ class TestDegenerateCoupling:
         model, _ = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL, cfg)
         assert model.x_label_projection is None
         assert kgo.probability(model, x[0], f[0]) >= 0.0
-        with pytest.raises(NumericalError):
-            kgo.adjusted_probability(model, x[0], f[0], "dof-adjusted")
 
 
 def _single_rows(model, xs, fs):

@@ -321,8 +321,8 @@ def chebyshev_sample(size, seed=5):
 
 class TestFitReadsNoAttributeRows:
     def test_row_passes_recorded_once(self, monkeypatch):
-        # Every reader of the two row passes (the tensor weights, the LSQ
-        # channel, F_TOT, F_JDG and the adjusted normalizer) reads one record.
+        # Every reader of the two row passes (the tensor weights, the adjusted
+        # normalizer among them, the LSQ channel, F_TOT and F_JDG) reads one record.
         builds = []
         build = kgo.PreparedData.stats.func
 
@@ -335,7 +335,7 @@ class TestFitReadsNoAttributeRows:
         monkeypatch.setattr(kgo.PreparedData, "stats", counted)
         model, _ = adjusted_fit(chebyshev_sample(BLOCK + 9))
         assert len(builds) == 1
-        assert model.x_label_projection is not None
+        assert model.x_label_projection is None
 
     def test_never_reads_the_attribute_pair(self, monkeypatch):
         def refuse(data):
