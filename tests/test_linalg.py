@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kgo
-from kgo.errors import NumericalError
+from kgo.errors import DimensionError, NumericalError
 from kgo.linalg import _fix_column_signs
 
 
@@ -121,6 +121,53 @@ class TestSpdInverseSqrt:
             g = a @ a.T + n * np.eye(n)
             w = kgo.spd_inverse_sqrt(g)
             assert np.abs(w @ g @ w - np.eye(n)).max() <= 1e-10 * np.linalg.norm(g)
+
+
+
+class TestSpdSqrt:
+    def test_diagonal(self):
+        np.testing.assert_allclose(kgo.spd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+
+    def test_random_spd_property(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            n = int(rng.integers(1, 31))
+            a = rng.normal(size=(n, n))
+            g = a @ a.T + n * np.eye(n)
+            s = kgo.spd_sqrt(g)
+            assert np.abs(s - s.T).max() <= 1e-12 * np.linalg.norm(g)
+            assert np.abs(s @ s - g).max() <= 1e-10 * np.linalg.norm(g)
+            assert np.abs(s @ kgo.spd_inverse_sqrt(g) - np.eye(n)).max() <= 1e-10
+
+
+_SPD_ROOTS = {"spd_sqrt": (kgo.spd_sqrt, lambda w, v: (v * np.sqrt(w)) @ v.T),
+              "spd_inverse_sqrt": (kgo.spd_inverse_sqrt, lambda w, v: (v / np.sqrt(w)) @ v.T)}
+
+
+class TestSharedSpdDecomposition:
+    """Both roots read one checked eigendecomposition of G: same refusals, and
+    each root is its expression in numpy's eigh of G, bit for bit."""
+
+    @pytest.mark.parametrize("root", sorted(_SPD_ROOTS))
+    def test_same_bits_as_eigh(self, root):
+        call, expression = _SPD_ROOTS[root]
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(7, 7))
+        g = a @ a.T + np.eye(7)
+        w, v = np.linalg.eigh(0.5 * (g + g.T))
+        assert np.array_equal(call(g), expression(w, v))
+
+    @pytest.mark.parametrize("root", sorted(_SPD_ROOTS))
+    @pytest.mark.parametrize("g, error", [
+        (np.diag([1.0, 0.0]), NumericalError),
+        (np.diag([1.0, -1.0]), NumericalError),
+        ([[1.0, 0.5], [0.0, 1.0]], NumericalError),
+        ([[1.0, np.nan], [np.nan, 1.0]], NumericalError),
+        (np.ones((2, 3)), DimensionError)],
+        ids=["singular", "indefinite", "asymmetric", "non-finite", "non-square"])
+    def test_same_refusals(self, root, g, error):
+        with pytest.raises(error):
+            _SPD_ROOTS[root][0](g)
 
 
 class TestDeterminism:

@@ -247,6 +247,28 @@ class TestModelFormat:
         with pytest.raises(DataError, match=rf"^corrupt model payload: {field} has non-finite"):
             kgo.deserialize_model(blob)
 
+    @pytest.mark.parametrize("path, key, bad", [
+        (("operator",), "residual", float("inf")), (("operator",), "f_value", float("nan")),
+        (("report",), "f", float("nan")), (("report",), "f_jdg", float("-inf")),
+        (("report",), "f_tot", float("inf")), (("report",), "residual", float("nan")),
+        (("report",), "stationarity", float("inf"))],
+        ids=["operator.residual", "operator.f_value", "report.f", "report.f_jdg",
+             "report.f_tot", "report.residual", "report.stationarity"])
+    def test_non_finite_scalar(self, path, key, bad):
+        # Queries read none of these; a file carrying one is still refused, by name.
+        blob = edited_model_v1(path, lambda record: record.update({key: bad}))
+        field = ".".join(path + (key,))
+        with pytest.raises(DataError, match=rf"^corrupt model payload: {field} has non-finite"):
+            kgo.deserialize_model(blob)
+
+    @pytest.mark.parametrize("report", [[], "report", 1.0, True],
+                             ids=["list", "string", "number", "boolean"])
+    def test_report_not_an_object(self, report):
+        blob = edited_model_v1((), lambda record: record.update(report=report))
+        with pytest.raises(DataError,
+                           match="^corrupt model payload: report is not a JSON object$"):
+            kgo.deserialize_model(blob)
+
     def test_payload_not_an_object(self):
         with pytest.raises(DataError):
             kgo.deserialize_model(b"[1]")
@@ -340,9 +362,12 @@ class TestFitPipeline:
         assert model.report["x_eff_dim"] == model.x_space.eff_dim < 9
         assert model.report["f_eff_dim"] == model.report["f_raw_dim"] == 2
 
-    def test_fit_computes_no_projection(self, monkeypatch):
+    @pytest.mark.parametrize("algorithm", ["lsq-adj", None], ids=["lsq-adj", "default"])
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind), ids=lambda kind: kind.value)
+    def test_fit_computes_no_projection(self, monkeypatch, kind, algorithm):
         # Nothing reads the label-matched projector, so a fit neither computes
-        # nor stores it, on the adjusted kind that reads the coupling too.
+        # nor stores it, for every kind (the adjusted one reads the coupling too)
+        # and for the default solver as well as lsq-adj.
         calls = []
         real = kgo.label_matched_projection
 
@@ -355,12 +380,14 @@ class TestFitPipeline:
                 monkeypatch.setattr(module, "label_matched_projection", counted)
         grid = np.linspace(-1.0, 1.0, 41)
         sample = kgo.Sample(grid[:, None], np.sin(2.0 * grid)[:, None], np.ones(41))
+        config = kgo.SolverConfig() if algorithm is None else kgo.SolverConfig(algorithm=algorithm)
         model, _ = kgo.fit(sample, kgo.BasisSpec("monomial", 4), kgo.BasisSpec("monomial", 2),
-                           kind=kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
-                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+                           kind=kind, config=config)
         assert calls == []
         assert model.x_label_projection is None
-        assert b'"x_label_projection": null' in kgo.serialize_model(model)
+        blob = kgo.serialize_model(model)
+        assert b'"x_label_projection": null' in blob
+        assert kgo.serialize_model(kgo.deserialize_model(blob)) == blob
 
 
 class TestGaugeInvariance:
