@@ -17,14 +17,13 @@ from .hilbert import (LocalizedState, PreparedData, SpaceBasis, build_space,
                       christoffel, gram_matrix, label_matched_projection,
                       localized_state, prepare, prepare_points, regularize,
                       space_from_sample, state_values)
-from .baselines import (LeastSquaresMap, RadonNikodymModel, eval_least_squares,
+from .baselines import (RadonNikodymModel, eval_least_squares,
                         eval_radon_nikodym, fit_least_squares,
                         fit_radon_nikodym, joint_distribution_coverage,
                         lsq_channel, partial_unitarity_residual)
-from .tensors import (ContributingSubspace, CoverageTensor, TensorKind,
-                      build_coverage_tensor, contributing_subspace,
-                      coverage_spectrum, ftot_upper_bound,
-                      label_to_attribute_coverage)
+from .tensors import (CoverageTensor, TensorKind, build_coverage_tensor,
+                      contributing_subspace, coverage_spectrum,
+                      ftot_upper_bound, label_to_attribute_coverage)
 from .solver import (ALGORITHMS, IterationRecord, IterationTrace,
                      PartiallyUnitaryOp, SolverConfig, constraint_residual,
                      enforce_partial_unitarity, lagrange_multipliers,

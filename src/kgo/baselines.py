@@ -19,13 +19,6 @@ from .tensors import TensorKind, _row_weights
 
 
 @dataclass(frozen=True)
-class LeastSquaresMap:
-    """Linear expansion of each label component over the attribute basis."""
-
-    beta: np.ndarray  # (m_raw, n_raw)
-
-
-@dataclass(frozen=True)
 class RadonNikodymModel:
     """Third moments <x_q x_s f_j> in orthonormal attribute coordinates."""
 
@@ -33,19 +26,21 @@ class RadonNikodymModel:
     space: SpaceBasis          # attribute space, kept for evaluation
 
 
-def fit_least_squares(data: PreparedData) -> LeastSquaresMap:
-    """Least-squares expansion of the label features over the attribute basis.
+def fit_least_squares(data: PreparedData) -> np.ndarray:
+    """Least-squares expansion of the label features over the attribute basis, as
+    beta (m_raw, n_raw): a row of raw attribute coefficients per label feature.
 
     Solved in regularized coordinates, where the normal equations reduce to a
     plain cross-moment contraction: beta = <f (T_x x)^T> T_x, read off the
     data's cached row passes (`PreparedData.stats`).
     """
-    return LeastSquaresMap(beta=data.stats.label_raw @ data.x_space.transform)
+    return data.stats.label_raw @ data.x_space.transform
 
 
-def eval_least_squares(lsq: LeastSquaresMap, x_points) -> np.ndarray:
-    """Label features predicted for attribute feature vectors along the last axis."""
-    return _times(_points(x_points, lsq.beta.shape[1]), lsq.beta)
+def eval_least_squares(beta: np.ndarray, x_points) -> np.ndarray:
+    """Label features predicted for attribute feature vectors along the last axis,
+    by the (m_raw, n_raw) map of `fit_least_squares`."""
+    return _times(_points(x_points, beta.shape[1]), beta)
 
 
 def lsq_channel(data: PreparedData) -> np.ndarray:

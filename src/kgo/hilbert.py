@@ -225,6 +225,9 @@ def space_from_sample(sample: Sample, side: str, spec: BasisSpec) -> SpaceBasis:
     The constant function is the spec's constant component.
     """
     gram = _side_gram(spec, sample.x_rows if side == "x" else sample.f_rows, sample.weights)
+    if spec.constant_index >= gram.shape[0]:
+        raise DimensionError(f"constant index {spec.constant_index} out of range for "
+                             f"basis dimension {gram.shape[0]}")
     const = np.zeros(gram.shape[0])
     const[spec.constant_index] = 1.0
     return _space_from_gram(gram, const, DEFAULT_REL_THRESHOLD)
@@ -261,13 +264,13 @@ def _coupled(value: Optional[np.ndarray]) -> np.ndarray:
 @dataclass(frozen=True)
 class RowStats:
     """The second and third row passes of a fit and the label/attribute coupling
-    between them (`PreparedData.stats`); every array is read-only."""
+    between them (`PreparedData.stats`); every array is read-only. K = L^-1 C
+    (C C^T = L L^T, K^T K = `label_matched_projection`) stays local to pass 3."""
 
     cross: np.ndarray      # C = sum_l w_l f_l x_l^T, both sides whitened: the cross Gram
     label_raw: np.ndarray  # B = the same sum with raw label features; B T_x is the LSQ map
     attribute: np.ndarray  # |x_l|^2 in orthonormal attribute coordinates
-    coupling: Optional[np.ndarray]  # C C^T = L L^T; None when singular, as are the next two
-    factor: Optional[np.ndarray]    # K = L^-1 C, so K^T K = `label_matched_projection`
+    coupling: Optional[np.ndarray]  # C C^T; None when singular, as is `adjusted`
     label: np.ndarray      # |f_l|^2 in orthonormal label coordinates
     overlap: np.ndarray    # f_l^T C x_l
     adjusted: Optional[np.ndarray]  # |K x_l|^2, the adjusted normalizer
@@ -378,7 +381,7 @@ class PreparedData:
             np.einsum("ij,ij->j", f, mapped[:m], out=overlap[rows])
             if adjusted is not None:
                 np.einsum("ij,ij->j", mapped[m:], mapped[m:], out=adjusted[rows])
-        arrays = (cross, label_raw, attribute, coupling, factor, label, overlap, adjusted, moments)
+        arrays = (cross, label_raw, attribute, coupling, label, overlap, adjusted, moments)
         for array in arrays:
             if array is not None:
                 array.setflags(write=False)

@@ -17,8 +17,8 @@ from .errors import DataError, DimensionError, NumericalError
 from .hilbert import PreparedData, SpaceBasis, _nonzero, _projection, _times, prepare
 from .sample import CHEBYSHEV, BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .solver import PartiallyUnitaryOp, SolverConfig, solve
-from .tensors import (ContributingSubspace, TensorKind, build_coverage_tensor,
-                      contributing_subspace, ftot_upper_bound, subspace_embedding)
+from .tensors import (TensorKind, build_coverage_tensor, contributing_subspace,
+                      ftot_upper_bound, subspace_embedding)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -31,16 +31,13 @@ _LABEL = ("queried outcome", "has zero projection on the label space")
 class Prediction:
     """Most probable outcome at a query point.
 
-    `f_max_p` is the unnormalized predicted label feature vector; `certainty`
-    its probability (clipped into [0,1] and flagged non-probability for
-    value-mapping tensor kinds); `pole_flag` marks a vanishing constant
-    component in the const normalization.
+    `f_max_p` is the unnormalized predicted label feature vector; `certainty` its
+    probability, clipped into [0,1] for the plain-value kind, whose certainty is not
+    a probability. `value` and `predict` give the const-normalized outcome and pole.
     """
 
     f_max_p: np.ndarray
     certainty: float
-    certainty_is_probability: bool
-    pole_flag: bool
 
 
 @dataclass(frozen=True)
@@ -109,8 +106,7 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         raise NumericalError(f"whitening kept {_kept(data.x_space, 'attribute')} and "
                              f"{_kept(data.f_space, 'label')}: the attribute space "
                              "collapsed below the label space")
-    subspace: Optional[ContributingSubspace] = None
-    f_embed = None
+    subspace = f_embed = None
     if d is not None and d != m_eff:
         subspace = contributing_subspace(data, d, "projective")
         f_embed = subspace_embedding(data, subspace)
@@ -197,15 +193,6 @@ def _transported(model: KgoModel, x_feats: np.ndarray) -> np.ndarray:
     return _times(coords / np.sqrt(norm2)[..., None], model.channel)
 
 
-def _outcome(model: KgoModel, alpha: np.ndarray):
-    """Most probable outcome vector, its constant component and its pole flag."""
-    f_max_p = _times(alpha, model.label_map)
-    const = np.vecdot(f_max_p, model.f_space.const_raw)
-    scale = np.sqrt(np.vecdot(f_max_p, f_max_p))
-    pole = np.abs(const) < POLE_REL * np.maximum(scale, 1e-300)
-    return f_max_p, const, pole
-
-
 def _certainty(model: KgoModel, alpha: np.ndarray) -> np.ndarray:
     """Probability of the most probable outcome, clipped into [0, 1] for plain values."""
     certainty = np.vecdot(alpha, alpha)
@@ -214,12 +201,14 @@ def _certainty(model: KgoModel, alpha: np.ndarray) -> np.ndarray:
     return certainty
 
 
-def _const_normalized(f_max_p: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """Outcome vectors divided by their constant component; inf where it is zero."""
-    const = const[..., None]
-    out = np.empty_like(f_max_p)
-    out.fill(np.inf)
-    return np.divide(f_max_p, const, out=out, where=const != 0.0)
+def _const_normalized(model: KgoModel, f_max_p: np.ndarray):
+    """Outcome vectors divided by their constant component (inf where it is zero),
+    and the pole flags of a constant component vanishing relative to the vector."""
+    const = np.vecdot(f_max_p, model.f_space.const_raw)
+    scale = np.sqrt(np.vecdot(f_max_p, f_max_p))
+    pole = np.abs(const) < POLE_REL * np.maximum(scale, 1e-300)
+    out = np.full_like(f_max_p, np.inf)
+    return np.divide(f_max_p, const[..., None], out=out, where=const[..., None] != 0.0), pole
 
 
 def _overlap(model: KgoModel, alpha: np.ndarray, f_feats: np.ndarray) -> np.ndarray:
@@ -241,10 +230,11 @@ def predict(model: KgoModel, X, F=None) -> dict:
     """
     x_feats = _design_rows(model.x_spec, X)
     alpha = _transported(model, x_feats)
-    f_max_p, const, pole = _outcome(model, alpha)
+    f_max_p = _times(alpha, model.label_map)
+    normalized, pole = _const_normalized(model, f_max_p)
     out = {
         "f_max_p": f_max_p,
-        "value": _const_normalized(f_max_p, const),
+        "value": normalized,
         "certainty": _certainty(model, alpha),
         "pole": pole,
     }
@@ -269,13 +259,7 @@ def probability(model: KgoModel, x_raw, f_raw) -> float:
 def most_probable(model: KgoModel, x_raw) -> Prediction:
     """Most probable outcome and its certainty at a query point."""
     alpha = _transported(model, _design(model.x_spec, x_raw))
-    f_max_p, _, pole = _outcome(model, alpha)
-    return Prediction(
-        f_max_p=f_max_p,
-        certainty=float(_certainty(model, alpha)),
-        certainty_is_probability=model.tensor_kind is not TensorKind.PLAIN_VALUE,
-        pole_flag=bool(pole),
-    )
+    return Prediction(_times(alpha, model.label_map), float(_certainty(model, alpha)))
 
 
 def value(model: KgoModel, x_raw):
@@ -286,8 +270,8 @@ def value(model: KgoModel, x_raw):
     model behavior worth observing.
     """
     alpha = _transported(model, _design(model.x_spec, x_raw))
-    f_max_p, const, pole = _outcome(model, alpha)
-    return _const_normalized(f_max_p, const), bool(pole)
+    normalized, pole = _const_normalized(model, _times(alpha, model.label_map))
+    return normalized, bool(pole)
 
 
 def scalar_value_roots(model: KgoModel, x_raw) -> float:
@@ -378,15 +362,15 @@ def deserialize_model(blob: bytes) -> KgoModel:
     try:
         model = _decode(KgoModel, payload)
         _check_arrays(model)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DataError) as exc:
         raise DataError(f"corrupt model payload: {exc}") from exc
     return model
 
 
 def _check_arrays(model: KgoModel):
     """Refuse (ValueError) a report that is not a JSON object, decoded arrays whose
-    shapes do not fit together, and any array or reported float holding a non-finite
-    value (JSON decodes NaN and Infinity), a basis scale too."""
+    shapes do not fit together, a spec's constant index past its basis, and any array
+    or reported float holding a non-finite value (JSON decodes NaN and Infinity)."""
     if not isinstance(model.report, dict):
         raise ValueError("report is not a JSON object")
     x, f, op = model.x_space, model.f_space, model.operator
@@ -401,7 +385,10 @@ def _check_arrays(model: KgoModel):
         expected += [(f"{side}.{name}", getattr(space, name), shape) for name, shape in
                      (("transform", (eff, raw)), ("gram_raw", (raw, raw)),
                       ("const_raw", (raw,)), ("const_coords", (eff,)))]
-    for side, spec in (("x_spec", model.x_spec), ("f_spec", model.f_spec)):
+    for side, spec, space in (("x_spec", model.x_spec, x), ("f_spec", model.f_spec, f)):
+        if spec is not None and spec.constant_index >= space.raw_dim:
+            raise ValueError(f"{side}.constant_index {spec.constant_index} out of range for "
+                             f"basis dimension {space.raw_dim}")
         if spec is not None and spec.scale is not None:
             expected.append((f"{side}.scale", np.asarray(spec.scale, dtype=float), None))
     for name, array, shape in expected:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb, isfinite
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -99,10 +100,11 @@ class BasisSpec:
             raise DataError(f"unknown basis kind {self.kind!r}")
         if self.mode not in ("up_to", "exact"):
             raise DataError(f"unknown producting mode {self.mode!r}")
-        if self.product_order < 0:
-            raise DataError("product order must be nonnegative")
+        object.__setattr__(self, "product_order", _count(self.product_order, "product order"))
+        object.__setattr__(self, "constant_index", _count(self.constant_index, "constant index"))
         if self.source is not None:
-            object.__setattr__(self, "source", tuple(int(c) for c in self.source))
+            source = tuple(_count(c, "source column") for c in self.source)
+            object.__setattr__(self, "source", source)
 
     @cached_property
     def _plan(self) -> "_BasisPlan":
@@ -112,6 +114,15 @@ class BasisSpec:
         never outlives the fields it was built from.
         """
         return _BasisPlan(self)
+
+
+def _count(value, what: str) -> int:
+    """A spec's non-negative integer; a bool, fraction, NaN or non-number is refused."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    if index(value) < 0:
+        raise DataError(f"{what} must be nonnegative")
+    return index(value)
 
 
 class _BasisPlan:

@@ -95,14 +95,6 @@ class PartiallyUnitaryOp:
     iterations: int
     f_value: Optional[float] = None
 
-    @property
-    def d(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[1]
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -118,11 +110,8 @@ class IterationRecord:
 
 @dataclass
 class IterationTrace:
-    records: List[IterationRecord] = field(default_factory=list)
-    stop_reason: str = CONVERGED
-
-    def append(self, record: IterationRecord):
-        self.records.append(record)
+    records: List[IterationRecord] = field(default_factory=list, init=False)
+    stop_reason: str = field(default=CONVERGED, init=False)
 
     def __len__(self):
         return len(self.records)
@@ -291,7 +280,7 @@ def _record(trace: IterationTrace, iteration: int, f_before: float,
     """Append the trace row of a snapped iterate u_adj with S u_adj = su; returns sym(Lambda)."""
     raw = u_adj @ su.T
     lam = 0.5 * (raw + raw.T)
-    trace.append(IterationRecord(
+    trace.records.append(IterationRecord(
         iteration=iteration,
         f_before=f_before,
         f_after=f_adj,

@@ -94,19 +94,6 @@ class CoverageTensor:
         return CoverageTensor(self.kind, d, self.n, 0.5 * (matrix + matrix.T))
 
 
-@dataclass(frozen=True)
-class ContributingSubspace:
-    """Attribute-space directions carrying the achievable coverage.
-
-    `vectors` holds raw coefficient columns, Gram-orthonormal; `coords` the
-    same directions in orthonormal coordinates.
-    """
-
-    vectors: np.ndarray      # (n_raw, d)
-    coords: np.ndarray       # (n_eff, d), orthonormal columns
-    eigenvalues: np.ndarray  # (d,), descending
-
-
 def _positive(values: np.ndarray, what: str) -> np.ndarray:
     """The zero gate of the weighting step: every row's norm must be positive."""
     bad = np.flatnonzero(values <= 0.0)
@@ -219,14 +206,15 @@ def _chebyshev_moments(data: PreparedData, eff_weights) -> np.ndarray:
 
 
 def build_coverage_tensor(kind: TensorKind, data: PreparedData,
-                          subspace: Optional[ContributingSubspace] = None) -> CoverageTensor:
+                          subspace: Optional[np.ndarray] = None) -> CoverageTensor:
     """Assemble the coverage tensor of the requested kind.
 
-    With a contributing subspace the christoffel-product tensor is composed
-    with the projections of the subspace directions onto the label basis,
-    yielding the projective d x n problem. The christoffel-product tensor's
-    four-index form is M[j, k, j', k'] = <x_k f_j | K_x K_f | x_k' f_j'>,
-    the moments of the two Christoffel functions' product.
+    With a contributing subspace (`contributing_subspace`'s columns) the
+    christoffel-product tensor is composed with the projections of the
+    subspace directions onto the label basis, yielding the projective d x n
+    problem. The christoffel-product tensor's four-index form is
+    M[j, k, j', k'] = <x_k f_j | K_x K_f | x_k' f_j'>, the moments of the
+    two Christoffel functions' product.
     """
     kind = TensorKind(kind)
     route = _chebyshev_moments if _moment_route(data) else _fourth_moments
@@ -239,9 +227,9 @@ def build_coverage_tensor(kind: TensorKind, data: PreparedData,
     return tensor.label_congruence(subspace_embedding(data, subspace))
 
 
-def subspace_embedding(data: PreparedData, subspace: ContributingSubspace) -> np.ndarray:
-    """Projections of the subspace directions onto the label basis (m_eff x d)."""
-    return data.stats.cross @ subspace.coords
+def subspace_embedding(data: PreparedData, subspace: np.ndarray) -> np.ndarray:
+    """Projections of `contributing_subspace`'s columns onto the label basis (m_eff x d)."""
+    return data.stats.cross @ subspace
 
 
 def label_christoffel_moments(data: PreparedData) -> np.ndarray:
@@ -285,8 +273,9 @@ def _coverage_matrix(data: PreparedData, variant: str) -> np.ndarray:
 
 
 def contributing_subspace(data: PreparedData, d: int,
-                          variant: str = "projective") -> ContributingSubspace:
-    """Top-d attribute directions by transferable coverage.
+                          variant: str = "projective") -> np.ndarray:
+    """Top-d attribute directions by transferable coverage: (n_eff, d) orthonormal
+    columns in orthonormal coordinates, column i of coverage `coverage_spectrum(data)[i]`.
 
     The projective variant, the only one, diagonalizes the pulled-back label
     coverage (rank at most m).
@@ -294,13 +283,7 @@ def contributing_subspace(data: PreparedData, d: int,
     m_eff, n_eff = data.f_space.eff_dim, data.x_space.eff_dim
     if not 1 <= d <= min(m_eff, n_eff):
         raise DimensionError(f"d={d} out of range 1..{min(m_eff, n_eff)}")
-    eig = sym_eig(_coverage_matrix(data, variant))
-    coords = eig.eigenvectors[:, :d]
-    return ContributingSubspace(
-        vectors=data.x_space.transform.T @ coords,
-        coords=coords,
-        eigenvalues=eig.eigenvalues[:d],
-    )
+    return sym_eig(_coverage_matrix(data, variant)).eigenvectors[:, :d]
 
 
 def coverage_spectrum(data: PreparedData, variant: str = "projective") -> np.ndarray:

@@ -1,6 +1,6 @@
 """The public surface: every exported name has a caller outside the tests,
-every option of an export is set by some call, and every `kgo` path the
-benchmark reads resolves.
+every option of an export is set by some call, every field of a result
+record is read, and every `kgo` path the benchmark reads resolves.
 
 A caller is a read of the name in the package, the demos, the benchmark or
 the acceptance suite, outside the function or class that defines it. Unit
@@ -11,8 +11,11 @@ references the tests check against, and each must have a test that reads it.
 
 import ast
 import dataclasses
+import importlib
 import inspect
+from functools import cached_property
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import kgo
 
@@ -73,8 +76,6 @@ UNPASSED = {
     "BasisSpec.source": _BASIS_SHAPE,
     "BasisSpec.mode": _BASIS_SHAPE,
     "BasisSpec.constant_index": _BASIS_SHAPE,
-    "IterationTrace.records": "the solver's state, appended to, not an option",
-    "IterationTrace.stop_reason": "the solver's state, set when it stops, not an option",
 }
 
 
@@ -122,6 +123,52 @@ def test_every_option_is_passed():
         for name, found in passed_arguments(ast.parse(path.read_text())).items():
             calls.setdefault(name, []).extend(found)
     assert unpassed_defaults(calls) == sorted(UNPASSED)
+
+
+def dataclasses_of_package() -> list:
+    """Every dataclass defined in a module of `src/kgo`."""
+    found = []
+    for path in sorted((ROOT / "src" / "kgo").glob("*.py")):
+        if path.stem.startswith("__"):
+            continue
+        module = importlib.import_module(f"kgo.{path.stem}")
+        found += [obj for obj in vars(module).values() if inspect.isclass(obj)
+                  and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__]
+    return found
+
+
+def serialized(hint) -> set:
+    """The dataclasses `serialize_model` writes: `KgoModel` and its field types, down."""
+    if get_origin(hint) is Union:
+        return set().union(*(serialized(arg) for arg in get_args(hint)))
+    if not dataclasses.is_dataclass(hint):
+        return set()
+    return {hint}.union(*(serialized(field) for field in get_type_hints(hint).values()))
+
+
+def attribute_reads(tree) -> set:
+    """Attribute names a module reads (not assigns)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_field_is_read():
+    # File schemas keep every field: model.json's records, and trace.tsv's columns.
+    schemas = serialized(kgo.KgoModel) | {kgo.IterationRecord}
+    read = set().union(*(attribute_reads(ast.parse(path.read_text())) for path in CALLERS))
+    unread, thin = [], []
+    for cls in dataclasses_of_package():
+        names = [field.name for field in dataclasses.fields(cls)]
+        if len(names) < 2:
+            thin.append(cls.__name__)
+        if cls in schemas:
+            names = []
+        names += [name for name, attr in vars(cls).items()
+                  if isinstance(attr, (property, cached_property))]
+        unread += [f"{cls.__name__}.{name}" for name in names if name not in read]
+    assert sorted(unread) == []
+    # A record of one field wraps a value its callers could take directly.
+    assert sorted(thin) == []
 
 
 def dotted(node):

@@ -323,9 +323,20 @@ class TestEval:
          "operator.f_value has non-finite values"),
         ("fit", lambda m: m["report"].__setitem__("f", float("nan")),
          "report.f has non-finite values"),
-        ("fit", lambda m: m.__setitem__("report", [m["report"]]), "report is not a JSON object")],
+        ("fit", lambda m: m.__setitem__("report", [m["report"]]), "report is not a JSON object"),
+        ("fit", lambda m: m["x_spec"].__setitem__("product_order", 2.5),
+         "product order must be an integer, got 2.5"),
+        ("fit", lambda m: m["x_spec"].__setitem__("product_order", True),
+         "product order must be an integer, got True"),
+        ("fit", lambda m: m["x_spec"].__setitem__("source", [0.5]),
+         "source column must be an integer, got 0.5"),
+        ("fit", lambda m: m["x_spec"].__setitem__("constant_index", 99),
+         "x_spec.constant_index 99 out of range for basis dimension 7"),
+        ("fit", lambda m: m["f_spec"].__setitem__("constant_index", -1),
+         "constant index must be nonnegative")],
         ids=["u-column", "x-transform-row", "f-const-entry", "projection-row", "u-nan",
-             "residual-inf", "f-value-inf", "report-nan", "report-list"])
+             "residual-inf", "f-value-inf", "report-nan", "report-list", "order-fraction",
+             "order-bool", "source-fraction", "constant-past-basis", "constant-negative"])
     def test_inconsistent_model_exit_three(self, exact_csv, tmp_path, capsys, source, cut,
                                            message):
         if source == "fit":
@@ -519,7 +530,7 @@ class TestSubspaceFlag:
                      "--max-iterations", "30", "--out-prefix", prefix]) 
         assert code == 0
         model = kgo.deserialize_model(open(prefix + "model.json", "rb").read())
-        assert model.operator.d == 1
+        assert model.operator.u.shape[0] == 1
         assert model.f_embed is not None
 
 

@@ -70,7 +70,7 @@ class TestPassesMatchDense:
     def test_every_quantity(self, size, shape):
         data = chebyshev_instance(np.random.default_rng([size, len(shape)]), size, **shape)
         norms = data.stats
-        lsq = kgo.fit_least_squares(data)
+        beta = kgo.fit_least_squares(data)
         f_tot = kgo.ftot_upper_bound(data)
         f_jdg = kgo.joint_distribution_coverage(data)
         dense = dense_quantities(data)
@@ -83,7 +83,7 @@ class TestPassesMatchDense:
             close(kgo.tensors._row_weights(data, kind), weights)
         assert f_tot == pytest.approx(dense["f_tot"], rel=1e-12)
         assert f_jdg == pytest.approx(dense["f_jdg"], rel=1e-12)
-        close(lsq.beta, dense["beta"])
+        close(beta, dense["beta"])
 
     def test_table_gram_agrees_with_gram_matrix(self):
         data = chebyshev_instance(np.random.default_rng(3), 2 * BLOCK + 7, x_order=6)
@@ -102,7 +102,7 @@ class TestPassesMatchDense:
             data = kgo.prepare_points(data.x_points, data.f_points, data.weights)
         dense = dense_quantities(data)
         close(data.stats.cross, dense["cross"])
-        close(kgo.fit_least_squares(data).beta, dense["beta"])
+        close(kgo.fit_least_squares(data), dense["beta"])
         for name in ("label", "attribute", "overlap", "adjusted"):
             close(getattr(data.stats, name), dense[name])
         assert kgo.joint_distribution_coverage(data) == pytest.approx(dense["f_jdg"], rel=1e-12)
@@ -159,18 +159,19 @@ class TestIllConditioned:
         whole_cross = (data.f_orth.T * data.weights) @ data.x_orth
         whole_beta = ((data.f_points.T * data.weights) @ data.x_orth) @ tx
         for got, whole, reference in ((data.stats.cross, whole_cross, cross),
-                                      (kgo.fit_least_squares(data).beta, whole_beta, beta)):
+                                      (kgo.fit_least_squares(data), whole_beta, beta)):
             assert max_error(got, reference) <= max(4.0 * max_error(whole, reference), 1e-15)
 
     def test_row_norms_against_long_double(self):
         # The third pass maps the raw attribute columns through [C; K] T_x
-        # without whitening them first; with the data's own C, K and
-        # transforms, overlap and adjusted stay near a long-double sum over
-        # whitened rows. The attribute norms come from the second pass's
-        # whitened rows.
+        # without whitening them first; with the data's own C, K = L^-1 C
+        # (C C^T = L L^T) and transforms, overlap and adjusted stay near a
+        # long-double sum over whitened rows. The attribute norms come from
+        # the second pass's whitened rows.
         data = clusters()
         ld = np.longdouble
-        cross, coupled = data.stats.cross, data.stats.factor
+        cross = data.stats.cross
+        coupled = np.linalg.solve(np.linalg.cholesky(data.stats.coupling), cross)
         x_orth = data.x_points.astype(ld) @ data.x_space.transform.T.astype(ld)
         f_orth = data.f_points.astype(ld) @ data.f_space.transform.T.astype(ld)
         overlap = np.einsum("ij,ij->i", f_orth @ cross.astype(ld), x_orth)
@@ -296,7 +297,7 @@ class TestSingularCoupling:
     def test_raises_only_where_the_adjusted_normalizer_is_read(self):
         data = self.data()
         stats = data.stats
-        assert stats.coupling is None and stats.factor is None and stats.adjusted is None
+        assert stats.coupling is None and stats.adjusted is None
         model, _ = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL)
         assert model.x_label_projection is None
         assert np.isfinite(model.report["f_jdg"])

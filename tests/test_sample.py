@@ -508,3 +508,35 @@ class TestSampleInvariants:
     def test_rejects_count_mismatch(self):
         with pytest.raises(DimensionError):
             kgo.Sample([[1.0], [2.0]], [[1.0]], [1.0, 1.0])
+
+
+class TestBasisSpecIntegers:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(product_order=2.5), "product order must be an integer, got 2.5"),
+        (dict(product_order=True), "product order must be an integer, got True"),
+        (dict(product_order=np.nan), "product order must be an integer, got nan"),
+        (dict(source=(0.5,)), "source column must be an integer, got 0.5"),
+        (dict(source=(0, False)), "source column must be an integer, got False"),
+        (dict(source=(-1,)), "source column must be nonnegative"),
+        (dict(constant_index=1.0), "constant index must be an integer, got 1.0"),
+        (dict(constant_index=-1), "constant index must be nonnegative")],
+        ids=["order-fraction", "order-bool", "order-nan", "source-fraction", "source-bool",
+             "source-negative", "constant-float", "constant-negative"])
+    def test_refused(self, fields, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            kgo.BasisSpec("monomial", **{"product_order": 2, **fields})
+
+    def test_numpy_integers_become_ints(self):
+        spec = kgo.BasisSpec("monomial", np.int64(2), source=np.array([1, 0]),
+                             constant_index=np.int32(0))
+        assert (spec.product_order, spec.source, spec.constant_index) == (2, (1, 0), 0)
+        assert all(type(value) is int for value in (spec.product_order, *spec.source,
+                                                    spec.constant_index))
+
+    @pytest.mark.parametrize("index", [3, 99])
+    def test_constant_index_past_the_basis_refused(self, index):
+        sample = kgo.Sample(np.linspace(-1.0, 1.0, 9)[:, None], np.ones((9, 1)), np.ones(9))
+        with pytest.raises(DimensionError, match=f"^constant index {index} out of range for "
+                                                 "basis dimension 3$"):
+            kgo.fit(sample, kgo.BasisSpec("monomial", 2, constant_index=index),
+                    kgo.BasisSpec("monomial", 1))

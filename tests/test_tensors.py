@@ -188,18 +188,29 @@ class TestFtotUpperBound:
             float(pencil.eigenvalues.sum()), rel=1e-9)
 
 
+def subspace_coverage(data, sub):
+    """Coverage of each subspace column under the pulled-back label coverage."""
+    return np.einsum("ki,kl,li->i", sub, kgo.label_to_attribute_coverage(data), sub)
+
+
 class TestContributingSubspace:
     def test_projective_eigenvalues_sum(self, three_point_data):
         sub = kgo.contributing_subspace(three_point_data, 2, "projective")
-        assert float(sub.eigenvalues.sum()) == pytest.approx(3.0)
-        gram_orthonormal = sub.vectors.T @ three_point_data.x_space.gram_raw @ sub.vectors
+        np.testing.assert_allclose(sub.T @ sub, np.eye(2), atol=1e-12)
+        coverage = subspace_coverage(three_point_data, sub)
+        np.testing.assert_allclose(coverage, kgo.coverage_spectrum(three_point_data)[:2],
+                                   atol=1e-12)
+        assert float(coverage.sum()) == pytest.approx(3.0)
+        raw = three_point_data.x_space.transform.T @ sub
+        gram_orthonormal = raw.T @ three_point_data.x_space.gram_raw @ raw
         np.testing.assert_allclose(gram_orthonormal, np.eye(2), atol=1e-10)
 
     def test_top_one(self, three_point_data):
         sub = kgo.contributing_subspace(three_point_data, 1, "projective")
-        assert sub.eigenvalues.shape == (1,)
         full = kgo.contributing_subspace(three_point_data, 2, "projective")
-        assert sub.eigenvalues[0] == pytest.approx(full.eigenvalues[0])
+        np.testing.assert_array_equal(sub, full[:, :1])
+        assert subspace_coverage(three_point_data, sub)[0] == pytest.approx(
+            kgo.coverage_spectrum(three_point_data)[0])
 
     def test_rejects_out_of_range(self, three_point_data):
         with pytest.raises(DimensionError):
@@ -559,16 +570,3 @@ class TestRowBlocks:
                     assert peak < dense_bytes / 4, (kind, peak)
         finally:
             tracemalloc.stop()
-
-
-class TestAdjustedNormalizer:
-    def test_rank_factor_matches_projection(self):
-        rng = np.random.default_rng(8)
-        data = chebyshev_instance(rng, BLOCK + 5, 2, 2, x_order=4)
-        cross, factor = data.stats.cross, data.stats.factor
-        assert factor.shape == cross.shape
-        projection = kgo.label_matched_projection(data)
-        np.testing.assert_allclose(factor.T @ factor, projection, atol=1e-13)
-        adj = data.stats.adjusted
-        by_projection = np.einsum("ij,jk,ik->i", data.x_orth, projection, data.x_orth)
-        np.testing.assert_allclose(adj, by_projection, rtol=1e-12)
