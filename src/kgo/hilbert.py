@@ -111,9 +111,8 @@ class SpaceBasis:
     raw_dim: int
     eff_dim: int
     transform: np.ndarray    # (eff_dim, raw_dim), rows v_i / sqrt(eig_i)
-    gram_raw: np.ndarray     # (raw_dim, raw_dim)
+    gram_raw: Optional[np.ndarray]  # (raw_dim, raw_dim); None on a fitted model's attribute side
     const_raw: np.ndarray    # raw coefficient vector of the constant function
-    const_coords: np.ndarray  # transform @ gram_raw @ const_raw
 
     def project(self, points) -> np.ndarray:
         """Orthonormal coordinates of raw feature vectors along the last axis."""
@@ -126,6 +125,17 @@ class SpaceBasis:
         so only p = 0 projects to zero."""
         full = self.eff_dim == self.raw_dim
         return 0.0 if full else _ZERO_PROJECTION_REL ** 2 * (self.transform ** 2).sum(axis=1).max()
+
+
+def _whitening_cut(space: SpaceBasis) -> tuple:
+    """(smallest kept, largest dropped) Gram eigenvalue over the top one. The first is read
+    off T's row norms 1/sqrt(eig_i); the second is 0.0 unless whitening dropped a direction,
+    and only then is the Gram spectrum computed."""
+    norms2 = np.einsum("ij,ij->i", space.transform, space.transform)
+    if space.eff_dim == space.raw_dim:
+        return float(norms2.min() / norms2.max()), 0.0
+    eig = np.linalg.eigvalsh(space.gram_raw)[::-1]
+    return float(norms2.min() / norms2.max()), float(eig[space.eff_dim] / eig[0])
 
 
 @dataclass(frozen=True)
@@ -177,15 +187,12 @@ def regularize(gram_raw, rel_threshold: float = DEFAULT_REL_THRESHOLD) -> np.nda
     Eigenpairs with eig > rel_threshold * max_eig are kept; the returned
     matrix T has one row per kept pair, scaled so T G T^T = I.
     """
-    gram_raw = np.asarray(gram_raw, dtype=float)
-    eig = sym_eig(gram_raw)
+    eig = sym_eig(np.asarray(gram_raw, dtype=float))
     top = eig.eigenvalues[0] if eig.eigenvalues.size else 0.0
     if top <= 0.0:
         raise NumericalError("Gram matrix has no positive spectrum")
     keep = eig.eigenvalues > rel_threshold * top
-    values = eig.eigenvalues[keep]
-    vectors = eig.eigenvectors[:, keep]
-    return (vectors / np.sqrt(values)).T
+    return (eig.eigenvectors[:, keep] / np.sqrt(eig.eigenvalues[keep])).T
 
 
 def build_space(points, weights, const_direction=None,
@@ -202,21 +209,11 @@ def build_space(points, weights, const_direction=None,
 def _space_from_gram(g, const_direction, rel_threshold: float) -> SpaceBasis:
     """The SpaceBasis of a raw Gram matrix; see `build_space`."""
     t = regularize(g, rel_threshold)
-    raw_dim = g.shape[0]
-    if const_direction is None:
-        const_direction = np.zeros(raw_dim)
-        const_direction[0] = 1.0
-    const_direction = np.asarray(const_direction, dtype=float).reshape(-1)
-    if const_direction.shape[0] != raw_dim:
+    const = np.eye(len(g))[0] if const_direction is None else const_direction
+    const = np.asarray(const, dtype=float).reshape(-1)
+    if const.shape[0] != len(g):
         raise DimensionError("constant direction dimension mismatch")
-    return SpaceBasis(
-        raw_dim=raw_dim,
-        eff_dim=t.shape[0],
-        transform=t,
-        gram_raw=g,
-        const_raw=const_direction,
-        const_coords=t @ g @ const_direction,
-    )
+    return SpaceBasis(raw_dim=len(g), eff_dim=t.shape[0], transform=t, gram_raw=g, const_raw=const)
 
 
 def space_from_sample(sample: Sample, side: str, spec: BasisSpec) -> SpaceBasis:
@@ -228,9 +225,7 @@ def space_from_sample(sample: Sample, side: str, spec: BasisSpec) -> SpaceBasis:
     if spec.constant_index >= gram.shape[0]:
         raise DimensionError(f"constant index {spec.constant_index} out of range for "
                              f"basis dimension {gram.shape[0]}")
-    const = np.zeros(gram.shape[0])
-    const[spec.constant_index] = 1.0
-    return _space_from_gram(gram, const, DEFAULT_REL_THRESHOLD)
+    return _space_from_gram(gram, np.eye(len(gram))[spec.constant_index], DEFAULT_REL_THRESHOLD)
 
 
 def christoffel(space: SpaceBasis, point) -> float:

@@ -14,13 +14,14 @@ import numpy as np
 
 from .baselines import joint_distribution_coverage, lsq_channel
 from .errors import DataError, DimensionError, NumericalError
-from .hilbert import PreparedData, SpaceBasis, _nonzero, _projection, _times, prepare
+from .hilbert import (PreparedData, SpaceBasis, _nonzero, _projection, _times, _whitening_cut,
+                      prepare)
 from .sample import CHEBYSHEV, BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .solver import PartiallyUnitaryOp, SolverConfig, solve
 from .tensors import (TensorKind, build_coverage_tensor, contributing_subspace,
                       ftot_upper_bound, subspace_embedding)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 POLE_REL = 1e-10
 _ATTRIBUTE = ("query point", "has zero projection on the attribute space")
@@ -51,7 +52,6 @@ class KgoModel:
     operator: PartiallyUnitaryOp
     tensor_kind: TensorKind
     f_embed: Optional[np.ndarray]          # (m_eff, d) for subspace channels
-    x_label_projection: Optional[np.ndarray]  # nothing reads it; kept so version-1 files load
     report: dict
 
     @cached_property
@@ -88,8 +88,7 @@ def fit(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
         f_spec = with_scale(f_spec, sample.f_rows)
     data = prepare(sample, x_spec, f_spec)
     model, trace = fit_prepared(data, kind, config, d)
-    model = replace(model, x_spec=x_spec, f_spec=f_spec)
-    return model, trace
+    return replace(model, x_spec=x_spec, f_spec=f_spec), trace
 
 
 def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL,
@@ -97,14 +96,15 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
     """Fit from already prepared Hilbert spaces. The model has no basis specs,
     so it takes feature rows even when `data` carries specs; `fit` adds them."""
     kind = TensorKind(kind)
+    x_cut, f_cut = _whitening_cut(data.x_space), _whitening_cut(data.f_space)
     m_eff, n_eff = data.f_space.eff_dim, data.x_space.eff_dim
     if m_eff > n_eff:
         if data.f_space.raw_dim > data.x_space.raw_dim:
             raise DimensionError(
                 f"label space dimension {m_eff} exceeds attribute space {n_eff}; "
                 "swap the two sides")
-        raise NumericalError(f"whitening kept {_kept(data.x_space, 'attribute')} and "
-                             f"{_kept(data.f_space, 'label')}: the attribute space "
+        raise NumericalError(f"whitening kept {_kept(data.x_space, 'attribute', x_cut[1])} and "
+                             f"{_kept(data.f_space, 'label', f_cut[1])}: the attribute space "
                              "collapsed below the label space")
     subspace = f_embed = None
     if d is not None and d != m_eff:
@@ -132,31 +132,22 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         "tensor_kind": kind.value,
         "d": tensor.d,
         "n": tensor.n,
-        "x_raw_dim": data.x_space.raw_dim,
-        "x_eff_dim": data.x_space.eff_dim,
-        "f_raw_dim": data.f_space.raw_dim,
-        "f_eff_dim": data.f_space.eff_dim,
+        "x_raw_dim": data.x_space.raw_dim, "x_eff_dim": data.x_space.eff_dim,
+        "f_raw_dim": data.f_space.raw_dim, "f_eff_dim": data.f_space.eff_dim,
+        "x_smallest_kept": x_cut[0], "x_largest_dropped": x_cut[1],
+        "f_smallest_kept": f_cut[0], "f_largest_dropped": f_cut[1],
     }
-    model = KgoModel(
-        x_spec=None,
-        f_spec=None,
-        x_space=data.x_space,
-        f_space=data.f_space,
-        operator=op,
-        tensor_kind=kind,
-        f_embed=f_embed,
-        x_label_projection=None,
-        report=report,
-    )
-    return model, trace
+    # No query reads the attribute Gram matrix, so the model does not keep it.
+    return KgoModel(x_spec=None, f_spec=None, x_space=replace(data.x_space, gram_raw=None),
+                    f_space=data.f_space, operator=op, tensor_kind=kind, f_embed=f_embed,
+                    report=report), trace
 
 
-def _kept(space: SpaceBasis, side: str) -> str:
-    """How many directions whitening kept on a side, and the largest it dropped."""
+def _kept(space: SpaceBasis, side: str, dropped: float) -> str:
+    """How many directions whitening kept on a side, and the largest it dropped (`dropped`)."""
     text = f"{space.eff_dim} of {space.raw_dim} {side} directions"
     if space.eff_dim < space.raw_dim:
-        eig = np.linalg.eigvalsh(space.gram_raw)[::-1]
-        text += f" (largest dropped Gram eigenvalue {eig[space.eff_dim] / eig[0]:.3g} of top)"
+        text += f" (largest dropped Gram eigenvalue {dropped:.3g} of top)"
     return text
 
 
@@ -357,34 +348,54 @@ def deserialize_model(blob: bytes) -> KgoModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"corrupt model payload: {exc}") from exc
     version = payload.pop("format_version", None) if isinstance(payload, dict) else None
-    if version != MODEL_FORMAT_VERSION:
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise DataError(f"unsupported model format version {version!r}")
     try:
+        dropped = _from_version_1(payload) if version == 1 else []
         model = _decode(KgoModel, payload)
-        _check_arrays(model)
+        _check_arrays(model, dropped)
+    except KeyError as exc:
+        raise DataError(f"corrupt model payload: version 1 needs the key {exc}") from exc
     except (TypeError, ValueError, DataError) as exc:
         raise DataError(f"corrupt model payload: {exc}") from exc
     return model
 
 
-def _check_arrays(model: KgoModel):
-    """Refuse (ValueError) a report that is not a JSON object, decoded arrays whose
-    shapes do not fit together, a spec's constant index past its basis, and any array
-    or reported float holding a non-finite value (JSON decodes NaN and Infinity)."""
+def _from_version_1(payload: dict) -> list:
+    """Turn a version-1 payload into version 2's, in place: drop the label-matched projection,
+    each side's const_coords and the attribute Gram. A missing key or a null (but the
+    projection's) raises here; `_check_arrays` refuses the returned arrays as version 1 did."""
+    x, f = payload["x_space"], payload["f_space"]
+    n, n_raw, m = x["eff_dim"], x["raw_dim"], f["eff_dim"]  # refuses a space that is no object
+    dropped = [("x_label_projection",
+                _decode(Optional[np.ndarray], payload.pop("x_label_projection")), (n, n)),
+               ("x_space.gram_raw", _decode(np.ndarray, x["gram_raw"]), (n_raw, n_raw)),
+               ("x_space.const_coords", _decode(np.ndarray, x.pop("const_coords")), (n,)),
+               ("f_space.const_coords", _decode(np.ndarray, f.pop("const_coords")), (m,))]
+    x["gram_raw"] = None
+    return dropped
+
+
+def _check_arrays(model: KgoModel, dropped: list):
+    """Refuse (ValueError) a report that is not a JSON object, a label side without the Gram
+    matrix `KgoModel.label_map` reads, decoded arrays whose shapes do not fit together (and
+    the `dropped` arrays of a version-1 payload), a spec's constant index past its basis, and
+    any array or reported float holding a non-finite value (JSON decodes NaN and Infinity)."""
     if not isinstance(model.report, dict):
         raise ValueError("report is not a JSON object")
     x, f, op = model.x_space, model.f_space, model.operator
+    if f.gram_raw is None:
+        raise ValueError("f_space.gram_raw is null")
     d = f.eff_dim if model.f_embed is None else len(op.u)
-    expected = [("operator.u", op.u, (d, x.eff_dim)), ("f_embed", model.f_embed, (f.eff_dim, d)),
-                ("x_label_projection", model.x_label_projection, (x.eff_dim, x.eff_dim)),
+    expected = [*dropped, ("operator.u", op.u, (d, x.eff_dim)),
+                ("f_embed", model.f_embed, (f.eff_dim, d)),
                 ("operator.residual", op.residual, None), ("operator.f_value", op.f_value, None)]
     expected += [(f"report.{key}", item, None) for key, item in model.report.items()
                  if isinstance(item, float)]
     for side, space in (("x_space", x), ("f_space", f)):
         raw, eff = space.raw_dim, space.eff_dim
         expected += [(f"{side}.{name}", getattr(space, name), shape) for name, shape in
-                     (("transform", (eff, raw)), ("gram_raw", (raw, raw)),
-                      ("const_raw", (raw,)), ("const_coords", (eff,)))]
+                     (("transform", (eff, raw)), ("gram_raw", (raw, raw)), ("const_raw", (raw,)))]
     for side, spec, space in (("x_spec", model.x_spec, x), ("f_spec", model.f_spec, f)):
         if spec is not None and spec.constant_index >= space.raw_dim:
             raise ValueError(f"{side}.constant_index {spec.constant_index} out of range for "

@@ -74,10 +74,9 @@ class SolverConfig:
         object.__setattr__(self, "algorithm", normalize_algorithm(self.algorithm))
         for name in ("max_iterations", "candidate_pool"):
             value = getattr(self, name)
-            try:
-                count = index(value)  # refuses NaN and fractions
-            except TypeError:
-                raise DimensionError(f"{name} must be an integer, got {value!r}") from None
+            if isinstance(value, bool) or not hasattr(value, "__index__"):  # NaN, fractions too
+                raise DimensionError(f"{name} must be an integer, got {value!r}")
+            count = index(value)
             if count < 1:
                 raise DimensionError(f"{name} must be positive")
             object.__setattr__(self, name, count)

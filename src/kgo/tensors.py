@@ -55,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hilbert import PreparedData, SpaceBasis, _coupled
+from .hilbert import PreparedData, _coupled, _whitening_cut
 from .linalg import sym_eig
 from .sample import CHEBYSHEV, _moment_table, _product_moments, _table_shape
 
@@ -148,16 +148,11 @@ def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
 # One elementwise multiply of a row block costs about as much as ten
 # multiply-adds inside a matrix product (one-off timings on 5e4 rows).
 _ELEMENTWISE_COST = 10
-# Largest kappa_x * kappa_f of the two whitenings the moment route accepts.
+# Largest kappa_x * kappa_f of the two whitenings the moment route accepts, each
+# kappa the top over the smallest kept Gram eigenvalue (`hilbert._whitening_cut`).
 # Whitening raw moments amplifies their rounding by about that product, so
 # its error stays near 1e-11 relative; the rows route only sees sqrt(kappa).
 _MOMENT_CONDITION_MAX = 1e5
-
-
-def _condition(space: SpaceBasis) -> float:
-    """Condition number of the kept Gram spectrum: row i of T has norm 1/sqrt(eig_i)."""
-    norms2 = np.einsum("ij,ij->i", space.transform, space.transform)
-    return float(norms2.max() / norms2.min())
 
 
 def _moment_route(data: PreparedData) -> bool:
@@ -177,8 +172,8 @@ def _moment_route(data: PreparedData) -> bool:
               + label * x_lead * x_last)
     width = data.f_space.eff_dim * data.x_space.eff_dim
     syrk = _ELEMENTWISE_COST * width + width * (width + 1) // 2
-    return (moment < syrk and _condition(data.x_space) * _condition(data.f_space)
-            <= _MOMENT_CONDITION_MAX)
+    return moment < syrk and (_whitening_cut(data.x_space)[0] * _whitening_cut(data.f_space)[0]
+                              >= 1.0 / _MOMENT_CONDITION_MAX)
 
 
 def _chebyshev_moments(data: PreparedData, eff_weights) -> np.ndarray:

@@ -15,7 +15,6 @@ import importlib
 import inspect
 from functools import cached_property
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
 
 import kgo
 
@@ -137,15 +136,6 @@ def dataclasses_of_package() -> list:
     return found
 
 
-def serialized(hint) -> set:
-    """The dataclasses `serialize_model` writes: `KgoModel` and its field types, down."""
-    if get_origin(hint) is Union:
-        return set().union(*(serialized(arg) for arg in get_args(hint)))
-    if not dataclasses.is_dataclass(hint):
-        return set()
-    return {hint}.union(*(serialized(field) for field in get_type_hints(hint).values()))
-
-
 def attribute_reads(tree) -> set:
     """Attribute names a module reads (not assigns)."""
     return {node.attr for node in ast.walk(tree)
@@ -153,15 +143,13 @@ def attribute_reads(tree) -> set:
 
 
 def test_every_field_is_read():
-    # File schemas keep every field: model.json's records, and trace.tsv's columns.
-    schemas = serialized(kgo.KgoModel) | {kgo.IterationRecord}
     read = set().union(*(attribute_reads(ast.parse(path.read_text())) for path in CALLERS))
     unread, thin = [], []
     for cls in dataclasses_of_package():
         names = [field.name for field in dataclasses.fields(cls)]
         if len(names) < 2:
             thin.append(cls.__name__)
-        if cls in schemas:
+        if cls is kgo.IterationRecord:  # trace.tsv's columns, read or not
             names = []
         names += [name for name, attr in vars(cls).items()
                   if isinstance(attr, (property, cached_property))]

@@ -313,7 +313,7 @@ class TestEval:
         ("fit", lambda m: [row.pop() for row in m["operator"]["u"]], "operator.u has shape"),
         ("fit", lambda m: m["x_space"]["transform"].pop(), "x_space.transform has shape"),
         ("fit", lambda m: m["f_space"]["const_raw"].pop(), "f_space.const_raw has shape"),
-        # A fit writes a null projection; the committed version-1 file carries one.
+        # A fit writes no projection; the committed version-1 file carries one.
         (MODEL_V1, lambda m: m["x_label_projection"].pop(), "x_label_projection has shape"),
         ("fit", lambda m: m["operator"]["u"][0].__setitem__(0, float("nan")),
          "operator.u has non-finite values"),

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import kgo
 from kgo.errors import DataError, DimensionError, NumericalError
+from kgo.hilbert import _whitening_cut
 from kgo.linalg import _ROW_BLOCK
 
 from conftest import grid_sample
@@ -68,6 +71,20 @@ class TestRegularize:
         err = back - space.const_raw
         rel = np.sqrt(err @ space.gram_raw @ err / (space.const_raw @ space.gram_raw @ space.const_raw))
         assert rel <= 1e-8
+
+    def test_whitening_cut(self, three_point_data):
+        """(smallest kept, largest dropped) Gram eigenvalue over the top one; a side
+        that kept every direction needs no Gram matrix for it."""
+        kept, dropped = _whitening_cut(replace(three_point_data.x_space, gram_raw=None))
+        assert (kept, dropped) == (pytest.approx(2.0 / 3.0, rel=1e-14), 0.0)  # Gram diag(3, 2)
+        data, model, _ = rank_deficient(1.0)
+        eig = np.linalg.eigvalsh(data.x_space.gram_raw)[::-1]
+        kept, dropped = _whitening_cut(data.x_space)
+        assert kept == pytest.approx(eig[2] / eig[0], rel=1e-9)
+        assert dropped == eig[3] / eig[0]
+        report = model.report
+        assert (report["x_smallest_kept"], report["x_largest_dropped"]) == (kept, dropped)
+        assert report["f_largest_dropped"] == 0.0 and model.x_space.gram_raw is None
 
 
 class TestChristoffel:

@@ -89,6 +89,10 @@ CASES = [
      DimensionError, re.escape("shape mismatch: (2, 2) vs (3, 3)")),
     ("solver-algorithm", lambda tmp: kgo.SolverConfig(algorithm="newton"),
      DimensionError, re.escape(f"unknown algorithm 'newton'; choose from {kgo.ALGORITHMS}")),
+    ("solver-iterations-bool", lambda tmp: kgo.SolverConfig(max_iterations=True),
+     DimensionError, "max_iterations must be an integer, got True"),
+    ("solver-pool-bool", lambda tmp: kgo.SolverConfig(candidate_pool=False),
+     DimensionError, "candidate_pool must be an integer, got False"),
     ("multiplier-shape", lambda tmp: kgo.solve_partial_constraint(tensor(), np.zeros((3, 3))),
      DimensionError, re.escape("multiplier shape (3, 3) != (2, 2)")),
     ("multiplier-symmetry", lambda tmp: kgo.solve_partial_constraint(tensor(), [[0.0, 1.0],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kgo
+from kgo.cli import main
 from kgo.errors import DataError, DimensionError, NumericalError
 from kgo.model import scalar_value_roots
 
@@ -182,7 +183,7 @@ class TestSerialization:
 
     def test_version_check(self, identity_model):
         blob = kgo.serialize_model(identity_model).replace(
-            b'"format_version": 1', b'"format_version": 99')
+            b'"format_version": 2', b'"format_version": 99')
         with pytest.raises(DataError):
             kgo.deserialize_model(blob)
 
@@ -214,15 +215,45 @@ def edited_model_v1(path, edit):
 
 class TestModelFormat:
     def test_committed_model_round_trips(self):
+        # Version 1 loads by one conversion, which drops the fields no query reads;
+        # written again it is version 2, and that round-trips byte for byte.
         blob = MODEL_V1.read_bytes()
         model = kgo.deserialize_model(blob)
         assert model.x_spec.source == (0, 1) and model.x_spec.scale is not None
-        assert model.f_embed is not None and model.x_label_projection is not None
-        assert kgo.serialize_model(model) == blob
+        assert model.f_embed is not None and model.x_space.gram_raw is None
+        converted = kgo.serialize_model(model)
+        assert kgo.serialize_model(kgo.deserialize_model(converted)) == converted
+        old = json.loads(blob)
+        del old["x_label_projection"], old["x_space"]["const_coords"]
+        del old["f_space"]["const_coords"]
+        old["x_space"]["gram_raw"] = None
+        assert json.loads(converted) == {**old, "format_version": 2}
+
+    def test_converted_model_answers_alike(self):
+        v1 = kgo.deserialize_model(MODEL_V1.read_bytes())
+        v2 = kgo.deserialize_model(kgo.serialize_model(v1))
+        rng = np.random.default_rng(26)
+        x, f = rng.uniform(-1.5, 2.5, size=(64, 2)), rng.uniform(-4.0, 3.5, size=(64, 1))
+        old, new = kgo.predict(v1, x, f), kgo.predict(v2, x, f)
+        assert set(old) == set(new)
+        for key in old:
+            assert old[key].tobytes() == new[key].tobytes(), key
+
+    def test_label_gram_required(self, tmp_path, capsys):
+        # The attribute side carries no Gram matrix; the label side must, for its label map.
+        payload = json.loads(kgo.serialize_model(kgo.deserialize_model(MODEL_V1.read_bytes())))
+        payload["f_space"]["gram_raw"] = None
+        bad, query = tmp_path / "model.json", tmp_path / "q.csv"
+        bad.write_text(json.dumps(payload))
+        query.write_text("0.5,0.25\n")
+        capsys.readouterr()
+        assert main(["eval", "--model", str(bad), "--data", str(query), "--cols", "x=0-1",
+                     "--out-prefix", str(tmp_path / "e_")]) == 3
+        assert "corrupt model payload: f_space.gram_raw is null" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path, key", [
         ((), "report"), (("x_spec",), "source"), (("f_spec",), "scale"),
-        (("x_space",), "const_coords"), (("operator",), "f_value")])
+        (("x_space",), "const_coords"), (("operator",), "f_value"), ((), "x_label_projection")])
     def test_missing_key(self, path, key):
         with pytest.raises(DataError):
             kgo.deserialize_model(edited_model_v1(path, lambda record: record.pop(key)))
@@ -233,7 +264,8 @@ class TestModelFormat:
             kgo.deserialize_model(edited_model_v1(
                 path, lambda record: record.update(unknown=1)))
 
-    @pytest.mark.parametrize("path, key", [((), "x_space"), (("operator",), "u")])
+    @pytest.mark.parametrize("path, key", [((), "x_space"), (("operator",), "u"),
+                                           (("x_space",), "gram_raw")])
     def test_null_required_field(self, path, key):
         with pytest.raises(DataError):
             kgo.deserialize_model(edited_model_v1(
@@ -333,6 +365,10 @@ class TestFitPipeline:
         report = identity_model.report
         assert (report["x_raw_dim"], report["x_eff_dim"]) == (2, 2)
         assert (report["f_raw_dim"], report["f_eff_dim"]) == (2, 2)
+        # Whitening dropped nothing: the cut is the smallest kept eigenvalue alone.
+        for side in "xf":
+            assert 0.0 < report[f"{side}_smallest_kept"] <= 1.0
+            assert report[f"{side}_largest_dropped"] == 0.0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("algorithm", kgo.ALGORITHMS)
@@ -362,6 +398,8 @@ class TestFitPipeline:
         assert model.report["x_raw_dim"] == 9
         assert model.report["x_eff_dim"] == model.x_space.eff_dim < 9
         assert model.report["f_eff_dim"] == model.report["f_raw_dim"] == 2
+        # The cut sits at the whitening threshold, 1e-12 of the top eigenvalue.
+        assert model.report["x_largest_dropped"] <= 1e-12 < model.report["x_smallest_kept"]
 
     @pytest.mark.parametrize("algorithm", ["lsq-adj", None], ids=["lsq-adj", "default"])
     @pytest.mark.parametrize("kind", list(kgo.TensorKind), ids=lambda kind: kind.value)
@@ -385,9 +423,8 @@ class TestFitPipeline:
         model, _ = kgo.fit(sample, kgo.BasisSpec("monomial", 4), kgo.BasisSpec("monomial", 2),
                            kind=kind, config=config)
         assert calls == []
-        assert model.x_label_projection is None
         blob = kgo.serialize_model(model)
-        assert b'"x_label_projection": null' in blob
+        assert b'"x_label_projection"' not in blob
         assert kgo.serialize_model(kgo.deserialize_model(blob)) == blob
 
 
@@ -430,7 +467,6 @@ class TestDegenerateCoupling:
         # direction has no attribute coupling), so use an eigenstate path.
         cfg = kgo.SolverConfig(algorithm="maxev-svd-adj")
         model, _ = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL, cfg)
-        assert model.x_label_projection is None
         assert kgo.probability(model, x[0], f[0]) >= 0.0
 
 

@@ -299,7 +299,6 @@ class TestSingularCoupling:
         stats = data.stats
         assert stats.coupling is None and stats.adjusted is None
         model, _ = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL)
-        assert model.x_label_projection is None
         assert np.isfinite(model.report["f_jdg"])
         with pytest.raises(NumericalError, match="coupling matrix is singular"):
             kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED, data)
@@ -336,7 +335,6 @@ class TestFitReadsNoAttributeRows:
         monkeypatch.setattr(kgo.PreparedData, "stats", counted)
         model, _ = adjusted_fit(chebyshev_sample(BLOCK + 9))
         assert len(builds) == 1
-        assert model.x_label_projection is None
 
     def test_never_reads_the_attribute_pair(self, monkeypatch):
         def refuse(data):
