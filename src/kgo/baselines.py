@@ -30,11 +30,11 @@ def fit_least_squares(data: PreparedData) -> np.ndarray:
     """Least-squares expansion of the label features over the attribute basis, as
     beta (m_raw, n_raw): a row of raw attribute coefficients per label feature.
 
-    Solved in regularized coordinates, where the normal equations reduce to a
-    plain cross-moment contraction: beta = <f (T_x x)^T> T_x, read off the
-    data's cached row passes (`PreparedData.stats`).
+    In orthonormal coordinates it is the data's cross Gram C (`PreparedData.stats`);
+    beta = G_f T_f^T C T_x, a model's own readout `moment_map` applied to the
+    least-squares channel, maps both sides back to raw features.
     """
-    return data.stats.label_raw @ data.x_space.transform
+    return data.f_space.moment_map @ data.stats.cross @ data.x_space.transform
 
 
 def eval_least_squares(beta: np.ndarray, x_points) -> np.ndarray:

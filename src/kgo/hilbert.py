@@ -16,11 +16,11 @@ A fit of `prepare` data passes over the rows as follows:
      `prepare_points`). A Chebyshev side's is read off its plain-weight
      doubled-order moment table, whose layout `sample` owns; any other
      side adds each block's weighted columns.
-  2. and 3. `PreparedData.stats`, one record of both passes. Pass 2, the one
-     that whitens the attribute block, sums sum_l w_l f_l x_l^T with whitened
-     label rows (the cross Gram C) and with raw label features (for the
-     least-squares map), and keeps each row's |x|^2. The label/attribute
-     coupling C C^T = L L^T and K = L^-1 C follow. Pass 3 gives each row's
+  2. and 3. `PreparedData.stats`, one record of both passes. Pass 2 whitens
+     the attribute block and sums the fit's one cross moment, the cross Gram
+     C = sum_l w_l f_l x_l^T, the least-squares map between orthonormal
+     coordinates, and keeps each row's |x|^2. K = L^-1 C (C C^T = L L^T)
+     follows; the label-matched projector is K^T K. Pass 3 gives each row's
      |f|^2, overlap f^T C x and adjusted normalizer |K x|^2, the raw attribute
      columns going through [C; K] T_x in one product, and sums the
      label-Christoffel moments of F_TOT.
@@ -117,6 +117,12 @@ class SpaceBasis:
     def project(self, points) -> np.ndarray:
         """Orthonormal coordinates of raw feature vectors along the last axis."""
         return _times(_points(points, self.raw_dim), self.transform)
+
+    @cached_property
+    def moment_map(self) -> np.ndarray:
+        """Moments <b psi_i> of the raw features against each orthonormal function psi_i:
+        G T^T, (raw_dim, eff_dim). Maps a transported state to its most probable outcome."""
+        return self.gram_raw @ self.transform.T
 
     @cached_property
     def zero_floor(self) -> float:
@@ -259,13 +265,11 @@ def _coupled(value: Optional[np.ndarray]) -> np.ndarray:
 @dataclass(frozen=True)
 class RowStats:
     """The second and third row passes of a fit and the label/attribute coupling
-    between them (`PreparedData.stats`); every array is read-only. K = L^-1 C
-    (C C^T = L L^T, K^T K = `label_matched_projection`) stays local to pass 3."""
+    between them (`PreparedData.stats`); every array is read-only."""
 
     cross: np.ndarray      # C = sum_l w_l f_l x_l^T, both sides whitened: the cross Gram
-    label_raw: np.ndarray  # B = the same sum with raw label features; B T_x is the LSQ map
     attribute: np.ndarray  # |x_l|^2 in orthonormal attribute coordinates
-    coupling: Optional[np.ndarray]  # C C^T; None when singular, as is `adjusted`
+    factor: Optional[np.ndarray]  # K = L^-1 C, C C^T = L L^T; None when singular, as is `adjusted`
     label: np.ndarray      # |f_l|^2 in orthonormal label coordinates
     overlap: np.ndarray    # f_l^T C x_l
     adjusted: Optional[np.ndarray]  # |K x_l|^2, the adjusted normalizer
@@ -335,29 +339,28 @@ class PreparedData:
     def stats(self) -> RowStats:
         """Pass 2, the label/attribute coupling and pass 3, in that order, on first read.
 
-        Pass 2 whitens each attribute row before the sum, which keeps the rounding
-        near sqrt(kappa_x) + sqrt(kappa_f) rather than their product. The coupling
-        is singular (None, as are K and |K x|^2) when its smallest eigenvalue is at
-        most 1e-12 of the largest. Pass 3 whitens only the label block and maps the
-        raw attribute columns through [C; K] T_x, one product per block, so |K x|^2
-        costs m_eff * n_eff per row instead of n_eff^2. Its label moments sum unit
-        states, in range at any weight scale; a zero row adds nothing, nor does a
-        row whose |f|^2 overflows (`tensors.label_christoffel_moments` rejects it).
-        One block gives the bits of the whole-array expressions.
+        Pass 2 sums one cross moment, C, over whitened attribute rows, which keeps the
+        rounding near sqrt(kappa_x) + sqrt(kappa_f) rather than their product. C C^T is
+        singular (K and |K x|^2 None) when its smallest eigenvalue is at most 1e-12 of
+        the largest. Pass 3 whitens only the label block and maps the raw attribute
+        columns through [C; K] T_x, one product per block, so |K x|^2 costs
+        m_eff * n_eff per row instead of n_eff^2. Its label moments sum unit states,
+        in range at any weight scale; a zero row adds nothing, nor does a row whose
+        |f|^2 overflows (`tensors.label_christoffel_moments` rejects it). One block
+        gives the bits of the whole-array expressions.
         """
         tf, tx = self.f_space.transform, self.x_space.transform
-        cross = label_raw = 0.0
+        cross = 0.0
         attribute = np.empty(self.size)
         for rows in row_blocks(self.size):
             f = _basis_columns(self.f_spec, self.f_rows[rows]).T  # (block rows, m_raw)
             x = _basis_columns(self.x_spec, self.x_rows[rows]).T @ tx.T
             cross = cross + ((f @ tf.T).T * self.weights[rows]) @ x
-            label_raw = label_raw + (f.T * self.weights[rows]) @ x
             np.einsum("ij,ij->i", x, x, out=attribute[rows])
         coupling = cross @ cross.T
         eig = np.linalg.eigvalsh(coupling)
         if eig[0] <= 1e-12 * max(eig[-1], 1e-300):
-            coupling = factor = None
+            factor = None
             maps = cross
         else:  # C and K stacked, so each block takes one product for both
             factor = np.linalg.solve(np.linalg.cholesky(coupling), cross)
@@ -376,7 +379,7 @@ class PreparedData:
             np.einsum("ij,ij->j", f, mapped[:m], out=overlap[rows])
             if adjusted is not None:
                 np.einsum("ij,ij->j", mapped[m:], mapped[m:], out=adjusted[rows])
-        arrays = (cross, label_raw, attribute, coupling, label, overlap, adjusted, moments)
+        arrays = (cross, attribute, factor, label, overlap, adjusted, moments)
         for array in arrays:
             if array is not None:
                 array.setflags(write=False)
@@ -387,12 +390,12 @@ def label_matched_projection(data: PreparedData) -> np.ndarray:
     """Projector onto the attribute subspace coupled to the labels.
 
     Orthonormal-coordinate form of the adjusted-Christoffel matrix: with C
-    the cross Gram, this is C^T (C C^T)^{-1} C. Its quadratic form never
-    exceeds the plain squared norm, so the adjusted Christoffel function
-    dominates the original one pointwise.
+    the cross Gram, this is C^T (C C^T)^{-1} C = K^T K with the row passes'
+    K = L^-1 C. Its quadratic form never exceeds the plain squared norm, so
+    the adjusted Christoffel function dominates the original one pointwise.
     """
-    cross = data.stats.cross
-    return cross.T @ np.linalg.solve(_coupled(data.stats.coupling), cross)
+    factor = _coupled(data.stats.factor)
+    return factor.T @ factor
 
 
 def prepare_points(x_points, f_points, weights, x_const=None, f_const=None,

@@ -61,13 +61,6 @@ class KgoModel:
             return self.operator.u
         return self.f_embed @ self.operator.u
 
-    @cached_property
-    def label_map(self) -> np.ndarray:
-        """Moments <b psi_i> of the raw label features against each orthonormal
-        label function psi_i: G T^T, (m_raw, m_eff). Maps a transported state
-        to its most probable outcome vector."""
-        return self.f_space.gram_raw @ self.f_space.transform.T
-
 
 def fit(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec,
         kind: TensorKind = TensorKind.F_CHRISTOFFEL,
@@ -118,6 +111,9 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         # Pull the least-squares channel back into subspace coordinates.
         u_init = np.linalg.pinv(f_embed) @ u_init
     op, trace = solve(tensor, config, u_init)
+    # u and -u differ only in the sign of f_max_p: keep the one agreeing with least squares.
+    if np.vdot(op.u if f_embed is None else f_embed @ op.u, data.stats.cross) < 0.0:
+        op = replace(op, u=-op.u)
     best = next(record for record in trace if record.f_after == op.f_value)
     report = {
         "algorithm": op.algorithm,
@@ -221,7 +217,7 @@ def predict(model: KgoModel, X, F=None) -> dict:
     """
     x_feats = _design_rows(model.x_spec, X)
     alpha = _transported(model, x_feats)
-    f_max_p = _times(alpha, model.label_map)
+    f_max_p = _times(alpha, model.f_space.moment_map)
     normalized, pole = _const_normalized(model, f_max_p)
     out = {
         "f_max_p": f_max_p,
@@ -250,7 +246,7 @@ def probability(model: KgoModel, x_raw, f_raw) -> float:
 def most_probable(model: KgoModel, x_raw) -> Prediction:
     """Most probable outcome and its certainty at a query point."""
     alpha = _transported(model, _design(model.x_spec, x_raw))
-    return Prediction(_times(alpha, model.label_map), float(_certainty(model, alpha)))
+    return Prediction(_times(alpha, model.f_space.moment_map), float(_certainty(model, alpha)))
 
 
 def value(model: KgoModel, x_raw):
@@ -261,7 +257,7 @@ def value(model: KgoModel, x_raw):
     model behavior worth observing.
     """
     alpha = _transported(model, _design(model.x_spec, x_raw))
-    normalized, pole = _const_normalized(model, _times(alpha, model.label_map))
+    normalized, pole = _const_normalized(model, _times(alpha, model.f_space.moment_map))
     return normalized, bool(pole)
 
 
@@ -348,7 +344,7 @@ def deserialize_model(blob: bytes) -> KgoModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"corrupt model payload: {exc}") from exc
     version = payload.pop("format_version", None) if isinstance(payload, dict) else None
-    if version not in (1, MODEL_FORMAT_VERSION):
+    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise DataError(f"unsupported model format version {version!r}")
     try:
         dropped = _from_version_1(payload) if version == 1 else []
@@ -378,7 +374,7 @@ def _from_version_1(payload: dict) -> list:
 
 def _check_arrays(model: KgoModel, dropped: list):
     """Refuse (ValueError) a report that is not a JSON object, a label side without the Gram
-    matrix `KgoModel.label_map` reads, decoded arrays whose shapes do not fit together (and
+    matrix `SpaceBasis.moment_map` reads, decoded arrays whose shapes do not fit together (and
     the `dropped` arrays of a version-1 payload), a spec's constant index past its basis, and
     any array or reported float holding a non-finite value (JSON decodes NaN and Infinity)."""
     if not isinstance(model.report, dict):

@@ -523,20 +523,19 @@ def read_table(path, columns) -> np.ndarray:
     comments; a leading UTF-8 byte-order mark is skipped. Refuses a malformed value, then a
     ragged row, then a non-finite value, then a column of `columns` past the width. A file
     without data rows gives an empty table."""
+    rows = []
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            raw_lines = handle.readlines()
+            for line in handle:  # one line's text at a time, beside the parsed rows
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    rows.append([float(tok) for tok in line.split(",")])
+                except ValueError as exc:
+                    raise DataError(f"malformed value in row {len(rows) + 1}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for line in raw_lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise DataError(f"malformed value in row {len(rows) + 1}") from exc
     if not rows:
         return np.empty((0, 0))
     width = len(rows[0])

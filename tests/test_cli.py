@@ -351,6 +351,22 @@ class TestEval:
         assert code == 3
         assert f"error: corrupt model payload: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, version", [(MODEL_V1, True), (MODEL_V1, 1.0), ("fit", 2.0)],
+                             ids=["true", "one-float", "two-float"])
+    def test_format_version_exit_three(self, exact_csv, tmp_path, capsys, source, version):
+        # Only the integers 1 and 2 name a format, though True == 1.0 == 1 and 2.0 == 2.
+        if source == "fit":
+            source = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")[1] + "model.json"
+        payload = json.loads(Path(source).read_text())
+        payload["format_version"] = version
+        bad = tmp_path / "version.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["eval", "--model", str(bad), "--data", exact_csv,
+                     "--cols", "x=0", "--out-prefix", str(tmp_path / "c_")])
+        assert code == 3
+        assert f"error: unsupported model format version {version!r}" in capsys.readouterr().err
+
     def test_zero_projection_exit_four(self, tmp_path):
         # A model fit on constant labels collapses the label space to one
         # direction; querying the probability of an outcome orthogonal to it

@@ -164,22 +164,23 @@ def gauge(rng, dim):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_basis_sign_and_gauge(seed):
     """Features x A and f B span the same function spaces as x and f: F of every
-    kind, F_TOT and F_JDG stay, and so do the answers of a single-shot fit, whose
-    most probable outcome moves as the label features do. Iterative fits keep F,
-    but their channel is not pinned: the stop test ends them at a tolerance, and
-    the sign of their transported state is free."""
+    kind, F_TOT and F_JDG stay, and so do the answers of a single-shot or an
+    iterative fit, whose most probable outcome moves as the label features do.
+    The sign of a channel is free, u and -u giving the same F; a fit keeps the
+    one that agrees with the least-squares channel, so f_max_p keeps its sign."""
     data, rng = instance(seed, _ROW_BLOCK + 10, None)
     a, b = gauge(rng, N_ATTR), gauge(rng, N_LABEL)
     other = kgo.prepare_points(data.x_rows @ a, data.f_rows @ b, data.weights)
     qx, qf = raw_rows(rng, 50)
     for kind in kgo.TensorKind:
-        for config in (kgo.SolverConfig(), SINGLE_SHOT):  # single-shot last: its answers follow
+        for config in (kgo.SolverConfig(), SINGLE_SHOT):
             m0, m1 = (kgo.fit_prepared(d, kind, config)[0] for d in (data, other))
             for key in ("f", "f_tot", "f_jdg"):
                 assert m1.report[key] == pytest.approx(m0.report[key], rel=1e-12), (kind, key)
-        p0, p1 = kgo.predict(m0, qx, qf), kgo.predict(m1, qx @ a, qf @ b)
-        for key in ("certainty", "probability"):
-            np.testing.assert_allclose(p1[key], p0[key], rtol=0.0, atol=1e-10, err_msg=kind)
-        want = p0["f_max_p"] @ b
-        np.testing.assert_allclose(p1["f_max_p"], want, rtol=0.0,
-                                   atol=1e-10 * np.abs(want).max(), err_msg=kind)
+            p0, p1 = kgo.predict(m0, qx, qf), kgo.predict(m1, qx @ a, qf @ b)
+            message = f"{kind} {config.algorithm}"
+            for key in ("certainty", "probability"):
+                np.testing.assert_allclose(p1[key], p0[key], rtol=0.0, atol=1e-10, err_msg=message)
+            want = p0["f_max_p"] @ b
+            np.testing.assert_allclose(p1["f_max_p"], want, rtol=0.0,
+                                       atol=1e-10 * np.abs(want).max(), err_msg=message)

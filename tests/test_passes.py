@@ -2,8 +2,8 @@
 
 `kgo.prepare` sums both Gram matrices over the row blocks (a Chebyshev
 side's Gram read off its doubled-order moment table). One record,
-`PreparedData.stats`, holds the cross moments of a second pass, the
-label/attribute coupling, and the per-row norms with the label-Christoffel
+`PreparedData.stats`, holds the cross Gram of a second pass, the factor of
+the label/attribute coupling, and the per-row norms with the label-Christoffel
 moments of a third. Every quantity built from them is checked here against the
 whole-array formula on `x_points`, `x_orth`, `f_points` and `f_orth`, which
 the data builds only when they are read.
@@ -85,6 +85,15 @@ class TestPassesMatchDense:
         assert f_jdg == pytest.approx(dense["f_jdg"], rel=1e-12)
         close(beta, dense["beta"])
 
+    def test_least_squares_with_a_dropped_label_direction(self):
+        # A duplicated label feature: whitening drops a direction, and beta read
+        # off the cross Gram through the label side's G_f T_f^T still has every row.
+        data = chebyshev_instance(np.random.default_rng(10), BLOCK + 5)
+        f_points = np.column_stack([data.f_points, data.f_points[:, 1]])
+        data = kgo.prepare_points(data.x_points, f_points, data.weights)
+        assert data.f_space.eff_dim == f_points.shape[1] - 1
+        close(kgo.fit_least_squares(data), dense_quantities(data)["beta"])
+
     def test_table_gram_agrees_with_gram_matrix(self):
         data = chebyshev_instance(np.random.default_rng(3), 2 * BLOCK + 7, x_order=6)
         close(data.x_space.gram_raw, kgo.gram_matrix(data.x_points, data.weights), rtol=1e-14)
@@ -164,14 +173,14 @@ class TestIllConditioned:
 
     def test_row_norms_against_long_double(self):
         # The third pass maps the raw attribute columns through [C; K] T_x
-        # without whitening them first; with the data's own C, K = L^-1 C
+        # without whitening them first; with the data's own C, stored K = L^-1 C
         # (C C^T = L L^T) and transforms, overlap and adjusted stay near a
         # long-double sum over whitened rows. The attribute norms come from
         # the second pass's whitened rows.
         data = clusters()
         ld = np.longdouble
         cross = data.stats.cross
-        coupled = np.linalg.solve(np.linalg.cholesky(data.stats.coupling), cross)
+        coupled = data.stats.factor
         x_orth = data.x_points.astype(ld) @ data.x_space.transform.T.astype(ld)
         f_orth = data.f_points.astype(ld) @ data.f_space.transform.T.astype(ld)
         overlap = np.einsum("ij,ij->i", f_orth @ cross.astype(ld), x_orth)
@@ -297,7 +306,7 @@ class TestSingularCoupling:
     def test_raises_only_where_the_adjusted_normalizer_is_read(self):
         data = self.data()
         stats = data.stats
-        assert stats.coupling is None and stats.adjusted is None
+        assert stats.factor is None and stats.adjusted is None
         model, _ = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL)
         assert np.isfinite(model.report["f_jdg"])
         with pytest.raises(NumericalError, match="coupling matrix is singular"):
