@@ -13,9 +13,10 @@ import numpy as np
 
 from .errors import DimensionError
 from .hilbert import _SPAN, PreparedData, SpaceBasis, _points, _projection, _times
+from .linalg import row_blocks
 from .sample import _basis_columns
 from .solver import constraint_residual
-from .tensors import TensorKind, _row_weights
+from .tensors import _raised, _weighted_pass
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ def fit_radon_nikodym(data: PreparedData, labels=None) -> RadonNikodymModel:
         if label_rows.shape[0] != data.size:
             raise DimensionError("row/label count mismatch")
     moments = 0.0
-    for rows, x in data.blocks("x"):
+    for rows in row_blocks(data.size):
+        x = data.x_space.transform @ _basis_columns(data.x_spec, data.x_rows[rows])
         weights = data.weights[rows] * _basis_columns(spec, label_rows[rows])  # (labels, block rows)
         moments = moments + (x * weights[:, None]) @ x.T  # one (x w_j) x^T per label
     return RadonNikodymModel(third_moments=moments, space=data.x_space)
@@ -87,8 +89,7 @@ def joint_distribution_coverage(data: PreparedData) -> float:
 
     Secondary sampling: the Gram matrices (and cross moments) come first, then
     the squared overlap of the two localized states is accumulated per
-    observation, read from the data's per-row norms and scaled by the
+    observation in the weighted pass (`tensors`), scaled by the
     christoffel-product weight.
     """
-    weights = _row_weights(data, TensorKind.CHRISTOFFEL_PRODUCT)
-    return float(np.sum(weights * data.stats.overlap ** 2))
+    return _raised(_weighted_pass(data).f_jdg)

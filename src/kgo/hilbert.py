@@ -9,26 +9,33 @@ coordinates, where the Gram matrix and its inverse drop out of the formulas.
 A PreparedData record holds both spaces and the rows they were built from,
 not the basis-evaluated rows: sums over observations are taken in fixed
 row blocks, each block's basis columns evaluated when the pass reaches it.
-A fit of `prepare` data passes over the rows as follows:
+A fit of `prepare` data takes one of two routes (`_moment_route`), and
+passes over the rows as follows:
 
-  1. `prepare`: each side's Gram matrix (`_side_gram`, the one Gram path
-     of `gram_matrix`, `build_space`, `space_from_sample`, `prepare` and
-     `prepare_points`). A Chebyshev side's is read off its plain-weight
-     doubled-order moment table, whose layout `sample` owns; any other
-     side adds each block's weighted columns.
-  2. and 3. `PreparedData.stats`, one record of both passes. Pass 2 whitens
-     the attribute block and sums the fit's one cross moment, the cross Gram
-     C = sum_l w_l f_l x_l^T, the least-squares map between orthonormal
-     coordinates, and keeps each row's |x|^2. K = L^-1 C (C C^T = L L^T)
-     follows; the label-matched projector is K^T K. Pass 3 gives each row's
-     |f|^2, overlap f^T C x and adjusted normalizer |K x|^2, the raw attribute
-     columns going through [C; K] T_x in one product, and sums the
-     label-Christoffel moments of F_TOT.
-  4. the coverage tensor (see `tensors`).
+  moment table  for Chebyshev specs on both sides, well-conditioned
+                whitenings and the lesser work per row. Two passes.
+    1. `prepare`: one factor table per side per block gives each side's
+       plain-weight doubled-order moment table, whose layout `sample` owns,
+       and the raw cross moments sum_l w_l b_f(l) b_x(l)^T. The Gram matrices
+       are read off the tables; `PreparedData.stats` whitens the raw cross
+       moments into the cross Gram C = sum_l w_l f_l x_l^T, the least-squares
+       map between orthonormal coordinates, and factors the coupling
+       C C^T = L L^T into K = L^-1 C; the label-matched projector is K^T K.
+    2. the weighted pass (see `tensors`): each block's doubled-order tables
+       give the row norms, its gates, the coverage tensor and the sums
+       behind F_TOT and F_JDG.
+  rows          everything else. Three passes.
+    1. `prepare`: each side's Gram matrix (`_side_gram`, the one Gram path of
+       `gram_matrix`, `build_space`, `space_from_sample`, `prepare` and
+       `prepare_points`), read off the side's moment table for a Chebyshev
+       side and summed over the block's weighted columns otherwise; a
+       Chebyshev pair also sums its raw cross moments, as above.
+    2. `PreparedData.stats`: C summed over whitened rows, then K.
+    3. the weighted pass over whitened rows.
 
-`prepare_points` data sums its Gram matrices over the stored feature rows;
-passes 2 and 3 run on it the same way. The row arrays `x_points`,
-`x_orth`, `f_points` and `f_orth` are built only when read.
+`prepare_points` data sums its Gram matrices over the stored feature rows
+and takes the rows route. The row arrays `x_points`, `x_orth`, `f_points`
+and `f_orth` are built only when read.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .linalg import row_blocks, sym_eig
 from .sample import (CHEBYSHEV, BasisSpec, Sample, _basis_columns, _checked_dimension,
-                     _moment_table, _product_moments, design_matrix)
+                     _column_grid, _moment_table, _n_vars, _pair_tables, _product_moments,
+                     _table_shape, design_matrix)
 
 DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
@@ -227,7 +235,12 @@ def space_from_sample(sample: Sample, side: str, spec: BasisSpec) -> SpaceBasis:
 
     The constant function is the spec's constant component.
     """
-    gram = _side_gram(spec, sample.x_rows if side == "x" else sample.f_rows, sample.weights)
+    return _spec_space(_side_gram(spec, sample.x_rows if side == "x" else sample.f_rows,
+                                  sample.weights), spec)
+
+
+def _spec_space(gram: np.ndarray, spec: BasisSpec) -> SpaceBasis:
+    """The SpaceBasis of a spec's Gram matrix, its constant the spec's constant component."""
     if spec.constant_index >= gram.shape[0]:
         raise DimensionError(f"constant index {spec.constant_index} out of range for "
                              f"basis dimension {gram.shape[0]}")
@@ -264,16 +277,10 @@ def _coupled(value: Optional[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RowStats:
-    """The second and third row passes of a fit and the label/attribute coupling
-    between them (`PreparedData.stats`); every array is read-only."""
+    """The label/attribute coupling (`PreparedData.stats`); both arrays are read-only."""
 
     cross: np.ndarray      # C = sum_l w_l f_l x_l^T, both sides whitened: the cross Gram
-    attribute: np.ndarray  # |x_l|^2 in orthonormal attribute coordinates
-    factor: Optional[np.ndarray]  # K = L^-1 C, C C^T = L L^T; None when singular, as is `adjusted`
-    label: np.ndarray      # |f_l|^2 in orthonormal label coordinates
-    overlap: np.ndarray    # f_l^T C x_l
-    adjusted: Optional[np.ndarray]  # |K x_l|^2, the adjusted normalizer
-    label_moments: np.ndarray  # sum_l w_l psi_l psi_l^T over unit label states f_l / |f_l|
+    factor: Optional[np.ndarray]  # K = L^-1 C, C C^T = L L^T; None when singular
 
 
 @dataclass(frozen=True)
@@ -284,7 +291,7 @@ class PreparedData:
     the space was built from: raw rows with the basis spec that evaluates
     them (`prepare`), or feature rows and no spec (`prepare_points`). It is
     the common input of the baseline estimators and the coverage tensors,
-    which sum over observations one row block at a time (`blocks`).
+    which sum over observations one row block at a time.
     """
 
     weights: np.ndarray
@@ -294,6 +301,7 @@ class PreparedData:
     f_rows: np.ndarray
     x_spec: Optional[BasisSpec] = None
     f_spec: Optional[BasisSpec] = None
+    cross_raw: Optional[np.ndarray] = None  # sum_l w_l b_f(l) b_x(l)^T of a Chebyshev pair
 
     @property
     def size(self) -> int:
@@ -323,67 +331,79 @@ class PreparedData:
         """(M, m_eff) orthonormal label coordinates, built on first read."""
         return self.f_points @ self.f_space.transform.T
 
-    def blocks(self, sides: str = "fx"):
-        """Orthonormal coordinates of each fixed row block.
-
-        Yields (rows, ...) with one (eff_dim, block rows) array per side
-        named in `sides` ("f" labels, "x" attributes), in that order.
-        """
-        parts = [(self.f_spec, self.f_rows, self.f_space.transform) if side == "f"
-                 else (self.x_spec, self.x_rows, self.x_space.transform) for side in sides]
-        for rows in row_blocks(self.size):
-            yield (rows,) + tuple(transform @ _basis_columns(spec, side_rows[rows])
-                                  for spec, side_rows, transform in parts)
-
     @cached_property
     def stats(self) -> RowStats:
-        """Pass 2, the label/attribute coupling and pass 3, in that order, on first read.
+        """The cross Gram C and the factor K of the label/attribute coupling, on first read.
 
-        Pass 2 sums one cross moment, C, over whitened attribute rows, which keeps the
-        rounding near sqrt(kappa_x) + sqrt(kappa_f) rather than their product. C C^T is
-        singular (K and |K x|^2 None) when its smallest eigenvalue is at most 1e-12 of
-        the largest. Pass 3 whitens only the label block and maps the raw attribute
-        columns through [C; K] T_x, one product per block, so |K x|^2 costs
-        m_eff * n_eff per row instead of n_eff^2. Its label moments sum unit states,
-        in range at any weight scale; a zero row adds nothing, nor does a row whose
-        |f|^2 overflows (`tensors.label_christoffel_moments` rejects it). One block
-        gives the bits of the whole-array expressions.
+        On the moment-table route (`_moment_route`) C is T_f C_raw T_x^T, whitened from
+        `prepare`'s raw cross moments; the route's condition gate keeps the rounding
+        that whitening amplifies small. Otherwise, or where `prepare` did not sum
+        C_raw (data built by hand), one pass sums C over whitened rows,
+        which keeps the rounding near sqrt(kappa_x) + sqrt(kappa_f) rather than their
+        product. C C^T is singular (K None) when its smallest eigenvalue is at most
+        1e-12 of the largest. The per-row norms are the weighted pass's (`tensors`).
         """
         tf, tx = self.f_space.transform, self.x_space.transform
-        cross = 0.0
-        attribute = np.empty(self.size)
-        for rows in row_blocks(self.size):
-            f = _basis_columns(self.f_spec, self.f_rows[rows]).T  # (block rows, m_raw)
-            x = _basis_columns(self.x_spec, self.x_rows[rows]).T @ tx.T
-            cross = cross + ((f @ tf.T).T * self.weights[rows]) @ x
-            np.einsum("ij,ij->i", x, x, out=attribute[rows])
+        if self.cross_raw is not None and _moment_route(self):
+            cross = tf @ self.cross_raw @ tx.T
+        else:
+            cross = 0.0
+            for rows in row_blocks(self.size):
+                f = _basis_columns(self.f_spec, self.f_rows[rows]).T  # (block rows, m_raw)
+                x = _basis_columns(self.x_spec, self.x_rows[rows]).T @ tx.T
+                cross = cross + ((f @ tf.T).T * self.weights[rows]) @ x
         coupling = cross @ cross.T
         eig = np.linalg.eigvalsh(coupling)
-        if eig[0] <= 1e-12 * max(eig[-1], 1e-300):
-            factor = None
-            maps = cross
-        else:  # C and K stacked, so each block takes one product for both
+        factor = None
+        if eig[0] > 1e-12 * max(eig[-1], 1e-300):
             factor = np.linalg.solve(np.linalg.cholesky(coupling), cross)
-            maps = np.vstack([cross, factor])
-        maps = maps @ tx
-        m = cross.shape[0]
-        label, overlap = np.empty(self.size), np.empty(self.size)
-        adjusted = None if factor is None else np.empty(self.size)
-        moments = 0.0
-        for rows, f in self.blocks("f"):
-            np.einsum("ij,ij->j", f, f, out=label[rows])
-            norm = np.sqrt(label[rows])
-            unit = np.divide(f, norm, out=np.zeros_like(f), where=norm > 0.0)
-            moments = moments + (unit * self.weights[rows]) @ unit.T
-            mapped = maps @ _basis_columns(self.x_spec, self.x_rows[rows])
-            np.einsum("ij,ij->j", f, mapped[:m], out=overlap[rows])
-            if adjusted is not None:
-                np.einsum("ij,ij->j", mapped[m:], mapped[m:], out=adjusted[rows])
-        arrays = (cross, attribute, factor, label, overlap, adjusted, moments)
-        for array in arrays:
-            if array is not None:
-                array.setflags(write=False)
-        return RowStats(*arrays)
+            factor.setflags(write=False)
+        cross.setflags(write=False)
+        return RowStats(cross, factor)
+
+
+# One elementwise multiply of a row block costs about as much as forty
+# multiply-adds inside a matrix product: fitted to whole-fit timings of both
+# routes on 2e4 rows with 2 to 4 attribute variables, where a table's
+# elementwise left factor of a few MB per block runs at memory speed.
+_ELEMENTWISE_COST = 40
+# Largest kappa_x * kappa_f of the two whitenings the moment route accepts, each
+# kappa the top over the smallest kept Gram eigenvalue (`_whitening_cut`).
+# Whitening raw moments amplifies their rounding by about that product, so
+# its error stays near 1e-11 relative; the rows route only sees sqrt(kappa).
+_MOMENT_CONDITION_MAX = 1e5
+
+
+def _moment_route(data: PreparedData) -> bool:
+    """Whether a fit takes the moment-table route, rather than the rows route.
+
+    The one route decision: it sets where C comes from (`PreparedData.stats`),
+    how the weighted pass computes the row norms and how it sums the tensor
+    (`tensors`). It needs Chebyshev specs on both sides and well-conditioned
+    whitenings (`_MOMENT_CONDITION_MAX`). Then the route with less work per
+    row runs. The moment table's is the weighted pass: the gathers, the
+    weighted left factor and one matrix product of the tensor table, and the
+    two quadratic forms |x|^2, |K x|^2 and the overlap map read off the
+    attribute table. The rows route's is two passes of basis columns and
+    whitened attribute rows, the mapped rows of the overlap and |K x|^2,
+    building z and z^T z.
+    """
+    if any(spec is None or spec.kind != CHEBYSHEV for spec in (data.f_spec, data.x_spec)):
+        return False
+    f_lead, f_last, f_gather = _table_shape(data.f_spec, data.f_rows)
+    x_lead, x_last, x_gather = _table_shape(data.x_spec, data.x_rows)
+    corner = _column_grid(data.x_spec, data.x_rows)[2]
+    m, n = data.f_space.eff_dim, data.x_space.eff_dim
+    n_raw = data.x_space.raw_dim
+    label, overlap = f_lead * f_last, m * corner[0]
+    moment = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead
+                                   + 2 * x_lead + overlap)
+              + (label + 2) * x_lead * x_last + overlap * corner[1])
+    width = m * n
+    rows = (_ELEMENTWISE_COST * (2 * n_raw * _n_vars(data.x_spec, data.x_rows) + width)
+            + 2 * n * n_raw + 2 * m * n_raw + width * (width + 1) // 2)
+    return moment < rows and (_whitening_cut(data.x_space)[0] * _whitening_cut(data.f_space)[0]
+                              >= 1.0 / _MOMENT_CONDITION_MAX)
 
 
 def label_matched_projection(data: PreparedData) -> np.ndarray:
@@ -415,10 +435,20 @@ def prepare(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec) -> PreparedDat
     """Evaluate both bases on a sample and build the two spaces.
 
     Each side's Gram matrix is summed over the row blocks; no array of
-    basis-evaluated rows is built.
+    basis-evaluated rows is built. A Chebyshev pair sums both Gram tables
+    and its raw cross moments in one pass (`_pair_tables`).
     """
-    return PreparedData(weights=sample.weights,
-                        x_space=space_from_sample(sample, "x", x_spec),
-                        f_space=space_from_sample(sample, "f", f_spec),
+    cross_raw = None
+    if x_spec.kind == CHEBYSHEV and f_spec.kind == CHEBYSHEV:
+        _checked_dimension(x_spec, sample.x_rows)
+        _checked_dimension(f_spec, sample.f_rows)
+        x_mom, f_mom, cross_raw = _pair_tables(x_spec, sample.x_rows, f_spec, sample.f_rows,
+                                               sample.weights)
+        x_space = _spec_space(_product_moments(x_mom, x_spec, sample.x_rows)[0], x_spec)
+        f_space = _spec_space(_product_moments(f_mom, f_spec, sample.f_rows)[0], f_spec)
+    else:
+        x_space = space_from_sample(sample, "x", x_spec)
+        f_space = space_from_sample(sample, "f", f_spec)
+    return PreparedData(weights=sample.weights, x_space=x_space, f_space=f_space,
                         x_rows=sample.x_rows, f_rows=sample.f_rows,
-                        x_spec=x_spec, f_spec=f_spec)
+                        x_spec=x_spec, f_spec=f_spec, cross_raw=cross_raw)

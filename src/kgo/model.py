@@ -12,14 +12,15 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .baselines import joint_distribution_coverage, lsq_channel
+from .baselines import lsq_channel
 from .errors import DataError, DimensionError, NumericalError
 from .hilbert import (PreparedData, SpaceBasis, _nonzero, _projection, _times, _whitening_cut,
                       prepare)
 from .sample import CHEBYSHEV, BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
+from .linalg import sym_eig
 from .solver import PartiallyUnitaryOp, SolverConfig, solve
-from .tensors import (TensorKind, build_coverage_tensor, contributing_subspace,
-                      ftot_upper_bound, subspace_embedding)
+from .tensors import (CoverageTensor, TensorKind, _composable, _raised, _subspace_dimension,
+                      _weighted_pass, subspace_embedding)
 
 MODEL_FORMAT_VERSION = 2
 
@@ -99,15 +100,22 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         raise NumericalError(f"whitening kept {_kept(data.x_space, 'attribute', x_cut[1])} and "
                              f"{_kept(data.f_space, 'label', f_cut[1])}: the attribute space "
                              "collapsed below the label space")
-    subspace = f_embed = None
-    if d is not None and d != m_eff:
-        subspace = contributing_subspace(data, d, "projective")
-        f_embed = subspace_embedding(data, subspace)
-    tensor = build_coverage_tensor(kind, data, subspace)
+    composed = d is not None and d != m_eff
+    if composed:  # the checks of `contributing_subspace` and `build_coverage_tensor`
+        _subspace_dimension(data, d)
+        _composable(kind)
+    # One weighted pass gives the tensor and the sums of F_TOT and F_JDG.
+    sums = _weighted_pass(data, kind)
+    tensor = CoverageTensor(kind, m_eff, n_eff, sums.matrix)
+    coverage = data.stats.cross.T @ _raised(sums.label_moments) @ data.stats.cross
+    f_embed = None
+    if composed:  # `contributing_subspace` of the pulled-back label coverage
+        f_embed = subspace_embedding(data, sym_eig(coverage).eigenvectors[:, :d])
+        tensor = tensor.label_congruence(f_embed)
     # The report baselines first: their weight gate exits before a solve can overflow.
-    f_tot, f_jdg = ftot_upper_bound(data), joint_distribution_coverage(data)
+    f_tot, f_jdg = float(np.trace(coverage)), _raised(sums.f_jdg)
     u_init = lsq_channel(data)
-    if subspace is not None:
+    if f_embed is not None:
         # Pull the least-squares channel back into subspace coordinates.
         u_init = np.linalg.pinv(f_embed) @ u_init
     op, trace = solve(tensor, config, u_init)

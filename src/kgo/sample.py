@@ -5,8 +5,9 @@ weighted sum over it is the measure behind every moment in the package.
 Attribute / label rows are expanded into polynomial feature vectors by a
 BasisSpec before any Hilbert-space machinery sees them.
 
-Every pass over the rows evaluates a block's basis columns here
-(`_basis_columns`), and so does `evaluate_basis` for a single query row.
+Every pass over the rows evaluates a block's basis columns
+(`_basis_columns`) or a Chebyshev block's doubled-order factor tables
+(`_doubled_factors`) here, and `evaluate_basis` a single query row's columns.
 What evaluation needs besides the rows is resolved once per spec, in its
 `_BasisPlan`: the source columns, the Chebyshev argument map's operands,
 and per input width the basis dimension and the exponent gathers. A query
@@ -16,7 +17,8 @@ recurrence in Python floats rather than in ufunc calls on a one-column
 array (`_factor_block`), with the same bits; monomials keep numpy's power.
 This module also owns the
 doubled-order moment table that Chebyshev Gram matrices and coverage
-tensors are read off; no other module knows its layout.
+tensors are read off, and that a fit's per-row norms are evaluated on;
+no other module knows its layout.
 """
 
 from __future__ import annotations
@@ -335,13 +337,16 @@ def _basis_columns(spec: Optional[BasisSpec], rows: np.ndarray) -> np.ndarray:
         return _gather_columns(table.reshape(-1, table.shape[-1]), gathers)
 
 
-# The doubled-order moment table of a Chebyshev spec, summed by `_moment_table`,
-# read by `_product_moments` and sized by `_table_shape`. Per variable
+# The doubled-order moment table of a Chebyshev spec: summed by `_moment_table`
+# and `_pair_tables`, read by `_product_moments`, evaluated per row by
+# `_table_values` and sized by `_table_shape`. Per variable
 # T_a T_b = (T_(a+b) + T_|a-b|) / 2 (Mason & Handscomb, Chebyshev Polynomials,
 # 2003), so the product of two basis columns is the mean, over the 2**n_vars
 # choices of sum or difference per variable, of one column of order <= 2 * order.
 # The table's columns are the leading variables' up_to list of that order
-# times the last variable's exponent 0..2*order.
+# times the last variable's exponent 0..2*order; the up_to list of order
+# `order` is a prefix of it, so every basis column is one column of the
+# (Q', order + 1) corner of the table (`_column_grid`).
 
 
 def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
@@ -359,6 +364,22 @@ def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
     return _gather_columns(lead, _exponent_table(n_vars - 1, order, "up_to")), last
 
 
+def _doubled_columns(lead: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Every column of the doubled-order table of a block, (Q * E, rows).
+
+    Rows `_spec_positions(...)[0]` of it are the basis columns, with the bits of
+    `_basis_columns`: both multiply the variables' factors in order.
+    """
+    return np.multiply(lead[:, None], last[None]).reshape(-1, last.shape[1])
+
+
+def _table_block(label: np.ndarray, lead: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """One block's sum_l L_p(l) lead_q(l) last_e(l), (P * Q, E): the label rows
+    `label` (P, rows) times the leading-variable columns, times the last
+    variable's table in one matrix product."""
+    return np.multiply(label[:, None], lead[None]).reshape(-1, last.shape[1]) @ last.T
+
+
 def _table_shape(spec: BasisSpec, rows: np.ndarray):
     """Per-row sizes of one side's table: lead columns, last-variable rows, gather multiplies."""
     n_vars = _n_vars(spec, rows)
@@ -367,54 +388,90 @@ def _table_shape(spec: BasisSpec, rows: np.ndarray):
     return lead, order + 1, lead * (n_vars - 1)
 
 
-def _moment_table(spec: BasisSpec, rows: np.ndarray, weights: np.ndarray,
-                  label_spec: Optional[BasisSpec] = None,
-                  label_rows: Optional[np.ndarray] = None, shift: int = 0) -> np.ndarray:
-    """Mom[p, q] = 2^-shift sum_l w_l L_p(l) T_q(x_l) over the doubled-order columns T of `spec`.
+def _finite(*sums):
+    """Raise unless every sum is finite: every side has the column T_0 = 1, so a
+    non-finite factor reaches a table."""
+    if not all(np.isfinite(a).all() for a in sums):
+        raise NumericalError("basis evaluation produced non-finite values")
 
-    L is 1 (a Gram matrix's table) or a second Chebyshev side's columns.
-    Per row block: the weighted L columns times the leading-variable
-    columns, times the last variable's table in one matrix product.
-    Non-finite values raise, without a warning first: every side has the
-    column T_0 = 1, so a non-finite factor reaches the table.
-    """
+
+def _moment_table(spec: BasisSpec, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Mom[0, q] = sum_l w_l T_q(x_l) over the doubled-order columns T of `spec`:
+    the plain-weight table a Gram matrix is read off. Non-finite values raise,
+    without a warning first."""
     mom = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises below
         for block in row_blocks(rows.shape[0]):
-            lead, last = _doubled_factors(spec, rows[block])
-            label = weights[block][None] if not shift else np.ldexp(weights[block], -shift)[None]
-            if label_spec is not None:
-                f_lead, f_last = _doubled_factors(label_spec, label_rows[block])
-                label = np.multiply(f_lead[:, None], f_last[None]).reshape(-1, last.shape[1]) * label
-            left = np.multiply(label[:, None], lead[None]).reshape(-1, last.shape[1])
-            mom = mom + left @ last.T
-    if not np.isfinite(mom).all():
-        raise NumericalError("basis evaluation produced non-finite values")
-    return mom.reshape(label.shape[0], -1)
+            mom = mom + _table_block(weights[block][None], *_doubled_factors(spec, rows[block]))
+    _finite(mom)
+    return mom.reshape(1, -1)
 
 
-@lru_cache(maxsize=32)
-def _product_gathers(n_vars: int, order: int, mode: str) -> tuple:
-    """Where each product of two basis columns sits in the doubled-order table.
+def _pair_tables(x_spec: BasisSpec, x_rows: np.ndarray, f_spec: BasisSpec,
+                 f_rows: np.ndarray, weights: np.ndarray):
+    """The first pass over a Chebyshev pair's rows, one factor table per side per block.
 
-    Returns one read-only (dim, dim) index array per choice of sum or
-    difference per variable.
+    Returns both sides' `_moment_table` (the same bits) and the raw cross
+    moments sum_l w_l b_f(l) b_x(l)^T, (m_raw, n_raw), read off the joint
+    table sum_l w_l b_f(l) T_q(x_l) over the basis-order corner of the
+    attribute table. Non-finite values raise, without a warning first.
     """
-    exps = np.array(list(multi_indices(n_vars, order, mode)), dtype=np.intp).reshape(-1, n_vars)
+    f_pos = _spec_positions(f_spec, f_rows)[0]
+    rows_q, rows_e, corner = _column_grid(x_spec, x_rows)
+    x_mom = f_mom = joint = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises below
+        for block in row_blocks(x_rows.shape[0]):
+            w = weights[block]
+            x_lead, x_last = _doubled_factors(x_spec, x_rows[block])
+            f_lead, f_last = _doubled_factors(f_spec, f_rows[block])
+            x_mom = x_mom + _table_block(w[None], x_lead, x_last)
+            f_mom = f_mom + _table_block(w[None], f_lead, f_last)
+            labels = _doubled_columns(f_lead, f_last)[f_pos] * w
+            joint = joint + _table_block(labels, x_lead[:corner[0]], x_last[:corner[1]])
+    _finite(x_mom, f_mom, joint)
+    cross = joint.reshape(len(f_pos), *corner)[:, rows_q, rows_e]
+    return x_mom.reshape(1, -1), f_mom.reshape(1, -1), cross
+
+
+def _table_positions(exps: np.ndarray, n_vars: int, order: int) -> np.ndarray:
+    """Column of the doubled-order table holding each exponent row of `exps` (..., n_vars)."""
     width = 2 * order + 1
     rank = np.zeros((width,) * (n_vars - 1), dtype=np.intp)
     if n_vars > 1:
         lead = np.array(list(multi_indices(n_vars - 1, 2 * order, "up_to")), dtype=np.intp)
         rank[tuple(lead.T)] = np.arange(lead.shape[0])
+    return rank[tuple(np.moveaxis(exps[..., :-1], -1, 0))] * width + exps[..., -1]
+
+
+@lru_cache(maxsize=32)
+def _positions(n_vars: int, order: int, mode: str) -> tuple:
+    """Where a spec's basis columns and their products sit in the doubled-order table,
+    read-only: the column of each basis column, and one (dim, dim) index array of the
+    products per choice of sum or difference per variable."""
+    exps = np.array(list(multi_indices(n_vars, order, mode)), dtype=np.intp).reshape(-1, n_vars)
+    columns = _table_positions(exps, n_vars, order)
     plus = exps[:, None, :] + exps[None, :, :]
     minus = np.abs(exps[:, None, :] - exps[None, :, :])
-    gathers = []
-    for choice in np.ndindex((2,) * n_vars):
-        exps2 = np.where(np.array(choice, dtype=bool), minus, plus)
-        position = rank[tuple(np.moveaxis(exps2[..., :-1], -1, 0))] * width + exps2[..., -1]
-        position.setflags(write=False)
-        gathers.append(position)
-    return tuple(gathers)
+    gathers = tuple(_table_positions(np.where(np.array(choice, dtype=bool), minus, plus),
+                                     n_vars, order)
+                    for choice in np.ndindex((2,) * n_vars))
+    for array in (columns,) + gathers:
+        array.setflags(write=False)
+    return columns, gathers
+
+
+def _spec_positions(spec: BasisSpec, rows: np.ndarray) -> tuple:
+    """`_positions` of a spec on 2-D rows: (basis columns, product gathers)."""
+    return _positions(_n_vars(spec, rows), spec.product_order, spec.mode)
+
+
+def _column_grid(spec: BasisSpec, rows: np.ndarray):
+    """(lead index, last exponent) of each basis column, and the (Q', order + 1)
+    corner of the doubled-order table that holds them."""
+    n_vars, order = _n_vars(spec, rows), spec.product_order
+    lead, last = np.divmod(_spec_positions(spec, rows)[0], 2 * order + 1)
+    return lead, last, (producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1,
+                        order + 1)
 
 
 def _product_moments(moments: np.ndarray, spec: BasisSpec, rows: np.ndarray,
@@ -424,12 +481,42 @@ def _product_moments(moments: np.ndarray, spec: BasisSpec, rows: np.ndarray,
     `moments` holds the table's columns along `axis`; that axis becomes
     the (dim, dim) pair of basis columns.
     """
-    gathers = _product_gathers(_n_vars(spec, rows), spec.product_order, spec.mode)
+    gathers = _spec_positions(spec, rows)[1]
     products = np.take(moments, gathers[0], axis=axis)
     for gather in gathers[1:]:
         products += np.take(moments, gather, axis=axis)
     products /= len(gathers)
     return products
+
+
+def _product_coefficients(forms: np.ndarray, spec: BasisSpec, rows: np.ndarray) -> np.ndarray:
+    """The quadratic forms b^T A b of the basis columns b, one per (dim, dim) matrix A
+    of `forms`, as coefficients (k, Q, E) of the doubled-order table's columns:
+    the adjoint of `_product_moments`, which scatters where it gathers."""
+    gathers = _spec_positions(spec, rows)[1]
+    lead, last, _ = _table_shape(spec, rows)
+    k, size = forms.shape[0], lead * last
+    slots = np.arange(k)[:, None, None] * size
+    coefficients = sum(np.bincount((slots + gather).ravel(), weights=forms.ravel(),
+                                   minlength=k * size) for gather in gathers)
+    return (coefficients / len(gathers)).reshape(k, lead, last)
+
+
+def _column_coefficients(maps: np.ndarray, spec: BasisSpec, rows: np.ndarray) -> np.ndarray:
+    """The linear maps `maps` (k, dim) of the basis columns as coefficients (k, Q', order + 1)
+    of the corner of the doubled-order table that holds them (`_column_grid`)."""
+    lead, last, corner = _column_grid(spec, rows)
+    coefficients = np.zeros((maps.shape[0],) + corner)
+    coefficients[:, lead, last] = maps
+    return coefficients
+
+
+def _table_values(coefficients: np.ndarray, lead: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Per row of a block, the functionals `coefficients` (k, Q', E') of its doubled-order
+    table, over the first Q' leading-variable columns and E' last-variable rows: (k, rows)."""
+    k, q, e = coefficients.shape
+    values = (coefficients.reshape(k * q, e) @ last[:e]).reshape(k, q, -1)
+    return np.einsum("kqr,qr->kr", values, lead[:q])
 
 
 def with_scale(spec: BasisSpec, rows) -> BasisSpec:
@@ -521,8 +608,9 @@ def parse_column_spec(text: str):
 def read_table(path, columns) -> np.ndarray:
     """The data rows of a CSV of decimal reals, in file order; lines starting with '#' are
     comments; a leading UTF-8 byte-order mark is skipped. Refuses a malformed value, then a
-    ragged row, then a non-finite value, then a column of `columns` past the width. A file
-    without data rows gives an empty table."""
+    ragged row, then a non-finite value, then a column of `columns` past the width; text
+    that is not UTF-8 is refused by its line in the file. A file without data rows gives an
+    empty table."""
     rows = []
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
@@ -536,6 +624,9 @@ def read_table(path, columns) -> np.ndarray:
                     raise DataError(f"malformed value in row {len(rows) + 1}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # raised where a chunk is decoded, not per line
+        raise DataError(f"cannot read {path}: line {_undecodable_line(path)} "
+                        "is not UTF-8 text") from exc
     if not rows:
         return np.empty((0, 0))
     width = len(rows[0])
@@ -549,6 +640,18 @@ def read_table(path, columns) -> np.ndarray:
     if max(columns) >= width:
         raise DataError(f"column {max(columns)} out of range for {width}-column file")
     return table
+
+
+def _undecodable_line(path) -> Optional[int]:
+    """The number of the first line of a file that is not UTF-8. A newline byte is never
+    part of a multi-byte UTF-8 character, so each line decodes on its own."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return None
 
 
 def load_sample(path, column_spec: str) -> Sample:

@@ -20,44 +20,52 @@ factors of the raw-coordinate formulas collapse to identity there. The
 flattened index is row-major over (label index j, attribute index k).
 
 Every kind is the same row-weighted sum S = sum_l w_l z_l z_l^T with
-z_l = f_l (x) x_l; only the per-row weights w_l differ. A fit passes over
-the rows four times (see `hilbert`): `hilbert.prepare` sums both Gram
-matrices; the second and third build one record, `PreparedData.stats`:
-the cross Gram, which the projective subspace, F_TOT and the least-squares
-channel read, the per-row norms and the label-Christoffel moments of F_TOT.
-`_row_weights` turns the per-row norms into the weights of every kind,
-behind one zero gate and one range gate; the coverage subspace and F_JDG
-read their weights from it too. The sum itself is the fourth, by one of
-two routes over the same fixed row blocks:
+z_l = f_l (x) x_l; only the per-row weights w_l differ. A fit sums it in its
+last pass over the rows, the weighted pass (`_weighted_pass`; the passes
+before it are in `hilbert`). Per row block, in block order, that pass
+computes each row's |f|^2, |x|^2, overlap f^T C x and, for the adjusted
+kind, |K x|^2; gates them (`_kind_weights`: one zero gate and one range
+gate, naming the first bad observation by its index in the sample); and
+adds the block to the tensor of the fit's kind, to the label-Christoffel
+moments of F_TOT and to the F_JDG sum. The gates of F_TOT and F_JDG do not
+stop the pass: each is raised where its sum is read. The label rows are
+whitened on both routes. The attribute side and the tensor take one of two
+routes (`hilbert._moment_route`), over the same fixed row blocks:
 
   moment table  for data from `prepare` with Chebyshev specs on both sides.
                 Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
                 weighted table of doubled-order basis moments holds every
                 product; S is gathered from it and whitened by T_f (x) T_x.
+                The row norms are functionals of the same attribute table:
+                |x|^2 and |K x|^2 quadratic forms of the basis columns, whose
+                coefficients T_x^T T_x and (K T_x)^T (K T_x) are scattered onto
+                the table (`sample._product_coefficients`), and the mapped
+                row C T_x b_x a linear one (`sample._column_coefficients`).
                 `sample` sums, reads and sizes the table; its layout is
                 known nowhere else.
                 Taken when the two whitenings are well conditioned and the
-                table needs less work per row than the syrk (many variables
-                at low order do not).
+                table needs less work per row than the rows route (many
+                variables at low order do not).
   syrk          everything else: spec-less data (`prepare_points`),
                 monomial specs (their doubled-order moments are badly
-                conditioned) and the cases above. z is built per block from
-                the block's coordinates (`PreparedData.blocks`) and added
-                as z z^T.
+                conditioned) and the cases above. Each block's whitened rows
+                give the norms, and z, built from them, is added as z z^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hilbert import PreparedData, _coupled, _whitening_cut
-from .linalg import sym_eig
-from .sample import CHEBYSHEV, _moment_table, _product_moments, _table_shape
+from .hilbert import PreparedData, _coupled, _moment_route
+from .linalg import row_blocks, sym_eig
+from .sample import (_basis_columns, _column_coefficients, _doubled_columns, _doubled_factors,
+                     _finite, _product_coefficients, _product_moments, _spec_positions,
+                     _table_block, _table_shape, _table_values)
 
 
 class TensorKind(str, Enum):
@@ -94,110 +102,221 @@ class CoverageTensor:
         return CoverageTensor(self.kind, d, self.n, 0.5 * (matrix + matrix.T))
 
 
-def _positive(values: np.ndarray, what: str) -> np.ndarray:
-    """The zero gate of the weighting step: every row's norm must be positive."""
+def _positive(values: np.ndarray, what: str, start: int) -> np.ndarray:
+    """The zero gate: every row's norm must be positive; rows are numbered from `start`."""
     bad = np.flatnonzero(values <= 0.0)
     if bad.size:
-        raise NumericalError(f"observation {bad[0]} has zero {what}")
+        raise NumericalError(f"observation {start + bad[0]} has zero {what}")
     return values
 
 
-def _row_weights(data: PreparedData, kind: TensorKind) -> np.ndarray:
-    """Per-observation weights of a tensor kind, from the data's per-row norms.
+def _kind_weights(kind: TensorKind, weights: np.ndarray, label: np.ndarray,
+                  attribute: np.ndarray, adjusted: Optional[np.ndarray],
+                  start: int) -> np.ndarray:
+    """Per-observation weights of a tensor kind over one row block, from its row norms.
 
     The one weighting step: w for plain values, otherwise w / |f|^2, or
     w / |f|^2 / a with the kind's attribute normalizer a: |x|^2 for the
     christoffel product, |K x|^2 for its adjusted variant. Dividing in turn
-    keeps a |f|^2 from overflowing first. A singular coupling raises where
-    the adjusted normalizer is read; so does a weight that leaves the
-    floating-point range (sample weights too tiny or too large).
+    keeps a |f|^2 from overflowing first. A weight that leaves the
+    floating-point range (sample weights too tiny or too large) raises.
+    Errors name the observation by its index in the sample, the block's
+    rows numbered from `start`.
     """
     if kind is TensorKind.PLAIN_VALUE:
-        return data.weights
-    stats = data.stats
+        return weights
     with np.errstate(over="ignore"):  # an overflow raises below
-        weights = data.weights / _positive(stats.label, "label projection")
+        kind_weights = weights / _positive(label, "label projection", start)
         if kind is TensorKind.CHRISTOFFEL_PRODUCT:
-            weights = weights / _positive(stats.attribute, "attribute projection")
+            kind_weights = kind_weights / _positive(attribute, "attribute projection", start)
         elif kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED:
-            weights = weights / _positive(_coupled(stats.adjusted), "adjusted normalizer")
-    if not (weights.min() > 0.0 and weights.max() < np.inf):  # the fast test first
-        bad = np.flatnonzero(~np.isfinite(weights) | ((weights == 0.0) & (data.weights > 0.0)))
+            kind_weights = kind_weights / _positive(adjusted, "adjusted normalizer", start)
+    if not (kind_weights.min() > 0.0 and kind_weights.max() < np.inf):  # the fast test first
+        bad = np.flatnonzero(~np.isfinite(kind_weights) | ((kind_weights == 0.0) & (weights > 0.0)))
         if bad.size:
-            raise NumericalError(f"observation {bad[0]} has {kind.value} weight "
-                                 f"{weights[bad[0]]:g}: rescale the sample weights")
-    return weights
+            raise NumericalError(f"observation {start + bad[0]} has {kind.value} weight "
+                                 f"{kind_weights[bad[0]]:g}: rescale the sample weights")
+    return kind_weights
 
 
-def _fourth_moments(data: PreparedData, eff_weights) -> np.ndarray:
-    """sum_l w_l z_l z_l^T with z_l = f_l (x) x_l, one block of rows at a time.
+def _label_gate(label: np.ndarray, weights: np.ndarray, start: int):
+    """F_TOT's gates over one row block: the zero gate, and a range gate on |f|^2, whose
+    overflow would drop the row from the unit-state sum."""
+    _positive(label, "label projection", start)
+    bad = np.flatnonzero(~np.isfinite(label) & (weights > 0.0))
+    if bad.size:
+        raise NumericalError(f"observation {start + bad[0]} has label projection "
+                             f"{label[bad[0]]:g}: rescale the sample weights")
 
-    Each block's z is scaled in place by sqrt(w) and added as z z^T, so
-    memory stays flat in the number of observations.
+
+@dataclass(frozen=True)
+class _Sums:
+    """What a weighted pass gives: S of its kind (None without one), the label-Christoffel
+    moments of F_TOT and F_JDG. Either of the last two is the NumericalError its gate
+    raised, which its reader raises (`_raised`)."""
+
+    matrix: Optional[np.ndarray]
+    label_moments: Union[np.ndarray, NumericalError]
+    f_jdg: Union[float, NumericalError]
+
+
+def _raised(value):
+    """A sum of the weighted pass; raises the error its gate recorded instead."""
+    if isinstance(value, NumericalError):
+        raise value.with_traceback(None)
+    return value
+
+
+def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None) -> _Sums:
+    """The last pass over the rows: row norms, gates, the tensor of `kind` and the sums
+    behind F_TOT and F_JDG, one row block at a time in block order.
+
+    A gate of the tensor's kind raises at once; a singular coupling raises
+    before the pass for the adjusted kind. F_TOT sums unit label states,
+    in range at any weight scale; F_JDG sums the squared overlaps under the
+    christoffel-product weight.
     """
-    m, n = data.f_space.eff_dim, data.x_space.eff_dim
-    root = np.sqrt(eff_weights)
-    matrix = np.zeros((m * n, m * n))
-    for rows, f, x in data.blocks():
-        z = np.multiply(f[:, None], x[None]).reshape(m * n, -1)
-        z *= root[rows]
-        matrix += z @ z.T
-    return 0.5 * (matrix + matrix.T)
+    adjusted = kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
+    if adjusted:
+        _coupled(data.stats.factor)
+    route = (_TableRoute if _moment_route(data) else _RowsRoute)(data, adjusted)
+    moments, jdg = 0.0, 0.0
+    for rows, f, attribute, overlap, normalizer, operands in route.blocks():
+        weights = data.weights[rows]
+        label = np.einsum("ij,ij->j", f, f)
+        if kind is not None:
+            route.add(operands,
+                      _kind_weights(kind, weights, label, attribute, normalizer, rows.start))
+        if not isinstance(moments, NumericalError):
+            try:
+                _label_gate(label, weights, rows.start)
+            except NumericalError as error:
+                moments = error
+            else:
+                norm = np.sqrt(label)
+                unit = np.divide(f, norm, out=np.zeros_like(f), where=norm > 0.0)
+                moments = moments + (unit * weights) @ unit.T
+        if not isinstance(jdg, NumericalError):
+            try:
+                product = _kind_weights(TensorKind.CHRISTOFFEL_PRODUCT, weights, label,
+                                        attribute, None, rows.start)
+            except NumericalError as error:
+                jdg = error
+            else:
+                jdg += float(np.sum(product * overlap ** 2))
+    if not isinstance(moments, NumericalError):
+        moments.setflags(write=False)
+    return _Sums(None if kind is None else route.matrix(), moments, jdg)
 
 
-# One elementwise multiply of a row block costs about as much as ten
-# multiply-adds inside a matrix product (one-off timings on 5e4 rows).
-_ELEMENTWISE_COST = 10
-# Largest kappa_x * kappa_f of the two whitenings the moment route accepts, each
-# kappa the top over the smallest kept Gram eigenvalue (`hilbert._whitening_cut`).
-# Whitening raw moments amplifies their rounding by about that product, so
-# its error stays near 1e-11 relative; the rows route only sees sqrt(kappa).
-_MOMENT_CONDITION_MAX = 1e5
+class _RowsRoute:
+    """The syrk route of the weighted pass: whitened rows per block.
 
-
-def _moment_route(data: PreparedData) -> bool:
-    """Whether the moment table builds the tensor, rather than the syrk.
-
-    It needs Chebyshev specs on both sides and well-conditioned
-    whitenings (`_MOMENT_CONDITION_MAX`). Then the route with less work per
-    row runs: for the moment table the gathers, the weighted left factor
-    and one matrix product; for the syrk building z and z^T z.
+    `blocks` yields each block's rows, whitened label rows f, |x|^2, overlap,
+    |K x|^2 (None unless `adjusted`) and the operands of `add`. The overlap
+    and |K x|^2 map the raw attribute columns through [C; K] T_x in one
+    product, so |K x|^2 costs m_eff * n_eff per row instead of n_eff^2.
     """
-    if any(spec is None or spec.kind != CHEBYSHEV for spec in (data.f_spec, data.x_spec)):
-        return False
-    f_lead, f_last, f_gather = _table_shape(data.f_spec, data.f_rows)
-    x_lead, x_last, x_gather = _table_shape(data.x_spec, data.x_rows)
-    label = f_lead * f_last
-    moment = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead)
-              + label * x_lead * x_last)
-    width = data.f_space.eff_dim * data.x_space.eff_dim
-    syrk = _ELEMENTWISE_COST * width + width * (width + 1) // 2
-    return moment < syrk and (_whitening_cut(data.x_space)[0] * _whitening_cut(data.f_space)[0]
-                              >= 1.0 / _MOMENT_CONDITION_MAX)
+
+    def __init__(self, data: PreparedData, adjusted: bool):
+        self.data, self.adjusted = data, adjusted
+        stats = data.stats
+        maps = np.vstack([stats.cross, stats.factor]) if adjusted else stats.cross
+        self.maps = maps @ data.x_space.transform
+        width = data.f_space.eff_dim * data.x_space.eff_dim
+        self.sum = np.zeros((width, width))
+
+    def blocks(self):
+        data, tx, m = self.data, self.data.x_space.transform, self.data.f_space.eff_dim
+        for rows in row_blocks(data.size):
+            columns = _basis_columns(data.x_spec, data.x_rows[rows])
+            f = data.f_space.transform @ _basis_columns(data.f_spec, data.f_rows[rows])
+            x = columns.T @ tx.T  # (block rows, n_eff)
+            mapped = self.maps @ columns
+            yield (rows, f, np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->j", f, mapped[:m]),
+                   np.einsum("ij,ij->j", mapped[m:], mapped[m:]) if self.adjusted else None,
+                   (f, x))
+
+    def add(self, operands: tuple, weights: np.ndarray):
+        """Adds a block's z z^T, z = f (x) x scaled in place by sqrt(w)."""
+        f, x = operands
+        x = np.ascontiguousarray(x.T)  # (n_eff, block rows): z is built at unit stride
+        z = np.multiply(f[:, None], x[None]).reshape(self.sum.shape[0], -1)
+        z *= np.sqrt(weights)
+        self.sum += z @ z.T
+
+    def matrix(self) -> np.ndarray:
+        return 0.5 * (self.sum + self.sum.T)
 
 
-def _chebyshev_moments(data: PreparedData, eff_weights) -> np.ndarray:
-    """The tensor of `_fourth_moments` gathered from one moment table.
+class _TableRoute:
+    """The moment-table route of the weighted pass: one doubled-order factor table per
+    side per block gives the row norms and the block's part of the table
+    Mom[p, q] = sum_l w_l T_p(f_l) T_q(x_l), which holds every product of raw basis
+    columns; `matrix` reads them off it by the Chebyshev product rule and whitens
+    them by T_f (x) T_x: the attribute side first, for every label moment, and the
+    label side last.
 
-    The table Mom[p, q] = sum_l w_l T_p(f_l) T_q(x_l) holds every product
-    of raw basis columns; they are read off it by the Chebyshev product
-    rule and whitened by T_f (x) T_x: the attribute side first, for every
-    label moment, and the label side last.
+    The whitening rescales the table's raw sums only at the end. A running
+    power-of-two prescale, raised block by block to the largest weight yet
+    seen and undone exactly at the end, keeps the raw and the whitened sums
+    in range at any weight scale: the bits of a prescale by the final
+    exponent from the start.
     """
-    tx = data.x_space.transform
-    tf = data.f_space.transform
-    # The whitening rescales the table's raw sums only at the end. A
-    # power-of-two prescale, undone exactly at the end, keeps the raw and the
-    # whitened sums in range at any weight scale without changing a bit.
-    exp = sum(np.frexp(a)[1] for a in (eff_weights.max(), np.abs(tx).max(), np.abs(tf).max()))
-    mom = _moment_table(data.x_spec, data.x_rows, eff_weights, data.f_spec, data.f_rows, exp)
-    x_white = tx @ _product_moments(mom, data.x_spec, data.x_rows) @ tx.T  # (label moments, n, n)
-    f_raw = _product_moments(x_white, data.f_spec, data.f_rows, axis=0)   # (m_raw, m_raw, n, n)
-    four = np.tensordot(tf, f_raw, axes=(1, 0))           # (m, m_raw, n, n)
-    four = np.tensordot(four, tf, axes=(1, 1))            # (m, n, n, m)
-    m, n = tf.shape[0], tx.shape[0]
-    matrix = four.transpose(0, 1, 3, 2).reshape(m * n, m * n)
-    return np.ldexp(0.5 * (matrix + matrix.T), exp)
+
+    def __init__(self, data: PreparedData, adjusted: bool):
+        self.data, self.adjusted = data, adjusted
+        tx, tf = data.x_space.transform, data.f_space.transform
+        forms = [tx.T @ tx]
+        if adjusted:
+            kt = data.stats.factor @ tx
+            forms.append(kt.T @ kt)
+        self.forms = _product_coefficients(np.stack(forms), data.x_spec, data.x_rows)
+        self.maps = _column_coefficients(data.stats.cross @ tx, data.x_spec, data.x_rows)
+        self.offset = sum(np.frexp(np.abs(t).max())[1] for t in (tx, tf))
+        self.exp, self.sum = None, 0.0
+
+    def blocks(self):
+        """As `_RowsRoute.blocks`; the label rows are whitened from the label table's
+        basis columns, |x|^2, |K x|^2 and the mapped rows C T_x b_x are read off the
+        attribute table."""
+        data = self.data
+        positions = _spec_positions(data.f_spec, data.f_rows)[0]
+        for rows in row_blocks(data.size):
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in `matrix`
+                lead, last = _doubled_factors(data.x_spec, data.x_rows[rows])
+                labels = _doubled_columns(*_doubled_factors(data.f_spec, data.f_rows[rows]))
+                f = data.f_space.transform @ labels[positions]
+                norms = _table_values(self.forms, lead, last)
+                overlap = np.einsum("ij,ij->j", f, _table_values(self.maps, lead, last))
+            yield (rows, f, norms[0], overlap, norms[1] if self.adjusted else None,
+                   (labels, lead, last))
+
+    def add(self, operands: tuple, weights: np.ndarray):
+        """Adds a block's weighted table, after raising the prescale if its largest
+        weight needs it."""
+        labels, lead, last = operands
+        exp = np.frexp(weights.max())[1] + self.offset
+        if self.exp is None or exp > self.exp:
+            if self.exp is not None:
+                self.sum = np.ldexp(self.sum, self.exp - exp)
+            self.exp = exp
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in `matrix`
+            self.sum = self.sum + _table_block(labels * np.ldexp(weights, -self.exp), lead, last)
+
+    def matrix(self) -> np.ndarray:
+        data = self.data
+        _finite(self.sum)
+        tx, tf = data.x_space.transform, data.f_space.transform
+        lead, last, _ = _table_shape(data.x_spec, data.x_rows)
+        mom = self.sum.reshape(-1, lead * last)  # (label columns, attribute columns)
+        x_white = tx @ _product_moments(mom, data.x_spec, data.x_rows) @ tx.T  # (labels, n, n)
+        f_raw = _product_moments(x_white, data.f_spec, data.f_rows, axis=0)  # (m_raw, m_raw, n, n)
+        four = np.tensordot(tf, f_raw, axes=(1, 0))           # (m, m_raw, n, n)
+        four = np.tensordot(four, tf, axes=(1, 1))            # (m, n, n, m)
+        m, n = tf.shape[0], tx.shape[0]
+        matrix = four.transpose(0, 1, 3, 2).reshape(m * n, m * n)
+        return np.ldexp(0.5 * (matrix + matrix.T), self.exp)
 
 
 def build_coverage_tensor(kind: TensorKind, data: PreparedData,
@@ -212,14 +331,19 @@ def build_coverage_tensor(kind: TensorKind, data: PreparedData,
     two Christoffel functions' product.
     """
     kind = TensorKind(kind)
-    route = _chebyshev_moments if _moment_route(data) else _fourth_moments
+    if subspace is not None:
+        _composable(kind)
     tensor = CoverageTensor(kind, data.f_space.eff_dim, data.x_space.eff_dim,
-                            route(data, _row_weights(data, kind)))
+                            _weighted_pass(data, kind).matrix)
     if subspace is None:
         return tensor
+    return tensor.label_congruence(subspace_embedding(data, subspace))
+
+
+def _composable(kind: TensorKind):
+    """Refuse a subspace composition of any kind but the christoffel product."""
     if kind is not TensorKind.CHRISTOFFEL_PRODUCT:
         raise DimensionError("subspace composition is defined for the christoffel-product kind")
-    return tensor.label_congruence(subspace_embedding(data, subspace))
 
 
 def subspace_embedding(data: PreparedData, subspace: np.ndarray) -> np.ndarray:
@@ -228,15 +352,10 @@ def subspace_embedding(data: PreparedData, subspace: np.ndarray) -> np.ndarray:
 
 
 def label_christoffel_moments(data: PreparedData) -> np.ndarray:
-    """<f_t | K_f | f_s> in orthonormal label coordinates, read-only: the row-norm
-    pass's sum over the unit label states, behind the tensor weights' zero gate
-    and a range gate on |f|^2, whose overflow would drop the row from the sum."""
-    label = _positive(data.stats.label, "label projection")
-    bad = np.flatnonzero(~np.isfinite(label) & (data.weights > 0.0))
-    if bad.size:
-        raise NumericalError(f"observation {bad[0]} has label projection {label[bad[0]]:g}: "
-                             "rescale the sample weights")
-    return data.stats.label_moments
+    """<f_t | K_f | f_s> in orthonormal label coordinates, read-only: the weighted pass's
+    sum over the unit label states, behind the tensor weights' zero gate and a range
+    gate on |f|^2, whose overflow would drop the row from the sum."""
+    return _raised(_weighted_pass(data).label_moments)
 
 
 def label_to_attribute_coverage(data: PreparedData) -> np.ndarray:
@@ -275,10 +394,15 @@ def contributing_subspace(data: PreparedData, d: int,
     The projective variant, the only one, diagonalizes the pulled-back label
     coverage (rank at most m).
     """
+    _subspace_dimension(data, d)
+    return sym_eig(_coverage_matrix(data, variant)).eigenvectors[:, :d]
+
+
+def _subspace_dimension(data: PreparedData, d: int):
+    """Refuse a subspace dimension d outside 1..min(m_eff, n_eff)."""
     m_eff, n_eff = data.f_space.eff_dim, data.x_space.eff_dim
     if not 1 <= d <= min(m_eff, n_eff):
         raise DimensionError(f"d={d} out of range 1..{min(m_eff, n_eff)}")
-    return sym_eig(_coverage_matrix(data, variant)).eigenvectors[:, :d]
 
 
 def coverage_spectrum(data: PreparedData, variant: str = "projective") -> np.ndarray:

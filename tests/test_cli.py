@@ -223,6 +223,23 @@ class TestFit:
             assert open(p1 + name, "rb").read() == open(p2 + name, "rb").read()
 
 
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_csv_not_utf8_exit_three(exact_csv, tmp_path, capsys, command):
+    # The second row starts with a byte that no UTF-8 text holds; the error names
+    # the file and the line instead of ending in a decode traceback.
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"# x,f\n0.5,0.25\n\xff0.5,0.25\n")
+    if command == "fit":
+        code = main(["fit", "--data", str(bad), "--cols", "x=0;f=1",
+                     "--out-prefix", str(tmp_path / "f_")])
+    else:
+        _, prefix = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")
+        code = main(["eval", "--model", prefix + "model.json", "--data", str(bad),
+                     "--cols", "x=0;f=1", "--out-prefix", str(tmp_path / "e_")])
+    assert code == 3
+    assert f"cannot read {bad}: line 3 is not UTF-8 text" in capsys.readouterr().err
+
+
 class TestEval:
     def test_roundtrip_values(self, exact_csv, tmp_path):
         _, prefix = run_fit(exact_csv, tmp_path, "--algorithm", "lsq-adj")

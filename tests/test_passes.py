@@ -1,13 +1,15 @@
 """The blocked passes of a fit against dense formulas on materialized rows.
 
 `kgo.prepare` sums both Gram matrices over the row blocks (a Chebyshev
-side's Gram read off its doubled-order moment table). One record,
-`PreparedData.stats`, holds the cross Gram of a second pass, the factor of
-the label/attribute coupling, and the per-row norms with the label-Christoffel
-moments of a third. Every quantity built from them is checked here against the
-whole-array formula on `x_points`, `x_orth`, `f_points` and `f_orth`, which
-the data builds only when they are read.
-"""
+side's Gram read off its doubled-order moment table) and, for a Chebyshev
+pair, the raw cross moments. `PreparedData.stats` holds the cross Gram and
+the factor of the label/attribute coupling. One weighted pass computes each
+row's norms, the coverage tensor and the sums behind F_TOT and F_JDG: on
+the moment-table route the attribute norms are functionals of the row's
+doubled-order table, on the rows route they come from whitened rows. Every
+quantity is checked here on both routes against the whole-array formula on
+`x_points`, `x_orth`, `f_points` and `f_orth`, which the data builds only
+when they are read."""
 
 import tracemalloc
 from dataclasses import fields
@@ -20,7 +22,7 @@ import kgo
 from kgo.errors import DimensionError, NumericalError
 from kgo.linalg import _ROW_BLOCK
 
-from test_tensors import chebyshev_instance
+from test_tensors import chebyshev_instance, dense_coverage_matrix
 
 BLOCK = _ROW_BLOCK
 SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
@@ -39,51 +41,59 @@ def dense_quantities(data):
     x, f, w = data.x_points, data.f_points, data.weights
     xo, fo = data.x_orth, data.f_orth
     cross = (fo.T * w) @ xo
-    projection = cross.T @ np.linalg.solve(cross @ cross.T, cross)
     label = np.einsum("ij,ij->i", fo, fo)
     attribute = np.einsum("ij,ij->i", xo, xo)
     overlap = np.einsum("ij,ij->i", fo @ cross, xo)
     moments = (fo.T * (w / label)) @ fo
-    adjusted = np.einsum("ij,jk,ik->i", xo, projection, xo)
     return {
         "x_gram": (x.T * w) @ x,
         "f_gram": (f.T * w) @ f,
         "cross": cross,
-        "label": label,
-        "attribute": attribute,
-        "overlap": overlap,
-        "adjusted": adjusted,
-        "weights": {kgo.TensorKind.CHRISTOFFEL_PRODUCT: w / (attribute * label),
-                    kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED: w / (adjusted * label),
-                    kgo.TensorKind.F_CHRISTOFFEL: w / label,
-                    kgo.TensorKind.PLAIN_VALUE: w},
+        "tensors": {kind: dense_coverage_matrix(kind, data) for kind in kgo.TensorKind},
         "f_tot": float(np.trace(cross.T @ moments @ cross)),
         "f_jdg": float(np.sum(w * overlap ** 2 / (attribute * label))),
         "beta": ((f.T * w) @ xo) @ data.x_space.transform,
     }
 
 
+def assert_matches_dense(data):
+    """The cross Gram, the least-squares map, every kind's tensor, F_TOT and F_JDG
+    against the whole-array formulas, at 1e-12."""
+    dense = dense_quantities(data)
+    close(data.stats.cross, dense["cross"])
+    close(kgo.fit_least_squares(data), dense["beta"])
+    for kind, matrix in dense["tensors"].items():
+        close(kgo.build_coverage_tensor(kind, data).matrix, matrix)
+    assert kgo.ftot_upper_bound(data) == pytest.approx(dense["f_tot"], rel=1e-12)
+    assert kgo.joint_distribution_coverage(data) == pytest.approx(dense["f_jdg"], rel=1e-12)
+    return dense
+
+
+@pytest.fixture(params=["table", "rows"])
+def route(request, monkeypatch):
+    """Send the data through one route, whatever the route rule would pick."""
+    table = request.param == "table"
+    for module in (kgo.hilbert, kgo.tensors):
+        monkeypatch.setattr(module, "_moment_route", lambda data: table)
+    return table
+
+
+def row_norms(data, table):
+    """Each row's |x|^2, overlap f^T C x and |K x|^2, as a route's weighted pass computes them."""
+    route = (kgo.tensors._TableRoute if table else kgo.tensors._RowsRoute)(data, True)
+    parts = zip(*(block[2:5] for block in route.blocks()))
+    return [np.concatenate(part) for part in parts]
+
+
 class TestPassesMatchDense:
     @pytest.mark.parametrize("shape", SHAPES,
                              ids=["1var", "2var", "3var", "exact", "source", "dead"])
     @pytest.mark.parametrize("size", SIZES)
-    def test_every_quantity(self, size, shape):
+    def test_every_quantity(self, size, shape, route):
         data = chebyshev_instance(np.random.default_rng([size, len(shape)]), size, **shape)
-        norms = data.stats
-        beta = kgo.fit_least_squares(data)
-        f_tot = kgo.ftot_upper_bound(data)
-        f_jdg = kgo.joint_distribution_coverage(data)
-        dense = dense_quantities(data)
+        dense = assert_matches_dense(data)
         close(data.x_space.gram_raw, dense["x_gram"])
         close(data.f_space.gram_raw, dense["f_gram"])
-        close(norms.cross, dense["cross"])
-        for name in ("label", "attribute", "overlap", "adjusted"):
-            close(getattr(norms, name), dense[name])
-        for kind, weights in dense["weights"].items():
-            close(kgo.tensors._row_weights(data, kind), weights)
-        assert f_tot == pytest.approx(dense["f_tot"], rel=1e-12)
-        assert f_jdg == pytest.approx(dense["f_jdg"], rel=1e-12)
-        close(beta, dense["beta"])
 
     def test_least_squares_with_a_dropped_label_direction(self):
         # A duplicated label feature: whitening drops a direction, and beta read
@@ -109,12 +119,8 @@ class TestPassesMatchDense:
                 data.x_points, data.weights).tobytes()
         else:
             data = kgo.prepare_points(data.x_points, data.f_points, data.weights)
-        dense = dense_quantities(data)
-        close(data.stats.cross, dense["cross"])
-        close(kgo.fit_least_squares(data), dense["beta"])
-        for name in ("label", "attribute", "overlap", "adjusted"):
-            close(getattr(data.stats, name), dense[name])
-        assert kgo.joint_distribution_coverage(data) == pytest.approx(dense["f_jdg"], rel=1e-12)
+        assert not kgo.tensors._moment_route(data)
+        assert_matches_dense(data)
 
 
 def clusters():
@@ -172,24 +178,40 @@ class TestIllConditioned:
             assert max_error(got, reference) <= max(4.0 * max_error(whole, reference), 1e-15)
 
     def test_row_norms_against_long_double(self):
-        # The third pass maps the raw attribute columns through [C; K] T_x
+        # The rows route maps the raw attribute columns through [C; K] T_x
         # without whitening them first; with the data's own C, stored K = L^-1 C
         # (C C^T = L L^T) and transforms, overlap and adjusted stay near a
         # long-double sum over whitened rows. The attribute norms come from
-        # the second pass's whitened rows.
+        # the block's whitened rows.
         data = clusters()
+        assert not kgo.tensors._moment_route(data)
         ld = np.longdouble
-        cross = data.stats.cross
-        coupled = data.stats.factor
         x_orth = data.x_points.astype(ld) @ data.x_space.transform.T.astype(ld)
         f_orth = data.f_points.astype(ld) @ data.f_space.transform.T.astype(ld)
-        overlap = np.einsum("ij,ij->i", f_orth @ cross.astype(ld), x_orth)
-        kx = x_orth @ coupled.T.astype(ld)
-        norms = data.stats
-        assert max_error(norms.overlap, overlap) <= 1e-11
-        assert max_error(norms.adjusted, np.einsum("ij,ij->i", kx, kx)) <= 1e-11
-        np.testing.assert_allclose(norms.attribute,
-                                   np.einsum("ij,ij->i", data.x_orth, data.x_orth), rtol=1e-14)
+        overlap = np.einsum("ij,ij->i", f_orth @ data.stats.cross.astype(ld), x_orth)
+        kx = x_orth @ data.stats.factor.T.astype(ld)
+        attribute, got_overlap, adjusted = row_norms(data, table=False)
+        assert max_error(got_overlap, overlap) <= 1e-11
+        assert max_error(adjusted, np.einsum("ij,ij->i", kx, kx)) <= 1e-11
+        np.testing.assert_allclose(attribute, np.einsum("ij,ij->i", data.x_orth, data.x_orth),
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("shape", [dict(x_vars=1, x_order=12), dict(x_order=8, f_order=3),
+                                       dict(x_vars=3, x_order=5), dict(x_order=6, f_vars=2)],
+                             ids=["1var", "2var", "3var", "2labels"])
+    def test_polynomial_norms_against_long_double(self, shape):
+        # On the moment-table route |x|^2 and |K x|^2 are quadratic forms read off
+        # each row's doubled-order table; with the data's own transform and K they
+        # stay within 1e-13 of a long-double sum over whitened rows, row by row.
+        data = chebyshev_instance(np.random.default_rng(12), 2 * BLOCK + 7, **shape)
+        assert kgo.tensors._moment_route(data)
+        ld = np.longdouble
+        x_orth = data.x_points.astype(ld) @ data.x_space.transform.T.astype(ld)
+        kx = x_orth @ data.stats.factor.T.astype(ld)
+        attribute, _, adjusted = row_norms(data, table=True)
+        for got, reference in ((attribute, np.einsum("ij,ij->i", x_orth, x_orth)),
+                               (adjusted, np.einsum("ij,ij->i", kx, kx))):
+            assert float(np.max(np.abs(got - reference) / reference)) <= 1e-13
 
 
 class TestPrepareChecks:
@@ -219,6 +241,7 @@ class TestPrepareChecks:
     def test_cached_sums_are_read_only(self):
         data = chebyshev_instance(np.random.default_rng(2), 50)
         arrays = [getattr(data.stats, field.name) for field in fields(kgo.hilbert.RowStats)]
+        arrays.append(kgo.tensors.label_christoffel_moments(data))
         assert all(array is not None for array in arrays)
         for array in arrays:
             with pytest.raises(ValueError):
@@ -233,24 +256,54 @@ class TestPrepareChecks:
         assert data.stats.cross.tobytes() == want.tobytes()
 
 
-class TestFourRowPasses:
+def count_row_passes(monkeypatch, x_spec, f_spec):
+    """Count, per side, the factor tables and the basis-column blocks the row passes build."""
+    counts = {"x tables": 0, "f tables": 0, "x columns": 0, "f columns": 0}
+    table, columns = kgo.sample._factor_block, kgo.sample._basis_columns
+
+    def count(what, spec):
+        counts[f"{'x' if spec is x_spec else 'f' if spec is f_spec else '?'} {what}"] += 1
+
+    def table_spy(spec, rows, order):
+        count("tables", spec)
+        return table(spec, rows, order)
+
+    def columns_spy(spec, rows):
+        count("columns", spec)
+        return columns(spec, rows)
+
+    monkeypatch.setattr(kgo.sample, "_factor_block", table_spy)
+    for module in (kgo.sample, kgo.hilbert, kgo.tensors, kgo.baselines):
+        monkeypatch.setattr(module, "_basis_columns", columns_spy)
+    return counts
+
+
+class TestRowPasses:
     @pytest.mark.parametrize("d", [None, 1])
-    def test_label_basis_evaluated_twice_per_block(self, monkeypatch, d):
-        # The cross-moment pass and the row-norm pass, which also sums the
-        # label moments of F_TOT and the projective subspace, are the only
-        # label evaluations of a fit; its tensor reads the moment table.
-        data = chebyshev_instance(np.random.default_rng(8), 2 * BLOCK + 7, x_order=8, f_order=3)
-        assert kgo.tensors._moment_route(data)
-        real, labels = kgo.hilbert._basis_columns, []
+    def test_moment_table_route_makes_two_passes(self, monkeypatch, d):
+        # `prepare`'s pass and the weighted pass each build one factor table per
+        # side per row block, and a fit evaluates no basis columns.
+        sample = chebyshev_sample(2 * BLOCK + 7)  # three row blocks
+        x_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 8), sample.x_rows)
+        f_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 3), sample.f_rows)
+        assert kgo.tensors._moment_route(kgo.prepare(sample, x_spec, f_spec))
+        counts = count_row_passes(monkeypatch, x_spec, f_spec)
+        kgo.fit(sample, x_spec, f_spec, kgo.TensorKind.CHRISTOFFEL_PRODUCT,
+                kgo.SolverConfig(algorithm="lsq-adj"), d=d)
+        assert counts == {"x tables": 2 * 3, "f tables": 2 * 3, "x columns": 0, "f columns": 0}
 
-        def spy(spec, rows):
-            labels.append(spec is data.f_spec)
-            return real(spec, rows)
-
-        monkeypatch.setattr(kgo.hilbert, "_basis_columns", spy)
-        kgo.fit_prepared(data, kgo.TensorKind.CHRISTOFFEL_PRODUCT,
-                         kgo.SolverConfig(algorithm="lsq-adj"), d=d)
-        assert sum(labels) == 2 * 3  # three row blocks
+    def test_rows_route_makes_three_passes(self, monkeypatch):
+        # Chebyshev data that fails the condition gate: `prepare`'s tables, then
+        # the cross Gram's pass and the weighted pass over basis columns, each
+        # block's columns built from one factor table.
+        data = clusters()
+        assert not kgo.tensors._moment_route(data)
+        sample = kgo.Sample(data.x_rows, data.f_rows, data.weights)
+        counts = count_row_passes(monkeypatch, data.x_spec, data.f_spec)
+        kgo.fit(sample, data.x_spec, data.f_spec, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
+                kgo.SolverConfig(algorithm="lsq-adj"))
+        assert counts == {"x tables": 3 * 2, "f tables": 3 * 2, "x columns": 2 * 2,
+                          "f columns": 2 * 2}
 
 
 class TestOneSideGramPath:
@@ -305,10 +358,11 @@ class TestSingularCoupling:
 
     def test_raises_only_where_the_adjusted_normalizer_is_read(self):
         data = self.data()
-        stats = data.stats
-        assert stats.factor is None and stats.adjusted is None
+        assert data.stats.factor is None
         model, _ = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL)
         assert np.isfinite(model.report["f_jdg"])
+        for kind in (kgo.TensorKind.CHRISTOFFEL_PRODUCT, kgo.TensorKind.PLAIN_VALUE):
+            assert np.isfinite(kgo.build_coverage_tensor(kind, data).matrix).all()
         with pytest.raises(NumericalError, match="coupling matrix is singular"):
             kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED, data)
         with pytest.raises(NumericalError, match="coupling matrix is singular"):
@@ -329,10 +383,12 @@ def chebyshev_sample(size, seed=5):
 
 
 class TestFitReadsNoAttributeRows:
-    def test_row_passes_recorded_once(self, monkeypatch):
-        # Every reader of the two row passes (the tensor weights, the adjusted
-        # normalizer among them, the LSQ channel, F_TOT and F_JDG) reads one record.
-        builds = []
+    @pytest.mark.parametrize("d", [None, 1])
+    def test_row_passes_recorded_once(self, monkeypatch, d):
+        # Every reader of the coupling (the adjusted normalizer, the LSQ channel
+        # and the channel's sign) reads one record, and the tensor, F_TOT and
+        # F_JDG (and a subspace) come from one weighted pass.
+        builds, passes = [], []
         build = kgo.PreparedData.stats.func
 
         def count_builds(data):
@@ -342,8 +398,20 @@ class TestFitReadsNoAttributeRows:
         counted = cached_property(count_builds)
         counted.__set_name__(kgo.PreparedData, "stats")
         monkeypatch.setattr(kgo.PreparedData, "stats", counted)
-        model, _ = adjusted_fit(chebyshev_sample(BLOCK + 9))
-        assert len(builds) == 1
+        weighted = kgo.tensors._weighted_pass
+
+        def count_passes(data, kind=None):
+            passes.append(kind)
+            return weighted(data, kind)
+
+        for module in (kgo.tensors, kgo.baselines, kgo.model):
+            monkeypatch.setattr(module, "_weighted_pass", count_passes)
+        kind = kgo.TensorKind.CHRISTOFFEL_PRODUCT if d else kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
+        model, _ = kgo.fit(chebyshev_sample(BLOCK + 9), kgo.BasisSpec("chebyshev", 8),
+                           kgo.BasisSpec("chebyshev", 3), kind=kind, d=d,
+                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+        assert len(builds) == 1 and passes == [kind]
+        assert model.report["f_tot"] > 0.0 and model.report["f_jdg"] > 0.0
 
     def test_never_reads_the_attribute_pair(self, monkeypatch):
         def refuse(data):
@@ -365,3 +433,27 @@ class TestFitReadsNoAttributeRows:
         finally:
             tracemalloc.stop()
         assert peak < design_bytes, peak
+
+    @pytest.mark.parametrize("basis", ["chebyshev", "monomial"])
+    def test_peak_memory_flat_in_rows(self, basis):
+        # Past the sample, a fit's memory is one row block on either route: the
+        # traced peak of fit_prepared grows by less than one length-M float array
+        # from M to 2M rows.
+        size = 10 * BLOCK
+        peaks = []
+        for rows in (size, 2 * size):
+            sample = chebyshev_sample(rows)
+            specs = [kgo.BasisSpec(basis, 8), kgo.BasisSpec(basis, 3)]
+            if basis == "chebyshev":
+                specs = [kgo.with_scale(specs[0], sample.x_rows),
+                         kgo.with_scale(specs[1], sample.f_rows)]
+            data = kgo.prepare(sample, *specs)
+            assert kgo.tensors._moment_route(data) == (basis == "chebyshev")
+            tracemalloc.start()
+            try:
+                kgo.fit_prepared(data, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
+                                 kgo.SolverConfig(algorithm="lsq-adj"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * size, peaks

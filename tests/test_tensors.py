@@ -339,7 +339,8 @@ class TestRangeGate:
         # |f|^2 scales as 1/s and overflows at s = 1e-310; the unit-state sum
         # behind F_TOT would drop those rows, so it raises instead.
         data = self.data(1e-310)
-        assert np.isinf(data.stats.label[1])
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.sum(data.f_orth[1] ** 2))
         for bound in (kgo.ftot_upper_bound, kgo.coverage_spectrum):
             with pytest.raises(NumericalError,
                                match="observation 1 has label projection inf: rescale"):
@@ -430,20 +431,21 @@ def chebyshev_instance(rng, size, x_vars=2, f_vars=1, x_order=4, f_order=2,
 
 @pytest.fixture
 def moment_route(monkeypatch):
-    """Send every build through the moment table and count the builds.
+    """Send every fit through the moment-table route and count the tensor builds.
 
-    Small instances would take the syrk on cost alone; forcing the route
+    Small instances would take the rows route on cost alone; forcing the route
     checks the moment table on every shape against the dense reference.
     """
     calls = []
-    real = kgo.tensors._chebyshev_moments
+    real = kgo.tensors._TableRoute.matrix
 
-    def counted(data, weights):
-        calls.append(data)
-        return real(data, weights)
+    def counted(route):
+        calls.append(route.data)
+        return real(route)
 
-    monkeypatch.setattr(kgo.tensors, "_moment_route", lambda data: True)
-    monkeypatch.setattr(kgo.tensors, "_chebyshev_moments", counted)
+    for module in (kgo.hilbert, kgo.tensors):
+        monkeypatch.setattr(module, "_moment_route", lambda data: True)
+    monkeypatch.setattr(kgo.tensors._TableRoute, "matrix", counted)
     return calls
 
 
@@ -509,14 +511,14 @@ class TestRowBlocks:
         # Chebyshev data from kgo.prepare takes the moment table; monomial and
         # spec-less data take the syrk, and the tensor is its output unchanged.
         routes = []
-        for name in ("_fourth_moments", "_chebyshev_moments"):
-            func = getattr(kgo.tensors, name)
+        for name in ("_RowsRoute", "_TableRoute"):
+            func = getattr(kgo.tensors, name).matrix
 
-            def spy(data, weights, func=func, name=name):
-                routes.append((name, func(data, weights)))
+            def spy(route, func=func, name=name):
+                routes.append((name, func(route)))
                 return routes[-1][1]
 
-            monkeypatch.setattr(kgo.tensors, name, spy)
+            monkeypatch.setattr(getattr(kgo.tensors, name), "matrix", spy)
         data = chebyshev_instance(np.random.default_rng(4), 3 * BLOCK, x_order=8, f_order=3)
         if basis == "monomial":
             sample = kgo.Sample(data.x_rows, data.f_rows, data.weights)
@@ -525,7 +527,7 @@ class TestRowBlocks:
             data = kgo.prepare_points(data.x_points, data.f_points, data.weights,
                                       data.x_space.const_raw, data.f_space.const_raw)
             assert data.x_spec is data.f_spec is None
-        expect = "_chebyshev_moments" if basis == "chebyshev" else "_fourth_moments"
+        expect = "_TableRoute" if basis == "chebyshev" else "_RowsRoute"
         for kind in kgo.TensorKind:
             matrix = kgo.build_coverage_tensor(kind, data).matrix
             name, built = routes.pop()
