@@ -36,7 +36,7 @@ def main():
     spectrum = kgo.coverage_spectrum(data, "projective")
     print("transferable spectrum:", np.array2string(spectrum, precision=3))
 
-    m_eff = data.f_orth.shape[1]
+    m_eff = data.f_space.eff_dim
     sub = kgo.contributing_subspace(data, m_eff, "projective")
     tensor = kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT,
                                        data, sub)

@@ -16,7 +16,7 @@ from .hilbert import _SPAN, PreparedData, SpaceBasis, _points, _projection, _tim
 from .linalg import row_blocks
 from .sample import _basis_columns
 from .solver import constraint_residual
-from .tensors import _raised, _weighted_pass
+from .tensors import _raised
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,7 @@ def joint_distribution_coverage(data: PreparedData) -> float:
     Secondary sampling: the Gram matrices (and cross moments) come first, then
     the squared overlap of the two localized states is accumulated per
     observation in the weighted pass (`tensors`), scaled by the
-    christoffel-product weight.
+    christoffel-product weight; that pass is made once per PreparedData
+    (`PreparedData.baseline_sums`).
     """
-    return _raised(_weighted_pass(data).f_jdg)
+    return _raised(data.baseline_sums.f_jdg)

@@ -22,7 +22,8 @@ passes over the rows as follows:
        map between orthonormal coordinates, and factors the coupling
        C C^T = L L^T into K = L^-1 C; the label-matched projector is K^T K.
     2. the weighted pass (see `tensors`): each block's doubled-order tables
-       give the row norms, its gates, the coverage tensor and the sums
+       give the row norms, its gates, the coverage tensor (or, for a
+       single-shot fit, its product S u with one channel) and the sums
        behind F_TOT and F_JDG.
   rows          everything else. Three passes.
     1. `prepare`: each side's Gram matrix (`_side_gram`, the one Gram path of
@@ -360,6 +361,16 @@ class PreparedData:
             factor.setflags(write=False)
         cross.setflags(write=False)
         return RowStats(cross, factor)
+
+    @cached_property
+    def baseline_sums(self):
+        """The kind-free sums of the weighted pass (`tensors`), on first read: the
+        label-Christoffel moments behind F_TOT and the F_JDG sum, either one the
+        NumericalError its gate recorded, raised where it is read. Every coverage
+        bound and `joint_distribution_coverage` read them, so a PreparedData makes
+        one such pass; a fit sums its own with its tensor."""
+        from .tensors import _weighted_pass  # tensors imports this module
+        return _weighted_pass(self)
 
 
 # One elementwise multiply of a row block costs about as much as forty

@@ -18,7 +18,8 @@ from .hilbert import (PreparedData, SpaceBasis, _nonzero, _projection, _times, _
                       prepare)
 from .sample import CHEBYSHEV, BasisSpec, Sample, design_matrix, evaluate_basis, with_scale
 from .linalg import sym_eig
-from .solver import PartiallyUnitaryOp, SolverConfig, solve
+from .solver import (LSQ_ADJ, PartiallyUnitaryOp, SolverConfig, enforce_partial_unitarity,
+                     lsq_adjusted, solve)
 from .tensors import (CoverageTensor, TensorKind, _composable, _raised, _subspace_dimension,
                       _weighted_pass, subspace_embedding)
 
@@ -104,21 +105,33 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
     if composed:  # the checks of `contributing_subspace` and `build_coverage_tensor`
         _subspace_dimension(data, d)
         _composable(kind)
-    # One weighted pass gives the tensor and the sums of F_TOT and F_JDG.
-    sums = _weighted_pass(data, kind)
-    tensor = CoverageTensor(kind, m_eff, n_eff, sums.matrix)
+    # lsq-adj reads S only at its start, the snapped least-squares channel: without a
+    # subspace to compose, the pass sums S u for it. A rank-deficient channel takes the
+    # tensor path, whose solve raises after the pass's gates.
+    channel = None
+    if config.algorithm == LSQ_ADJ and not composed:
+        try:
+            channel = enforce_partial_unitarity(lsq_channel(data), "svd")
+        except NumericalError:
+            pass
+    # One weighted pass gives the tensor (or S u) and the sums of F_TOT and F_JDG.
+    sums = _weighted_pass(data, kind, channel)
     coverage = data.stats.cross.T @ _raised(sums.label_moments) @ data.stats.cross
     f_embed = None
     if composed:  # `contributing_subspace` of the pulled-back label coverage
         f_embed = subspace_embedding(data, sym_eig(coverage).eigenvectors[:, :d])
-        tensor = tensor.label_congruence(f_embed)
     # The report baselines first: their weight gate exits before a solve can overflow.
     f_tot, f_jdg = float(np.trace(coverage)), _raised(sums.f_jdg)
-    u_init = lsq_channel(data)
-    if f_embed is not None:
-        # Pull the least-squares channel back into subspace coordinates.
-        u_init = np.linalg.pinv(f_embed) @ u_init
-    op, trace = solve(tensor, config, u_init)
+    if channel is not None:
+        op, trace = lsq_adjusted(channel, sums.matrix)
+    else:
+        tensor = CoverageTensor(kind, m_eff, n_eff, sums.matrix)
+        u_init = lsq_channel(data)
+        if f_embed is not None:
+            tensor = tensor.label_congruence(f_embed)
+            # Pull the least-squares channel back into subspace coordinates.
+            u_init = np.linalg.pinv(f_embed) @ u_init
+        op, trace = solve(tensor, config, u_init)
     # u and -u differ only in the sign of f_max_p: keep the one agreeing with least squares.
     if np.vdot(op.u if f_embed is None else f_embed @ op.u, data.stats.cross) < 0.0:
         op = replace(op, u=-op.u)
@@ -134,8 +147,8 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
         "stationarity": best.stationarity,
         "stop_reason": trace.stop_reason,
         "tensor_kind": kind.value,
-        "d": tensor.d,
-        "n": tensor.n,
+        "d": op.u.shape[0],
+        "n": op.u.shape[1],
         "x_raw_dim": data.x_space.raw_dim, "x_eff_dim": data.x_space.eff_dim,
         "f_raw_dim": data.f_space.raw_dim, "f_eff_dim": data.f_space.eff_dim,
         "x_smallest_kept": x_cut[0], "x_largest_dropped": x_cut[1],

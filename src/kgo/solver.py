@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from operator import index
 from typing import List, Optional, Tuple
 
@@ -80,8 +81,15 @@ class SolverConfig:
             if count < 1:
                 raise DimensionError(f"{name} must be positive")
             object.__setattr__(self, name, count)
+        if isinstance(self.rel_tol, bool) or not isinstance(self.rel_tol, Real):
+            raise DimensionError(f"rel_tol must be a real number, got {self.rel_tol!r}")
         if not 0.0 < self.rel_tol < np.inf:  # also refuses NaN
             raise DimensionError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        object.__setattr__(self, "rel_tol", float(self.rel_tol))
+        if not isinstance(self.init_with_least_squares, (bool, np.bool_)):
+            raise DimensionError("init_with_least_squares must be a bool, "
+                                 f"got {self.init_with_least_squares!r}")
+        object.__setattr__(self, "init_with_least_squares", bool(self.init_with_least_squares))
 
 
 @dataclass(frozen=True)
@@ -291,11 +299,26 @@ def _record(trace: IterationTrace, iteration: int, f_before: float,
     return lam
 
 
-def _start(tensor: CoverageTensor, trace: IterationTrace, u_init, iteration: int):
-    """Record the svd snap of u_init as `iteration`; returns (u, F, sym(Lambda), S u)."""
-    u = enforce_partial_unitarity(u_init, "svd")
-    f, su = _evaluated(tensor, u)
+def _started(trace: IterationTrace, u, su, iteration: int):
+    """Record the snapped channel u with S u = su as `iteration`; returns
+    (u, F, sym(Lambda), S u), F = <u, S u> with the bits of `_evaluated`."""
+    f = float(u.reshape(-1) @ su.reshape(-1))
     return u, f, _record(trace, iteration, f, u, f, su), su
+
+
+def _start(tensor: CoverageTensor, trace: IterationTrace, u_init):
+    """Record the svd snap of u_init as iteration 0; returns what `_started` does."""
+    u = enforce_partial_unitarity(u_init, "svd")
+    return _started(trace, u, _apply(tensor, u), 0)
+
+
+def lsq_adjusted(u, su) -> Tuple[PartiallyUnitaryOp, IterationTrace]:
+    """The lsq-adj solve from one product: u is the svd snap of the least-squares
+    channel and su = S u, which a fit sums for u in its weighted pass without
+    building S. Returns what `solve` returns for lsq-adj."""
+    trace = IterationTrace()
+    u, f = _started(trace, u, su, 1)[:2]
+    return make_operator(u, LSQ_ADJ, 1, f_value=f), trace
 
 
 def _maxev(tensor: CoverageTensor, trace: IterationTrace, pool: int, method: str = "svd"):
@@ -464,18 +487,21 @@ def solve(tensor: CoverageTensor, config: SolverConfig,
     init_with_least_squares. Otherwise the maxev family and polar ascent
     start from the best snapped eigenstate, and polar ascent falls back to
     u_init when none snaps; a paper iteration starts cold. Single-shot paths
-    return their start and stop "converged".
+    return their start and stop "converged". lsq-adj reads S only through
+    S u at its start (`lsq_adjusted`), so a fit that has no subspace to
+    compose sums that product instead of S and skips this function.
     """
     algorithm = config.algorithm
-    iterative = algorithm in (LAGRANGE_ITER, LINEAR_CONSTRAINTS, POLAR_ASCENT)
-    trace = IterationTrace()
-    start = (None, -np.inf, None, None)
     if algorithm == LSQ_ADJ:
         if u_init is None:
             raise DimensionError("lsq-adj requires the least-squares channel as u_init")
-        start = _start(tensor, trace, u_init, 1)
-    elif iterative and config.init_with_least_squares and u_init is not None:
-        start = _start(tensor, trace, u_init, 0)
+        u = enforce_partial_unitarity(u_init, "svd")
+        return lsq_adjusted(u, _apply(tensor, u))
+    iterative = algorithm in (LAGRANGE_ITER, LINEAR_CONSTRAINTS, POLAR_ASCENT)
+    trace = IterationTrace()
+    start = (None, -np.inf, None, None)
+    if iterative and config.init_with_least_squares and u_init is not None:
+        start = _start(tensor, trace, u_init)
     elif algorithm not in (LAGRANGE_ITER, LINEAR_CONSTRAINTS):
         try:
             start = _maxev(tensor, trace, 1 if algorithm == MAXEV else config.candidate_pool,
@@ -483,7 +509,7 @@ def solve(tensor: CoverageTensor, config: SolverConfig,
         except NumericalError:
             if algorithm != POLAR_ASCENT or u_init is None:
                 raise
-            start = _start(tensor, trace, u_init, 0)
+            start = _start(tensor, trace, u_init)
     if not iterative:
         return make_operator(start[0], algorithm, 1, f_value=start[1]), trace
     if algorithm == POLAR_ASCENT:

@@ -28,9 +28,16 @@ kind, |K x|^2; gates them (`_kind_weights`: one zero gate and one range
 gate, naming the first bad observation by its index in the sample); and
 adds the block to the tensor of the fit's kind, to the label-Christoffel
 moments of F_TOT and to the F_JDG sum. The gates of F_TOT and F_JDG do not
-stop the pass: each is raised where its sum is read. The label rows are
-whitened on both routes. The attribute side and the tensor take one of two
-routes (`hilbert._moment_route`), over the same fixed row blocks:
+stop the pass: each is raised where its sum is read. The kind-free sums of
+a pass without a tensor are summed once per PreparedData
+(`PreparedData.baseline_sums`) and read by every coverage bound.
+
+A single-shot fit reads F at one channel u known before the pass, the svd
+snap of the least-squares channel, so its pass sums the product
+S u = sum_l w_l s_l f_l x_l^T, s_l = f_l^T u x_l, a d x n matrix, in place
+of the (d n)^2 tensor. The label rows are whitened on both routes. The
+attribute side and the tensor take one of two routes
+(`hilbert._moment_route`), over the same fixed row blocks:
 
   moment table  for data from `prepare` with Chebyshev specs on both sides.
                 Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
@@ -43,13 +50,17 @@ routes (`hilbert._moment_route`), over the same fixed row blocks:
                 row C T_x b_x a linear one (`sample._column_coefficients`).
                 `sample` sums, reads and sizes the table; its layout is
                 known nowhere else.
+                S u is one more joint table, sum_l w_l s_l f_l b_x(l)^T over
+                the basis-order corner, s_l a linear functional like the
+                mapped row; it is whitened by T_x alone.
                 Taken when the two whitenings are well conditioned and the
                 table needs less work per row than the rows route (many
                 variables at low order do not).
   syrk          everything else: spec-less data (`prepare_points`),
                 monomial specs (their doubled-order moments are badly
                 conditioned) and the cases above. Each block's whitened rows
-                give the norms, and z, built from them, is added as z z^T.
+                give the norms, and z, built from them, is added as z z^T;
+                S u adds (f w s) x^T instead.
 """
 
 from __future__ import annotations
@@ -63,9 +74,9 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .hilbert import PreparedData, _coupled, _moment_route
 from .linalg import row_blocks, sym_eig
-from .sample import (_basis_columns, _column_coefficients, _doubled_columns, _doubled_factors,
-                     _finite, _product_coefficients, _product_moments, _spec_positions,
-                     _table_block, _table_shape, _table_values)
+from .sample import (_basis_columns, _column_coefficients, _column_grid, _doubled_columns,
+                     _doubled_factors, _finite, _product_coefficients, _product_moments,
+                     _spec_positions, _table_block, _table_shape, _table_values)
 
 
 class TensorKind(str, Enum):
@@ -151,9 +162,10 @@ def _label_gate(label: np.ndarray, weights: np.ndarray, start: int):
 
 @dataclass(frozen=True)
 class _Sums:
-    """What a weighted pass gives: S of its kind (None without one), the label-Christoffel
-    moments of F_TOT and F_JDG. Either of the last two is the NumericalError its gate
-    raised, which its reader raises (`_raised`)."""
+    """What a weighted pass gives: S of its kind, or S u (d x n) for the pass's channel
+    u (None without a kind), the label-Christoffel moments of F_TOT and F_JDG. Either of
+    the last two is the NumericalError its gate raised, which its reader raises
+    (`_raised`)."""
 
     matrix: Optional[np.ndarray]
     label_moments: Union[np.ndarray, NumericalError]
@@ -167,19 +179,22 @@ def _raised(value):
     return value
 
 
-def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None) -> _Sums:
+def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
+                   channel: Optional[np.ndarray] = None) -> _Sums:
     """The last pass over the rows: row norms, gates, the tensor of `kind` and the sums
     behind F_TOT and F_JDG, one row block at a time in block order.
 
-    A gate of the tensor's kind raises at once; a singular coupling raises
-    before the pass for the adjusted kind. F_TOT sums unit label states,
-    in range at any weight scale; F_JDG sums the squared overlaps under the
-    christoffel-product weight.
+    With a `channel` u (m_eff x n_eff) the pass sums S u for that one channel
+    instead of S, under the same gates; no (d n)^2 array is built. A gate of
+    the tensor's kind raises at once; a singular coupling raises before the
+    pass for the adjusted kind. F_TOT sums unit label states, in range at any
+    weight scale; F_JDG sums the squared overlaps under the christoffel-product
+    weight.
     """
     adjusted = kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
     if adjusted:
         _coupled(data.stats.factor)
-    route = (_TableRoute if _moment_route(data) else _RowsRoute)(data, adjusted)
+    route = (_TableRoute if _moment_route(data) else _RowsRoute)(data, adjusted, channel)
     moments, jdg = 0.0, 0.0
     for rows, f, attribute, overlap, normalizer, operands in route.blocks():
         weights = data.weights[rows]
@@ -216,15 +231,17 @@ class _RowsRoute:
     |K x|^2 (None unless `adjusted`) and the operands of `add`. The overlap
     and |K x|^2 map the raw attribute columns through [C; K] T_x in one
     product, so |K x|^2 costs m_eff * n_eff per row instead of n_eff^2.
+    With a `channel` u the route sums S u, not S.
     """
 
-    def __init__(self, data: PreparedData, adjusted: bool):
-        self.data, self.adjusted = data, adjusted
+    def __init__(self, data: PreparedData, adjusted: bool,
+                 channel: Optional[np.ndarray] = None):
+        self.data, self.adjusted, self.channel = data, adjusted, channel
         stats = data.stats
         maps = np.vstack([stats.cross, stats.factor]) if adjusted else stats.cross
         self.maps = maps @ data.x_space.transform
-        width = data.f_space.eff_dim * data.x_space.eff_dim
-        self.sum = np.zeros((width, width))
+        m, n = data.f_space.eff_dim, data.x_space.eff_dim
+        self.sum = np.zeros((m * n, m * n) if channel is None else (m, n))
 
     def blocks(self):
         data, tx, m = self.data, self.data.x_space.transform, self.data.f_space.eff_dim
@@ -238,15 +255,20 @@ class _RowsRoute:
                    (f, x))
 
     def add(self, operands: tuple, weights: np.ndarray):
-        """Adds a block's z z^T, z = f (x) x scaled in place by sqrt(w)."""
+        """Adds a block's z z^T, z = f (x) x scaled in place by sqrt(w); with a channel u,
+        its (f w s) x^T, s = f^T u x."""
         f, x = operands
+        if self.channel is not None:
+            s = np.einsum("ij,ij->j", f, self.channel @ x.T)
+            self.sum += (f * (weights * s)) @ x
+            return
         x = np.ascontiguousarray(x.T)  # (n_eff, block rows): z is built at unit stride
         z = np.multiply(f[:, None], x[None]).reshape(self.sum.shape[0], -1)
         z *= np.sqrt(weights)
         self.sum += z @ z.T
 
     def matrix(self) -> np.ndarray:
-        return 0.5 * (self.sum + self.sum.T)
+        return self.sum if self.channel is not None else 0.5 * (self.sum + self.sum.T)
 
 
 class _TableRoute:
@@ -257,6 +279,11 @@ class _TableRoute:
     them by T_f (x) T_x: the attribute side first, for every label moment, and the
     label side last.
 
+    With a `channel` u it sums the joint table sum_l w_l s_l f_l b_x(l)^T over the
+    basis-order corner instead, s_l = f_l^T u T_x b_x(l) read off the attribute
+    table as the mapped row is, and `matrix` gathers S u from it and whitens it
+    by T_x.
+
     The whitening rescales the table's raw sums only at the end. A running
     power-of-two prescale, raised block by block to the largest weight yet
     seen and undone exactly at the end, keeps the raw and the whitened sums
@@ -264,7 +291,8 @@ class _TableRoute:
     exponent from the start.
     """
 
-    def __init__(self, data: PreparedData, adjusted: bool):
+    def __init__(self, data: PreparedData, adjusted: bool,
+                 channel: Optional[np.ndarray] = None):
         self.data, self.adjusted = data, adjusted
         tx, tf = data.x_space.transform, data.f_space.transform
         forms = [tx.T @ tx]
@@ -273,6 +301,8 @@ class _TableRoute:
             forms.append(kt.T @ kt)
         self.forms = _product_coefficients(np.stack(forms), data.x_spec, data.x_rows)
         self.maps = _column_coefficients(data.stats.cross @ tx, data.x_spec, data.x_rows)
+        self.channel = (None if channel is None
+                        else _column_coefficients(channel @ tx, data.x_spec, data.x_rows))
         self.offset = sum(np.frexp(np.abs(t).max())[1] for t in (tx, tf))
         self.exp, self.sum = None, 0.0
 
@@ -290,24 +320,34 @@ class _TableRoute:
                 norms = _table_values(self.forms, lead, last)
                 overlap = np.einsum("ij,ij->j", f, _table_values(self.maps, lead, last))
             yield (rows, f, norms[0], overlap, norms[1] if self.adjusted else None,
-                   (labels, lead, last))
+                   (labels, f, lead, last))
 
     def add(self, operands: tuple, weights: np.ndarray):
         """Adds a block's weighted table, after raising the prescale if its largest
         weight needs it."""
-        labels, lead, last = operands
+        labels, f, lead, last = operands
         exp = np.frexp(weights.max())[1] + self.offset
         if self.exp is None or exp > self.exp:
             if self.exp is not None:
                 self.sum = np.ldexp(self.sum, self.exp - exp)
             self.exp = exp
+        weights = np.ldexp(weights, -self.exp)
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in `matrix`
-            self.sum = self.sum + _table_block(labels * np.ldexp(weights, -self.exp), lead, last)
+            if self.channel is None:
+                self.sum = self.sum + _table_block(labels * weights, lead, last)
+                return
+            q, e = self.channel.shape[1:]
+            s = np.einsum("ij,ij->j", f, _table_values(self.channel, lead, last))
+            self.sum = self.sum + _table_block(f * (weights * s), lead[:q], last[:e])
 
     def matrix(self) -> np.ndarray:
         data = self.data
         _finite(self.sum)
         tx, tf = data.x_space.transform, data.f_space.transform
+        if self.channel is not None:
+            rows_q, rows_e, corner = _column_grid(data.x_spec, data.x_rows)
+            product = self.sum.reshape(-1, *corner)[:, rows_q, rows_e]  # (m, n_raw)
+            return np.ldexp(product @ tx.T, self.exp)
         lead, last, _ = _table_shape(data.x_spec, data.x_rows)
         mom = self.sum.reshape(-1, lead * last)  # (label columns, attribute columns)
         x_white = tx @ _product_moments(mom, data.x_spec, data.x_rows) @ tx.T  # (labels, n, n)
@@ -354,8 +394,9 @@ def subspace_embedding(data: PreparedData, subspace: np.ndarray) -> np.ndarray:
 def label_christoffel_moments(data: PreparedData) -> np.ndarray:
     """<f_t | K_f | f_s> in orthonormal label coordinates, read-only: the weighted pass's
     sum over the unit label states, behind the tensor weights' zero gate and a range
-    gate on |f|^2, whose overflow would drop the row from the sum."""
-    return _raised(_weighted_pass(data).label_moments)
+    gate on |f|^2, whose overflow would drop the row from the sum. Summed once per
+    PreparedData (`PreparedData.baseline_sums`)."""
+    return _raised(data.baseline_sums.label_moments)
 
 
 def label_to_attribute_coverage(data: PreparedData) -> np.ndarray:

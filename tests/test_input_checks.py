@@ -93,6 +93,16 @@ CASES = [
      DimensionError, "max_iterations must be an integer, got True"),
     ("solver-pool-bool", lambda tmp: kgo.SolverConfig(candidate_pool=False),
      DimensionError, "candidate_pool must be an integer, got False"),
+    ("solver-tol-bool", lambda tmp: kgo.SolverConfig(rel_tol=True),
+     DimensionError, "rel_tol must be a real number, got True"),
+    ("solver-tol-array", lambda tmp: kgo.SolverConfig(rel_tol=np.array([1e-3])),
+     DimensionError, re.escape("rel_tol must be a real number, got array([0.001])")),
+    ("solver-tol-text", lambda tmp: kgo.SolverConfig(rel_tol="1e-3"),
+     DimensionError, "rel_tol must be a real number, got '1e-3'"),
+    ("solver-lsq-init-text", lambda tmp: kgo.SolverConfig(init_with_least_squares="no"),
+     DimensionError, "init_with_least_squares must be a bool, got 'no'"),
+    ("solver-lsq-init-int", lambda tmp: kgo.SolverConfig(init_with_least_squares=1),
+     DimensionError, "init_with_least_squares must be a bool, got 1"),
     ("multiplier-shape", lambda tmp: kgo.solve_partial_constraint(tensor(), np.zeros((3, 3))),
      DimensionError, re.escape("multiplier shape (3, 3) != (2, 2)")),
     ("multiplier-symmetry", lambda tmp: kgo.solve_partial_constraint(tensor(), [[0.0, 1.0],

@@ -375,18 +375,28 @@ class TestFitPipeline:
     def test_report_reads_the_returned_channels_row(self, algorithm, warm):
         # best_iteration is the first row with the returned F, and the
         # reported stationarity is that row's: the certificate of the
-        # returned channel, bit for bit.
+        # returned channel, bit for bit. An lsq-adj fit sums S u, not S, so
+        # its certificate is that product's residual, and the dense tensor's
+        # agrees to rounding.
         data = make_random_instance(np.random.default_rng(21), max_obs=80)
         kind = kgo.TensorKind.F_CHRISTOFFEL
         config = kgo.SolverConfig(algorithm=algorithm, max_iterations=30,
                                   init_with_least_squares=warm)
         model, trace = kgo.fit_prepared(data, kind, config)
         report = model.report
-        rows = [r.iteration for r in trace if r.f_after == report["f"]]
-        assert report["best_iteration"] == rows[0]
+        rows = [r for r in trace if r.f_after == report["f"]]
+        assert report["best_iteration"] == rows[0].iteration
+        assert report["stationarity"] == rows[0].stationarity
         assert report["f"] == max(r.f_after for r in trace)
-        tensor = kgo.build_coverage_tensor(kind, data)
-        assert report["stationarity"] == kgo.stationarity_residual(model.operator.u, tensor)
+        u = model.operator.u
+        dense = kgo.stationarity_residual(u, kgo.build_coverage_tensor(kind, data))
+        if algorithm != "lsq-adj":
+            assert report["stationarity"] == dense
+            return
+        su = kgo.tensors._weighted_pass(data, kind, u).matrix
+        raw = u @ su.T
+        assert report["stationarity"] == kgo.solver._stationarity(u, su, 0.5 * (raw + raw.T))
+        assert report["stationarity"] == pytest.approx(dense, rel=1e-12, abs=0.0)
 
     def test_report_counts_dropped_directions(self):
         # An order-8 monomial basis over [0, 1000] is so badly scaled that

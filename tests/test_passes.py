@@ -12,7 +12,7 @@ quantity is checked here on both routes against the whole-array formula on
 when they are read."""
 
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -121,6 +121,139 @@ class TestPassesMatchDense:
             data = kgo.prepare_points(data.x_points, data.f_points, data.weights)
         assert not kgo.tensors._moment_route(data)
         assert_matches_dense(data)
+
+
+def some_channel(data, seed):
+    """A row-orthonormal m_eff x n_eff channel away from the least-squares one."""
+    rng = np.random.default_rng(seed)
+    return kgo.enforce_partial_unitarity(rng.normal(size=(data.f_space.eff_dim,
+                                                          data.x_space.eff_dim)))
+
+
+def assert_product_matches(kind, data, channel):
+    """S u of the weighted pass against the tensor times vec(u), at 1e-12 relative."""
+    product = kgo.tensors._weighted_pass(data, kind, channel).matrix
+    matrix = kgo.build_coverage_tensor(kind, data).matrix
+    assert product.shape == channel.shape
+    close(product, (matrix @ channel.ravel()).reshape(channel.shape))
+
+
+class TestChannelProduct:
+    """The weighted pass sums S u for one channel u without building S."""
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
+    def test_matches_the_tensor(self, kind, size, route):
+        data = chebyshev_instance(np.random.default_rng([size, 17]), size, x_vars=2, f_vars=2)
+        assert_product_matches(kind, data, some_channel(data, size))
+
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
+    def test_rank_deficient_attribute_side(self, kind, route):
+        data = chebyshev_instance(np.random.default_rng(18), 2 * BLOCK + 7, **SHAPES[-1])
+        assert data.x_space.eff_dim < data.x_space.raw_dim
+        assert_product_matches(kind, data, some_channel(data, 18))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
+    def test_scaled_weights(self, kind, scale, route):
+        base = chebyshev_instance(np.random.default_rng(19), BLOCK + 9)
+        sample = kgo.Sample(base.x_rows, base.f_rows, base.weights * scale)
+        data = kgo.prepare(sample, base.x_spec, base.f_spec)
+        assert_product_matches(kind, data, some_channel(data, 19))
+
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
+    def test_fit_keeps_the_channel_and_answers(self, kind, route):
+        # The fit sums S u for the snapped least-squares channel; the solve of the
+        # whole tensor returns the same channel bits, so every answer is the same,
+        # and F agrees to rounding.
+        data = chebyshev_instance(np.random.default_rng(20), 2 * BLOCK + 7, f_vars=2)
+        config = kgo.SolverConfig(algorithm="lsq-adj")
+        model, trace = kgo.fit_prepared(data, kind, config)
+        op, reference = kgo.solve(kgo.build_coverage_tensor(kind, data), config,
+                                  kgo.lsq_channel(data))
+        u = op.u if np.vdot(op.u, data.stats.cross) >= 0.0 else -op.u
+        assert model.operator.u.tobytes() == u.tobytes()
+        assert model.report["f"] == pytest.approx(op.f_value, rel=1e-13, abs=0.0)
+        assert len(trace) == len(reference) == 1
+        tensor_model = replace(model, operator=replace(op, u=u))
+        for key, got in kgo.predict(model, data.x_points[:50], data.f_points[:50]).items():
+            want = kgo.predict(tensor_model, data.x_points[:50], data.f_points[:50])[key]
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), key
+
+    def test_row_gate_before_rank_deficient_channel(self):
+        # The least-squares channel of these rows has rank 1, so its snap fails;
+        # the zero-weight row with a zero label is still the error reported,
+        # as when the tensor was built first.
+        x = np.column_stack([np.ones(5), [-1.0, -1.0, 1.0, 1.0, 0.0]])
+        f = np.column_stack([[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, -1.0, -1.0, 1.0, 0.0]])
+        config = kgo.SolverConfig(algorithm="lsq-adj")
+        bad = kgo.prepare_points(x, f, np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
+        with pytest.raises(NumericalError, match="observation 4 has zero label projection"):
+            kgo.fit_prepared(bad, kgo.TensorKind.F_CHRISTOFFEL, config)
+        good = kgo.prepare_points(x[:4], f[:4], np.ones(4))
+        with pytest.raises(NumericalError, match="matrix is rank deficient"):
+            kgo.fit_prepared(good, kgo.TensorKind.F_CHRISTOFFEL, config)
+
+    def test_peak_memory_below_one_tensor(self, route):
+        # d*n = 36 * 45 = 1620: an lsq-adj fit holds no (d*n)^2 array.
+        data = chebyshev_instance(np.random.default_rng(22), 3 * BLOCK, f_vars=2,
+                                  x_order=8, f_order=7)
+        width = data.f_space.eff_dim * data.x_space.eff_dim
+        assert width >= 720
+        tracemalloc.start()
+        try:
+            kgo.fit_prepared(data, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
+                             kgo.SolverConfig(algorithm="lsq-adj"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < width ** 2 * 8, peak
+
+
+def count_passes(monkeypatch):
+    """Record the kind of every weighted pass; returns the list and the real pass."""
+    passes, weighted = [], kgo.tensors._weighted_pass
+
+    def counted(data, kind=None, channel=None):
+        passes.append(kind)
+        return weighted(data, kind, channel)
+
+    monkeypatch.setattr(kgo.tensors, "_weighted_pass", counted)
+    return passes, weighted
+
+
+class TestBaselineSums:
+    """Every coverage bound and F_JDG read one kind-free pass per PreparedData."""
+
+    BOUNDS = (kgo.ftot_upper_bound, kgo.joint_distribution_coverage, kgo.coverage_spectrum,
+              lambda data: kgo.contributing_subspace(data, 2), kgo.label_to_attribute_coverage,
+              kgo.tensors.label_christoffel_moments)
+
+    def test_one_pass_with_the_bits_of_its_own(self, monkeypatch, route):
+        passes, weighted = count_passes(monkeypatch)
+        data = chebyshev_instance(np.random.default_rng(23), BLOCK + 9, f_vars=2)
+        values = [bound(data) for bound in self.BOUNDS * 2]
+        assert passes == [None]
+        own = weighted(data)  # what each bound summed on its own
+        cross = data.stats.cross
+        coverage = cross.T @ own.label_moments @ cross
+        assert values[0] == float(np.trace(coverage)) and values[1] == own.f_jdg
+        assert values[2].tobytes() == kgo.sym_eig(coverage).eigenvalues.tobytes()
+        assert values[4].tobytes() == coverage.tobytes()
+        assert values[5].tobytes() == own.label_moments.tobytes()
+        for first, again in zip(values[:6], values[6:]):
+            assert np.asarray(first).tobytes() == np.asarray(again).tobytes()
+
+    def test_recorded_gate_raises_at_every_read(self, monkeypatch):
+        passes, _ = count_passes(monkeypatch)
+        t = np.linspace(-1.0, 1.0, 30)
+        f = np.column_stack([np.ones(30), np.sin(2.0 * t)])
+        f[7] = 0.0
+        data = kgo.prepare_points(np.column_stack([np.ones(30), t, t ** 2]), f, np.ones(30))
+        for bound in self.BOUNDS * 2:
+            with pytest.raises(NumericalError, match="observation 7 has zero label projection"):
+                bound(data)
+        assert passes == [None]
 
 
 def clusters():
@@ -400,11 +533,11 @@ class TestFitReadsNoAttributeRows:
         monkeypatch.setattr(kgo.PreparedData, "stats", counted)
         weighted = kgo.tensors._weighted_pass
 
-        def count_passes(data, kind=None):
+        def count_passes(data, kind=None, channel=None):
             passes.append(kind)
-            return weighted(data, kind)
+            return weighted(data, kind, channel)
 
-        for module in (kgo.tensors, kgo.baselines, kgo.model):
+        for module in (kgo.tensors, kgo.model):
             monkeypatch.setattr(module, "_weighted_pass", count_passes)
         kind = kgo.TensorKind.CHRISTOFFEL_PRODUCT if d else kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
         model, _ = kgo.fit(chebyshev_sample(BLOCK + 9), kgo.BasisSpec("chebyshev", 8),

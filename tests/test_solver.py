@@ -549,6 +549,11 @@ class TestDispatcherErrors:
         config = kgo.SolverConfig(**{field: np.int64(5)})
         assert getattr(config, field) == 5 and type(getattr(config, field)) is int
 
+    def test_numpy_scalars_are_kept_as_python_values(self):
+        config = kgo.SolverConfig(rel_tol=np.float32(0.5), init_with_least_squares=np.True_)
+        assert type(config.rel_tol) is float and config.rel_tol == 0.5
+        assert config.init_with_least_squares is True
+
     def test_lsq_adj_requires_channel(self, three_point_tensor):
         from kgo.errors import DimensionError
         with pytest.raises(DimensionError):
