@@ -81,7 +81,8 @@ def eval_radon_nikodym(model: RadonNikodymModel, x_points) -> np.ndarray:
     """Localized weighted average of every label, at attribute feature vectors
     along the last axis: a ratio of quadratic forms."""
     coords, denom = _projection(model.space, x_points, _SPAN)
-    return np.einsum("...i,jik,...k->...j", coords, model.third_moments, coords) / denom[..., None]
+    return (np.einsum("...i,jik,...k->...j", coords, model.third_moments, coords)
+            / np.asarray(denom)[..., None])
 
 
 def joint_distribution_coverage(data: PreparedData) -> float:

@@ -60,7 +60,8 @@ _INF = float("inf")
 
 
 # The query kernel. Every function below works on the last axis, so one
-# feature vector (1-D) and a batch of feature rows (2-D) take the same code.
+# feature vector (1-D) and a batch of feature rows (2-D) take the same code;
+# one row's scalars are Python floats, the same IEEE operations as numpy's.
 
 def _times(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """matrix @ v for every vector v along the last axis.
@@ -82,7 +83,7 @@ def _points(points, raw_dim: int) -> np.ndarray:
 def _require_positive(values: np.ndarray, subject: str, message: str):
     """Raise NumericalError unless every value is positive; a batch names the row."""
     bad = values <= 0.0
-    if not bad.ndim:  # a single value is tested directly, without counting
+    if not np.ndim(bad):  # a single value is tested directly, without counting
         if bad:
             raise NumericalError(f"{subject} {message}")
     elif np.count_nonzero(bad):
@@ -90,17 +91,28 @@ def _require_positive(values: np.ndarray, subject: str, message: str):
 
 
 def _projection(space: SpaceBasis, points, refusal: tuple) -> tuple:
-    """(T p, |T p|^2) along the last axis. Refuses p unless `_nonzero`, by a NumericalError
-    worded by `refusal` = (subject, message) that names the first refused row of a batch,
-    and refuses a |T p|^2 past the float range (inf, or NaN from an overflowing T p) alike."""
+    """(T p, |T p|^2) along the last axis; |T p|^2 of one row is a Python float. Refuses p
+    unless `_nonzero`, by a NumericalError worded by `refusal` = (subject, message) that names
+    the first refused row of a batch, and refuses a |T p|^2 past the float range (inf, or NaN
+    from an overflowing T p) alike, without an overflow warning first: one row whose |p|^2
+    (from `np.vdot`, which tests no floating-point flags) is below `SpaceBasis.square_bound`
+    cannot overflow and is tested by one comparison chain, and any other row, or a batch,
+    is evaluated with overflow and invalid-value warnings off."""
     points = _points(points, space.raw_dim)
-    coords = _times(points, space.transform)
-    norm2 = np.vecdot(coords, coords)
-    margin = _nonzero(space, points) if space.zero_floor else norm2
+    if points.ndim == 1 and np.vdot(points, points) < space.square_bound:
+        coords = _times(points, space.transform)
+        norm2 = float(np.vecdot(coords, coords))
+        if not space.zero_floor and 0.0 < norm2 < _INF:
+            return coords, norm2
+        margin = _nonzero(space, points) if space.zero_floor else norm2
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            coords = _times(points, space.transform)
+            norm2 = np.vecdot(coords, coords)
+            margin = _nonzero(space, points) if space.zero_floor else norm2
     _require_positive(margin, refusal[0], refusal[1])  # not *refusal: a star call costs more
-    if norm2.ndim or not norm2 < _INF:  # one in-range row pays a comparison, not a call
-        _require_positive(norm2 < _INF, refusal[0], "has |T p|^2 past the float range")
-    return coords, norm2
+    _require_positive(norm2 < _INF, refusal[0], "has |T p|^2 past the float range")
+    return coords, norm2 if np.ndim(norm2) else float(norm2)
 
 
 def _nonzero(space: SpaceBasis, points: np.ndarray) -> np.ndarray:
@@ -140,6 +152,13 @@ class SpaceBasis:
         so only p = 0 projects to zero."""
         full = self.eff_dim == self.raw_dim
         return 0.0 if full else _ZERO_PROJECTION_REL ** 2 * (self.transform ** 2).sum(axis=1).max()
+
+    @cached_property
+    def square_bound(self) -> float:
+        """2^1000 / ||T||_F^2: below it in |p|^2, neither T p nor |T p|^2 can overflow. Every
+        partial sum of an entry of T p is at most ||T||_F |p| in size (Cauchy-Schwarz on a row
+        of T), and |T p|^2 <= ||T||_F^2 |p|^2; 2^1000 leaves room for the rounding."""
+        return 2.0 ** 1000 / float(np.vdot(self.transform, self.transform))
 
 
 def _whitening_cut(space: SpaceBasis) -> tuple:

@@ -5,6 +5,7 @@ P(f|x), most probable outcomes, const-normalized values, and serialization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache, cached_property
@@ -193,12 +194,15 @@ def _finite_features(feats: np.ndarray) -> np.ndarray:
 
 
 # The queries below work on the last axis through the `hilbert` query kernel,
-# so one feature vector (1-D) and a batch of feature rows (2-D) take the same code.
+# so one feature vector (1-D) and a batch of feature rows (2-D) take the same
+# code. One row's scalar parts (the norm's square root, the constant division,
+# the pole test) are Python floats: the same IEEE operations, so the same bits.
 
 def _transported(model: KgoModel, x_feats: np.ndarray) -> np.ndarray:
     """Label-space coefficients of the transported, normalized attribute state."""
     coords, norm2 = _projection(model.x_space, x_feats, _ATTRIBUTE)
-    return _times(coords / np.sqrt(norm2)[..., None], model.channel)
+    norm = math.sqrt(norm2) if coords.ndim == 1 else np.sqrt(norm2)[:, None]
+    return _times(coords / norm, model.channel)
 
 
 def _certainty(model: KgoModel, alpha: np.ndarray) -> np.ndarray:
@@ -213,15 +217,21 @@ def _const_normalized(model: KgoModel, f_max_p: np.ndarray):
     """Outcome vectors divided by their constant component (inf where it is zero),
     and the pole flags of a constant component vanishing relative to the vector."""
     const = np.vecdot(f_max_p, model.f_space.const_raw)
-    scale = np.sqrt(np.vecdot(f_max_p, f_max_p))
-    pole = np.abs(const) < POLE_REL * np.maximum(scale, 1e-300)
+    square = np.vecdot(f_max_p, f_max_p)
+    if f_max_p.ndim == 1:
+        const = float(const)
+        pole = abs(const) < POLE_REL * max(math.sqrt(square), 1e-300)
+        return (f_max_p / const if const != 0.0 else np.full_like(f_max_p, np.inf)), pole
+    pole = np.abs(const) < POLE_REL * np.maximum(np.sqrt(square), 1e-300)
     out = np.full_like(f_max_p, np.inf)
-    return np.divide(f_max_p, const[..., None], out=out, where=const[..., None] != 0.0), pole
+    return np.divide(f_max_p, const[:, None], out=out, where=const[:, None] != 0.0), pole
 
 
 def _overlap(model: KgoModel, alpha: np.ndarray, f_feats: np.ndarray) -> np.ndarray:
     """P(f | x) from the transported state and the outcome's feature vector."""
     f_coords, denom = _projection(model.f_space, f_feats, _LABEL)
+    # A numpy scalar even for one row: a |T f|^2 underflowed to 0 on a side with a zero
+    # floor then divides to NaN or inf as in a batch, where a Python float would raise.
     overlap = np.vecdot(alpha, f_coords)
     return overlap * overlap / denom
 

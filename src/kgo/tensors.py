@@ -309,14 +309,19 @@ class _TableRoute:
     def blocks(self):
         """As `_RowsRoute.blocks`; the label rows are whitened from the label table's
         basis columns, |x|^2, |K x|^2 and the mapped rows C T_x b_x are read off the
-        attribute table."""
+        attribute table. Summing S u reads no label table, only the label basis columns,
+        which `_basis_columns` gives with the same bits (`_doubled_columns`)."""
         data = self.data
         positions = _spec_positions(data.f_spec, data.f_rows)[0]
         for rows in row_blocks(data.size):
             with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in `matrix`
                 lead, last = _doubled_factors(data.x_spec, data.x_rows[rows])
-                labels = _doubled_columns(*_doubled_factors(data.f_spec, data.f_rows[rows]))
-                f = data.f_space.transform @ labels[positions]
+                if self.channel is None:
+                    labels = _doubled_columns(*_doubled_factors(data.f_spec, data.f_rows[rows]))
+                    f = data.f_space.transform @ labels[positions]
+                else:
+                    labels = None
+                    f = data.f_space.transform @ _basis_columns(data.f_spec, data.f_rows[rows])
                 norms = _table_values(self.forms, lead, last)
                 overlap = np.einsum("ij,ij->j", f, _table_values(self.maps, lead, last))
             yield (rows, f, norms[0], overlap, norms[1] if self.adjusted else None,

@@ -5,7 +5,7 @@ import pytest
 
 import kgo
 from kgo.errors import DataError, DimensionError, NumericalError
-from kgo.hilbert import _whitening_cut
+from kgo.hilbert import _projection, _whitening_cut
 from kgo.linalg import _ROW_BLOCK
 
 from conftest import grid_sample
@@ -287,6 +287,19 @@ class TestZeroProjectionRule:
             kgo.christoffel(space, [0.0, 1e160, -1e160, 0.0])
         huge = kgo.christoffel(space, 1e160 * row) * 1e160 * 1e160
         assert huge == pytest.approx(kgo.christoffel(space, row), rel=1e-12)
+
+    @pytest.mark.parametrize("factor", [1.0, 1e160], ids=["in-bound", "past-bound"])
+    def test_one_row_matches_batch(self, factor):
+        """One row takes the overflow guard's unwarned path where |p|^2 is past its bound
+        but |T p|^2 is in range, and either way gets the bits of the same row in a batch,
+        its |T p|^2 as a Python float."""
+        data = rank_deficient(1e30)[0]
+        space, row = data.x_space, factor * data.x_points[3]
+        assert (np.vdot(row, row) < space.square_bound) == (factor == 1.0)
+        coords, norm2 = _projection(space, row, ("point", "refused"))
+        batch = _projection(space, np.stack([data.x_points[0], row]), ("point", "refused"))
+        assert type(norm2) is float and norm2 == batch[1][1]
+        assert coords.tobytes() == batch[0][1].tobytes()
 
 
 class TestPreparePoints:

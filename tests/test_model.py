@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -515,13 +516,44 @@ _QUERY_X = np.linspace(-1.2, 1.2, 13)[:, None]
 _QUERY_F = np.linspace(-0.9, 1.1, 13)[:, None]
 
 
+def _kind_model(kind):
+    """A Chebyshev-attribute, monomial-label model of each kind, with the shared query rows."""
+    model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("chebyshev", 5),
+                       kgo.BasisSpec("monomial", 2), kind=kind,
+                       config=kgo.SolverConfig(algorithm="lsq-adj"))
+    return model, _QUERY_X, _QUERY_F
+
+
+def _dropped_directions_model():
+    """The attribute whitening of `test_report_counts_dropped_directions` drops directions,
+    so the attribute side's zero rule has a floor (`SpaceBasis.zero_floor` > 0)."""
+    grid = np.linspace(0.0, 1000.0, 101)
+    model, _ = kgo.fit(kgo.Sample(grid[:, None], grid[:, None] / 1000.0, np.ones(101)),
+                       kgo.BasisSpec("monomial", 8), kgo.BasisSpec("monomial", 1),
+                       config=kgo.SolverConfig(algorithm="lsq-adj"))
+    assert model.x_space.zero_floor > 0.0
+    xs = np.linspace(-150.0, 1050.0, 13)[:, None]
+    return model, xs, xs / 1000.0
+
+
+def _monomial_attribute_model():
+    """A monomial attribute side, whose rows take numpy's power, not the float path."""
+    model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("monomial", 5),
+                       kgo.BasisSpec("chebyshev", 2),
+                       config=kgo.SolverConfig(algorithm="lsq-adj"))
+    return model, _QUERY_X, _QUERY_F
+
+
+_PREDICT_MODELS = {**{kind.value: (lambda kind=kind: _kind_model(kind)) for kind in kgo.TensorKind},
+                   "dropped-directions": _dropped_directions_model,
+                   "monomial-attributes": _monomial_attribute_model}
+
+
 class TestPredict:
-    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
-    def test_matches_single_rows_each_kind(self, kind):
-        model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("chebyshev", 5),
-                           kgo.BasisSpec("monomial", 2), kind=kind,
-                           config=kgo.SolverConfig(algorithm="lsq-adj"))
-        _assert_predict_matches_rows(model, _QUERY_X, _QUERY_F)
+    @pytest.mark.parametrize("name", list(_PREDICT_MODELS))
+    def test_matches_single_rows_each_kind(self, name):
+        """Each tensor kind, an attribute side with a zero-rule floor and a monomial one."""
+        _assert_predict_matches_rows(*_PREDICT_MODELS[name]())
 
     @pytest.mark.parametrize("source", [(2, 0), (2, 1)], ids=["live", "zero-span"])
     def test_product_basis_model(self, source):
@@ -644,8 +676,8 @@ class TestPredictErrors:
 
     def test_overflowing_projection_names_row(self):
         """A row whose basis values are finite but whose |T p|^2 overflows is refused,
-        not answered with certainty 0 and an infinite value. The overflow warning
-        of the squared norm itself is silenced here; the refusal is the check."""
+        not answered with certainty 0 and an infinite value, and without an overflow
+        warning first."""
         rng = np.random.default_rng(0)
         x = rng.uniform(-1.0, 1.0, size=(3000, 2))
         f = np.sin(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1] / 2) + 0.1 * rng.standard_normal(3000)
@@ -655,13 +687,12 @@ class TestPredictErrors:
         far = np.array([1e16, 0.3])
         assert np.isfinite(kgo.evaluate_basis(model.x_spec, far)).all()
         past = "has |T p|^2 past the float range"
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericalError, match=re.escape(f"query point of row 1 {past}")):
-                kgo.predict(model, np.array([[0.1, 0.2], far]))
-            with pytest.raises(NumericalError, match=re.escape(f"query point {past}")):
-                kgo.most_probable(model, far)
-            with pytest.raises(NumericalError, match=re.escape(f"point {past}")):
-                kgo.christoffel(model.x_space, kgo.evaluate_basis(model.x_spec, far))
+        with pytest.raises(NumericalError, match=re.escape(f"query point of row 1 {past}")):
+            kgo.predict(model, np.array([[0.1, 0.2], far]))
+        with pytest.raises(NumericalError, match=re.escape(f"query point {past}")):
+            kgo.most_probable(model, far)
+        with pytest.raises(NumericalError, match=re.escape(f"point {past}")):
+            kgo.christoffel(model.x_space, kgo.evaluate_basis(model.x_spec, far))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features(self, direct, bad):
@@ -679,6 +710,23 @@ class TestPredictErrors:
         fs = np.array([[1.0, 0.4], [bad, 0.0], [1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(NumericalError, match=r"^non-finite feature values in row 1$"):
             kgo.predict(direct, xs[:2], fs[:2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raw_row(self, bad):
+        """One raw query row or outcome holding NaN or +-inf is refused by the basis
+        evaluation, with no RuntimeWarning on the way."""
+        model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("chebyshev", 6),
+                           kgo.BasisSpec("chebyshev", 2),
+                           config=kgo.SolverConfig(algorithm="lsq-adj"))
+        message = r"^basis evaluation produced non-finite values$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                kgo.most_probable(model, [bad])
+            with pytest.raises(NumericalError, match=message):
+                kgo.probability(model, [bad], [0.5])
+            with pytest.raises(NumericalError, match=message):
+                kgo.probability(model, [0.2], [bad])
 
     def test_non_finite_basis(self):
         model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("monomial", 4),

@@ -415,7 +415,9 @@ class TestRowPasses:
     @pytest.mark.parametrize("d", [None, 1])
     def test_moment_table_route_makes_two_passes(self, monkeypatch, d):
         # `prepare`'s pass and the weighted pass each build one factor table per
-        # side per row block, and a fit evaluates no basis columns.
+        # side per row block. The tensor pass (d = 1) evaluates no basis columns;
+        # the S u pass of a single-shot fit (d None) reads the label side's basis
+        # columns, from a basis-order table, where the tensor reads its doubled one.
         sample = chebyshev_sample(2 * BLOCK + 7)  # three row blocks
         x_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 8), sample.x_rows)
         f_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 3), sample.f_rows)
@@ -423,7 +425,8 @@ class TestRowPasses:
         counts = count_row_passes(monkeypatch, x_spec, f_spec)
         kgo.fit(sample, x_spec, f_spec, kgo.TensorKind.CHRISTOFFEL_PRODUCT,
                 kgo.SolverConfig(algorithm="lsq-adj"), d=d)
-        assert counts == {"x tables": 2 * 3, "f tables": 2 * 3, "x columns": 0, "f columns": 0}
+        assert counts == {"x tables": 2 * 3, "f tables": 2 * 3, "x columns": 0,
+                          "f columns": 3 if d is None else 0}
 
     def test_rows_route_makes_three_passes(self, monkeypatch):
         # Chebyshev data that fails the condition gate: `prepare`'s tables, then
