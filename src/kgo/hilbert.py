@@ -92,24 +92,26 @@ def _require_positive(values: np.ndarray, subject: str, message: str):
 
 def _projection(space: SpaceBasis, points, refusal: tuple) -> tuple:
     """(T p, |T p|^2) along the last axis; |T p|^2 of one row is a Python float. Refuses p
-    unless `_nonzero`, by a NumericalError worded by `refusal` = (subject, message) that names
-    the first refused row of a batch, and refuses a |T p|^2 past the float range (inf, or NaN
-    from an overflowing T p) alike, without an overflow warning first: one row whose |p|^2
-    (from `np.vdot`, which tests no floating-point flags) is below `SpaceBasis.square_bound`
-    cannot overflow and is tested by one comparison chain, and any other row, or a batch,
-    is evaluated with overflow and invalid-value warnings off."""
+    unless `_nonzero` and |T p|^2 > 0 (a tiny p passes the scale-free rule on a side with a
+    floor, and its |T p|^2 can still underflow to 0), by a NumericalError worded by
+    `refusal` = (subject, message) that names the first refused row of a batch, and refuses
+    a |T p|^2 past the float range (inf, or NaN from an overflowing T p) alike, without an
+    overflow warning first: one row whose |p|^2 (from `np.vdot`, which tests no
+    floating-point flags) is below `SpaceBasis.square_bound` cannot overflow and is tested
+    by one comparison chain, and any other row, or a batch, is evaluated with overflow and
+    invalid-value warnings off."""
     points = _points(points, space.raw_dim)
     if points.ndim == 1 and np.vdot(points, points) < space.square_bound:
         coords = _times(points, space.transform)
         norm2 = float(np.vecdot(coords, coords))
         if not space.zero_floor and 0.0 < norm2 < _INF:
             return coords, norm2
-        margin = _nonzero(space, points) if space.zero_floor else norm2
+        margin = np.minimum(_nonzero(space, points), norm2) if space.zero_floor else norm2
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             coords = _times(points, space.transform)
             norm2 = np.vecdot(coords, coords)
-            margin = _nonzero(space, points) if space.zero_floor else norm2
+            margin = np.minimum(_nonzero(space, points), norm2) if space.zero_floor else norm2
     _require_positive(margin, refusal[0], refusal[1])  # not *refusal: a star call costs more
     _require_positive(norm2 < _INF, refusal[0], "has |T p|^2 past the float range")
     return coords, norm2 if np.ndim(norm2) else float(norm2)

@@ -230,8 +230,6 @@ def _const_normalized(model: KgoModel, f_max_p: np.ndarray):
 def _overlap(model: KgoModel, alpha: np.ndarray, f_feats: np.ndarray) -> np.ndarray:
     """P(f | x) from the transported state and the outcome's feature vector."""
     f_coords, denom = _projection(model.f_space, f_feats, _LABEL)
-    # A numpy scalar even for one row: a |T f|^2 underflowed to 0 on a side with a zero
-    # floor then divides to NaN or inf as in a batch, where a Python float would raise.
     overlap = np.vecdot(alpha, f_coords)
     return overlap * overlap / denom
 
@@ -244,9 +242,14 @@ def predict(model: KgoModel, X, F=None) -> dict:
     `f_max_p` (Q, m_raw) most probable outcome vectors, `value` (Q, m_raw)
     const-normalized outcomes, `certainty` (Q,), `pole` (Q,) flags, and,
     when outcome rows `F` are given, `probability` (Q,) = P(F_i | X_i).
-    Numerical failures name the first offending row.
+    Numerical failures name the first offending row. A 1-D `X` (with one
+    outcome row, if any) takes the one-row path of `most_probable`, `value`
+    and `probability`, with their errors and the batch row's bits, and gets
+    the row axis back at the end.
     """
-    x_feats = _design_rows(model.x_spec, X)
+    one = np.ndim(X) == 1 and (F is None or np.ndim(F) < 2 or len(F) == 1)
+    design = _design if one else _design_rows
+    x_feats = design(model.x_spec, X)
     alpha = _transported(model, x_feats)
     f_max_p = _times(alpha, model.f_space.moment_map)
     normalized, pole = _const_normalized(model, f_max_p)
@@ -257,12 +260,12 @@ def predict(model: KgoModel, X, F=None) -> dict:
         "pole": pole,
     }
     if F is not None:
-        f_feats = _design_rows(model.f_spec, F)
-        if f_feats.shape[0] != x_feats.shape[0]:
+        f_feats = design(model.f_spec, F)
+        if f_feats.shape[:-1] != x_feats.shape[:-1]:
             raise DimensionError(
                 f"{f_feats.shape[0]} outcome rows for {x_feats.shape[0]} query rows")
         out["probability"] = _overlap(model, alpha, f_feats)
-    return out
+    return {key: np.asarray(answer)[None] for key, answer in out.items()} if one else out
 
 
 def probability(model: KgoModel, x_raw, f_raw) -> float:

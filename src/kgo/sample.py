@@ -11,15 +11,14 @@ Every pass over the rows evaluates a block's basis columns
 What evaluation needs besides the rows is resolved once per spec, in its
 `_BasisPlan`: the source columns, the Chebyshev argument map's operands,
 and per input width the basis dimension and the exponent gathers. A query
-row then pays only for its own arithmetic. A one-row Chebyshev block (a
-query row, or the last block of a pass) computes its arguments and
-recurrence in Python floats rather than in ufunc calls on a one-column
-array (`_row_factors`), with the same bits, and a single query row gathers
-its columns straight from those floats; monomials keep numpy's power.
-This module also owns the
-doubled-order moment table that Chebyshev Gram matrices and coverage
-tensors are read off, and that a fit's per-row norms are evaluated on;
-no other module knows its layout.
+row then pays only for its own arithmetic. A single Chebyshev query row
+computes its arguments and recurrence in Python floats rather than in
+ufunc calls on a one-column array (`_row_factors`), with the same bits, and
+gathers its columns straight from those floats; monomials keep numpy's
+power. A block of a pass takes the ufuncs at any row count. This module
+also owns the doubled-order moment table that Chebyshev Gram matrices and
+coverage tensors are read off, and that a fit's per-row norms are
+evaluated on; no other module knows its layout.
 """
 
 from __future__ import annotations
@@ -136,8 +135,8 @@ class _BasisPlan:
     t = (2 x - (lo + hi)) / (hi - lo), shaped (n_vars, 1) for the
     (n_vars, rows) factor table: `lo + hi`, the span with zero spans replaced
     by one, and the zero-span variables, which map to t = 0; `row_terms`
-    holds the same operands per variable as Python floats for a one-row
-    block, one triple for a scalar scale. Per input width, `layout` resolves
+    holds the same operands per variable as Python floats for one query
+    row, one triple for a scalar scale. Per input width, `layout` resolves
     the basis dimension (checked against the cap) and the exponent gathers
     of the basis columns on first use.
     """
@@ -279,17 +278,12 @@ def _factor_block(spec: BasisSpec, rows: np.ndarray, order: int) -> np.ndarray:
     """Factor table (order + 1, n_vars, rows) of a block of raw rows.
 
     Powers 0..order (or Chebyshev T_0..T_order) of every argument, stacked first.
-    A one-row Chebyshev block takes `_row_factors`' Python floats, with the
-    same bits; monomials stay on numpy's power, which differs from Python's
-    `**` in the last bit on some arguments.
     """
     plan = spec._plan
     sel = plan.select(rows)
     if spec.kind != CHEBYSHEV:
         values = np.ascontiguousarray(sel)
         return np.stack([np.ones_like(values)] + [values ** k for k in range(1, order + 1)])
-    if sel.shape[1] == 1 and order:
-        return np.array(_row_factors(plan, sel[:, 0].tolist(), order)).reshape(order + 1, -1, 1)
     table = np.empty((order + 1,) + sel.shape)
     table[0] = 1.0
     if order:
@@ -311,11 +305,12 @@ def _row_factors(plan: _BasisPlan, values: list, order: int) -> list:
     entry k * n_vars + j is T_k of variable j.
 
     Computes the argument map and the recurrence in Python floats, one variable
-    at a time: the same IEEE operations in the same order as the ufunc path of
-    `_factor_block`, so the same bits, without three ufunc calls for the map and
-    two per order on a (n_vars, 1) array. Raises the NumericalError when a
-    variable's last T is not finite: a non-finite factor stays non-finite up the
-    recurrence, so every factor is finite when it returns.
+    at a time: the same IEEE operations in the same order as `_factor_block`'s
+    ufuncs, so the same bits, without three ufunc calls for the map and two per
+    order on a (n_vars, 1) array. Raises the NumericalError when a variable's
+    last T is not finite: a non-finite factor stays non-finite up the
+    recurrence, so every factor is finite when it returns. Its one caller is
+    `evaluate_basis`; a block of a pass, one row or many, takes `_factor_block`.
     """
     n_vars = len(values)
     flat = [1.0] * ((order + 1) * n_vars)
@@ -331,31 +326,11 @@ def _row_factors(plan: _BasisPlan, values: list, order: int) -> list:
     return flat
 
 
-def _one_row_chebyshev(spec: BasisSpec, rows: np.ndarray, gathers: tuple) -> np.ndarray:
-    """Basis columns of one raw row of a Chebyshev spec of order >= 1, as a 1-D array
-    gathered straight from `_row_factors`, which raises on a non-finite factor.
-
-    The gathered products need no finiteness test: for m = max |t_j| >= 1,
-    |T_a(s) T_b(t)| <= T_(a+b)(m) <= T_order(m), finite when every variable's
-    last T is, and every factor is at most 1 in size where m < 1.
-    """
-    plan = spec._plan
-    return _gather_columns(np.array(_row_factors(plan, plan.select(rows)[:, 0].tolist(),
-                                                 spec.product_order)), gathers)
-
-
-def _one_row(spec: BasisSpec, rows: np.ndarray) -> bool:
-    """Whether a block of rows takes `_one_row_chebyshev`."""
-    return rows.shape[0] == 1 and spec.kind == CHEBYSHEV and spec.product_order > 0
-
-
 def _basis_columns(spec: Optional[BasisSpec], rows: np.ndarray) -> np.ndarray:
     """Basis columns (dim, rows) of a block of raw rows; spec-less rows are the features."""
     if spec is None:
         return rows.T
     gathers = spec._plan.layout(rows.shape[1])[1]
-    if _one_row(spec, rows):  # raises on a non-finite factor
-        return _one_row_chebyshev(spec, rows, gathers)[:, None]
     # Past the float range a block gives inf or NaN without a warning; its caller raises.
     with np.errstate(over="ignore", invalid="ignore"):
         table = _factor_block(spec, rows, spec.product_order)
@@ -570,18 +545,23 @@ def design_matrix(spec: BasisSpec, rows) -> np.ndarray:
 def evaluate_basis(spec: BasisSpec, raw) -> np.ndarray:
     """Basis-evaluated feature vector of one raw row (the first row of a 2-D `raw`).
 
-    Equal bit for bit to that row of `design_matrix`, through the same
-    `_basis_columns` without its block loop, and raises what `design_matrix`
-    raises on `raw`. A single Chebyshev row of order >= 1 takes
-    `_one_row_chebyshev`, so a T_k past the float range raises here without
-    an overflow warning, and its finite factors give finite columns. In
-    up_to mode, and in exact mode at order 0, the first component is the
-    constant 1 (every exponent zero); exact mode at order >= 1 has no
-    constant component.
+    Equal bit for bit to that row of `design_matrix`, and raises what
+    `design_matrix` raises on `raw`. A single Chebyshev row of order >= 1
+    gathers its columns straight from `_row_factors`' Python floats, so a T_k
+    past the float range raises there without an overflow warning. The
+    gathered products need no finiteness test: for m = max |t_j| >= 1,
+    |T_a(s) T_b(t)| <= T_(a+b)(m) <= T_order(m), finite when every variable's
+    last T is, and every factor is at most 1 in size where m < 1. Other rows
+    take `_basis_columns` without its block loop. In up_to mode, and in exact
+    mode at order 0, the first component is the constant 1 (every exponent
+    zero); exact mode at order >= 1 has no constant component.
     """
     rows = np.array(raw, dtype=float, ndmin=2, copy=None)  # np.atleast_2d, in one call
-    if _one_row(spec, rows):
-        return _one_row_chebyshev(spec, rows, spec._plan.layout(rows.shape[1])[1])
+    if rows.shape[0] == 1 and spec.kind == CHEBYSHEV and spec.product_order:
+        plan = spec._plan
+        gathers = plan.layout(rows.shape[1])[1]
+        return _gather_columns(np.array(_row_factors(plan, plan.select(rows)[:, 0].tolist(),
+                                                     spec.product_order)), gathers)
     columns = _basis_columns(spec, rows)
     if not np.isfinite(columns).all():
         raise NumericalError("basis evaluation produced non-finite values")

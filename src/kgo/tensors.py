@@ -194,7 +194,7 @@ def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
     adjusted = kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
     if adjusted:
         _coupled(data.stats.factor)
-    route = (_TableRoute if _moment_route(data) else _RowsRoute)(data, adjusted, channel)
+    route = (_TableRoute if _moment_route(data) else _RowsRoute)(data, kind, channel)
     moments, jdg = 0.0, 0.0
     for rows, f, attribute, overlap, normalizer, operands in route.blocks():
         weights = data.weights[rows]
@@ -228,14 +228,15 @@ class _RowsRoute:
     """The syrk route of the weighted pass: whitened rows per block.
 
     `blocks` yields each block's rows, whitened label rows f, |x|^2, overlap,
-    |K x|^2 (None unless `adjusted`) and the operands of `add`. The overlap
-    and |K x|^2 map the raw attribute columns through [C; K] T_x in one
-    product, so |K x|^2 costs m_eff * n_eff per row instead of n_eff^2.
+    |K x|^2 (None unless `kind` is the adjusted kind) and the operands of `add`.
+    The overlap and |K x|^2 map the raw attribute columns through [C; K] T_x in
+    one product, so |K x|^2 costs m_eff * n_eff per row instead of n_eff^2.
     With a `channel` u the route sums S u, not S.
     """
 
-    def __init__(self, data: PreparedData, adjusted: bool,
+    def __init__(self, data: PreparedData, kind: Optional[TensorKind],
                  channel: Optional[np.ndarray] = None):
+        adjusted = kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
         self.data, self.adjusted, self.channel = data, adjusted, channel
         stats = data.stats
         maps = np.vstack([stats.cross, stats.factor]) if adjusted else stats.cross
@@ -291,9 +292,11 @@ class _TableRoute:
     exponent from the start.
     """
 
-    def __init__(self, data: PreparedData, adjusted: bool,
+    def __init__(self, data: PreparedData, kind: Optional[TensorKind],
                  channel: Optional[np.ndarray] = None):
+        adjusted = kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
         self.data, self.adjusted = data, adjusted
+        self.tensor = kind is not None and channel is None  # the pass adds the tensor
         tx, tf = data.x_space.transform, data.f_space.transform
         forms = [tx.T @ tx]
         if adjusted:
@@ -307,16 +310,16 @@ class _TableRoute:
         self.exp, self.sum = None, 0.0
 
     def blocks(self):
-        """As `_RowsRoute.blocks`; the label rows are whitened from the label table's
-        basis columns, |x|^2, |K x|^2 and the mapped rows C T_x b_x are read off the
-        attribute table. Summing S u reads no label table, only the label basis columns,
-        which `_basis_columns` gives with the same bits (`_doubled_columns`)."""
+        """As `_RowsRoute.blocks`; |x|^2, |K x|^2 and the mapped rows C T_x b_x are read off
+        the attribute table. Only a pass that adds the tensor reads the label table, whose
+        basis columns it whitens; a pass that sums S u or no tensor whitens the label basis
+        columns, which `_basis_columns` gives with the same bits (`_doubled_columns`)."""
         data = self.data
         positions = _spec_positions(data.f_spec, data.f_rows)[0]
         for rows in row_blocks(data.size):
             with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in `matrix`
                 lead, last = _doubled_factors(data.x_spec, data.x_rows[rows])
-                if self.channel is None:
+                if self.tensor:
                     labels = _doubled_columns(*_doubled_factors(data.f_spec, data.f_rows[rows]))
                     f = data.f_space.transform @ labels[positions]
                 else:

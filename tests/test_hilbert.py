@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -247,6 +248,37 @@ class TestZeroProjectionRule:
         call, message = _QUERIES[query]
         with pytest.raises(NumericalError, match=f"^{message}$"):
             call(*instance, np.array([0.0, 1.0, -1.0, 0.0]))
+
+    @pytest.mark.parametrize("query", sorted(_QUERIES))
+    def test_underflowed_point_refused(self, instance, query):
+        """A tiny multiple of a training row passes the scale-free rule on this floored side,
+        but its |T p|^2 underflows to 0: refused as a null point, without a warning first."""
+        call, message = _QUERIES[query]
+        point = 1e-300 * instance[0].x_points[3]
+        assert instance[0].x_space.zero_floor > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"^{message}$"):
+                call(*instance, point)
+
+    def test_underflowed_outcome_refused(self):
+        """The same on a floored label side: a tiny outcome is refused by `probability`
+        and by `predict`, which names its row."""
+        t = np.random.default_rng(0).uniform(-1.0, 1.0, 200)
+        s = np.sin(2.0 * t)
+        data = kgo.prepare_points(np.column_stack([np.ones(200), t, t, t * t]),
+                                  np.column_stack([np.ones(200), s, s]), np.ones(200))
+        assert data.f_space.zero_floor > 0.0
+        model, _ = kgo.fit_prepared(data, config=kgo.SolverConfig(algorithm="lsq-adj"))
+        fs = data.f_points[:3].copy()
+        fs[2] *= 1e-300
+        message = "has zero projection on the label space"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"^queried outcome {message}$"):
+                kgo.probability(model, data.x_points[2], fs[2])
+            with pytest.raises(NumericalError, match=f"^queried outcome of row 2 {message}$"):
+                kgo.predict(model, data.x_points[:3], fs)
 
     @pytest.mark.parametrize("query", sorted(_QUERIES))
     def test_training_row_accepted(self, instance, query):

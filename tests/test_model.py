@@ -496,6 +496,8 @@ def _single_rows(model, xs, fs):
 
 
 def _assert_predict_matches_rows(model, xs, fs):
+    """The batch against the per-row calls, and each one-row `predict` (a 1-D row,
+    with and without its outcome) against its batch row: the same bits, shape (1, ...)."""
     batch = kgo.predict(model, xs, fs)
     rows = _single_rows(model, xs, fs)
     assert set(batch) == set(rows)
@@ -503,6 +505,16 @@ def _assert_predict_matches_rows(model, xs, fs):
     for key in ("f_max_p", "value", "certainty", "probability"):
         assert batch[key].shape == rows[key].shape
         assert batch[key].tobytes() == rows[key].tobytes(), key
+    for i, (x, f) in enumerate(zip(xs, fs)):
+        for one, keys in ((kgo.predict(model, x, f), set(batch)),
+                          (kgo.predict(model, x), set(batch) - {"probability"})):
+            assert set(one) == keys
+            for key, answer in one.items():
+                assert answer.shape == (1,) + batch[key].shape[1:], key
+                assert answer.dtype == batch[key].dtype, key
+                assert answer.tobytes() == batch[key][i:i + 1].tobytes(), key
+    with pytest.raises(DimensionError, match="^2 outcome rows for 1 query rows$"):
+        kgo.predict(model, xs[0], fs[:2])
     return batch
 
 

@@ -80,7 +80,8 @@ def route(request, monkeypatch):
 
 def row_norms(data, table):
     """Each row's |x|^2, overlap f^T C x and |K x|^2, as a route's weighted pass computes them."""
-    route = (kgo.tensors._TableRoute if table else kgo.tensors._RowsRoute)(data, True)
+    route = (kgo.tensors._TableRoute if table else kgo.tensors._RowsRoute)(
+        data, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED)
     parts = zip(*(block[2:5] for block in route.blocks()))
     return [np.concatenate(part) for part in parts]
 
@@ -390,15 +391,21 @@ class TestPrepareChecks:
 
 
 def count_row_passes(monkeypatch, x_spec, f_spec):
-    """Count, per side, the factor tables and the basis-column blocks the row passes build."""
+    """Count, per side, the factor tables and the basis-column blocks the row passes build;
+    also returns the (side, order) of every factor table, in build order."""
     counts = {"x tables": 0, "f tables": 0, "x columns": 0, "f columns": 0}
+    orders = []
     table, columns = kgo.sample._factor_block, kgo.sample._basis_columns
 
+    def side(spec):
+        return "x" if spec is x_spec else "f" if spec is f_spec else "?"
+
     def count(what, spec):
-        counts[f"{'x' if spec is x_spec else 'f' if spec is f_spec else '?'} {what}"] += 1
+        counts[f"{side(spec)} {what}"] += 1
 
     def table_spy(spec, rows, order):
         count("tables", spec)
+        orders.append((side(spec), order))
         return table(spec, rows, order)
 
     def columns_spy(spec, rows):
@@ -408,7 +415,7 @@ def count_row_passes(monkeypatch, x_spec, f_spec):
     monkeypatch.setattr(kgo.sample, "_factor_block", table_spy)
     for module in (kgo.sample, kgo.hilbert, kgo.tensors, kgo.baselines):
         monkeypatch.setattr(module, "_basis_columns", columns_spy)
-    return counts
+    return counts, orders
 
 
 class TestRowPasses:
@@ -422,11 +429,26 @@ class TestRowPasses:
         x_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 8), sample.x_rows)
         f_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 3), sample.f_rows)
         assert kgo.tensors._moment_route(kgo.prepare(sample, x_spec, f_spec))
-        counts = count_row_passes(monkeypatch, x_spec, f_spec)
+        counts, orders = count_row_passes(monkeypatch, x_spec, f_spec)
         kgo.fit(sample, x_spec, f_spec, kgo.TensorKind.CHRISTOFFEL_PRODUCT,
                 kgo.SolverConfig(algorithm="lsq-adj"), d=d)
         assert counts == {"x tables": 2 * 3, "f tables": 2 * 3, "x columns": 0,
                           "f columns": 3 if d is None else 0}
+        assert orders == [("x", 16), ("f", 6)] * 3 + [("x", 16), ("f", 3 if d is None else 6)] * 3
+
+    def test_kind_free_pass_reads_basis_order_labels(self, monkeypatch):
+        # A pass that adds no tensor (the baselines' own sums) builds each block's
+        # attribute table at doubled order and its label table at basis order only,
+        # for the label basis columns; no doubled-order label table.
+        sample = chebyshev_sample(2 * BLOCK + 7)  # three row blocks
+        x_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 8), sample.x_rows)
+        f_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 3), sample.f_rows)
+        data = kgo.prepare(sample, x_spec, f_spec)
+        assert kgo.tensors._moment_route(data)
+        counts, orders = count_row_passes(monkeypatch, x_spec, f_spec)
+        kgo.ftot_upper_bound(data)
+        assert counts == {"x tables": 3, "f tables": 3, "x columns": 0, "f columns": 3}
+        assert orders == [("x", 16), ("f", 3)] * 3
 
     def test_rows_route_makes_three_passes(self, monkeypatch):
         # Chebyshev data that fails the condition gate: `prepare`'s tables, then
@@ -435,7 +457,7 @@ class TestRowPasses:
         data = clusters()
         assert not kgo.tensors._moment_route(data)
         sample = kgo.Sample(data.x_rows, data.f_rows, data.weights)
-        counts = count_row_passes(monkeypatch, data.x_spec, data.f_spec)
+        counts, _ = count_row_passes(monkeypatch, data.x_spec, data.f_spec)
         kgo.fit(sample, data.x_spec, data.f_spec, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
                 kgo.SolverConfig(algorithm="lsq-adj"))
         assert counts == {"x tables": 3 * 2, "f tables": 3 * 2, "x columns": 2 * 2,

@@ -344,7 +344,7 @@ class TestEvaluateBasis:
     @pytest.mark.parametrize("n_vars", [1, 2, 3])
     @pytest.mark.parametrize("case", ["up_to", "exact", "source", "zero-span"])
     def test_one_row_recurrence_equals_design_rows(self, order, n_vars, case):
-        """A one-row block's float argument map and recurrence give the bits of a block's."""
+        """A single query row's float argument map and recurrence give the bits of a block's."""
         rng = np.random.default_rng([order, n_vars])
         train = rng.uniform(-2.0, 3.0, size=(40, 4))
         spec = kgo.BasisSpec("chebyshev", order, mode="exact" if case == "exact" else "up_to")
@@ -363,7 +363,8 @@ class TestEvaluateBasis:
             assert np.abs(design[6:]).max() > 1.0
 
     def test_one_row_last_block(self):
-        """A design whose last block is one row takes the one-row path there."""
+        """A design whose last block is one row takes the block's ufuncs there, with the
+        reference loop's bits."""
         from kgo.linalg import _ROW_BLOCK
         rows = np.random.default_rng(23).uniform(-1.5, 1.5, size=(_ROW_BLOCK + 1, 3))
         spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 6, source=(2, 0)), rows)
@@ -390,9 +391,10 @@ class TestEvaluateBasis:
         (kgo.BasisSpec("chebyshev", 10, scale=(-1.0, 1.0)), [[0.5, 1e40], [1e40, 0.0]]),
         (kgo.BasisSpec("monomial", 4), [[1e100], [0.5]]),
         (kgo.BasisSpec("monomial", 4), [[0.5, 1e200], [0.0, 1e200]]),
+        (kgo.BasisSpec("chebyshev", 10, scale=(-1.0, 1.0)), [[1e40]]),
     ])
     def test_batch_overflow_raises_without_warning(self, spec, rows):
-        """A block of two or more rows evaluates under np.errstate, so neither its
+        """A block of rows, one or more, evaluates under np.errstate, so neither its
         recurrence nor an inf * 0 in its gather warns before the finiteness check."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -409,7 +411,7 @@ class TestEvaluateBasis:
             assert kgo.evaluate_basis(spec, row).tobytes() == expected.tobytes()
 
     def test_one_row_takes_no_ufunc_per_order(self, monkeypatch):
-        """A one-row Chebyshev block calls no np.multiply or np.subtract; a full
+        """A single Chebyshev query row calls no np.multiply or np.subtract; a
         block still runs its argument map and recurrence on arrays."""
         from kgo.linalg import _ROW_BLOCK
         calls = {"multiply": 0, "subtract": 0}
