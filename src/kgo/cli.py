@@ -199,7 +199,10 @@ def _add_solver_flags(parser, with_defaults=True):
     """The solver flags, defaulting to SolverConfig's (--algorithm to None unless with_defaults)."""
     parser.add_argument("--algorithm", choices=list(ALGORITHMS))
     parser.add_argument("--max-iterations", type=int)
-    parser.add_argument("--rel-tol", type=float)
+    parser.add_argument("--rel-tol", type=float,
+                        help="stop test: polar-ascent stops at a stationarity residual "
+                             "|Su - sym(Lambda)u| / |Su| of at most this; lagrange-iter and "
+                             "linear-constraints when F changes by at most this relative")
     parser.add_argument("--pool", type=int)
     parser.add_argument("--lsq-init", action="store_true",
                         help="seed iterative solvers with the adjusted least-squares map")

@@ -136,7 +136,7 @@ def fit_prepared(data: PreparedData, kind: TensorKind = TensorKind.F_CHRISTOFFEL
     # u and -u differ only in the sign of f_max_p: keep the one agreeing with least squares.
     if np.vdot(op.u if f_embed is None else f_embed @ op.u, data.stats.cross) < 0.0:
         op = replace(op, u=-op.u)
-    best = next(record for record in trace if record.f_after == op.f_value)
+    best = trace.records[trace.best]
     report = {
         "algorithm": op.algorithm,
         "iterations": op.iterations,

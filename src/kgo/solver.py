@@ -12,10 +12,14 @@ problem, or none. Single-shot paths return it; iterative paths hand it to
 step is a closure over its own state. It forms one product S u per snapped
 candidate, which gives the candidate's F, its trace row and the next step's
 multipliers; the loop forms none of its own. The default, polar ascent, is
-a monotone ascent on the constraint set that needs no eigenproblem per step.
-The paper's lagrange-iter and linear-constraints steps solve a relaxed
-eigenproblem set up from the last iterate, snap its most promising
-eigenstate onto the constraints, and are kept for reproduction.
+a monotone ascent on the constraint set that needs no eigenproblem per step:
+a trust-region Newton step whose truncated conjugate gradients take one more
+product per CG step, safeguarded by the polar step u <- polar(S u). It stops
+at a stationarity residual ||S u - sym(Lambda) u|| / ||S u|| of at most
+rel_tol. The paper's lagrange-iter and linear-constraints steps solve a
+relaxed eigenproblem set up from the last iterate, snap its most promising
+eigenstate onto the constraints, stop when F changes by at most rel_tol
+relative, and are kept for reproduction.
 """
 
 from __future__ import annotations
@@ -43,17 +47,15 @@ POLAR_ASCENT = "polar-ascent"
 ALGORITHMS = (MAXEV, MAXEV_SVD_ADJ, MAXEV_EVADJ, LAGRANGE_ITER,
               LINEAR_CONSTRAINTS, LSQ_ADJ, POLAR_ASCENT)
 
-# Why a solve stopped: the rel_tol test fired, max_iterations ran out, or no
-# step could be taken (every polar-ascent step was rank deficient).
+# Why a solve stopped: the rel_tol test fired (or polar ascent's F is flat at
+# rounding level), max_iterations ran out, or no step could be taken (every
+# polar-ascent step was rank deficient).
 CONVERGED = "converged"
 BUDGET = "budget"
 STALLED = "stalled"
 
 _RANK_REL = 1e-12
 _RESIDUAL_TOL = 1e-8
-# Momentum of polar ascent's extrapolated step. A step that would lower F is
-# replaced by the plain step, so this value trades speed only.
-_EXTRAPOLATION = 0.9
 
 
 def normalize_algorithm(name: str) -> str:
@@ -65,6 +67,17 @@ def normalize_algorithm(name: str) -> str:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """How `solve` runs.
+
+    rel_tol is the stop test of the iterative paths. Polar ascent stops
+    "converged" at an iterate whose stationarity residual ||S u - sym(Lambda)
+    u|| / ||S u|| is at most rel_tol, or earlier when F is flat at rounding
+    level. lagrange-iter and linear-constraints stop when F changes by at
+    most rel_tol relative from one step to the next, which leaves a
+    stationarity residual of about sqrt(rel_tol). max_iterations caps the
+    trace rows, the start included.
+    """
+
     algorithm: str = POLAR_ASCENT
     max_iterations: int = 1000
     rel_tol: float = 1e-10
@@ -119,6 +132,7 @@ class IterationRecord:
 class IterationTrace:
     records: List[IterationRecord] = field(default_factory=list, init=False)
     stop_reason: str = field(default=CONVERGED, init=False)
+    best: int = field(default=0, init=False)   # index of the returned iterate's row
 
     def __len__(self):
         return len(self.records)
@@ -329,7 +343,7 @@ def _maxev(tensor: CoverageTensor, trace: IterationTrace, pool: int, method: str
 
 
 def _flat(f_new: float, f_old: float, rel_tol: float) -> bool:
-    """The stop test: F changed by at most rel_tol relative."""
+    """The paper iterations' stop test: F changed by at most rel_tol relative."""
     return abs(f_new - f_old) <= rel_tol * max(abs(f_new), 1e-300)
 
 
@@ -339,11 +353,14 @@ def _ascend(tensor: CoverageTensor, config: SolverConfig, trace: IterationTrace,
 
     `start` is (u, F, sym(Lambda), S u) of the recorded start; without one
     it is all None but F = -inf. `step(u, f, lam, su)` returns a stop reason,
-    or (f_before, next iterate, its F, its S u, whether a flat F may stop the
-    loop); each step is recorded as the next iteration, from the S u the step
-    formed for its F. The trace holds at most max_iterations rows, the start
-    included. Returns the best iterate seen, the earliest one on a tie.
+    or (f_before, next iterate, its F, its S u, whether the solve stops
+    "converged" after it); each step is recorded as the next iteration, from
+    the S u the step formed for its F. The trace holds at most
+    max_iterations rows, the start included. Returns the best iterate seen
+    and sets `trace.best` to its row: the earliest one on a tie, but polar
+    ascent, which never lowers F, returns its latest.
     """
+    latest = config.algorithm == POLAR_ASCENT
     u, f, lam, su = start
     best_u, best_f = u, f
     iteration = trace.records[-1].iteration if trace.records else 0
@@ -352,14 +369,13 @@ def _ascend(tensor: CoverageTensor, config: SolverConfig, trace: IterationTrace,
         if isinstance(taken, str):
             trace.stop_reason = taken
             break
-        f_before, u_next, f_next, su_next, may_stop = taken
+        f_before, u, f, su, last = taken
         iteration += 1
-        lam = _record(trace, iteration, f_before, u_next, f_next, su_next)
-        if f_next > best_f:
-            best_u, best_f = u_next, f_next
-        if may_stop and _flat(f_next, f, config.rel_tol):
+        lam = _record(trace, iteration, f_before, u, f, su)
+        if f > best_f or latest and f == best_f:
+            best_u, best_f, trace.best = u, f, len(trace) - 1
+        if last:
             break
-        u, f, su = u_next, f_next, su_next
     else:
         trace.stop_reason = BUDGET
     return make_operator(best_u, config.algorithm, iteration, f_value=best_f)
@@ -400,55 +416,144 @@ def _relaxed_step(tensor: CoverageTensor, config: SolverConfig, candidates):
         nonlocal stepped
         cand, u_next, f_next, su_next = select_candidate(candidates(tensor, u, lam, su),
                                                          tensor, config.candidate_pool)
-        may_stop, stepped = stepped, True
-        return tensor.quadratic_form(cand), u_next, f_next, su_next, may_stop
+        last = stepped and _flat(f_next, f, config.rel_tol)
+        stepped = True
+        return tensor.quadratic_form(cand), u_next, f_next, su_next, last
 
     return step
 
 
-def _polar_step(tensor: CoverageTensor, config: SolverConfig):
-    """Generalized power method on the constraint set: u <- polar(S u).
+def _hessian(s_single, s_norm: float, u, lam, p, out) -> np.ndarray:
+    """Writes -Hess F[p] / 2 = P_u(sym(Lambda) p - S p) at u into out, for a
+    tangent p (both d x n), from one product with s_single = S / s_norm in
+    single precision. P_u(Z) = Z - sym(Z u^T) u projects onto the tangent
+    space."""
+    sp = s_single @ p.reshape(-1).astype(np.float32)
+    np.subtract(lam @ p, s_norm * sp.reshape(p.shape), out=out)
+    w = out @ u.T
+    w += w.T
+    out -= w @ (0.5 * u)
+    return out
 
-    For PSD S (every tensor kind) the step never lowers F, and its fixed
-    points are exactly the solutions of S u = Lambda u (Journee, Nesterov,
-    Richtarik & Sepulchre, JMLR 11, 2010). It first tries the extrapolated
-    point y = u + beta (u - u_prev) and keeps polar(S y) only if F does not
-    fall; otherwise polar(S u), or polar(u + S u / ||S||_F), which ascends
-    for any symmetric S. S y = S u + beta (S u - S u_prev) is combined from
-    products the solve already has, so a step forms one product with S per
-    snapped candidate, S cand, which gives the candidate's F, its trace row
-    and the next step's S u; it never solves an eigenproblem. A plain step
-    that changes F by at most rel_tol relative, or cannot raise it, stops the
-    solve "converged"; when every step is rank deficient it stops "stalled".
+
+def _newton_step(s_single, s_norm: float, u, lam, g, rel_res: float, radius: float):
+    """Truncated conjugate gradients for the Newton equation of F at u.
+
+    Steihaug-Toint CG on the tangent space for A eta = g, where A = -Hess F / 2
+    (`_hessian`) and g = S u - sym(Lambda) u = grad F / 2, so that F(polar(u
+    + eta)) = F + 2 <g, eta> - <eta, A eta> to second order. It stops at a
+    residual of rel_res relative to g; at the boundary ||eta|| = radius when
+    a step would leave it or the first direction curves up; and at the
+    iterate reached when a later direction curves up. Returns (eta, the
+    model's increase of F, whether eta is on the boundary), from one product
+    with S (`_hessian`'s single-precision copy) per CG step; the CG vectors
+    live in four d x n buffers.
+    """
+    eta, ap = np.zeros_like(g), np.empty_like(g)
+    r, p = g.copy(), g.copy()
+    b, eta_f, ap_f, r_f, p_f = (a.reshape(-1) for a in (g, eta, ap, r, p))
+    rr = pp = float(b.dot(b))   # ||r||^2 and ||p||^2
+    ee = ep = 0.0               # ||eta||^2 and <eta, p>, by the CG recurrences
+    stop = rel_res * rel_res * rr
+    for j in range(b.size - lam.shape[0] * (lam.shape[0] + 1) // 2):  # tangent dimension
+        _hessian(s_single, s_norm, u, lam, p, ap)
+        curvature = float(p_f.dot(ap_f))
+        if j and not curvature > 0.0:
+            break
+        alpha = rr / curvature if curvature > 0.0 else math.inf
+        if alpha * (2.0 * ep + alpha * pp) >= radius * radius - ee:
+            alpha = (math.sqrt(ep * ep + pp * (radius * radius - ee)) - ep) / pp
+            # <eta, A eta> = <g, eta> at a CG iterate; the step to the boundary adds the rest.
+            quad = float(b.dot(eta_f)) + alpha * (2.0 * float(ap_f.dot(eta_f)) + alpha * curvature)
+            eta += alpha * p
+            return eta, 2.0 * float(b.dot(eta_f)) - quad, True
+        eta += alpha * p
+        ee += alpha * (2.0 * ep + alpha * pp)
+        r -= alpha * ap
+        rr, beta = float(r_f.dot(r_f)), 1.0 / rr
+        if rr <= stop:
+            break
+        beta *= rr
+        p *= beta
+        p += r
+        ep, pp = beta * (ep + alpha * pp), rr + beta * beta * pp
+    return eta, float(b.dot(eta_f)), False
+
+
+def _polar_step(tensor: CoverageTensor, config: SolverConfig):
+    """Polar ascent: a trust-region Newton step, safeguarded by u <- polar(S u).
+
+    Each step first tries the Riemannian Newton step eta of `_newton_step`,
+    whose CG stops at a residual of min(1/2, sqrt(stationarity)) relative to
+    the gradient (or earlier, where rel_tol needs no more), retracted by the
+    svd snap polar(u + eta). It is kept if F does not fall. Its trust radius
+    shrinks fourfold after a step that achieves under a quarter of the
+    model's increase and doubles after one on the boundary that achieves
+    over three quarters (Absil, Baker & Gallivan, Found. Comput. Math. 7,
+    2007). When it falls, the step takes the generalized power step
+    polar(S u): for PSD S (every tensor kind) that never lowers F, and its
+    fixed points are exactly the solutions of S u = Lambda u (Journee,
+    Nesterov, Richtarik & Sepulchre, JMLR 11, 2010). Then comes
+    polar(u + S u / ||S||_F), which ascends for any symmetric S. A step
+    forms one product with S per CG step and per snapped candidate, S cand,
+    which gives the candidate's F, its trace row and the next step's S u; it
+    never solves an eigenproblem.
+
+    A candidate's F is the iterate's plus <cand - u, (S - Lambda)(cand + u)>,
+    which is F(cand) - F(u) on the constraint set; unlike a difference of
+    two rounded F it does not feel the rounding-level constraint residual of
+    a snap, so it orders channels whose F agree to rounding. The solve stops
+    "converged" at an iterate whose stationarity residual is at most
+    rel_tol, or when F is flat at rounding level: a step leaves F unchanged,
+    or no polar step can raise it. When every step is rank deficient it
+    stops "stalled".
     """
     s_norm = float(np.linalg.norm(tensor.matrix))
-    su_prev = None   # S u_prev; None drops the momentum
+    # CG never asks for a residual below about 4e-4 relative at rel_tol 1e-10,
+    # so its products take S in single precision, scaled into range: half the
+    # memory traffic of the product in double. Every F and every stationarity
+    # residual is formed with S itself.
+    s_single = (tensor.matrix / s_norm if s_norm > 0.0 else tensor.matrix).astype(np.float32)
+    radius_max = math.sqrt(tensor.d)   # ||u||_F
+    radius = radius_max / 8
 
-    def candidates(u, su):
-        """(point to snap, whether the step is monotone), lazily."""
-        if su_prev is not None:
-            yield su + _EXTRAPOLATION * (su - su_prev), False
-        yield su, True
-        if s_norm > 0.0:
-            yield u + su / s_norm, True
+    def snapped(u, f, lam, su, point):
+        """(cand, F, S cand) of the svd snap of point, or None when it is rank deficient."""
+        try:
+            cand = enforce_partial_unitarity(point, "svd")
+        except NumericalError:
+            return None
+        s_cand = _apply(tensor, cand)
+        return cand, f + float(np.vdot(cand - u, s_cand + su - lam @ (cand + u))), s_cand
 
     def step(u, f, lam, su):
-        nonlocal su_prev
+        nonlocal radius
+        su_norm = _norm(su)
+        if su_norm > 0.0:
+            g = su - lam @ u
+            stationarity = _norm(g) / su_norm
+            if stationarity <= config.rel_tol:
+                return CONVERGED
+            # A residual of rel_tol / 2 relative to S u leaves the next
+            # iterate's stationarity about there: CG need not go further.
+            rel_res = min(0.5, max(math.sqrt(stationarity), 0.5 * config.rel_tol / stationarity))
+            eta, model, edge = _newton_step(s_single, s_norm, u, lam, g, rel_res, radius)
+            taken = snapped(u, f, lam, su, u + eta)
+            gain = -math.inf if taken is None else taken[1] - f
+            if gain < 0.25 * model:
+                radius *= 0.25
+            elif gain > 0.75 * model and edge:
+                radius = min(2.0 * radius, radius_max)
+            if gain >= 0.0:
+                return (f, *taken, gain == 0.0)
         reason = STALLED
-        for point, monotone in candidates(u, su):
-            try:
-                cand = enforce_partial_unitarity(point, "svd")
-            except NumericalError:   # numerically rank deficient: try the next step
+        for point in (su, u + su / s_norm) if s_norm > 0.0 else (su,):
+            taken = snapped(u, f, lam, su, point)
+            if taken is None:   # numerically rank deficient: try the next step
                 continue
-            f_cand, s_cand = _evaluated(tensor, cand)
-            if f_cand >= f:
-                # An extrapolated step can jump across the maximum with F
-                # unchanged; only a plain step that no longer raises F shows
-                # convergence, so a flat step restarts the momentum.
-                su_prev = None if _flat(f_cand, f, config.rel_tol) else su
-                return f, cand, f_cand, s_cand, monotone
-            if monotone:
-                reason = CONVERGED   # an ascent step that cannot ascend: F is at rounding level
+            if taken[1] >= f:
+                return (f, *taken, taken[1] == f)
+            reason = CONVERGED   # an ascent step that cannot ascend: F is at rounding level
         return reason
 
     return step

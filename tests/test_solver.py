@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import kgo
+import kgo.demo
 from kgo.errors import NumericalError
 
 from conftest import make_random_instance, random_partially_unitary
@@ -306,9 +307,40 @@ def snaps(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def hessian_products(monkeypatch):
+    """A list that grows by one at every Hessian product of polar ascent's CG,
+    whose single-precision copy of S then counts its products as S does."""
+    calls = []
+    hessian = kgo.solver._hessian
+
+    def counted(s_single, *args):
+        calls.append(None)
+        return hessian(s_single.view(CountingMatrix), *args)
+
+    monkeypatch.setattr(kgo.solver, "_hessian", counted)
+    return calls
+
+
 def assert_monotone(trace):
     f_after = [r.f_after for r in trace]
     assert all(b >= a for a, b in zip(f_after, f_after[1:]))
+
+
+def rank_deficient_tensor(rng, d=4, n=6, m_obs=2):
+    """Two rank-one observations: S u = sum_l c_l f_l x_l^T has rank <= 2 < d,
+    so the plain step polar(S u) never exists."""
+    z = np.einsum("li,lj->lij", rng.normal(size=(m_obs, d)),
+                  rng.normal(size=(m_obs, n))).reshape(m_obs, -1)
+    return kgo.CoverageTensor(kgo.TensorKind.PLAIN_VALUE, d, n, z.T @ z)
+
+
+def shifted_power_gain(tensor, u):
+    """F(polar(u + S u / ||S||_F)) - F(u), computed apart from the solver: the
+    gain of an ascent step that is positive wherever u is not stationary."""
+    su = (tensor.matrix @ u.reshape(-1)).reshape(u.shape)
+    step = kgo.enforce_partial_unitarity(u + su / np.linalg.norm(tensor.matrix))
+    return tensor.quadratic_form(step) - tensor.quadratic_form(u)
 
 
 class TestIteratePolarAscent:
@@ -326,15 +358,19 @@ class TestIteratePolarAscent:
             assert_monotone(trace)
             assert op.f_value == trace.records[-1].f_after  # the last iterate is the best
             assert op.residual <= 1e-8
+            assert trace.stop_reason == "converged"
+            assert trace.records[-1].stationarity <= cfg.rel_tol
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("instance", ["random", "christoffel"])
-    def test_one_product_per_snapped_candidate(self, instance, warm, snaps, monkeypatch):
+    def test_one_product_per_snapped_candidate(self, instance, warm, snaps, hessian_products,
+                                               monkeypatch):
         # Every snapped candidate costs one product with S, which gives its F
-        # and, when it is accepted, its trace row and the next step's S u; so
-        # a solve forms len(trace) products plus one per rejected candidate.
-        # The extrapolated image is combined from products already formed.
-        # A cold start also scores the unsnapped eigenstate it snapped.
+        # and, when it is accepted, its trace row and the next step's S u;
+        # every CG step of a Newton step costs one more, with S in single
+        # precision. So a solve forms len(trace) products, plus one per
+        # rejected candidate, plus one per CG step. A cold start also scores
+        # the unsnapped eigenstate it snapped.
         rng = np.random.default_rng(23)
         if instance == "random":
             tensor, u_init = random_tensor(rng, 3, 6), rng.normal(size=(3, 6))
@@ -346,9 +382,11 @@ class TestIteratePolarAscent:
         monkeypatch.setattr(CountingMatrix, "products", 0)
         cfg = kgo.SolverConfig(max_iterations=300, init_with_least_squares=warm)
         op, trace = kgo.solve(counted, cfg, u_init)
-        assert len(trace) > 10
+        assert trace.stop_reason == "converged"
+        assert len(hessian_products) > len(trace) > 3
         rejected = len(snaps) - len(trace)
-        assert CountingMatrix.products == len(trace) + rejected + (0 if warm else 1)
+        assert CountingMatrix.products == (len(trace) + rejected + len(hessian_products)
+                                           + (0 if warm else 1))
         assert op.f_value == kgo.solve(tensor, cfg, u_init)[0].f_value
 
     def test_trace_monotone_christoffel(self):
@@ -356,22 +394,119 @@ class TestIteratePolarAscent:
         assert tensor.d * tensor.n >= 100
         cfg = kgo.SolverConfig(max_iterations=300, init_with_least_squares=True)
         op, trace = kgo.solve(tensor, cfg, kgo.lsq_channel(data))
-        assert len(trace) > 10
         assert_monotone(trace)
         assert op.residual <= 1e-8
+        assert trace.stop_reason == "converged"
+        assert trace.records[-1].stationarity <= cfg.rel_tol
 
     def test_stationary_when_converged(self):
-        # The |dF| stop test bounds the stationarity residual by roughly
-        # sqrt(rel_tol), so a tight rel_tol makes the certificate small.
+        # Polar ascent stops once the stationarity residual is at most rel_tol.
         rng = np.random.default_rng(16)
         data = make_random_instance(rng, max_obs=80)
         for kind in kgo.TensorKind:
             tensor = kgo.build_coverage_tensor(kind, data)
-            op, trace = kgo.solve(tensor, kgo.SolverConfig(rel_tol=1e-12))
+            op, trace = kgo.solve(tensor, kgo.SolverConfig())
             assert trace.stop_reason == "converged"
-            assert trace.records[-1].stationarity <= 1e-6
+            assert trace.records[-1].stationarity <= 1e-10
             assert kgo.stationarity_residual(op.u, tensor) == pytest.approx(
                 trace.records[-1].stationarity, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stationary_or_flat_at_rounding(self, seed):
+        # Every kind, a composed subspace tensor, a rank-deficient and a zero
+        # tensor, from both starts: F never falls, never ends below its start,
+        # and the solve stops at stationarity <= rel_tol, or where the shifted
+        # power step, which ascends wherever u is not stationary, gains
+        # nothing beyond rounding.
+        rng = np.random.default_rng(40 + seed)
+        data = make_random_instance(rng, max_obs=80)
+        while data.f_orth.shape[1] < 2:   # a one-row channel is its own start
+            data = make_random_instance(rng, max_obs=80)
+        sub = kgo.contributing_subspace(data, data.f_orth.shape[1] - 1, "projective")
+        tensors = [kgo.build_coverage_tensor(kind, data) for kind in kgo.TensorKind]
+        tensors += [kgo.build_coverage_tensor(kgo.TensorKind.CHRISTOFFEL_PRODUCT, data, sub),
+                    rank_deficient_tensor(rng),
+                    kgo.CoverageTensor(kgo.TensorKind.PLAIN_VALUE, 2, 3, np.zeros((6, 6)))]
+        for tensor in tensors:
+            for warm in (False, True):
+                cfg = kgo.SolverConfig(init_with_least_squares=warm)
+                op, trace = kgo.solve(tensor, cfg, rng.normal(size=(tensor.d, tensor.n)))
+                assert_monotone(trace)
+                assert op.f_value == trace.records[-1].f_after >= trace.records[0].f_after
+                assert trace.stop_reason in ("converged", "stalled")
+                if trace.records[-1].stationarity > cfg.rel_tol:
+                    assert shifted_power_gain(tensor, op.u) <= 1e-14 * abs(op.f_value)
+
+    @pytest.mark.parametrize("tensor_case", ["full-rank", "rank-deficient"])
+    def test_power_step_when_newton_falls(self, tensor_case, monkeypatch):
+        # A Newton step that lowers F is never kept. With every Newton step
+        # downhill, each row is the power step polar(S u), or, where S u is
+        # rank deficient, polar(u + S u / ||S||_F): the trace follows that
+        # iteration run on its own from the same start.
+        def downhill(s_single, s_norm, u, lam, g, rel_res, radius):
+            return -1e-3 * g, 1.0, False
+
+        monkeypatch.setattr(kgo.solver, "_newton_step", downhill)
+        rng = np.random.default_rng(32)
+        full_rank = tensor_case == "full-rank"
+        tensor = random_tensor(rng, 3, 6) if full_rank else rank_deficient_tensor(rng)
+        u = kgo.enforce_partial_unitarity(rng.normal(size=(tensor.d, tensor.n)))
+        cfg = kgo.SolverConfig(max_iterations=20, init_with_least_squares=True)
+        op, trace = kgo.solve(tensor, cfg, u)
+        assert len(trace) == 20 and trace.stop_reason == "budget"
+        s_norm = np.linalg.norm(tensor.matrix)
+        for record in trace.records[1:]:
+            su = (tensor.matrix @ u.reshape(-1)).reshape(u.shape)
+            point = su if full_rank else u + su / s_norm
+            u = kgo.enforce_partial_unitarity(point)
+            assert record.f_after == pytest.approx(tensor.quadratic_form(u), rel=1e-12)
+        assert_monotone(trace)
+        np.testing.assert_allclose(op.u, u, atol=1e-12)
+
+    def test_square_wave_converges(self):
+        # The square-wave demo's data, where no eigenstate snaps and polar
+        # ascent starts from the least-squares map: it converges well inside
+        # its budget to the F of linear-constraints.
+        grid, weights = kgo.demo.grid_measure()
+        labels = np.where(grid >= 0.0, 1.0, -1.0)
+        data = kgo.prepare(kgo.Sample(grid[:, None], labels[:, None], weights),
+                           kgo.BasisSpec("monomial", 6), kgo.BasisSpec("monomial", 1))
+        model, trace = kgo.fit_prepared(data, kgo.TensorKind.F_CHRISTOFFEL, kgo.SolverConfig())
+        assert trace.stop_reason == "converged"
+        assert len(trace) < kgo.SolverConfig().max_iterations
+        assert model.report["stationarity"] <= 1e-10
+        assert model.report["f"] >= 1.99999998
+
+    def test_newton_model_is_second_order(self):
+        # At a constrained u with g = S u - sym(Lambda) u and A = -Hess F / 2
+        # from `_hessian`, F(polar(u + t eta)) = F + 2t <g, eta> - t^2 <eta,
+        # A eta> + O(t^3) for a tangent eta, and A is self-adjoint there to
+        # the single precision of its products.
+        rng = np.random.default_rng(31)
+        tensor = random_tensor(rng, 3, 6)
+        u = random_partially_unitary(rng, 3, 6)
+        su = (tensor.matrix @ u.reshape(-1)).reshape(3, 6)
+        raw = u @ su.T
+        lam = 0.5 * (raw + raw.T)
+        g = su - lam @ u
+
+        def tangent(xi):
+            w = xi @ u.T
+            return xi - 0.5 * (w + w.T) @ u
+
+        eta, xi = tangent(rng.normal(size=(3, 6))), tangent(rng.normal(size=(3, 6)))
+        s_norm = np.linalg.norm(tensor.matrix)
+        s_single = (tensor.matrix / s_norm).astype(np.float32)
+        a_eta = kgo.solver._hessian(s_single, s_norm, u, lam, eta, np.empty_like(eta))
+        a_xi = kgo.solver._hessian(s_single, s_norm, u, lam, xi, np.empty_like(xi))
+        assert np.vdot(xi, a_eta) == pytest.approx(np.vdot(eta, a_xi), rel=1e-6)
+        f = tensor.quadratic_form(u)
+        errors = []
+        for t in (1e-2, 5e-3):
+            model = f + 2 * t * np.vdot(g, eta) - t * t * np.vdot(eta, a_eta)
+            errors.append(abs(tensor.quadratic_form(
+                kgo.enforce_partial_unitarity(u + t * eta)) - model))
+        assert errors[1] < errors[0] / 6
 
     def test_not_below_its_start(self):
         rng = np.random.default_rng(17)
@@ -387,13 +522,9 @@ class TestIteratePolarAscent:
             assert op.f_value >= snap.f_value
 
     def test_rank_deficient_steps(self):
-        # Two rank-one observations: S u = sum_l c_l f_l x_l^T has rank <= 2
-        # < d, so the plain step polar(S u) never exists.
         rng = np.random.default_rng(18)
-        d, n, m_obs = 4, 6, 2
-        z = np.einsum("li,lj->lij", rng.normal(size=(m_obs, d)),
-                      rng.normal(size=(m_obs, n))).reshape(m_obs, -1)
-        tensor = kgo.CoverageTensor(kgo.TensorKind.PLAIN_VALUE, d, n, z.T @ z)
+        tensor = rank_deficient_tensor(rng)
+        d, n = tensor.d, tensor.n
         for u_init in (None, rng.normal(size=(d, n))):
             cfg = kgo.SolverConfig(init_with_least_squares=u_init is not None)
             op, trace = kgo.solve(tensor, cfg, u_init)
