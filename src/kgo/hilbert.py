@@ -9,8 +9,8 @@ coordinates, where the Gram matrix and its inverse drop out of the formulas.
 A PreparedData record holds both spaces and the rows they were built from,
 not the basis-evaluated rows: sums over observations are taken in fixed
 row blocks, each block's basis columns evaluated when the pass reaches it.
-A fit of `prepare` data takes one of two routes (`_moment_route`), and
-passes over the rows as follows:
+A fit of `prepare` data takes one of two routes (`PreparedData.moment_route`),
+and passes over the rows as follows:
 
   moment table  for Chebyshev specs on both sides, well-conditioned
                 whitenings and the lesser work per row. Two passes.
@@ -22,9 +22,9 @@ passes over the rows as follows:
        map between orthonormal coordinates, and factors the coupling
        C C^T = L L^T into K = L^-1 C; the label-matched projector is K^T K.
     2. the weighted pass (see `tensors`): each block's doubled-order tables
-       give the row norms, its gates, the coverage tensor (or, for a
-       single-shot fit, its product S u with one channel) and the sums
-       behind F_TOT and F_JDG.
+       give |x|^2, the raw attribute basis columns and the coverage tensor;
+       the pass maps those columns to the overlap, |K x|^2 and, for a
+       single-shot fit, S u with one channel, on either route alike.
   rows          everything else. Three passes.
     1. `prepare`: each side's Gram matrix (`_side_gram`, the one Gram path of
        `gram_matrix`, `build_space`, `space_from_sample`, `prepare` and
@@ -50,8 +50,8 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .linalg import row_blocks, sym_eig
 from .sample import (CHEBYSHEV, BasisSpec, Sample, _basis_columns, _checked_dimension,
-                     _column_grid, _moment_table, _n_vars, _pair_tables, _product_moments,
-                     _table_shape, design_matrix)
+                     _moment_table, _n_vars, _pair_tables, _product_moments, _table_shape,
+                     design_matrix)
 
 DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
@@ -163,15 +163,20 @@ class SpaceBasis:
         return 2.0 ** 1000 / float(np.vdot(self.transform, self.transform))
 
 
-def _whitening_cut(space: SpaceBasis) -> tuple:
-    """(smallest kept, largest dropped) Gram eigenvalue over the top one. The first is read
-    off T's row norms 1/sqrt(eig_i); the second is 0.0 unless whitening dropped a direction,
-    and only then is the Gram spectrum computed."""
+def _kept_ratio(space: SpaceBasis) -> float:
+    """The smallest kept Gram eigenvalue over the top one, read off T's row norms
+    1/sqrt(eig_i)."""
     norms2 = np.einsum("ij,ij->i", space.transform, space.transform)
+    return float(norms2.min() / norms2.max())
+
+
+def _whitening_cut(space: SpaceBasis) -> tuple:
+    """(`_kept_ratio`, largest dropped Gram eigenvalue over the top one): the second is
+    0.0 unless whitening dropped a direction, and only then is the Gram spectrum computed."""
     if space.eff_dim == space.raw_dim:
-        return float(norms2.min() / norms2.max()), 0.0
-    eig = np.linalg.eigvalsh(space.gram_raw)[::-1]
-    return float(norms2.min() / norms2.max()), float(eig[space.eff_dim] / eig[0])
+        return _kept_ratio(space), 0.0
+    eig = np.linalg.eigvalsh(space.gram_raw)
+    return _kept_ratio(space), float(eig[-1 - space.eff_dim] / eig[-1])
 
 
 @dataclass(frozen=True)
@@ -357,7 +362,7 @@ class PreparedData:
     def stats(self) -> RowStats:
         """The cross Gram C and the factor K of the label/attribute coupling, on first read.
 
-        On the moment-table route (`_moment_route`) C is T_f C_raw T_x^T, whitened from
+        On the moment-table route (`moment_route`) C is T_f C_raw T_x^T, whitened from
         `prepare`'s raw cross moments; the route's condition gate keeps the rounding
         that whitening amplifies small. Otherwise, or where `prepare` did not sum
         C_raw (data built by hand), one pass sums C over whitened rows,
@@ -366,7 +371,7 @@ class PreparedData:
         1e-12 of the largest. The per-row norms are the weighted pass's (`tensors`).
         """
         tf, tx = self.f_space.transform, self.x_space.transform
-        if self.cross_raw is not None and _moment_route(self):
+        if self.cross_raw is not None and self.moment_route:
             cross = tf @ self.cross_raw @ tx.T
         else:
             cross = 0.0
@@ -382,6 +387,12 @@ class PreparedData:
             factor.setflags(write=False)
         cross.setflags(write=False)
         return RowStats(cross, factor)
+
+    @cached_property
+    def moment_route(self) -> bool:
+        """Whether a fit of this data takes the moment-table route, decided by
+        `_moment_route` on first read; `stats` and every weighted pass read it."""
+        return _moment_route(self)
 
     @cached_property
     def baseline_sums(self):
@@ -400,7 +411,7 @@ class PreparedData:
 # elementwise left factor of a few MB per block runs at memory speed.
 _ELEMENTWISE_COST = 40
 # Largest kappa_x * kappa_f of the two whitenings the moment route accepts, each
-# kappa the top over the smallest kept Gram eigenvalue (`_whitening_cut`).
+# kappa the top over the smallest kept Gram eigenvalue (`_kept_ratio`).
 # Whitening raw moments amplifies their rounding by about that product, so
 # its error stays near 1e-11 relative; the rows route only sees sqrt(kappa).
 _MOMENT_CONDITION_MAX = 1e5
@@ -409,32 +420,31 @@ _MOMENT_CONDITION_MAX = 1e5
 def _moment_route(data: PreparedData) -> bool:
     """Whether a fit takes the moment-table route, rather than the rows route.
 
-    The one route decision: it sets where C comes from (`PreparedData.stats`),
-    how the weighted pass computes the row norms and how it sums the tensor
+    The one route rule, read once per data (`PreparedData.moment_route`): it
+    sets where C comes from (`PreparedData.stats`), and how the weighted pass
+    gets |x|^2 and the raw attribute basis columns b_x and sums the tensor
     (`tensors`). It needs Chebyshev specs on both sides and well-conditioned
-    whitenings (`_MOMENT_CONDITION_MAX`). Then the route with less work per
-    row runs. The moment table's is the weighted pass: the gathers, the
-    weighted left factor and one matrix product of the tensor table, and the
-    two quadratic forms |x|^2, |K x|^2 and the overlap map read off the
-    attribute table. The rows route's is two passes of basis columns and
-    whitened attribute rows, the mapped rows of the overlap and |K x|^2,
-    building z and z^T z.
+    whitenings (`_MOMENT_CONDITION_MAX`). Then the route with less work per row
+    runs, leaving out the product A b_x both take. The moment table's is the
+    weighted pass: the gathers of both sides' columns and of b_x, the weighted
+    left factor and one matrix product of the tensor table, and the quadratic
+    form |x|^2. The rows route's is two passes of basis columns and whitened
+    attribute rows, building z and z^T z.
     """
     if any(spec is None or spec.kind != CHEBYSHEV for spec in (data.f_spec, data.x_spec)):
         return False
     f_lead, f_last, f_gather = _table_shape(data.f_spec, data.f_rows)
     x_lead, x_last, x_gather = _table_shape(data.x_spec, data.x_rows)
-    corner = _column_grid(data.x_spec, data.x_rows)[2]
     m, n = data.f_space.eff_dim, data.x_space.eff_dim
     n_raw = data.x_space.raw_dim
-    label, overlap = f_lead * f_last, m * corner[0]
-    moment = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead
-                                   + 2 * x_lead + overlap)
-              + (label + 2) * x_lead * x_last + overlap * corner[1])
+    label = f_lead * f_last
+    moment = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead + x_lead
+                                   + n_raw)
+              + (label + 1) * x_lead * x_last)
     width = m * n
     rows = (_ELEMENTWISE_COST * (2 * n_raw * _n_vars(data.x_spec, data.x_rows) + width)
-            + 2 * n * n_raw + 2 * m * n_raw + width * (width + 1) // 2)
-    return moment < rows and (_whitening_cut(data.x_space)[0] * _whitening_cut(data.f_space)[0]
+            + 2 * n * n_raw + width * (width + 1) // 2)
+    return moment < rows and (_kept_ratio(data.x_space) * _kept_ratio(data.f_space)
                               >= 1.0 / _MOMENT_CONDITION_MAX)
 
 

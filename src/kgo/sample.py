@@ -17,8 +17,10 @@ ufunc calls on a one-column array (`_row_factors`), with the same bits, and
 gathers its columns straight from those floats; monomials keep numpy's
 power. A block of a pass takes the ufuncs at any row count. This module
 also owns the doubled-order moment table that Chebyshev Gram matrices and
-coverage tensors are read off, and that a fit's per-row norms are
-evaluated on; no other module knows its layout.
+coverage tensors are read off, and that a fit's per-row |x|^2 is evaluated
+on. `hilbert` and `tensors` reach its layout only through the helpers here:
+a block's factors and table, the basis columns gathered from the factors,
+the table's sizes and the sums read off it.
 """
 
 from __future__ import annotations
@@ -346,7 +348,8 @@ def _basis_columns(spec: Optional[BasisSpec], rows: np.ndarray) -> np.ndarray:
 # The table's columns are the leading variables' up_to list of that order
 # times the last variable's exponent 0..2*order; the up_to list of order
 # `order` is a prefix of it, so every basis column is one column of the
-# (Q', order + 1) corner of the table (`_column_grid`).
+# (Q', order + 1) corner of the table (`_column_grid`), the product of one
+# leading-variable column and one last-variable factor (`_table_columns`).
 
 
 def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
@@ -371,6 +374,17 @@ def _doubled_columns(lead: np.ndarray, last: np.ndarray) -> np.ndarray:
     `_basis_columns`: both multiply the variables' factors in order.
     """
     return np.multiply(lead[:, None], last[None]).reshape(-1, last.shape[1])
+
+
+def _table_columns(spec: BasisSpec, rows: np.ndarray, lead: np.ndarray,
+                   last: np.ndarray) -> np.ndarray:
+    """A block's basis columns (dim, rows), gathered from its doubled-order factors
+    `(lead, last)` (`_doubled_factors`): the rows of `_doubled_columns` at the basis
+    columns, with the bits of `_basis_columns`, and no other column built."""
+    at_lead, at_last, _ = _column_grid(spec, rows)
+    columns = lead.take(at_lead, axis=0)
+    columns *= last.take(at_last, axis=0)
+    return columns
 
 
 def _table_block(label: np.ndarray, lead: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -416,7 +430,6 @@ def _pair_tables(x_spec: BasisSpec, x_rows: np.ndarray, f_spec: BasisSpec,
     table sum_l w_l b_f(l) T_q(x_l) over the basis-order corner of the
     attribute table. Non-finite values raise, without a warning first.
     """
-    f_pos = _spec_positions(f_spec, f_rows)[0]
     rows_q, rows_e, corner = _column_grid(x_spec, x_rows)
     x_mom = f_mom = joint = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises below
@@ -426,10 +439,10 @@ def _pair_tables(x_spec: BasisSpec, x_rows: np.ndarray, f_spec: BasisSpec,
             f_lead, f_last = _doubled_factors(f_spec, f_rows[block])
             x_mom = x_mom + _table_block(w[None], x_lead, x_last)
             f_mom = f_mom + _table_block(w[None], f_lead, f_last)
-            labels = _doubled_columns(f_lead, f_last)[f_pos] * w
+            labels = _table_columns(f_spec, f_rows, f_lead, f_last) * w
             joint = joint + _table_block(labels, x_lead[:corner[0]], x_last[:corner[1]])
     _finite(x_mom, f_mom, joint)
-    cross = joint.reshape(len(f_pos), *corner)[:, rows_q, rows_e]
+    cross = joint.reshape(-1, *corner)[:, rows_q, rows_e]
     return x_mom.reshape(1, -1), f_mom.reshape(1, -1), cross
 
 
@@ -489,34 +502,21 @@ def _product_moments(moments: np.ndarray, spec: BasisSpec, rows: np.ndarray,
     return products
 
 
-def _product_coefficients(forms: np.ndarray, spec: BasisSpec, rows: np.ndarray) -> np.ndarray:
-    """The quadratic forms b^T A b of the basis columns b, one per (dim, dim) matrix A
-    of `forms`, as coefficients (k, Q, E) of the doubled-order table's columns:
-    the adjoint of `_product_moments`, which scatters where it gathers."""
+def _product_coefficients(form: np.ndarray, spec: BasisSpec, rows: np.ndarray) -> np.ndarray:
+    """The quadratic form b^T A b of the basis columns b, A = `form` (dim, dim), as
+    coefficients (Q, E) of the doubled-order table's columns: the adjoint of
+    `_product_moments`, which scatters where it gathers."""
     gathers = _spec_positions(spec, rows)[1]
     lead, last, _ = _table_shape(spec, rows)
-    k, size = forms.shape[0], lead * last
-    slots = np.arange(k)[:, None, None] * size
-    coefficients = sum(np.bincount((slots + gather).ravel(), weights=forms.ravel(),
-                                   minlength=k * size) for gather in gathers)
-    return (coefficients / len(gathers)).reshape(k, lead, last)
-
-
-def _column_coefficients(maps: np.ndarray, spec: BasisSpec, rows: np.ndarray) -> np.ndarray:
-    """The linear maps `maps` (k, dim) of the basis columns as coefficients (k, Q', order + 1)
-    of the corner of the doubled-order table that holds them (`_column_grid`)."""
-    lead, last, corner = _column_grid(spec, rows)
-    coefficients = np.zeros((maps.shape[0],) + corner)
-    coefficients[:, lead, last] = maps
-    return coefficients
+    coefficients = sum(np.bincount(gather.ravel(), weights=form.ravel(), minlength=lead * last)
+                       for gather in gathers)
+    return (coefficients / len(gathers)).reshape(lead, last)
 
 
 def _table_values(coefficients: np.ndarray, lead: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Per row of a block, the functionals `coefficients` (k, Q', E') of its doubled-order
-    table, over the first Q' leading-variable columns and E' last-variable rows: (k, rows)."""
-    k, q, e = coefficients.shape
-    values = (coefficients.reshape(k * q, e) @ last[:e]).reshape(k, q, -1)
-    return np.einsum("kqr,qr->kr", values, lead[:q])
+    """Per row of a block, the functional `coefficients` (Q, E) of its doubled-order table,
+    as `_product_coefficients` gives it: (rows,)."""
+    return np.einsum("qr,qr->r", coefficients @ last, lead)
 
 
 def with_scale(spec: BasisSpec, rows) -> BasisSpec:

@@ -23,44 +23,38 @@ Every kind is the same row-weighted sum S = sum_l w_l z_l z_l^T with
 z_l = f_l (x) x_l; only the per-row weights w_l differ. A fit sums it in its
 last pass over the rows, the weighted pass (`_weighted_pass`; the passes
 before it are in `hilbert`). Per row block, in block order, that pass
-computes each row's |f|^2, |x|^2, overlap f^T C x and, for the adjusted
-kind, |K x|^2; gates them (`_kind_weights`: one zero gate and one range
-gate, naming the first bad observation by its index in the sample); and
-adds the block to the tensor of the fit's kind, to the label-Christoffel
-moments of F_TOT and to the F_JDG sum. The gates of F_TOT and F_JDG do not
-stop the pass: each is raised where its sum is read. The kind-free sums of
-a pass without a tensor are summed once per PreparedData
+computes each row's |f|^2 and |x|^2, and maps the raw attribute basis
+columns b_x through A = [C; K; u] T_x in one product: the overlap f^T C x,
+and for the adjusted kind |K x|^2. It gates them (`_kind_weights`: one zero
+gate and one range gate, naming the first bad observation by its index in
+the sample) and adds the block to the tensor of the fit's kind, to the
+label-Christoffel moments of F_TOT and to the F_JDG sum. The gates of F_TOT
+and F_JDG do not stop the pass: each is raised where its sum is read. The
+kind-free sums of a pass without a tensor are summed once per PreparedData
 (`PreparedData.baseline_sums`) and read by every coverage bound.
 
 A single-shot fit reads F at one channel u known before the pass, the svd
 snap of the least-squares channel, so its pass sums the product
-S u = sum_l w_l s_l f_l x_l^T, s_l = f_l^T u x_l, a d x n matrix, in place
-of the (d n)^2 tensor. The label rows are whitened on both routes. The
-attribute side and the tensor take one of two routes
-(`hilbert._moment_route`), over the same fixed row blocks:
+S u = (sum_l w_l s_l f_l b_x(l)^T) T_x^T, s_l = f_l^T u T_x b_x(l), a d x n
+matrix, in place of the (d n)^2 tensor; s is the last rows of the same
+product. Each route gives a block's rows, whitened label rows, |x|^2 and b_x,
+and sums the tensor; the route (`PreparedData.moment_route`) is one of:
 
   moment table  for data from `prepare` with Chebyshev specs on both sides.
                 Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
                 weighted table of doubled-order basis moments holds every
                 product; S is gathered from it and whitened by T_f (x) T_x.
-                The row norms are functionals of the same attribute table:
-                |x|^2 and |K x|^2 quadratic forms of the basis columns, whose
-                coefficients T_x^T T_x and (K T_x)^T (K T_x) are scattered onto
-                the table (`sample._product_coefficients`), and the mapped
-                row C T_x b_x a linear one (`sample._column_coefficients`).
-                `sample` sums, reads and sizes the table; its layout is
-                known nowhere else.
-                S u is one more joint table, sum_l w_l s_l f_l b_x(l)^T over
-                the basis-order corner, s_l a linear functional like the
-                mapped row; it is whitened by T_x alone.
+                |x|^2 is a quadratic form of the same attribute table, whose
+                coefficients T_x^T T_x are scattered onto it
+                (`sample._product_coefficients`), and b_x is gathered from
+                its factors (`sample._table_columns`).
                 Taken when the two whitenings are well conditioned and the
                 table needs less work per row than the rows route (many
                 variables at low order do not).
   syrk          everything else: spec-less data (`prepare_points`),
                 monomial specs (their doubled-order moments are badly
                 conditioned) and the cases above. Each block's whitened rows
-                give the norms, and z, built from them, is added as z z^T;
-                S u adds (f w s) x^T instead.
+                give |x|^2, and z, built from them, is added as z z^T.
 """
 
 from __future__ import annotations
@@ -72,11 +66,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hilbert import PreparedData, _coupled, _moment_route
+from .hilbert import PreparedData, _coupled
 from .linalg import row_blocks, sym_eig
-from .sample import (_basis_columns, _column_coefficients, _column_grid, _doubled_columns,
-                     _doubled_factors, _finite, _product_coefficients, _product_moments,
-                     _spec_positions, _table_block, _table_shape, _table_values)
+from .sample import (_basis_columns, _doubled_columns, _doubled_factors, _finite,
+                     _product_coefficients, _product_moments, _table_block, _table_columns,
+                     _table_shape, _table_values)
 
 
 class TensorKind(str, Enum):
@@ -179,6 +173,18 @@ def _raised(value):
     return value
 
 
+def _row_maps(data: PreparedData, adjusted: bool = False,
+              channel: Optional[np.ndarray] = None) -> np.ndarray:
+    """A = [C; K; u] T_x: the linear maps of the raw attribute basis columns behind the
+    overlap, |K x|^2 (`adjusted`; a singular coupling raises) and s (with a `channel` u)."""
+    maps = [data.stats.cross]
+    if adjusted:
+        maps.append(_coupled(data.stats.factor))
+    if channel is not None:
+        maps.append(channel)
+    return np.vstack(maps) @ data.x_space.transform
+
+
 def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
                    channel: Optional[np.ndarray] = None) -> _Sums:
     """The last pass over the rows: row norms, gates, the tensor of `kind` and the sums
@@ -192,16 +198,24 @@ def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
     weight.
     """
     adjusted = kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
-    if adjusted:
-        _coupled(data.stats.factor)
-    route = (_TableRoute if _moment_route(data) else _RowsRoute)(data, kind, channel)
-    moments, jdg = 0.0, 0.0
-    for rows, f, attribute, overlap, normalizer, operands in route.blocks():
+    maps, m = _row_maps(data, adjusted, channel), data.f_space.eff_dim
+    tensor = kind is not None and channel is None
+    route = (_TableRoute if data.moment_route else _RowsRoute)(data, tensor)
+    moments, jdg, product = 0.0, 0.0, 0.0
+    for rows, f, attribute, columns in route.blocks():
         weights = data.weights[rows]
         label = np.einsum("ij,ij->j", f, f)
+        mapped = maps @ columns
+        overlap = np.einsum("ij,ij->j", f, mapped[:m])
+        normalizer = np.einsum("ij,ij->j", mapped[m:2 * m], mapped[m:2 * m]) if adjusted else None
+        s = np.einsum("ij,ij->j", f, mapped[-m:]) if channel is not None else None
         if kind is not None:
-            route.add(operands,
-                      _kind_weights(kind, weights, label, attribute, normalizer, rows.start))
+            kind_weights = _kind_weights(kind, weights, label, attribute, normalizer, rows.start)
+            if tensor:  # b_x goes before the block's part of the tensor is built
+                del columns
+                route.add(kind_weights)
+            else:
+                product = product + (f * (kind_weights * s)) @ columns.T
         if not isinstance(moments, NumericalError):
             try:
                 _label_gate(label, weights, rows.start)
@@ -213,77 +227,63 @@ def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
                 moments = moments + (unit * weights) @ unit.T
         if not isinstance(jdg, NumericalError):
             try:
-                product = _kind_weights(TensorKind.CHRISTOFFEL_PRODUCT, weights, label,
-                                        attribute, None, rows.start)
+                weight = _kind_weights(TensorKind.CHRISTOFFEL_PRODUCT, weights, label,
+                                       attribute, None, rows.start)
             except NumericalError as error:
                 jdg = error
             else:
-                jdg += float(np.sum(product * overlap ** 2))
+                jdg += float(np.sum(weight * overlap ** 2))
     if not isinstance(moments, NumericalError):
         moments.setflags(write=False)
-    return _Sums(None if kind is None else route.matrix(), moments, jdg)
+    matrix = None
+    if tensor:
+        matrix = route.matrix()
+    elif kind is not None:  # S u = (sum_l w_l s_l f_l b_x(l)^T) T_x^T
+        matrix = product @ data.x_space.transform.T
+    return _Sums(matrix, moments, jdg)
 
 
 class _RowsRoute:
     """The syrk route of the weighted pass: whitened rows per block.
 
-    `blocks` yields each block's rows, whitened label rows f, |x|^2, overlap,
-    |K x|^2 (None unless `kind` is the adjusted kind) and the operands of `add`.
-    The overlap and |K x|^2 map the raw attribute columns through [C; K] T_x in
-    one product, so |K x|^2 costs m_eff * n_eff per row instead of n_eff^2.
-    With a `channel` u the route sums S u, not S.
+    `blocks` yields each block's rows, whitened label rows f, |x|^2 of the
+    whitened attribute rows and the raw attribute basis columns b_x; `add`
+    adds the block's z z^T when the pass sums the `tensor`.
     """
 
-    def __init__(self, data: PreparedData, kind: Optional[TensorKind],
-                 channel: Optional[np.ndarray] = None):
-        adjusted = kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
-        self.data, self.adjusted, self.channel = data, adjusted, channel
-        stats = data.stats
-        maps = np.vstack([stats.cross, stats.factor]) if adjusted else stats.cross
-        self.maps = maps @ data.x_space.transform
+    def __init__(self, data: PreparedData, tensor: bool):
+        self.data = data
         m, n = data.f_space.eff_dim, data.x_space.eff_dim
-        self.sum = np.zeros((m * n, m * n) if channel is None else (m, n))
+        self.sum = np.zeros((m * n, m * n)) if tensor else None
 
     def blocks(self):
-        data, tx, m = self.data, self.data.x_space.transform, self.data.f_space.eff_dim
+        data, tx = self.data, self.data.x_space.transform
         for rows in row_blocks(data.size):
             columns = _basis_columns(data.x_spec, data.x_rows[rows])
             f = data.f_space.transform @ _basis_columns(data.f_spec, data.f_rows[rows])
             x = columns.T @ tx.T  # (block rows, n_eff)
-            mapped = self.maps @ columns
-            yield (rows, f, np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->j", f, mapped[:m]),
-                   np.einsum("ij,ij->j", mapped[m:], mapped[m:]) if self.adjusted else None,
-                   (f, x))
+            self.operands = f, x
+            yield rows, f, np.einsum("ij,ij->i", x, x), columns
 
-    def add(self, operands: tuple, weights: np.ndarray):
-        """Adds a block's z z^T, z = f (x) x scaled in place by sqrt(w); with a channel u,
-        its (f w s) x^T, s = f^T u x."""
-        f, x = operands
-        if self.channel is not None:
-            s = np.einsum("ij,ij->j", f, self.channel @ x.T)
-            self.sum += (f * (weights * s)) @ x
-            return
+    def add(self, weights: np.ndarray):
+        """Adds the block's z z^T, z = f (x) x scaled in place by sqrt(w)."""
+        f, x = self.operands
         x = np.ascontiguousarray(x.T)  # (n_eff, block rows): z is built at unit stride
         z = np.multiply(f[:, None], x[None]).reshape(self.sum.shape[0], -1)
         z *= np.sqrt(weights)
         self.sum += z @ z.T
 
     def matrix(self) -> np.ndarray:
-        return self.sum if self.channel is not None else 0.5 * (self.sum + self.sum.T)
+        return 0.5 * (self.sum + self.sum.T)
 
 
 class _TableRoute:
     """The moment-table route of the weighted pass: one doubled-order factor table per
-    side per block gives the row norms and the block's part of the table
-    Mom[p, q] = sum_l w_l T_p(f_l) T_q(x_l), which holds every product of raw basis
-    columns; `matrix` reads them off it by the Chebyshev product rule and whitens
-    them by T_f (x) T_x: the attribute side first, for every label moment, and the
-    label side last.
-
-    With a `channel` u it sums the joint table sum_l w_l s_l f_l b_x(l)^T over the
-    basis-order corner instead, s_l = f_l^T u T_x b_x(l) read off the attribute
-    table as the mapped row is, and `matrix` gathers S u from it and whitens it
-    by T_x.
+    side per block gives |x|^2, the basis columns b_x and the block's part of the
+    table Mom[p, q] = sum_l w_l T_p(f_l) T_q(x_l), which holds every product of raw
+    basis columns; `matrix` reads them off it by the Chebyshev product rule and
+    whitens them by T_f (x) T_x: the attribute side first, for every label moment,
+    and the label side last.
 
     The whitening rescales the table's raw sums only at the end. A running
     power-of-two prescale, raised block by block to the largest weight yet
@@ -292,48 +292,38 @@ class _TableRoute:
     exponent from the start.
     """
 
-    def __init__(self, data: PreparedData, kind: Optional[TensorKind],
-                 channel: Optional[np.ndarray] = None):
-        adjusted = kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
-        self.data, self.adjusted = data, adjusted
-        self.tensor = kind is not None and channel is None  # the pass adds the tensor
+    def __init__(self, data: PreparedData, tensor: bool):
+        self.data, self.tensor = data, tensor
         tx, tf = data.x_space.transform, data.f_space.transform
-        forms = [tx.T @ tx]
-        if adjusted:
-            kt = data.stats.factor @ tx
-            forms.append(kt.T @ kt)
-        self.forms = _product_coefficients(np.stack(forms), data.x_spec, data.x_rows)
-        self.maps = _column_coefficients(data.stats.cross @ tx, data.x_spec, data.x_rows)
-        self.channel = (None if channel is None
-                        else _column_coefficients(channel @ tx, data.x_spec, data.x_rows))
+        self.form = _product_coefficients(tx.T @ tx, data.x_spec, data.x_rows)
         self.offset = sum(np.frexp(np.abs(t).max())[1] for t in (tx, tf))
         self.exp, self.sum = None, 0.0
 
     def blocks(self):
-        """As `_RowsRoute.blocks`; |x|^2, |K x|^2 and the mapped rows C T_x b_x are read off
-        the attribute table. Only a pass that adds the tensor reads the label table, whose
-        basis columns it whitens; a pass that sums S u or no tensor whitens the label basis
-        columns, which `_basis_columns` gives with the same bits (`_doubled_columns`)."""
+        """As `_RowsRoute.blocks`; |x|^2 is a quadratic form of the attribute table, and
+        b_x is gathered from the attribute factors and not kept here. Only a pass that adds the tensor
+        builds the label table, and gathers the label basis columns from its factors;
+        any other pass takes them from `_basis_columns`, with the same bits
+        (`_table_columns`)."""
         data = self.data
-        positions = _spec_positions(data.f_spec, data.f_rows)[0]
         for rows in row_blocks(data.size):
             with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in `matrix`
                 lead, last = _doubled_factors(data.x_spec, data.x_rows[rows])
                 if self.tensor:
-                    labels = _doubled_columns(*_doubled_factors(data.f_spec, data.f_rows[rows]))
-                    f = data.f_space.transform @ labels[positions]
+                    factors = _doubled_factors(data.f_spec, data.f_rows[rows])
+                    labels = _doubled_columns(*factors)
+                    f = data.f_space.transform @ _table_columns(data.f_spec, data.f_rows, *factors)
                 else:
                     labels = None
                     f = data.f_space.transform @ _basis_columns(data.f_spec, data.f_rows[rows])
-                norms = _table_values(self.forms, lead, last)
-                overlap = np.einsum("ij,ij->j", f, _table_values(self.maps, lead, last))
-            yield (rows, f, norms[0], overlap, norms[1] if self.adjusted else None,
-                   (labels, f, lead, last))
+                attribute = _table_values(self.form, lead, last)
+            self.operands = labels, lead, last
+            yield rows, f, attribute, _table_columns(data.x_spec, data.x_rows, lead, last)
 
-    def add(self, operands: tuple, weights: np.ndarray):
-        """Adds a block's weighted table, after raising the prescale if its largest
+    def add(self, weights: np.ndarray):
+        """Adds the block's weighted table, after raising the prescale if its largest
         weight needs it."""
-        labels, f, lead, last = operands
+        labels, lead, last = self.operands
         exp = np.frexp(weights.max())[1] + self.offset
         if self.exp is None or exp > self.exp:
             if self.exp is not None:
@@ -341,21 +331,12 @@ class _TableRoute:
             self.exp = exp
         weights = np.ldexp(weights, -self.exp)
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in `matrix`
-            if self.channel is None:
-                self.sum = self.sum + _table_block(labels * weights, lead, last)
-                return
-            q, e = self.channel.shape[1:]
-            s = np.einsum("ij,ij->j", f, _table_values(self.channel, lead, last))
-            self.sum = self.sum + _table_block(f * (weights * s), lead[:q], last[:e])
+            self.sum = self.sum + _table_block(labels * weights, lead, last)
 
     def matrix(self) -> np.ndarray:
         data = self.data
         _finite(self.sum)
         tx, tf = data.x_space.transform, data.f_space.transform
-        if self.channel is not None:
-            rows_q, rows_e, corner = _column_grid(data.x_spec, data.x_rows)
-            product = self.sum.reshape(-1, *corner)[:, rows_q, rows_e]  # (m, n_raw)
-            return np.ldexp(product @ tx.T, self.exp)
         lead, last, _ = _table_shape(data.x_spec, data.x_rows)
         mom = self.sum.reshape(-1, lead * last)  # (label columns, attribute columns)
         x_white = tx @ _product_moments(mom, data.x_spec, data.x_rows) @ tx.T  # (labels, n, n)

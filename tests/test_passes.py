@@ -4,9 +4,10 @@
 side's Gram read off its doubled-order moment table) and, for a Chebyshev
 pair, the raw cross moments. `PreparedData.stats` holds the cross Gram and
 the factor of the label/attribute coupling. One weighted pass computes each
-row's norms, the coverage tensor and the sums behind F_TOT and F_JDG: on
-the moment-table route the attribute norms are functionals of the row's
-doubled-order table, on the rows route they come from whitened rows. Every
+row's norms, the coverage tensor and the sums behind F_TOT and F_JDG: |x|^2
+is a functional of the row's doubled-order table on the moment-table route
+and comes from whitened rows on the rows route; on both, the overlap and
+|K x|^2 come from one product with the raw basis columns. Every
 quantity is checked here on both routes against the whole-array formula on
 `x_points`, `x_orth`, `f_points` and `f_orth`, which the data builds only
 when they are read."""
@@ -27,8 +28,9 @@ from test_tensors import chebyshev_instance, dense_coverage_matrix
 BLOCK = _ROW_BLOCK
 SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
 SHAPES = [dict(x_vars=1, x_order=5), dict(x_vars=2, x_order=4), dict(x_vars=3, x_order=2),
-          dict(x_vars=2, x_order=4, mode="exact"), dict(x_vars=2, x_order=3, source=(2, 0)),
-          dict(x_vars=3, x_order=3, dead=1)]
+          dict(x_vars=4, x_order=3), dict(x_vars=2, x_order=4, mode="exact"),
+          dict(x_vars=2, x_order=3, source=(2, 0)), dict(x_vars=3, x_order=3, dead=1)]
+SHAPE_IDS = ["1var", "2var", "3var", "4var", "exact", "source", "dead"]
 
 
 def close(got, want, rtol=1e-12):
@@ -73,22 +75,25 @@ def assert_matches_dense(data):
 def route(request, monkeypatch):
     """Send the data through one route, whatever the route rule would pick."""
     table = request.param == "table"
-    for module in (kgo.hilbert, kgo.tensors):
-        monkeypatch.setattr(module, "_moment_route", lambda data: table)
+    monkeypatch.setattr(kgo.hilbert, "_moment_route", lambda data: table)
     return table
 
 
 def row_norms(data, table):
-    """Each row's |x|^2, overlap f^T C x and |K x|^2, as a route's weighted pass computes them."""
-    route = (kgo.tensors._TableRoute if table else kgo.tensors._RowsRoute)(
-        data, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED)
-    parts = zip(*(block[2:5] for block in route.blocks()))
-    return [np.concatenate(part) for part in parts]
+    """Each row's |x|^2, overlap f^T C x and |K x|^2, as the weighted pass computes them:
+    |x|^2 from the route, the other two from the one product [C; K] T_x b_x."""
+    route = (kgo.tensors._TableRoute if table else kgo.tensors._RowsRoute)(data, False)
+    maps, m = kgo.tensors._row_maps(data, adjusted=True), data.f_space.eff_dim
+    parts = []
+    for _, f, attribute, columns in route.blocks():
+        mapped = maps @ columns
+        parts.append((attribute, np.einsum("ij,ij->j", f, mapped[:m]),
+                      np.einsum("ij,ij->j", mapped[m:], mapped[m:])))
+    return [np.concatenate(part) for part in zip(*parts)]
 
 
 class TestPassesMatchDense:
-    @pytest.mark.parametrize("shape", SHAPES,
-                             ids=["1var", "2var", "3var", "exact", "source", "dead"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
     @pytest.mark.parametrize("size", SIZES)
     def test_every_quantity(self, size, shape, route):
         data = chebyshev_instance(np.random.default_rng([size, len(shape)]), size, **shape)
@@ -120,7 +125,7 @@ class TestPassesMatchDense:
                 data.x_points, data.weights).tobytes()
         else:
             data = kgo.prepare_points(data.x_points, data.f_points, data.weights)
-        assert not kgo.tensors._moment_route(data)
+        assert not data.moment_route
         assert_matches_dense(data)
 
 
@@ -142,10 +147,15 @@ def assert_product_matches(kind, data, channel):
 class TestChannelProduct:
     """The weighted pass sums S u for one channel u without building S."""
 
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("kind", list(kgo.TensorKind))
-    def test_matches_the_tensor(self, kind, size, route):
-        data = chebyshev_instance(np.random.default_rng([size, 17]), size, x_vars=2, f_vars=2)
+    def test_matches_the_tensor(self, kind, size, shape, route):
+        # Every spec shape on both routes, with two label variables: the table
+        # route gathers b_x from the block's doubled-order factors, the rows
+        # route evaluates it.
+        data = chebyshev_instance(np.random.default_rng([size, 17, len(shape)]), size,
+                                  f_vars=2, f_order=1, **shape)
         assert_product_matches(kind, data, some_channel(data, size))
 
     @pytest.mark.parametrize("kind", list(kgo.TensorKind))
@@ -318,7 +328,7 @@ class TestIllConditioned:
         # long-double sum over whitened rows. The attribute norms come from
         # the block's whitened rows.
         data = clusters()
-        assert not kgo.tensors._moment_route(data)
+        assert not data.moment_route
         ld = np.longdouble
         x_orth = data.x_points.astype(ld) @ data.x_space.transform.T.astype(ld)
         f_orth = data.f_points.astype(ld) @ data.f_space.transform.T.astype(ld)
@@ -331,14 +341,16 @@ class TestIllConditioned:
                                    rtol=1e-14)
 
     @pytest.mark.parametrize("shape", [dict(x_vars=1, x_order=12), dict(x_order=8, f_order=3),
-                                       dict(x_vars=3, x_order=5), dict(x_order=6, f_vars=2)],
-                             ids=["1var", "2var", "3var", "2labels"])
+                                       dict(x_vars=3, x_order=5), dict(x_order=6, f_vars=2),
+                                       dict(x_vars=4, x_order=5, f_order=3)],
+                             ids=["1var", "2var", "3var", "2labels", "4var"])
     def test_polynomial_norms_against_long_double(self, shape):
-        # On the moment-table route |x|^2 and |K x|^2 are quadratic forms read off
-        # each row's doubled-order table; with the data's own transform and K they
-        # stay within 1e-13 of a long-double sum over whitened rows, row by row.
+        # On the moment-table route |x|^2 is a quadratic form read off each row's
+        # doubled-order table, and |K x|^2 the square of K T_x b_x, b_x gathered
+        # from the row's doubled-order factors; with the data's own transform and K
+        # they stay within 1e-13 of a long-double sum over whitened rows, row by row.
         data = chebyshev_instance(np.random.default_rng(12), 2 * BLOCK + 7, **shape)
-        assert kgo.tensors._moment_route(data)
+        assert data.moment_route
         ld = np.longdouble
         x_orth = data.x_points.astype(ld) @ data.x_space.transform.T.astype(ld)
         kx = x_orth @ data.stats.factor.T.astype(ld)
@@ -428,7 +440,7 @@ class TestRowPasses:
         sample = chebyshev_sample(2 * BLOCK + 7)  # three row blocks
         x_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 8), sample.x_rows)
         f_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 3), sample.f_rows)
-        assert kgo.tensors._moment_route(kgo.prepare(sample, x_spec, f_spec))
+        assert kgo.prepare(sample, x_spec, f_spec).moment_route
         counts, orders = count_row_passes(monkeypatch, x_spec, f_spec)
         kgo.fit(sample, x_spec, f_spec, kgo.TensorKind.CHRISTOFFEL_PRODUCT,
                 kgo.SolverConfig(algorithm="lsq-adj"), d=d)
@@ -444,7 +456,7 @@ class TestRowPasses:
         x_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 8), sample.x_rows)
         f_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 3), sample.f_rows)
         data = kgo.prepare(sample, x_spec, f_spec)
-        assert kgo.tensors._moment_route(data)
+        assert data.moment_route
         counts, orders = count_row_passes(monkeypatch, x_spec, f_spec)
         kgo.ftot_upper_bound(data)
         assert counts == {"x tables": 3, "f tables": 3, "x columns": 0, "f columns": 3}
@@ -455,7 +467,7 @@ class TestRowPasses:
         # the cross Gram's pass and the weighted pass over basis columns, each
         # block's columns built from one factor table.
         data = clusters()
-        assert not kgo.tensors._moment_route(data)
+        assert not data.moment_route
         sample = kgo.Sample(data.x_rows, data.f_rows, data.weights)
         counts, _ = count_row_passes(monkeypatch, data.x_spec, data.f_spec)
         kgo.fit(sample, data.x_spec, data.f_spec, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
@@ -571,6 +583,18 @@ class TestFitReadsNoAttributeRows:
         assert len(builds) == 1 and passes == [kind]
         assert model.report["f_tot"] > 0.0 and model.report["f_jdg"] > 0.0
 
+    def test_route_decided_once(self, monkeypatch):
+        # `stats`, the fit's weighted pass and the baselines' own pass read one decision.
+        calls, rule = [], kgo.hilbert._moment_route
+        monkeypatch.setattr(kgo.hilbert, "_moment_route",
+                            lambda data: calls.append(data) or rule(data))
+        data = kgo.prepare(chebyshev_sample(BLOCK + 9), kgo.BasisSpec("chebyshev", 8),
+                           kgo.BasisSpec("chebyshev", 3))
+        kgo.fit_prepared(data, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
+                         kgo.SolverConfig(algorithm="lsq-adj"))
+        kgo.ftot_upper_bound(data)
+        assert len(calls) == 1 and calls[0] is data
+
     def test_never_reads_the_attribute_pair(self, monkeypatch):
         def refuse(data):
             raise AssertionError("the fit read an attribute row array")
@@ -606,7 +630,7 @@ class TestFitReadsNoAttributeRows:
                 specs = [kgo.with_scale(specs[0], sample.x_rows),
                          kgo.with_scale(specs[1], sample.f_rows)]
             data = kgo.prepare(sample, *specs)
-            assert kgo.tensors._moment_route(data) == (basis == "chebyshev")
+            assert data.moment_route == (basis == "chebyshev")
             tracemalloc.start()
             try:
                 kgo.fit_prepared(data, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
