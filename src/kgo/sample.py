@@ -383,7 +383,8 @@ def _table_columns(spec: BasisSpec, rows: np.ndarray, lead: np.ndarray,
     columns, with the bits of `_basis_columns`, and no other column built."""
     at_lead, at_last, _ = _column_grid(spec, rows)
     columns = lead.take(at_lead, axis=0)
-    columns *= last.take(at_last, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in `_basis_columns`
+        columns *= last.take(at_last, axis=0)
     return columns
 
 

@@ -191,18 +191,18 @@ def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
     behind F_TOT and F_JDG, one row block at a time in block order.
 
     With a `channel` u (m_eff x n_eff) the pass sums S u for that one channel
-    instead of S, under the same gates; no (d n)^2 array is built. A gate of
-    the tensor's kind raises at once; a singular coupling raises before the
-    pass for the adjusted kind. F_TOT sums unit label states, in range at any
-    weight scale; F_JDG sums the squared overlaps under the christoffel-product
-    weight.
+    instead of S, under the same gates, and raises if S u is not finite; no
+    (d n)^2 array is built. A gate of the tensor's kind raises at once; a
+    singular coupling raises before the pass for the adjusted kind. F_TOT sums
+    unit label states, in range at any weight scale; F_JDG sums the squared
+    overlaps under the christoffel-product weight.
     """
     adjusted = kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
     maps, m = _row_maps(data, adjusted, channel), data.f_space.eff_dim
     tensor = kind is not None and channel is None
     route = (_TableRoute if data.moment_route else _RowsRoute)(data, tensor)
     moments, jdg, product = 0.0, 0.0, 0.0
-    for rows, f, attribute, columns in route.blocks():
+    for rows, f, attribute, columns, operands in route.blocks():
         weights = data.weights[rows]
         label = np.einsum("ij,ij->j", f, f)
         mapped = maps @ columns
@@ -211,11 +211,12 @@ def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
         s = np.einsum("ij,ij->j", f, mapped[-m:]) if channel is not None else None
         if kind is not None:
             kind_weights = _kind_weights(kind, weights, label, attribute, normalizer, rows.start)
-            if tensor:  # b_x goes before the block's part of the tensor is built
+            if tensor:  # the table route lets go of b_x before it builds its weighted table
                 del columns
-                route.add(kind_weights)
+                route.add(operands, kind_weights)
             else:
-                product = product + (f * (kind_weights * s)) @ columns.T
+                with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises below
+                    product = product + (f * (kind_weights * s)) @ columns.T
         if not isinstance(moments, NumericalError):
             try:
                 _label_gate(label, weights, rows.start)
@@ -240,6 +241,7 @@ def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
         matrix = route.matrix()
     elif kind is not None:  # S u = (sum_l w_l s_l f_l b_x(l)^T) T_x^T
         matrix = product @ data.x_space.transform.T
+        _finite(matrix)
     return _Sums(matrix, moments, jdg)
 
 
@@ -247,8 +249,9 @@ class _RowsRoute:
     """The syrk route of the weighted pass: whitened rows per block.
 
     `blocks` yields each block's rows, whitened label rows f, |x|^2 of the
-    whitened attribute rows and the raw attribute basis columns b_x; `add`
-    adds the block's z z^T when the pass sums the `tensor`.
+    whitened attribute rows, the raw attribute basis columns b_x and the
+    operands of `add`, which adds the block's z z^T when the pass sums the
+    `tensor`.
     """
 
     def __init__(self, data: PreparedData, tensor: bool):
@@ -262,12 +265,11 @@ class _RowsRoute:
             columns = _basis_columns(data.x_spec, data.x_rows[rows])
             f = data.f_space.transform @ _basis_columns(data.f_spec, data.f_rows[rows])
             x = columns.T @ tx.T  # (block rows, n_eff)
-            self.operands = f, x
-            yield rows, f, np.einsum("ij,ij->i", x, x), columns
+            yield rows, f, np.einsum("ij,ij->i", x, x), columns, (f, x)
 
-    def add(self, weights: np.ndarray):
+    def add(self, operands, weights: np.ndarray):
         """Adds the block's z z^T, z = f (x) x scaled in place by sqrt(w)."""
-        f, x = self.operands
+        f, x = operands
         x = np.ascontiguousarray(x.T)  # (n_eff, block rows): z is built at unit stride
         z = np.multiply(f[:, None], x[None]).reshape(self.sum.shape[0], -1)
         z *= np.sqrt(weights)
@@ -301,10 +303,10 @@ class _TableRoute:
 
     def blocks(self):
         """As `_RowsRoute.blocks`; |x|^2 is a quadratic form of the attribute table, and
-        b_x is gathered from the attribute factors and not kept here. Only a pass that adds the tensor
-        builds the label table, and gathers the label basis columns from its factors;
-        any other pass takes them from `_basis_columns`, with the same bits
-        (`_table_columns`)."""
+        b_x is gathered from the attribute factors and not kept here. Only a pass that
+        adds the tensor builds the label table, and gathers the label basis columns
+        from its factors; any other pass takes them from `_basis_columns`, with the
+        same bits (`_table_columns`)."""
         data = self.data
         for rows in row_blocks(data.size):
             with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in `matrix`
@@ -317,13 +319,13 @@ class _TableRoute:
                     labels = None
                     f = data.f_space.transform @ _basis_columns(data.f_spec, data.f_rows[rows])
                 attribute = _table_values(self.form, lead, last)
-            self.operands = labels, lead, last
-            yield rows, f, attribute, _table_columns(data.x_spec, data.x_rows, lead, last)
+            yield (rows, f, attribute, _table_columns(data.x_spec, data.x_rows, lead, last),
+                   (labels, lead, last))
 
-    def add(self, weights: np.ndarray):
+    def add(self, operands, weights: np.ndarray):
         """Adds the block's weighted table, after raising the prescale if its largest
         weight needs it."""
-        labels, lead, last = self.operands
+        labels, lead, last = operands
         exp = np.frexp(weights.max())[1] + self.offset
         if self.exp is None or exp > self.exp:
             if self.exp is not None:

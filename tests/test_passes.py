@@ -85,7 +85,7 @@ def row_norms(data, table):
     route = (kgo.tensors._TableRoute if table else kgo.tensors._RowsRoute)(data, False)
     maps, m = kgo.tensors._row_maps(data, adjusted=True), data.f_space.eff_dim
     parts = []
-    for _, f, attribute, columns in route.blocks():
+    for _, f, attribute, columns, _ in route.blocks():
         mapped = maps @ columns
         parts.append((attribute, np.einsum("ij,ij->j", f, mapped[:m]),
                       np.einsum("ij,ij->j", mapped[m:], mapped[m:])))
@@ -151,11 +151,13 @@ class TestChannelProduct:
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("kind", list(kgo.TensorKind))
     def test_matches_the_tensor(self, kind, size, shape, route):
-        # Every spec shape on both routes, with two label variables: the table
-        # route gathers b_x from the block's doubled-order factors, the rows
-        # route evaluates it.
+        # Every spec shape on both routes, with two label variables of order 2
+        # (order 1 for `exact`, whose n = 5 < m = 6 at order 2): the table route
+        # gathers b_x and the label rows f, with their mixed f1 f2 column, from
+        # the block's doubled-order factors; the rows route evaluates them.
+        f_order = 1 if shape.get("mode") == "exact" else 2
         data = chebyshev_instance(np.random.default_rng([size, 17, len(shape)]), size,
-                                  f_vars=2, f_order=1, **shape)
+                                  f_vars=2, f_order=f_order, **shape)
         assert_product_matches(kind, data, some_channel(data, size))
 
     @pytest.mark.parametrize("kind", list(kgo.TensorKind))
@@ -164,13 +166,35 @@ class TestChannelProduct:
         assert data.x_space.eff_dim < data.x_space.raw_dim
         assert_product_matches(kind, data, some_channel(data, 18))
 
-    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    @pytest.mark.parametrize("scale", [1e-100, 1e100, 1e300])
     @pytest.mark.parametrize("kind", list(kgo.TensorKind))
     def test_scaled_weights(self, kind, scale, route):
         base = chebyshev_instance(np.random.default_rng(19), BLOCK + 9)
         sample = kgo.Sample(base.x_rows, base.f_rows, base.weights * scale)
         data = kgo.prepare(sample, base.x_spec, base.f_spec)
-        assert_product_matches(kind, data, some_channel(data, 19))
+        channel = some_channel(data, 19)
+        if scale > 1e200 and kind is not kgo.TensorKind.PLAIN_VALUE:
+            # |x|^2 |f|^2 falls as the square of the weight scale, so the Christoffel
+            # kinds' weights overflow: S u raises the tensor's error.
+            for build in (lambda: kgo.tensors._weighted_pass(data, kind, channel),
+                          lambda: kgo.build_coverage_tensor(kind, data)):
+                with pytest.raises(NumericalError, match=f"has {kind.value} weight inf"):
+                    build()
+        else:
+            assert_product_matches(kind, data, channel)
+
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
+    def test_non_finite_product_raises(self, kind, route):
+        # A channel near the float range: the Christoffel products' sums overflow,
+        # and the pass raises where it would return inf.
+        data = chebyshev_instance(np.random.default_rng(21), BLOCK + 9)
+        channel = 1e306 * some_channel(data, 21)
+        if kind in (kgo.TensorKind.CHRISTOFFEL_PRODUCT,
+                    kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED):
+            with pytest.raises(NumericalError, match="non-finite"):
+                kgo.tensors._weighted_pass(data, kind, channel)
+        else:
+            assert np.isfinite(kgo.tensors._weighted_pass(data, kind, channel).matrix).all()
 
     @pytest.mark.parametrize("kind", list(kgo.TensorKind))
     def test_fit_keeps_the_channel_and_answers(self, kind, route):
