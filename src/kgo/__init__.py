@@ -13,10 +13,10 @@ from .sample import (BasisSpec, Sample, design_matrix, evaluate_basis,
                      producted_dimension, with_scale)
 from .linalg import (GenEigResult, SymEigResult, gen_sym_eig, spd_inverse_sqrt,
                      spd_sqrt, sym_eig)
-from .hilbert import (LocalizedState, PreparedData, SpaceBasis, build_space,
-                      christoffel, gram_matrix, label_matched_projection,
-                      localized_state, prepare, prepare_points, regularize,
-                      space_from_sample, state_values)
+from .hilbert import (LocalizedState, PreparedData, SpaceBasis, christoffel,
+                      label_matched_projection, localized_state, prepare,
+                      prepare_points, regularize, space_from_sample,
+                      state_values)
 from .baselines import (RadonNikodymModel, eval_least_squares,
                         eval_radon_nikodym, fit_least_squares,
                         fit_radon_nikodym, joint_distribution_coverage,

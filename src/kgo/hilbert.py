@@ -9,34 +9,31 @@ coordinates, where the Gram matrix and its inverse drop out of the formulas.
 A PreparedData record holds both spaces and the rows they were built from,
 not the basis-evaluated rows: sums over observations are taken in fixed
 row blocks, each block's basis columns evaluated when the pass reaches it.
-A fit of `prepare` data takes one of two routes (`PreparedData.moment_route`),
-and passes over the rows as follows:
+The first pass is the same for every pair of sides: `prepare`,
+`prepare_points` and `space_from_sample` make it through `sample._raw_moments`,
+which reads each block once for both sides. It reads a Chebyshev side's Gram
+off the side's plain-weight doubled-order moment table, whose layout `sample`
+owns, and sums any other side's over the block's weighted columns; a
+Chebyshev pair also sums its raw cross moments sum_l w_l b_f(l) b_x(l)^T. A
+fit then takes one of two routes (`PreparedData.moment_route`):
 
   moment table  for Chebyshev specs on both sides, well-conditioned
                 whitenings and the lesser work per row. Two passes.
-    1. `prepare`: one factor table per side per block gives each side's
-       plain-weight doubled-order moment table, whose layout `sample` owns,
-       and the raw cross moments sum_l w_l b_f(l) b_x(l)^T. The Gram matrices
-       are read off the tables; `PreparedData.stats` whitens the raw cross
-       moments into the cross Gram C = sum_l w_l f_l x_l^T, the least-squares
-       map between orthonormal coordinates, and factors the coupling
+    1. the first pass. `PreparedData.stats` whitens the raw cross moments
+       into the cross Gram C = sum_l w_l f_l x_l^T, the least-squares map
+       between orthonormal coordinates, and factors the coupling
        C C^T = L L^T into K = L^-1 C; the label-matched projector is K^T K.
     2. the weighted pass (see `tensors`): each block's doubled-order tables
        give |x|^2, the raw attribute basis columns and the coverage tensor;
        the pass maps those columns to the overlap, |K x|^2 and, for a
        single-shot fit, S u with one channel, on either route alike.
-  rows          everything else. Three passes.
-    1. `prepare`: each side's Gram matrix (`_side_gram`, the one Gram path of
-       `gram_matrix`, `build_space`, `space_from_sample`, `prepare` and
-       `prepare_points`), read off the side's moment table for a Chebyshev
-       side and summed over the block's weighted columns otherwise; a
-       Chebyshev pair also sums its raw cross moments, as above.
+  rows          everything else, `prepare_points` data among it. Three passes.
+    1. the first pass.
     2. `PreparedData.stats`: C summed over whitened rows, then K.
     3. the weighted pass over whitened rows.
 
-`prepare_points` data sums its Gram matrices over the stored feature rows
-and takes the rows route. The row arrays `x_points`, `x_orth`, `f_points`
-and `f_orth` are built only when read.
+The row arrays `x_points`, `x_orth`, `f_points` and `f_orth` are built only
+when read.
 """
 
 from __future__ import annotations
@@ -49,9 +46,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .linalg import row_blocks, sym_eig
-from .sample import (CHEBYSHEV, BasisSpec, Sample, _basis_columns, _checked_dimension,
-                     _moment_table, _n_vars, _pair_tables, _product_moments, _table_shape,
-                     design_matrix)
+from .sample import (CHEBYSHEV, BasisSpec, Sample, _basis_columns, _n_vars, _raw_moments,
+                     _table_shape, design_matrix)
 
 DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
@@ -187,41 +183,6 @@ class LocalizedState:
     space: SpaceBasis
 
 
-def gram_matrix(points, weights) -> np.ndarray:
-    """Measure-weighted Gram matrix of feature rows: G_ab = <b_a b_b>.
-
-    Summed one fixed block of rows at a time, so the only row-sized buffer
-    is one block's weighted copy.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    if points.shape[0] != weights.shape[0]:
-        raise DimensionError("row/weight count mismatch")
-    return _side_gram(None, points, weights)
-
-
-def _side_gram(spec: Optional[BasisSpec], rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """One side's raw Gram matrix, summed over the fixed row blocks of its rows.
-
-    A Chebyshev side's is read off its plain-weight doubled-order moment
-    table; any other side (a monomial spec, or feature rows and no spec)
-    adds each block's weighted columns. Non-finite basis values raise,
-    without a warning first.
-    """
-    dim = rows.shape[1] if spec is None else _checked_dimension(spec, rows)
-    if spec is not None and spec.kind == CHEBYSHEV:
-        return _product_moments(_moment_table(spec, rows, weights), spec, rows)[0]
-    gram = np.zeros((dim, dim))
-    for block in row_blocks(rows.shape[0]):
-        right = np.ascontiguousarray(_basis_columns(spec, rows[block]).T)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises below
-            left = right.T * weights[block]
-        if not (np.isfinite(left).all() and np.isfinite(right).all()):
-            raise NumericalError("basis evaluation produced non-finite values")
-        gram += left @ right
-    return gram
-
-
 def regularize(gram_raw, rel_threshold: float = DEFAULT_REL_THRESHOLD) -> np.ndarray:
     """Whitening transform of a PSD Gram matrix.
 
@@ -236,19 +197,13 @@ def regularize(gram_raw, rel_threshold: float = DEFAULT_REL_THRESHOLD) -> np.nda
     return (eig.eigenvectors[:, keep] / np.sqrt(eig.eigenvalues[keep])).T
 
 
-def build_space(points, weights, const_direction=None,
-                rel_threshold: float = DEFAULT_REL_THRESHOLD) -> SpaceBasis:
-    """Assemble a SpaceBasis from feature rows and weights.
+def _space_from_gram(g, const_direction, rel_threshold: float) -> SpaceBasis:
+    """The SpaceBasis of a raw Gram matrix.
 
     `const_direction` is the raw coefficient vector representing the constant
     function (defaults to the first coordinate axis, matching producted bases
     whose constant component comes first).
     """
-    return _space_from_gram(gram_matrix(points, weights), const_direction, rel_threshold)
-
-
-def _space_from_gram(g, const_direction, rel_threshold: float) -> SpaceBasis:
-    """The SpaceBasis of a raw Gram matrix; see `build_space`."""
     t = regularize(g, rel_threshold)
     const = np.eye(len(g))[0] if const_direction is None else const_direction
     const = np.asarray(const, dtype=float).reshape(-1)
@@ -262,15 +217,14 @@ def space_from_sample(sample: Sample, side: str, spec: BasisSpec) -> SpaceBasis:
 
     The constant function is the spec's constant component.
     """
-    return _spec_space(_side_gram(spec, sample.x_rows if side == "x" else sample.f_rows,
-                                  sample.weights), spec)
+    rows = sample.x_rows if side == "x" else sample.f_rows
+    (gram,), _ = _raw_moments([(spec, rows)], sample.weights)
+    return _spec_space(gram, spec)
 
 
 def _spec_space(gram: np.ndarray, spec: BasisSpec) -> SpaceBasis:
-    """The SpaceBasis of a spec's Gram matrix, its constant the spec's constant component."""
-    if spec.constant_index >= gram.shape[0]:
-        raise DimensionError(f"constant index {spec.constant_index} out of range for "
-                             f"basis dimension {gram.shape[0]}")
+    """The SpaceBasis of a spec's Gram matrix, its constant the spec's constant component
+    (checked against the dimension by `_raw_moments`)."""
     return _space_from_gram(gram, np.eye(len(gram))[spec.constant_index], DEFAULT_REL_THRESHOLD)
 
 
@@ -462,12 +416,15 @@ def label_matched_projection(data: PreparedData) -> np.ndarray:
 
 def prepare_points(x_points, f_points, weights, x_const=None, f_const=None,
                    rel_threshold: float = DEFAULT_REL_THRESHOLD) -> PreparedData:
-    """Build both spaces directly from feature rows, checked as a `Sample` checks raw rows."""
+    """Build both spaces directly from feature rows, checked as a `Sample` checks raw rows;
+    `x_const` and `f_const` are each side's constant direction (`_space_from_gram`).
+    One pass over the rows sums both Gram matrices (`sample._raw_moments`)."""
     rows = Sample(x_points, f_points, weights)
+    (x_gram, f_gram), _ = _raw_moments([(None, rows.x_rows), (None, rows.f_rows)], rows.weights)
     return PreparedData(
         weights=rows.weights,
-        x_space=build_space(rows.x_rows, rows.weights, x_const, rel_threshold),
-        f_space=build_space(rows.f_rows, rows.weights, f_const, rel_threshold),
+        x_space=_space_from_gram(x_gram, x_const, rel_threshold),
+        f_space=_space_from_gram(f_gram, f_const, rel_threshold),
         x_rows=rows.x_rows,
         f_rows=rows.f_rows,
     )
@@ -476,21 +433,12 @@ def prepare_points(x_points, f_points, weights, x_const=None, f_const=None,
 def prepare(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec) -> PreparedData:
     """Evaluate both bases on a sample and build the two spaces.
 
-    Each side's Gram matrix is summed over the row blocks; no array of
-    basis-evaluated rows is built. A Chebyshev pair sums both Gram tables
-    and its raw cross moments in one pass (`_pair_tables`).
+    One pass over the row blocks (`sample._raw_moments`) sums both Gram
+    matrices and, for a Chebyshev pair, the raw cross moments; no array of
+    basis-evaluated rows is built.
     """
-    cross_raw = None
-    if x_spec.kind == CHEBYSHEV and f_spec.kind == CHEBYSHEV:
-        _checked_dimension(x_spec, sample.x_rows)
-        _checked_dimension(f_spec, sample.f_rows)
-        x_mom, f_mom, cross_raw = _pair_tables(x_spec, sample.x_rows, f_spec, sample.f_rows,
-                                               sample.weights)
-        x_space = _spec_space(_product_moments(x_mom, x_spec, sample.x_rows)[0], x_spec)
-        f_space = _spec_space(_product_moments(f_mom, f_spec, sample.f_rows)[0], f_spec)
-    else:
-        x_space = space_from_sample(sample, "x", x_spec)
-        f_space = space_from_sample(sample, "f", f_spec)
-    return PreparedData(weights=sample.weights, x_space=x_space, f_space=f_space,
-                        x_rows=sample.x_rows, f_rows=sample.f_rows,
-                        x_spec=x_spec, f_spec=f_spec, cross_raw=cross_raw)
+    (x_gram, f_gram), cross_raw = _raw_moments(
+        [(x_spec, sample.x_rows), (f_spec, sample.f_rows)], sample.weights)
+    return PreparedData(weights=sample.weights, x_space=_spec_space(x_gram, x_spec),
+                        f_space=_spec_space(f_gram, f_spec), x_rows=sample.x_rows,
+                        f_rows=sample.f_rows, x_spec=x_spec, f_spec=f_spec, cross_raw=cross_raw)

@@ -18,9 +18,12 @@ gathers its columns straight from those floats; monomials keep numpy's
 power. A block of a pass takes the ufuncs at any row count. This module
 also owns the doubled-order moment table that Chebyshev Gram matrices and
 coverage tensors are read off, and that a fit's per-row |x|^2 is evaluated
-on. `hilbert` and `tensors` reach its layout only through the helpers here:
-a block's factors and table, the basis columns gathered from the factors,
-the table's sizes and the sums read off it.
+on, and it makes the first pass over the rows (`_raw_moments`): one loop of
+row blocks that sums both sides' Gram matrices, and a Chebyshev pair's raw
+cross moments, for any pair of sides. `hilbert` and `tensors` reach the
+table's layout only through the helpers here: a block's factors and table,
+the basis columns gathered from the factors, the table's sizes and the sums
+read off it.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class Sample:
             raise DataError("sample contains non-finite values")
         if np.any(w < 0.0):
             raise DataError("weights must be nonnegative")
-        if w.sum() <= 0.0:
+        if not w.any():
             raise DataError("total weight must be positive")
         object.__setattr__(self, "x_rows", x)
         object.__setattr__(self, "f_rows", f)
@@ -339,9 +342,10 @@ def _basis_columns(spec: Optional[BasisSpec], rows: np.ndarray) -> np.ndarray:
         return _gather_columns(table.reshape(-1, table.shape[-1]), gathers)
 
 
-# The doubled-order moment table of a Chebyshev spec: summed by `_moment_table`
-# and `_pair_tables`, read by `_product_moments`, evaluated per row by
-# `_table_values` and sized by `_table_shape`. Per variable
+# The doubled-order moment table of a Chebyshev spec: summed by `_raw_moments`
+# (its corner too, for a pair's cross moments) and by the weighted pass, read by
+# `_product_moments`, evaluated per row by `_table_values` and sized by
+# `_table_shape`. Per variable
 # T_a T_b = (T_(a+b) + T_|a-b|) / 2 (Mason & Handscomb, Chebyshev Polynomials,
 # 2003), so the product of two basis columns is the mean, over the 2**n_vars
 # choices of sum or difference per variable, of one column of order <= 2 * order.
@@ -404,47 +408,59 @@ def _table_shape(spec: BasisSpec, rows: np.ndarray):
 
 
 def _finite(*sums):
-    """Raise unless every sum is finite: every side has the column T_0 = 1, so a
-    non-finite factor reaches a table."""
+    """Raise unless every sum is finite: a Chebyshev side has the column T_0 = 1, so a
+    non-finite factor reaches its table, and any other side's non-finite column
+    reaches its own Gram diagonal."""
     if not all(np.isfinite(a).all() for a in sums):
         raise NumericalError("basis evaluation produced non-finite values")
 
 
-def _moment_table(spec: BasisSpec, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Mom[0, q] = sum_l w_l T_q(x_l) over the doubled-order columns T of `spec`:
-    the plain-weight table a Gram matrix is read off. Non-finite values raise,
-    without a warning first."""
-    mom = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises below
-        for block in row_blocks(rows.shape[0]):
-            mom = mom + _table_block(weights[block][None], *_doubled_factors(spec, rows[block]))
-    _finite(mom)
-    return mom.reshape(1, -1)
+def _raw_moments(sides, weights: np.ndarray):
+    """The first pass over the rows: one loop of row blocks for one or two sides.
 
-
-def _pair_tables(x_spec: BasisSpec, x_rows: np.ndarray, f_spec: BasisSpec,
-                 f_rows: np.ndarray, weights: np.ndarray):
-    """The first pass over a Chebyshev pair's rows, one factor table per side per block.
-
-    Returns both sides' `_moment_table` (the same bits) and the raw cross
-    moments sum_l w_l b_f(l) b_x(l)^T, (m_raw, n_raw), read off the joint
-    table sum_l w_l b_f(l) T_q(x_l) over the basis-order corner of the
-    attribute table. Non-finite values raise, without a warning first.
+    Each side is (spec, rows): raw rows under a BasisSpec, or feature rows and
+    spec None. Returns each side's raw Gram matrix and, for a Chebyshev pair
+    (attributes first), the raw cross moments sum_l w_l b_f(l) b_x(l)^T,
+    (m_raw, n_raw), read off the joint table sum_l w_l b_f(l) T_q(x_l) over
+    the basis-order corner of the attribute table; None for any other pair.
+    A Chebyshev side's Gram is read off its plain-weight doubled-order table;
+    any other side adds each block's weighted columns. Every spec's dimension
+    cap and constant index are checked before any row is read; a weight total
+    past the float range and non-finite sums raise, without a warning first.
     """
-    rows_q, rows_e, corner = _column_grid(x_spec, x_rows)
-    x_mom = f_mom = joint = 0.0
+    for spec, rows in sides:
+        if spec is not None and spec.constant_index >= _checked_dimension(spec, rows):
+            raise DimensionError(f"constant index {spec.constant_index} out of range for "
+                                 f"basis dimension {_checked_dimension(spec, rows)}")
+    with np.errstate(over="ignore"):  # an overflow raises below
+        total = weights.sum()
+    if not total < np.inf:
+        raise NumericalError("sample weights add up past the float range: "
+                             "rescale the sample weights")
+    tables = [spec is not None and spec.kind == CHEBYSHEV for spec, _ in sides]
+    pair = len(sides) == 2 and all(tables)
+    if pair:
+        (x_spec, x_rows), (f_spec, f_rows) = sides
+        rows_q, rows_e, corner = _column_grid(x_spec, x_rows)
+    sums, joint = [0.0] * len(sides), 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises below
-        for block in row_blocks(x_rows.shape[0]):
-            w = weights[block]
-            x_lead, x_last = _doubled_factors(x_spec, x_rows[block])
-            f_lead, f_last = _doubled_factors(f_spec, f_rows[block])
-            x_mom = x_mom + _table_block(w[None], x_lead, x_last)
-            f_mom = f_mom + _table_block(w[None], f_lead, f_last)
-            labels = _table_columns(f_spec, f_rows, f_lead, f_last) * w
-            joint = joint + _table_block(labels, x_lead[:corner[0]], x_last[:corner[1]])
-    _finite(x_mom, f_mom, joint)
-    cross = joint.reshape(-1, *corner)[:, rows_q, rows_e]
-    return x_mom.reshape(1, -1), f_mom.reshape(1, -1), cross
+        for block in row_blocks(weights.shape[0]):
+            w, factors = weights[block], []
+            for i, ((spec, rows), table) in enumerate(zip(sides, tables)):
+                if table:
+                    factors.append(_doubled_factors(spec, rows[block]))
+                    sums[i] = sums[i] + _table_block(w[None], *factors[-1])
+                else:
+                    right = np.ascontiguousarray(_basis_columns(spec, rows[block]).T)
+                    sums[i] = sums[i] + (right.T * w) @ right
+            if pair:
+                (x_lead, x_last), (f_lead, f_last) = factors
+                labels = _table_columns(f_spec, f_rows, f_lead, f_last) * w
+                joint = joint + _table_block(labels, x_lead[:corner[0]], x_last[:corner[1]])
+    _finite(*sums, joint)
+    grams = [_product_moments(moments.ravel(), spec, rows) if table else moments
+             for (spec, rows), table, moments in zip(sides, tables, sums)]
+    return grams, joint.reshape(-1, *corner)[:, rows_q, rows_e] if pair else None
 
 
 def _table_positions(exps: np.ndarray, n_vars: int, order: int) -> np.ndarray:

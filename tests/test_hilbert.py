@@ -12,8 +12,13 @@ from kgo.linalg import _ROW_BLOCK
 from conftest import grid_sample
 
 
+def feature_space(points, weights):
+    """The attribute space `prepare_points` builds from feature rows."""
+    return kgo.prepare_points(points, points[:, :1], weights).x_space
+
+
 def x_gram(sample, spec):
-    return kgo.gram_matrix(kgo.design_matrix(spec, sample.x_rows), sample.weights)
+    return feature_space(kgo.design_matrix(spec, sample.x_rows), sample.weights).gram_raw
 
 
 class TestGram:
@@ -36,10 +41,10 @@ class TestGram:
         rng = np.random.default_rng(size)
         points = rng.normal(size=(size, 6))
         weights = rng.uniform(0.1, 2.0, size=size)
-        g = kgo.gram_matrix(points, weights)
+        g = feature_space(points, weights).gram_raw
         expect = (points.T * weights) @ points
         assert np.abs(g - expect).max() <= 1e-12 * np.abs(expect).max()
-        assert g.tobytes() == kgo.gram_matrix(points, weights).tobytes()
+        assert g.tobytes() == feature_space(points, weights).gram_raw.tobytes()
 
 
 class TestRegularize:
@@ -61,7 +66,7 @@ class TestRegularize:
     def test_whitening_identity(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(40, 5))
-        g = kgo.gram_matrix(pts, np.ones(40))
+        g = feature_space(pts, np.ones(40)).gram_raw
         t = kgo.regularize(g)
         np.testing.assert_allclose(t @ g @ t.T, np.eye(t.shape[0]), atol=1e-10)
 
@@ -145,7 +150,7 @@ class TestLocalizedState:
 class TestSpaceIdentities:
     def test_project_batch_matches_rows(self):
         rng = np.random.default_rng(11)
-        space = kgo.build_space(rng.normal(size=(40, 5)), np.ones(40))
+        space = feature_space(rng.normal(size=(40, 5)), np.ones(40))
         batch = rng.normal(size=(7, 5))
         projected = space.project(batch)
         assert projected.shape == (7, space.eff_dim)
@@ -159,7 +164,7 @@ class TestSpaceIdentities:
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(60, 6))
         w = rng.uniform(0.2, 1.5, size=60)
-        space = kgo.build_space(pts, w)
+        space = feature_space(pts, w)
         coords = pts @ space.transform.T
         total = float(np.sum(w * np.einsum("ij,ij->i", coords, coords)))
         assert total == pytest.approx(space.eff_dim, abs=1e-10)
@@ -168,9 +173,9 @@ class TestSpaceIdentities:
         rng = np.random.default_rng(4)
         pts = np.column_stack([np.ones(50), rng.normal(size=(50, 3))])
         w = rng.uniform(0.5, 1.0, size=50)
-        space = kgo.build_space(pts, w)
+        space = feature_space(pts, w)
         transform = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-        gauged = kgo.build_space(pts @ transform.T, w)
+        gauged = feature_space(pts @ transform.T, w)
         probe = rng.normal(size=4)
         other = rng.normal(size=4)
         k0 = kgo.christoffel(space, probe)
@@ -332,6 +337,26 @@ class TestZeroProjectionRule:
         batch = _projection(space, np.stack([data.x_points[0], row]), ("point", "refused"))
         assert type(norm2) is float and norm2 == batch[1][1]
         assert coords.tobytes() == batch[0][1].tobytes()
+
+
+class TestHugeWeights:
+    @pytest.mark.parametrize("data", ["chebyshev", "monomial", "points"])
+    def test_weight_total_past_the_float_range_refused(self, data):
+        # 300 weights of 1e307 add up past the float range: the first pass refuses
+        # them by name before it reads a row, without a RuntimeWarning, whatever
+        # the data; a Sample of them is still a valid sample.
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-1.0, 1.0, size=(300, 2))
+        f, w = x[:, :1] ** 2, np.full(300, 1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = kgo.Sample(x, f, w)
+            with pytest.raises(NumericalError, match="^sample weights add up past the float "
+                                                     "range: rescale the sample weights$"):
+                if data == "points":
+                    kgo.prepare_points(x, f, w)
+                else:
+                    kgo.fit(sample, kgo.BasisSpec(data, 3), kgo.BasisSpec(data, 2))
 
 
 class TestPreparePoints:

@@ -75,9 +75,10 @@ CASES = [
     ("csv-non-finite", lambda tmp: kgo.load_sample(write(tmp / "d.csv", "1.0,2.0\n1.0,inf\n"),
                                                    "x=0;f=1"),
      DataError, "non-finite value in row 2"),
-    ("gram-row-count", lambda tmp: kgo.gram_matrix([[1.0, 0.0]], [1.0, 2.0]),
-     DimensionError, "row/weight count mismatch"),
-    ("space-constant", lambda tmp: kgo.build_space(np.eye(2), np.ones(2), [1.0, 0.0, 0.0]),
+    ("points-row-count", lambda tmp: kgo.prepare_points([[1.0, 0.0]], [[1.0]], [1.0, 2.0]),
+     DimensionError, "inconsistent observation counts: x=1, f=1, w=2"),
+    ("space-constant", lambda tmp: kgo.prepare_points(np.eye(2), np.eye(2), np.ones(2),
+                                                      x_const=[1.0, 0.0, 0.0]),
      DimensionError, "constant direction dimension mismatch"),
     ("rn-label-count", lambda tmp: kgo.fit_radon_nikodym(three_point(), labels=np.ones((2, 1))),
      DimensionError, "row/label count mismatch"),

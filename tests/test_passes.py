@@ -38,6 +38,11 @@ def close(got, want, rtol=1e-12):
     assert np.abs(np.asarray(got) - want).max() <= rtol * scale
 
 
+def feature_gram(data):
+    """The attribute Gram that `prepare_points` sums over the data's feature rows."""
+    return kgo.prepare_points(data.x_points, data.f_points, data.weights).x_space.gram_raw
+
+
 def dense_quantities(data):
     """Every checked quantity from whole-array formulas on the materialized rows."""
     x, f, w = data.x_points, data.f_points, data.weights
@@ -110,9 +115,9 @@ class TestPassesMatchDense:
         assert data.f_space.eff_dim == f_points.shape[1] - 1
         close(kgo.fit_least_squares(data), dense_quantities(data)["beta"])
 
-    def test_table_gram_agrees_with_gram_matrix(self):
+    def test_table_gram_agrees_with_feature_rows(self):
         data = chebyshev_instance(np.random.default_rng(3), 2 * BLOCK + 7, x_order=6)
-        close(data.x_space.gram_raw, kgo.gram_matrix(data.x_points, data.weights), rtol=1e-14)
+        close(data.x_space.gram_raw, feature_gram(data), rtol=1e-14)
 
     @pytest.mark.parametrize("basis", ["monomial", None])
     def test_other_data_matches_dense(self, basis):
@@ -120,9 +125,8 @@ class TestPassesMatchDense:
         if basis == "monomial":
             sample = kgo.Sample(data.x_rows, data.f_rows, data.weights)
             data = kgo.prepare(sample, kgo.BasisSpec("monomial", 4), kgo.BasisSpec("monomial", 2))
-            # The monomial Gram is gram_matrix's sum, bit for bit.
-            assert data.x_space.gram_raw.tobytes() == kgo.gram_matrix(
-                data.x_points, data.weights).tobytes()
+            # The monomial Gram is the feature rows' sum, bit for bit.
+            assert data.x_space.gram_raw.tobytes() == feature_gram(data).tobytes()
         else:
             data = kgo.prepare_points(data.x_points, data.f_points, data.weights)
         assert not data.moment_route
@@ -321,7 +325,7 @@ class TestIllConditioned:
         data = clusters()
         design = data.x_points.astype(np.longdouble)
         reference = (design.T * data.weights.astype(np.longdouble)) @ design
-        blocked = kgo.gram_matrix(data.x_points, data.weights)
+        blocked = feature_gram(data)
         for gram in (data.x_space.gram_raw, blocked):
             assert max_error(gram, reference) <= 1e-15
 
@@ -389,6 +393,25 @@ class TestPrepareChecks:
         sample = kgo.Sample(np.zeros((3, 40)), np.zeros((3, 1)), np.ones(3))
         with pytest.raises(DimensionError, match="exceeds cap"):
             kgo.prepare(sample, kgo.BasisSpec("chebyshev", 4), kgo.BasisSpec("chebyshev", 1))
+
+    @pytest.mark.parametrize("bad", ["constant", "cap"])
+    @pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+    def test_bad_label_spec_reads_no_row(self, monkeypatch, kind, bad):
+        # Both sides' dimension cap and constant index are checked before the first
+        # pass, so a bad label spec fails before any attribute row is evaluated.
+        rng = np.random.default_rng(8)
+        sample = kgo.Sample(rng.uniform(-1.0, 1.0, (50, 2)),
+                            rng.uniform(-1.0, 1.0, (50, 1 if bad == "constant" else 40)),
+                            np.ones(50))
+        x_spec = kgo.with_scale(kgo.BasisSpec(kind, 3), sample.x_rows)
+        order, index = (2, 5) if bad == "constant" else (4, 0)
+        f_spec = kgo.with_scale(kgo.BasisSpec(kind, order, constant_index=index), sample.f_rows)
+        counts, _ = count_row_passes(monkeypatch, x_spec, f_spec)
+        message = ("constant index 5 out of range for basis dimension 3" if bad == "constant"
+                   else "producted dimension 135751 exceeds cap 10000")
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            kgo.prepare(sample, x_spec, f_spec)
+        assert counts == dict.fromkeys(counts, 0)
 
     @pytest.mark.parametrize("weight", [1.0, 0.0])
     @pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
@@ -498,6 +521,38 @@ class TestRowPasses:
                 kgo.SolverConfig(algorithm="lsq-adj"))
         assert counts == {"x tables": 3 * 2, "f tables": 3 * 2, "x columns": 2 * 2,
                           "f columns": 2 * 2}
+
+    @pytest.mark.parametrize("pair", ["monomial", "mixed", "points"])
+    def test_first_pass_is_one_loop(self, monkeypatch, pair):
+        # `prepare` and `prepare_points` sum both Gram matrices in one loop over the
+        # row blocks, whatever the kinds of the two sides. Each block builds one
+        # factor table per side: a Chebyshev side's at doubled order for its moment
+        # table, a monomial side's at basis order for its basis columns.
+        sample = chebyshev_sample(2 * BLOCK + 7)  # three row blocks
+        x_spec = kgo.with_scale(kgo.BasisSpec("chebyshev" if pair == "mixed" else "monomial", 4),
+                                sample.x_rows)
+        f_spec = kgo.BasisSpec("monomial", 2)
+        points = [kgo.design_matrix(x_spec, sample.x_rows),
+                  kgo.design_matrix(f_spec, sample.f_rows)]
+        loops, blocks = [], kgo.sample.row_blocks
+
+        def spy(size):
+            loops.append(size)
+            return blocks(size)
+
+        for module in (kgo.sample, kgo.hilbert):
+            monkeypatch.setattr(module, "row_blocks", spy)
+        if pair == "points":
+            kgo.prepare_points(*points, sample.weights)
+            assert loops == [sample.size]
+            return
+        counts, orders = count_row_passes(monkeypatch, x_spec, f_spec)
+        kgo.prepare(sample, x_spec, f_spec)
+        assert loops == [sample.size]
+        mixed = pair == "mixed"
+        assert counts == {"x tables": 3, "f tables": 3, "x columns": 0 if mixed else 3,
+                          "f columns": 3}
+        assert orders == [("x", 8 if mixed else 4), ("f", 2)] * 3
 
 
 class TestOneSideGramPath:
