@@ -14,23 +14,15 @@ The first pass is the same for every pair of sides: `prepare`,
 which reads each block once for both sides. It reads a Chebyshev side's Gram
 off the side's plain-weight doubled-order moment table, whose layout `sample`
 owns, and sums any other side's over the block's weighted columns; a
-Chebyshev pair also sums its raw cross moments sum_l w_l b_f(l) b_x(l)^T. A
-fit then takes one of two routes (`PreparedData.moment_route`):
+Chebyshev pair also sums its raw cross moments sum_l w_l b_f(l) b_x(l)^T.
 
-  moment table  for Chebyshev specs on both sides, well-conditioned
-                whitenings and the lesser work per row. Two passes.
-    1. the first pass. `PreparedData.stats` whitens the raw cross moments
-       into the cross Gram C = sum_l w_l f_l x_l^T, the least-squares map
-       between orthonormal coordinates, and factors the coupling
-       C C^T = L L^T into K = L^-1 C; the label-matched projector is K^T K.
-    2. the weighted pass (see `tensors`): each block's doubled-order tables
-       give |x|^2, the raw attribute basis columns and the coverage tensor;
-       the pass maps those columns to the overlap, |K x|^2 and, for a
-       single-shot fit, S u with one channel, on either route alike.
-  rows          everything else, `prepare_points` data among it. Three passes.
-    1. the first pass.
-    2. `PreparedData.stats`: C summed over whitened rows, then K.
-    3. the weighted pass over whitened rows.
+`PreparedData.stats` holds the cross Gram C = sum_l w_l f_l x_l^T, the
+least-squares map between orthonormal coordinates, and the factor
+K = L^-1 C of the coupling C C^T = L L^T; the label-matched projector is
+K^T K. C is whitened from the raw cross moments wherever they were summed
+and the two whitenings pass the condition gate (`_well_conditioned`), with
+no pass; otherwise one pass sums it over whitened rows. The last pass, the
+weighted pass, and its route rule are in `tensors`.
 
 The row arrays `x_points`, `x_orth`, `f_points` and `f_orth` are built only
 when read.
@@ -46,8 +38,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .linalg import row_blocks, sym_eig
-from .sample import (CHEBYSHEV, BasisSpec, Sample, _basis_columns, _n_vars, _raw_moments,
-                     _table_shape, design_matrix)
+from .sample import BasisSpec, Sample, _basis_columns, _raw_moments, design_matrix
 
 DEFAULT_REL_THRESHOLD = 1e-12
 _ZERO_PROJECTION_REL = 1e-14
@@ -161,8 +152,10 @@ class SpaceBasis:
 
 def _kept_ratio(space: SpaceBasis) -> float:
     """The smallest kept Gram eigenvalue over the top one, read off T's row norms
-    1/sqrt(eig_i)."""
-    norms2 = np.einsum("ij,ij->i", space.transform, space.transform)
+    1/sqrt(eig_i). T is scaled by a power of two first, which is exact and keeps the
+    squared norms in range at any weight scale."""
+    t = np.ldexp(space.transform, -np.frexp(np.abs(space.transform).max())[1])
+    norms2 = np.einsum("ij,ij->i", t, t)
     return float(norms2.min() / norms2.max())
 
 
@@ -316,16 +309,16 @@ class PreparedData:
     def stats(self) -> RowStats:
         """The cross Gram C and the factor K of the label/attribute coupling, on first read.
 
-        On the moment-table route (`moment_route`) C is T_f C_raw T_x^T, whitened from
-        `prepare`'s raw cross moments; the route's condition gate keeps the rounding
-        that whitening amplifies small. Otherwise, or where `prepare` did not sum
-        C_raw (data built by hand), one pass sums C over whitened rows,
-        which keeps the rounding near sqrt(kappa_x) + sqrt(kappa_f) rather than their
-        product. C C^T is singular (K None) when its smallest eigenvalue is at most
-        1e-12 of the largest. The per-row norms are the weighted pass's (`tensors`).
+        Where `prepare` summed the raw cross moments C_raw (a Chebyshev pair) and the
+        whitenings pass the condition gate (`_well_conditioned`), C is T_f C_raw T_x^T,
+        with no pass over the rows; the gate keeps the rounding that whitening
+        amplifies small. Otherwise one pass sums C over whitened rows, which keeps
+        the rounding near sqrt(kappa_x) + sqrt(kappa_f) rather than their product.
+        C C^T is singular (K None) when its smallest eigenvalue is at most 1e-12 of
+        the largest. The per-row norms are the weighted pass's (`tensors`).
         """
         tf, tx = self.f_space.transform, self.x_space.transform
-        if self.cross_raw is not None and self.moment_route:
+        if self.cross_raw is not None and _well_conditioned(self):
             cross = tf @ self.cross_raw @ tx.T
         else:
             cross = 0.0
@@ -343,12 +336,6 @@ class PreparedData:
         return RowStats(cross, factor)
 
     @cached_property
-    def moment_route(self) -> bool:
-        """Whether a fit of this data takes the moment-table route, decided by
-        `_moment_route` on first read; `stats` and every weighted pass read it."""
-        return _moment_route(self)
-
-    @cached_property
     def baseline_sums(self):
         """The kind-free sums of the weighted pass (`tensors`), on first read: the
         label-Christoffel moments behind F_TOT and the F_JDG sum, either one the
@@ -359,47 +346,18 @@ class PreparedData:
         return _weighted_pass(self)
 
 
-# One elementwise multiply of a row block costs about as much as forty
-# multiply-adds inside a matrix product: fitted to whole-fit timings of both
-# routes on 2e4 rows with 2 to 4 attribute variables, where a table's
-# elementwise left factor of a few MB per block runs at memory speed.
-_ELEMENTWISE_COST = 40
-# Largest kappa_x * kappa_f of the two whitenings the moment route accepts, each
-# kappa the top over the smallest kept Gram eigenvalue (`_kept_ratio`).
+# Largest kappa_x * kappa_f of the two whitenings whose raw moments are whitened,
+# each kappa the top over the smallest kept Gram eigenvalue (`_kept_ratio`).
 # Whitening raw moments amplifies their rounding by about that product, so
-# its error stays near 1e-11 relative; the rows route only sees sqrt(kappa).
+# its error stays near 1e-11 relative; a sum over whitened rows only sees
+# sqrt(kappa).
 _MOMENT_CONDITION_MAX = 1e5
 
 
-def _moment_route(data: PreparedData) -> bool:
-    """Whether a fit takes the moment-table route, rather than the rows route.
-
-    The one route rule, read once per data (`PreparedData.moment_route`): it
-    sets where C comes from (`PreparedData.stats`), and how the weighted pass
-    gets |x|^2 and the raw attribute basis columns b_x and sums the tensor
-    (`tensors`). It needs Chebyshev specs on both sides and well-conditioned
-    whitenings (`_MOMENT_CONDITION_MAX`). Then the route with less work per row
-    runs, leaving out the product A b_x both take. The moment table's is the
-    weighted pass: the gathers of both sides' columns and of b_x, the weighted
-    left factor and one matrix product of the tensor table, and the quadratic
-    form |x|^2. The rows route's is two passes of basis columns and whitened
-    attribute rows, building z and z^T z.
-    """
-    if any(spec is None or spec.kind != CHEBYSHEV for spec in (data.f_spec, data.x_spec)):
-        return False
-    f_lead, f_last, f_gather = _table_shape(data.f_spec, data.f_rows)
-    x_lead, x_last, x_gather = _table_shape(data.x_spec, data.x_rows)
-    m, n = data.f_space.eff_dim, data.x_space.eff_dim
-    n_raw = data.x_space.raw_dim
-    label = f_lead * f_last
-    moment = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead + x_lead
-                                   + n_raw)
-              + (label + 1) * x_lead * x_last)
-    width = m * n
-    rows = (_ELEMENTWISE_COST * (2 * n_raw * _n_vars(data.x_spec, data.x_rows) + width)
-            + 2 * n * n_raw + width * (width + 1) // 2)
-    return moment < rows and (_kept_ratio(data.x_space) * _kept_ratio(data.f_space)
-                              >= 1.0 / _MOMENT_CONDITION_MAX)
+def _well_conditioned(data: PreparedData) -> bool:
+    """The condition gate: whether raw moments of this data may be whitened, C's in
+    `PreparedData.stats` and the moment table's in `tensors`."""
+    return _kept_ratio(data.x_space) * _kept_ratio(data.f_space) >= 1.0 / _MOMENT_CONDITION_MAX
 
 
 def label_matched_projection(data: PreparedData) -> np.ndarray:

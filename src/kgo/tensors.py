@@ -38,7 +38,7 @@ snap of the least-squares channel, so its pass sums the product
 S u = (sum_l w_l s_l f_l b_x(l)^T) T_x^T, s_l = f_l^T u T_x b_x(l), a d x n
 matrix, in place of the (d n)^2 tensor; s is the last rows of the same
 product. Each route gives a block's rows, whitened label rows, |x|^2 and b_x,
-and sums the tensor; the route (`PreparedData.moment_route`) is one of:
+and sums the tensor; each pass picks its route by one rule (`_moment_route`):
 
   moment table  for data from `prepare` with Chebyshev specs on both sides.
                 Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
@@ -51,7 +51,7 @@ and sums the tensor; the route (`PreparedData.moment_route`) is one of:
                 Taken when the two whitenings are well conditioned and the
                 table needs less work per row than the rows route (many
                 variables at low order do not).
-  syrk          everything else: spec-less data (`prepare_points`),
+  rows          everything else: spec-less data (`prepare_points`),
                 monomial specs (their doubled-order moments are badly
                 conditioned) and the cases above. Each block's whitened rows
                 give |x|^2, and z, built from them, is added as z z^T.
@@ -66,11 +66,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hilbert import PreparedData, _coupled
+from .hilbert import PreparedData, _coupled, _well_conditioned
 from .linalg import row_blocks, sym_eig
-from .sample import (_basis_columns, _doubled_columns, _doubled_factors, _finite,
-                     _product_coefficients, _product_moments, _table_block, _table_columns,
-                     _table_shape, _table_values)
+from .sample import (CHEBYSHEV, _basis_columns, _doubled_columns, _doubled_factors, _finite,
+                     _n_vars, _product_coefficients, _product_moments, _table_block,
+                     _table_columns, _table_shape, _table_values)
 
 
 class TensorKind(str, Enum):
@@ -200,7 +200,7 @@ def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
     adjusted = kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
     maps, m = _row_maps(data, adjusted, channel), data.f_space.eff_dim
     tensor = kind is not None and channel is None
-    route = (_TableRoute if data.moment_route else _RowsRoute)(data, tensor)
+    route = (_TableRoute if _moment_route(data) else _RowsRoute)(data, tensor)
     moments, jdg, product = 0.0, 0.0, 0.0
     for rows, f, attribute, columns, operands in route.blocks():
         weights = data.weights[rows]
@@ -240,13 +240,53 @@ def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
     if tensor:
         matrix = route.matrix()
     elif kind is not None:  # S u = (sum_l w_l s_l f_l b_x(l)^T) T_x^T
-        matrix = product @ data.x_space.transform.T
-        _finite(matrix)
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = product @ data.x_space.transform.T
+        if not np.isfinite(matrix).all():  # the sums a fit reads first name tiny weights
+            _raised(moments)
+            _raised(jdg)
+            _finite(matrix)
     return _Sums(matrix, moments, jdg)
 
 
+# One elementwise multiply of a row block costs about as much as forty
+# multiply-adds inside a matrix product: fitted to whole-fit timings of both
+# routes on 2e4 rows with 2 to 4 attribute variables, where a table's
+# elementwise left factor of a few MB per block runs at memory speed.
+_ELEMENTWISE_COST = 40
+
+
+def _moment_route(data: PreparedData) -> bool:
+    """Whether the weighted pass takes the moment-table route, rather than the rows route.
+
+    The one route rule, evaluated by every weighted pass. It needs Chebyshev
+    specs on both sides and well-conditioned whitenings (`hilbert._well_conditioned`,
+    the gate under which `PreparedData.stats` whitens the raw cross moments, so
+    neither route makes a pass for C). Then the route with less work per row
+    runs, leaving out the product A b_x both take. The moment table's: the
+    gathers of both sides' columns and of b_x, the weighted left factor and one
+    matrix product of the tensor table, and the quadratic form |x|^2. The rows
+    route's: one pass of basis columns and whitened attribute rows, building z
+    and z^T z.
+    """
+    if any(spec is None or spec.kind != CHEBYSHEV for spec in (data.f_spec, data.x_spec)):
+        return False
+    f_lead, f_last, f_gather = _table_shape(data.f_spec, data.f_rows)
+    x_lead, x_last, x_gather = _table_shape(data.x_spec, data.x_rows)
+    m, n = data.f_space.eff_dim, data.x_space.eff_dim
+    n_raw = data.x_space.raw_dim
+    label = f_lead * f_last
+    moment = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead + x_lead
+                                   + n_raw)
+              + (label + 1) * x_lead * x_last)
+    width = m * n
+    rows = (_ELEMENTWISE_COST * (n_raw * _n_vars(data.x_spec, data.x_rows) + width)
+            + n * n_raw + width * (width + 1) // 2)
+    return moment < rows and _well_conditioned(data)
+
+
 class _RowsRoute:
-    """The syrk route of the weighted pass: whitened rows per block.
+    """The rows route of the weighted pass: whitened rows per block.
 
     `blocks` yields each block's rows, whitened label rows f, |x|^2 of the
     whitened attribute rows, the raw attribute basis columns b_x and the
@@ -271,9 +311,10 @@ class _RowsRoute:
         """Adds the block's z z^T, z = f (x) x scaled in place by sqrt(w)."""
         f, x = operands
         x = np.ascontiguousarray(x.T)  # (n_eff, block rows): z is built at unit stride
-        z = np.multiply(f[:, None], x[None]).reshape(self.sum.shape[0], -1)
-        z *= np.sqrt(weights)
-        self.sum += z @ z.T
+        with np.errstate(over="ignore", invalid="ignore"):  # as in `_TableRoute.matrix`
+            z = np.multiply(f[:, None], x[None]).reshape(self.sum.shape[0], -1)
+            z *= np.sqrt(weights)
+            self.sum += z @ z.T
 
     def matrix(self) -> np.ndarray:
         return 0.5 * (self.sum + self.sum.T)
@@ -297,7 +338,8 @@ class _TableRoute:
     def __init__(self, data: PreparedData, tensor: bool):
         self.data, self.tensor = data, tensor
         tx, tf = data.x_space.transform, data.f_space.transform
-        self.form = _product_coefficients(tx.T @ tx, data.x_spec, data.x_rows)
+        with np.errstate(over="ignore", invalid="ignore"):  # |x|^2's gates name tiny weights
+            self.form = _product_coefficients(tx.T @ tx, data.x_spec, data.x_rows)
         self.offset = sum(np.frexp(np.abs(t).max())[1] for t in (tx, tf))
         self.exp, self.sum = None, 0.0
 
@@ -335,6 +377,9 @@ class _TableRoute:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in `matrix`
             self.sum = self.sum + _table_block(labels * weights, lead, last)
 
+    # A tensor past the float range (tiny weights) is inf: the baselines' gates,
+    # which a fit reads first, name the weights.
+    @np.errstate(over="ignore", invalid="ignore")
     def matrix(self) -> np.ndarray:
         data = self.data
         _finite(self.sum)

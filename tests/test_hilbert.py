@@ -359,6 +359,30 @@ class TestHugeWeights:
                     kgo.fit(sample, kgo.BasisSpec(data, 3), kgo.BasisSpec(data, 2))
 
 
+class TestSubnormalWeights:
+    @pytest.mark.parametrize("route", ["rule", "table", "rows"])
+    @pytest.mark.parametrize("algorithm", ["polar-ascent", "lsq-adj"])
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
+    @pytest.mark.parametrize("scale", [1e-310, 1e-315, 1e-320])
+    def test_fit_names_the_weights(self, monkeypatch, scale, kind, algorithm, route):
+        # Subnormal weights put T_x^T T_x, T's squared row norms (the condition gate)
+        # and the row norms past the float range: every kind's fit, on either route,
+        # raises a gate's error that names the weights, with no RuntimeWarning first.
+        if route != "rule":
+            monkeypatch.setattr(kgo.tensors, "_moment_route", lambda data: route == "table")
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1.0, 1.0, size=(3000, 2))
+        f = np.sin(x[:, :1]) + 0.1 * rng.normal(size=(3000, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = kgo.Sample(x, f, np.full(3000, scale))
+            with pytest.raises(NumericalError, match=r"^observation \d+ has .*: rescale the "
+                                                     "sample weights$"):
+                kgo.fit(sample, kgo.with_scale(kgo.BasisSpec("chebyshev", 6), x),
+                        kgo.with_scale(kgo.BasisSpec("chebyshev", 3), f), kind=kind,
+                        config=kgo.SolverConfig(algorithm=algorithm))
+
+
 class TestPreparePoints:
     @pytest.mark.parametrize("x0, weights, message", [
         (1.0, np.r_[-0.5, np.ones(49)], "weights must be nonnegative"),

@@ -80,7 +80,7 @@ def assert_matches_dense(data):
 def route(request, monkeypatch):
     """Send the data through one route, whatever the route rule would pick."""
     table = request.param == "table"
-    monkeypatch.setattr(kgo.hilbert, "_moment_route", lambda data: table)
+    monkeypatch.setattr(kgo.tensors, "_moment_route", lambda data: table)
     return table
 
 
@@ -129,7 +129,7 @@ class TestPassesMatchDense:
             assert data.x_space.gram_raw.tobytes() == feature_gram(data).tobytes()
         else:
             data = kgo.prepare_points(data.x_points, data.f_points, data.weights)
-        assert not data.moment_route
+        assert not kgo.tensors._moment_route(data)
         assert_matches_dense(data)
 
 
@@ -356,7 +356,7 @@ class TestIllConditioned:
         # long-double sum over whitened rows. The attribute norms come from
         # the block's whitened rows.
         data = clusters()
-        assert not data.moment_route
+        assert not kgo.tensors._moment_route(data)
         ld = np.longdouble
         x_orth = data.x_points.astype(ld) @ data.x_space.transform.T.astype(ld)
         f_orth = data.f_points.astype(ld) @ data.f_space.transform.T.astype(ld)
@@ -378,7 +378,7 @@ class TestIllConditioned:
         # from the row's doubled-order factors; with the data's own transform and K
         # they stay within 1e-13 of a long-double sum over whitened rows, row by row.
         data = chebyshev_instance(np.random.default_rng(12), 2 * BLOCK + 7, **shape)
-        assert data.moment_route
+        assert kgo.tensors._moment_route(data)
         ld = np.longdouble
         x_orth = data.x_points.astype(ld) @ data.x_space.transform.T.astype(ld)
         kx = x_orth @ data.stats.factor.T.astype(ld)
@@ -487,7 +487,7 @@ class TestRowPasses:
         sample = chebyshev_sample(2 * BLOCK + 7)  # three row blocks
         x_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 8), sample.x_rows)
         f_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 3), sample.f_rows)
-        assert kgo.prepare(sample, x_spec, f_spec).moment_route
+        assert kgo.tensors._moment_route(kgo.prepare(sample, x_spec, f_spec))
         counts, orders = count_row_passes(monkeypatch, x_spec, f_spec)
         kgo.fit(sample, x_spec, f_spec, kgo.TensorKind.CHRISTOFFEL_PRODUCT,
                 kgo.SolverConfig(algorithm="lsq-adj"), d=d)
@@ -503,7 +503,7 @@ class TestRowPasses:
         x_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 8), sample.x_rows)
         f_spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 3), sample.f_rows)
         data = kgo.prepare(sample, x_spec, f_spec)
-        assert data.moment_route
+        assert kgo.tensors._moment_route(data)
         counts, orders = count_row_passes(monkeypatch, x_spec, f_spec)
         kgo.ftot_upper_bound(data)
         assert counts == {"x tables": 3, "f tables": 3, "x columns": 0, "f columns": 3}
@@ -514,13 +514,27 @@ class TestRowPasses:
         # the cross Gram's pass and the weighted pass over basis columns, each
         # block's columns built from one factor table.
         data = clusters()
-        assert not data.moment_route
+        assert not kgo.tensors._moment_route(data)
         sample = kgo.Sample(data.x_rows, data.f_rows, data.weights)
         counts, _ = count_row_passes(monkeypatch, data.x_spec, data.f_spec)
         kgo.fit(sample, data.x_spec, data.f_spec, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
                 kgo.SolverConfig(algorithm="lsq-adj"))
         assert counts == {"x tables": 3 * 2, "f tables": 3 * 2, "x columns": 2 * 2,
                           "f columns": 2 * 2}
+
+    @pytest.mark.parametrize("algorithm", ["lsq-adj", "polar-ascent"])
+    def test_well_conditioned_rows_route_makes_two_passes(self, monkeypatch, algorithm):
+        # Six attribute variables at order 2 pass the condition gate and take the
+        # rows route: C is whitened from `prepare`'s raw cross moments, so the
+        # single-shot fit (lsq-adj, S u) and the tensor fit both make `prepare`'s
+        # pass and the weighted pass over basis columns, as on the table route.
+        data = chebyshev_instance(np.random.default_rng(7), 2 * BLOCK + 7, x_vars=6, x_order=2)
+        assert kgo.hilbert._well_conditioned(data) and not kgo.tensors._moment_route(data)
+        sample = kgo.Sample(data.x_rows, data.f_rows, data.weights)
+        counts, _ = count_row_passes(monkeypatch, data.x_spec, data.f_spec)
+        kgo.fit(sample, data.x_spec, data.f_spec, kgo.TensorKind.F_CHRISTOFFEL,
+                kgo.SolverConfig(algorithm=algorithm))
+        assert counts == {"x tables": 2 * 3, "f tables": 2 * 3, "x columns": 3, "f columns": 3}
 
     @pytest.mark.parametrize("pair", ["monomial", "mixed", "points"])
     def test_first_pass_is_one_loop(self, monkeypatch, pair):
@@ -662,17 +676,22 @@ class TestFitReadsNoAttributeRows:
         assert len(builds) == 1 and passes == [kind]
         assert model.report["f_tot"] > 0.0 and model.report["f_jdg"] > 0.0
 
-    def test_route_decided_once(self, monkeypatch):
-        # `stats`, the fit's weighted pass and the baselines' own pass read one decision.
-        calls, rule = [], kgo.hilbert._moment_route
-        monkeypatch.setattr(kgo.hilbert, "_moment_route",
+    def test_cross_gram_source_is_the_gate(self, monkeypatch):
+        # `stats` whitens the raw cross moments wherever the whitenings pass the
+        # condition gate, whichever route the weighted pass takes, and never asks
+        # the route rule; the clusters fail the gate and sum C over whitened rows.
+        calls, rule = [], kgo.tensors._moment_route
+        monkeypatch.setattr(kgo.tensors, "_moment_route",
                             lambda data: calls.append(data) or rule(data))
-        data = kgo.prepare(chebyshev_sample(BLOCK + 9), kgo.BasisSpec("chebyshev", 8),
-                           kgo.BasisSpec("chebyshev", 3))
-        kgo.fit_prepared(data, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
-                         kgo.SolverConfig(algorithm="lsq-adj"))
-        kgo.ftot_upper_bound(data)
-        assert len(calls) == 1 and calls[0] is data
+        table = kgo.prepare(chebyshev_sample(BLOCK + 9), kgo.BasisSpec("chebyshev", 8),
+                            kgo.BasisSpec("chebyshev", 3))
+        rows = chebyshev_instance(np.random.default_rng(7), BLOCK, x_vars=6, x_order=2)
+        for data, gate in ((table, True), (rows, True), (clusters(), False)):
+            assert kgo.hilbert._well_conditioned(data) == gate
+            raw = data.f_space.transform @ data.cross_raw @ data.x_space.transform.T
+            assert (data.stats.cross.tobytes() == raw.tobytes()) == gate
+        assert calls == []
+        assert rule(table) and not rule(rows)
 
     def test_never_reads_the_attribute_pair(self, monkeypatch):
         def refuse(data):
@@ -709,7 +728,7 @@ class TestFitReadsNoAttributeRows:
                 specs = [kgo.with_scale(specs[0], sample.x_rows),
                          kgo.with_scale(specs[1], sample.f_rows)]
             data = kgo.prepare(sample, *specs)
-            assert data.moment_route == (basis == "chebyshev")
+            assert kgo.tensors._moment_route(data) == (basis == "chebyshev")
             tracemalloc.start()
             try:
                 kgo.fit_prepared(data, kgo.TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED,
