@@ -11,17 +11,16 @@ not the basis-evaluated rows: sums over observations are taken in fixed
 row blocks, each block's basis columns evaluated when the pass reaches it.
 The first pass is the same for every pair of sides: `prepare`,
 `prepare_points` and `space_from_sample` make it through `sample._raw_moments`,
-which reads each block once for both sides. It reads a Chebyshev side's Gram
-off the side's plain-weight doubled-order moment table, whose layout `sample`
-owns, and sums any other side's over the block's weighted columns; a
-Chebyshev pair also sums its raw cross moments sum_l w_l b_f(l) b_x(l)^T.
+which reads each block once for both sides, on the moment tables or the
+basis columns as `sample`'s work rule picks. A `prepare` pair also sums its
+raw cross moments sum_l w_l b_f(l) b_x(l)^T.
 
 `PreparedData.stats` holds the cross Gram C = sum_l w_l f_l x_l^T, the
 least-squares map between orthonormal coordinates, and the factor
 K = L^-1 C of the coupling C C^T = L L^T; the label-matched projector is
-K^T K. C is whitened from the raw cross moments wherever they were summed
-and the two whitenings pass the condition gate (`_well_conditioned`), with
-no pass; otherwise one pass sums it over whitened rows. The last pass, the
+K^T K. C is whitened from the raw cross moments wherever the two whitenings
+pass the condition gate (`_well_conditioned`), with no pass; otherwise, and
+for spec-less data, one pass sums it over whitened rows. The last pass, the
 weighted pass, and its route rule are in `tensors`.
 
 The row arrays `x_points`, `x_orth`, `f_points` and `f_orth` are built only
@@ -275,7 +274,7 @@ class PreparedData:
     f_rows: np.ndarray
     x_spec: Optional[BasisSpec] = None
     f_spec: Optional[BasisSpec] = None
-    cross_raw: Optional[np.ndarray] = None  # sum_l w_l b_f(l) b_x(l)^T of a Chebyshev pair
+    cross_raw: Optional[np.ndarray] = None  # sum_l w_l b_f(l) b_x(l)^T, from `prepare`
 
     @property
     def size(self) -> int:
@@ -309,11 +308,11 @@ class PreparedData:
     def stats(self) -> RowStats:
         """The cross Gram C and the factor K of the label/attribute coupling, on first read.
 
-        Where `prepare` summed the raw cross moments C_raw (a Chebyshev pair) and the
-        whitenings pass the condition gate (`_well_conditioned`), C is T_f C_raw T_x^T,
-        with no pass over the rows; the gate keeps the rounding that whitening
-        amplifies small. Otherwise one pass sums C over whitened rows, which keeps
-        the rounding near sqrt(kappa_x) + sqrt(kappa_f) rather than their product.
+        Where the whitenings pass the condition gate (`_well_conditioned`), C is
+        T_f C_raw T_x^T of `prepare`'s raw cross moments, with no pass over the rows;
+        the gate keeps the rounding that whitening amplifies small. Otherwise, and
+        for spec-less data, one pass sums C over whitened rows, which keeps the
+        rounding near sqrt(kappa_x) + sqrt(kappa_f) rather than their product.
         C C^T is singular (K None) when its smallest eigenvalue is at most 1e-12 of
         the largest. The per-row norms are the weighted pass's (`tensors`).
         """
@@ -392,8 +391,7 @@ def prepare(sample: Sample, x_spec: BasisSpec, f_spec: BasisSpec) -> PreparedDat
     """Evaluate both bases on a sample and build the two spaces.
 
     One pass over the row blocks (`sample._raw_moments`) sums both Gram
-    matrices and, for a Chebyshev pair, the raw cross moments; no array of
-    basis-evaluated rows is built.
+    matrices and the raw cross moments; no array of basis-evaluated rows is built.
     """
     (x_gram, f_gram), cross_raw = _raw_moments(
         [(x_spec, sample.x_rows), (f_spec, sample.f_rows)], sample.weights)

@@ -5,25 +5,18 @@ weighted sum over it is the measure behind every moment in the package.
 Attribute / label rows are expanded into polynomial feature vectors by a
 BasisSpec before any Hilbert-space machinery sees them.
 
-Every pass over the rows evaluates a block's basis columns
-(`_basis_columns`) or a Chebyshev block's doubled-order factor tables
-(`_doubled_factors`) here, and `evaluate_basis` a single query row's columns.
-What evaluation needs besides the rows is resolved once per spec, in its
-`_BasisPlan`: the source columns, the Chebyshev argument map's operands,
-and per input width the basis dimension and the exponent gathers. A query
-row then pays only for its own arithmetic. A single Chebyshev query row
-computes its arguments and recurrence in Python floats rather than in
-ufunc calls on a one-column array (`_row_factors`), with the same bits, and
-gathers its columns straight from those floats; monomials keep numpy's
-power. A block of a pass takes the ufuncs at any row count. This module
-also owns the doubled-order moment table that Chebyshev Gram matrices and
-coverage tensors are read off, and that a fit's per-row |x|^2 is evaluated
-on, and it makes the first pass over the rows (`_raw_moments`): one loop of
-row blocks that sums both sides' Gram matrices, and a Chebyshev pair's raw
-cross moments, for any pair of sides. `hilbert` and `tensors` reach the
-table's layout only through the helpers here: a block's factors and table,
-the basis columns gathered from the factors, the table's sizes and the sums
-read off it.
+A family, monomial or Chebyshev, is data here (`_Family`): its recurrence and
+its product rule. Every pass over the rows evaluates a block's basis columns
+(`_basis_columns`) or doubled-order factor tables (`_doubled_factors`) by the
+recurrence, and `evaluate_basis` a single query row's in Python floats with
+the same bits (`_row_factors`). What evaluation needs besides the rows is
+resolved once per spec, in its `_BasisPlan`. This module also owns the
+doubled-order moment table, whose columns hold every product of two basis
+columns by the product rule, and the first pass over the rows
+(`_raw_moments`): one loop of row blocks that sums both sides' Gram matrices
+and a `prepare` pair's raw cross moments, on tables or basis columns as the
+one work rule (`_moment_table`) picks. `hilbert` and `tensors` reach the
+table's layout only through the helpers here.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb, isfinite
 from operator import index
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -132,11 +125,23 @@ def _count(value, what: str) -> int:
     return index(value)
 
 
+class _Family(NamedTuple):
+    """A polynomial family as data: its product rule per variable, p_a p_b = p_(a+b) or,
+    where it `folds`, (p_(a+b) + p_|a-b|) / 2, and the recurrence that rule gives at b = 1
+    from p_0 = 1, p_1 = t: p_k = slope t p_(k-1), less p_(k-2) where it folds."""
+
+    slope: float
+    folds: bool
+
+
+_FAMILIES = {MONOMIAL: _Family(1.0, False), CHEBYSHEV: _Family(2.0, True)}
+
+
 class _BasisPlan:
     """What evaluating a spec needs besides the query rows, resolved once per spec.
 
-    Holds the source columns as an index array with their largest index and,
-    for a scaled Chebyshev spec, the operands of the argument map
+    Holds the spec's family, the source columns as an index array with their
+    largest index and, for a scaled Chebyshev spec, the operands of the argument map
     t = (2 x - (lo + hi)) / (hi - lo), shaped (n_vars, 1) for the
     (n_vars, rows) factor table: `lo + hi`, the span with zero spans replaced
     by one, and the zero-span variables, which map to t = 0; `row_terms`
@@ -146,11 +151,11 @@ class _BasisPlan:
     of the basis columns on first use.
     """
 
-    __slots__ = ("order", "mode", "source", "source_max", "scale_width",
+    __slots__ = ("order", "mode", "family", "source", "source_max", "scale_width",
                  "lo_plus_hi", "safe_span", "dead", "row_terms", "widths")
 
     def __init__(self, spec: BasisSpec):
-        self.order, self.mode = spec.product_order, spec.mode
+        self.order, self.mode, self.family = spec.product_order, spec.mode, _FAMILIES[spec.kind]
         self.source = None if spec.source is None else np.array(spec.source, dtype=np.intp)
         self.source_max = None if spec.source is None else max(spec.source)
         self.scale_width = self.lo_plus_hi = self.safe_span = self.dead = self.row_terms = None
@@ -269,9 +274,9 @@ def _gather_columns(table: np.ndarray, gathers: tuple) -> np.ndarray:
     return columns
 
 
-def _n_vars(spec: BasisSpec, rows: np.ndarray) -> int:
-    """Number of variables the spec reads from 2-D rows."""
-    return rows.shape[1] if spec.source is None else len(spec.source)
+def _n_vars(spec: BasisSpec, width: int) -> int:
+    """Number of variables the spec reads from rows of this width."""
+    return width if spec.source is None else len(spec.source)
 
 
 def _checked_dimension(spec: BasisSpec, rows: np.ndarray) -> int:
@@ -280,51 +285,52 @@ def _checked_dimension(spec: BasisSpec, rows: np.ndarray) -> int:
 
 
 def _factor_block(spec: BasisSpec, rows: np.ndarray, order: int) -> np.ndarray:
-    """Factor table (order + 1, n_vars, rows) of a block of raw rows.
-
-    Powers 0..order (or Chebyshev T_0..T_order) of every argument, stacked first.
-    """
+    """Factor table (order + 1, n_vars, rows) of a block of raw rows: the family's
+    p_0..p_order of every argument by its recurrence, stacked first."""
     plan = spec._plan
-    sel = plan.select(rows)
-    if spec.kind != CHEBYSHEV:
-        values = np.ascontiguousarray(sel)
-        return np.stack([np.ones_like(values)] + [values ** k for k in range(1, order + 1)])
+    sel, (slope, folds) = plan.select(rows), plan.family
     table = np.empty((order + 1,) + sel.shape)
     table[0] = 1.0
     if order:
         plan.argument(sel, table[1])  # unit-stride rows for the recurrence
-        twice = 2.0 * table[1]
-        # T_k = 2 t T_(k-1) - T_(k-2), written into the preallocated row views;
-        # the third positional argument of each ufunc is its `out`.
+        step = slope * table[1]
+        # p_k = slope t p_(k-1) [- p_(k-2)], written into the preallocated row
+        # views; the third positional argument of each ufunc is its `out`.
         multiply, subtract = np.multiply, np.subtract
         before, last, *rest = table
         for row in rest:
-            multiply(twice, last, row)
-            subtract(row, before, row)
+            multiply(step, last, row)
+            if folds:
+                subtract(row, before, row)
             before, last = last, row
     return table
 
 
 def _row_factors(plan: _BasisPlan, values: list, order: int) -> list:
-    """The Chebyshev factor table of one row's selected values (order >= 1), flattened:
-    entry k * n_vars + j is T_k of variable j.
+    """The factor table of one row's selected values (order >= 1), flattened: entry
+    k * n_vars + j is p_k of variable j.
 
     Computes the argument map and the recurrence in Python floats, one variable
     at a time: the same IEEE operations in the same order as `_factor_block`'s
-    ufuncs, so the same bits, without three ufunc calls for the map and two per
-    order on a (n_vars, 1) array. Raises the NumericalError when a variable's
-    last T is not finite: a non-finite factor stays non-finite up the
-    recurrence, so every factor is finite when it returns. Its one caller is
-    `evaluate_basis`; a block of a pass, one row or many, takes `_factor_block`.
+    ufuncs, so the same bits, without their calls on a (n_vars, 1) array.
+    Raises the NumericalError when a variable's last p is not finite: a
+    non-finite factor stays non-finite up the recurrence, so every factor is
+    finite when it returns. Its one caller is `evaluate_basis`; a block of a
+    pass, one row or many, takes `_factor_block`.
     """
-    n_vars = len(values)
+    n_vars, (slope, folds) = len(values), plan.family
     flat = [1.0] * ((order + 1) * n_vars)
     for j, t in enumerate(plan.row_argument(values)):
-        twice, before, last = 2.0 * t, 1.0, t
+        step, before, last = slope * t, 1.0, t
         column = [1.0, t]
-        for _ in range(order - 1):
-            before, last = last, twice * last - before
-            column.append(last)
+        if folds:  # one loop per family: no test per order
+            for _ in range(order - 1):
+                before, last = last, step * last - before
+                column.append(last)
+        else:
+            for _ in range(order - 1):
+                last = step * last
+                column.append(last)
         if not isfinite(last):
             raise NumericalError("basis evaluation produced non-finite values")
         flat[j::n_vars] = column
@@ -342,18 +348,16 @@ def _basis_columns(spec: Optional[BasisSpec], rows: np.ndarray) -> np.ndarray:
         return _gather_columns(table.reshape(-1, table.shape[-1]), gathers)
 
 
-# The doubled-order moment table of a Chebyshev spec: summed by `_raw_moments`
-# (its corner too, for a pair's cross moments) and by the weighted pass, read by
-# `_product_moments`, evaluated per row by `_table_values` and sized by
-# `_table_shape`. Per variable
-# T_a T_b = (T_(a+b) + T_|a-b|) / 2 (Mason & Handscomb, Chebyshev Polynomials,
-# 2003), so the product of two basis columns is the mean, over the 2**n_vars
-# choices of sum or difference per variable, of one column of order <= 2 * order.
-# The table's columns are the leading variables' up_to list of that order
-# times the last variable's exponent 0..2*order; the up_to list of order
-# `order` is a prefix of it, so every basis column is one column of the
-# (Q', order + 1) corner of the table (`_column_grid`), the product of one
-# leading-variable column and one last-variable factor (`_table_columns`).
+# The doubled-order moment table of a spec: summed by `_raw_moments` (its corner too,
+# for a pair's cross moments) and by the weighted pass, read by `_product_moments`,
+# evaluated per row by `_table_values` and sized by `_table_shape`. By the family's
+# product rule (Chebyshev's: Mason & Handscomb, 2003) the product of two basis columns
+# is one column of order <= 2 * order, or the mean of 2**n_vars such columns. The
+# table's columns are the leading variables' up_to list of that order times the last
+# variable's exponent 0..2*order; the up_to list of order `order` is a prefix of it, so
+# every basis column is one column of the (Q', order + 1) corner of the table
+# (`_column_grid`), the product of one leading-variable column and one last-variable
+# factor (`_table_columns`).
 
 
 def _doubled_factors(spec: BasisSpec, rows: np.ndarray):
@@ -399,18 +403,43 @@ def _table_block(label: np.ndarray, lead: np.ndarray, last: np.ndarray) -> np.nd
     return np.multiply(label[:, None], lead[None]).reshape(-1, last.shape[1]) @ last.T
 
 
-def _table_shape(spec: BasisSpec, rows: np.ndarray):
+def _table_shape(spec: BasisSpec, width: int):
     """Per-row sizes of one side's table: lead columns, last-variable rows, gather multiplies."""
-    n_vars = _n_vars(spec, rows)
+    n_vars = _n_vars(spec, width)
     order = 2 * spec.product_order
     lead = producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1
     return lead, order + 1, lead * (n_vars - 1)
 
 
+# One elementwise multiply of a row block costs about as much as forty
+# multiply-adds inside a matrix product: fitted to whole-fit timings of both
+# engines on 2e4 rows with 2 to 4 attribute variables, where a table's
+# elementwise left factor of a few MB per block runs at memory speed.
+_ELEMENTWISE_COST = 40
+
+
+def _moment_table(x_spec: BasisSpec, x_width: int, f_spec: BasisSpec, f_width: int) -> bool:
+    """The one work rule: whether a `prepare` pair sums both passes on the doubled-order
+    tables rather than on basis columns, from the two specs and their raw row widths.
+    The engine with less work per row of the weighted pass wins, leaving out the
+    product A b_x both make. The tables': the gathers of both sides' columns and of
+    b_x, the weighted left factor and one matrix product of the tensor table, and
+    |x|^2. The columns': basis columns and whitened attribute rows, z and z^T z."""
+    f_lead, f_last, f_gather = _table_shape(f_spec, f_width)
+    x_lead, x_last, x_gather = _table_shape(x_spec, x_width)
+    m, n = f_spec._plan.layout(f_width)[0], x_spec._plan.layout(x_width)[0]
+    label = f_lead * f_last
+    table = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead + x_lead + n)
+             + (label + 1) * x_lead * x_last)
+    width = m * n
+    columns = (_ELEMENTWISE_COST * (n * _n_vars(x_spec, x_width) + width)
+               + n * n + width * (width + 1) // 2)
+    return table < columns
+
+
 def _finite(*sums):
-    """Raise unless every sum is finite: a Chebyshev side has the column T_0 = 1, so a
-    non-finite factor reaches its table, and any other side's non-finite column
-    reaches its own Gram diagonal."""
+    """Raise unless every sum is finite: a table has the column p_0 = 1, so a non-finite
+    factor reaches it, and a non-finite basis column reaches its own Gram diagonal."""
     if not all(np.isfinite(a).all() for a in sums):
         raise NumericalError("basis evaluation produced non-finite values")
 
@@ -419,12 +448,12 @@ def _raw_moments(sides, weights: np.ndarray):
     """The first pass over the rows: one loop of row blocks for one or two sides.
 
     Each side is (spec, rows): raw rows under a BasisSpec, or feature rows and
-    spec None. Returns each side's raw Gram matrix and, for a Chebyshev pair
+    spec None. Returns each side's raw Gram matrix and, for a `prepare` pair
     (attributes first), the raw cross moments sum_l w_l b_f(l) b_x(l)^T,
-    (m_raw, n_raw), read off the joint table sum_l w_l b_f(l) T_q(x_l) over
-    the basis-order corner of the attribute table; None for any other pair.
-    A Chebyshev side's Gram is read off its plain-weight doubled-order table;
-    any other side adds each block's weighted columns. Every spec's dimension
+    (m_raw, n_raw), else None. A pair sums on the engine the work rule picks,
+    one side on its table and spec-less rows on their columns: a table gives
+    the sums by the product rule, the cross moments off the joint table's
+    basis-order corner; columns give (b w) b^T and (b_f w) b_x^T. Every spec's
     cap and constant index are checked before any row is read; a weight total
     past the float range and non-finite sums raise, without a warning first.
     """
@@ -437,30 +466,36 @@ def _raw_moments(sides, weights: np.ndarray):
     if not total < np.inf:
         raise NumericalError("sample weights add up past the float range: "
                              "rescale the sample weights")
-    tables = [spec is not None and spec.kind == CHEBYSHEV for spec, _ in sides]
-    pair = len(sides) == 2 and all(tables)
-    if pair:
+    specs = [spec for spec, _ in sides]
+    pair = len(sides) == 2 and None not in specs
+    table = None not in specs and (len(sides) == 1 or _moment_table(
+        specs[0], sides[0][1].shape[1], specs[1], sides[1][1].shape[1]))
+    if pair and table:
         (x_spec, x_rows), (f_spec, f_rows) = sides
         rows_q, rows_e, corner = _column_grid(x_spec, x_rows)
-    sums, joint = [0.0] * len(sides), 0.0
+    sums, cross = [0.0] * len(sides), 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises below
         for block in row_blocks(weights.shape[0]):
-            w, factors = weights[block], []
-            for i, ((spec, rows), table) in enumerate(zip(sides, tables)):
-                if table:
-                    factors.append(_doubled_factors(spec, rows[block]))
-                    sums[i] = sums[i] + _table_block(w[None], *factors[-1])
-                else:
-                    right = np.ascontiguousarray(_basis_columns(spec, rows[block]).T)
-                    sums[i] = sums[i] + (right.T * w) @ right
-            if pair:
-                (x_lead, x_last), (f_lead, f_last) = factors
-                labels = _table_columns(f_spec, f_rows, f_lead, f_last) * w
-                joint = joint + _table_block(labels, x_lead[:corner[0]], x_last[:corner[1]])
-    _finite(*sums, joint)
-    grams = [_product_moments(moments.ravel(), spec, rows) if table else moments
-             for (spec, rows), table, moments in zip(sides, tables, sums)]
-    return grams, joint.reshape(-1, *corner)[:, rows_q, rows_e] if pair else None
+            w = weights[block]
+            if table:
+                factors = [_doubled_factors(spec, rows[block]) for spec, rows in sides]
+                sums = [acc + _table_block(w[None], *side) for acc, side in zip(sums, factors)]
+                if pair:
+                    (x_lead, x_last), (f_lead, f_last) = factors
+                    labels = _table_columns(f_spec, f_rows, f_lead, f_last) * w
+                    cross = cross + _table_block(labels, x_lead[:corner[0]], x_last[:corner[1]])
+            else:
+                rights = [np.ascontiguousarray(_basis_columns(spec, rows[block]).T)
+                          for spec, rows in sides]
+                lefts = [right.T * w for right in rights]
+                sums = [acc + left @ right for acc, left, right in zip(sums, lefts, rights)]
+                if pair:
+                    cross = cross + lefts[1] @ rights[0]
+    _finite(*sums, cross)
+    if table:
+        sums = [_product_moments(acc.ravel(), spec, rows) for (spec, rows), acc in zip(sides, sums)]
+        cross = cross.reshape(-1, *corner)[:, rows_q, rows_e] if pair else None
+    return sums, cross if pair else None
 
 
 def _table_positions(exps: np.ndarray, n_vars: int, order: int) -> np.ndarray:
@@ -474,17 +509,18 @@ def _table_positions(exps: np.ndarray, n_vars: int, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _positions(n_vars: int, order: int, mode: str) -> tuple:
+def _positions(n_vars: int, order: int, mode: str, folds: bool) -> tuple:
     """Where a spec's basis columns and their products sit in the doubled-order table,
     read-only: the column of each basis column, and one (dim, dim) index array of the
-    products per choice of sum or difference per variable."""
+    products per term of the product rule: a sum per variable, or where the family
+    `folds`, each choice of sum or difference per variable."""
     exps = np.array(list(multi_indices(n_vars, order, mode)), dtype=np.intp).reshape(-1, n_vars)
     columns = _table_positions(exps, n_vars, order)
     plus = exps[:, None, :] + exps[None, :, :]
     minus = np.abs(exps[:, None, :] - exps[None, :, :])
     gathers = tuple(_table_positions(np.where(np.array(choice, dtype=bool), minus, plus),
                                      n_vars, order)
-                    for choice in np.ndindex((2,) * n_vars))
+                    for choice in np.ndindex((2 if folds else 1,) * n_vars))
     for array in (columns,) + gathers:
         array.setflags(write=False)
     return columns, gathers
@@ -492,13 +528,14 @@ def _positions(n_vars: int, order: int, mode: str) -> tuple:
 
 def _spec_positions(spec: BasisSpec, rows: np.ndarray) -> tuple:
     """`_positions` of a spec on 2-D rows: (basis columns, product gathers)."""
-    return _positions(_n_vars(spec, rows), spec.product_order, spec.mode)
+    return _positions(_n_vars(spec, rows.shape[1]), spec.product_order, spec.mode,
+                      spec._plan.family.folds)
 
 
 def _column_grid(spec: BasisSpec, rows: np.ndarray):
     """(lead index, last exponent) of each basis column, and the (Q', order + 1)
     corner of the doubled-order table that holds them."""
-    n_vars, order = _n_vars(spec, rows), spec.product_order
+    n_vars, order = _n_vars(spec, rows.shape[1]), spec.product_order
     lead, last = np.divmod(_spec_positions(spec, rows)[0], 2 * order + 1)
     return lead, last, (producted_dimension(n_vars - 1, order, "up_to") if n_vars > 1 else 1,
                         order + 1)
@@ -524,7 +561,7 @@ def _product_coefficients(form: np.ndarray, spec: BasisSpec, rows: np.ndarray) -
     coefficients (Q, E) of the doubled-order table's columns: the adjoint of
     `_product_moments`, which scatters where it gathers."""
     gathers = _spec_positions(spec, rows)[1]
-    lead, last, _ = _table_shape(spec, rows)
+    lead, last, _ = _table_shape(spec, rows.shape[1])
     coefficients = sum(np.bincount(gather.ravel(), weights=form.ravel(), minlength=lead * last)
                        for gather in gathers)
     return (coefficients / len(gathers)).reshape(lead, last)
@@ -562,19 +599,19 @@ def design_matrix(spec: BasisSpec, rows) -> np.ndarray:
 def evaluate_basis(spec: BasisSpec, raw) -> np.ndarray:
     """Basis-evaluated feature vector of one raw row (the first row of a 2-D `raw`).
 
-    Equal bit for bit to that row of `design_matrix`, and raises what
-    `design_matrix` raises on `raw`. A single Chebyshev row of order >= 1
-    gathers its columns straight from `_row_factors`' Python floats, so a T_k
-    past the float range raises there without an overflow warning. The
-    gathered products need no finiteness test: for m = max |t_j| >= 1,
-    |T_a(s) T_b(t)| <= T_(a+b)(m) <= T_order(m), finite when every variable's
-    last T is, and every factor is at most 1 in size where m < 1. Other rows
-    take `_basis_columns` without its block loop. In up_to mode, and in exact
-    mode at order 0, the first component is the constant 1 (every exponent
-    zero); exact mode at order >= 1 has no constant component.
+    Equal bit for bit to that row of `design_matrix`, and raises what `design_matrix`
+    raises on `raw`. A single row of order >= 1 gathers its columns straight from
+    `_row_factors`' Python floats, so a factor past the float range raises there
+    without an overflow warning. The gathered products need no finiteness test:
+    for m = max |t_j| >= 1, |prod_j t_j^k_j| <= m^order and
+    |T_a(s) T_b(t)| <= T_order(m), finite when every variable's last factor is,
+    and every factor is at most 1 in size where m < 1. Other rows take
+    `_basis_columns` without its block loop. In up_to mode, and in exact mode at
+    order 0, the first component is the constant 1 (every exponent zero); exact mode
+    at order >= 1 has none.
     """
     rows = np.array(raw, dtype=float, ndmin=2, copy=None)  # np.atleast_2d, in one call
-    if rows.shape[0] == 1 and spec.kind == CHEBYSHEV and spec.product_order:
+    if rows.shape[0] == 1 and spec.product_order:
         plan = spec._plan
         gathers = plan.layout(rows.shape[1])[1]
         return _gather_columns(np.array(_row_factors(plan, plan.select(rows)[:, 0].tolist(),

@@ -40,21 +40,15 @@ matrix, in place of the (d n)^2 tensor; s is the last rows of the same
 product. Each route gives a block's rows, whitened label rows, |x|^2 and b_x,
 and sums the tensor; each pass picks its route by one rule (`_moment_route`):
 
-  moment table  for data from `prepare` with Chebyshev specs on both sides.
-                Per variable T_a T_b = (T_(a+b) + T_|a-b|) / 2, so one
-                weighted table of doubled-order basis moments holds every
-                product; S is gathered from it and whitened by T_f (x) T_x.
-                |x|^2 is a quadratic form of the same attribute table, whose
-                coefficients T_x^T T_x are scattered onto it
-                (`sample._product_coefficients`), and b_x is gathered from
-                its factors (`sample._table_columns`).
-                Taken when the two whitenings are well conditioned and the
-                table needs less work per row than the rows route (many
-                variables at low order do not).
-  rows          everything else: spec-less data (`prepare_points`),
-                monomial specs (their doubled-order moments are badly
-                conditioned) and the cases above. Each block's whitened rows
-                give |x|^2, and z, built from them, is added as z z^T.
+  moment table  where `sample`'s work rule sent the first pass of a `prepare`
+                pair to the tables and the whitenings are well conditioned.
+                One weighted table of doubled-order basis moments holds every
+                product (the family's product rule); S is read off it and
+                whitened by T_f (x) T_x. |x|^2 is a quadratic form of the
+                attribute table (`sample._product_coefficients`), and b_x is
+                gathered from its factors (`sample._table_columns`).
+  rows          everything else, spec-less data (`prepare_points`) too. Each
+                block's whitened rows give |x|^2 and z, added as z z^T.
 """
 
 from __future__ import annotations
@@ -68,8 +62,8 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .hilbert import PreparedData, _coupled, _well_conditioned
 from .linalg import row_blocks, sym_eig
-from .sample import (CHEBYSHEV, _basis_columns, _doubled_columns, _doubled_factors, _finite,
-                     _n_vars, _product_coefficients, _product_moments, _table_block,
+from .sample import (_basis_columns, _doubled_columns, _doubled_factors, _finite,
+                     _moment_table, _product_coefficients, _product_moments, _table_block,
                      _table_columns, _table_shape, _table_values)
 
 
@@ -191,11 +185,12 @@ def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
     behind F_TOT and F_JDG, one row block at a time in block order.
 
     With a `channel` u (m_eff x n_eff) the pass sums S u for that one channel
-    instead of S, under the same gates, and raises if S u is not finite; no
-    (d n)^2 array is built. A gate of the tensor's kind raises at once; a
-    singular coupling raises before the pass for the adjusted kind. F_TOT sums
-    unit label states, in range at any weight scale; F_JDG sums the squared
-    overlaps under the christoffel-product weight.
+    instead of S, under the same gates; no (d n)^2 array is built. S or S u
+    past the float range raises the gate of F_TOT or F_JDG that names the
+    weights, or else names the basis values. A gate of the tensor's kind
+    raises at once; a singular coupling raises before the pass for the
+    adjusted kind. F_TOT sums unit label states, in range at any weight
+    scale; F_JDG sums the squared overlaps under the christoffel-product weight.
     """
     adjusted = kind is TensorKind.CHRISTOFFEL_PRODUCT_ADJUSTED
     maps, m = _row_maps(data, adjusted, channel), data.f_space.eff_dim
@@ -237,52 +232,26 @@ def _weighted_pass(data: PreparedData, kind: Optional[TensorKind] = None,
     if not isinstance(moments, NumericalError):
         moments.setflags(write=False)
     matrix = None
-    if tensor:
-        matrix = route.matrix()
-    elif kind is not None:  # S u = (sum_l w_l s_l f_l b_x(l)^T) T_x^T
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises below
+        if tensor:
+            matrix = route.matrix()
+        elif kind is not None:  # S u = (sum_l w_l s_l f_l b_x(l)^T) T_x^T
             matrix = product @ data.x_space.transform.T
-        if not np.isfinite(matrix).all():  # the sums a fit reads first name tiny weights
-            _raised(moments)
-            _raised(jdg)
-            _finite(matrix)
+    if matrix is not None and not np.isfinite(matrix).all():
+        _raised(moments)  # the sums a fit reads first name tiny weights
+        _raised(jdg)
+        _finite(matrix)
     return _Sums(matrix, moments, jdg)
 
 
-# One elementwise multiply of a row block costs about as much as forty
-# multiply-adds inside a matrix product: fitted to whole-fit timings of both
-# routes on 2e4 rows with 2 to 4 attribute variables, where a table's
-# elementwise left factor of a few MB per block runs at memory speed.
-_ELEMENTWISE_COST = 40
-
-
 def _moment_route(data: PreparedData) -> bool:
-    """Whether the weighted pass takes the moment-table route, rather than the rows route.
-
-    The one route rule, evaluated by every weighted pass. It needs Chebyshev
-    specs on both sides and well-conditioned whitenings (`hilbert._well_conditioned`,
-    the gate under which `PreparedData.stats` whitens the raw cross moments, so
-    neither route makes a pass for C). Then the route with less work per row
-    runs, leaving out the product A b_x both take. The moment table's: the
-    gathers of both sides' columns and of b_x, the weighted left factor and one
-    matrix product of the tensor table, and the quadratic form |x|^2. The rows
-    route's: one pass of basis columns and whitened attribute rows, building z
-    and z^T z.
-    """
-    if any(spec is None or spec.kind != CHEBYSHEV for spec in (data.f_spec, data.x_spec)):
-        return False
-    f_lead, f_last, f_gather = _table_shape(data.f_spec, data.f_rows)
-    x_lead, x_last, x_gather = _table_shape(data.x_spec, data.x_rows)
-    m, n = data.f_space.eff_dim, data.x_space.eff_dim
-    n_raw = data.x_space.raw_dim
-    label = f_lead * f_last
-    moment = (_ELEMENTWISE_COST * (f_gather + x_gather + 2 * label + label * x_lead + x_lead
-                                   + n_raw)
-              + (label + 1) * x_lead * x_last)
-    width = m * n
-    rows = (_ELEMENTWISE_COST * (n_raw * _n_vars(data.x_spec, data.x_rows) + width)
-            + n * n_raw + width * (width + 1) // 2)
-    return moment < rows and _well_conditioned(data)
+    """Whether the weighted pass takes the moment-table route, rather than the rows route:
+    where the work rule (`sample._moment_table`) sent a `prepare` pair's first pass to
+    the tables and the whitenings pass the condition gate (`hilbert._well_conditioned`)."""
+    return (data.x_spec is not None and data.f_spec is not None
+            and _moment_table(data.x_spec, data.x_rows.shape[1], data.f_spec,
+                              data.f_rows.shape[1])
+            and _well_conditioned(data))
 
 
 class _RowsRoute:
@@ -311,7 +280,7 @@ class _RowsRoute:
         """Adds the block's z z^T, z = f (x) x scaled in place by sqrt(w)."""
         f, x = operands
         x = np.ascontiguousarray(x.T)  # (n_eff, block rows): z is built at unit stride
-        with np.errstate(over="ignore", invalid="ignore"):  # as in `_TableRoute.matrix`
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in the pass
             z = np.multiply(f[:, None], x[None]).reshape(self.sum.shape[0], -1)
             z *= np.sqrt(weights)
             self.sum += z @ z.T
@@ -323,8 +292,8 @@ class _RowsRoute:
 class _TableRoute:
     """The moment-table route of the weighted pass: one doubled-order factor table per
     side per block gives |x|^2, the basis columns b_x and the block's part of the
-    table Mom[p, q] = sum_l w_l T_p(f_l) T_q(x_l), which holds every product of raw
-    basis columns; `matrix` reads them off it by the Chebyshev product rule and
+    table Mom[p, q] = sum_l w_l p_p(f_l) p_q(x_l), which holds every product of raw
+    basis columns; `matrix` reads them off it by the family's product rule and
     whitens them by T_f (x) T_x: the attribute side first, for every label moment,
     and the label side last.
 
@@ -351,7 +320,7 @@ class _TableRoute:
         same bits (`_table_columns`)."""
         data = self.data
         for rows in row_blocks(data.size):
-            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in `matrix`
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in the pass
                 lead, last = _doubled_factors(data.x_spec, data.x_rows[rows])
                 if self.tensor:
                     factors = _doubled_factors(data.f_spec, data.f_rows[rows])
@@ -374,17 +343,13 @@ class _TableRoute:
                 self.sum = np.ldexp(self.sum, self.exp - exp)
             self.exp = exp
         weights = np.ldexp(weights, -self.exp)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in `matrix`
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN raises in the pass
             self.sum = self.sum + _table_block(labels * weights, lead, last)
 
-    # A tensor past the float range (tiny weights) is inf: the baselines' gates,
-    # which a fit reads first, name the weights.
-    @np.errstate(over="ignore", invalid="ignore")
     def matrix(self) -> np.ndarray:
         data = self.data
-        _finite(self.sum)
         tx, tf = data.x_space.transform, data.f_space.transform
-        lead, last, _ = _table_shape(data.x_spec, data.x_rows)
+        lead, last, _ = _table_shape(data.x_spec, data.x_rows.shape[1])
         mom = self.sum.reshape(-1, lead * last)  # (label columns, attribute columns)
         x_white = tx @ _product_moments(mom, data.x_spec, data.x_rows) @ tx.T  # (labels, n, n)
         f_raw = _product_moments(x_white, data.f_spec, data.f_rows, axis=0)  # (m_raw, m_raw, n, n)

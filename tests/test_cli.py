@@ -416,20 +416,18 @@ class TestDemo:
         assert rn.min() >= -1.0 - 1e-9 and rn.max() <= 1.0 + 1e-9
         assert max(ls.max() - 1.0, -1.0 - ls.min()) > 0.05
 
-    def test_square_wave_polar_ascent_falls_back_to_lsq(self, tmp_path):
-        # Every eigenvector of the square wave's tensor reshapes to a rank-1
-        # 2 x 7 channel, so no eigenstate start exists; polar ascent starts
-        # from the least-squares channel instead and never falls below it.
-        # The maxev family has no such fallback.
-        for algorithm, code in (("polar-ascent", 0), ("maxev-svd-adj", 4)):
-            assert main(["demo", "square-wave", "--algorithm", algorithm,
-                         "--out-prefix", str(tmp_path / f"{algorithm}_")]) == code
+    def test_square_wave_polar_ascent_not_below_lsq(self, tmp_path):
+        # Polar ascent on the square wave ends no lower than the least-squares
+        # channel. Whether an eigenstate of its tensor snaps is a rounding
+        # accident (its reflection symmetry pairs the eigenvalues), so the
+        # fallback to the least-squares start is pinned in test_solver.py.
+        assert main(["demo", "square-wave", "--algorithm", "polar-ascent",
+                     "--out-prefix", str(tmp_path / "polar-ascent_")]) == 0
         grid, weights = grid_measure()
         sample = kgo.Sample(grid[:, None], np.where(grid >= 0.0, 1.0, -1.0)[:, None], weights)
         data = kgo.prepare(sample, kgo.BasisSpec("monomial", 6), kgo.BasisSpec("monomial", 1))
         polar, trace = kgo.fit_prepared(data, config=kgo.SolverConfig())
         lsq_adj, _ = kgo.fit_prepared(data, config=kgo.SolverConfig(algorithm="lsq-adj"))
-        assert trace.records[0].iteration == 0
         assert polar.report["f"] >= lsq_adj.report["f"]
 
     def test_localized_states_argmax(self, tmp_path):

@@ -382,6 +382,26 @@ class TestSubnormalWeights:
                         kgo.with_scale(kgo.BasisSpec("chebyshev", 3), f), kind=kind,
                         config=kgo.SolverConfig(algorithm=algorithm))
 
+    @pytest.mark.parametrize("route", ["table", "rows"])
+    @pytest.mark.parametrize("kind", list(kgo.TensorKind))
+    def test_tensor_names_the_weights(self, monkeypatch, kind, route):
+        # A tensor built on its own at subnormal weights: whitening puts the plain
+        # values' sums past the float range on either route, and the pass raises
+        # the gate that names the weights, as it does for S u, where it would
+        # return inf; the other kinds' weight gates raise first.
+        monkeypatch.setattr(kgo.tensors, "_moment_route", lambda data: route == "table")
+        rng = np.random.default_rng(1)
+        x = rng.uniform(-1.0, 1.0, size=(3000, 2))
+        f = np.sin(x[:, :1]) + 0.1 * rng.normal(size=(3000, 1))
+        sample = kgo.Sample(x, f, 1e-310 * rng.uniform(0.5, 1.5, size=3000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = kgo.prepare(sample, kgo.with_scale(kgo.BasisSpec("chebyshev", 6), x),
+                               kgo.with_scale(kgo.BasisSpec("chebyshev", 3), f))
+            with pytest.raises(NumericalError, match=r"^observation \d+ has .*: rescale the "
+                                                     "sample weights$"):
+                kgo.build_coverage_tensor(kind, data)
+
 
 class TestPreparePoints:
     @pytest.mark.parametrize("x0, weights, message", [

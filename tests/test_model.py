@@ -551,7 +551,7 @@ def _dropped_directions_model():
 
 
 def _monomial_attribute_model():
-    """A monomial attribute side, whose rows take numpy's power, not the float path."""
+    """A monomial attribute side beside a Chebyshev label side: a mixed pair."""
     model, _ = kgo.fit(_line_sample(), kgo.BasisSpec("monomial", 5),
                        kgo.BasisSpec("chebyshev", 2),
                        config=kgo.SolverConfig(algorithm="lsq-adj"))

@@ -1,8 +1,8 @@
 """The blocked passes of a fit against dense formulas on materialized rows.
 
-`kgo.prepare` sums both Gram matrices over the row blocks (a Chebyshev
-side's Gram read off its doubled-order moment table) and, for a Chebyshev
-pair, the raw cross moments. `PreparedData.stats` holds the cross Gram and
+`kgo.prepare` sums both Gram matrices and the raw cross moments over the
+row blocks, on the doubled-order moment tables or on basis columns, as the
+work rule picks for the pair of specs. `PreparedData.stats` holds the cross Gram and
 the factor of the label/attribute coupling. One weighted pass computes each
 row's norms, the coverage tensor and the sums behind F_TOT and F_JDG: |x|^2
 is a functional of the row's doubled-order table on the moment-table route
@@ -115,21 +115,27 @@ class TestPassesMatchDense:
         assert data.f_space.eff_dim == f_points.shape[1] - 1
         close(kgo.fit_least_squares(data), dense_quantities(data)["beta"])
 
-    def test_table_gram_agrees_with_feature_rows(self):
+    @pytest.mark.parametrize("basis", ["chebyshev", "monomial"])
+    def test_table_gram_agrees_with_feature_rows(self, basis):
+        # A monomial table reads each product of two columns off one table column.
         data = chebyshev_instance(np.random.default_rng(3), 2 * BLOCK + 7, x_order=6)
+        if basis == "monomial":
+            sample = kgo.Sample(data.x_rows, data.f_rows, data.weights)
+            data = kgo.prepare(sample, kgo.BasisSpec("monomial", 6), kgo.BasisSpec("monomial", 2))
         close(data.x_space.gram_raw, feature_gram(data), rtol=1e-14)
 
     @pytest.mark.parametrize("basis", ["monomial", None])
     def test_other_data_matches_dense(self, basis):
+        # A monomial pair takes the route its shape picks, here the moment table;
+        # spec-less data takes the rows.
         data = chebyshev_instance(np.random.default_rng(9), BLOCK + 5)
         if basis == "monomial":
             sample = kgo.Sample(data.x_rows, data.f_rows, data.weights)
             data = kgo.prepare(sample, kgo.BasisSpec("monomial", 4), kgo.BasisSpec("monomial", 2))
-            # The monomial Gram is the feature rows' sum, bit for bit.
-            assert data.x_space.gram_raw.tobytes() == feature_gram(data).tobytes()
+            close(data.x_space.gram_raw, feature_gram(data), rtol=1e-14)
         else:
             data = kgo.prepare_points(data.x_points, data.f_points, data.weights)
-        assert not kgo.tensors._moment_route(data)
+        assert kgo.tensors._moment_route(data) == (basis == "monomial")
         assert_matches_dense(data)
 
 
@@ -525,23 +531,45 @@ class TestRowPasses:
     @pytest.mark.parametrize("algorithm", ["lsq-adj", "polar-ascent"])
     def test_well_conditioned_rows_route_makes_two_passes(self, monkeypatch, algorithm):
         # Six attribute variables at order 2 pass the condition gate and take the
-        # rows route: C is whitened from `prepare`'s raw cross moments, so the
-        # single-shot fit (lsq-adj, S u) and the tensor fit both make `prepare`'s
-        # pass and the weighted pass over basis columns, as on the table route.
+        # rows route: `prepare`'s pass sums the Gram matrices and the raw cross
+        # moments over basis columns too, so it builds no doubled-order table, and
+        # C is whitened from them. The single-shot fit (lsq-adj, S u) and the
+        # tensor fit both make `prepare`'s pass and the weighted pass, each
+        # block's columns built from one basis-order factor table per side.
         data = chebyshev_instance(np.random.default_rng(7), 2 * BLOCK + 7, x_vars=6, x_order=2)
         assert kgo.hilbert._well_conditioned(data) and not kgo.tensors._moment_route(data)
         sample = kgo.Sample(data.x_rows, data.f_rows, data.weights)
-        counts, _ = count_row_passes(monkeypatch, data.x_spec, data.f_spec)
+        counts, orders = count_row_passes(monkeypatch, data.x_spec, data.f_spec)
         kgo.fit(sample, data.x_spec, data.f_spec, kgo.TensorKind.F_CHRISTOFFEL,
                 kgo.SolverConfig(algorithm=algorithm))
-        assert counts == {"x tables": 2 * 3, "f tables": 2 * 3, "x columns": 3, "f columns": 3}
+        assert counts == dict.fromkeys(counts, 2 * 3)
+        assert orders == [("x", 2), ("f", 2)] * 2 * 3
+
+    @pytest.mark.parametrize("x_vars", [1, 6])
+    def test_default_bases_make_two_passes(self, monkeypatch, x_vars):
+        # The CLI's default bases, monomial:2 and monomial:1, under the default
+        # kind and solver: `prepare`'s pass sums the raw cross moments with the
+        # Gram matrices, C is whitened from them, and the weighted pass is the
+        # second and last pass; no pass sums C on its own.
+        rng = np.random.default_rng(x_vars)
+        x = rng.uniform(-1.0, 1.0, size=(2 * BLOCK + 7, x_vars))
+        f = np.sin(2.0 * x[:, :1]) + 0.2 * rng.normal(size=(x.shape[0], 1))
+        sample = kgo.Sample(x, f, rng.uniform(0.1, 2.0, size=x.shape[0]))
+        x_spec, f_spec = kgo.BasisSpec("monomial", 2), kgo.BasisSpec("monomial", 1)
+        data = kgo.prepare(sample, x_spec, f_spec)
+        assert kgo.hilbert._well_conditioned(data) and not kgo.tensors._moment_route(data)
+        counts, orders = count_row_passes(monkeypatch, x_spec, f_spec)
+        model, _ = kgo.fit(sample, x_spec, f_spec)
+        assert counts == dict.fromkeys(counts, 2 * 3)
+        assert orders == [("x", 2), ("f", 1)] * 2 * 3
+        assert model.report["stop_reason"] == "converged"
 
     @pytest.mark.parametrize("pair", ["monomial", "mixed", "points"])
     def test_first_pass_is_one_loop(self, monkeypatch, pair):
         # `prepare` and `prepare_points` sum both Gram matrices in one loop over the
-        # row blocks, whatever the kinds of the two sides. Each block builds one
-        # factor table per side: a Chebyshev side's at doubled order for its moment
-        # table, a monomial side's at basis order for its basis columns.
+        # row blocks, whatever the families of the two sides. Where the work rule
+        # picks the moment tables, as for these shapes, each block builds one
+        # doubled-order factor table per side, whatever its family.
         sample = chebyshev_sample(2 * BLOCK + 7)  # three row blocks
         x_spec = kgo.with_scale(kgo.BasisSpec("chebyshev" if pair == "mixed" else "monomial", 4),
                                 sample.x_rows)
@@ -563,10 +591,8 @@ class TestRowPasses:
         counts, orders = count_row_passes(monkeypatch, x_spec, f_spec)
         kgo.prepare(sample, x_spec, f_spec)
         assert loops == [sample.size]
-        mixed = pair == "mixed"
-        assert counts == {"x tables": 3, "f tables": 3, "x columns": 0 if mixed else 3,
-                          "f columns": 3}
-        assert orders == [("x", 8 if mixed else 4), ("f", 2)] * 3
+        assert counts == {"x tables": 3, "f tables": 3, "x columns": 0, "f columns": 0}
+        assert orders == [("x", 8), ("f", 4)] * 3
 
 
 class TestOneSideGramPath:
@@ -677,16 +703,22 @@ class TestFitReadsNoAttributeRows:
         assert model.report["f_tot"] > 0.0 and model.report["f_jdg"] > 0.0
 
     def test_cross_gram_source_is_the_gate(self, monkeypatch):
-        # `stats` whitens the raw cross moments wherever the whitenings pass the
-        # condition gate, whichever route the weighted pass takes, and never asks
-        # the route rule; the clusters fail the gate and sum C over whitened rows.
+        # Every `prepare` pair carries the raw cross moments, summed on either
+        # engine, and `stats` whitens them wherever the whitenings pass the
+        # condition gate, whichever route the weighted pass takes and whatever
+        # the families, and never asks the route rule; the clusters and the wide
+        # monomial fit fail the gate and sum C over whitened rows.
         calls, rule = [], kgo.tensors._moment_route
         monkeypatch.setattr(kgo.tensors, "_moment_route",
                             lambda data: calls.append(data) or rule(data))
         table = kgo.prepare(chebyshev_sample(BLOCK + 9), kgo.BasisSpec("chebyshev", 8),
                             kgo.BasisSpec("chebyshev", 3))
         rows = chebyshev_instance(np.random.default_rng(7), BLOCK, x_vars=6, x_order=2)
-        for data, gate in ((table, True), (rows, True), (clusters(), False)):
+        monomial = kgo.prepare(kgo.Sample(rows.x_rows, rows.f_rows, rows.weights),
+                               kgo.BasisSpec("monomial", 2), kgo.BasisSpec("monomial", 1))
+        pairs = ((table, True), (rows, True), (monomial, True), (clusters(), False),
+                 (wide_monomial(), False))
+        for data, gate in pairs:
             assert kgo.hilbert._well_conditioned(data) == gate
             raw = data.f_space.transform @ data.cross_raw @ data.x_space.transform.T
             assert (data.stats.cross.tobytes() == raw.tobytes()) == gate

@@ -155,24 +155,27 @@ class TestProductAttributes:
 
 
 def loop_design(spec, rows):
-    """Per-column reference: each column a product of per-variable factors."""
+    """Per-column reference: each column a product of per-variable factors, each
+    variable's by its family's recurrence, t p_(k-1) or 2 t T_(k-1) - T_(k-2)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     sel = rows if spec.source is None else rows[:, list(spec.source)]
-    if spec.kind == "chebyshev":
+    chebyshev = spec.kind == "chebyshev"
+    t = sel
+    if chebyshev:
         lo, hi = (np.asarray(v, dtype=float) for v in spec.scale)
         t = (2.0 * sel - (lo + hi)) / (hi - lo)
-        per_var = []
-        for j in range(sel.shape[1]):
-            cols = [np.ones(rows.shape[0]), t[:, j]]
-            for _ in range(2, spec.product_order + 1):
-                cols.append(2.0 * t[:, j] * cols[-1] - cols[-2])
-            per_var.append(cols)
+    per_var = []
+    for j in range(sel.shape[1]):
+        cols = [np.ones(rows.shape[0]), t[:, j]]
+        for _ in range(2, spec.product_order + 1):
+            cols.append(2.0 * t[:, j] * cols[-1] - cols[-2] if chebyshev else t[:, j] * cols[-1])
+        per_var.append(cols)
     out = []
     for idx in kgo.multi_indices(sel.shape[1], spec.product_order, spec.mode):
         col = np.ones(rows.shape[0])
         for j, k in enumerate(idx):
             if k:
-                col = col * (per_var[j][k] if spec.kind == "chebyshev" else sel[:, j] ** k)
+                col = col * per_var[j][k]
         out.append(col)
     return np.column_stack(out)
 
@@ -191,6 +194,15 @@ class TestDesignMatrix:
         np.testing.assert_array_equal(design, loop_design(spec, rows))
         for i in (0, _ROW_BLOCK, rows.shape[0] - 1):
             np.testing.assert_array_equal(kgo.evaluate_basis(spec, rows[i]), design[i])
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 12])
+    def test_monomial_recurrence_near_numpy_power(self, order):
+        # The recurrence t p_(k-1) rounds once per order, so each power stays
+        # within `order` ulps of numpy's t ** k, outside [-1, 1] too.
+        t = np.random.default_rng(order).uniform(-8.0, 8.0, size=500)
+        design = kgo.design_matrix(kgo.BasisSpec("monomial", order), t[:, None])
+        power = t[:, None] ** np.arange(order + 1)
+        assert np.all(np.abs(design - power) <= order * np.spacing(np.abs(power)))
 
 
 def loop_design_zero_span(spec, rows):
@@ -343,11 +355,13 @@ class TestEvaluateBasis:
     @pytest.mark.parametrize("order", [0, 1, 2, 10])
     @pytest.mark.parametrize("n_vars", [1, 2, 3])
     @pytest.mark.parametrize("case", ["up_to", "exact", "source", "zero-span"])
-    def test_one_row_recurrence_equals_design_rows(self, order, n_vars, case):
-        """A single query row's float argument map and recurrence give the bits of a block's."""
+    @pytest.mark.parametrize("kind", ["chebyshev", "monomial"])
+    def test_one_row_recurrence_equals_design_rows(self, kind, order, n_vars, case):
+        """A single query row's float argument map and recurrence give the bits of a block's;
+        monomials take no argument map, so their zero-span case is one more source case."""
         rng = np.random.default_rng([order, n_vars])
         train = rng.uniform(-2.0, 3.0, size=(40, 4))
-        spec = kgo.BasisSpec("chebyshev", order, mode="exact" if case == "exact" else "up_to")
+        spec = kgo.BasisSpec(kind, order, mode="exact" if case == "exact" else "up_to")
         if case in ("source", "zero-span"):
             spec = replace(spec, source=(3, 1, 0)[:n_vars])
         else:
@@ -375,11 +389,12 @@ class TestEvaluateBasis:
 
     @pytest.mark.parametrize("raw", [[1e40], [-1e40], [3.0, -1e40], [np.nan], [0.5, np.nan],
                                      [1e40, 0.0]])
-    def test_one_row_overflow_raises_without_warning(self, raw):
-        """T_k past the float range gives inf or NaN in the one-row recurrence, silently,
-        and raises there, before the gather could multiply it by T_1(0) = 0 (no
-        np.errstate here)."""
-        spec = kgo.BasisSpec("chebyshev", 10, scale=(-1.0, 1.0))
+    @pytest.mark.parametrize("spec", [kgo.BasisSpec("chebyshev", 10, scale=(-1.0, 1.0)),
+                                      kgo.BasisSpec("monomial", 10)], ids=["chebyshev", "monomial"])
+    def test_one_row_overflow_raises_without_warning(self, spec, raw):
+        """A factor past the float range gives inf or NaN in the one-row recurrence,
+        silently, and raises there, before the gather could multiply it by a zero
+        factor (no np.errstate here)."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match="^basis evaluation produced non-finite values$"):
@@ -410,9 +425,10 @@ class TestEvaluateBasis:
         for row, expected in zip(rows, design):
             assert kgo.evaluate_basis(spec, row).tobytes() == expected.tobytes()
 
-    def test_one_row_takes_no_ufunc_per_order(self, monkeypatch):
-        """A single Chebyshev query row calls no np.multiply or np.subtract; a
-        block still runs its argument map and recurrence on arrays."""
+    @pytest.mark.parametrize("kind, block", [("chebyshev", (10, 10)), ("monomial", (9, 0))])
+    def test_one_row_takes_no_ufunc_per_order(self, monkeypatch, kind, block):
+        """A single query row calls no np.multiply or np.subtract; a block still runs
+        its argument map (Chebyshev only) and recurrence on arrays."""
         from kgo.linalg import _ROW_BLOCK
         calls = {"multiply": 0, "subtract": 0}
 
@@ -425,14 +441,14 @@ class TestEvaluateBasis:
             monkeypatch.setattr(np, name, wrapper)
 
         rows = np.random.default_rng(24).uniform(-1.0, 1.0, size=(_ROW_BLOCK, 2))
-        spec = kgo.with_scale(kgo.BasisSpec("chebyshev", 10), rows)
+        spec = kgo.with_scale(kgo.BasisSpec(kind, 10), rows)
         for name in calls:
             counted(name)
         kgo.evaluate_basis(spec, rows[0])
         assert calls == {"multiply": 0, "subtract": 0}
         calls.update(multiply=0, subtract=0)
         kgo.design_matrix(spec, rows)
-        assert calls == {"multiply": 10, "subtract": 10}  # argument map + 9 orders
+        assert calls == dict(zip(calls, block))  # Chebyshev's argument map, then 9 orders
 
     def test_first_row_of_a_batch(self):
         """A 2-D input gives its first row and raises what design_matrix raises on it."""

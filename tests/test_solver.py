@@ -603,6 +603,42 @@ class TestIllConditionedSelection:
         assert op.residual <= 1e-8
 
 
+def block_diagonal_tensor(seed, n=5):
+    """S = blockdiag(A, B) over the two label rows of a 2 x n channel, the spectra of A
+    and B apart: every eigenvector of S lies in one block, so it reshapes to a channel
+    with one nonzero row, of rank 1, and no eigenstate snaps."""
+    rng = np.random.default_rng(seed)
+    matrix = np.zeros((2 * n, 2 * n))
+    for block, low in ((slice(0, n), 1.0), (slice(n, 2 * n), 1.0 + n)):
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        matrix[block, block] = (q * np.arange(low, low + n)) @ q.T
+    return kgo.CoverageTensor(kgo.TensorKind.PLAIN_VALUE, 2, n, matrix)
+
+
+class TestNoEigenstateSnaps:
+    def test_every_eigenstate_is_rank_one(self):
+        _, channels = kgo.solve_partial_constraint(block_diagonal_tensor(34))
+        assert all(np.count_nonzero(np.abs(c).max(axis=1)) == 1 for c in channels)
+
+    def test_polar_ascent_falls_back_to_the_start(self):
+        # No eigenstate snaps, so polar ascent starts from the svd snap of u_init
+        # as iteration 0 and never falls below it.
+        tensor = block_diagonal_tensor(34)
+        u_init = np.random.default_rng(35).normal(size=(2, tensor.n))
+        op, trace = kgo.solve(tensor, kgo.SolverConfig(), u_init)
+        start = tensor.quadratic_form(kgo.enforce_partial_unitarity(u_init))
+        assert trace.records[0].iteration == 0
+        assert trace.records[0].f_after == pytest.approx(start, rel=1e-14)
+        assert op.f_value >= start and trace.stop_reason == "converged"
+
+    @pytest.mark.parametrize("algorithm", ["maxev", "maxev-svd-adj", "maxev-evadj"])
+    def test_maxev_family_has_no_fallback(self, algorithm):
+        tensor = block_diagonal_tensor(34)
+        u_init = np.random.default_rng(35).normal(size=(2, tensor.n))
+        with pytest.raises(NumericalError, match="every candidate eigenstate is rank deficient"):
+            kgo.solve(tensor, kgo.SolverConfig(algorithm=algorithm), u_init)
+
+
 class TestSolveDispatcher:
     @pytest.mark.parametrize("algorithm", kgo.ALGORITHMS)
     def test_all_paths_constrained(self, three_point_data, three_point_tensor,
